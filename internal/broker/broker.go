@@ -399,9 +399,22 @@ type Reporter interface {
 	CostVector() map[iosched.AppID]float64
 }
 
-// Transport carries the coordination round trips. Implementations may
-// fail or delay them; the direct in-process transport never does.
+// Endpoint is what every coordination transport provides: out-of-band
+// unregistration. The exchange protocol a client speaks is found by
+// type assertion — AsyncTransport when the endpoint implements it,
+// otherwise Transport.
+type Endpoint interface {
+	// Unregister removes the scheduler's report from the broker. It
+	// models out-of-band node-death detection (YARN's liveness
+	// tracking), so it is not subject to message faults.
+	Unregister(id string)
+}
+
+// Transport carries the coordination round trips synchronously.
+// Implementations may fail or delay them; the direct in-process
+// transport never does.
 type Transport interface {
+	Endpoint
 	// Exchange performs one report/response round trip. rtt is the
 	// virtual-time delay until the response reaches the client (0 =
 	// instantaneous, applied synchronously). On error no response is
@@ -411,10 +424,6 @@ type Transport interface {
 	Exchange(id string, vector map[iosched.AppID]float64) (resp Response, rtt float64, err error)
 	// Register performs the (re-)registration handshake.
 	Register(id string) (rtt float64, err error)
-	// Unregister removes the scheduler's report from the broker. It
-	// models out-of-band node-death detection (YARN's liveness
-	// tracking), so it is not subject to message faults.
-	Unregister(id string)
 }
 
 // AsyncTransport is the message-passing variant of Transport used when
@@ -423,10 +432,10 @@ type Transport interface {
 // its own shard, and the response travels back the same way. done is
 // invoked on the client's shard when the response arrives — possibly
 // never (request or response lost), which the client covers with its
-// own timeout event. A transport given to ClientOptions.Transport may
-// additionally implement AsyncTransport; the client then uses the
-// async protocol exclusively.
+// own timeout event. A client whose endpoint implements AsyncTransport
+// uses the async protocol exclusively.
 type AsyncTransport interface {
+	Endpoint
 	// ExchangeAsync sends the vector toward the broker; done fires when
 	// (and if) the response arrives. A non-nil err reports a delivered
 	// failure (e.g. broker down); a lost message simply never calls
@@ -528,9 +537,10 @@ func (s ClientState) String() string {
 
 // ClientOptions configure NewClientWithOptions.
 type ClientOptions struct {
-	// Transport carries the exchanges; nil means the client never
-	// coordinates (the paper's "No Sync").
-	Transport Transport
+	// Transport carries the exchanges: a Transport or an
+	// AsyncTransport. Nil — or an Endpoint that is neither — means the
+	// client never coordinates (the paper's "No Sync").
+	Transport Endpoint
 	// Period is the coordination period in seconds (default 1).
 	Period float64
 	// Retry tunes failure handling; zero fields take period-derived
@@ -550,9 +560,12 @@ type ClientOptions struct {
 // remote service, enforcing tenant-level proportionality. A Client
 // with a nil transport never coordinates (No Sync).
 type Client struct {
-	id        string
+	id string
+	// link is the endpoint; exactly one of transport and async is its
+	// exchange protocol. All three are nil for a No Sync client.
+	link      Endpoint
 	transport Transport
-	async     AsyncTransport // non-nil when transport is asynchronous
+	async     AsyncTransport
 	reporter  Reporter
 	eng       *sim.Engine
 	period    float64
@@ -614,7 +627,6 @@ func NewClientWithOptions(eng *sim.Engine, id string, reporter Reporter, opts Cl
 	}
 	c := &Client{
 		id:           id,
-		transport:    opts.Transport,
 		reporter:     reporter,
 		eng:          eng,
 		period:       period,
@@ -626,6 +638,12 @@ func NewClientWithOptions(eng *sim.Engine, id string, reporter Reporter, opts Cl
 		nextSeq:      1,
 	}
 	c.async, _ = opts.Transport.(AsyncTransport)
+	if c.async == nil {
+		c.transport, _ = opts.Transport.(Transport)
+	}
+	if c.async != nil || c.transport != nil {
+		c.link = opts.Transport
+	}
 	var tick func()
 	tick = func() {
 		c.tick()
@@ -651,7 +669,7 @@ func (c *Client) SetOnRecover(fn func(t float64)) { c.onRecover = fn }
 
 // tick is the periodic coordination round.
 func (c *Client) tick() {
-	if c.transport == nil || c.detached {
+	if c.link == nil || c.detached {
 		return
 	}
 	if c.inRound {
@@ -668,7 +686,7 @@ func (c *Client) tick() {
 // ExchangeNow performs one immediate round trip (a no-op while a round
 // is already outstanding).
 func (c *Client) ExchangeNow() {
-	if c.transport == nil || c.detached || c.inRound {
+	if c.link == nil || c.detached || c.inRound {
 		return
 	}
 	c.beginRound()
@@ -996,7 +1014,7 @@ func (c *Client) degrade(now float64) {
 // Until that succeeds the client runs degraded — a freshly restarted
 // node has no basis for the delay rule.
 func (c *Client) Restart() {
-	if c.detached || c.transport == nil {
+	if c.detached || c.link == nil {
 		return
 	}
 	now := c.eng.Now()
@@ -1031,8 +1049,8 @@ func (c *Client) Detach() {
 	c.epoch++
 	c.eng.Cancel(c.retryEv)
 	c.inRound = false
-	if c.transport != nil {
-		c.transport.Unregister(c.id)
+	if c.link != nil {
+		c.link.Unregister(c.id)
 	}
 }
 

@@ -133,12 +133,6 @@ type Config struct {
 	// singleton tenants reproduce flat per-app weights exactly.
 	Shares *shares.Tree
 
-	// MetaShards is the number of dedicated metadata shards hosting the
-	// partitioned namenode's placement draws (sharded assembly only).
-	// 0 defaults to DefaultMetaShards for full nodes and none for
-	// hollow nodes; negative disables the metadata plane explicitly.
-	MetaShards int
-
 	// Hollow strips each datanode to the scale-harness minimum: one
 	// HDFS device with its interposed scheduler and (with Coordinate)
 	// its broker client. No local device, no NICs, no network
@@ -220,12 +214,10 @@ type Node struct {
 	// resolve their weight through it.
 	shares *shares.Tree
 
-	// shard/coord are set only in sharded mode (NewSharded): shard owns
-	// this node's devices, NICs and schedulers; coord is the
-	// coordinator shard whose engine drives the control plane and to
-	// which every completion callback bounces back.
+	// shard owns this node's devices, NICs and schedulers: its own
+	// fabric shard under NewSharded, the coordinator's single shard
+	// under New.
 	shard *sim.Shard
-	coord *sim.Shard
 }
 
 // FreeCores returns unallocated CPU slots.
@@ -234,9 +226,9 @@ func (n *Node) FreeCores() int { return n.Cores - n.UsedCores }
 // FreeMemGB returns unallocated task memory.
 func (n *Node) FreeMemGB() float64 { return n.MemGB - n.UsedMemGB }
 
-// Cluster is the assembled system. In sharded mode Eng is the
-// coordinator shard's engine (shard 0); each node's devices live on
-// that node's own shard engine.
+// Cluster is the assembled system. Eng is the coordinator shard's
+// engine; under NewSharded each node's devices live on that node's own
+// shard engine, under New every node shares the coordinator's shard.
 type Cluster struct {
 	Eng    *sim.Engine
 	Nodes  []*Node
@@ -244,6 +236,7 @@ type Cluster struct {
 	cfg    Config
 	shares *shares.Tree
 
+	coord     *sim.Shard   // the coordinator shard, wrapping Eng
 	fabric    *sim.Fabric  // nil in single-engine mode
 	meta      []*sim.Shard // dedicated metadata shards (sharded mode)
 	fed       *fedPlane    // nil when the broker plane is centralized
@@ -287,8 +280,9 @@ func New(eng *sim.Engine, cfg Config) (*Cluster, error) {
 	return assemble(eng, nil, cfg)
 }
 
-// assemble builds the cluster on a single engine (fab == nil) or across
-// a fabric of per-node shards (fab != nil; eng is then the coordinator
+// assemble builds the cluster on a single engine (fab == nil: the
+// coordinator and every node share one shard wrapping eng) or across a
+// fabric of per-node shards (fab != nil; eng is then the coordinator
 // shard's engine).
 func assemble(eng *sim.Engine, fab *sim.Fabric, cfg Config) (*Cluster, error) {
 	cfg.defaults()
@@ -317,6 +311,11 @@ func assemble(eng *sim.Engine, fab *sim.Fabric, cfg Config) (*Cluster, error) {
 		devByName: make(map[string]*storage.Device),
 		engByID:   make(map[string]*sim.Engine),
 	}
+	if fab != nil {
+		c.coord = fab.Shard(0)
+	} else {
+		c.coord = sim.NewShard(eng)
+	}
 	if cfg.Coordinate {
 		if cfg.Federation.Enabled() {
 			if err := c.buildFederation(fab, cfg); err != nil {
@@ -342,13 +341,12 @@ func assemble(eng *sim.Engine, fab *sim.Fabric, cfg Config) (*Cluster, error) {
 			Cores:  cfg.CoresPerNode,
 			MemGB:  cfg.MemGBPerNode,
 			shares: c.shares,
+			shard:  c.coord,
 		}
-		nodeEng := eng
 		if fab != nil {
 			n.shard = fab.Shard(i + 1)
-			n.coord = fab.Shard(0)
-			nodeEng = n.shard.Engine()
 		}
+		nodeEng := n.shard.Engine()
 		n.HDFS = storage.NewDevice(nodeEng, fmt.Sprintf("node%d-hdfs", i), cfg.HDFSDisk)
 		c.devByName[fmt.Sprintf("node%d-hdfs", i)] = n.HDFS
 		c.engByID[fmt.Sprintf("node%d-hdfs", i)] = nodeEng
@@ -464,21 +462,20 @@ func (l *linkBackend) Submit(_ storage.OpKind, size float64, onDone func(float64
 
 // attach connects an SFQ scheduler to the broker; non-SFQ schedulers
 // cannot coordinate and are skipped. The client lives on the node's
-// engine; in sharded mode its exchanges cross the fabric through a
-// per-client async transport.
+// engine; when that is not the broker's shard, its exchanges cross the
+// fabric through a per-client async transport.
 func (c *Cluster) attach(n *Node, eng *sim.Engine, dev string, s iosched.Scheduler, id string) {
 	sfq, ok := s.(*iosched.SFQ)
 	if !ok {
 		return
 	}
-	tr := c.transport
-	if n.shard != nil {
-		if c.fed != nil {
-			p := c.fed.partOf(n.Index, c.cfg.Nodes)
-			tr = &fedTransport{part: c.fed.parts[p], inj: c.cfg.Faults, shard: n.shard, pshard: c.fed.shards[p]}
-		} else {
-			tr = &shardedTransport{b: c.Broker, inj: c.cfg.Faults, shard: n.shard, coord: n.coord}
-		}
+	var tr broker.Endpoint = c.transport
+	switch {
+	case c.fed != nil:
+		p := c.fed.partOf(n.Index, c.cfg.Nodes)
+		tr = &fedTransport{part: c.fed.parts[p], inj: c.cfg.Faults, shard: n.shard, pshard: c.fed.shards[p]}
+	case n.shard != c.coord:
+		tr = &shardedTransport{b: c.Broker, inj: c.cfg.Faults, shard: n.shard, coord: c.coord}
 	}
 	client := broker.NewClientWithOptions(eng, id, sfq.Accounting(), broker.ClientOptions{
 		Transport: tr,
@@ -665,152 +662,71 @@ func (c *Cluster) TotalCores() int {
 // to the HDFS device's scheduler, intermediate classes to the local
 // device's scheduler — the routing the IBIS interposition layer
 // performs in DataNode and NodeManager. A request without a weight
-// source resolves through the cluster's share tree. A non-nil error
-// means the request was rejected and will never complete.
+// source resolves through the cluster's share tree. The caller must be
+// executing on n's shard (or at a barrier); OnDone fires there. A
+// non-nil error means the request was rejected and will never
+// complete.
 func (n *Node) SubmitIO(req *iosched.Request) error {
 	if req.Shares == nil {
 		req.Shares = n.shares
 	}
-	if n.LocalSched == nil && !req.Class.Persistent() {
-		return fmt.Errorf("cluster: node %d is hollow; class %v has no device", n.Index, req.Class)
-	}
-	if n.shard != nil {
-		n.submitSharded(req)
-		return nil
-	}
 	if req.Class.Persistent() {
 		return n.HDFSSched.Submit(req)
+	}
+	if n.LocalSched == nil {
+		return fmt.Errorf("cluster: node %d is hollow; class %v has no device", n.Index, req.Class)
 	}
 	return n.LocalSched.Submit(req)
 }
 
-// submitSharded routes a request across the fabric: the submit travels
-// as a message to the node's shard, and the completion callback bounces
-// back to the coordinator, each hop costing the fabric lookahead — the
-// sharded model's RPC latency. Rejection cannot be reported to the
-// caller synchronously; in the sharded configurations (validated specs,
-// no mid-run control-plane surgery) a rejection is a wiring bug, so it
-// panics on the node shard.
-func (n *Node) submitSharded(req *iosched.Request) {
-	orig := req.OnDone
-	if orig != nil {
-		coordID := n.coord.ID()
-		req.OnDone = func(lat float64) {
-			n.shard.Post(coordID, 0, func() { orig(lat) })
-		}
-	}
-	n.coord.Post(n.shard.ID(), 0, func() {
-		var err error
-		if req.Class.Persistent() {
-			err = n.HDFSSched.Submit(req)
-		} else {
-			err = n.LocalSched.Submit(req)
-		}
-		if err != nil {
-			panic(fmt.Sprintf("cluster: sharded submit on node %d rejected: %v", n.Index, err))
-		}
-	})
-}
-
 // Send models a network transfer of size bytes from node n to dst: a
 // processor-shared pass through n's egress NIC then dst's ingress NIC.
-// done fires when the last byte arrives.
+// The caller must be executing on n's shard; done fires on dst's shard
+// when the last byte arrives.
 func (n *Node) Send(dst *Node, size float64, done func()) {
-	if n.shard != nil {
-		n.sendSharded(dst, size, done)
-		return
-	}
-	if size <= 0 {
-		n.nicOut.Submit(0, func() {
-			if done != nil {
-				done()
-			}
-		})
-		return
-	}
-	n.nicOut.Submit(size, func() {
-		dst.nicIn.Submit(size, func() {
-			if done != nil {
-				done()
-			}
-		})
-	})
-}
-
-// sendSharded is Send across the fabric: egress on the source shard,
-// one inter-shard hop (the lookahead is the wire latency), ingress on
-// the destination shard, completion bounced to the coordinator.
-func (n *Node) sendSharded(dst *Node, size float64, done func()) {
-	coordID := n.coord.ID()
-	finish := func() {
-		if done != nil {
-			dst.shard.Post(coordID, 0, done)
-		}
-	}
-	n.coord.Post(n.shard.ID(), 0, func() {
-		if size <= 0 {
-			n.nicOut.Submit(0, func() {
-				if done != nil {
-					n.shard.Post(coordID, 0, done)
-				}
-			})
-			return
-		}
-		n.nicOut.Submit(size, func() {
-			n.shard.Post(dst.shard.ID(), 0, func() {
-				dst.nicIn.Submit(size, finish)
-			})
-		})
-	})
+	n.nicOut.Submit(size, n.arrival(dst, size, done))
 }
 
 // SendTagged is Send with application attribution: when the cluster
 // schedules network bandwidth, the egress hop passes through the NIC's
 // weighted fair scheduler; otherwise it behaves exactly like Send. The
 // transfer's weight resolves through the cluster's share tree at tag
-// time, like any other scheduled I/O.
+// time, like any other scheduled I/O. A non-nil error means the NIC
+// scheduler rejected the transfer and done will never fire.
 func (n *Node) SendTagged(dst *Node, app iosched.AppID, size float64, done func()) error {
 	if n.NetSched == nil || size <= 0 {
 		n.Send(dst, size, done)
 		return nil
 	}
-	if n.shard != nil {
-		coordID := n.coord.ID()
-		req := &iosched.Request{
-			App:    app,
-			Shares: n.shares,
-			Class:  iosched.NetworkTransfer,
-			Size:   size,
-			OnDone: func(float64) {
-				n.shard.Post(dst.shard.ID(), 0, func() {
-					dst.nicIn.Submit(size, func() {
-						if done != nil {
-							dst.shard.Post(coordID, 0, done)
-						}
-					})
-				})
-			},
-		}
-		n.coord.Post(n.shard.ID(), 0, func() {
-			if err := n.NetSched.Submit(req); err != nil {
-				panic(fmt.Sprintf("cluster: sharded tagged send on node %d rejected: %v", n.Index, err))
-			}
-		})
-		return nil
-	}
+	arrive := n.arrival(dst, size, done)
 	return n.NetSched.Submit(&iosched.Request{
 		App:    app,
 		Shares: n.shares,
 		Class:  iosched.NetworkTransfer,
 		Size:   size,
-		OnDone: func(float64) {
+		OnDone: func(float64) { arrive() },
+	})
+}
+
+// arrival continues a transfer once its last byte has left n: the hop
+// to dst's shard (a direct call when both nodes share one), then dst's
+// ingress NIC — skipped for an empty transfer — then done.
+func (n *Node) arrival(dst *Node, size float64, done func()) func() {
+	return func() {
+		n.shard.Post(dst.shard.ID(), 0, func() {
+			if size <= 0 {
+				if done != nil {
+					done()
+				}
+				return
+			}
 			dst.nicIn.Submit(size, func() {
 				if done != nil {
 					done()
 				}
 			})
-		},
-	})
+		})
+	}
 }
 
 // NICOutBusy returns seconds the egress NIC was busy (for overhead and

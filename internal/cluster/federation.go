@@ -219,7 +219,6 @@ type fedTransport struct {
 	seq    uint64           // per-client fate counter, advanced on the partition shard
 }
 
-var _ broker.Transport = (*fedTransport)(nil)
 var _ broker.AsyncTransport = (*fedTransport)(nil)
 
 // ExchangeAsync implements broker.AsyncTransport.
@@ -280,17 +279,7 @@ func (t *fedTransport) RegisterAsync(id string, done func(error)) {
 	})
 }
 
-// Exchange implements broker.Transport (type only — never called).
-func (t *fedTransport) Exchange(string, map[iosched.AppID]float64) (broker.Response, float64, error) {
-	panic("cluster: federated transport is async-only")
-}
-
-// Register implements broker.Transport (type only — never called).
-func (t *fedTransport) Register(string) (float64, error) {
-	panic("cluster: federated transport is async-only")
-}
-
-// Unregister implements broker.Transport (out-of-band death
+// Unregister implements broker.Endpoint (out-of-band death
 // detection, as in the sharded transport).
 func (t *fedTransport) Unregister(id string) {
 	t.shard.PostDaemon(t.pshard.ID(), 0, func() { t.part.Unregister(id) })

@@ -2,28 +2,34 @@
 // coordinator shard, advancing concurrently under the fabric's
 // conservative synchronization.
 //
+// One model, two shard layouts. New places the coordinator and every
+// datanode on a single shard wrapping the caller's engine; NewSharded
+// gives each its own. The node code is the same for both: a datanode's
+// devices, NICs, schedulers and coordination clients live on its
+// node's shard, I/O submits are calls on that shard, and every edge to
+// another node — a NIC-to-NIC hop, a completion, a broker exchange —
+// is a Shard.Post. On one shard a post to itself is a direct call, so
+// a single-engine cluster runs exactly the zero-latency model; across
+// shards each post is a timestamped message.
+//
 // Partitioning. Shard 0 (the coordinator) owns what is genuinely
 // cluster-global: the fair scheduler's slot accounting, per-job
 // barriers (map/reduce completion counts), the broker root, and the
-// share tree's clock. Shard 1+i owns datanode i: its two storage
-// devices, its NIC processor-sharing resources, its interposed I/O
-// schedulers, its coordination clients — and, since the coordinator
-// decomposition, the running task attempts placed on it (their chunk
-// pipelines, shuffle fetchers and merge loops execute on the owning
-// node's engine; see mapreduce's sharded runtime). Block metadata is
-// partitioned by block-id hash across dedicated metadata shards after
-// the federation partitions (Config.MetaShards), so placement draws
-// never serialize on shard 0. Every cross-shard interaction — a task
-// launch, a completion report, a shuffle transfer landing on a remote
-// NIC, a broker exchange, a fault-schedule event — travels as a
-// timestamped inter-shard message, so each engine remains single-owner
-// and the run is bit-identical for every worker count.
+// share tree's clock. Shard 1+i owns datanode i and the running task
+// attempts placed on it (their chunk pipelines, shuffle fetchers and
+// merge loops; see the mapreduce runtime). A full (non-hollow) sharded
+// cluster also carries DefaultMetaShards metadata shards, after the
+// federation partitions, hosting the partitioned namenode's placement
+// draws so they never serialize on shard 0. Every cross-shard
+// interaction travels as a timestamped inter-shard message, so each
+// engine remains single-owner and the run is bit-identical for every
+// worker count.
 //
 // The fabric lookahead plays the role of the cluster's control-plane
-// RPC latency: a submit, a completion notification, a NIC-to-NIC hop
+// RPC latency: a launch, a completion notification, a NIC-to-NIC hop
 // and a broker exchange leg each take at least one lookahead of
 // virtual time. The sharded model is therefore not bit-identical to
-// the single-engine model (which has zero-latency control edges); it
+// the single-shard model (which has zero-latency control edges); it
 // is its own deterministic system, pinned by comparing worker counts
 // against each other.
 //
@@ -32,13 +38,15 @@
 // auto-bind-on-read would be a cross-shard mutation. mapreduce.Submit
 // binds every job's app synchronously at submission, so submitting all
 // jobs before Run (as the experiments do) satisfies this; mid-run
-// reweighting, Hive stage submission and FailNode are unsupported in
-// sharded mode.
+// reweighting, Hive stage submission and FailNode are unsupported on
+// more than one shard. A sharded cluster running MapReduce needs a
+// namenode partitioned across its metadata shards
+// (dfs.Config.Partitions = len(MetaShards())): an unpartitioned one
+// would draw output placements from one shared stream on every node
+// shard.
 package cluster
 
 import (
-	"fmt"
-
 	"ibis/internal/broker"
 	"ibis/internal/faults"
 	"ibis/internal/iosched"
@@ -51,11 +59,12 @@ import (
 // noise.
 const DefaultLookahead = 0.02
 
-// NewSharded assembles a cluster across a fresh fabric of cfg.Nodes+1
-// shards: shard 0 is the coordinator (Cluster.Eng is its engine),
-// shard 1+i is datanode i. lookahead (≤0 = DefaultLookahead) becomes
-// the minimum virtual latency of every cross-shard edge; fo.Workers
-// sets the physical parallelism and changes nothing else.
+// NewSharded assembles a cluster across a fresh fabric: shard 0 is the
+// coordinator (Cluster.Eng is its engine), shard 1+i is datanode i,
+// then the federation partitions and, for full nodes, the
+// DefaultMetaShards metadata shards. lookahead (≤0 = DefaultLookahead)
+// becomes the minimum virtual latency of every cross-shard edge;
+// fo.Workers sets the physical parallelism and changes nothing else.
 func NewSharded(cfg Config, lookahead float64, fo sim.FabricOptions) (*Cluster, error) {
 	cfg.defaults()
 	if lookahead <= 0 {
@@ -65,14 +74,9 @@ func NewSharded(cfg Config, lookahead float64, fo sim.FabricOptions) (*Cluster, 
 	if cfg.Coordinate && cfg.Federation.Enabled() {
 		extra = cfg.Federation.Partitions
 	}
-	// Metadata shards host the partitioned namenode's placement draws
-	// (default 2 for full nodes; hollow nodes run no DFS). They sit
-	// after the federation partitions.
-	meta := cfg.MetaShards
-	if meta == 0 && !cfg.Hollow {
-		meta = DefaultMetaShards
-	}
-	if meta < 0 {
+	// Hollow nodes run no DFS, so they get no metadata plane.
+	meta := DefaultMetaShards
+	if cfg.Hollow {
 		meta = 0
 	}
 	f := sim.NewFabric(cfg.Nodes+1+extra+meta, lookahead, fo)
@@ -86,8 +90,8 @@ func NewSharded(cfg Config, lookahead float64, fo sim.FabricOptions) (*Cluster, 
 	return c, nil
 }
 
-// DefaultMetaShards is the metadata shard count for full (non-hollow)
-// sharded assemblies when Config.MetaShards is zero.
+// DefaultMetaShards is the metadata shard count of a full (non-hollow)
+// sharded assembly.
 const DefaultMetaShards = 2
 
 // MetaShards returns the dedicated metadata shards (empty in
@@ -116,94 +120,20 @@ func (c *Cluster) SetNodeUplinkLatency(lat float64) {
 	}
 }
 
-// NodeEngine returns the engine owning node i's devices (the cluster
-// engine in single-engine mode).
-func (c *Cluster) NodeEngine(i int) *sim.Engine {
-	if c.fabric != nil {
-		return c.fabric.Shard(i + 1).Engine()
-	}
-	return c.Eng
-}
+// NodeEngine returns the engine owning node i's devices.
+func (c *Cluster) NodeEngine(i int) *sim.Engine { return c.Nodes[i].shard.Engine() }
 
-// Shard returns the node's fabric shard (nil in single-engine mode).
+// Shard returns the shard owning the node's devices.
 func (n *Node) Shard() *sim.Shard { return n.shard }
 
-// CoordShard returns the coordinator shard (nil in single-engine
-// mode).
-func (c *Cluster) CoordShard() *sim.Shard {
-	if c.fabric == nil {
-		return nil
-	}
-	return c.fabric.Shard(0)
-}
-
-// Node-local I/O primitives for decomposed task execution. Unlike
-// SubmitIO/SendTagged — which assume the coordinator is calling and
-// route everything through shard 0 — these must be invoked from the
-// owning node's shard context (a task pipeline running on the node's
-// engine) and touch no coordinator state. Rejections panic, as on
-// every sharded submit path: specs are validated at submission, so a
-// rejection here is a wiring bug, not a recoverable condition.
-
-// SubmitLocal submits a request directly to this node's scheduler.
-// Caller must be executing on n's shard; OnDone fires there too.
-func (n *Node) SubmitLocal(req *iosched.Request) {
-	if req.Shares == nil {
-		req.Shares = n.shares
-	}
-	var err error
-	if req.Class.Persistent() {
-		err = n.HDFSSched.Submit(req)
-	} else {
-		err = n.LocalSched.Submit(req)
-	}
-	if err != nil {
-		panic(fmt.Sprintf("cluster: node-local submit on node %d rejected: %v", n.Index, err))
-	}
-}
-
-// SendTaggedLocal ships size bytes from this node to dst with
-// application attribution, entirely off the coordinator: egress
-// through the NIC scheduler (or the raw NIC when the cluster does not
-// schedule network), one inter-shard hop, ingress on dst — and done
-// runs on dst's shard, where the receiving pipeline continues. Caller
-// must be executing on n's shard.
-func (n *Node) SendTaggedLocal(dst *Node, app iosched.AppID, size float64, done func()) {
-	deliver := func() {
-		n.shard.Post(dst.shard.ID(), 0, func() {
-			dst.nicIn.Submit(size, func() {
-				if done != nil {
-					done()
-				}
-			})
-		})
-	}
-	if n.NetSched == nil || size <= 0 {
-		n.nicOut.Submit(size, deliver)
-		return
-	}
-	err := n.NetSched.Submit(&iosched.Request{
-		App:    app,
-		Shares: n.shares,
-		Class:  iosched.NetworkTransfer,
-		Size:   size,
-		OnDone: func(float64) { deliver() },
-	})
-	if err != nil {
-		panic(fmt.Sprintf("cluster: node-local tagged send on node %d rejected: %v", n.Index, err))
-	}
-}
+// CoordShard returns the coordinator shard.
+func (c *Cluster) CoordShard() *sim.Shard { return c.coord }
 
 // shardedTransport carries one coordination client's broker traffic
 // across the fabric: the request is a daemon message to the
 // coordinator shard — where the broker lives and the fault model is
 // evaluated — and the response a daemon message back. Daemon, because
 // periodic coordination must not keep the simulation alive.
-//
-// It implements broker.AsyncTransport; the synchronous
-// broker.Transport methods exist only to satisfy the interface type
-// and panic if called (the client prefers the async protocol whenever
-// a transport provides it).
 type shardedTransport struct {
 	b     *broker.Broker
 	inj   *faults.Injector // nil = reliable
@@ -212,7 +142,6 @@ type shardedTransport struct {
 	seq   uint64 // per-client fate counter, advanced on the coordinator
 }
 
-var _ broker.Transport = (*shardedTransport)(nil)
 var _ broker.AsyncTransport = (*shardedTransport)(nil)
 
 // ExchangeAsync implements broker.AsyncTransport. Fates are evaluated
@@ -267,17 +196,7 @@ func (t *shardedTransport) RegisterAsync(id string, done func(error)) {
 	})
 }
 
-// Exchange implements broker.Transport (type only — never called).
-func (t *shardedTransport) Exchange(string, map[iosched.AppID]float64) (broker.Response, float64, error) {
-	panic("cluster: sharded transport is async-only")
-}
-
-// Register implements broker.Transport (type only — never called).
-func (t *shardedTransport) Register(string) (float64, error) {
-	panic("cluster: sharded transport is async-only")
-}
-
-// Unregister implements broker.Transport. Out-of-band death detection
+// Unregister implements broker.Endpoint. Out-of-band death detection
 // crosses the fabric like everything else; it is called from the
 // client's shard (Detach).
 func (t *shardedTransport) Unregister(id string) {

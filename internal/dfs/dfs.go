@@ -131,34 +131,16 @@ func (nn *Namenode) Create(name string, size float64) (*File, error) {
 	if size < 0 {
 		return nil, fmt.Errorf("dfs: negative file size %g", size)
 	}
-	f := &File{Name: name, Size: size}
-	nBlocks := int(math.Ceil(size / nn.cfg.BlockSize))
-	remaining := size
-	for i := 0; i < nBlocks; i++ {
-		bs := nn.cfg.BlockSize
-		if remaining < bs {
-			bs = remaining
-		}
-		remaining -= bs
-		var replicas []int
-		if len(nn.parts) > 0 {
-			// Partitioned: the block's owner draws. Walking blocks in
-			// index order, each partition sees its blocks in index
-			// order too, so this synchronous path produces the exact
-			// layout the metadata shards produce asynchronously.
-			replicas = nn.pickFrom(nn.parts[nn.Owner(name, i)], -1)
-		} else {
-			replicas = nn.pickReplicas(-1)
-		}
-		f.Blocks = append(f.Blocks, Block{
-			File:     name,
-			Index:    i,
-			Size:     bs,
-			Replicas: replicas,
-		})
+	// The block's owner partition draws. Walking blocks in index order,
+	// each partition sees its blocks in index order too, so this
+	// produces the exact layout of the per-partition assembly
+	// (Shape → PlacePartition → Publish).
+	sizes := nn.Shape(size)
+	replicas := make([][]int, len(sizes))
+	for i := range sizes {
+		replicas[i] = nn.pickFrom(nn.partition(nn.Owner(name, i)), -1)
 	}
-	nn.files[name] = f
-	return f, nil
+	return nn.Publish(name, sizes, replicas)
 }
 
 // File returns a previously created file.
@@ -183,18 +165,22 @@ func (nn *Namenode) Delete(name string) { delete(nn.files, name) }
 
 // PlaceOutput returns a replica set for an output block being written
 // from the given node: the writer's node first (HDFS's write-local-
-// first rule), then Replication−1 distinct random remotes.
-func (nn *Namenode) PlaceOutput(localNode int) []int {
-	if localNode < 0 || localNode >= nn.cfg.Nodes {
-		return nn.pickReplicas(-1)
+// first rule), then Replication−1 distinct random remotes. key
+// identifies the block, e.g. by the task attempt writing it. A
+// partitioned namenode answers as a pure function of (seed, key,
+// localNode): any shard computes the same set without touching shared
+// state, so concurrent writers place deterministically regardless of
+// completion interleaving. A legacy namenode ignores key and draws from
+// its shared stream in call order.
+func (nn *Namenode) PlaceOutput(localNode int, key uint64) []int {
+	rng := nn.rng
+	if len(nn.parts) > 0 {
+		rng = rand.New(rand.NewSource(int64(mix64(uint64(nn.cfg.Seed) ^ key))))
 	}
-	return nn.pickReplicas(localNode)
-}
-
-// pickReplicas selects Replication distinct nodes from the legacy
-// shared RNG; if first >= 0 it is forced into the first slot.
-func (nn *Namenode) pickReplicas(first int) []int {
-	return nn.pickFrom(nn.rng, first)
+	if localNode < 0 || localNode >= nn.cfg.Nodes {
+		return nn.pickFrom(rng, -1)
+	}
+	return nn.pickFrom(rng, localNode)
 }
 
 // BlockCountFor returns how many blocks a file of the given size

@@ -123,7 +123,7 @@ func TestZeroNodesPanics(t *testing.T) {
 func TestPlaceOutputLocalFirst(t *testing.T) {
 	nn := NewNamenode(Config{Nodes: 8, Replication: 3})
 	for node := 0; node < 8; node++ {
-		reps := nn.PlaceOutput(node)
+		reps := nn.PlaceOutput(node, 0)
 		if reps[0] != node {
 			t.Fatalf("PlaceOutput(%d) primary = %d", node, reps[0])
 		}
@@ -135,7 +135,7 @@ func TestPlaceOutputLocalFirst(t *testing.T) {
 
 func TestPlaceOutputInvalidNode(t *testing.T) {
 	nn := NewNamenode(Config{Nodes: 4, Replication: 2})
-	reps := nn.PlaceOutput(-1)
+	reps := nn.PlaceOutput(-1, 0)
 	if len(reps) != 2 {
 		t.Fatalf("PlaceOutput(-1) = %v", reps)
 	}

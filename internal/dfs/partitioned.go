@@ -10,7 +10,7 @@ package dfs
 //     index) hashes to. A partition draws placements for its blocks
 //     from its own RNG, so two partitions' draws commute — they can
 //     run on different metadata shards without coordinating.
-//   - Output placement (PlaceOutputKeyed) is a pure function of a
+//   - Output placement (PlaceOutput) is a pure function of a
 //     caller-supplied key: the "owner" partition's answer is
 //     computable anywhere, so datanode-shard writers place blocks
 //     without a namenode round trip, and the layout is independent of
@@ -22,7 +22,8 @@ package dfs
 //
 // A Namenode with Partitions ≤ 1 keeps the legacy behavior bit for
 // bit: one RNG, draws in call order, PlaceOutput consuming the shared
-// stream. The partitioned mode is opt-in (sharded assemblies).
+// stream — a single partition, which is what single-engine runs use.
+// The partitioned mode is opt-in (sharded assemblies).
 
 import (
 	"fmt"
@@ -75,16 +76,23 @@ func (nn *Namenode) Shape(size float64) []float64 {
 // PlacePartition draws replica sets on partition p for count blocks,
 // in request order. The caller is responsible for running all of
 // partition p's draws on a single owner (the partition's metadata
-// shard); draws on distinct partitions are independent.
+// shard); draws on distinct partitions are independent. A legacy
+// namenode is one partition, 0, drawing from its shared stream.
 func (nn *Namenode) PlacePartition(p, count int) [][]int {
-	if len(nn.parts) == 0 {
-		panic("dfs: PlacePartition on a non-partitioned namenode")
-	}
 	out := make([][]int, count)
 	for i := range out {
-		out[i] = nn.pickFrom(nn.parts[p], -1)
+		out[i] = nn.pickFrom(nn.partition(p), -1)
 	}
 	return out
+}
+
+// partition returns partition p's placement stream: its own RNG when
+// partitioned, the legacy shared one otherwise.
+func (nn *Namenode) partition(p int) *rand.Rand {
+	if len(nn.parts) == 0 {
+		return nn.rng
+	}
+	return nn.parts[p]
 }
 
 // Publish registers a file assembled from per-partition placement
@@ -110,20 +118,6 @@ func (nn *Namenode) Publish(name string, sizes []float64, replicas [][]int) (*Fi
 	}
 	nn.files[name] = f
 	return f, nil
-}
-
-// PlaceOutputKeyed is placement as a pure function: the replica set
-// for an output block identified by key, written from localNode. Any
-// shard computes the same answer without touching shared namenode
-// state, so concurrent writers on different datanode shards place
-// deterministically regardless of completion interleaving. The
-// write-local-first rule is preserved.
-func (nn *Namenode) PlaceOutputKeyed(localNode int, key uint64) []int {
-	rng := rand.New(rand.NewSource(int64(mix64(uint64(nn.cfg.Seed) ^ key))))
-	if localNode < 0 || localNode >= nn.cfg.Nodes {
-		return nn.pickFrom(rng, -1)
-	}
-	return nn.pickFrom(rng, localNode)
 }
 
 // mix64 is the SplitMix64 finalizer — a cheap, well-distributed hash

@@ -5,14 +5,13 @@ import (
 	"testing"
 )
 
-// TestPartitionedCreateMatchesAsyncAssembly: the synchronous Create on
-// a partitioned namenode must produce the exact layout the metadata
-// shards produce asynchronously (Shape → per-partition PlacePartition
-// in index order → Publish). The mapreduce runtime relies on this: a
-// single-engine partitioned run and a sharded run draw identical
-// placements.
+// TestPartitionedCreateMatchesAsyncAssembly: the synchronous Create
+// must produce the exact layout the metadata shards produce
+// asynchronously (Shape → per-partition PlacePartition in index order →
+// Publish), for a legacy one-partition namenode as for a partitioned
+// one. The mapreduce runtime assembles every input file this way.
 func TestPartitionedCreateMatchesAsyncAssembly(t *testing.T) {
-	for _, parts := range []int{2, 3, 5} {
+	for _, parts := range []int{1, 2, 3, 5} {
 		mk := func() *Namenode {
 			return NewNamenode(Config{Nodes: 16, BlockSize: 100, Replication: 3, Seed: 42, Partitions: parts})
 		}
@@ -32,7 +31,7 @@ func TestPartitionedCreateMatchesAsyncAssembly(t *testing.T) {
 		for _, fl := range files {
 			sizes := async.Shape(fl.size)
 			// Group block indices by owner, then draw per partition in
-			// index order — exactly what createAsync does across shards.
+			// index order — exactly what the runtime's placeInput does across shards.
 			owned := make([][]int, async.Partitions())
 			for i := range sizes {
 				p := async.Owner(fl.name, i)
@@ -97,9 +96,9 @@ func TestPlaceOutputKeyedPure(t *testing.T) {
 	keys := []uint64{0, 1, 42, 1 << 40, ^uint64(0)}
 	for _, k := range keys {
 		for local := 0; local < 10; local += 3 {
-			a := nn.PlaceOutputKeyed(local, k)
-			b := nn.PlaceOutputKeyed(local, k)
-			c := other.PlaceOutputKeyed(local, k)
+			a := nn.PlaceOutput(local, k)
+			b := nn.PlaceOutput(local, k)
+			c := other.PlaceOutput(local, k)
 			if !reflect.DeepEqual(a, b) || !reflect.DeepEqual(a, c) {
 				t.Fatalf("key %d local %d: placements diverge: %v %v %v", k, local, a, b, c)
 			}

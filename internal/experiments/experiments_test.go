@@ -1,15 +1,29 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"testing"
 
 	"ibis/internal/cluster"
+	"ibis/internal/workloads"
 )
 
 // The experiment drivers are exercised at a reduced scale where
 // possible; shape assertions mirror the paper's qualitative claims.
 
-const testScale = 0.125
+const testScale = DefaultScale
+
+// pinDigest asserts the sha256 of a figure's printed output at
+// DefaultScale. Together the pinned figures run the shuffle,
+// preemption, Hive-stage and replicated-output paths end to end, so
+// any change to the simulated behaviour moves a digest.
+func pinDigest(t *testing.T, out fmt.Stringer, want string) {
+	t.Helper()
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(out.String()))); got != want {
+		t.Errorf("output digest %s, want %s; output:\n%s", got, want, out)
+	}
+}
 
 func TestFig02Shapes(t *testing.T) {
 	res, err := Fig02(testScale)
@@ -64,6 +78,7 @@ func TestFig03Ordering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pinDigest(t, res, "dd7c2f4fb8ff327cc9d1b15ef8cbca74c36ebd05caa5bc42c9b6a877093f6408")
 	slow := map[string]float64{}
 	for _, row := range res.Rows {
 		slow[row.CoRunner] = row.Slowdown
@@ -88,6 +103,7 @@ func TestFig06Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pinDigest(t, res, "b0ed6079a4f0c67fa3b9d817991d3f53355d8c771c8e1e5a8433f5b6e7fdb19d")
 	rows := map[string]Fig06Row{}
 	for _, row := range res.Rows {
 		rows[row.Config] = row
@@ -171,6 +187,7 @@ func TestFig09Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pinDigest(t, res, "9180f9a63ad98bb925643f51f71acb727781ed6d1102724a116e1c851ec1635c")
 	sa := res.Case("standalone")
 	in := res.Case("interfered")
 	d2 := res.Case("sfq(d2)")
@@ -193,6 +210,18 @@ func TestFig09Shape(t *testing.T) {
 	if sa.Runtimes.N() != 50 {
 		t.Errorf("jobs = %d, want 50", sa.Runtimes.N())
 	}
+	// The same workload must also finish on half-size nodes with no
+	// pool — memory pressure from node shape rather than pool caps (Run
+	// errors on any unfinished job).
+	var entries []Entry
+	for _, j := range workloads.FacebookWorkload(workloads.FacebookConfig{
+		Seed: res.Seed, ScaleBytes: testScale, Weight: 1, MeanInterarrival: 6,
+	}) {
+		entries = append(entries, Entry{Spec: j.Spec, Delay: j.Arrival})
+	}
+	if _, err := Run(Options{Scale: testScale, Policy: cluster.Native, CoresPerNode: 6, MemGBPerNode: 12}, entries); err != nil {
+		t.Errorf("standalone on half-size nodes: %v", err)
+	}
 }
 
 func TestFig10Shape(t *testing.T) {
@@ -203,6 +232,7 @@ func TestFig10Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pinDigest(t, res, "13bec9e2ab9528874f5b2c6a3b528e056e2d9f4a3fbae06e4cfa46d9d0e832e8")
 	for _, q := range res.Queries {
 		rows := map[string]Fig10Row{}
 		for _, row := range q.Rows {

@@ -21,11 +21,11 @@ import "ibis/internal/cluster"
 // FailNode marks the datanode dead and triggers recovery. Failing an
 // already-dead node is a no-op.
 func (rt *Runtime) FailNode(idx int) {
-	if rt.sharded() {
-		// Recovery walks and mutates task state that now lives on node
-		// shards; cluster/sharded.go documents failure injection as
-		// unsupported there.
-		panic("mapreduce: FailNode is unsupported in sharded mode")
+	if rt.cluster.Fabric() != nil {
+		// Recovery walks and mutates task state that lives on the node
+		// shards; across more than one shard that would need a
+		// cross-shard resurrection protocol, which does not exist yet.
+		panic("mapreduce: FailNode is unsupported on a multi-shard cluster")
 	}
 	n := rt.cluster.Nodes[idx]
 	if n.Dead {
@@ -68,14 +68,16 @@ func (rt *Runtime) FailNode(idx int) {
 				r.restart()
 				rt.failedTasks++
 			}
-			if r.state != taskDone {
-				kept := r.pending[:0]
-				for _, seg := range r.pending {
-					if seg.srcNode != n {
-						kept = append(kept, seg)
-					}
-				}
-				r.pending = kept
+			if r.state == taskDone {
+				continue
+			}
+			r.pending = withoutSource(r.pending, n)
+			// On one shard the running attempt is directly reachable:
+			// purge its queue too, and reopen its shuffle barrier if
+			// this failure sent completed maps back to re-run.
+			if run := r.rrun; run != nil {
+				run.pending = withoutSource(run.pending, n)
+				run.allMapsDone = j.mapsDone == len(j.maps)
 			}
 		}
 	}
@@ -97,7 +99,7 @@ func (rt *Runtime) reclaimShuffleHeadroom() {
 				continue
 			}
 			for _, r := range j.reduces {
-				if r.state == taskRunning && !r.finishing {
+				if r.state == taskRunning && !r.rrun.finishing {
 					victim = r // youngest wins: keep scanning
 				}
 			}
@@ -129,10 +131,19 @@ func (r *reduceTask) restart() {
 	r.node = nil
 	r.pending = nil
 	r.segsDone = 0
-	r.fetchedBytes = 0
-	r.finishing = false
-	r.activeFetchers = 0
 	r.shuffleDoneTime = 0
+}
+
+// withoutSource drops, in place and in order, the segments fetched
+// from node n.
+func withoutSource(segs []segment, n *cluster.Node) []segment {
+	kept := segs[:0]
+	for _, seg := range segs {
+		if seg.srcNode != n {
+			kept = append(kept, seg)
+		}
+	}
+	return kept
 }
 
 // reseedSegments repopulates a restarted reduce's queue from every

@@ -153,7 +153,7 @@ func TestWindowedPipelinesChunks(t *testing.T) {
 	// Track maximum concurrent chunks.
 	inFlight, maxInFlight := 0, 0
 	done := false
-	rt.windowed(20e6, 4, func(c float64, next func()) {
+	windowed(h.eng, rt.cfg.ChunkBytes, 20e6, 4, func(c float64, next func()) {
 		inFlight++
 		if inFlight > maxInFlight {
 			maxInFlight = inFlight
@@ -175,7 +175,7 @@ func TestWindowedPipelinesChunks(t *testing.T) {
 func TestWindowedZeroSize(t *testing.T) {
 	h := newHarness(t, cluster.Native, 1)
 	done := false
-	h.rt.windowed(0, 4, func(float64, func()) {
+	windowed(h.eng, h.rt.cfg.ChunkBytes, 0, 4, func(float64, func()) {
 		t.Fatal("chunk issued for zero size")
 	}, func() { done = true })
 	h.eng.Run()
@@ -187,7 +187,7 @@ func TestWindowedZeroSize(t *testing.T) {
 func TestChunkedExactMultiple(t *testing.T) {
 	h := newHarness(t, cluster.Native, 1)
 	var chunks []float64
-	h.rt.chunked(8e6, func(c float64, next func()) {
+	chunked(h.eng, h.rt.cfg.ChunkBytes, 8e6, func(c float64, next func()) {
 		chunks = append(chunks, c)
 		h.eng.Schedule(0, next)
 	}, func() {})

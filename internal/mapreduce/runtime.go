@@ -75,10 +75,9 @@ type Runtime struct {
 	onDone  []func(*Job)
 	pools   map[string]*pool
 
-	// Sharded decomposition (see sharded.go): the coordinator shard
-	// and the metadata shards hosting the partitioned namenode. Both
-	// nil/empty in single-engine mode, where the legacy inline paths
-	// run unchanged.
+	// The coordinator shard, where the runtime's own state lives, and
+	// the metadata shards hosting the namenode partitions (empty: the
+	// coordinator shard hosts them). See sharded.go.
 	coordShard *sim.Shard
 	metaShards []*sim.Shard
 
@@ -90,10 +89,10 @@ type Runtime struct {
 // NewRuntime wires an execution engine onto a cluster and namenode.
 func NewRuntime(eng *sim.Engine, c *cluster.Cluster, nn *dfs.Namenode, cfg Config) *Runtime {
 	cfg.defaults()
-	rt := &Runtime{eng: eng, cluster: c, nn: nn, cfg: cfg, pools: make(map[string]*pool)}
-	if c.Fabric() != nil {
-		rt.coordShard = c.CoordShard()
-		rt.metaShards = c.MetaShards()
+	rt := &Runtime{
+		eng: eng, cluster: c, nn: nn, cfg: cfg, pools: make(map[string]*pool),
+		coordShard: c.CoordShard(),
+		metaShards: c.MetaShards(),
 	}
 	rt.fair = newFairScheduler(rt)
 	if !cfg.DisablePreemption {
@@ -213,26 +212,14 @@ func (rt *Runtime) Submit(spec JobSpec, delay float64) (*Job, error) {
 }
 
 // start materializes the job's input file and task set and hands the
-// tasks to the fair scheduler. In sharded mode with a metadata plane,
-// input placement runs asynchronously on the metadata shards (one
-// round trip of namenode RPC latency before the first wave launches).
+// tasks to the fair scheduler. On a fabric with a metadata plane,
+// input placement runs on the metadata shards (one round trip of
+// namenode RPC latency before the first wave launches).
 func (rt *Runtime) start(job *Job) {
 	job.SubmitTime = rt.eng.Now()
 	spec := job.Spec
-
 	if spec.InputBytes > 0 {
-		name := fmt.Sprintf("%s-%d/input", spec.Name, job.seq)
-		if rt.sharded() && len(rt.metaShards) > 0 && rt.nn.Partitions() > 1 {
-			rt.createAsync(name, spec.InputBytes, func(f *dfs.File) {
-				rt.materialize(job, f)
-			})
-			return
-		}
-		f, err := rt.nn.Create(name, spec.InputBytes)
-		if err != nil {
-			panic(err) // job sequence numbers are unique; collision is a bug
-		}
-		rt.materialize(job, f)
+		rt.placeInput(job, fmt.Sprintf("%s-%d/input", spec.Name, job.seq), spec.InputBytes)
 		return
 	}
 	rt.materialize(job, nil)
@@ -442,23 +429,13 @@ func (j *Job) noteMapDone(m *mapTask) {
 			r.addSegment(segment{srcNode: m.node, bytes: per})
 		}
 	}
-	if j.rt.sharded() {
-		// The shuffle barrier lives on the node shards: running reduces
-		// learn "all maps done" by marker message, not by reading the
-		// coordinator's counters.
-		if j.mapsDone == len(j.maps) {
-			for _, r := range j.reduces {
-				if r.state == taskRunning && r.rrun != nil {
-					run := r.rrun
-					j.rt.toNode(run.node, func() { run.markAllMapsDone() })
-				}
-			}
-		}
-	} else {
-		// Reduces already running may now be able to close their shuffle.
+	// The shuffle barrier lives with the reduce runs: running reduces
+	// learn "all maps done" by marker message, not by reading the
+	// coordinator's counters.
+	if j.mapsDone == len(j.maps) {
 		for _, r := range j.reduces {
 			if r.state == taskRunning {
-				r.maybeFinishShuffle()
+				j.rt.toNode(r.rrun.node, r.rrun.markAllMapsDone)
 			}
 		}
 	}
@@ -498,50 +475,17 @@ func (rt *Runtime) retireIfUnused(app iosched.AppID) {
 	rt.cluster.RetireApp(app)
 }
 
-// submitIO issues one tagged request on a node for this job. The
-// weight resolves through the cluster's share tree at tag time — the
-// job only carries its identity. A rejected request (the spec was
-// validated at submission, so this indicates control-plane misuse,
-// e.g. the job's tree node was removed mid-run) fails the job rather
-// than wedging it waiting for a completion that will never come.
-func (j *Job) submitIO(n *cluster.Node, class iosched.Class, size float64, done func()) {
-	err := n.SubmitIO(&iosched.Request{
-		App:   j.App,
-		Class: class,
-		Size:  size,
-		OnDone: func(float64) {
-			if done != nil {
-				done()
-			}
-		},
-	})
-	if err != nil {
-		j.fail()
-	}
+// chunked runs fn over size bytes in chunkBytes units on eng,
+// sequentially: fn(chunkSize, next) must call next() when the chunk
+// completes. done fires after the final chunk.
+func chunked(eng *sim.Engine, chunkBytes, size float64, fn func(chunk float64, next func()), done func()) {
+	windowed(eng, chunkBytes, size, 1, fn, done)
 }
 
-// chunked runs fn over size bytes in engine-chunk units, sequentially:
-// fn(chunkSize, next) must call next() when the chunk completes. done
-// fires after the final chunk.
-func (rt *Runtime) chunked(size float64, fn func(chunk float64, next func()), done func()) {
-	windowedOn(rt.eng, rt.cfg.ChunkBytes, size, 1, fn, done)
-}
-
-// windowed is the pipelined generalization of chunked: up to `window`
+// windowed is the pipelined generalization of chunked: up to window
 // chunks may be in flight concurrently (write-behind). done fires when
 // every chunk has completed.
-func (rt *Runtime) windowed(size float64, window int, fn func(chunk float64, next func()), done func()) {
-	windowedOn(rt.eng, rt.cfg.ChunkBytes, size, window, fn, done)
-}
-
-// chunkedOn is chunked against an explicit engine — the node-local
-// task pipelines drive their chunk loops on the owning shard's engine.
-func chunkedOn(eng *sim.Engine, chunkBytes, size float64, fn func(chunk float64, next func()), done func()) {
-	windowedOn(eng, chunkBytes, size, 1, fn, done)
-}
-
-// windowedOn is windowed against an explicit engine.
-func windowedOn(eng *sim.Engine, chunkBytes, size float64, window int, fn func(chunk float64, next func()), done func()) {
+func windowed(eng *sim.Engine, chunkBytes, size float64, window int, fn func(chunk float64, next func()), done func()) {
 	if size <= 0 {
 		eng.Schedule(0, done)
 		return
@@ -575,26 +519,4 @@ func windowedOn(eng *sim.Engine, chunkBytes, size float64, window int, fn func(c
 	for i := 0; i < window && remaining > 0; i++ {
 		launch()
 	}
-}
-
-// DebugTasks renders each task's state for failure-analysis tests.
-func (j *Job) DebugTasks() []string {
-	var out []string
-	for _, m := range j.maps {
-		if m.state == taskRunning {
-			node := -1
-			if m.node != nil {
-				node = m.node.Index
-			}
-			out = append(out, fmt.Sprintf("map %d running attempt=%d node=%d replicas=%v",
-				m.index, m.attempt, node, m.block.Replicas))
-		}
-	}
-	for _, r := range j.reduces {
-		if r.state == taskRunning {
-			out = append(out, fmt.Sprintf("reduce %d running attempt=%d fetchers=%d pending=%d segsDone=%d",
-				r.index, r.attempt, r.activeFetchers, len(r.pending), r.segsDone))
-		}
-	}
-	return out
 }

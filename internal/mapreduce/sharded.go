@@ -1,60 +1,64 @@
 package mapreduce
 
-// Decomposed (sharded) task execution: the coordinator keeps only the
-// per-job barriers.
+// Node-local task execution: the runtime's one task path. The
+// coordinator keeps only the per-job barriers.
 //
-// In the original sharded wiring every task's chunk pipeline — input
-// reads, compute interleave, spill writes, shuffle fetches, merge,
-// replicated output — ran on the coordinator engine, with each chunk
-// bouncing submit and completion messages through shard 0. That made
-// the coordinator's event count proportional to the cluster's total
-// I/O, the serial term that capped parallel speedup.
+// A launched task attempt becomes a run struct (mapRun / reduceRun)
+// posted to the shard of the node executing it. The whole data path —
+// input reads, compute interleave, spill writes, shuffle fetches,
+// merge, replicated output — executes on that node's engine: local
+// device submits are direct calls, remote reads and replica writes hop
+// node to node, and shuffle segments stream source→destination. The
+// coordinator sees exactly three kinds of task messages: launch
+// (coordinator→node), completion (node→coordinator, guarded by the
+// attempt token against stale attempts), and the all-maps-done marker
+// that closes reduce shuffles. Slot accounting, fair-share pumping,
+// preemption and job completion stay coordinator-side, folding those
+// completions.
 //
-// Here a launched task attempt becomes a run struct (mapRun /
-// reduceRun) posted to the owning datanode's shard. The whole data
-// path executes on that node's engine: local device submits are
-// direct calls, remote reads and replica writes hop node-to-node, and
-// shuffle segments stream source→destination — none of it touches
-// shard 0. The coordinator sees exactly three kinds of task messages:
-// launch (coordinator→node), completion (node→coordinator, guarded by
-// the attempt token against stale attempts), and the all-maps-done
-// marker that closes reduce shuffles. Slot accounting, fair-share
-// pumping, preemption and job completion stay coordinator-side,
-// folding those completions.
+// The same pipeline runs on both simulation models. On a single-engine
+// cluster every node shares the coordinator's one shard, so each post
+// above is a direct call and the pipeline unfolds as an inline state
+// machine would, event for event. On the fabric each post is a
+// timestamped message paying the lookahead.
 //
 // Cancellation is message-based for determinism: preempt/restart on
 // the coordinator bumps the attempt token immediately (so stale
 // completions drop on arrival) and posts a cancel to the run, which
-// flips its node-local cancelled flag; every node-side continuation is
-// guarded by it. There are no cross-shard reads of mutable state in
+// flips its node-local cancelled flag; continuations on the run's
+// shard check it. There are no cross-shard reads of mutable state in
 // either direction — the run snapshots what it needs at launch, and
 // everything else it touches (specs, blocks, share handles) is
-// immutable for the attempt's lifetime.
+// immutable for the attempt's lifetime. The guards sit where the
+// paper-figure calibration put them: a cancelled attempt still drains
+// its in-flight output window (DESIGN.md §6), and a shuffle chunk is
+// checked once, at its first continuation on the reduce's shard.
 //
-// Input placement runs on the metadata shards (createAsync): each
-// namenode partition draws its blocks' replica sets on its own shard
-// and the coordinator folds the answers — dfs.Namenode's partitioned
-// mode guarantees the same layout the synchronous path would produce.
-// Output placement needs no messages at all: PlaceOutputKeyed is a
-// pure function of the attempt's identity, so the writing node shard
-// computes its replica set locally.
+// Input placement fans out over the namenode's partitions
+// (placeInput): each partition draws its blocks' replica sets on its
+// metadata shard — the coordinator's shard when the cluster has none —
+// and the coordinator publishes the file once every owner has
+// answered. Output placement needs no messages at all: PlaceOutput is
+// keyed by the attempt's identity, a pure function on a partitioned
+// namenode, so the writing node's shard computes its replica set
+// locally.
 
 import (
 	"math/rand"
 
 	"ibis/internal/cluster"
-	"ibis/internal/dfs"
 	"ibis/internal/iosched"
 	"ibis/internal/sim"
 )
 
-// sharded reports whether the runtime executes on a fabric with the
-// decomposed task path.
-func (rt *Runtime) sharded() bool { return rt.coordShard != nil }
-
 // toNode posts fn to node n's shard. Coordinator context only.
 func (rt *Runtime) toNode(n *cluster.Node, fn func()) {
 	rt.coordShard.Post(n.Shard().ID(), 0, fn)
+}
+
+// toCoord posts fn from node n's shard to the coordinator.
+func (rt *Runtime) toCoord(n *cluster.Node, fn func()) {
+	n.Shard().Post(rt.coordShard.ID(), 0, fn)
 }
 
 // outputKey identifies one task attempt's DFS output for keyed
@@ -69,48 +73,48 @@ const (
 	keyKindReduce = 2
 )
 
-// createAsync materializes a job input file across the metadata
-// shards: each namenode partition draws the placements for the blocks
-// it owns on its own shard, and the coordinator publishes the file
-// once every owner has answered. One namenode-RPC round trip of
-// virtual latency, no serialization on shard 0, and — because each
-// partition sees its blocks in index order — the exact layout the
-// synchronous dfs.Create would have produced.
-func (rt *Runtime) createAsync(name string, size float64, done func(*dfs.File)) {
+// placeInput materializes a job's input file across the namenode's
+// partitions: each partition draws the placements for the blocks it
+// owns on its own shard, and the coordinator publishes the file once
+// every owner has answered, then builds the job's tasks. Because each
+// partition sees its blocks in index order, the layout is exactly the
+// one dfs.Namenode.Create would produce. On a single engine every hop
+// is a direct call, so the file exists when placeInput returns. size
+// must be positive, so at least one partition answers.
+func (rt *Runtime) placeInput(job *Job, name string, size float64) {
 	nn := rt.nn
 	sizes := nn.Shape(size)
-	parts := nn.Partitions()
-	owned := make([][]int, parts) // block indices per partition, ascending
+	owned := make([][]int, nn.Partitions()) // block indices per partition, ascending
 	for i := range sizes {
 		p := nn.Owner(name, i)
 		owned[p] = append(owned[p], i)
 	}
 	replicas := make([][]int, len(sizes))
 	remaining := 0
-	for p := 0; p < parts; p++ {
-		if len(owned[p]) > 0 {
+	for _, idxs := range owned {
+		if len(idxs) > 0 {
 			remaining++
 		}
 	}
 	publish := func() {
 		f, err := nn.Publish(name, sizes, replicas)
 		if err != nil {
-			panic(err) // job sequence numbers are unique; collision is a bug
+			// The name was taken behind the runtime's back: the job has
+			// no input to read.
+			job.fail()
+			return
 		}
-		done(f)
-	}
-	if remaining == 0 {
-		rt.eng.Schedule(0, publish)
-		return
+		rt.materialize(job, f)
 	}
 	coordID := rt.coordShard.ID()
-	for p := 0; p < parts; p++ {
-		idxs := owned[p]
+	for p, idxs := range owned {
 		if len(idxs) == 0 {
 			continue
 		}
-		p := p
-		ms := rt.metaShards[p%len(rt.metaShards)]
+		ms := rt.coordShard
+		if len(rt.metaShards) > 0 {
+			ms = rt.metaShards[p%len(rt.metaShards)]
+		}
 		rt.coordShard.Post(ms.ID(), 0, func() {
 			sets := nn.PlacePartition(p, len(idxs))
 			ms.Post(coordID, 0, func() {
@@ -125,11 +129,16 @@ func (rt *Runtime) createAsync(name string, size float64, done func(*dfs.File)) 
 	}
 }
 
-// ioOn submits one tagged request directly on a node's scheduler.
-// Caller must be executing on the node's shard; done fires there.
-func ioOn(n *cluster.Node, app iosched.AppID, class iosched.Class, size float64, done func()) {
-	n.SubmitLocal(&iosched.Request{
-		App:   app,
+// submit issues one tagged request for job on node n; the caller runs
+// on n's shard and done fires there. The weight resolves through the
+// cluster's share tree at tag time — the job only carries its
+// identity. A rejected request (the spec was validated at submission,
+// so this indicates control-plane misuse, e.g. the job's tree node was
+// removed mid-run) fails the job through the coordinator rather than
+// wedging it waiting for a completion that will never come.
+func (rt *Runtime) submit(job *Job, n *cluster.Node, class iosched.Class, size float64, done func()) {
+	err := n.SubmitIO(&iosched.Request{
+		App:   job.App,
 		Class: class,
 		Size:  size,
 		OnDone: func(float64) {
@@ -138,6 +147,18 @@ func ioOn(n *cluster.Node, app iosched.AppID, class iosched.Class, size float64,
 			}
 		},
 	})
+	if err != nil {
+		rt.toCoord(n, job.fail)
+	}
+}
+
+// send ships size bytes of job's data from src to dst; the caller runs
+// on src's shard and done fires on dst's. A transfer the NIC scheduler
+// rejects fails the job like a rejected submit.
+func (rt *Runtime) send(job *Job, src, dst *cluster.Node, size float64, done func()) {
+	if err := src.SendTagged(dst, job.App, size, done); err != nil {
+		rt.toCoord(src, job.fail)
+	}
 }
 
 // mapRun is one map attempt executing on its node's shard.
@@ -160,9 +181,9 @@ func (mr *mapRun) alive(fn func()) func() {
 	}
 }
 
-// runSharded launches the attempt: build the run on the coordinator,
-// post it to the owning node's shard. Replaces run() in sharded mode.
-func (m *mapTask) runSharded() {
+// run launches the attempt: build the run on the coordinator, post it
+// to the owning node's shard.
+func (m *mapTask) run() {
 	rt := m.job.rt
 	run := &mapRun{
 		rt:   rt,
@@ -170,15 +191,15 @@ func (m *mapTask) runSharded() {
 		job:  m.job,
 		att:  m.attempt,
 		node: m.node,
-		eng:  rt.cluster.NodeEngine(m.node.Index),
+		eng:  m.node.Shard().Engine(),
 	}
 	m.srun = run
-	rt.toNode(run.node, func() { run.start() })
+	rt.toNode(run.node, run.start)
 }
 
-// completeSharded folds a node-side completion on the coordinator,
-// dropping reports from stale attempts.
-func (m *mapTask) completeSharded(att int) {
+// complete folds a node-side completion on the coordinator, dropping
+// reports from stale attempts.
+func (m *mapTask) complete(att int) {
 	if m.attempt != att || m.state != taskRunning {
 		return
 	}
@@ -186,54 +207,51 @@ func (m *mapTask) completeSharded(att int) {
 	m.finish()
 }
 
-// start runs the map's three phases on the node shard; the pipeline
-// mirrors mapTask.run chunk for chunk, minus the coordinator bounces.
+// start runs the map's three phases on the node shard. The phases are
+// sequential within the task; concurrency comes from many tasks.
 func (mr *mapRun) start() {
 	m, rt := mr.m, mr.rt
 	alive := mr.alive
 	mr.consumeInput(alive(func() {
 		// Phase 2: spill intermediate output locally (write-behind).
-		windowedOn(mr.eng, rt.cfg.ChunkBytes, m.interBytes(), rt.cfg.WriteAheadChunks, func(c float64, next func()) {
-			ioOn(mr.node, mr.job.App, iosched.IntermediateWrite, c, alive(next))
+		windowed(mr.eng, rt.cfg.ChunkBytes, m.interBytes(), rt.cfg.WriteAheadChunks, func(c float64, next func()) {
+			rt.submit(mr.job, mr.node, iosched.IntermediateWrite, c, alive(next))
 		}, alive(func() {
 			// Phase 3: direct DFS output (map-only jobs), replicated.
 			key := outputKey(mr.job.seq, keyKindMap, m.index, mr.att)
-			writeReplicatedLocal(rt, mr.job, mr.node, mr.eng, m.directOutBytes(), key, alive, alive(func() {
-				mr.node.Shard().Post(rt.coordShard.ID(), 0, func() {
-					m.completeSharded(mr.att)
-				})
+			rt.writeReplicated(mr.job, mr.node, mr.eng, m.directOutBytes(), key, alive(func() {
+				rt.toCoord(mr.node, func() { m.complete(mr.att) })
 			}))
 		}))
 	}))
 }
 
-// consumeInput is phase 1 on the node shard: alternate chunk reads
-// with computation. Remote chunks hop to the replica's shard for the
-// read and stream back node-to-node.
+// consumeInput is phase 1: alternate chunk reads with computation.
+// Generator maps only burn CPU here. Remote chunks hop to the replica's
+// shard for the read and stream back node-to-node.
 func (mr *mapRun) consumeInput(done func()) {
 	m, rt := mr.m, mr.rt
 	cpuPerByte := mr.job.Spec.MapCPUSecPerMB / 1e6
 	if m.block == nil {
-		// Generator: pure computation over the synthesized volume.
 		mr.eng.Schedule(m.inputBytes()*cpuPerByte, done)
 		return
 	}
 	alive := mr.alive
 	local := m.block.HasReplicaOn(mr.node.Index)
-	coordID := rt.coordShard.ID()
-	chunkedOn(mr.eng, rt.cfg.ChunkBytes, m.block.Size, func(c float64, next func()) {
+	chunked(mr.eng, rt.cfg.ChunkBytes, m.block.Size, func(c float64, next func()) {
 		afterRead := alive(func() {
 			mr.eng.Schedule(c*cpuPerByte, alive(next))
 		})
 		if local {
-			ioOn(mr.node, mr.job.App, iosched.PersistentRead, c, afterRead)
+			rt.submit(mr.job, mr.node, iosched.PersistentRead, c, afterRead)
 			return
 		}
+		// Remote read: serviced by a surviving replica node's HDFS
+		// scheduler, then shipped over the network. A block with no
+		// surviving replica fails the whole job.
 		src := m.pickReplica(rt)
 		if src == nil {
-			// Unreachable without node failures (unsupported sharded),
-			// but fail the job through the coordinator rather than wedge.
-			mr.node.Shard().Post(coordID, 0, func() {
+			rt.toCoord(mr.node, func() {
 				if m.attempt == mr.att && m.state == taskRunning {
 					m.preempt()
 					m.job.fail()
@@ -242,8 +260,8 @@ func (mr *mapRun) consumeInput(done func()) {
 			return
 		}
 		mr.node.Shard().Post(src.Shard().ID(), 0, func() {
-			ioOn(src, mr.job.App, iosched.PersistentRead, c, func() {
-				src.SendTaggedLocal(mr.node, mr.job.App, c, afterRead)
+			rt.submit(mr.job, src, iosched.PersistentRead, c, func() {
+				rt.send(mr.job, src, mr.node, c, afterRead)
 			})
 		})
 	}, done)
@@ -269,7 +287,6 @@ type reduceRun struct {
 	finishing      bool
 	cancelled      bool
 	inMem          bool
-	rng            *rand.Rand
 }
 
 func (rr *reduceRun) alive(fn func()) func() {
@@ -280,12 +297,16 @@ func (rr *reduceRun) alive(fn func()) func() {
 	}
 }
 
-// runSharded launches the attempt with a snapshot of the shuffle
-// backlog accumulated on the coordinator. Replaces run() sharded.
-func (r *reduceTask) runSharded() {
+// run launches the attempt, handing it the shuffle backlog accumulated
+// on the coordinator. A restarted attempt first rebuilds that backlog
+// from the surviving completed map outputs.
+func (r *reduceTask) run() {
 	rt := r.job.rt
 	if r.attempt > 0 {
 		r.reseedSegments()
+	}
+	if r.rng == nil {
+		r.rng = rand.New(rand.NewSource(int64(r.job.seq)*1009 + int64(r.index)))
 	}
 	run := &reduceRun{
 		rt:          rt,
@@ -293,20 +314,19 @@ func (r *reduceTask) runSharded() {
 		job:         r.job,
 		att:         r.attempt,
 		node:        r.node,
-		eng:         rt.cluster.NodeEngine(r.node.Index),
-		pending:     append([]segment(nil), r.pending...),
+		eng:         r.node.Shard().Engine(),
+		pending:     r.pending,
 		segsDone:    r.segsDone,
 		expected:    r.expectedSegments(),
 		allMapsDone: r.job.mapsDone == len(r.job.maps),
 		inMem:       r.inMemoryShuffle(),
-		rng:         rand.New(rand.NewSource(int64(r.job.seq)*1009 + int64(r.index))),
 	}
 	r.rrun = run
-	r.pending = nil
-	rt.toNode(run.node, func() { run.start() })
+	r.pending, r.segsDone = nil, 0
+	rt.toNode(run.node, run.start)
 }
 
-func (r *reduceTask) completeSharded(att int) {
+func (r *reduceTask) complete(att int) {
 	if r.attempt != att || r.state != taskRunning {
 		return
 	}
@@ -320,7 +340,7 @@ func (rr *reduceRun) start() {
 }
 
 // addSegment receives one map output partition forwarded by the
-// coordinator (or snapshot at launch via pending).
+// coordinator.
 func (rr *reduceRun) addSegment(seg segment) {
 	if rr.cancelled {
 		return
@@ -343,9 +363,11 @@ func (rr *reduceRun) markAllMapsDone() {
 	rr.maybeFinishShuffle()
 }
 
+// pumpFetchers starts fetch streams up to the configured parallelism,
+// in the reduce's random fetch order.
 func (rr *reduceRun) pumpFetchers() {
 	for rr.activeFetchers < rr.rt.cfg.ShuffleParallelism && len(rr.pending) > 0 {
-		i := rr.rng.Intn(len(rr.pending))
+		i := rr.r.rng.Intn(len(rr.pending))
 		seg := rr.pending[i]
 		rr.pending[i] = rr.pending[len(rr.pending)-1]
 		rr.pending = rr.pending[:len(rr.pending)-1]
@@ -363,30 +385,38 @@ func (rr *reduceRun) pumpFetchers() {
 	}
 }
 
-// fetchSegment streams one segment source→destination: intermediate
-// read on the source's shard, tagged network hop, local spill (unless
-// the shuffle fits in memory). The chunk loop advances on the reduce's
-// shard; the coordinator is not involved.
+// fetchSegment streams one segment: an intermediate read on the
+// source's shard (the shuffle-serving I/O the NodeManager servlets
+// perform), a tagged network hop if remote, then a local spill write
+// unless the whole partition fits in the shuffle buffer. The chunk
+// loop advances on the reduce's shard.
 func (rr *reduceRun) fetchSegment(seg segment, done func()) {
-	rt, node := rr.rt, rr.node
-	alive := rr.alive
-	chunkedOn(rr.eng, rt.cfg.ChunkBytes, seg.bytes, func(c float64, next func()) {
+	rt, node, src := rr.rt, rr.node, seg.srcNode
+	chunked(rr.eng, rt.cfg.ChunkBytes, seg.bytes, func(c float64, next func()) {
 		land := func() {
 			if rr.inMem {
 				next()
 				return
 			}
-			ioOn(node, rr.job.App, iosched.IntermediateWrite, c, alive(next))
+			rt.submit(rr.job, node, iosched.IntermediateWrite, c, rr.alive(next))
 		}
-		if seg.srcNode == node {
-			ioOn(node, rr.job.App, iosched.IntermediateRead, c, alive(land))
-			return
+		read := func() {
+			if src == node {
+				land()
+				return
+			}
+			rt.send(rr.job, src, node, c, land)
 		}
-		src := seg.srcNode
+		// The chunk checks the attempt once, at its first continuation
+		// on this reduce's shard: right after the read when the source
+		// shares the shard, otherwise when the bytes land.
+		if src.Shard() == node.Shard() {
+			read = rr.alive(read)
+		} else {
+			land = rr.alive(land)
+		}
 		node.Shard().Post(src.Shard().ID(), 0, func() {
-			ioOn(src, rr.job.App, iosched.IntermediateRead, c, func() {
-				src.SendTaggedLocal(node, rr.job.App, c, alive(land))
-			})
+			rt.submit(rr.job, src, iosched.IntermediateRead, c, read)
 		})
 	}, done)
 }
@@ -403,41 +433,43 @@ func (rr *reduceRun) maybeFinishShuffle() {
 	}
 	rr.finishing = true
 	// shuffleDoneTime is owned by the live attempt; the coordinator
-	// only reads task timings after the fabric run completes.
+	// only reads task timings after the run completes.
 	rr.r.shuffleDoneTime = rr.eng.Now()
 	rt := rr.rt
 	cpuPerByte := rr.job.Spec.ReduceCPUSecPerMB / 1e6
 	alive := rr.alive
+	// Merge: read back spilled shuffle data (skipped for in-memory
+	// merges), interleaved with the reduce computation.
 	merge := func(c float64, next func()) {
 		rr.eng.Schedule(c*cpuPerByte, alive(next))
 	}
 	if !rr.inMem {
 		merge = func(c float64, next func()) {
-			ioOn(rr.node, rr.job.App, iosched.IntermediateRead, c, alive(func() {
+			rt.submit(rr.job, rr.node, iosched.IntermediateRead, c, alive(func() {
 				rr.eng.Schedule(c*cpuPerByte, alive(next))
 			}))
 		}
 	}
-	chunkedOn(rr.eng, rt.cfg.ChunkBytes, rr.fetchedBytes, merge, alive(func() {
+	chunked(rr.eng, rt.cfg.ChunkBytes, rr.fetchedBytes, merge, alive(func() {
 		out := 0.0
 		if n := rr.job.Spec.NumReduces; n > 0 {
 			out = rr.job.Spec.OutputBytes / float64(n)
 		}
 		key := outputKey(rr.job.seq, keyKindReduce, rr.r.index, rr.att)
-		writeReplicatedLocal(rt, rr.job, rr.node, rr.eng, out, key, alive, alive(func() {
-			rr.node.Shard().Post(rt.coordShard.ID(), 0, func() {
-				rr.r.completeSharded(rr.att)
-			})
+		rt.writeReplicated(rr.job, rr.node, rr.eng, out, key, alive(func() {
+			rt.toCoord(rr.node, func() { rr.r.complete(rr.att) })
 		}))
 	}))
 }
 
-// writeReplicatedLocal is the node-local HDFS write pipeline: the
-// replica set comes from keyed placement (a pure function — no
-// namenode round trip), the local copy writes directly, and remote
-// copies stream node-to-node with the window advancing on the writer's
-// shard.
-func writeReplicatedLocal(rt *Runtime, job *Job, n *cluster.Node, eng *sim.Engine, size float64, key uint64, alive func(func()) func(), done func()) {
+// writeReplicated is the HDFS write pipeline for size bytes of job
+// output written from node n, whose engine is eng: the first copy
+// lands on the local HDFS disk, the rest stream through the network to
+// remote datanodes' HDFS schedulers, with the write-behind window
+// advancing on the writer's shard. Copy completions are not
+// attempt-guarded: a cancelled attempt drains its window (DESIGN.md
+// §6); only done is guarded, by the caller.
+func (rt *Runtime) writeReplicated(job *Job, n *cluster.Node, eng *sim.Engine, size float64, key uint64, done func()) {
 	if size <= 0 {
 		eng.Schedule(0, done)
 		return
@@ -446,25 +478,33 @@ func writeReplicatedLocal(rt *Runtime, job *Job, n *cluster.Node, eng *sim.Engin
 	if job.Spec.OutputReplication > 0 && job.Spec.OutputReplication < repl {
 		repl = job.Spec.OutputReplication
 	}
-	replicas := rt.nn.PlaceOutputKeyed(n.Index, key)[:repl]
-	myShard := n.Shard()
-	windowedOn(eng, rt.cfg.ChunkBytes, size, rt.cfg.WriteAheadChunks, func(c float64, next func()) {
+	// Replicas placed on dead nodes are dropped (the namenode would
+	// re-replicate later; the write pipeline just skips them).
+	var replicas []*cluster.Node
+	for _, idx := range rt.nn.PlaceOutput(n.Index, key)[:repl] {
+		if target := rt.cluster.Nodes[idx]; !target.Dead {
+			replicas = append(replicas, target)
+		}
+	}
+	if len(replicas) == 0 {
+		replicas = []*cluster.Node{n}
+	}
+	windowed(eng, rt.cfg.ChunkBytes, size, rt.cfg.WriteAheadChunks, func(c float64, next func()) {
 		remainingCopies := len(replicas)
-		copyDone := alive(func() {
+		copyDone := func() {
 			remainingCopies--
 			if remainingCopies == 0 {
 				next()
 			}
-		})
-		for _, idx := range replicas {
-			target := rt.cluster.Nodes[idx]
+		}
+		for _, target := range replicas {
 			if target == n {
-				ioOn(target, job.App, iosched.PersistentWrite, c, copyDone)
+				rt.submit(job, target, iosched.PersistentWrite, c, copyDone)
 				continue
 			}
-			n.SendTaggedLocal(target, job.App, c, func() {
-				ioOn(target, job.App, iosched.PersistentWrite, c, func() {
-					target.Shard().Post(myShard.ID(), 0, copyDone)
+			rt.send(job, n, target, c, func() {
+				rt.submit(job, target, iosched.PersistentWrite, c, func() {
+					target.Shard().Post(n.Shard().ID(), 0, copyDone)
 				})
 			})
 		}

@@ -5,7 +5,6 @@ import (
 
 	"ibis/internal/cluster"
 	"ibis/internal/dfs"
-	"ibis/internal/iosched"
 )
 
 // taskState tracks a task through its lifecycle.
@@ -19,7 +18,7 @@ const (
 
 // mapTask reads one input split (or generates data), spills intermediate
 // output to the local file system, and optionally writes direct output
-// to the DFS (map-only jobs).
+// to the DFS (map-only jobs). Its execution is a mapRun (sharded.go).
 type mapTask struct {
 	job   *Job
 	index int
@@ -32,11 +31,10 @@ type mapTask struct {
 	node  *cluster.Node
 	state taskState
 	// attempt invalidates in-flight callbacks of a preempted attempt:
-	// every continuation checks it before making progress.
+	// completions of any other attempt are dropped.
 	attempt int
-	// srun is the node-shard execution of the current attempt in
-	// sharded mode (see sharded.go); nil single-engine or between
-	// attempts.
+	// srun is the node-shard execution of the current attempt; nil
+	// between attempts.
 	srun *mapRun
 
 	startTime, endTime float64
@@ -80,72 +78,6 @@ func (m *mapTask) localOn(n *cluster.Node) bool {
 	return m.block.HasReplicaOn(n.Index)
 }
 
-// run executes the map task on its assigned node. The phases are
-// sequential within the task; concurrency comes from many tasks. Every
-// continuation is guarded by the attempt token so a preempted attempt's
-// in-flight callbacks die silently.
-func (m *mapTask) run() {
-	rt := m.job.rt
-	if rt.sharded() {
-		m.runSharded()
-		return
-	}
-	att := m.attempt
-	alive := func(fn func()) func() {
-		return func() {
-			if m.attempt == att && m.state == taskRunning {
-				fn()
-			}
-		}
-	}
-	// Phase 1: consume the input split, alternating chunk reads with
-	// computation. Generator maps only burn CPU here.
-	m.consumeInput(alive, alive(func() {
-		// Phase 2: spill intermediate output locally (write-behind).
-		rt.windowed(m.interBytes(), rt.cfg.WriteAheadChunks, func(c float64, next func()) {
-			m.job.submitIO(m.node, iosched.IntermediateWrite, c, alive(next))
-		}, alive(func() {
-			// Phase 3: direct DFS output (map-only jobs), replicated.
-			m.job.writeReplicated(m.node, m.directOutBytes(), alive(func() {
-				m.finish()
-			}))
-		}))
-	}))
-}
-
-func (m *mapTask) consumeInput(alive func(func()) func(), done func()) {
-	rt := m.job.rt
-	cpuPerByte := m.job.Spec.MapCPUSecPerMB / 1e6
-	if m.block == nil {
-		// Generator: pure computation over the synthesized volume.
-		rt.eng.Schedule(m.inputBytes()*cpuPerByte, done)
-		return
-	}
-	local := m.block.HasReplicaOn(m.node.Index)
-	node := m.node
-	rt.chunked(m.block.Size, func(c float64, next func()) {
-		afterRead := alive(func() {
-			rt.eng.Schedule(c*cpuPerByte, alive(next))
-		})
-		if local {
-			m.job.submitIO(node, iosched.PersistentRead, c, afterRead)
-			return
-		}
-		// Remote read: serviced by a surviving replica node's HDFS
-		// scheduler, then shipped over the network. A block with no
-		// surviving replica fails the whole job.
-		src := m.pickReplica(rt)
-		if src == nil {
-			m.preempt()
-			m.job.fail()
-			return
-		}
-		m.job.submitIO(src, iosched.PersistentRead, c, func() {
-			src.SendTagged(node, m.job.App, c, afterRead)
-		})
-	}, done)
-}
-
 func (m *mapTask) finish() {
 	m.state = taskDone
 	m.endTime = m.job.rt.eng.Now()
@@ -176,44 +108,42 @@ type segment struct {
 }
 
 // reduceTask shuffles its partition from every map output, spills it
-// locally, merges, computes, and writes replicated DFS output.
+// locally, merges, computes, and writes replicated DFS output. Its
+// execution is a reduceRun (sharded.go); the task itself holds only the
+// coordinator's view.
 type reduceTask struct {
 	job   *Job
 	index int
 	node  *cluster.Node
 	state taskState
 
-	pending        []segment
-	activeFetchers int
-	segsDone       int
-	fetchedBytes   float64
-	finishing      bool
+	// pending and segsDone are the shuffle backlog accumulated while the
+	// reduce waits for a slot; run hands them to the attempt.
+	pending  []segment
+	segsDone int
 	// attempt invalidates in-flight callbacks when the reduce restarts
 	// after a node failure.
 	attempt int
 	// rng picks fetch order: each reduce pulls its backlog in a
 	// different order (as Hadoop's shuffle does) so that parallel
-	// reduces don't convoy on one source disk.
+	// reduces don't convoy on one source disk. One stream per reduce,
+	// kept across attempts.
 	rng *rand.Rand
-	// rrun is the node-shard execution of the current attempt in
-	// sharded mode (see sharded.go); nil single-engine or between
-	// attempts.
+	// rrun is the node-shard execution of the current attempt; nil
+	// between attempts.
 	rrun *reduceRun
 
 	startTime, shuffleDoneTime, endTime float64
 }
 
-// addSegment enqueues one map output partition; if the reduce is
-// running, a fetcher may pick it up immediately.
+// addSegment delivers one map output partition. A running attempt owns
+// its shuffle state on its node's shard, so the segment is forwarded
+// there as a message; while the reduce waits for a slot the coordinator
+// accumulates the backlog, which run hands to the next attempt.
 func (r *reduceTask) addSegment(seg segment) {
-	// Sharded: a running attempt owns its shuffle state on its node's
-	// shard — forward the segment as a message. While the reduce waits
-	// for a slot the coordinator accumulates the backlog below, and
-	// runSharded snapshots it at launch.
-	if rt := r.job.rt; rt.sharded() && r.state == taskRunning {
-		if run := r.rrun; run != nil {
-			rt.toNode(run.node, func() { run.addSegment(seg) })
-		}
+	if r.state == taskRunning {
+		run := r.rrun
+		r.job.rt.toNode(run.node, func() { run.addSegment(seg) })
 		return
 	}
 	// A restarted reduce waiting for a slot ignores pushes: it rebuilds
@@ -224,56 +154,9 @@ func (r *reduceTask) addSegment(seg segment) {
 	}
 	if seg.bytes <= 0 {
 		r.segsDone++ // trivially fetched
-		if r.state == taskRunning {
-			r.maybeFinishShuffle()
-		}
 		return
 	}
 	r.pending = append(r.pending, seg)
-	if r.state == taskRunning {
-		r.pumpFetchers()
-	}
-}
-
-// run starts the reduce: fetch whatever is already available and keep
-// fetching as maps complete. A restarted attempt first rebuilds its
-// segment queue from the surviving completed map outputs.
-func (r *reduceTask) run() {
-	if r.job.rt.sharded() {
-		r.runSharded()
-		return
-	}
-	if r.attempt > 0 {
-		r.reseedSegments()
-	}
-	r.pumpFetchers()
-	r.maybeFinishShuffle()
-}
-
-// pumpFetchers starts fetch streams up to the configured parallelism.
-func (r *reduceTask) pumpFetchers() {
-	rt := r.job.rt
-	if r.rng == nil {
-		r.rng = rand.New(rand.NewSource(int64(r.job.seq)*1009 + int64(r.index)))
-	}
-	att := r.attempt
-	for r.activeFetchers < rt.cfg.ShuffleParallelism && len(r.pending) > 0 {
-		i := r.rng.Intn(len(r.pending))
-		seg := r.pending[i]
-		r.pending[i] = r.pending[len(r.pending)-1]
-		r.pending = r.pending[:len(r.pending)-1]
-		r.activeFetchers++
-		r.fetchSegment(seg, func() {
-			if r.attempt != att || r.state != taskRunning {
-				return // the attempt died with its node
-			}
-			r.activeFetchers--
-			r.segsDone++
-			r.fetchedBytes += seg.bytes
-			r.pumpFetchers()
-			r.maybeFinishShuffle()
-		})
-	}
 }
 
 // inMemoryShuffle reports whether this reduce's whole partition fits in
@@ -287,40 +170,6 @@ func (r *reduceTask) inMemoryShuffle() bool {
 	return expected <= r.job.rt.cfg.ShuffleBufferBytes
 }
 
-// fetchSegment streams one segment: intermediate read at the source
-// (the shuffle-serving I/O the NodeManager servlets perform), a network
-// hop if remote, then a local spill write unless the whole partition
-// fits in the shuffle buffer.
-func (r *reduceTask) fetchSegment(seg segment, done func()) {
-	rt := r.job.rt
-	inMem := r.inMemoryShuffle()
-	att := r.attempt
-	node := r.node
-	alive := func(fn func()) func() {
-		return func() {
-			if r.attempt == att && r.state == taskRunning {
-				fn()
-			}
-		}
-	}
-	rt.chunked(seg.bytes, func(c float64, next func()) {
-		land := func() {
-			if inMem {
-				next()
-				return
-			}
-			r.job.submitIO(node, iosched.IntermediateWrite, c, alive(next))
-		}
-		r.job.submitIO(seg.srcNode, iosched.IntermediateRead, c, alive(func() {
-			if seg.srcNode == node {
-				land()
-				return
-			}
-			seg.srcNode.SendTagged(node, r.job.App, c, land)
-		}))
-	}, done)
-}
-
 // expectedSegments returns how many map partitions this reduce must
 // collect: one per map when the job shuffles at all, none otherwise.
 func (r *reduceTask) expectedSegments() int {
@@ -330,49 +179,6 @@ func (r *reduceTask) expectedSegments() int {
 	return len(r.job.maps)
 }
 
-// maybeFinishShuffle transitions to merge/compute/output once every
-// map's partition has been collected.
-func (r *reduceTask) maybeFinishShuffle() {
-	if r.finishing || r.state != taskRunning {
-		return
-	}
-	if r.job.mapsDone < len(r.job.maps) || r.segsDone < r.expectedSegments() {
-		return
-	}
-	r.finishing = true
-	rt := r.job.rt
-	r.shuffleDoneTime = rt.eng.Now()
-	cpuPerByte := r.job.Spec.ReduceCPUSecPerMB / 1e6
-	att := r.attempt
-	node := r.node
-	alive := func(fn func()) func() {
-		return func() {
-			if r.attempt == att && r.state == taskRunning {
-				fn()
-			}
-		}
-	}
-	// Merge: read back spilled shuffle data (skipped for in-memory
-	// merges), interleaved with the reduce computation.
-	merge := func(c float64, next func()) {
-		rt.eng.Schedule(c*cpuPerByte, alive(next))
-	}
-	if !r.inMemoryShuffle() {
-		merge = func(c float64, next func()) {
-			r.job.submitIO(node, iosched.IntermediateRead, c, alive(func() {
-				rt.eng.Schedule(c*cpuPerByte, alive(next))
-			}))
-		}
-	}
-	rt.chunked(r.fetchedBytes, merge, alive(func() {
-		out := 0.0
-		if n := r.job.Spec.NumReduces; n > 0 {
-			out = r.job.Spec.OutputBytes / float64(n)
-		}
-		r.job.writeReplicated(node, out, alive(r.finish))
-	}))
-}
-
 func (r *reduceTask) finish() {
 	r.state = taskDone
 	r.endTime = r.job.rt.eng.Now()
@@ -380,54 +186,6 @@ func (r *reduceTask) finish() {
 	job.rt.fair.releaseReduce(r.node, job, job.Spec.ReduceMemGB)
 	job.noteReduceDone()
 	job.rt.fair.pump()
-}
-
-// writeReplicated writes size bytes of DFS output from node n with the
-// job's replication factor: the first copy lands on the local HDFS
-// disk, the rest stream through the network to remote datanodes'
-// HDFS schedulers — the HDFS write pipeline.
-func (j *Job) writeReplicated(n *cluster.Node, size float64, done func()) {
-	rt := j.rt
-	if size <= 0 {
-		rt.eng.Schedule(0, done)
-		return
-	}
-	repl := rt.nn.Replication()
-	if j.Spec.OutputReplication > 0 && j.Spec.OutputReplication < repl {
-		repl = j.Spec.OutputReplication
-	}
-	replicas := rt.nn.PlaceOutput(n.Index)[:repl]
-	// Replicas placed on dead nodes are dropped (the namenode would
-	// re-replicate later; the write pipeline just skips them).
-	aliveReplicas := replicas[:0]
-	for _, idx := range replicas {
-		if !rt.cluster.Nodes[idx].Dead {
-			aliveReplicas = append(aliveReplicas, idx)
-		}
-	}
-	replicas = aliveReplicas
-	if len(replicas) == 0 {
-		replicas = []int{n.Index}
-	}
-	rt.windowed(size, rt.cfg.WriteAheadChunks, func(c float64, next func()) {
-		remainingCopies := len(replicas)
-		copyDone := func() {
-			remainingCopies--
-			if remainingCopies == 0 {
-				next()
-			}
-		}
-		for _, idx := range replicas {
-			target := rt.cluster.Nodes[idx]
-			if target == n {
-				j.submitIO(target, iosched.PersistentWrite, c, copyDone)
-			} else {
-				n.SendTagged(target, j.App, c, func() {
-					j.submitIO(target, iosched.PersistentWrite, c, copyDone)
-				})
-			}
-		}
-	}, done)
 }
 
 // pickReplica returns a surviving replica node for the map's block,

@@ -226,9 +226,6 @@ func (f *Fabric) SetShardOutLatency(i int, lat float64) {
 	}
 }
 
-// OutLatency returns shard i's outgoing-edge latency bound.
-func (f *Fabric) OutLatency(i int) float64 { return f.outLat[i] }
-
 // Shards returns the shard count.
 func (f *Fabric) Shards() int { return len(f.shards) }
 
@@ -238,15 +235,8 @@ func (f *Fabric) Shard(i int) *Shard { return f.shards[i] }
 // Lookahead returns the fabric-wide minimum cross-shard latency.
 func (f *Fabric) Lookahead() float64 { return f.lookahead }
 
-// Workers returns the configured worker bound.
-func (f *Fabric) Workers() int { return f.workers }
-
 // Stats returns the accumulated fabric counters.
 func (f *Fabric) Stats() FabricStats { return f.stats }
-
-// InWindow reports whether a synchronization window is currently
-// executing (used by debug assertions in higher layers).
-func (f *Fabric) InWindow() bool { return f.inWindow.Load() == 1 }
 
 // Now returns the maximum clock across all shards.
 func (f *Fabric) Now() float64 {
@@ -268,6 +258,12 @@ func (f *Fabric) Fired() uint64 {
 	return n
 }
 
+// NewShard wraps eng as a standalone shard: a one-shard model with no
+// fabric around it. Every post it can make is addressed to itself and
+// handled locally (see Post), so a model wired through shards runs on
+// a plain engine, driven by the engine's own Run.
+func NewShard(eng *Engine) *Shard { return &Shard{eng: eng} }
+
 // ID returns the shard index.
 func (s *Shard) ID() int { return int(s.id) }
 
@@ -281,6 +277,11 @@ func (s *Shard) Engine() *Engine { return s.eng }
 // message counts as live work (it keeps Run going); use PostDaemon for
 // housekeeping traffic. Post must be called from a callback executing
 // on this shard (or at a barrier).
+//
+// A post addressed to the posting shard crosses no window boundary, so
+// it is no message: with delay 0 fn runs synchronously, inside Post;
+// otherwise it is scheduled on the shard's own engine at now+delay,
+// unclamped, keeping the daemon flag.
 func (s *Shard) Post(dst int, delay float64, fn func()) {
 	s.post(dst, delay, fn, false)
 }
@@ -295,7 +296,18 @@ func (s *Shard) post(dst int, delay float64, fn func(), daemon bool) {
 	if fn == nil {
 		panic("sim: Post called with nil fn")
 	}
-	if dst < 0 || dst >= len(s.f.shards) {
+	if dst == int(s.id) {
+		switch {
+		case delay == 0:
+			fn()
+		case daemon:
+			s.eng.ScheduleDaemon(delay, fn)
+		default:
+			s.eng.Schedule(delay, fn)
+		}
+		return
+	}
+	if s.f == nil || dst < 0 || dst >= len(s.f.shards) {
 		panic(fmt.Sprintf("sim: Post to unknown shard %d", dst))
 	}
 	if s.f.debug && s.f.inWindow.Load() == 1 && s.running.Load() == 0 {

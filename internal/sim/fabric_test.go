@@ -108,6 +108,47 @@ func TestFabricLookaheadClamp(t *testing.T) {
 	}
 }
 
+// TestSameShardPostIsLocal: a post a shard addresses to itself is no
+// message. With delay 0 it runs synchronously inside Post; with a delay
+// it fires at exactly now+delay on the shard's own engine, below the
+// lookahead; as a daemon it does not keep the run alive. The same holds
+// on a fabric shard and on a standalone one.
+func TestSameShardPostIsLocal(t *testing.T) {
+	f := NewFabric(2, 0.5, FabricOptions{Debug: true})
+	standalone := NewShard(NewEngine())
+	for _, tc := range []struct {
+		name  string
+		shard *Shard
+		run   func() float64
+	}{
+		{"fabric", f.Shard(1), f.Run},
+		{"standalone", standalone, standalone.Engine().Run},
+	} {
+		s := tc.shard
+		var sync bool
+		var delayedAt float64 = -1
+		daemonFired := false
+		s.Engine().Schedule(1.0, func() {
+			s.Post(s.ID(), 0, func() { sync = true })
+			if !sync {
+				t.Errorf("%s: zero-delay same-shard post did not run synchronously", tc.name)
+			}
+			s.Post(s.ID(), 0.1, func() { delayedAt = s.Engine().Now() })
+			s.PostDaemon(s.ID(), 5, func() { daemonFired = true })
+		})
+		end := tc.run()
+		if delayedAt != 1.1 {
+			t.Errorf("%s: delayed same-shard post fired at %v, want 1.1 (unclamped)", tc.name, delayedAt)
+		}
+		if daemonFired || end > 1.1 {
+			t.Errorf("%s: daemon same-shard post kept the run alive (end %v, fired %v)", tc.name, end, daemonFired)
+		}
+	}
+	if m := f.Stats().Messages; m != 0 {
+		t.Errorf("same-shard posts crossed the fabric as %d messages", m)
+	}
+}
+
 // TestFabricDaemonIdleShardNoStarvation: a shard whose queue holds only
 // a self-rescheduling daemon tick must neither stall the others nor
 // keep the fabric alive once real work drains; a fully drained shard
