@@ -283,7 +283,7 @@ func New(cfg Config) (*Simulation, error) {
 			CoordinationPeriod: cfg.CoordinationPeriod,
 		})
 		if cl.Broker != nil {
-			s.au.AttachBroker(cl.Broker)
+			s.au.AttachBroker(cl.CoordShard().ID(), cl.Broker)
 		}
 		// Switch audit regimes in lockstep with client degradation:
 		// local checks relax to the degraded variant, the total-share
@@ -306,13 +306,13 @@ func New(cfg Config) (*Simulation, error) {
 		}
 	})
 	if s.tr != nil || s.au != nil {
-		cl.Instrument(func(node int, dev string, sched iosched.Scheduler) iosched.Probe {
+		cl.Instrument(func(shard, node int, dev string, sched iosched.Scheduler) iosched.Probe {
 			var ps []iosched.Probe
 			if s.tr != nil {
-				ps = append(ps, s.tr.Probe(node, trace.DeviceKindOf(dev)))
+				ps = append(ps, s.tr.Probe(shard, node, trace.DeviceKindOf(dev)))
 			}
 			if s.au != nil {
-				ps = append(ps, s.au.Probe(node, dev, sched))
+				ps = append(ps, s.au.Probe(shard, node, dev, sched))
 			}
 			return iosched.MultiProbe(ps...)
 		})

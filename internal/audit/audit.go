@@ -48,11 +48,27 @@
 // Probe) and accumulates Violations; a clean run reports none. Checks
 // exposes per-invariant evaluation counts so tests can assert an
 // invariant was actually exercised rather than vacuously skipped.
+//
+// Shards. Each probe — on a scheduler, a broker or the federation root
+// — is registered with the simulation shard whose engine drives it.
+// When every probe sits on one shard the auditor judges each event as
+// it happens. Otherwise it cannot: one event can touch per-scheduler
+// flows, the cluster aggregate and the violation list, which parallel
+// windows would mutate concurrently. Each scheduler probe then appends
+// a value copy of the event to its shard's private log, and Finish
+// merges the logs by (event time, shard, log order) and replays them
+// through the same invariant battery. A shard's log is already in time
+// order (its engine clock is monotonic) and ties across shards go to
+// the lower shard, as in the trace merge, so every check count and
+// violation is a pure function of the simulated system, independent of
+// worker count.
 package audit
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -177,6 +193,12 @@ type Auditor struct {
 	// shares attributes apps to tenants for the hierarchical checks
 	// (nil disables them).
 	shares broker.ShareView
+
+	// logs holds one sample log per shard with a probe, in shard
+	// order; deferred (more than one) means events are judged at
+	// Finish.
+	logs     []*shardLog
+	deferred bool
 }
 
 // SetShares attaches the share tree view used to group flows into
@@ -220,11 +242,14 @@ func New(opts Options) *Auditor {
 }
 
 // Probe returns the lifecycle probe auditing one scheduler, labeled
-// with its node index and device name. SFQ schedulers get the full
+// with its node index and device name; shard is the simulation shard
+// whose engine drives the scheduler. SFQ schedulers get the full
 // invariant set; other policies get lifecycle sanity checks only.
-func (a *Auditor) Probe(node int, dev string, sched iosched.Scheduler) iosched.Probe {
+// Register every probe before the simulation runs.
+func (a *Auditor) Probe(shard, node int, dev string, sched iosched.Scheduler) iosched.Probe {
 	s := &schedState{
 		a:     a,
+		log:   a.logFor(shard),
 		node:  node,
 		dev:   dev,
 		id:    len(a.scheds),
@@ -251,6 +276,16 @@ func (a *Auditor) Probe(node int, dev string, sched iosched.Scheduler) iosched.P
 	return s
 }
 
+// logFor returns shard's sample log, creating it on first use.
+func (a *Auditor) logFor(shard int) *shardLog {
+	i, ok := slices.BinarySearchFunc(a.logs, shard, func(l *shardLog, s int) int { return cmp.Compare(l.shard, s) })
+	if !ok {
+		a.logs = slices.Insert(a.logs, i, &shardLog{shard: shard})
+		a.deferred = len(a.logs) > 1
+	}
+	return a.logs[i]
+}
+
 func schedKey(node int, dev string) string { return fmt.Sprintf("%d/%s", node, dev) }
 
 // NoteDegradeStart records that the scheduler at (node, dev) suspended
@@ -261,18 +296,13 @@ func schedKey(node int, dev string) string { return fmt.Sprintf("%d/%s", node, d
 // degradation preserves), and per-flow start-tag monotonicity is reset
 // once — suspension clamps accumulated delay-rule debt down to the
 // scheduler's virtual time, which legitimately regresses tags at that
-// single instant.
+// single instant. Call it from the scheduler's shard: when events are
+// judged at Finish, the note joins that shard's log and lands between
+// exactly the samples it did in the simulation.
 func (a *Auditor) NoteDegradeStart(node int, dev string, t float64) {
-	a.count("degrade-noted")
-	if s := a.byKey[schedKey(node, dev)]; s != nil {
-		s.degraded = append(s.degraded, span{from: t, to: math.Inf(1)})
-		for _, f := range s.flows {
-			f.lastStart = 0
-		}
+	if !a.logNote(entryDegradeStart, node, dev, t) {
+		a.degradeStart(node, dev, t)
 	}
-	key := schedKey(node, dev)
-	a.openSkips[key] = len(a.skips)
-	a.skips = append(a.skips, span{from: t, to: math.Inf(1)})
 }
 
 // NoteDegradeEnd records recovery at time t. The scheduler's local
@@ -280,13 +310,47 @@ func (a *Auditor) NoteDegradeStart(node int, dev string, t float64) {
 // relaxed for K = RecoveryPeriods coordination periods more, after
 // which total-service proportionality must re-tighten.
 func (a *Auditor) NoteDegradeEnd(node int, dev string, t float64) {
+	if !a.logNote(entryDegradeEnd, node, dev, t) {
+		a.degradeEnd(node, dev, t)
+	}
+}
+
+// logNote appends a degradation note to the log of the shard the
+// scheduler at (node, dev) was registered on, when events are judged
+// at Finish. It reports whether the note was logged.
+func (a *Auditor) logNote(kind uint8, node int, dev string, t float64) bool {
+	if !a.deferred {
+		return false
+	}
+	s := a.byKey[schedKey(node, dev)]
+	if s == nil {
+		return false
+	}
+	s.log.entries = append(s.log.entries, logEntry{time: t, kind: kind, node: node, dev: dev})
+	return true
+}
+
+func (a *Auditor) degradeStart(node int, dev string, t float64) {
+	a.count("degrade-noted")
+	key := schedKey(node, dev)
+	if s := a.byKey[key]; s != nil {
+		s.degraded = append(s.degraded, span{from: t, to: math.Inf(1)})
+		for _, f := range s.flows {
+			f.lastStart = 0
+		}
+	}
+	a.openSkips[key] = len(a.skips)
+	a.skips = append(a.skips, span{from: t, to: math.Inf(1)})
+}
+
+func (a *Auditor) degradeEnd(node int, dev string, t float64) {
 	a.count("recover-noted")
-	if s := a.byKey[schedKey(node, dev)]; s != nil {
+	key := schedKey(node, dev)
+	if s := a.byKey[key]; s != nil {
 		if n := len(s.degraded); n > 0 && math.IsInf(s.degraded[n-1].to, 1) {
 			s.degraded[n-1].to = t
 		}
 	}
-	key := schedKey(node, dev)
 	if idx, ok := a.openSkips[key]; ok {
 		grace := float64(a.opts.RecoveryPeriods) * a.opts.CoordinationPeriod
 		a.skips[idx].to = t + grace
@@ -305,8 +369,11 @@ func (a *Auditor) skipWindow(ws, we float64) bool {
 	return false
 }
 
-// AttachBroker audits service conservation on every exchange of b.
-func (a *Auditor) AttachBroker(b *broker.Broker) {
+// AttachBroker audits service conservation on every exchange of b,
+// live, from the shard whose engine runs b. Like a scheduler probe, it
+// counts toward the shards the auditor is written from.
+func (a *Auditor) AttachBroker(shard int, b *broker.Broker) {
+	a.logFor(shard)
 	a.brokers = append(a.brokers, b)
 	b.SetProbe(func(string, *broker.Broker) { a.checkBroker(b) })
 }
@@ -323,7 +390,9 @@ func (a *Auditor) AttachBrokerDeferred(b *broker.Broker) {
 // the per-partition mirrors must sum to the global per-app quanta and
 // their tenant regrouping must match the global tenant quanta — exact
 // int64 equalities, no tolerance (invariant federation-conservation).
-func (a *Auditor) AttachAggregator(ag *broker.Aggregator) {
+// shard is the shard whose engine runs ag, as for AttachBroker.
+func (a *Auditor) AttachAggregator(shard int, ag *broker.Aggregator) {
+	a.logFor(shard)
 	ag.SetProbe(func() {
 		a.count("federation-conservation")
 		if err := ag.CheckConservation(); err != nil {
@@ -335,10 +404,12 @@ func (a *Auditor) AttachAggregator(ag *broker.Aggregator) {
 	})
 }
 
-// Finish closes the open audit windows and re-checks broker
+// Finish replays the shard logs (when probes sit on more than one
+// shard), closes the open audit windows and re-checks broker
 // conservation. Call it once the simulation has drained; it is safe to
 // call more than once.
 func (a *Auditor) Finish() {
+	a.replay()
 	for _, s := range a.scheds {
 		s.roll(a.lastTime)
 		s.closeWindow()
@@ -419,6 +490,60 @@ func (a *Auditor) checkBroker(b *broker.Broker) {
 	}
 }
 
+// shardLog is one shard's record of probe events awaiting replay:
+// append-only, written only by that shard's engine.
+type shardLog struct {
+	shard   int
+	entries []logEntry
+}
+
+const (
+	entrySample = iota
+	entryDegradeStart
+	entryDegradeEnd
+)
+
+type logEntry struct {
+	time  float64
+	kind  uint8
+	sched *schedState // sample entries
+	smp   sample
+	node  int // degrade entries
+	dev   string
+}
+
+// replay merges the shard logs by (event time, shard, log order) and
+// runs them through the invariant battery, then empties them.
+func (a *Auditor) replay() {
+	type tagged struct {
+		time     float64
+		log, idx int
+	}
+	var order []tagged
+	for li, l := range a.logs {
+		for i := range l.entries {
+			order = append(order, tagged{l.entries[i].time, li, i})
+		}
+	}
+	slices.SortFunc(order, func(x, y tagged) int {
+		return cmp.Or(cmp.Compare(x.time, y.time), cmp.Compare(x.log, y.log), cmp.Compare(x.idx, y.idx))
+	})
+	for _, o := range order {
+		e := &a.logs[o.log].entries[o.idx]
+		switch e.kind {
+		case entrySample:
+			e.sched.observeSample(&e.smp)
+		case entryDegradeStart:
+			a.degradeStart(e.node, e.dev, e.time)
+		case entryDegradeEnd:
+			a.degradeEnd(e.node, e.dev, e.time)
+		}
+	}
+	for _, l := range a.logs {
+		l.entries = nil
+	}
+}
+
 // flowAudit is one application's per-scheduler audit state.
 type flowAudit struct {
 	lastStart float64 // last start tag seen at arrival
@@ -446,6 +571,7 @@ type readSFQBacked interface {
 
 type schedState struct {
 	a           *Auditor
+	log         *shardLog // the shard log of the scheduler's shard
 	node        int
 	dev         string
 	id          int
@@ -491,8 +617,8 @@ func tagEps(x, y float64) float64 { return 1e-9 * (math.Abs(x) + math.Abs(y) + 1
 
 // sample captures everything the invariant checks read from a request
 // at probe time. Request objects are pooled and retagged after
-// completion, so deferred auditing (see Deferred) must copy the fields
-// eagerly rather than hold the pointer.
+// completion, so a logged event must copy the fields eagerly rather
+// than hold the pointer.
 type sample struct {
 	app    iosched.AppID
 	class  iosched.Class
@@ -517,13 +643,18 @@ func makeSample(req *iosched.Request, st iosched.ProbeState) sample {
 
 // Observe implements iosched.Probe.
 func (s *schedState) Observe(req *iosched.Request, st iosched.ProbeState) {
+	if s.a.deferred {
+		s.log.entries = append(s.log.entries, logEntry{
+			time: st.Time, kind: entrySample, sched: s, smp: makeSample(req, st),
+		})
+		return
+	}
 	smp := makeSample(req, st)
 	s.observeSample(&smp)
 }
 
 // observeSample runs the full invariant battery on one captured
-// lifecycle event. It is the single entry point for both the live path
-// (Observe) and the deferred sharded path (Deferred.Finish).
+// lifecycle event, live (Observe) or from a shard log (Finish).
 func (s *schedState) observeSample(smp *sample) {
 	a := s.a
 	st := smp.st

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ibis/internal/audit"
+	"ibis/internal/broker"
 	"ibis/internal/iosched"
 	"ibis/internal/sim"
 	"ibis/internal/storage"
@@ -36,25 +37,27 @@ func newAuditedSched() iosched.Scheduler {
 }
 
 // TestDeferredReplayMatchesDirect pins the deferred-audit contract: a
-// stream recorded into per-shard logs and replayed at Finish yields
-// exactly the verdict the direct (online) auditor gives the same
-// stream — same violation count, same check tallies — and nothing is
-// judged before Finish.
+// stream from a probe on a multi-shard auditor is logged and replayed
+// at Finish, and yields exactly the verdict the one-shard auditor
+// gives the same stream live — same violation count, same check
+// tallies — with nothing judged before Finish.
 func TestDeferredReplayMatchesDirect(t *testing.T) {
 	direct := audit.New(audit.Options{})
-	feedStream(direct.Probe(0, "disk", newAuditedSched()))
-	direct.Finish()
+	p := direct.Probe(0, 0, "disk", newAuditedSched())
+	feedStream(p)
 	if direct.ViolationCount() == 0 {
-		t.Fatal("direct auditor missed the injected breaches; test stream is broken")
+		t.Fatal("one-shard auditor judged no breach before Finish: it must observe live, or the test stream is broken")
 	}
+	direct.Finish()
 
 	deferredAud := audit.New(audit.Options{})
-	d := audit.NewDeferred(deferredAud, 2)
-	feedStream(d.Probe(1, 0, "disk", newAuditedSched()))
+	p = deferredAud.Probe(1, 0, "disk", newAuditedSched())
+	deferredAud.Probe(2, 1, "disk", newAuditedSched()) // a second shard defers judgement
+	feedStream(p)
 	if got := deferredAud.ViolationCount(); got != 0 {
-		t.Fatalf("deferred auditor judged %d violations before Finish, want 0", got)
+		t.Fatalf("multi-shard auditor judged %d violations before Finish, want 0", got)
 	}
-	d.Finish()
+	deferredAud.Finish()
 
 	if got, want := deferredAud.ViolationCount(), direct.ViolationCount(); got != want {
 		t.Fatalf("deferred replay found %d violations, direct found %d", got, want)
@@ -69,26 +72,76 @@ func TestDeferredReplayMatchesDirect(t *testing.T) {
 	}
 }
 
-// TestDeferredMergesShardLogsInTimeOrder plants one breach per shard
-// with the later breach in the lower-numbered shard's log: if Finish
-// concatenated the logs instead of merging by (time, shard), the
-// violations would come out time-reversed.
+// TestDeferredMergesShardLogsInTimeOrder plants breaches with the
+// later one in the lower-numbered shard's log: if Finish concatenated
+// the logs instead of merging by (time, shard), the violations would
+// come out time-reversed. Two more breaches at one instant, logged
+// higher shard first, must replay lower shard first.
 func TestDeferredMergesShardLogsInTimeOrder(t *testing.T) {
 	a := audit.New(audit.Options{})
-	d := audit.NewDeferred(a, 3)
-	p1 := d.Probe(1, 0, "disk", newAuditedSched())
-	p2 := d.Probe(2, 1, "disk", newAuditedSched())
+	p1 := a.Probe(1, 0, "disk", newAuditedSched())
+	p2 := a.Probe(2, 1, "disk", newAuditedSched())
 	req := &iosched.Request{App: "x", Shares: iosched.FixedWeight(1), Class: iosched.PersistentRead, Size: 1e6}
-	// Shard 2's breach happens at t=1.0, shard 1's at t=2.0 — log
-	// order (shard 1 first) is the reverse of time order.
-	p2.Observe(req, iosched.ProbeState{Event: iosched.ProbeComplete, Time: 1.0, Latency: -1})
-	p1.Observe(req, iosched.ProbeState{Event: iosched.ProbeComplete, Time: 2.0, Latency: -1})
-	d.Finish()
-	vs := a.Violations()
-	if len(vs) != 2 {
-		t.Fatalf("replay found %d violations, want 2: %v", len(vs), vs)
+	breach := func(p iosched.Probe, at float64) {
+		p.Observe(req, iosched.ProbeState{Event: iosched.ProbeComplete, Time: at, Latency: -1})
 	}
-	if vs[0].Time != 1.0 || vs[1].Time != 2.0 {
-		t.Fatalf("violations out of time order (logs concatenated, not merged): %v then %v", vs[0], vs[1])
+	breach(p2, 1.0)
+	breach(p1, 2.0)
+	breach(p2, 3.0)
+	breach(p1, 3.0)
+	a.Finish()
+	vs := a.Violations()
+	if len(vs) != 4 {
+		t.Fatalf("replay found %d violations, want 4: %v", len(vs), vs)
+	}
+	for i, want := range []struct {
+		time float64
+		node int
+	}{{1, 1}, {2, 0}, {3, 0}, {3, 1}} {
+		if vs[i].Time != want.time || vs[i].Node != want.node {
+			t.Fatalf("violation %d at t=%v on node %d, want t=%v on node %d (merge order is time, then shard)",
+				i, vs[i].Time, vs[i].Node, want.time, want.node)
+		}
+	}
+}
+
+// TestDeferredDegradeNoteJoinsShardLog notes a degradation and a
+// recovery on a multi-shard auditor: the notes are found through the
+// scheduler's (node, dev) registration, held in its shard's log rather
+// than applied on the spot, and applied when Finish replays the log.
+func TestDeferredDegradeNoteJoinsShardLog(t *testing.T) {
+	a := audit.New(audit.Options{})
+	p := a.Probe(1, 0, "disk", newAuditedSched())
+	a.Probe(2, 1, "disk", newAuditedSched())
+	req := &iosched.Request{App: "x", Shares: iosched.FixedWeight(1), Class: iosched.PersistentRead, Size: 1e6}
+	p.Observe(req, iosched.ProbeState{Event: iosched.ProbeArrive, Time: 1.0})
+	a.NoteDegradeStart(0, "disk", 2.0)
+	if got := a.Checks()["degrade-noted"]; got != 0 {
+		t.Fatalf("degrade note applied before Finish (%d), want it logged", got)
+	}
+	a.NoteDegradeEnd(0, "disk", 3.0)
+	a.Finish()
+	checks := a.Checks()
+	if checks["degrade-noted"] != 1 || checks["recover-noted"] != 1 {
+		t.Fatalf("replayed notes: %v, want one degrade and one recover", checks)
+	}
+}
+
+// TestDeferredWhenBrokerOnOtherShard puts the only scheduler probe on
+// a node shard and the broker on the coordinator shard: both write the
+// auditor, from different shards, so the scheduler's events must be
+// logged and judged at Finish rather than live.
+func TestDeferredWhenBrokerOnOtherShard(t *testing.T) {
+	a := audit.New(audit.Options{})
+	a.AttachBroker(0, broker.New())
+	p := a.Probe(1, 0, "disk", newAuditedSched())
+	req := &iosched.Request{App: "x", Shares: iosched.FixedWeight(1), Class: iosched.PersistentRead, Size: 1e6}
+	p.Observe(req, iosched.ProbeState{Event: iosched.ProbeComplete, Time: 1.0, Latency: -1})
+	if got := a.ViolationCount(); got != 0 {
+		t.Fatalf("judged %d violations live with the broker on another shard, want 0 before Finish", got)
+	}
+	a.Finish()
+	if got := a.ViolationCount(); got != 1 {
+		t.Fatalf("replay found %d violations, want 1", got)
 	}
 }

@@ -160,7 +160,7 @@ func TestRegimeSwitchingEndToEnd(t *testing.T) {
 	sched := iosched.NewSFQD(eng, dev, 2)
 	sched.SetCoordinator(zeroCoord{})
 	au := New(Options{Window: 1, CoordinationPeriod: 0.5, RecoveryPeriods: 2, MinWindowRequests: 1})
-	sched.SetProbe(au.Probe(0, "d", sched))
+	sched.SetProbe(au.Probe(0, 0, "d", sched))
 
 	const horizon = 8.0
 	for _, app := range []iosched.AppID{"a", "b"} {

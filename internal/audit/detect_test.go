@@ -23,7 +23,7 @@ func TestAuditorDetectsInjectedViolations(t *testing.T) {
 	})
 	sched := iosched.NewSFQD(eng, dev, 2) // real SFQ so the full invariant set arms
 	au := audit.New(audit.Options{MaxViolations: 3})
-	p := au.Probe(0, "disk", sched)
+	p := au.Probe(0, 0, "disk", sched)
 	req := &iosched.Request{App: "x", Shares: iosched.FixedWeight(1), Class: iosched.PersistentRead, Size: 1e6}
 
 	// 1: negative latency at completion.
@@ -72,7 +72,7 @@ func TestAuditorLifecycleOnlyForUntaggedSchedulers(t *testing.T) {
 	})
 	fifo := iosched.NewFIFO(eng, dev)
 	au := audit.New(audit.Options{})
-	fifo.SetProbe(au.Probe(0, "disk", fifo))
+	fifo.SetProbe(au.Probe(0, 0, "disk", fifo))
 	for i := 0; i < 8; i++ {
 		fifo.Submit(&iosched.Request{App: "a", Shares: iosched.FixedWeight(1), Class: iosched.PersistentRead, Size: 1e6})
 	}

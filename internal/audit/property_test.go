@@ -108,7 +108,7 @@ func runShareTrial(t *testing.T, seed int64, pol propPolicy, spec storage.Spec) 
 		b := broker.New()
 		s1.SetCoordinator(broker.NewClient(eng, b, "n1", s1.Accounting(), brokPeriod))
 		s2.SetCoordinator(broker.NewClient(eng, b, "n2", s2.Accounting(), brokPeriod))
-		au.AttachBroker(b)
+		au.AttachBroker(0, b)
 		scheds = []*iosched.SFQ{s1, s2}
 	} else {
 		scheds = []*iosched.SFQ{newSched("d1")}
@@ -116,7 +116,7 @@ func runShareTrial(t *testing.T, seed int64, pol propPolicy, spec storage.Spec) 
 	// Coordination is detected at probe-attach time, so probes go on
 	// after any SetCoordinator call.
 	for i, s := range scheds {
-		s.SetProbe(au.Probe(i, "disk", s))
+		s.SetProbe(au.Probe(0, i, "disk", s))
 	}
 
 	// Keep every flow continuously backlogged at every scheduler:

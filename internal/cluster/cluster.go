@@ -620,11 +620,12 @@ func (c *Cluster) SetIOObserver(obs IOObserver) {
 }
 
 // Instrument installs a request-lifecycle probe on every scheduler of
-// every node. build is called once per scheduler with the node index,
-// the device label ("hdfs", "local", or "nic"), and the scheduler
-// itself, and returns the probe to install (nil leaves that scheduler
-// uninstrumented). Tracing and invariant auditing both wire in here.
-func (c *Cluster) Instrument(build func(node int, dev string, s iosched.Scheduler) iosched.Probe) {
+// every node. build is called once per scheduler with the ID of the
+// shard whose engine drives it, the node index, the device label
+// ("hdfs", "local", or "nic"), and the scheduler itself, and returns
+// the probe to install (nil leaves that scheduler uninstrumented).
+// Tracing and invariant auditing both wire in here.
+func (c *Cluster) Instrument(build func(shard, node int, dev string, s iosched.Scheduler) iosched.Probe) {
 	for _, n := range c.Nodes {
 		devs := []struct {
 			label string
@@ -642,7 +643,7 @@ func (c *Cluster) Instrument(build func(node int, dev string, s iosched.Schedule
 			if !ok {
 				continue
 			}
-			if p := build(n.Index, d.label, d.sched); p != nil {
+			if p := build(n.shard.ID(), n.Index, d.label, d.sched); p != nil {
 				ps.SetProbe(p)
 			}
 		}

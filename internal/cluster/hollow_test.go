@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"testing"
 
 	"ibis/internal/iosched"
@@ -93,7 +94,10 @@ func TestHollowShardedCoordinated(t *testing.T) {
 	}
 	// Instrument must visit exactly the hdfs scheduler of each node.
 	visited := map[string]bool{}
-	c.Instrument(func(node int, dev string, s iosched.Scheduler) iosched.Probe {
+	c.Instrument(func(shard, node int, dev string, s iosched.Scheduler) iosched.Probe {
+		if shard != c.Nodes[node].Shard().ID() {
+			t.Fatalf("node %d instrumented with shard %d, owned by shard %d", node, shard, c.Nodes[node].Shard().ID())
+		}
 		visited[dev] = true
 		return nil
 	})
@@ -109,7 +113,7 @@ func TestHollowShardedCoordinated(t *testing.T) {
 			OnDone: func(float64) { done++ },
 		})
 	}
-	c.Fabric().Run()
+	c.RunUntil(math.Inf(1))
 	if done != 3 {
 		t.Fatalf("done = %d, want 3", done)
 	}

@@ -50,6 +50,7 @@ import (
 	"ibis/internal/broker"
 	"ibis/internal/faults"
 	"ibis/internal/iosched"
+	"ibis/internal/metrics"
 	"ibis/internal/sim"
 )
 
@@ -99,8 +100,54 @@ const DefaultMetaShards = 2
 // p draws on shard p%len.
 func (c *Cluster) MetaShards() []*sim.Shard { return c.meta }
 
-// Fabric returns the simulation fabric, or nil in single-engine mode.
-func (c *Cluster) Fabric() *sim.Fabric { return c.fabric }
+// Shards returns the number of simulation shards: 1 for New, the
+// fabric's shard count for NewSharded.
+func (c *Cluster) Shards() int {
+	if c.fabric == nil {
+		return 1
+	}
+	return c.fabric.Shards()
+}
+
+// RunUntil runs the simulation until it drains or its clock passes
+// limit (+Inf = run to completion): the engine's RunUntil on one
+// shard, the fabric's on many.
+func (c *Cluster) RunUntil(limit float64) {
+	if c.fabric == nil {
+		c.Eng.RunUntil(limit)
+		return
+	}
+	c.fabric.RunUntil(limit)
+}
+
+// Fired returns the number of events executed across every shard.
+func (c *Cluster) Fired() uint64 {
+	if c.fabric == nil {
+		return c.Eng.Fired()
+	}
+	return c.fabric.Fired()
+}
+
+// FabricStats returns the fabric's window and message counters (nil on
+// one shard).
+func (c *Cluster) FabricStats() *sim.FabricStats {
+	if c.fabric == nil {
+		return nil
+	}
+	st := c.fabric.Stats()
+	return &st
+}
+
+// ShardLoad returns the per-shard occupancy of the run (empty on one
+// shard): how much of the event work the coordinator kept versus what
+// the decomposition moved to node and metadata shards.
+func (c *Cluster) ShardLoad() metrics.ShardStats {
+	if c.fabric == nil {
+		return metrics.ShardStats{}
+	}
+	ev, busy := c.fabric.Occupancy()
+	return metrics.ShardStats{Events: ev, Busy: busy}
+}
 
 // SetNodeUplinkLatency raises the minimum virtual latency of messages
 // leaving every datanode shard to lat seconds (≥ the fabric
@@ -119,9 +166,6 @@ func (c *Cluster) SetNodeUplinkLatency(lat float64) {
 		c.fabric.SetShardOutLatency(1+i, lat)
 	}
 }
-
-// NodeEngine returns the engine owning node i's devices.
-func (c *Cluster) NodeEngine(i int) *sim.Engine { return c.Nodes[i].shard.Engine() }
 
 // Shard returns the shard owning the node's devices.
 func (n *Node) Shard() *sim.Shard { return n.shard }

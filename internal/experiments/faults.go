@@ -158,9 +158,9 @@ func faultRun(sc FaultScenario, nodes int) (FaultMatrixRow, error) {
 		return FaultMatrixRow{}, err
 	}
 	au := audit.New(audit.Options{CoordinationPeriod: 1})
-	au.AttachBroker(cl.Broker)
-	cl.Instrument(func(node int, dev string, sched iosched.Scheduler) iosched.Probe {
-		return au.Probe(node, dev, sched)
+	au.AttachBroker(cl.CoordShard().ID(), cl.Broker)
+	cl.Instrument(func(shard, node int, dev string, sched iosched.Scheduler) iosched.Probe {
+		return au.Probe(shard, node, dev, sched)
 	})
 	cl.SetDegradeObserver(au.NoteDegradeStart, au.NoteDegradeEnd)
 

@@ -136,8 +136,8 @@ type Result struct {
 	// JobHandles exposes the completed jobs for deeper analysis
 	// (per-task timings etc.).
 	JobHandles []*mapreduce.Job
-	// Trace is the request-lifecycle ring buffer, if enabled. In
-	// sharded mode it is the deterministic merge of the per-shard rings.
+	// Trace is the request-lifecycle tracer, if enabled: one ring per
+	// node shard, read as their deterministic merge.
 	Trace *trace.Tracer
 	// Audit is the invariant auditor, finished, if enabled.
 	Audit *audit.Auditor
@@ -195,13 +195,6 @@ func Run(opts Options, entries []Entry) (*Result, error) {
 // (e.g. a Hive query's stage chain) to the runtime before execution.
 func RunWithSetup(opts Options, entries []Entry, setup func(*mapreduce.Runtime) error) (*Result, error) {
 	opts.defaults()
-	sharded := opts.Shards > 0
-	if sharded && opts.CaptureThroughput {
-		// The throughput time series is one shared accumulator stamped
-		// with the coordinator clock; completions land on node shards.
-		return nil, fmt.Errorf("experiments: CaptureThroughput is unsupported in sharded mode")
-	}
-
 	disk := storage.HDDSpec()
 	if opts.SSD {
 		disk = storage.SSDSpec()
@@ -233,7 +226,7 @@ func RunWithSetup(opts Options, entries []Entry, setup func(*mapreduce.Runtime) 
 	}
 	var cl *cluster.Cluster
 	var err error
-	if sharded {
+	if opts.Shards > 0 {
 		cl, err = cluster.NewSharded(cfg, opts.ShardLatency, sim.FabricOptions{Workers: opts.Shards})
 	} else {
 		cl, err = cluster.New(sim.NewEngine(), cfg)
@@ -275,100 +268,48 @@ func RunWithSetup(opts Options, entries []Entry, setup func(*mapreduce.Runtime) 
 		PerAppBytes: make(map[iosched.AppID]float64),
 		latencies:   make(map[latKey]*metrics.Distribution),
 	}
-	if opts.CaptureThroughput {
-		res.ReadSeries = metrics.NewTimeSeries(1)
-		res.WriteSeries = metrics.NewTimeSeries(1)
-	}
-	var shTrace *trace.Sharded
 	if opts.TraceCapacity > 0 {
-		if sharded {
-			shTrace = trace.NewSharded(len(cl.Nodes)+1, opts.TraceCapacity)
-		} else {
-			res.Trace = trace.New(opts.TraceCapacity)
-		}
+		res.Trace = trace.New(opts.TraceCapacity)
 	}
-	var deferredAudit *audit.Deferred
 	if opts.Audit {
 		res.Audit = audit.New(audit.Options{Window: opts.AuditWindow})
-		if sharded {
-			deferredAudit = audit.NewDeferred(res.Audit, len(cl.Nodes)+1)
-		}
 		if cl.Broker != nil {
-			res.Audit.AttachBroker(cl.Broker)
+			res.Audit.AttachBroker(cl.CoordShard().ID(), cl.Broker)
 		}
 	}
-	if res.Trace != nil || shTrace != nil || res.Audit != nil {
-		cl.Instrument(func(node int, dev string, sched iosched.Scheduler) iosched.Probe {
+	if res.Trace != nil || res.Audit != nil {
+		cl.Instrument(func(shard, node int, dev string, sched iosched.Scheduler) iosched.Probe {
 			var ps []iosched.Probe
-			switch {
-			case shTrace != nil:
-				ps = append(ps, shTrace.Probe(node+1, node, trace.DeviceKindOf(dev)))
-			case res.Trace != nil:
-				ps = append(ps, res.Trace.Probe(node, trace.DeviceKindOf(dev)))
+			if res.Trace != nil {
+				ps = append(ps, res.Trace.Probe(shard, node, trace.DeviceKindOf(dev)))
 			}
-			switch {
-			case deferredAudit != nil:
-				ps = append(ps, deferredAudit.Probe(node+1, node, dev, sched))
-			case res.Audit != nil:
-				ps = append(ps, res.Audit.Probe(node, dev, sched))
+			if res.Audit != nil {
+				ps = append(ps, res.Audit.Probe(shard, node, dev, sched))
 			}
 			return iosched.MultiProbe(ps...)
 		})
 	}
-	// I/O completions fire on the owning node's shard; in sharded mode
-	// they accumulate into per-node cells (single-owner by construction)
-	// merged in node order after the run — same totals, same
-	// distributions, no shared writes inside parallel windows.
-	type ioCell struct {
-		totalBytes float64
-		perApp     map[iosched.AppID]float64
-		lats       map[latKey][]float64
+	// I/O completions fire on the owning node's shard and accumulate
+	// into that shard's cell (single-owner by construction), merged in
+	// shard order after the run: no shared writes inside parallel
+	// windows, and the same totals for every worker count.
+	cells := make([]ioCell, cl.Shards())
+	for _, n := range cl.Nodes {
+		if c := &cells[n.Shard().ID()]; c.perApp == nil {
+			*c = newIOCell(n.Shard().Engine(), opts.CaptureThroughput)
+		}
 	}
-	var cells []ioCell
-	if sharded {
-		cells = make([]ioCell, len(cl.Nodes))
-		cl.SetIOObserver(func(node int, req *iosched.Request, lat float64) {
-			c := &cells[node]
-			if c.perApp == nil {
-				c.perApp = make(map[iosched.AppID]float64)
-				c.lats = make(map[latKey][]float64)
-			}
-			c.totalBytes += req.Size
-			c.perApp[req.App] += req.Size
-			k := latKey{req.App, req.Class}
-			c.lats[k] = append(c.lats[k], lat)
-		})
-	} else {
-		cl.SetIOObserver(func(_ int, req *iosched.Request, lat float64) {
-			res.TotalBytes += req.Size
-			res.PerAppBytes[req.App] += req.Size
-			k := latKey{req.App, req.Class}
-			d := res.latencies[k]
-			if d == nil {
-				d = metrics.NewDistribution()
-				res.latencies[k] = d
-			}
-			d.Add(lat)
-			if res.ReadSeries != nil {
-				if req.Class.OpKind() == storage.Read {
-					res.ReadSeries.Add(eng.Now(), req.Size)
-				} else {
-					res.WriteSeries.Add(eng.Now(), req.Size)
-				}
-			}
-		})
-	}
+	cl.SetIOObserver(func(node int, req *iosched.Request, lat float64) {
+		cells[cl.Nodes[node].Shard().ID()].add(req, lat)
+	})
 
-	var jobs []*mapreduce.Job
 	for _, e := range entries {
 		if e.Spec.Pool != "" && (e.PoolCores > 0 || e.PoolMemGB > 0) {
 			rt.DefinePool(e.Spec.Pool, e.PoolCores, e.PoolMemGB)
 		}
-		j, err := rt.Submit(e.Spec, e.Delay)
-		if err != nil {
+		if _, err := rt.Submit(e.Spec, e.Delay); err != nil {
 			return nil, err
 		}
-		jobs = append(jobs, j)
 	}
 	if setup != nil {
 		if err := setup(rt); err != nil {
@@ -376,51 +317,20 @@ func RunWithSetup(opts Options, entries []Entry, setup func(*mapreduce.Runtime) 
 		}
 	}
 
-	if sharded {
-		limit := math.Inf(1)
-		if opts.RunLimit > 0 {
-			limit = opts.RunLimit
-		}
-		cl.Fabric().RunUntil(limit)
-	} else if opts.RunLimit > 0 {
-		eng.RunUntil(opts.RunLimit)
-	} else {
-		eng.Run()
+	limit := math.Inf(1)
+	if opts.RunLimit > 0 {
+		limit = opts.RunLimit
 	}
-	if deferredAudit != nil {
-		deferredAudit.Finish()
-	} else if res.Audit != nil {
+	cl.RunUntil(limit)
+	if res.Audit != nil {
 		res.Audit.Finish()
 	}
-	if shTrace != nil {
-		res.Trace = shTrace.Merge()
+	if opts.CaptureThroughput {
+		res.ReadSeries = metrics.NewTimeSeries(1)
+		res.WriteSeries = metrics.NewTimeSeries(1)
 	}
-	for ni := range cells {
-		c := &cells[ni]
-		res.TotalBytes += c.totalBytes
-		for _, app := range sortedAppNames(c.perApp) {
-			res.PerAppBytes[app] += c.perApp[app]
-		}
-		keys := make([]latKey, 0, len(c.lats))
-		for k := range c.lats {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool {
-			if keys[i].app != keys[j].app {
-				return keys[i].app < keys[j].app
-			}
-			return keys[i].class < keys[j].class
-		})
-		for _, k := range keys {
-			d := res.latencies[k]
-			if d == nil {
-				d = metrics.NewDistribution()
-				res.latencies[k] = d
-			}
-			for _, v := range c.lats[k] {
-				d.Add(v)
-			}
-		}
+	for i := range cells {
+		cells[i].mergeInto(res)
 	}
 
 	// Collect every job the runtime saw — including ones attached by
@@ -435,22 +345,90 @@ func RunWithSetup(opts Options, entries []Entry, setup func(*mapreduce.Runtime) 
 			res.Duration = jr.EndTime
 		}
 	}
-	jobs = rt.Jobs()
 	if cl.Broker != nil {
 		res.BrokerExchanges = cl.Broker.Stats().Exchanges
 	}
-	res.JobHandles = jobs
+	res.JobHandles = rt.Jobs()
 	res.DepthTrace = depthTrace
-	if sharded {
-		res.EventsFired = cl.Fabric().Fired()
-		st := cl.Fabric().Stats()
-		res.FabricStats = &st
-		ev, busy := cl.Fabric().Occupancy()
-		res.ShardLoad = metrics.ShardStats{Events: ev, Busy: busy}
-	} else {
-		res.EventsFired = eng.Fired()
-	}
+	res.EventsFired = cl.Fired()
+	res.FabricStats = cl.FabricStats()
+	res.ShardLoad = cl.ShardLoad()
 	return res, nil
+}
+
+// ioCell accumulates one shard's I/O completions.
+type ioCell struct {
+	eng         *sim.Engine // the shard's clock, stamping the series
+	totalBytes  float64
+	perApp      map[iosched.AppID]float64
+	lats        map[latKey]*metrics.Distribution
+	read, write *metrics.TimeSeries // nil unless throughput is captured
+}
+
+func newIOCell(eng *sim.Engine, series bool) ioCell {
+	c := ioCell{
+		eng:    eng,
+		perApp: make(map[iosched.AppID]float64),
+		lats:   make(map[latKey]*metrics.Distribution),
+	}
+	if series {
+		c.read, c.write = metrics.NewTimeSeries(1), metrics.NewTimeSeries(1)
+	}
+	return c
+}
+
+func (c *ioCell) add(req *iosched.Request, lat float64) {
+	c.totalBytes += req.Size
+	c.perApp[req.App] += req.Size
+	k := latKey{req.App, req.Class}
+	d := c.lats[k]
+	if d == nil {
+		d = metrics.NewDistribution()
+		c.lats[k] = d
+	}
+	d.Add(lat)
+	if c.read != nil {
+		if req.Class.OpKind() == storage.Read {
+			c.read.Add(c.eng.Now(), req.Size)
+		} else {
+			c.write.Add(c.eng.Now(), req.Size)
+		}
+	}
+}
+
+// mergeInto folds the cell into res, adopting its latency
+// distributions where res has none yet. Cells merge in shard order and
+// each in a fixed key order, so the result does not depend on map
+// iteration or worker count.
+func (c *ioCell) mergeInto(res *Result) {
+	if c.perApp == nil {
+		return // a shard with no datanode
+	}
+	res.TotalBytes += c.totalBytes
+	for _, app := range sortedAppNames(c.perApp) {
+		res.PerAppBytes[app] += c.perApp[app]
+	}
+	keys := make([]latKey, 0, len(c.lats))
+	for k := range c.lats {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].app != keys[j].app {
+			return keys[i].app < keys[j].app
+		}
+		return keys[i].class < keys[j].class
+	})
+	for _, k := range keys {
+		if d := res.latencies[k]; d != nil {
+			d.Merge(c.lats[k])
+		} else {
+			res.latencies[k] = c.lats[k]
+		}
+	}
+	if c.read != nil {
+		res.ReadSeries.Merge(c.read)
+		res.WriteSeries.Merge(c.write)
+	}
 }
 
 // sortedAppNames lists apps in a result deterministically.

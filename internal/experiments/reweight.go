@@ -114,10 +114,10 @@ func Reweight(spec ReweightSpec) (*ReweightResult, error) {
 	}
 
 	au := audit.New(audit.Options{CoordinationPeriod: 1})
-	au.AttachBroker(cl.Broker)
+	au.AttachBroker(cl.CoordShard().ID(), cl.Broker)
 	au.SetShares(tree)
-	cl.Instrument(func(node int, dev string, sched iosched.Scheduler) iosched.Probe {
-		return au.Probe(node, dev, sched)
+	cl.Instrument(func(shard, node int, dev string, sched iosched.Scheduler) iosched.Probe {
+		return au.Probe(shard, node, dev, sched)
 	})
 	cl.SetDegradeObserver(au.NoteDegradeStart, au.NoteDegradeEnd)
 	tree.OnChange(func(tr shares.Transition) { au.NoteEpochChange(tr.Time) })

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"crypto/sha256"
+	"math"
 	"reflect"
 	"testing"
 
@@ -86,5 +87,40 @@ func TestShardedSeedSensitivity(t *testing.T) {
 	_, b := shardedRun(t, 2, 2)
 	if a == b {
 		t.Fatal("different seeds produced identical sharded traces")
+	}
+}
+
+// TestShardedCaptureThroughput runs a Figure 2-style capture (TeraSort
+// alone, native policy) on the fabric: each node shard bins its own
+// completions and the series merge in shard order, so the read/write
+// series are identical for every worker count and together account
+// for every byte the devices served.
+func TestShardedCaptureThroughput(t *testing.T) {
+	scale := 0.0625
+	capture := func(workers int) *Result {
+		res, err := Run(Options{
+			Scale:             scale,
+			Policy:            cluster.Native,
+			CaptureThroughput: true,
+			Shards:            workers,
+		}, []Entry{fullCores(teraSort(scale, 1))})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		return res
+	}
+	base := capture(1)
+	if len(base.ReadSeries.Bins()) == 0 || len(base.WriteSeries.Bins()) == 0 {
+		t.Fatal("capture recorded no read or write throughput")
+	}
+	for _, res := range []*Result{base, capture(4)} {
+		if !reflect.DeepEqual(res.ReadSeries.Bins(), base.ReadSeries.Bins()) ||
+			!reflect.DeepEqual(res.WriteSeries.Bins(), base.WriteSeries.Bins()) {
+			t.Fatal("read/write series differ across worker counts")
+		}
+		sum := res.ReadSeries.Total() + res.WriteSeries.Total()
+		if rel := math.Abs(sum-res.TotalBytes) / res.TotalBytes; rel > 1e-9 {
+			t.Fatalf("series total %v vs TotalBytes %v (relative error %g)", sum, res.TotalBytes, rel)
+		}
 	}
 }

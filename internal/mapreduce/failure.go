@@ -21,7 +21,7 @@ import "ibis/internal/cluster"
 // FailNode marks the datanode dead and triggers recovery. Failing an
 // already-dead node is a no-op.
 func (rt *Runtime) FailNode(idx int) {
-	if rt.cluster.Fabric() != nil {
+	if rt.cluster.Shards() > 1 {
 		// Recovery walks and mutates task state that lives on the node
 		// shards; across more than one shard that would need a
 		// cross-shard resurrection protocol, which does not exist yet.

@@ -40,6 +40,20 @@ func (ts *TimeSeries) Add(t, value float64) {
 	ts.bins[idx] += value
 }
 
+// Merge adds o's bins into ts, bin by bin. Both series must have the
+// same bin width.
+func (ts *TimeSeries) Merge(o *TimeSeries) {
+	if o.binWidth != ts.binWidth {
+		panic(fmt.Sprintf("metrics: merging bin width %g into %g", o.binWidth, ts.binWidth))
+	}
+	for len(ts.bins) < len(o.bins) {
+		ts.bins = append(ts.bins, 0)
+	}
+	for i, v := range o.bins {
+		ts.bins[i] += v
+	}
+}
+
 // Bins returns a copy of the accumulated bins.
 func (ts *TimeSeries) Bins() []float64 {
 	out := make([]float64, len(ts.bins))
@@ -105,6 +119,14 @@ func NewDistribution() *Distribution { return &Distribution{} }
 // Add records one sample.
 func (d *Distribution) Add(v float64) {
 	d.samples = append(d.samples, v)
+	d.sorted = false
+}
+
+// Merge appends o's samples to d, as if each had been added to d in
+// o's insertion order. Call it before reading a statistic from o:
+// reads sort o's samples in place.
+func (d *Distribution) Merge(o *Distribution) {
+	d.samples = append(d.samples, o.samples...)
 	d.sorted = false
 }
 

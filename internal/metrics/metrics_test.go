@@ -72,6 +72,54 @@ func TestTimeSeriesInvalidWidthPanics(t *testing.T) {
 	NewTimeSeries(0)
 }
 
+// TestTimeSeriesMerge folds a shorter and a longer series into one:
+// bins add position by position and the result extends to the longer
+// series, as if every sample had been added to one series.
+func TestTimeSeriesMerge(t *testing.T) {
+	a, b, whole := NewTimeSeries(2), NewTimeSeries(2), NewTimeSeries(2)
+	for _, s := range [][2]float64{{0, 1}, {3, 2}} {
+		a.Add(s[0], s[1])
+		whole.Add(s[0], s[1])
+	}
+	for _, s := range [][2]float64{{1, 4}, {7, 8}} {
+		b.Add(s[0], s[1])
+		whole.Add(s[0], s[1])
+	}
+	merged := NewTimeSeries(2)
+	merged.Merge(a)
+	merged.Merge(b)
+	got, want := merged.Bins(), whole.Bins()
+	if len(got) != len(want) {
+		t.Fatalf("merged bins %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("merged bins %v, want %v", got, want)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("merging a different bin width was accepted")
+		}
+	}()
+	merged.Merge(NewTimeSeries(1))
+}
+
+// TestDistributionMerge checks that merged samples keep their order
+// (Mean sums in insertion order) and join the sorted statistics.
+func TestDistributionMerge(t *testing.T) {
+	a, b := NewDistribution(), NewDistribution()
+	a.Add(3)
+	b.Add(1)
+	b.Add(2)
+	d := NewDistribution()
+	d.Merge(a)
+	d.Merge(b)
+	if d.N() != 3 || d.Min() != 1 || d.Max() != 3 || d.Mean() != 2 {
+		t.Fatalf("merged N=%d min=%v max=%v mean=%v, want 3, 1, 3, 2", d.N(), d.Min(), d.Max(), d.Mean())
+	}
+}
+
 func TestDistributionBasics(t *testing.T) {
 	d := NewDistribution()
 	for _, v := range []float64{4, 1, 3, 2, 5} {

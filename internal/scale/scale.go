@@ -315,46 +315,41 @@ func Run(cfg Config) (*Report, error) {
 		}
 	}
 
-	// Audit wiring (sampled nodes only; the deferred log is replayed at
-	// Finish on the coordinator).
+	// Audit wiring (sampled nodes only; the node shards' logs are
+	// replayed at Finish).
 	var auditor *audit.Auditor
-	var deferred *audit.Deferred
 	if cfg.Audit {
 		auditor = audit.New(audit.Options{
 			CoordinationPeriod:  cfg.CoordinationPeriod,
 			FederationStaleness: fed.Staleness(),
 		})
-		deferred = audit.NewDeferred(auditor, cfg.Nodes+1)
 		if cl.Broker != nil {
-			auditor.AttachBroker(cl.Broker)
+			auditor.AttachBroker(cl.CoordShard().ID(), cl.Broker)
 		}
 		if root := cl.FederationRoot(); root != nil {
 			// The root lives on the coordinator shard, so its probe is
 			// single-owner; partition brokers run inside parallel windows
 			// and are conservation-checked only at Finish.
-			auditor.AttachAggregator(root)
+			auditor.AttachAggregator(cl.CoordShard().ID(), root)
 			for _, p := range cl.Partitions() {
 				auditor.AttachBrokerDeferred(p.Broker())
 			}
 		}
-		cl.Instrument(func(node int, dev string, sched iosched.Scheduler) iosched.Probe {
+		cl.Instrument(func(shard, node int, dev string, sched iosched.Scheduler) iosched.Probe {
 			if node%cfg.AuditSampleEvery != 0 {
 				return nil
 			}
-			return deferred.Probe(node+1, node, dev, sched)
+			return auditor.Probe(shard, node, dev, sched)
 		})
 		if cfg.Coordinate {
-			cl.SetDegradeObserver(
-				func(node int, dev string, t float64) {
+			sampled := func(note func(int, string, float64)) func(int, string, float64) {
+				return func(node int, dev string, t float64) {
 					if node%cfg.AuditSampleEvery == 0 {
-						deferred.NoteDegradeStart(node+1, node, dev, t)
+						note(node, dev, t)
 					}
-				},
-				func(node int, dev string, t float64) {
-					if node%cfg.AuditSampleEvery == 0 {
-						deferred.NoteDegradeEnd(node+1, node, dev, t)
-					}
-				})
+				}
+			}
+			cl.SetDegradeObserver(sampled(auditor.NoteDegradeStart), sampled(auditor.NoteDegradeEnd))
 		}
 	}
 
@@ -364,7 +359,7 @@ func Run(cfg Config) (*Report, error) {
 	// the node's shard.
 	for i := range cells {
 		c := &cells[i]
-		eng := cl.NodeEngine(i)
+		eng := c.node.Shard().Engine()
 		sched := c.node.HDFSSched
 		var step func()
 		step = func() {
@@ -432,12 +427,12 @@ func Run(cfg Config) (*Report, error) {
 	coord.ScheduleDaemon(cfg.TickPeriod, sampleHeap)
 
 	wall0 := time.Now()
-	cl.Fabric().Run()
+	cl.RunUntil(math.Inf(1))
 	wall := time.Since(wall0).Seconds()
 	hw.Sample()
 
-	if deferred != nil {
-		deferred.Finish()
+	if auditor != nil {
+		auditor.Finish()
 	}
 
 	// Merge cells in node order.
@@ -505,9 +500,8 @@ func Run(cfg Config) (*Report, error) {
 		st.FedDownBytes = fs.DownBytes
 		st.BaselineBytes = cl.CentralizedBaselineBytes()
 	}
-	st.Events = cl.Fabric().Fired()
-	ev, busy := cl.Fabric().Occupancy()
-	st.ShardLoad = metrics.ShardStats{Events: ev, Busy: busy}
+	st.Events = cl.Fired()
+	st.ShardLoad = cl.ShardLoad()
 	st.WallSeconds = wall
 	if wall > 0 {
 		st.EventsPerSec = float64(st.Events) / wall

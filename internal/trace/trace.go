@@ -20,8 +20,10 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -137,14 +139,35 @@ type rec struct {
 	class     iosched.Class
 }
 
-// Tracer is a ring-buffered lifecycle recorder. It is not safe for
-// concurrent use; each Tracer belongs to one simulation engine (in
-// sharded runs, one per shard — see Sharded).
+// Tracer is a ring-buffered lifecycle recorder with one ring per
+// simulation shard that carries a probe. Each ring is written only by
+// its shard's engine, so shards record with no synchronization, and
+// Records assembles one stream after the run. A one-shard model has a
+// single ring and reads it directly.
+//
+// The merged order is (event time, shard, ring order). A ring is
+// already in nondecreasing time order (each shard's engine clock is
+// monotonic), so the order — and any digest taken over the exported
+// trace — is a pure function of the simulated system, independent of
+// how many worker goroutines executed it.
 type Tracer struct {
+	capacity int
+	rings    []*ring // in shard order
+	epochs   []EpochMark
+	enabled  bool
+
+	// merged caches Records until a record is written or Reset runs;
+	// mergedAt is Total() when it was built.
+	merged   []Record
+	mergedAt uint64
+}
+
+// ring is one shard's record buffer.
+type ring struct {
+	shard   int
 	buf     []rec
 	mask    uint64 // len(buf)-1; the capacity is a power of two
 	next    uint64 // total records ever written
-	epochs  []EpochMark
 	enabled bool
 
 	// App-string interning: apps holds each distinct AppID once, ring
@@ -157,21 +180,16 @@ type Tracer struct {
 	haveLast bool
 }
 
-// New creates a tracer with the given ring capacity (non-positive =
-// DefaultCapacity; other values round up to the next power of two so
-// the ring index is a mask, not a division). The ring is allocated up
-// front so recording never allocates; the tracer starts enabled.
+// New creates a tracer whose rings hold capacity records each
+// (non-positive = DefaultCapacity; other values round up to the next
+// power of two so the ring index is a mask, not a division). A shard's
+// ring is allocated when its first probe is built, so recording never
+// allocates; the tracer starts enabled.
 func New(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	capacity = ceilPow2(capacity)
-	return &Tracer{
-		buf:     make([]rec, capacity),
-		mask:    uint64(capacity - 1),
-		enabled: true,
-		appIdx:  make(map[iosched.AppID]uint32),
-	}
+	return &Tracer{capacity: ceilPow2(capacity), enabled: true}
 }
 
 // ceilPow2 rounds n up to the next power of two.
@@ -183,118 +201,155 @@ func ceilPow2(n int) int {
 	return p
 }
 
-// intern returns the stable index of app in the tracer's app table.
-func (t *Tracer) intern(app iosched.AppID) uint32 {
-	if t.haveLast && app == t.lastApp {
-		return t.lastIdx
+// ringFor returns shard's ring, allocating it on first use.
+func (t *Tracer) ringFor(shard int) *ring {
+	i, ok := slices.BinarySearchFunc(t.rings, shard, func(r *ring, s int) int { return cmp.Compare(r.shard, s) })
+	if ok {
+		return t.rings[i]
 	}
-	idx, ok := t.appIdx[app]
+	r := &ring{
+		shard:   shard,
+		buf:     make([]rec, t.capacity),
+		mask:    uint64(t.capacity - 1),
+		enabled: t.enabled,
+		appIdx:  make(map[iosched.AppID]uint32),
+	}
+	t.rings = slices.Insert(t.rings, i, r)
+	return r
+}
+
+// intern returns the stable index of app in the ring's app table.
+func (r *ring) intern(app iosched.AppID) uint32 {
+	if r.haveLast && app == r.lastApp {
+		return r.lastIdx
+	}
+	idx, ok := r.appIdx[app]
 	if !ok {
-		idx = uint32(len(t.apps))
-		t.apps = append(t.apps, app)
-		t.appIdx[app] = idx
+		idx = uint32(len(r.apps))
+		r.apps = append(r.apps, app)
+		r.appIdx[app] = idx
 	}
-	t.lastApp, t.lastIdx, t.haveLast = app, idx, true
+	r.lastApp, r.lastIdx, r.haveLast = app, idx, true
 	return idx
 }
 
+// len returns how many records the ring holds.
+func (r *ring) len() int {
+	if r.next < uint64(len(r.buf)) {
+		return int(r.next)
+	}
+	return len(r.buf)
+}
+
+// at returns the i-th held record, oldest first.
+func (r *ring) at(i int) *rec {
+	if r.next <= uint64(len(r.buf)) {
+		return &r.buf[i]
+	}
+	return &r.buf[(r.next+uint64(i))&r.mask]
+}
+
 // export materializes one ring record in the public layout.
-func (t *Tracer) export(r *rec) Record {
+func (r *ring) export(x *rec) Record {
 	return Record{
-		Time: r.time, Node: r.node, Dev: r.dev, Event: r.event,
-		App: t.apps[r.app], Class: r.class, Seq: r.seq, Size: r.size,
-		Weight: r.weight, Epoch: r.epoch, Cost: r.cost,
-		StartTag: r.startTag, FinishTag: r.finishTag, VTime: r.vtime,
-		Queued: r.queued, InFlight: r.inFlight, Depth: r.depth,
-		Latency: r.latency,
+		Time: x.time, Node: x.node, Dev: x.dev, Event: x.event,
+		App: r.apps[x.app], Class: x.class, Seq: x.seq, Size: x.size,
+		Weight: x.weight, Epoch: x.epoch, Cost: x.cost,
+		StartTag: x.startTag, FinishTag: x.finishTag, VTime: x.vtime,
+		Queued: x.queued, InFlight: x.inFlight, Depth: x.depth,
+		Latency: x.latency,
 	}
 }
 
-// absorb writes an exported record back into the ring (deterministic
-// merge of per-shard tracers).
-func (t *Tracer) absorb(r Record) {
-	s := &t.buf[t.next&t.mask]
-	t.next++
-	s.time = r.Time
-	s.node = r.Node
-	s.dev = r.Dev
-	s.event = r.Event
-	s.app = t.intern(r.App)
-	s.class = r.Class
-	s.seq = r.Seq
-	s.size = r.Size
-	s.weight = r.Weight
-	s.epoch = r.Epoch
-	s.cost = r.Cost
-	s.startTag = r.StartTag
-	s.finishTag = r.FinishTag
-	s.vtime = r.VTime
-	s.queued = r.Queued
-	s.inFlight = r.InFlight
-	s.depth = r.Depth
-	s.latency = r.Latency
+// SetEnabled switches recording on or off on every ring; records
+// already captured are kept.
+func (t *Tracer) SetEnabled(on bool) {
+	t.enabled = on
+	for _, r := range t.rings {
+		r.enabled = on
+	}
 }
-
-// SetEnabled switches recording on or off; records already captured are
-// kept.
-func (t *Tracer) SetEnabled(on bool) { t.enabled = on }
 
 // Enabled reports whether events are being recorded.
 func (t *Tracer) Enabled() bool { return t.enabled }
 
-// Capacity returns the ring size.
-func (t *Tracer) Capacity() int { return len(t.buf) }
+// Capacity returns the size of each shard's ring.
+func (t *Tracer) Capacity() int { return t.capacity }
 
-// Total returns how many records were ever written (including ones the
-// ring has since overwritten).
-func (t *Tracer) Total() uint64 { return t.next }
+// Total returns how many records were ever written across the rings
+// (including ones a ring has since overwritten).
+func (t *Tracer) Total() uint64 {
+	var n uint64
+	for _, r := range t.rings {
+		n += r.next
+	}
+	return n
+}
 
 // Len returns how many records are currently held.
 func (t *Tracer) Len() int {
-	if t.next < uint64(len(t.buf)) {
-		return int(t.next)
+	n := 0
+	for _, r := range t.rings {
+		n += r.len()
 	}
-	return len(t.buf)
+	return n
 }
 
 // Dropped returns how many records were overwritten by ring wrap.
-func (t *Tracer) Dropped() uint64 {
-	if t.next <= uint64(len(t.buf)) {
-		return 0
+func (t *Tracer) Dropped() uint64 { return t.Total() - uint64(t.Len()) }
+
+// Reset discards all records and epoch marks (the rings and their app
+// intern tables are kept).
+func (t *Tracer) Reset() {
+	for _, r := range t.rings {
+		r.next = 0
 	}
-	return t.next - uint64(len(t.buf))
+	t.epochs = nil
+	t.merged = nil
 }
 
-// Reset discards all records and epoch marks (capacity and the app
-// intern table are kept).
-func (t *Tracer) Reset() { t.next = 0; t.epochs = nil }
-
-// Records returns the held records, oldest first.
+// Records returns the held records, merged across shards in (time,
+// shard, ring order) order; a single ring is read in capture order.
+// The slice is built once and shared by later calls until another
+// record is written; do not modify it.
 func (t *Tracer) Records() []Record {
-	n := t.Len()
-	out := make([]Record, n)
-	if t.next <= uint64(len(t.buf)) {
-		for i := 0; i < n; i++ {
-			out[i] = t.export(&t.buf[i])
+	total := t.Total()
+	if t.merged != nil && t.mergedAt == total {
+		return t.merged
+	}
+	type key struct {
+		time      float64
+		ring, idx int32
+	}
+	keys := make([]key, 0, t.Len())
+	for ri, r := range t.rings {
+		for i, n := 0, r.len(); i < n; i++ {
+			keys = append(keys, key{r.at(i).time, int32(ri), int32(i)})
 		}
-		return out
 	}
-	start := int(t.next & t.mask)
-	for i := 0; i < n; i++ {
-		out[i] = t.export(&t.buf[(start+i)&int(t.mask)])
+	if len(t.rings) > 1 {
+		slices.SortFunc(keys, func(a, b key) int {
+			return cmp.Or(cmp.Compare(a.time, b.time), cmp.Compare(a.ring, b.ring), cmp.Compare(a.idx, b.idx))
+		})
 	}
+	out := make([]Record, len(keys))
+	for i, k := range keys {
+		r := t.rings[k.ring]
+		out[i] = r.export(r.at(int(k.idx)))
+	}
+	t.merged, t.mergedAt = out, total
 	return out
 }
 
-// Probe returns an iosched.Probe that records this scheduler's events
-// labeled with the node index and device kind. One probe per scheduler;
-// all share the tracer's single ring.
-func (t *Tracer) Probe(node int, dev DeviceKind) iosched.Probe {
-	return probe{t: t, node: int32(node), dev: dev}
+// Probe returns an iosched.Probe that records one scheduler's events
+// into shard's ring, labeled with the node index and device kind. The
+// probe must only be driven by that shard's engine.
+func (t *Tracer) Probe(shard, node int, dev DeviceKind) iosched.Probe {
+	return probe{r: t.ringFor(shard), node: int32(node), dev: dev}
 }
 
 type probe struct {
-	t    *Tracer
+	r    *ring
 	node int32
 	dev  DeviceKind
 }
@@ -302,17 +357,17 @@ type probe struct {
 // Observe implements iosched.Probe: one barrier-free ring write, no
 // allocation, no division (the ring index is a mask).
 func (p probe) Observe(req *iosched.Request, st iosched.ProbeState) {
-	t := p.t
-	if !t.enabled {
+	g := p.r
+	if !g.enabled {
 		return
 	}
-	r := &t.buf[t.next&t.mask]
-	t.next++
+	r := &g.buf[g.next&g.mask]
+	g.next++
 	r.time = st.Time
 	r.node = p.node
 	r.dev = p.dev
 	r.event = st.Event
-	r.app = t.intern(req.App)
+	r.app = g.intern(req.App)
 	r.class = req.Class
 	r.seq = req.Seq()
 	r.size = req.Size

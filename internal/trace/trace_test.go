@@ -27,7 +27,7 @@ func runTraced(tr *trace.Tracer, nReqs int) {
 	eng := sim.NewEngine()
 	dev := storage.NewDevice(eng, "d", flatSpec())
 	s := iosched.NewSFQD(eng, dev, 2)
-	s.SetProbe(tr.Probe(0, trace.DevHDFS))
+	s.SetProbe(tr.Probe(0, 0, trace.DevHDFS))
 	apps := []iosched.AppID{"alpha", "beta"}
 	for i := 0; i < nReqs; i++ {
 		s.Submit(&iosched.Request{
@@ -171,7 +171,7 @@ func TestMultiProbeFansOut(t *testing.T) {
 	eng := sim.NewEngine()
 	dev := storage.NewDevice(eng, "d", flatSpec())
 	s := iosched.NewSFQD(eng, dev, 2)
-	s.SetProbe(iosched.MultiProbe(t1.Probe(0, trace.DevHDFS), nil, t2.Probe(0, trace.DevLocal)))
+	s.SetProbe(iosched.MultiProbe(t1.Probe(0, 0, trace.DevHDFS), nil, t2.Probe(0, 0, trace.DevLocal)))
 	for i := 0; i < 6; i++ {
 		s.Submit(&iosched.Request{App: "a", Shares: iosched.FixedWeight(1), Class: iosched.PersistentRead, Size: 1e6})
 	}
