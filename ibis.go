@@ -276,46 +276,15 @@ func New(cfg Config) (*Simulation, error) {
 	s := &Simulation{eng: eng, cl: cl, nn: nn, rt: rt}
 	if cfg.TraceCapacity > 0 {
 		s.tr = trace.New(cfg.TraceCapacity)
+		s.tr.Attach(cl)
 	}
 	if cfg.Audit {
 		s.au = audit.New(audit.Options{
 			Window:             cfg.AuditWindow,
 			CoordinationPeriod: cfg.CoordinationPeriod,
 		})
-		if cl.Broker != nil {
-			s.au.AttachBroker(cl.CoordShard().ID(), cl.Broker)
-		}
-		// Switch audit regimes in lockstep with client degradation:
-		// local checks relax to the degraded variant, the total-share
-		// check is suspended until K periods after recovery.
-		cl.SetDegradeObserver(s.au.NoteDegradeStart, s.au.NoteDegradeEnd)
-	}
-	// Wire the control plane's epoch stream into the instrumentation:
-	// audit opens a reconvergence window around every live weight
-	// change, trace records the transition for offline analysis.
-	if s.au != nil {
 		s.au.SetShares(cl.Shares())
-	}
-	cl.Shares().OnChange(func(tr shares.Transition) {
-		if s.au != nil {
-			s.au.NoteEpochChange(tr.Time)
-		}
-		if s.tr != nil {
-			s.tr.NoteEpoch(tr.Time, tr.Epoch,
-				fmt.Sprintf("%s %s/%s %g->%g", tr.Kind, tr.Tenant, tr.App, tr.Old, tr.New))
-		}
-	})
-	if s.tr != nil || s.au != nil {
-		cl.Instrument(func(shard, node int, dev string, sched iosched.Scheduler) iosched.Probe {
-			var ps []iosched.Probe
-			if s.tr != nil {
-				ps = append(ps, s.tr.Probe(shard, node, trace.DeviceKindOf(dev)))
-			}
-			if s.au != nil {
-				ps = append(ps, s.au.Probe(shard, node, dev, sched))
-			}
-			return iosched.MultiProbe(ps...)
-		})
+		s.au.Attach(cl, 1)
 	}
 	return s, nil
 }
@@ -476,5 +445,6 @@ func (s *Simulation) Storage() DeviceStats {
 // cluster.IOObserver.
 type IOObserver = cluster.IOObserver
 
-// SetIOObserver installs a completion observer on every scheduler.
+// SetIOObserver adds a completion observer to every storage scheduler;
+// see cluster.Cluster.SetIOObserver.
 func (s *Simulation) SetIOObserver(obs IOObserver) { s.cl.SetIOObserver(obs) }

@@ -44,8 +44,9 @@
 // monotonicity and consistency must hold through a reweight, which is
 // exactly the tag-time-resolution contract.
 //
-// The auditor is wired through cluster.Instrument (or directly via
-// Probe) and accumulates Violations; a clean run reports none. Checks
+// The auditor attaches to a cluster in one call (Attach), or to single
+// schedulers and brokers directly (Probe, AttachBroker), and
+// accumulates Violations; a clean run reports none. Checks
 // exposes per-invariant evaluation counts so tests can assert an
 // invariant was actually exercised rather than vacuously skipped.
 //
@@ -73,7 +74,9 @@ import (
 	"strings"
 
 	"ibis/internal/broker"
+	"ibis/internal/cluster"
 	"ibis/internal/iosched"
+	"ibis/internal/shares"
 	"ibis/internal/storage"
 )
 
@@ -369,6 +372,45 @@ func (a *Auditor) skipWindow(ws, we float64) bool {
 	return false
 }
 
+// Attach audits cl. It registers the coordination plane — the
+// centralized broker, or else the federation root (live, on the
+// coordinator shard) plus every partition broker (checked at Finish) —
+// and probes the schedulers of every every-th node (every ≤ 1: all of
+// them) through cluster.Instrument. It also routes those schedulers'
+// degrade and recovery notes and the share tree's transitions here as
+// NoteDegradeStart/End and NoteEpochChange. Tenant checks still need
+// SetShares. Attach before the simulation runs.
+func (a *Auditor) Attach(cl *cluster.Cluster, every int) {
+	if every < 1 {
+		every = 1
+	}
+	coord := cl.CoordShard().ID()
+	if cl.Broker != nil {
+		a.AttachBroker(coord, cl.Broker)
+	}
+	if root := cl.FederationRoot(); root != nil {
+		a.attachAggregator(coord, root)
+		for _, p := range cl.Partitions() {
+			a.attachBrokerDeferred(p.Broker())
+		}
+	}
+	cl.Instrument(func(shard, node int, dev string, sched iosched.Scheduler) iosched.Probe {
+		if node%every != 0 {
+			return nil
+		}
+		return a.Probe(shard, node, dev, sched)
+	})
+	sampled := func(note func(int, string, float64)) func(int, string, float64) {
+		return func(node int, dev string, t float64) {
+			if node%every == 0 {
+				note(node, dev, t)
+			}
+		}
+	}
+	cl.SetDegradeObserver(sampled(a.NoteDegradeStart), sampled(a.NoteDegradeEnd))
+	cl.Shares().OnChange(func(tr shares.Transition) { a.NoteEpochChange(tr.Time) })
+}
+
 // AttachBroker audits service conservation on every exchange of b,
 // live, from the shard whose engine runs b. Like a scheduler probe, it
 // counts toward the shards the auditor is written from.
@@ -378,20 +420,20 @@ func (a *Auditor) AttachBroker(shard int, b *broker.Broker) {
 	b.SetProbe(func(string, *broker.Broker) { a.checkBroker(b) })
 }
 
-// AttachBrokerDeferred audits b's conservation only at Finish. For
+// attachBrokerDeferred audits b's conservation only at Finish. For
 // partition brokers: their exchanges run on partition shards inside
 // parallel fabric windows, where a live probe would mutate the auditor
 // concurrently with the coordinator-shard probes.
-func (a *Auditor) AttachBrokerDeferred(b *broker.Broker) {
+func (a *Auditor) attachBrokerDeferred(b *broker.Broker) {
 	a.brokers = append(a.brokers, b)
 }
 
-// AttachAggregator audits the federation root on every applied uplink:
+// attachAggregator audits the federation root on every applied uplink:
 // the per-partition mirrors must sum to the global per-app quanta and
 // their tenant regrouping must match the global tenant quanta — exact
 // int64 equalities, no tolerance (invariant federation-conservation).
 // shard is the shard whose engine runs ag, as for AttachBroker.
-func (a *Auditor) AttachAggregator(shard int, ag *broker.Aggregator) {
+func (a *Auditor) attachAggregator(shard int, ag *broker.Aggregator) {
 	a.logFor(shard)
 	ag.SetProbe(func() {
 		a.count("federation-conservation")

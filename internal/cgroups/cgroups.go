@@ -33,7 +33,6 @@ type Weight struct {
 	dev      *storage.Device
 	reads    *iosched.SFQ
 	acct     *iosched.Accounting
-	observer iosched.Observer
 	probe    iosched.Probe
 	inflight int
 	writeSeq uint64
@@ -48,12 +47,7 @@ func NewWeight(eng *sim.Engine, dev *storage.Device, depth int) *Weight {
 		reads: iosched.NewSFQD(eng, dev, depth),
 		acct:  iosched.NewAccounting(),
 	}
-	w.reads.SetObserver(func(req *iosched.Request, lat float64) {
-		w.acct.AddExternal(req, w.dev.Cost(req.Class.OpKind(), req.Size))
-		if w.observer != nil {
-			w.observer(req, lat)
-		}
-	})
+	w.SetProbe(nil)
 	return w
 }
 
@@ -72,15 +66,20 @@ func (w *Weight) InFlight() int { return w.reads.InFlight() + w.inflight }
 // accounted inside the inner SFQ; the merged view combines both.
 func (w *Weight) Accounting() *iosched.Accounting { return w.acct }
 
-// SetObserver installs a completion observer for both paths.
-func (w *Weight) SetObserver(o iosched.Observer) { w.observer = o }
-
 // SetProbe installs a lifecycle probe. The weight-scheduled read path
-// reports through the inner SFQ (full tag/depth state); the
+// reports through the inner SFQ (full tag/depth state), whose own
+// first probe books each completed read into the merged account; the
 // uncontrolled write-back path reports its own pass-through events.
 func (w *Weight) SetProbe(p iosched.Probe) {
 	w.probe = p
-	w.reads.SetProbe(p)
+	w.reads.SetProbe(iosched.MultiProbe(iosched.ProbeFunc(w.bookRead), p))
+}
+
+// bookRead accounts a completed read's service in the merged view.
+func (w *Weight) bookRead(req *iosched.Request, st iosched.ProbeState) {
+	if st.Event == iosched.ProbeComplete {
+		w.acct.AddExternal(req, w.dev.Cost(req.Class.OpKind(), req.Size))
+	}
 }
 
 // ReadSFQ exposes the inner weight-scheduled read queue, so auditors
@@ -121,9 +120,6 @@ func (w *Weight) Submit(req *iosched.Request) error {
 				Latency:  lat,
 			})
 		}
-		if w.observer != nil {
-			w.observer(req, lat)
-		}
 		if req.OnDone != nil {
 			req.OnDone(lat)
 		}
@@ -141,7 +137,6 @@ type Throttle struct {
 	eng      *sim.Engine
 	dev      *storage.Device
 	acct     *iosched.Accounting
-	observer iosched.Observer
 	probe    iosched.Probe
 	limits   map[iosched.AppID]float64
 	buckets  map[iosched.AppID]*bucket
@@ -204,9 +199,6 @@ func (t *Throttle) InFlight() int { return t.inflight }
 
 // Accounting implements iosched.Scheduler.
 func (t *Throttle) Accounting() *iosched.Accounting { return t.acct }
-
-// SetObserver installs a completion observer.
-func (t *Throttle) SetObserver(o iosched.Observer) { t.observer = o }
 
 // SetProbe installs a lifecycle probe.
 func (t *Throttle) SetProbe(p iosched.Probe) { t.probe = p }
@@ -323,9 +315,6 @@ func (t *Throttle) dispatch(tr *throttledReq) {
 				InFlight: t.inflight,
 				Latency:  lat,
 			})
-		}
-		if t.observer != nil {
-			t.observer(req, lat)
 		}
 		if req.OnDone != nil {
 			req.OnDone(lat)

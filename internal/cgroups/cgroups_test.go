@@ -175,7 +175,7 @@ func TestThrottleObserver(t *testing.T) {
 	dev := storage.NewDevice(eng, "d", flatSpec())
 	s := newThrottle(t, eng, dev, nil)
 	count := 0
-	s.SetObserver(func(*iosched.Request, float64) { count++ })
+	s.SetProbe(completions(&count))
 	for i := 0; i < 3; i++ {
 		s.Submit(&iosched.Request{App: "A", Shares: iosched.FixedWeight(1), Class: iosched.IntermediateRead, Size: 1e5})
 	}
@@ -230,11 +230,25 @@ func TestWeightObserverBothPaths(t *testing.T) {
 	dev := storage.NewDevice(eng, "d", flatSpec())
 	w := NewWeight(eng, dev, 2)
 	count := 0
-	w.SetObserver(func(*iosched.Request, float64) { count++ })
+	w.SetProbe(completions(&count))
 	w.Submit(&iosched.Request{App: "A", Shares: iosched.FixedWeight(1), Class: iosched.IntermediateRead, Size: 1e6})
 	w.Submit(&iosched.Request{App: "A", Shares: iosched.FixedWeight(1), Class: iosched.IntermediateWrite, Size: 1e6})
 	eng.Run()
 	if count != 2 {
 		t.Fatalf("observer saw %d events, want 2", count)
 	}
+	// The caller's probe sits next to the read path's own bookkeeping,
+	// so both halves still reach the merged account.
+	if got := w.Accounting().Service("A").Bytes; got != 2e6 {
+		t.Fatalf("accounted bytes = %v, want 2e6", got)
+	}
+}
+
+// completions returns a probe counting ProbeComplete events into n.
+func completions(n *int) iosched.Probe {
+	return iosched.ProbeFunc(func(_ *iosched.Request, st iosched.ProbeState) {
+		if st.Event == iosched.ProbeComplete {
+			(*n)++
+		}
+	})
 }

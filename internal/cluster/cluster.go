@@ -174,9 +174,9 @@ func (c *Config) defaults() {
 	}
 }
 
-// IOObserver receives every completed I/O in the cluster, with the node
-// index and the scheduler-observed total latency. Used by experiment
-// probes and throughput meters.
+// IOObserver receives every completed I/O on a node's storage
+// schedulers, with the node index and the scheduler-observed total
+// latency. Used by experiment probes and throughput meters.
 type IOObserver func(node int, req *iosched.Request, latency float64)
 
 // Node is one datanode.
@@ -196,6 +196,9 @@ type Node struct {
 	// NetSched, when non-nil, schedules the egress NIC (the
 	// OpenFlow-style extension); tagged sends pass through it.
 	NetSched iosched.Scheduler
+	// probes are the lifecycle probes Instrument installed on
+	// HDFSSched, LocalSched and NetSched, in that order.
+	probes [3]iosched.Probe
 
 	// Cores and MemGB are the task resource capacities; UsedCores and
 	// UsedMemGB are maintained by the slot scheduler.
@@ -259,17 +262,6 @@ type ClientRef struct {
 	Node int
 	Dev  string
 	C    *broker.Client
-}
-
-// observable is satisfied by every scheduler implementation.
-type observable interface {
-	SetObserver(iosched.Observer)
-}
-
-// probeSetter is satisfied by every scheduler that supports lifecycle
-// probes (all of them, today).
-type probeSetter interface {
-	SetProbe(iosched.Probe)
 }
 
 // New assembles a cluster on the given engine. For SFQD2, zero
@@ -473,9 +465,9 @@ func (c *Cluster) attach(n *Node, eng *sim.Engine, dev string, s iosched.Schedul
 	switch {
 	case c.fed != nil:
 		p := c.fed.partOf(n.Index, c.cfg.Nodes)
-		tr = &fedTransport{part: c.fed.parts[p], inj: c.cfg.Faults, shard: n.shard, pshard: c.fed.shards[p]}
+		tr = &asyncTransport{to: c.fed.parts[p], inj: c.cfg.Faults, shard: n.shard, at: c.fed.shards[p]}
 	case n.shard != c.coord:
-		tr = &shardedTransport{b: c.Broker, inj: c.cfg.Faults, shard: n.shard, coord: c.coord}
+		tr = &asyncTransport{to: centralTarget{c.Broker}, inj: c.cfg.Faults, shard: n.shard, at: c.coord}
 	}
 	client := broker.NewClientWithOptions(eng, id, sfq.Accounting(), broker.ClientOptions{
 		Transport: tr,
@@ -605,46 +597,42 @@ func fillController(base iosched.ControllerConfig, spec storage.Spec) (iosched.C
 // Config returns the effective configuration.
 func (c *Cluster) Config() Config { return c.cfg }
 
-// SetIOObserver installs obs on every scheduler of every node.
+// SetIOObserver adds obs to every node's HDFS and local schedulers
+// (NIC schedulers stay unobserved): an Instrument probe that reports
+// each completion.
 func (c *Cluster) SetIOObserver(obs IOObserver) {
-	for _, n := range c.Nodes {
-		n := n
-		for _, s := range []iosched.Scheduler{n.HDFSSched, n.LocalSched} {
-			if o, ok := s.(observable); ok {
-				o.SetObserver(func(req *iosched.Request, lat float64) {
-					obs(n.Index, req, lat)
-				})
-			}
+	c.Instrument(func(_, node int, dev string, _ iosched.Scheduler) iosched.Probe {
+		if dev == "nic" {
+			return nil
 		}
-	}
+		return iosched.ProbeFunc(func(req *iosched.Request, st iosched.ProbeState) {
+			if st.Event == iosched.ProbeComplete {
+				obs(node, req, st.Latency)
+			}
+		})
+	})
 }
 
-// Instrument installs a request-lifecycle probe on every scheduler of
-// every node. build is called once per scheduler with the ID of the
-// shard whose engine drives it, the node index, the device label
-// ("hdfs", "local", or "nic"), and the scheduler itself, and returns
-// the probe to install (nil leaves that scheduler uninstrumented).
-// Tracing and invariant auditing both wire in here.
+// Instrument adds a request-lifecycle probe to every scheduler of every
+// node; it is the only way anything observes a scheduler. build is
+// called once per scheduler with the ID of the shard whose engine
+// drives it, the node index, the device label ("hdfs", "local", or
+// "nic"), and the scheduler itself, and returns the probe to add (nil
+// leaves that scheduler as it is). Each probe runs after the ones
+// earlier calls installed, so the tracer, the auditor and any
+// completion observer attach independently.
 func (c *Cluster) Instrument(build func(shard, node int, dev string, s iosched.Scheduler) iosched.Probe) {
 	for _, n := range c.Nodes {
-		devs := []struct {
+		for i, d := range [...]struct {
 			label string
 			sched iosched.Scheduler
-		}{
-			{"hdfs", n.HDFSSched},
-			{"local", n.LocalSched},
-			{"nic", n.NetSched},
-		}
-		for _, d := range devs {
+		}{{"hdfs", n.HDFSSched}, {"local", n.LocalSched}, {"nic", n.NetSched}} {
 			if d.sched == nil {
 				continue
 			}
-			ps, ok := d.sched.(probeSetter)
-			if !ok {
-				continue
-			}
 			if p := build(n.shard.ID(), n.Index, d.label, d.sched); p != nil {
-				ps.SetProbe(p)
+				n.probes[i] = iosched.MultiProbe(n.probes[i], p)
+				d.sched.SetProbe(n.probes[i])
 			}
 		}
 	}

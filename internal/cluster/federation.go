@@ -32,8 +32,6 @@ import (
 	"fmt"
 
 	"ibis/internal/broker"
-	"ibis/internal/faults"
-	"ibis/internal/iosched"
 	"ibis/internal/sim"
 )
 
@@ -205,82 +203,4 @@ func (c *Cluster) CentralizedBaselineBytes() uint64 {
 		total = c.Broker.Stats().BytesApprox()
 	}
 	return total
-}
-
-// fedTransport carries one coordination client's traffic to its
-// partition's shard — the federated analog of shardedTransport, with
-// the same per-client fate counter discipline. Leader outages surface
-// as ErrUnavailable from the partition itself.
-type fedTransport struct {
-	part   *broker.Partition
-	inj    *faults.Injector // nil = reliable
-	shard  *sim.Shard       // the client's node shard
-	pshard *sim.Shard       // the partition broker's shard
-	seq    uint64           // per-client fate counter, advanced on the partition shard
-}
-
-var _ broker.AsyncTransport = (*fedTransport)(nil)
-
-// ExchangeAsync implements broker.AsyncTransport.
-func (t *fedTransport) ExchangeAsync(id string, vec map[iosched.AppID]float64, done func(broker.Response, error)) {
-	src := t.shard.ID()
-	t.shard.PostDaemon(t.pshard.ID(), 0, func() {
-		now := t.pshard.Engine().Now()
-		var fate faults.MsgFate
-		if t.inj != nil {
-			fate = t.inj.Fate(id, t.seq, now)
-			t.seq++
-		}
-		if fate.Unavailable {
-			t.pshard.PostDaemon(src, 0, func() { done(broker.Response{}, broker.ErrUnavailable) })
-			return
-		}
-		if fate.ReqDrop {
-			return // lost in flight; the client's timeout covers it
-		}
-		resp, err := t.part.Exchange(id, vec, now)
-		if err != nil {
-			t.pshard.PostDaemon(src, 0, func() { done(broker.Response{}, err) })
-			return
-		}
-		if fate.RespDrop {
-			return // report applied, response lost
-		}
-		t.pshard.PostDaemon(src, fate.Delay, func() { done(resp, nil) })
-	})
-}
-
-// RegisterAsync implements broker.AsyncTransport.
-func (t *fedTransport) RegisterAsync(id string, done func(error)) {
-	src := t.shard.ID()
-	t.shard.PostDaemon(t.pshard.ID(), 0, func() {
-		now := t.pshard.Engine().Now()
-		var fate faults.MsgFate
-		if t.inj != nil {
-			fate = t.inj.Fate(id, t.seq, now)
-			t.seq++
-		}
-		if fate.Unavailable {
-			t.pshard.PostDaemon(src, 0, func() { done(broker.ErrUnavailable) })
-			return
-		}
-		if fate.ReqDrop {
-			return
-		}
-		err := t.part.Register(id, now)
-		if err != nil {
-			t.pshard.PostDaemon(src, 0, func() { done(err) })
-			return
-		}
-		if fate.RespDrop {
-			return
-		}
-		t.pshard.PostDaemon(src, fate.Delay, func() { done(nil) })
-	})
-}
-
-// Unregister implements broker.Endpoint (out-of-band death
-// detection, as in the sharded transport).
-func (t *fedTransport) Unregister(id string) {
-	t.shard.PostDaemon(t.pshard.ID(), 0, func() { t.part.Unregister(id) })
 }

@@ -18,13 +18,6 @@ package cluster
 
 import "ibis/internal/sim"
 
-// NewHollow assembles a hollow cluster on one engine: cfg.Hollow is
-// forced, everything else follows New.
-func NewHollow(eng *sim.Engine, cfg Config) (*Cluster, error) {
-	cfg.Hollow = true
-	return New(eng, cfg)
-}
-
 // NewHollowSharded assembles a hollow cluster across a fresh fabric of
 // cfg.Nodes+1 shards (shard 0 the coordinator, shard 1+i datanode i),
 // exactly like NewSharded but with hollow nodes.

@@ -23,10 +23,11 @@ func hollowSpec() storage.Spec {
 
 func TestHollowNodeShape(t *testing.T) {
 	eng := sim.NewEngine()
-	c, err := NewHollow(eng, Config{
+	c, err := New(eng, Config{
 		Nodes:    4,
 		HDFSDisk: hollowSpec(),
 		Policy:   SFQD,
+		Hollow:   true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -46,7 +47,7 @@ func TestHollowNodeShape(t *testing.T) {
 
 func TestHollowSubmitIO(t *testing.T) {
 	eng := sim.NewEngine()
-	c, err := NewHollow(eng, Config{Nodes: 1, HDFSDisk: hollowSpec(), Policy: SFQD})
+	c, err := New(eng, Config{Nodes: 1, HDFSDisk: hollowSpec(), Policy: SFQD, Hollow: true})
 	if err != nil {
 		t.Fatal(err)
 	}

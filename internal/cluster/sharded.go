@@ -173,76 +173,96 @@ func (n *Node) Shard() *sim.Shard { return n.shard }
 // CoordShard returns the coordinator shard.
 func (c *Cluster) CoordShard() *sim.Shard { return c.coord }
 
-// shardedTransport carries one coordination client's broker traffic
-// across the fabric: the request is a daemon message to the
-// coordinator shard — where the broker lives and the fault model is
-// evaluated — and the response a daemon message back. Daemon, because
-// periodic coordination must not keep the simulation alive.
-type shardedTransport struct {
-	b     *broker.Broker
-	inj   *faults.Injector // nil = reliable
-	shard *sim.Shard       // the client's node shard
-	coord *sim.Shard
-	seq   uint64 // per-client fate counter, advanced on the coordinator
+// coordTarget is what a client's async transport delivers to: the
+// centralized broker (through centralTarget) or a partition broker.
+type coordTarget interface {
+	Exchange(id string, vec map[iosched.AppID]float64, now float64) (broker.Response, error)
+	Register(id string, now float64) error
+	Unregister(id string)
 }
 
-var _ broker.AsyncTransport = (*shardedTransport)(nil)
+var _ coordTarget = (*broker.Partition)(nil)
 
-// ExchangeAsync implements broker.AsyncTransport. Fates are evaluated
-// on the coordinator at arrival time with a per-client sequence
-// counter: messages from one client arrive in send order, so the
-// counter — and with it every fault roll — is independent of how other
-// clients' traffic interleaves.
-func (t *shardedTransport) ExchangeAsync(id string, vec map[iosched.AppID]float64, done func(broker.Response, error)) {
+// centralTarget adapts the centralized broker, which never refuses a
+// delivered message, to coordTarget.
+type centralTarget struct{ *broker.Broker }
+
+func (b centralTarget) Exchange(id string, vec map[iosched.AppID]float64, _ float64) (broker.Response, error) {
+	return b.Broker.Exchange(id, vec), nil
+}
+
+func (b centralTarget) Register(id string, _ float64) error {
+	b.Broker.Register(id)
+	return nil
+}
+
+// asyncTransport carries one coordination client's broker traffic
+// across the fabric: the request is a daemon message to the target's
+// shard — the coordinator for the centralized broker, the partition's
+// own shard under federation — where the fault model is evaluated, and
+// the response a daemon message back. Daemon, because periodic
+// coordination must not keep the simulation alive.
+type asyncTransport struct {
+	to    coordTarget
+	inj   *faults.Injector // nil = reliable
+	shard *sim.Shard       // the client's node shard
+	at    *sim.Shard       // the target's shard
+	seq   uint64           // per-client fate counter, advanced on the target's shard
+}
+
+var _ broker.AsyncTransport = (*asyncTransport)(nil)
+
+// roundTrip delivers one message from client id to the target's shard
+// and rolls its fate there. Unless the request is lost, apply runs
+// against the target; unless the response is lost, reply receives its
+// error (or the outage) back on the client's shard. Fates use a
+// per-client sequence counter: messages from one client arrive in send
+// order, so the counter — and with it every fault roll — is
+// independent of how other clients' traffic interleaves.
+func (t *asyncTransport) roundTrip(id string, apply func(now float64) error, reply func(error)) {
 	src := t.shard.ID()
-	t.shard.PostDaemon(t.coord.ID(), 0, func() {
+	t.shard.PostDaemon(t.at.ID(), 0, func() {
+		now := t.at.Engine().Now()
 		var fate faults.MsgFate
 		if t.inj != nil {
-			fate = t.inj.Fate(id, t.seq, t.coord.Engine().Now())
+			fate = t.inj.Fate(id, t.seq, now)
 			t.seq++
 		}
 		if fate.Unavailable {
-			t.coord.PostDaemon(src, 0, func() { done(broker.Response{}, broker.ErrUnavailable) })
+			t.at.PostDaemon(src, 0, func() { reply(broker.ErrUnavailable) })
 			return
 		}
 		if fate.ReqDrop {
 			return // lost in flight; the client's timeout covers it
 		}
-		resp := t.b.Exchange(id, vec)
-		if fate.RespDrop {
-			return // report applied, response lost
+		if err := apply(now); err != nil {
+			t.at.PostDaemon(src, 0, func() { reply(err) })
+			return
 		}
-		t.coord.PostDaemon(src, fate.Delay, func() { done(resp, nil) })
+		if fate.RespDrop {
+			return // applied, response lost
+		}
+		t.at.PostDaemon(src, fate.Delay, func() { reply(nil) })
 	})
+}
+
+// ExchangeAsync implements broker.AsyncTransport.
+func (t *asyncTransport) ExchangeAsync(id string, vec map[iosched.AppID]float64, done func(broker.Response, error)) {
+	var resp broker.Response
+	t.roundTrip(id, func(now float64) (err error) {
+		resp, err = t.to.Exchange(id, vec, now)
+		return err
+	}, func(err error) { done(resp, err) })
 }
 
 // RegisterAsync implements broker.AsyncTransport.
-func (t *shardedTransport) RegisterAsync(id string, done func(error)) {
-	src := t.shard.ID()
-	t.shard.PostDaemon(t.coord.ID(), 0, func() {
-		var fate faults.MsgFate
-		if t.inj != nil {
-			fate = t.inj.Fate(id, t.seq, t.coord.Engine().Now())
-			t.seq++
-		}
-		if fate.Unavailable {
-			t.coord.PostDaemon(src, 0, func() { done(broker.ErrUnavailable) })
-			return
-		}
-		if fate.ReqDrop {
-			return
-		}
-		t.b.Register(id)
-		if fate.RespDrop {
-			return
-		}
-		t.coord.PostDaemon(src, fate.Delay, func() { done(nil) })
-	})
+func (t *asyncTransport) RegisterAsync(id string, done func(error)) {
+	t.roundTrip(id, func(now float64) error { return t.to.Register(id, now) }, done)
 }
 
 // Unregister implements broker.Endpoint. Out-of-band death detection
-// crosses the fabric like everything else; it is called from the
-// client's shard (Detach).
-func (t *shardedTransport) Unregister(id string) {
-	t.shard.PostDaemon(t.coord.ID(), 0, func() { t.b.Unregister(id) })
+// crosses the fabric like everything else, free of message faults; it
+// is called from the client's shard (Detach).
+func (t *asyncTransport) Unregister(id string) {
+	t.shard.PostDaemon(t.at.ID(), 0, func() { t.to.Unregister(id) })
 }

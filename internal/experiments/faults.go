@@ -158,11 +158,7 @@ func faultRun(sc FaultScenario, nodes int) (FaultMatrixRow, error) {
 		return FaultMatrixRow{}, err
 	}
 	au := audit.New(audit.Options{CoordinationPeriod: 1})
-	au.AttachBroker(cl.CoordShard().ID(), cl.Broker)
-	cl.Instrument(func(shard, node int, dev string, sched iosched.Scheduler) iosched.Probe {
-		return au.Probe(shard, node, dev, sched)
-	})
-	cl.SetDegradeObserver(au.NoteDegradeStart, au.NoteDegradeEnd)
+	au.Attach(cl, 1)
 
 	var wide, narrow float64
 	backlog := func(n *cluster.Node, app iosched.AppID, weight float64, served *float64) {

@@ -85,11 +85,6 @@ type Options struct {
 	// only: results, traces and audit output are identical for every
 	// positive value. Shards=0 is the classic single-engine path.
 	Shards int
-	// ShardLatency is the fabric lookahead — the virtual latency of
-	// every cross-shard edge (0 = cluster.DefaultLookahead). Larger
-	// values mean wider synchronization windows and more parallelism,
-	// at the price of slower control-plane RPCs in the model.
-	ShardLatency float64
 }
 
 func (o *Options) defaults() {
@@ -227,7 +222,7 @@ func RunWithSetup(opts Options, entries []Entry, setup func(*mapreduce.Runtime) 
 	var cl *cluster.Cluster
 	var err error
 	if opts.Shards > 0 {
-		cl, err = cluster.NewSharded(cfg, opts.ShardLatency, sim.FabricOptions{Workers: opts.Shards})
+		cl, err = cluster.NewSharded(cfg, cluster.DefaultLookahead, sim.FabricOptions{Workers: opts.Shards})
 	} else {
 		cl, err = cluster.New(sim.NewEngine(), cfg)
 	}
@@ -270,37 +265,27 @@ func RunWithSetup(opts Options, entries []Entry, setup func(*mapreduce.Runtime) 
 	}
 	if opts.TraceCapacity > 0 {
 		res.Trace = trace.New(opts.TraceCapacity)
+		res.Trace.Attach(cl)
 	}
 	if opts.Audit {
 		res.Audit = audit.New(audit.Options{Window: opts.AuditWindow})
-		if cl.Broker != nil {
-			res.Audit.AttachBroker(cl.CoordShard().ID(), cl.Broker)
-		}
+		res.Audit.Attach(cl, 1)
 	}
-	if res.Trace != nil || res.Audit != nil {
-		cl.Instrument(func(shard, node int, dev string, sched iosched.Scheduler) iosched.Probe {
-			var ps []iosched.Probe
-			if res.Trace != nil {
-				ps = append(ps, res.Trace.Probe(shard, node, trace.DeviceKindOf(dev)))
-			}
-			if res.Audit != nil {
-				ps = append(ps, res.Audit.Probe(shard, node, dev, sched))
-			}
-			return iosched.MultiProbe(ps...)
-		})
-	}
-	// I/O completions fire on the owning node's shard and accumulate
-	// into that shard's cell (single-owner by construction), merged in
-	// shard order after the run: no shared writes inside parallel
-	// windows, and the same totals for every worker count.
+	// I/O completions on the storage schedulers fire on the owning
+	// node's shard and accumulate into that shard's cell (single-owner
+	// by construction), merged in shard order after the run: no shared
+	// writes inside parallel windows, and the same totals for every
+	// worker count.
 	cells := make([]ioCell, cl.Shards())
-	for _, n := range cl.Nodes {
-		if c := &cells[n.Shard().ID()]; c.perApp == nil {
-			*c = newIOCell(n.Shard().Engine(), opts.CaptureThroughput)
+	cl.Instrument(func(shard, _ int, dev string, _ iosched.Scheduler) iosched.Probe {
+		if dev == "nic" {
+			return nil
 		}
-	}
-	cl.SetIOObserver(func(node int, req *iosched.Request, lat float64) {
-		cells[cl.Nodes[node].Shard().ID()].add(req, lat)
+		c := &cells[shard]
+		if c.perApp == nil {
+			*c = newIOCell(opts.CaptureThroughput)
+		}
+		return c
 	})
 
 	for _, e := range entries {
@@ -356,18 +341,17 @@ func RunWithSetup(opts Options, entries []Entry, setup func(*mapreduce.Runtime) 
 	return res, nil
 }
 
-// ioCell accumulates one shard's I/O completions.
+// ioCell accumulates one shard's I/O completions; it is the probe on
+// every storage scheduler of that shard.
 type ioCell struct {
-	eng         *sim.Engine // the shard's clock, stamping the series
 	totalBytes  float64
 	perApp      map[iosched.AppID]float64
 	lats        map[latKey]*metrics.Distribution
 	read, write *metrics.TimeSeries // nil unless throughput is captured
 }
 
-func newIOCell(eng *sim.Engine, series bool) ioCell {
+func newIOCell(series bool) ioCell {
 	c := ioCell{
-		eng:    eng,
 		perApp: make(map[iosched.AppID]float64),
 		lats:   make(map[latKey]*metrics.Distribution),
 	}
@@ -377,7 +361,11 @@ func newIOCell(eng *sim.Engine, series bool) ioCell {
 	return c
 }
 
-func (c *ioCell) add(req *iosched.Request, lat float64) {
+// Observe implements iosched.Probe, booking each completion.
+func (c *ioCell) Observe(req *iosched.Request, st iosched.ProbeState) {
+	if st.Event != iosched.ProbeComplete {
+		return
+	}
 	c.totalBytes += req.Size
 	c.perApp[req.App] += req.Size
 	k := latKey{req.App, req.Class}
@@ -386,12 +374,12 @@ func (c *ioCell) add(req *iosched.Request, lat float64) {
 		d = metrics.NewDistribution()
 		c.lats[k] = d
 	}
-	d.Add(lat)
+	d.Add(st.Latency)
 	if c.read != nil {
 		if req.Class.OpKind() == storage.Read {
-			c.read.Add(c.eng.Now(), req.Size)
+			c.read.Add(st.Time, req.Size)
 		} else {
-			c.write.Add(c.eng.Now(), req.Size)
+			c.write.Add(st.Time, req.Size)
 		}
 	}
 }

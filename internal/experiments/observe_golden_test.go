@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -77,5 +78,32 @@ vtime-monotonicity=119258
 work-conservation=119258
 violations=0`; got != want {
 		t.Errorf("single-shard outcome:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestCoordinationGolden pins the two audited coordination
+// microbenchmarks: the fault matrix (one run per fault scenario, each
+// with the broker, degrade notes and every scheduler audited) and the
+// live reweight (the same, plus epoch notes and tenant checks). Their
+// rendered outputs include every audit tally they report, so a change
+// to what the auditor is attached to moves a pin.
+func TestCoordinationGolden(t *testing.T) {
+	fm, err := FaultMatrix()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fmt.Sprintf("%x", sha256.Sum256([]byte(fm.String()))), "e2940cca064d4f4bca897dc2a1aaf48769e3f1d3a7df30dddaa330249db888fc"; got != want {
+		t.Errorf("fault matrix sha256 %s, want %s\n%s", got, want, fm)
+	}
+	rw, err := Reweight(ReweightSpec{App: "hot", Weight: 8, At: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	js, err := json.Marshal(rw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fmt.Sprintf("%x", sha256.Sum256(js)), "7804a6a49f6c78144ddbd09471f6b32788632dfd8a5d16e344b4315f12825171"; got != want {
+		t.Errorf("reweight sha256 %s, want %s\n%s", got, want, js)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"ibis/internal/audit"
 	"ibis/internal/cluster"
 	"ibis/internal/iosched"
-	"ibis/internal/shares"
 	"ibis/internal/sim"
 )
 
@@ -114,13 +113,8 @@ func Reweight(spec ReweightSpec) (*ReweightResult, error) {
 	}
 
 	au := audit.New(audit.Options{CoordinationPeriod: 1})
-	au.AttachBroker(cl.CoordShard().ID(), cl.Broker)
 	au.SetShares(tree)
-	cl.Instrument(func(shard, node int, dev string, sched iosched.Scheduler) iosched.Probe {
-		return au.Probe(shard, node, dev, sched)
-	})
-	cl.SetDegradeObserver(au.NoteDegradeStart, au.NoteDegradeEnd)
-	tree.OnChange(func(tr shares.Transition) { au.NoteEpochChange(tr.Time) })
+	au.Attach(cl, 1)
 
 	var hot, base float64
 	backlog := func(n *cluster.Node, app iosched.AppID, served *float64) {

@@ -14,8 +14,7 @@ import (
 // back. Wall-clock speedup is a property of the host, so the gate
 // skips — loudly, with the reason in the log — on boxes that cannot
 // express parallelism (GOMAXPROCS < 4): there it would only measure
-// scheduler churn. Single-core numbers are still recorded honestly in
-// BENCH_2026-08-09_parallel.json.
+// scheduler churn.
 func TestParallelSpeedupGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("speedup gate needs full-length runs; skipped under -short")

@@ -15,6 +15,7 @@ package faults_test
 // ibis/internal/cluster, which itself imports faults.
 
 import (
+	"fmt"
 	"testing"
 
 	"ibis/internal/audit"
@@ -57,11 +58,7 @@ func chaosRun(t *testing.T, spec faults.Spec, nodes int) chaosOutcome {
 		t.Fatal(err)
 	}
 	au := audit.New(audit.Options{CoordinationPeriod: 1})
-	au.AttachBroker(cl.CoordShard().ID(), cl.Broker)
-	cl.Instrument(func(shard, node int, dev string, sched iosched.Scheduler) iosched.Probe {
-		return au.Probe(shard, node, dev, sched)
-	})
-	cl.SetDegradeObserver(au.NoteDegradeStart, au.NoteDegradeEnd)
+	au.Attach(cl, 1)
 
 	var wide, narrow float64
 	backlog := func(n *cluster.Node, app iosched.AppID, weight float64, served *float64) {
@@ -192,5 +189,17 @@ func TestChaosSeedSensitivity(t *testing.T) {
 	b := chaosRun(t, chaosSpec(22, nodes), nodes)
 	if a == b {
 		t.Error("seeds 21 and 22 produced identical runs; injector seed has no effect")
+	}
+}
+
+// TestChaosGolden pins the full outcome of one chaos run — event count,
+// service totals, health counters and audit tallies — so a change to
+// how the auditor is attached to the cluster (the broker, every
+// scheduler, the degrade notes) moves it.
+func TestChaosGolden(t *testing.T) {
+	out := chaosRun(t, chaosSpec(3, 8), 8)
+	got := fmt.Sprintf("%+v degraded-time=%v", out, out.Health.DegradedTime)
+	if want := "{Fired:8711 Wide:2.4184e+10 Narrow:5.716e+09 Health:attempts=1066 ok=564 fail=496 timeout=0 retries=424 skipped=72 stale=0 degraded=18 recovered=18 degraded-time=57.3s restarts=2 reregisters=2 Violations:0 DegradedChecks:0 TotalChecks:3} degraded-time=57.31871709442447"; got != want {
+		t.Errorf("outcome:\n%s\nwant:\n%s", got, want)
 	}
 }

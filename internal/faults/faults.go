@@ -455,49 +455,46 @@ func NewTransport(eng *sim.Engine, inj *Injector, b *broker.Broker) *Transport {
 	return &Transport{eng: eng, inj: inj, b: b}
 }
 
+// fate rolls the next message's fate. The sequence counter is shared
+// by every client on this transport: single-engine runs have one global
+// message order.
+func (t *Transport) fate(id string) MsgFate {
+	f := t.inj.Fate(id, t.seq, t.eng.Now())
+	t.seq++
+	return f
+}
+
 // Exchange implements broker.Transport.
 func (t *Transport) Exchange(id string, vec map[iosched.AppID]float64) (broker.Response, float64, error) {
-	now := t.eng.Now()
-	seq := t.seq
-	t.seq++
-	if t.inj.BrokerDown(now) || t.inj.Partitioned(id, now) {
+	f := t.fate(id)
+	switch {
+	case f.Unavailable:
 		return broker.Response{}, 0, broker.ErrUnavailable
-	}
-	if t.inj.dropProb > 0 && t.inj.roll(saltReqDrop, id, seq) < t.inj.dropProb {
+	case f.ReqDrop:
 		return broker.Response{}, 0, broker.ErrLost
 	}
 	resp := t.b.Exchange(id, vec)
-	if t.inj.respDropProb > 0 && t.inj.roll(saltRespDrop, id, seq) < t.inj.respDropProb {
+	if f.RespDrop {
 		return broker.Response{}, 0, broker.ErrLost
 	}
-	var rtt float64
-	if t.inj.delayProb > 0 && t.inj.roll(saltDelay, id, seq) < t.inj.delayProb {
-		rtt = t.inj.delayMin + (t.inj.delayMax-t.inj.delayMin)*t.inj.roll(saltDelayAmt, id, seq)
-	}
-	return resp, rtt, nil
+	return resp, f.Delay, nil
 }
 
 // Register implements broker.Transport: the handshake rides the same
 // faulty channel as exchanges.
 func (t *Transport) Register(id string) (float64, error) {
-	now := t.eng.Now()
-	seq := t.seq
-	t.seq++
-	if t.inj.BrokerDown(now) || t.inj.Partitioned(id, now) {
+	f := t.fate(id)
+	switch {
+	case f.Unavailable:
 		return 0, broker.ErrUnavailable
-	}
-	if t.inj.dropProb > 0 && t.inj.roll(saltReqDrop, id, seq) < t.inj.dropProb {
+	case f.ReqDrop:
 		return 0, broker.ErrLost
 	}
 	t.b.Register(id)
-	if t.inj.respDropProb > 0 && t.inj.roll(saltRespDrop, id, seq) < t.inj.respDropProb {
+	if f.RespDrop {
 		return 0, broker.ErrLost
 	}
-	var rtt float64
-	if t.inj.delayProb > 0 && t.inj.roll(saltDelay, id, seq) < t.inj.delayProb {
-		rtt = t.inj.delayMin + (t.inj.delayMax-t.inj.delayMin)*t.inj.roll(saltDelayAmt, id, seq)
-	}
-	return rtt, nil
+	return f.Delay, nil
 }
 
 // Unregister implements broker.Transport. Node death is detected out

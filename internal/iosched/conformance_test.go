@@ -30,11 +30,6 @@ func conformSpec() storage.Spec {
 	}
 }
 
-// probeSetter is satisfied by every scheduler in the tree.
-type probeSetter interface {
-	SetProbe(iosched.Probe)
-}
-
 // conformRecorder validates the probe stream online.
 type conformRecorder struct {
 	t     *testing.T
@@ -160,7 +155,7 @@ func TestSchedulerConformance(t *testing.T) {
 				stage:   make(map[*iosched.Request]int),
 				lastSvc: make(map[iosched.AppID]iosched.AppService),
 			}
-			s.(probeSetter).SetProbe(rec)
+			s.SetProbe(rec)
 
 			wantBytes, wantReqs := conformanceWorkload(t, eng, s, tc.name)
 			eng.Run()

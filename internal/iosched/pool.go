@@ -65,10 +65,9 @@ func (p *RequestPool) Get() *Request {
 // Put recycles a completed request. The record is zeroed — public
 // fields, closures, and all private scheduling state — so a later Get
 // hands out a Request indistinguishable from a freshly allocated one.
-// The caller must guarantee no scheduler, probe, or observer still
-// holds the pointer: the safe recycle point is the OnDone/Observer
-// callback, which every scheduler in the tree invokes after its last
-// touch of the record.
+// The caller must guarantee no scheduler or probe still holds the
+// pointer: the safe recycle point is the OnDone callback, which every
+// scheduler in the tree invokes after its last touch of the record.
 func (p *RequestPool) Put(r *Request) {
 	*r = Request{}
 	p.free = append(p.free, r)

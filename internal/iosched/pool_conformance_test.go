@@ -140,7 +140,7 @@ func TestPooledRequestsConformance(t *testing.T) {
 					t.Fatalf("build: %v", err)
 				}
 				dp := &digestProbe{h: digestOffset}
-				s.(probeSetter).SetProbe(dp)
+				s.SetProbe(dp)
 				pooledWorkload(t, eng, s, pool)
 				eng.Run()
 				if s.Queued() != 0 || s.InFlight() != 0 {

@@ -61,6 +61,12 @@ type Probe interface {
 	Observe(req *Request, st ProbeState)
 }
 
+// ProbeFunc adapts an ordinary function to the Probe interface.
+type ProbeFunc func(req *Request, st ProbeState)
+
+// Observe implements Probe.
+func (f ProbeFunc) Observe(req *Request, st ProbeState) { f(req, st) }
+
 // multiProbe fans one event stream out to several probes.
 type multiProbe []Probe
 
@@ -71,13 +77,18 @@ func (m multiProbe) Observe(req *Request, st ProbeState) {
 	}
 }
 
-// MultiProbe combines probes into one; nil entries are dropped. It
-// returns nil when nothing remains, so callers can install the result
-// unconditionally.
+// MultiProbe combines probes into one, in argument order; nil entries
+// are dropped and combined probes are flattened, so composing step by
+// step fans out in one loop. It returns nil when nothing remains, so
+// callers can install the result unconditionally.
 func MultiProbe(ps ...Probe) Probe {
 	out := make(multiProbe, 0, len(ps))
 	for _, p := range ps {
-		if p != nil {
+		switch p := p.(type) {
+		case nil:
+		case multiProbe:
+			out = append(out, p...)
+		default:
 			out = append(out, p)
 		}
 	}

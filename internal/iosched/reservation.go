@@ -16,12 +16,11 @@ import (
 // as one end of the fairness-versus-utilization spectrum that SFQ(D)
 // and SFQ(D2) trade along.
 type Reservation struct {
-	eng      *sim.Engine
-	dev      Backend
-	acct     *Accounting
-	observer Observer
-	probe    Probe
-	seq      uint64
+	eng   *sim.Engine
+	dev   Backend
+	acct  *Accounting
+	probe Probe
+	seq   uint64
 
 	// rates maps each app to its reserved service rate (cost units/s);
 	// defaultRate applies to apps not listed (0 = reject).
@@ -78,9 +77,6 @@ func (r *Reservation) InFlight() int { return r.inflight }
 
 // Accounting implements Scheduler.
 func (r *Reservation) Accounting() *Accounting { return r.acct }
-
-// SetObserver installs a completion observer.
-func (r *Reservation) SetObserver(o Observer) { r.observer = o }
 
 // SetProbe installs a lifecycle probe (tracing/auditing).
 func (r *Reservation) SetProbe(p Probe) { r.probe = p }
@@ -207,9 +203,6 @@ func (r *Reservation) dispatch(req *Request) {
 				InFlight: r.inflight,
 				Latency:  lat,
 			})
-		}
-		if r.observer != nil {
-			r.observer(req, lat)
 		}
 		if req.OnDone != nil {
 			req.OnDone(lat)

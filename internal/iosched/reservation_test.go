@@ -143,7 +143,11 @@ func TestReservationFIFOWithinApp(t *testing.T) {
 func TestReservationObserver(t *testing.T) {
 	eng, s, _ := newReservation(t, nil, 10e6)
 	n := 0
-	s.SetObserver(func(*Request, float64) { n++ })
+	s.SetProbe(ProbeFunc(func(_ *Request, st ProbeState) {
+		if st.Event == ProbeComplete {
+			n++
+		}
+	}))
 	for i := 0; i < 3; i++ {
 		s.Submit(&Request{App: "A", Shares: FixedWeight(1), Class: IntermediateRead, Size: 1e6})
 	}

@@ -39,11 +39,12 @@ type Scheduler interface {
 	InFlight() int
 	// Accounting exposes per-application service counters.
 	Accounting() *Accounting
+	// SetProbe installs the lifecycle probe that sees every request's
+	// arrival, dispatch and completion (nil removes it). It is the
+	// only way to observe a scheduler; use MultiProbe to install
+	// several.
+	SetProbe(Probe)
 }
-
-// Observer receives a completion notification for every request a
-// scheduler finishes. Used by metrics collectors and experiment probes.
-type Observer func(req *Request, latency float64)
 
 // AppService records the cumulative service delivered to one app by one
 // scheduler.
@@ -134,7 +135,6 @@ type FIFO struct {
 	eng      *sim.Engine
 	dev      Backend
 	acct     *Accounting
-	observer Observer
 	probe    Probe
 	inflight int
 	seq      uint64
@@ -144,9 +144,6 @@ type FIFO struct {
 func NewFIFO(eng *sim.Engine, dev Backend) *FIFO {
 	return &FIFO{eng: eng, dev: dev, acct: NewAccounting()}
 }
-
-// SetObserver installs a completion observer.
-func (f *FIFO) SetObserver(o Observer) { f.observer = o }
 
 // SetProbe installs a lifecycle probe (tracing/auditing).
 func (f *FIFO) SetProbe(p Probe) { f.probe = p }
@@ -191,9 +188,6 @@ func (f *FIFO) Submit(req *Request) error {
 				InFlight: f.inflight,
 				Latency:  lat,
 			})
-		}
-		if f.observer != nil {
-			f.observer(req, lat)
 		}
 		if req.OnDone != nil {
 			req.OnDone(lat)

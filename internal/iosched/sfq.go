@@ -31,10 +31,9 @@ type flowState struct {
 // the DSFQ delay so that *total* cluster service is shared
 // proportionally, not just local service.
 type SFQ struct {
-	eng      *sim.Engine
-	dev      Backend
-	acct     *Accounting
-	observer Observer
+	eng  *sim.Engine
+	dev  Backend
+	acct *Accounting
 
 	queue  reqHeap
 	flows  map[AppID]*flowState
@@ -95,9 +94,6 @@ func NewSFQD2(eng *sim.Engine, dev Backend, cfg ControllerConfig) *SFQ {
 // SetCoordinator attaches the distributed-coordination delay source.
 // Passing nil disables coordination (the paper's "No Sync" mode).
 func (s *SFQ) SetCoordinator(c Coordinator) { s.coord = c }
-
-// SetObserver installs a completion observer.
-func (s *SFQ) SetObserver(o Observer) { s.observer = o }
 
 // SetProbe installs a lifecycle probe (tracing/auditing).
 func (s *SFQ) SetProbe(p Probe) { s.probe = p }
@@ -311,9 +307,6 @@ func (s *SFQ) complete(req *Request, devLat float64) {
 	s.acct.add(req)
 	if s.ctrl != nil {
 		s.ctrl.Sample(devLat, req.Class.OpKind() == storage.Read)
-	}
-	if s.observer != nil {
-		s.observer(req, total)
 	}
 	// Refill the dispatch window before surfacing the completion so the
 	// device never idles while the queue is backlogged.

@@ -93,11 +93,11 @@ func TestSFQDepthBoundsInFlight(t *testing.T) {
 	dev := storage.NewDevice(eng, "d", flatSpec())
 	s := NewSFQD(eng, dev, 3)
 	maxIn := 0
-	s.SetObserver(func(*Request, float64) {
-		if s.InFlight() > maxIn {
+	s.SetProbe(ProbeFunc(func(_ *Request, st ProbeState) {
+		if st.Event == ProbeComplete && s.InFlight() > maxIn {
 			maxIn = s.InFlight()
 		}
-	})
+	}))
 	for i := 0; i < 20; i++ {
 		s.Submit(&Request{App: "A", Shares: FixedWeight(1), Class: PersistentRead, Size: 1e6})
 	}
@@ -121,13 +121,16 @@ func TestSFQVirtualTimeMonotone(t *testing.T) {
 	dev := storage.NewDevice(eng, "d", flatSpec())
 	s := NewSFQD(eng, dev, 2)
 	last := -1.0
-	s.SetObserver(func(*Request, float64) {
+	s.SetProbe(ProbeFunc(func(_ *Request, st ProbeState) {
+		if st.Event != ProbeComplete {
+			return
+		}
 		v := s.VirtualTime()
 		if v < last {
 			t.Errorf("virtual time went backwards: %v -> %v", last, v)
 		}
 		last = v
-	})
+	}))
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 50; i++ {
 		app := AppID("A")

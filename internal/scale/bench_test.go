@@ -7,10 +7,10 @@ import (
 
 // BenchmarkScaleGate1000 is the acceptance-criteria shape — 1000 hollow
 // nodes, 10k tenants, >1M requests in flight — run at each worker
-// count. The reported metrics are the envelope BENCH_*_scale.json
-// records and CI gates on: events/sec (throughput), bytes/flow and
-// peak-heap-MB (memory). Digest equality across the worker counts is
-// asserted inline.
+// count. The reported metrics are the throughput (events/sec) and
+// memory (bytes/flow, peak-heap-MB) envelope; TestScaleGate asserts the
+// memory budgets on its own run. Digest equality across the worker
+// counts is asserted inline.
 func BenchmarkScaleGate1000(b *testing.B) {
 	var serial uint64
 	for _, workers := range []int{1, 4, 8} {
@@ -51,12 +51,11 @@ func BenchmarkScaleGate1000(b *testing.B) {
 
 // BenchmarkFederationGate1000 is the federated acceptance shape — the
 // same 1000-node/10k-tenant population coordinated through 8 partition
-// brokers and a root aggregator. The reported metrics are what
-// BENCH_*_federation.json records and the CI federation-gate job
-// budgets: federation bytes on the wire, the centralized-equivalent
-// baseline those bytes replace, their ratio (compression-x, must stay
-// >= 10), and bytes per sync period. Digest equality across worker
-// counts is asserted inline.
+// brokers and a root aggregator. The reported metrics are federation
+// bytes on the wire, the centralized-equivalent baseline those bytes
+// replace, their ratio (compression-x) and bytes per sync period;
+// TestFederationGate asserts the budgets on the last two. Digest
+// equality across worker counts is asserted inline.
 func BenchmarkFederationGate1000(b *testing.B) {
 	var serial uint64
 	for _, workers := range []int{1, 4, 8} {

@@ -58,6 +58,21 @@ func TestScaleChaos(t *testing.T) {
 	if base.AuditErr != nil {
 		t.Fatalf("audit under faults: %v (%d violations)", base.AuditErr, base.Violations)
 	}
+	// The centralized broker on the fabric under message loss: pin the
+	// digest and every audit tally of the serial run.
+	if got, want := scaleOutcome(base), `digest 20c6f13e18fc9081 violations=0
+broker-conservation=14779
+degrade-noted=37
+depth-bound=37596
+lifecycle=112788
+recover-noted=37
+start-tag-monotonicity=37596
+tag-consistency=37596
+total-proportional-share-skipped=5
+vtime-monotonicity=37596
+work-conservation=37596`; got != want {
+		t.Errorf("outcome:\n%s\nwant:\n%s", got, want)
+	}
 	for _, w := range []int{4, 8} {
 		rep, err := Run(chaosConfig(w))
 		if err != nil {

@@ -192,6 +192,13 @@ func TestFederationGate(t *testing.T) {
 		t.Fatalf("federation plane compression %.1fx < 10x (fed=%d bytes, baseline=%d bytes)",
 			c, st.FedUpBytes+st.FedDownBytes, st.BaselineBytes)
 	}
+	// The delta stream stays O(changed entries), not O(apps).
+	if st.FedSyncs == 0 {
+		t.Fatal("federation plane never synced")
+	}
+	if per := float64(st.FedUpBytes+st.FedDownBytes) / float64(st.FedSyncs); per >= 64<<10 {
+		t.Fatalf("%.0f bytes per sync >= 64 KiB", per)
+	}
 	for _, w := range []int{4, 8} {
 		rep, err := Run(fedGateConfig(w))
 		if err != nil {

@@ -12,8 +12,8 @@
 //   - audit-clean: proportional-share invariants hold at full scale.
 //
 // Every run reports fairness ratios alongside bytes-per-flow,
-// bytes-per-node, events/sec and peak heap; the CI gates regress on
-// those numbers via BENCH_*_scale.json.
+// bytes-per-node, events/sec and peak heap; TestScaleGate holds the
+// memory numbers to their budgets on every full test run.
 package scale
 
 import (
@@ -323,34 +323,7 @@ func Run(cfg Config) (*Report, error) {
 			CoordinationPeriod:  cfg.CoordinationPeriod,
 			FederationStaleness: fed.Staleness(),
 		})
-		if cl.Broker != nil {
-			auditor.AttachBroker(cl.CoordShard().ID(), cl.Broker)
-		}
-		if root := cl.FederationRoot(); root != nil {
-			// The root lives on the coordinator shard, so its probe is
-			// single-owner; partition brokers run inside parallel windows
-			// and are conservation-checked only at Finish.
-			auditor.AttachAggregator(cl.CoordShard().ID(), root)
-			for _, p := range cl.Partitions() {
-				auditor.AttachBrokerDeferred(p.Broker())
-			}
-		}
-		cl.Instrument(func(shard, node int, dev string, sched iosched.Scheduler) iosched.Probe {
-			if node%cfg.AuditSampleEvery != 0 {
-				return nil
-			}
-			return auditor.Probe(shard, node, dev, sched)
-		})
-		if cfg.Coordinate {
-			sampled := func(note func(int, string, float64)) func(int, string, float64) {
-				return func(node int, dev string, t float64) {
-					if node%cfg.AuditSampleEvery == 0 {
-						note(node, dev, t)
-					}
-				}
-			}
-			cl.SetDegradeObserver(sampled(auditor.NoteDegradeStart), sampled(auditor.NoteDegradeEnd))
-		}
+		auditor.Attach(cl, cfg.AuditSampleEvery)
 	}
 
 	// Pumps: one self-rescheduling live event per node, submitting each

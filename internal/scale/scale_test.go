@@ -165,6 +165,14 @@ func TestScaleGate(t *testing.T) {
 	if st.FairnessMaxRatio > 2 {
 		t.Fatalf("fairness max ratio %.3f at scale", st.FairnessMaxRatio)
 	}
+	// The memory envelope: under 1 KiB of heap per in-flight request
+	// and under 2 GiB for the whole 1000-node model.
+	if st.BytesPerFlow >= 1024 {
+		t.Fatalf("%.0f bytes of heap per flow >= 1 KiB", st.BytesPerFlow)
+	}
+	if st.PeakHeapBytes >= 2<<30 {
+		t.Fatalf("peak heap %.0f MB >= 2 GiB", float64(st.PeakHeapBytes)/1e6)
+	}
 	for _, w := range []int{4, 8} {
 		rep, err := Run(gate(w))
 		if err != nil {

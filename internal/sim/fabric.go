@@ -91,7 +91,7 @@ type Fabric struct {
 	outLat     []float64
 	minOut     float64
 	nonUniform bool
-	boundHeap  []nextEntry
+	boundHeap  entryHeap
 
 	pending  msgHeap // undelivered messages, min-heap on (deliver, src, seq)
 	liveMsgs int     // pending non-daemon messages
@@ -106,7 +106,7 @@ type Fabric struct {
 	// non-daemon event count incrementally via per-shard deltas. Both
 	// are rebuilt from scratch at every RunUntil entry, the only point
 	// where external callers may have scheduled work at a barrier.
-	nextHeap  []nextEntry
+	nextHeap  entryHeap
 	nextStamp []uint32
 	prevLive  []int
 	liveSum   int
@@ -404,7 +404,7 @@ func (f *Fabric) RunUntil(limit float64) float64 {
 		// too. Their heap entries are consumed here; finishWindow
 		// pushes fresh ones after the shard runs.
 		for len(f.nextHeap) > 0 && f.nextHeap[0].time < end {
-			e := f.popNext()
+			e := f.nextHeap.pop()
 			if e.stamp != f.nextStamp[e.shard] {
 				continue // stale
 			}
@@ -488,9 +488,9 @@ func (f *Fabric) refreshAll() {
 		f.prevLive[s.id] = s.eng.live
 		f.nextStamp[s.id]++
 		if t, ok := s.eng.PeekTime(); ok {
-			f.pushNext(nextEntry{time: t, shard: s.id, stamp: f.nextStamp[s.id]})
+			f.nextHeap.push(nextEntry{time: t, shard: s.id, stamp: f.nextStamp[s.id]})
 			if f.nonUniform {
-				f.pushBound(nextEntry{time: t + f.outLat[s.id], shard: s.id, stamp: f.nextStamp[s.id]})
+				f.boundHeap.push(nextEntry{time: t + f.outLat[s.id], shard: s.id, stamp: f.nextStamp[s.id]})
 			}
 		}
 		for _, m := range s.outbox {
@@ -512,9 +512,9 @@ func (f *Fabric) refreshAll() {
 func (f *Fabric) refreshNext(s *Shard) {
 	f.nextStamp[s.id]++
 	if t, ok := s.eng.PeekTime(); ok {
-		f.pushNext(nextEntry{time: t, shard: s.id, stamp: f.nextStamp[s.id]})
+		f.nextHeap.push(nextEntry{time: t, shard: s.id, stamp: f.nextStamp[s.id]})
 		if f.nonUniform {
-			f.pushBound(nextEntry{time: t + f.outLat[s.id], shard: s.id, stamp: f.nextStamp[s.id]})
+			f.boundHeap.push(nextEntry{time: t + f.outLat[s.id], shard: s.id, stamp: f.nextStamp[s.id]})
 		}
 	}
 }
@@ -522,9 +522,7 @@ func (f *Fabric) refreshNext(s *Shard) {
 // peekNext returns the earliest pending event or undelivered message
 // anywhere, discarding stale next-event entries on the way.
 func (f *Fabric) peekNext() (float64, bool) {
-	for len(f.nextHeap) > 0 && f.nextHeap[0].stamp != f.nextStamp[f.nextHeap[0].shard] {
-		f.popNext()
-	}
+	f.nextHeap.dropStale(f.nextStamp)
 	t, ok := math.Inf(1), false
 	if len(f.nextHeap) > 0 {
 		t, ok = f.nextHeap[0].time, true
@@ -711,53 +709,11 @@ func (f *Fabric) popPending() fabricMsg {
 // peekBound returns the smallest valid per-shard affect bound
 // (next-event time + outgoing-edge latency), discarding stale entries.
 func (f *Fabric) peekBound() (float64, bool) {
-	for len(f.boundHeap) > 0 && f.boundHeap[0].stamp != f.nextStamp[f.boundHeap[0].shard] {
-		f.popBound()
-	}
+	f.boundHeap.dropStale(f.nextStamp)
 	if len(f.boundHeap) == 0 {
 		return 0, false
 	}
 	return f.boundHeap[0].time, true
-}
-
-func (f *Fabric) pushBound(e nextEntry) {
-	h := append(f.boundHeap, e)
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !nextAfter(h[p], h[i]) {
-			break
-		}
-		h[p], h[i] = h[i], h[p]
-		i = p
-	}
-	f.boundHeap = h
-}
-
-func (f *Fabric) popBound() nextEntry {
-	h := f.boundHeap
-	e := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h = h[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < n && nextAfter(h[min], h[l]) {
-			min = l
-		}
-		if r < n && nextAfter(h[min], h[r]) {
-			min = r
-		}
-		if min == i {
-			break
-		}
-		h[i], h[min] = h[min], h[i]
-		i = min
-	}
-	f.boundHeap = h
-	return e
 }
 
 // nextAfter orders next-event cache entries by (time, shard); the
@@ -770,8 +726,12 @@ func nextAfter(a, b nextEntry) bool {
 	return a.shard > b.shard
 }
 
-func (f *Fabric) pushNext(e nextEntry) {
-	h := append(f.nextHeap, e)
+// entryHeap is a lazy min-heap of next-event cache entries, ordered by
+// nextAfter.
+type entryHeap []nextEntry
+
+func (q *entryHeap) push(e nextEntry) {
+	h := append(*q, e)
 	i := len(h) - 1
 	for i > 0 {
 		p := (i - 1) / 2
@@ -781,11 +741,11 @@ func (f *Fabric) pushNext(e nextEntry) {
 		h[p], h[i] = h[i], h[p]
 		i = p
 	}
-	f.nextHeap = h
+	*q = h
 }
 
-func (f *Fabric) popNext() nextEntry {
-	h := f.nextHeap
+func (q *entryHeap) pop() nextEntry {
+	h := *q
 	e := h[0]
 	n := len(h) - 1
 	h[0] = h[n]
@@ -806,6 +766,14 @@ func (f *Fabric) popNext() nextEntry {
 		h[i], h[min] = h[min], h[i]
 		i = min
 	}
-	f.nextHeap = h
+	*q = h
 	return e
+}
+
+// dropStale pops entries whose stamp no longer matches their shard's,
+// so the top (if any) is valid.
+func (q *entryHeap) dropStale(stamps []uint32) {
+	for len(*q) > 0 && (*q)[0].stamp != stamps[(*q)[0].shard] {
+		q.pop()
+	}
 }

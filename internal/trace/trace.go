@@ -8,7 +8,6 @@
 //
 //   - recording a lifecycle event is a handful of stores into a
 //     pre-allocated ring slot — no allocation per event;
-//   - a disabled tracer costs one branch per event;
 //   - with no probe installed at all, schedulers pay a single nil check.
 //
 // Two export formats are supported: JSONL (one record per line, fixed
@@ -28,7 +27,9 @@ import (
 	"strconv"
 	"strings"
 
+	"ibis/internal/cluster"
 	"ibis/internal/iosched"
+	"ibis/internal/shares"
 )
 
 // DeviceKind identifies which interposed scheduler of a node produced a
@@ -154,7 +155,6 @@ type Tracer struct {
 	capacity int
 	rings    []*ring // in shard order
 	epochs   []EpochMark
-	enabled  bool
 
 	// merged caches Records until a record is written or Reset runs;
 	// mergedAt is Total() when it was built.
@@ -164,11 +164,10 @@ type Tracer struct {
 
 // ring is one shard's record buffer.
 type ring struct {
-	shard   int
-	buf     []rec
-	mask    uint64 // len(buf)-1; the capacity is a power of two
-	next    uint64 // total records ever written
-	enabled bool
+	shard int
+	buf   []rec
+	mask  uint64 // len(buf)-1; the capacity is a power of two
+	next  uint64 // total records ever written
 
 	// App-string interning: apps holds each distinct AppID once, ring
 	// records store the index. A one-entry cache catches the common
@@ -184,12 +183,12 @@ type ring struct {
 // (non-positive = DefaultCapacity; other values round up to the next
 // power of two so the ring index is a mask, not a division). A shard's
 // ring is allocated when its first probe is built, so recording never
-// allocates; the tracer starts enabled.
+// allocates.
 func New(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Tracer{capacity: ceilPow2(capacity), enabled: true}
+	return &Tracer{capacity: ceilPow2(capacity)}
 }
 
 // ceilPow2 rounds n up to the next power of two.
@@ -208,11 +207,10 @@ func (t *Tracer) ringFor(shard int) *ring {
 		return t.rings[i]
 	}
 	r := &ring{
-		shard:   shard,
-		buf:     make([]rec, t.capacity),
-		mask:    uint64(t.capacity - 1),
-		enabled: t.enabled,
-		appIdx:  make(map[iosched.AppID]uint32),
+		shard:  shard,
+		buf:    make([]rec, t.capacity),
+		mask:   uint64(t.capacity - 1),
+		appIdx: make(map[iosched.AppID]uint32),
 	}
 	t.rings = slices.Insert(t.rings, i, r)
 	return r
@@ -260,18 +258,6 @@ func (r *ring) export(x *rec) Record {
 		Latency: x.latency,
 	}
 }
-
-// SetEnabled switches recording on or off on every ring; records
-// already captured are kept.
-func (t *Tracer) SetEnabled(on bool) {
-	t.enabled = on
-	for _, r := range t.rings {
-		r.enabled = on
-	}
-}
-
-// Enabled reports whether events are being recorded.
-func (t *Tracer) Enabled() bool { return t.enabled }
 
 // Capacity returns the size of each shard's ring.
 func (t *Tracer) Capacity() int { return t.capacity }
@@ -341,6 +327,18 @@ func (t *Tracer) Records() []Record {
 	return out
 }
 
+// Attach traces cl: it adds a probe to every scheduler of every node
+// (cluster.Instrument) and records the share tree's transitions as
+// epoch marks. Attach before the simulation runs.
+func (t *Tracer) Attach(cl *cluster.Cluster) {
+	cl.Instrument(func(shard, node int, dev string, _ iosched.Scheduler) iosched.Probe {
+		return t.Probe(shard, node, DeviceKindOf(dev))
+	})
+	cl.Shares().OnChange(func(tr shares.Transition) {
+		t.NoteEpoch(tr.Time, tr.Epoch, fmt.Sprintf("%s %s/%s %g->%g", tr.Kind, tr.Tenant, tr.App, tr.Old, tr.New))
+	})
+}
+
 // Probe returns an iosched.Probe that records one scheduler's events
 // into shard's ring, labeled with the node index and device kind. The
 // probe must only be driven by that shard's engine.
@@ -358,9 +356,6 @@ type probe struct {
 // allocation, no division (the ring index is a mask).
 func (p probe) Observe(req *iosched.Request, st iosched.ProbeState) {
 	g := p.r
-	if !g.enabled {
-		return
-	}
 	r := &g.buf[g.next&g.mask]
 	g.next++
 	r.time = st.Time
@@ -394,13 +389,11 @@ type EpochMark struct {
 	Detail string
 }
 
-// NoteEpoch records a share-tree transition mark (wire it to
-// shares.Tree.OnChange). Marks are unbounded but transitions are
-// control-plane events — a handful per run, not per request.
+// NoteEpoch records a share-tree transition mark (Attach wires it to
+// the cluster's shares.Tree.OnChange). Marks are unbounded but
+// transitions are control-plane events — a handful per run, not per
+// request.
 func (t *Tracer) NoteEpoch(time float64, epoch uint64, detail string) {
-	if !t.enabled {
-		return
-	}
 	t.epochs = append(t.epochs, EpochMark{Time: time, Epoch: epoch, Detail: detail})
 }
 

@@ -90,20 +90,6 @@ func TestTracerRingWraparound(t *testing.T) {
 	}
 }
 
-func TestTracerDisabledRecordsNothing(t *testing.T) {
-	tr := trace.New(64)
-	tr.SetEnabled(false)
-	runTraced(tr, 5)
-	if tr.Total() != 0 {
-		t.Fatalf("disabled tracer recorded %d events", tr.Total())
-	}
-	tr.SetEnabled(true)
-	runTraced(tr, 1)
-	if tr.Total() != 3 {
-		t.Fatalf("re-enabled tracer recorded %d events, want 3", tr.Total())
-	}
-}
-
 func TestTracerReset(t *testing.T) {
 	tr := trace.New(64)
 	runTraced(tr, 4)
