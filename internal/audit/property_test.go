@@ -106,8 +106,8 @@ func runShareTrial(t *testing.T, seed int64, pol propPolicy, spec storage.Spec) 
 	if pol == propCoordinate {
 		s1, s2 := newSched("d1"), newSched("d2")
 		b := broker.New()
-		s1.SetCoordinator(broker.NewClient(eng, b, "n1", s1.Accounting(), brokPeriod))
-		s2.SetCoordinator(broker.NewClient(eng, b, "n2", s2.Accounting(), brokPeriod))
+		s1.SetCoordinator(broker.NewClient(eng, "n1", s1.Accounting(), broker.ClientOptions{Transport: broker.NewDirectTransport(b), Period: brokPeriod}))
+		s2.SetCoordinator(broker.NewClient(eng, "n2", s2.Accounting(), broker.ClientOptions{Transport: broker.NewDirectTransport(b), Period: brokPeriod}))
 		au.AttachBroker(0, b)
 		scheds = []*iosched.SFQ{s1, s2}
 	} else {

@@ -7,19 +7,26 @@
 //
 // In the Hadoop prototype the broker lives inside the YARN Resource
 // Manager and its messages are piggybacked on the existing Node Manager
-// heartbeats; here the exchange is modeled as a periodic call whose
-// message sizes are accounted so the coordination overhead claims remain
-// measurable.
+// heartbeats; here the exchange is modeled as a periodic request and
+// response whose message sizes are accounted so the coordination
+// overhead claims remain measurable.
 //
-// The exchange path is failure-aware: a Transport carries the round
-// trips and may fail (broker outage, message loss) or delay responses.
-// The Client reacts with bounded retries under exponential backoff, and
-// when exchanges keep failing for at least one coordination period it
-// degrades gracefully — suspending the DSFQ delay rule so the local
-// scheduler falls back to pure local SFQ(D) fairness — then reconciles
-// on recovery via the idempotent cumulative vectors. Scheduler restarts
-// wipe the client's in-memory view and force an explicit re-register
-// handshake before exchanges resume.
+// A Client speaks one message protocol to its broker, whichever
+// Transport carries it: the response to each request arrives through
+// a callback — inside the send for an in-process broker, at a later
+// event across a delay or a simulation shard boundary, or never when a
+// message is lost. The client arms its timeout only while a response
+// is outstanding and cancels it when one is delivered.
+//
+// The exchange path is failure-aware: the Transport may fail (broker
+// outage, message loss) or delay responses. The Client reacts with
+// bounded retries under exponential backoff, and when exchanges keep
+// failing for at least one coordination period it degrades gracefully
+// — suspending the DSFQ delay rule so the local scheduler falls back
+// to pure local SFQ(D) fairness — then reconciles on recovery via the
+// idempotent cumulative vectors. Scheduler restarts wipe the client's
+// in-memory view and force an explicit re-register handshake before
+// exchanges resume.
 package broker
 
 import (
@@ -36,13 +43,10 @@ import (
 // Transport errors. ErrUnavailable means the broker could not be
 // reached at all (outage or partition); ErrLost means a message was
 // dropped in flight — the broker may or may not have applied the
-// report, which the cumulative protocol makes safe to retry; ErrTimeout
-// is synthesized by the client when a response outlives the retry
-// policy's timeout.
+// report, which the cumulative protocol makes safe to retry.
 var (
 	ErrUnavailable = errors.New("broker: unavailable")
 	ErrLost        = errors.New("broker: message lost")
-	ErrTimeout     = errors.New("broker: exchange timed out")
 )
 
 // Stats tracks coordination traffic for overhead accounting.
@@ -399,64 +403,42 @@ type Reporter interface {
 	CostVector() map[iosched.AppID]float64
 }
 
-// Endpoint is what every coordination transport provides: out-of-band
-// unregistration. The exchange protocol a client speaks is found by
-// type assertion — AsyncTransport when the endpoint implements it,
-// otherwise Transport.
-type Endpoint interface {
+// Transport carries one client's coordination messages to its broker.
+// Each exchange and each registration is a request whose response
+// reaches the client through done, on the client's engine: inside the
+// call (an in-process broker, or a failure known at send time), at a
+// later event, or never (a message lost in flight, which the client's
+// own timeout covers).
+type Transport interface {
+	// Exchange sends the scheduler's cumulative vector to the broker.
+	// done receives the response, or a delivered failure such as
+	// ErrUnavailable or ErrLost. On error the broker may or may not
+	// have applied the report (response loss); retrying is safe because
+	// vectors are cumulative.
+	Exchange(id string, vector map[iosched.AppID]float64, done func(Response, error))
+	// Register performs the (re-)registration handshake.
+	Register(id string, done func(error))
 	// Unregister removes the scheduler's report from the broker. It
 	// models out-of-band node-death detection (YARN's liveness
 	// tracking), so it is not subject to message faults.
 	Unregister(id string)
 }
 
-// Transport carries the coordination round trips synchronously.
-// Implementations may fail or delay them; the direct in-process
-// transport never does.
-type Transport interface {
-	Endpoint
-	// Exchange performs one report/response round trip. rtt is the
-	// virtual-time delay until the response reaches the client (0 =
-	// instantaneous, applied synchronously). On error no response is
-	// delivered; the broker may or may not have applied the report
-	// (response loss) — retrying is safe because vectors are
-	// cumulative.
-	Exchange(id string, vector map[iosched.AppID]float64) (resp Response, rtt float64, err error)
-	// Register performs the (re-)registration handshake.
-	Register(id string) (rtt float64, err error)
-}
-
-// AsyncTransport is the message-passing variant of Transport used when
-// the broker lives on a different simulation shard than the client: the
-// request travels as an inter-shard message, the broker processes it on
-// its own shard, and the response travels back the same way. done is
-// invoked on the client's shard when the response arrives — possibly
-// never (request or response lost), which the client covers with its
-// own timeout event. A client whose endpoint implements AsyncTransport
-// uses the async protocol exclusively.
-type AsyncTransport interface {
-	Endpoint
-	// ExchangeAsync sends the vector toward the broker; done fires when
-	// (and if) the response arrives. A non-nil err reports a delivered
-	// failure (e.g. broker down); a lost message simply never calls
-	// done.
-	ExchangeAsync(id string, vector map[iosched.AppID]float64, done func(resp Response, err error))
-	// RegisterAsync is the async registration handshake.
-	RegisterAsync(id string, done func(err error))
-}
-
 // directTransport is the perfectly reliable, instantaneous in-process
-// transport the pre-fault broker modeled.
+// transport: every response arrives inside the call.
 type directTransport struct{ b *Broker }
 
 // NewDirectTransport wraps a broker in the reliable transport.
 func NewDirectTransport(b *Broker) Transport { return directTransport{b} }
 
-func (d directTransport) Exchange(id string, vec map[iosched.AppID]float64) (Response, float64, error) {
-	return d.b.Exchange(id, vec), 0, nil
+func (d directTransport) Exchange(id string, vec map[iosched.AppID]float64, done func(Response, error)) {
+	done(d.b.Exchange(id, vec), nil)
 }
 
-func (d directTransport) Register(id string) (float64, error) { d.b.Register(id); return 0, nil }
+func (d directTransport) Register(id string, done func(error)) {
+	d.b.Register(id)
+	done(nil)
+}
 
 func (d directTransport) Unregister(id string) { d.b.Unregister(id) }
 
@@ -535,12 +517,11 @@ func (s ClientState) String() string {
 	}
 }
 
-// ClientOptions configure NewClientWithOptions.
+// ClientOptions configure NewClient.
 type ClientOptions struct {
-	// Transport carries the exchanges: a Transport or an
-	// AsyncTransport. Nil — or an Endpoint that is neither — means the
-	// client never coordinates (the paper's "No Sync").
-	Transport Endpoint
+	// Transport carries the exchanges. Nil means the client never
+	// coordinates (the paper's "No Sync").
+	Transport Transport
 	// Period is the coordination period in seconds (default 1).
 	Period float64
 	// Retry tunes failure handling; zero fields take period-derived
@@ -560,12 +541,8 @@ type ClientOptions struct {
 // remote service, enforcing tenant-level proportionality. A Client
 // with a nil transport never coordinates (No Sync).
 type Client struct {
-	id string
-	// link is the endpoint; exactly one of transport and async is its
-	// exchange protocol. All three are nil for a No Sync client.
-	link      Endpoint
-	transport Transport
-	async     AsyncTransport
+	id        string
+	transport Transport // nil for a No Sync client
 	reporter  Reporter
 	eng       *sim.Engine
 	period    float64
@@ -605,28 +582,18 @@ type Client struct {
 
 var _ iosched.Coordinator = (*Client)(nil)
 
-// NewClient wires a scheduler's accounting into the broker over the
-// reliable direct transport with the given coordination period
-// (seconds; the paper uses 1 s, piggybacked on heartbeats). The
-// periodic exchange is a daemon event: it does not keep the simulation
-// alive once the workload drains.
-func NewClient(eng *sim.Engine, b *Broker, id string, reporter Reporter, period float64) *Client {
-	var tr Transport
-	if b != nil {
-		tr = directTransport{b}
-	}
-	return NewClientWithOptions(eng, id, reporter, ClientOptions{Transport: tr, Period: period})
-}
-
-// NewClientWithOptions is NewClient with an explicit transport and
-// retry policy.
-func NewClientWithOptions(eng *sim.Engine, id string, reporter Reporter, opts ClientOptions) *Client {
+// NewClient wires a scheduler's accounting to its broker through
+// opts.Transport. The periodic exchange (every opts.Period seconds; the
+// paper uses 1 s, piggybacked on heartbeats) is a daemon event: it does
+// not keep the simulation alive once the workload drains.
+func NewClient(eng *sim.Engine, id string, reporter Reporter, opts ClientOptions) *Client {
 	period := opts.Period
 	if period <= 0 {
 		period = 1
 	}
 	c := &Client{
 		id:           id,
+		transport:    opts.Transport,
 		reporter:     reporter,
 		eng:          eng,
 		period:       period,
@@ -636,13 +603,6 @@ func NewClientWithOptions(eng *sim.Engine, id string, reporter Reporter, opts Cl
 		tenantCache:  make(map[iosched.AppID]string),
 		failingSince: -1,
 		nextSeq:      1,
-	}
-	c.async, _ = opts.Transport.(AsyncTransport)
-	if c.async == nil {
-		c.transport, _ = opts.Transport.(Transport)
-	}
-	if c.async != nil || c.transport != nil {
-		c.link = opts.Transport
 	}
 	var tick func()
 	tick = func() {
@@ -669,7 +629,7 @@ func (c *Client) SetOnRecover(fn func(t float64)) { c.onRecover = fn }
 
 // tick is the periodic coordination round.
 func (c *Client) tick() {
-	if c.link == nil || c.detached {
+	if c.transport == nil || c.detached {
 		return
 	}
 	if c.inRound {
@@ -686,7 +646,7 @@ func (c *Client) tick() {
 // ExchangeNow performs one immediate round trip (a no-op while a round
 // is already outstanding).
 func (c *Client) ExchangeNow() {
-	if c.link == nil || c.detached || c.inRound {
+	if c.transport == nil || c.detached || c.inRound {
 		return
 	}
 	c.beginRound()
@@ -708,79 +668,16 @@ func (c *Client) sendAttempt() {
 		c.sendRegister()
 		return
 	}
-	if c.async != nil {
-		c.sendAttemptAsync()
-		return
-	}
-	now := c.eng.Now()
 	seq := c.nextSeq
 	c.nextSeq++
 	c.health.Attempts++
 	vec := c.reporter.CostVector()
-	resp, rtt, err := c.transport.Exchange(c.id, vec)
-	if err != nil {
-		c.fail(now)
-		return
-	}
-	if rtt <= 0 {
-		c.appliedHi = seq
-		c.apply(vec, resp, now)
-		return
-	}
-	epoch := c.epoch
-	if rtt > c.policy.Timeout {
-		// The response will arrive after the client gave up on it:
-		// count the timeout when the policy says so, and the stale
-		// drop when the late response lands.
-		c.health.Timeouts++
-		c.eng.ScheduleDaemon(rtt, func() {
-			if c.epoch == epoch {
-				c.health.StaleDrops++
-			}
-		})
-		c.eng.ScheduleDaemon(c.policy.Timeout, func() {
-			if c.epoch == epoch {
-				c.fail(c.eng.Now())
-			}
-		})
-		return
-	}
-	c.eng.ScheduleDaemon(rtt, func() {
-		if c.epoch != epoch || seq <= c.appliedHi {
+	r := &pending{epoch: c.epoch}
+	c.transport.Exchange(c.id, vec, func(resp Response, err error) {
+		if !c.deliver(r) || seq <= c.appliedHi {
 			c.health.StaleDrops++
 			return
 		}
-		c.appliedHi = seq
-		c.apply(vec, resp, c.eng.Now())
-	})
-}
-
-// sendAttemptAsync is the exchange attempt over an AsyncTransport. The
-// response may arrive at any later event, or never; a local timeout
-// daemon bounds the wait. The delivered/timedOut flags arbitrate the
-// race between the two continuations — both run on the client's shard,
-// so plain variables suffice.
-func (c *Client) sendAttemptAsync() {
-	seq := c.nextSeq
-	c.nextSeq++
-	c.health.Attempts++
-	vec := c.reporter.CostVector()
-	epoch := c.epoch
-	delivered, timedOut := false, false
-	c.eng.ScheduleDaemon(c.policy.Timeout, func() {
-		if delivered || c.epoch != epoch {
-			return
-		}
-		timedOut = true
-		c.health.Timeouts++
-		c.fail(c.eng.Now())
-	})
-	c.async.ExchangeAsync(c.id, vec, func(resp Response, err error) {
-		if c.epoch != epoch || timedOut || seq <= c.appliedHi {
-			c.health.StaleDrops++
-			return
-		}
-		delivered = true
 		if err != nil {
 			c.fail(c.eng.Now())
 			return
@@ -788,75 +685,20 @@ func (c *Client) sendAttemptAsync() {
 		c.appliedHi = seq
 		c.apply(vec, resp, c.eng.Now())
 	})
+	c.await(r)
 }
 
 // sendRegister performs the explicit post-restart handshake; on success
 // it chains straight into a normal exchange to re-seed the client's
 // remote-service view.
 func (c *Client) sendRegister() {
-	if c.async != nil {
-		c.sendRegisterAsync()
-		return
-	}
-	now := c.eng.Now()
 	c.health.Attempts++
-	rtt, err := c.transport.Register(c.id)
-	if err != nil {
-		c.fail(now)
-		return
-	}
-	epoch := c.epoch
-	finish := func() {
-		if c.epoch != epoch {
+	r := &pending{epoch: c.epoch}
+	c.transport.Register(c.id, func(err error) {
+		if !c.deliver(r) {
 			c.health.StaleDrops++
 			return
 		}
-		c.needRegister = false
-		c.health.ReRegisters++
-		c.attempt = 0
-		c.sendAttempt()
-	}
-	if rtt <= 0 {
-		finish()
-		return
-	}
-	if rtt > c.policy.Timeout {
-		c.health.Timeouts++
-		c.eng.ScheduleDaemon(rtt, func() {
-			if c.epoch == epoch {
-				c.health.StaleDrops++
-			}
-		})
-		c.eng.ScheduleDaemon(c.policy.Timeout, func() {
-			if c.epoch == epoch {
-				c.fail(c.eng.Now())
-			}
-		})
-		return
-	}
-	c.eng.ScheduleDaemon(rtt, finish)
-}
-
-// sendRegisterAsync is the registration handshake over an
-// AsyncTransport, mirroring sendAttemptAsync's timeout arbitration.
-func (c *Client) sendRegisterAsync() {
-	c.health.Attempts++
-	epoch := c.epoch
-	delivered, timedOut := false, false
-	c.eng.ScheduleDaemon(c.policy.Timeout, func() {
-		if delivered || c.epoch != epoch {
-			return
-		}
-		timedOut = true
-		c.health.Timeouts++
-		c.fail(c.eng.Now())
-	})
-	c.async.RegisterAsync(c.id, func(err error) {
-		if c.epoch != epoch || timedOut {
-			c.health.StaleDrops++
-			return
-		}
-		delivered = true
 		if err != nil {
 			c.fail(c.eng.Now())
 			return
@@ -866,6 +708,41 @@ func (c *Client) sendRegisterAsync() {
 		c.attempt = 0
 		c.sendAttempt()
 	})
+	c.await(r)
+}
+
+// pending is one request awaiting its response: the client epoch it
+// was sent in, and its timeout while one is armed.
+type pending struct {
+	epoch    uint64
+	timeout  sim.Event
+	arrived  bool
+	timedOut bool
+}
+
+// await arms the request's timeout, unless the response already
+// arrived inside the send: an in-process reply never arms a timer.
+func (c *Client) await(r *pending) {
+	if r.arrived {
+		return
+	}
+	r.timeout = c.eng.ScheduleDaemon(c.policy.Timeout, func() {
+		if c.epoch != r.epoch {
+			return
+		}
+		r.timedOut = true
+		c.health.Timeouts++
+		c.fail(c.eng.Now())
+	})
+}
+
+// deliver records the response's arrival, cancelling an armed timeout,
+// and reports whether the response is still current: not obsoleted by
+// a restart or detach, and not already given up on.
+func (c *Client) deliver(r *pending) bool {
+	r.arrived = true
+	c.eng.Cancel(r.timeout)
+	return c.epoch == r.epoch && !r.timedOut
 }
 
 // apply folds a successful response into the client's remote-service
@@ -1014,7 +891,7 @@ func (c *Client) degrade(now float64) {
 // Until that succeeds the client runs degraded — a freshly restarted
 // node has no basis for the delay rule.
 func (c *Client) Restart() {
-	if c.detached || c.link == nil {
+	if c.detached || c.transport == nil {
 		return
 	}
 	now := c.eng.Now()
@@ -1049,8 +926,8 @@ func (c *Client) Detach() {
 	c.epoch++
 	c.eng.Cancel(c.retryEv)
 	c.inRound = false
-	if c.link != nil {
-		c.link.Unregister(c.id)
+	if c.transport != nil {
+		c.transport.Unregister(c.id)
 	}
 }
 

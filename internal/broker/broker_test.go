@@ -88,8 +88,8 @@ func TestClientOtherService(t *testing.T) {
 	eng := sim.NewEngine()
 	r1 := fakeReporter{"A": 100}
 	r2 := fakeReporter{"A": 60}
-	c1 := NewClient(eng, b, "n1", r1, 1)
-	c2 := NewClient(eng, b, "n2", r2, 1)
+	c1 := NewClient(eng, "n1", r1, ClientOptions{Transport: NewDirectTransport(b), Period: 1})
+	c2 := NewClient(eng, "n2", r2, ClientOptions{Transport: NewDirectTransport(b), Period: 1})
 	c1.ExchangeNow()
 	c2.ExchangeNow()
 	c1.ExchangeNow() // refresh n1's view after n2 reported
@@ -110,7 +110,7 @@ func TestClientUnknownAppZero(t *testing.T) {
 
 func TestClientNilBrokerNoSync(t *testing.T) {
 	eng := sim.NewEngine()
-	c := NewClient(eng, nil, "n1", fakeReporter{"A": 5}, 1)
+	c := NewClient(eng, "n1", fakeReporter{"A": 5}, ClientOptions{Period: 1})
 	c.ExchangeNow()
 	if c.OtherService("A") != 0 {
 		t.Fatal("No Sync client returned non-zero other service")
@@ -123,7 +123,7 @@ func TestClientNilBrokerNoSync(t *testing.T) {
 func TestClientPeriodicDaemonTicks(t *testing.T) {
 	b := New()
 	eng := sim.NewEngine()
-	NewClient(eng, b, "n1", fakeReporter{"A": 7}, 1)
+	NewClient(eng, "n1", fakeReporter{"A": 7}, ClientOptions{Transport: NewDirectTransport(b), Period: 1})
 	// Daemon ticks alone must not keep the sim alive.
 	end := eng.Run()
 	if end != 0 {
@@ -140,7 +140,7 @@ func TestClientPeriodicDaemonTicks(t *testing.T) {
 func TestClientDefaultPeriod(t *testing.T) {
 	b := New()
 	eng := sim.NewEngine()
-	NewClient(eng, b, "n1", fakeReporter{}, 0) // invalid period -> 1s default
+	NewClient(eng, "n1", fakeReporter{}, ClientOptions{Transport: NewDirectTransport(b), Period: 0}) // invalid period -> 1s default
 	eng.Schedule(2.5, func() {})
 	eng.Run()
 	if got := b.Stats().Exchanges; got != 2 {
@@ -210,8 +210,8 @@ func TestCoordinationBalancesTotalService(t *testing.T) {
 	s1 := iosched.NewSFQD(eng, dev1, 1)
 	s2 := iosched.NewSFQD(eng, dev2, 1)
 	b := New()
-	c1 := NewClient(eng, b, "n1", s1.Accounting(), 0.5)
-	c2 := NewClient(eng, b, "n2", s2.Accounting(), 0.5)
+	c1 := NewClient(eng, "n1", s1.Accounting(), ClientOptions{Transport: NewDirectTransport(b), Period: 0.5})
+	c2 := NewClient(eng, "n2", s2.Accounting(), ClientOptions{Transport: NewDirectTransport(b), Period: 0.5})
 	s1.SetCoordinator(c1)
 	s2.SetCoordinator(c2)
 

@@ -19,8 +19,11 @@ func (m mapReporter) CostVector() map[iosched.AppID]float64 {
 	return out
 }
 
-// hookTransport scripts every leg of the protocol.
+// hookTransport scripts every leg of the protocol. A scripted rtt > 0
+// delivers the response that much later on eng; a failure, or a
+// response without delay, arrives inside the call.
 type hookTransport struct {
+	eng          *sim.Engine
 	exchange     func(id string, vec map[iosched.AppID]float64) (map[iosched.AppID]float64, float64, error)
 	register     func(id string) (float64, error)
 	unregistered []string
@@ -28,23 +31,38 @@ type hookTransport struct {
 
 // Exchange adapts the scripted per-app map into a Response, deriving
 // the implicit singleton tenant totals the real broker would send.
-func (h *hookTransport) Exchange(id string, vec map[iosched.AppID]float64) (Response, float64, error) {
+func (h *hookTransport) Exchange(id string, vec map[iosched.AppID]float64, done func(Response, error)) {
 	m, rtt, err := h.exchange(id, vec)
 	if err != nil {
-		return Response{}, rtt, err
+		done(Response{}, err)
+		return
 	}
 	resp := Response{Apps: m, Tenants: make(map[string]float64, len(m))}
 	for a, v := range m {
 		resp.Tenants[implicitTenant(a)] = v
 	}
-	return resp, rtt, nil
+	h.reply(rtt, func() { done(resp, nil) })
 }
 
-func (h *hookTransport) Register(id string) (float64, error) {
+func (h *hookTransport) Register(id string, done func(error)) {
 	if h.register == nil {
-		return 0, nil
+		done(nil)
+		return
 	}
-	return h.register(id)
+	rtt, err := h.register(id)
+	if err != nil {
+		done(err)
+		return
+	}
+	h.reply(rtt, func() { done(nil) })
+}
+
+func (h *hookTransport) reply(rtt float64, fn func()) {
+	if rtt <= 0 {
+		fn()
+		return
+	}
+	h.eng.ScheduleDaemon(rtt, fn)
 }
 
 func (h *hookTransport) Unregister(id string) { h.unregistered = append(h.unregistered, id) }
@@ -52,7 +70,7 @@ func (h *hookTransport) Unregister(id string) { h.unregistered = append(h.unregi
 // faultyClient builds a client on a scripted transport with a 1 s
 // period and no jitter-relevant knobs changed.
 func faultyClient(eng *sim.Engine, tr Transport, rep Reporter) *Client {
-	return NewClientWithOptions(eng, "n0", rep, ClientOptions{Transport: tr, Period: 1})
+	return NewClient(eng, "n0", rep, ClientOptions{Transport: tr, Period: 1})
 }
 
 func TestClientRetriesAndRecoversWithinRound(t *testing.T) {
@@ -87,7 +105,7 @@ func TestClientRetriesAndRecoversWithinRound(t *testing.T) {
 
 func TestClientBackoffIsExponentialAndBounded(t *testing.T) {
 	eng := sim.NewEngine()
-	c := NewClientWithOptions(eng, "n0", mapReporter{}, ClientOptions{
+	c := NewClient(eng, "n0", mapReporter{}, ClientOptions{
 		Transport: &hookTransport{exchange: func(string, map[iosched.AppID]float64) (map[iosched.AppID]float64, float64, error) {
 			return nil, 0, ErrUnavailable
 		}},
@@ -120,7 +138,7 @@ func TestClientDegradesAfterOnePeriodAndSuspendsScheduler(t *testing.T) {
 		}
 		return map[iosched.AppID]float64{}, 0, nil
 	}}
-	c := NewClientWithOptions(eng, "n0", sfq.Accounting(), ClientOptions{Transport: tr, Period: 1})
+	c := NewClient(eng, "n0", sfq.Accounting(), ClientOptions{Transport: tr, Period: 1})
 	c.BindScheduler(sfq)
 	sfq.SetCoordinator(c)
 
@@ -163,7 +181,7 @@ func TestClientDegradesAfterOnePeriodAndSuspendsScheduler(t *testing.T) {
 func TestClientTimeoutThenStaleResponseDropped(t *testing.T) {
 	eng := sim.NewEngine()
 	slow := true
-	tr := &hookTransport{exchange: func(id string, vec map[iosched.AppID]float64) (map[iosched.AppID]float64, float64, error) {
+	tr := &hookTransport{eng: eng, exchange: func(id string, vec map[iosched.AppID]float64) (map[iosched.AppID]float64, float64, error) {
 		if slow {
 			slow = false
 			// Response arrives after the 0.25 s default timeout.
@@ -193,7 +211,7 @@ func TestClientTimeoutThenStaleResponseDropped(t *testing.T) {
 func TestClientSerializesRounds(t *testing.T) {
 	eng := sim.NewEngine()
 	var calls int
-	tr := &hookTransport{exchange: func(id string, vec map[iosched.AppID]float64) (map[iosched.AppID]float64, float64, error) {
+	tr := &hookTransport{eng: eng, exchange: func(id string, vec map[iosched.AppID]float64) (map[iosched.AppID]float64, float64, error) {
 		calls++
 		if calls == 1 {
 			return map[iosched.AppID]float64{"a": 100}, 0.2, nil
@@ -230,9 +248,9 @@ func TestClientRestartWipesViewAndReRegisters(t *testing.T) {
 	eng := sim.NewEngine()
 	b := New()
 	rep := mapReporter{"a": 10}
-	other := NewClientWithOptions(eng, "n1", mapReporter{"a": 40}, ClientOptions{Transport: NewDirectTransport(b), Period: 1})
+	other := NewClient(eng, "n1", mapReporter{"a": 40}, ClientOptions{Transport: NewDirectTransport(b), Period: 1})
 	_ = other
-	c := NewClientWithOptions(eng, "n0", rep, ClientOptions{Transport: NewDirectTransport(b), Period: 1})
+	c := NewClient(eng, "n0", rep, ClientOptions{Transport: NewDirectTransport(b), Period: 1})
 	eng.Schedule(10, func() {})
 	eng.RunUntil(1.5)
 	if got := c.OtherService("a"); got != 40 {
@@ -434,7 +452,7 @@ func TestClientNoRetriesWhenDisabled(t *testing.T) {
 		calls++
 		return nil, 0, ErrUnavailable
 	}}
-	c := NewClientWithOptions(eng, "n0", mapReporter{}, ClientOptions{
+	c := NewClient(eng, "n0", mapReporter{}, ClientOptions{
 		Transport: tr, Period: 1, Retry: RetryPolicy{MaxRetries: -1},
 	})
 	eng.Schedule(3.5, func() {})
@@ -444,5 +462,90 @@ func TestClientNoRetriesWhenDisabled(t *testing.T) {
 	}
 	if h := c.Health(); h.Retries != 0 {
 		t.Errorf("retries = %d, want 0", h.Retries)
+	}
+}
+
+// delayedTransport delivers every response rtt seconds after the send,
+// the shape of a transport whose broker lives on another shard.
+type delayedTransport struct {
+	eng          *sim.Engine
+	b            *Broker
+	rtt          float64
+	unregistered []string
+}
+
+func (d *delayedTransport) Exchange(id string, vec map[iosched.AppID]float64, done func(Response, error)) {
+	d.eng.ScheduleDaemon(d.rtt, func() { done(d.b.Exchange(id, vec), nil) })
+}
+
+func (d *delayedTransport) Register(id string, done func(error)) {
+	d.eng.ScheduleDaemon(d.rtt, func() {
+		d.b.Register(id)
+		done(nil)
+	})
+}
+
+func (d *delayedTransport) Unregister(id string) {
+	d.unregistered = append(d.unregistered, id)
+	d.b.Unregister(id)
+}
+
+// TestClientOnDelayedTransport: a transport none of whose responses
+// arrive inside the call carries the whole client lifecycle — periodic
+// exchanges, the post-restart re-register handshake, and detach.
+func TestClientOnDelayedTransport(t *testing.T) {
+	eng := sim.NewEngine()
+	b := New()
+	tr := &delayedTransport{eng: eng, b: b, rtt: 0.01}
+	c := NewClient(eng, "n0", mapReporter{"a": 10}, ClientOptions{Transport: tr, Period: 1})
+	eng.Schedule(1.5, c.Restart)
+	eng.Schedule(2.5, func() {}) // keep the run alive past the second tick
+	eng.Run()
+
+	h := c.Health()
+	if h.ReRegisters != 1 {
+		t.Fatalf("re-registers = %d, want 1 (health %+v)", h.ReRegisters, h)
+	}
+	// Ticks at 1 and 2 plus the exchange chained after re-registering.
+	if c.Rounds() != 3 || c.State() != StateHealthy {
+		t.Fatalf("rounds = %d state = %v, want 3 healthy (health %+v)", c.Rounds(), c.State(), h)
+	}
+	if got := b.Total("a"); got != 10 {
+		t.Fatalf("broker total = %v, want 10", got)
+	}
+	c.Detach()
+	if len(tr.unregistered) != 1 || tr.unregistered[0] != "n0" {
+		t.Fatalf("unregistered = %v, want [n0]", tr.unregistered)
+	}
+}
+
+// TestClientTimeoutArmedOnlyWhileOutstanding pins the timeout rule: a
+// response inside the call arms no timer, and a delayed response
+// cancels the timer its send armed, so no timeout event ever fires on
+// a healthy transport.
+func TestClientTimeoutArmedOnlyWhileOutstanding(t *testing.T) {
+	for _, rtt := range []float64{0, 0.1} {
+		eng := sim.NewEngine()
+		tr := &hookTransport{eng: eng, exchange: func(string, map[iosched.AppID]float64) (map[iosched.AppID]float64, float64, error) {
+			return map[iosched.AppID]float64{}, rtt, nil
+		}}
+		c := faultyClient(eng, tr, mapReporter{"a": 1})
+		eng.Schedule(10.5, func() {})
+		eng.RunUntil(10.5)
+
+		// Ten ticks, the keep-alive, and one delivery per delayed round.
+		want := uint64(11)
+		if rtt > 0 {
+			want += 10
+		}
+		if eng.Fired() != want {
+			t.Errorf("rtt %g: fired %d events, want %d", rtt, eng.Fired(), want)
+		}
+		if c.Rounds() != 10 || c.Health().Timeouts != 0 {
+			t.Errorf("rtt %g: rounds = %d, health %+v; want 10 rounds, no timeouts", rtt, c.Rounds(), c.Health())
+		}
+		if eng.Pending() != 1 {
+			t.Errorf("rtt %g: %d events pending, want 1 (the next tick)", rtt, eng.Pending())
+		}
 	}
 }

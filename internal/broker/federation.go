@@ -40,7 +40,6 @@ import (
 	"fmt"
 
 	"ibis/internal/iosched"
-	"ibis/internal/sim"
 )
 
 // FedStats counts federation-plane traffic: the partition↔root sync
@@ -490,28 +489,3 @@ func (a *Aggregator) CheckConservation() error {
 	}
 	return nil
 }
-
-// PartitionTransport is the direct in-process transport to one
-// partition broker — the federated analog of NewDirectTransport, used
-// by single-engine tests. Exchange outcomes depend on virtual time
-// (leader outages, staleness), hence the engine.
-type PartitionTransport struct {
-	P   *Partition
-	Eng *sim.Engine
-}
-
-var _ Transport = (*PartitionTransport)(nil)
-
-// Exchange implements Transport.
-func (t *PartitionTransport) Exchange(id string, vec map[iosched.AppID]float64) (Response, float64, error) {
-	resp, err := t.P.Exchange(id, vec, t.Eng.Now())
-	return resp, 0, err
-}
-
-// Register implements Transport.
-func (t *PartitionTransport) Register(id string) (float64, error) {
-	return 0, t.P.Register(id, t.Eng.Now())
-}
-
-// Unregister implements Transport.
-func (t *PartitionTransport) Unregister(id string) { t.P.Unregister(id) }

@@ -461,7 +461,7 @@ func (c *Cluster) attach(n *Node, eng *sim.Engine, dev string, s iosched.Schedul
 	if !ok {
 		return
 	}
-	var tr broker.Endpoint = c.transport
+	tr := c.transport
 	switch {
 	case c.fed != nil:
 		p := c.fed.partOf(n.Index, c.cfg.Nodes)
@@ -469,7 +469,7 @@ func (c *Cluster) attach(n *Node, eng *sim.Engine, dev string, s iosched.Schedul
 	case n.shard != c.coord:
 		tr = &asyncTransport{to: centralTarget{c.Broker}, inj: c.cfg.Faults, shard: n.shard, at: c.coord}
 	}
-	client := broker.NewClientWithOptions(eng, id, sfq.Accounting(), broker.ClientOptions{
+	client := broker.NewClient(eng, id, sfq.Accounting(), broker.ClientOptions{
 		Transport: tr,
 		Period:    c.cfg.CoordinationPeriod,
 		Retry:     c.cfg.Retry,

@@ -210,7 +210,7 @@ type asyncTransport struct {
 	seq   uint64           // per-client fate counter, advanced on the target's shard
 }
 
-var _ broker.AsyncTransport = (*asyncTransport)(nil)
+var _ broker.Transport = (*asyncTransport)(nil)
 
 // roundTrip delivers one message from client id to the target's shard
 // and rolls its fate there. Unless the request is lost, apply runs
@@ -246,8 +246,8 @@ func (t *asyncTransport) roundTrip(id string, apply func(now float64) error, rep
 	})
 }
 
-// ExchangeAsync implements broker.AsyncTransport.
-func (t *asyncTransport) ExchangeAsync(id string, vec map[iosched.AppID]float64, done func(broker.Response, error)) {
+// Exchange implements broker.Transport.
+func (t *asyncTransport) Exchange(id string, vec map[iosched.AppID]float64, done func(broker.Response, error)) {
 	var resp broker.Response
 	t.roundTrip(id, func(now float64) (err error) {
 		resp, err = t.to.Exchange(id, vec, now)
@@ -255,12 +255,12 @@ func (t *asyncTransport) ExchangeAsync(id string, vec map[iosched.AppID]float64,
 	}, func(err error) { done(resp, err) })
 }
 
-// RegisterAsync implements broker.AsyncTransport.
-func (t *asyncTransport) RegisterAsync(id string, done func(error)) {
+// Register implements broker.Transport.
+func (t *asyncTransport) Register(id string, done func(error)) {
 	t.roundTrip(id, func(now float64) error { return t.to.Register(id, now) }, done)
 }
 
-// Unregister implements broker.Endpoint. Out-of-band death detection
+// Unregister implements broker.Transport. Out-of-band death detection
 // crosses the fabric like everything else, free of message faults; it
 // is called from the client's shard (Detach).
 func (t *asyncTransport) Unregister(id string) {

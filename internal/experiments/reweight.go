@@ -3,6 +3,7 @@ package experiments
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"strings"
 
 	"ibis/internal/audit"
@@ -85,10 +86,10 @@ func Reweight(spec ReweightSpec) (*ReweightResult, error) {
 	if spec.App != "hot" && spec.App != "base" {
 		return nil, fmt.Errorf("reweight: app %q not in the microbenchmark (want hot or base)", spec.App)
 	}
-	if spec.Weight <= 0 {
-		return nil, fmt.Errorf("reweight: weight %g must be positive", spec.Weight)
+	if !(spec.Weight > 0) || math.IsInf(spec.Weight, 1) {
+		return nil, fmt.Errorf("reweight: weight %g must be positive and finite", spec.Weight)
 	}
-	if spec.At <= 2 || spec.At >= reweightHorizon-5 {
+	if !(spec.At > 2 && spec.At < reweightHorizon-5) {
 		return nil, fmt.Errorf("reweight: t=%g outside the measurable (2, %d) range", spec.At, reweightHorizon-5)
 	}
 	eng := sim.NewEngine()

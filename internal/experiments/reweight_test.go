@@ -59,6 +59,13 @@ func TestReweightSpecValidation(t *testing.T) {
 		{At: 30, App: "hot", Weight: 0},
 		{At: 0, App: "hot", Weight: 8},
 		{At: 59, App: "hot", Weight: 8},
+		// NaN and infinities parse as floats from the flag: a NaN
+		// weight slips past a "<= 0" check and fails inside the share
+		// tree mid-run; a NaN time passes a range check built from
+		// "<=" and ">=" and the reweight never fires.
+		{At: 30, App: "hot", Weight: math.NaN()},
+		{At: 30, App: "hot", Weight: math.Inf(1)},
+		{At: math.NaN(), App: "hot", Weight: 8},
 	} {
 		if _, err := Reweight(spec); err == nil {
 			t.Errorf("spec %+v accepted", spec)

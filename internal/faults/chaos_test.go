@@ -203,3 +203,39 @@ func TestChaosGolden(t *testing.T) {
 		t.Errorf("outcome:\n%s\nwant:\n%s", got, want)
 	}
 }
+
+// TestChaosLateResponseGolden pins the late-response regime: half of
+// all responses are delayed by up to 0.6 s, past the 0.25 s timeout,
+// while a dozen restarts obsolete attempts in flight. The pin holds
+// everything the client's choices feed into — service totals, attempt
+// outcomes, degradation history, restarts and audit tallies — and the
+// run must actually have timed out and dropped late responses.
+// Timeouts, stale drops and the fired-event count are left unpinned:
+// they depend on how a late response is booked against a restart in
+// between, not on the coordination the cluster received.
+func TestChaosLateResponseGolden(t *testing.T) {
+	want := []string{
+		"{Fired:0 Wide:2.4508e+10 Narrow:5.464e+09 Health:attempts=1331 ok=509 fail=804 timeout=0 retries=687 skipped=131 stale=0 degraded=37 recovered=37 degraded-time=91.1s restarts=12 reregisters=12 Violations:0 DegradedChecks:0 TotalChecks:0} degraded-time=91.09450335818546",
+		"{Fired:0 Wide:2.3888e+10 Narrow:5.892e+09 Health:attempts=1296 ok=540 fail=738 timeout=0 retries=651 skipped=101 stale=0 degraded=41 recovered=41 degraded-time=57.6s restarts=12 reregisters=12 Violations:0 DegradedChecks:0 TotalChecks:0} degraded-time=57.59406300841117",
+		"{Fired:0 Wide:2.4606e+10 Narrow:5.314e+09 Health:attempts=1295 ok=505 fail=770 timeout=0 retries=657 skipped=132 stale=0 degraded=39 recovered=39 degraded-time=81.9s restarts=12 reregisters=12 Violations:0 DegradedChecks:1 TotalChecks:1} degraded-time=81.87742013630248",
+		"{Fired:0 Wide:2.443e+10 Narrow:5.602e+09 Health:attempts=1275 ok=549 fail=708 timeout=0 retries=634 skipped=93 stale=0 degraded=40 recovered=40 degraded-time=48.6s restarts=12 reregisters=12 Violations:0 DegradedChecks:0 TotalChecks:0} degraded-time=48.58863549573177",
+		"{Fired:0 Wide:2.4506e+10 Narrow:5.318e+09 Health:attempts=1289 ok=534 fail=736 timeout=0 retries=649 skipped=104 stale=0 degraded=33 recovered=33 degraded-time=67.6s restarts=12 reregisters=12 Violations:0 DegradedChecks:0 TotalChecks:0} degraded-time=67.63377068373835",
+	}
+	for i, w := range want {
+		seed := int64(i + 1)
+		spec := chaosSpec(seed, 8)
+		spec.DelayProb = 0.5
+		spec.DelayMax = 0.6
+		spec.RestartCount = 12
+		out := chaosRun(t, spec, 8)
+		if out.Health.Timeouts == 0 || out.Health.StaleDrops == 0 {
+			t.Errorf("seed %d: timeouts=%d stale=%d, want both > 0: no response outlived its timeout",
+				seed, out.Health.Timeouts, out.Health.StaleDrops)
+		}
+		out.Fired, out.Health.Timeouts, out.Health.StaleDrops = 0, 0, 0
+		got := fmt.Sprintf("%+v degraded-time=%v", out, out.Health.DegradedTime)
+		if got != w {
+			t.Errorf("seed %d outcome:\n%s\nwant:\n%s", seed, got, w)
+		}
+	}
+}

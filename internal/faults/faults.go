@@ -436,11 +436,12 @@ func itoa(i int) string {
 	return string(buf[pos:])
 }
 
-// Transport implements broker.Transport with the injector's faults
-// applied to every round trip. The uplink is modeled as instantaneous
-// (the broker applies a surviving report at send time); rtt delays only
-// the response's arrival at the client, which is where loss, staleness
-// and reordering matter for the protocol.
+// Transport is the message protocol to a broker on the client's own
+// engine, with the injector's faults applied to every round trip. The
+// uplink is instantaneous (the broker applies a surviving report at
+// send time), so a failure is known at once and reported to the client
+// inside the call; a delayed response arrives through a daemon event,
+// which is where staleness, timeouts and reordering matter.
 type Transport struct {
 	eng *sim.Engine
 	inj *Injector
@@ -455,46 +456,43 @@ func NewTransport(eng *sim.Engine, inj *Injector, b *broker.Broker) *Transport {
 	return &Transport{eng: eng, inj: inj, b: b}
 }
 
-// fate rolls the next message's fate. The sequence counter is shared
-// by every client on this transport: single-engine runs have one global
-// message order.
-func (t *Transport) fate(id string) MsgFate {
+// roundTrip rolls the next message's fate; unless the request is lost
+// it runs apply against the broker, and unless the response is lost it
+// delivers reply, after the rolled delay. The sequence counter is
+// shared by every client on this transport: single-engine runs have
+// one global message order.
+func (t *Transport) roundTrip(id string, apply func(), reply func(error)) {
 	f := t.inj.Fate(id, t.seq, t.eng.Now())
 	t.seq++
-	return f
+	switch {
+	case f.Unavailable:
+		reply(broker.ErrUnavailable)
+		return
+	case f.ReqDrop:
+		reply(broker.ErrLost)
+		return
+	}
+	apply()
+	switch {
+	case f.RespDrop:
+		reply(broker.ErrLost)
+	case f.Delay > 0:
+		t.eng.ScheduleDaemon(f.Delay, func() { reply(nil) })
+	default:
+		reply(nil)
+	}
 }
 
 // Exchange implements broker.Transport.
-func (t *Transport) Exchange(id string, vec map[iosched.AppID]float64) (broker.Response, float64, error) {
-	f := t.fate(id)
-	switch {
-	case f.Unavailable:
-		return broker.Response{}, 0, broker.ErrUnavailable
-	case f.ReqDrop:
-		return broker.Response{}, 0, broker.ErrLost
-	}
-	resp := t.b.Exchange(id, vec)
-	if f.RespDrop {
-		return broker.Response{}, 0, broker.ErrLost
-	}
-	return resp, f.Delay, nil
+func (t *Transport) Exchange(id string, vec map[iosched.AppID]float64, done func(broker.Response, error)) {
+	var resp broker.Response
+	t.roundTrip(id, func() { resp = t.b.Exchange(id, vec) }, func(err error) { done(resp, err) })
 }
 
 // Register implements broker.Transport: the handshake rides the same
 // faulty channel as exchanges.
-func (t *Transport) Register(id string) (float64, error) {
-	f := t.fate(id)
-	switch {
-	case f.Unavailable:
-		return 0, broker.ErrUnavailable
-	case f.ReqDrop:
-		return 0, broker.ErrLost
-	}
-	t.b.Register(id)
-	if f.RespDrop {
-		return 0, broker.ErrLost
-	}
-	return f.Delay, nil
+func (t *Transport) Register(id string, done func(error)) {
+	t.roundTrip(id, func() { t.b.Register(id) }, done)
 }
 
 // Unregister implements broker.Transport. Node death is detected out

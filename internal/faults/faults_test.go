@@ -184,6 +184,19 @@ func TestClientIDs(t *testing.T) {
 	}
 }
 
+// exchangeNow sends one exchange whose reply must arrive inside the
+// call (a failure, or a response without delay) and returns its error.
+func exchangeNow(t *testing.T, tr *Transport, id string, vec map[iosched.AppID]float64) error {
+	t.Helper()
+	var got error
+	arrived := false
+	tr.Exchange(id, vec, func(_ broker.Response, err error) { got, arrived = err, true })
+	if !arrived {
+		t.Fatalf("exchange from %s: no reply inside the call", id)
+	}
+	return got
+}
+
 func TestTransportOutageAndPartition(t *testing.T) {
 	eng := sim.NewEngine()
 	b := broker.New()
@@ -193,22 +206,24 @@ func TestTransportOutageAndPartition(t *testing.T) {
 	}), b)
 
 	vec := map[iosched.AppID]float64{"a": 1}
-	if _, _, err := tr.Exchange("n0", vec); err != nil {
+	if err := exchangeNow(t, tr, "n0", vec); err != nil {
 		t.Fatalf("healthy exchange failed: %v", err)
 	}
 	eng.Schedule(15, func() {
-		if _, _, err := tr.Exchange("n0", vec); err != broker.ErrUnavailable {
+		if err := exchangeNow(t, tr, "n0", vec); err != broker.ErrUnavailable {
 			t.Errorf("exchange during outage: err = %v, want ErrUnavailable", err)
 		}
-		if _, err := tr.Register("n0"); err != broker.ErrUnavailable {
+		var err error
+		tr.Register("n0", func(e error) { err = e })
+		if err != broker.ErrUnavailable {
 			t.Errorf("register during outage: err = %v, want ErrUnavailable", err)
 		}
 	})
 	eng.Schedule(35, func() {
-		if _, _, err := tr.Exchange("n0", vec); err != broker.ErrUnavailable {
+		if err := exchangeNow(t, tr, "n0", vec); err != broker.ErrUnavailable {
 			t.Errorf("exchange while partitioned: err = %v, want ErrUnavailable", err)
 		}
-		if _, _, err := tr.Exchange("n1", vec); err != nil {
+		if err := exchangeNow(t, tr, "n1", vec); err != nil {
 			t.Errorf("unpartitioned peer blocked: %v", err)
 		}
 	})
@@ -220,7 +235,7 @@ func TestTransportRequestDropNeverReachesBroker(t *testing.T) {
 	b := broker.New()
 	tr := NewTransport(eng, New(Spec{DropProb: 1}), b)
 	b.Register("n0")
-	if _, _, err := tr.Exchange("n0", map[iosched.AppID]float64{"a": 7}); err != broker.ErrLost {
+	if err := exchangeNow(t, tr, "n0", map[iosched.AppID]float64{"a": 7}); err != broker.ErrLost {
 		t.Fatalf("err = %v, want ErrLost", err)
 	}
 	if got := b.Total("a"); got != 0 {
@@ -233,7 +248,7 @@ func TestTransportResponseDropAppliesReport(t *testing.T) {
 	b := broker.New()
 	tr := NewTransport(eng, New(Spec{RespDropProb: 1}), b)
 	b.Register("n0")
-	if _, _, err := tr.Exchange("n0", map[iosched.AppID]float64{"a": 7}); err != broker.ErrLost {
+	if err := exchangeNow(t, tr, "n0", map[iosched.AppID]float64{"a": 7}); err != broker.ErrLost {
 		t.Fatalf("err = %v, want ErrLost", err)
 	}
 	// The loss is on the downlink: the broker did see the report. The
@@ -248,14 +263,23 @@ func TestTransportDelayBounds(t *testing.T) {
 	b := broker.New()
 	tr := NewTransport(eng, New(Spec{DelayProb: 1, DelayMin: 0.1, DelayMax: 0.2}), b)
 	b.Register("n0")
+	// Every exchange is sent at t=0, so its arrival time is its rtt.
+	arrivals := 0
 	for i := 0; i < 64; i++ {
-		_, rtt, err := tr.Exchange("n0", map[iosched.AppID]float64{"a": float64(i)})
-		if err != nil {
-			t.Fatalf("exchange %d: %v", i, err)
-		}
-		if rtt < 0.1 || rtt > 0.2 {
-			t.Fatalf("rtt %v outside [0.1, 0.2]", rtt)
-		}
+		tr.Exchange("n0", map[iosched.AppID]float64{"a": float64(i)}, func(_ broker.Response, err error) {
+			arrivals++
+			if err != nil {
+				t.Fatalf("exchange %d: %v", i, err)
+			}
+			if rtt := eng.Now(); rtt < 0.1 || rtt > 0.2 {
+				t.Fatalf("rtt %v outside [0.1, 0.2]", rtt)
+			}
+		})
+	}
+	eng.Schedule(1, func() {}) // responses are daemon events; keep the run alive past them
+	eng.Run()
+	if arrivals != 64 {
+		t.Fatalf("%d of 64 responses arrived", arrivals)
 	}
 }
 

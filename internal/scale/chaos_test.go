@@ -1,7 +1,7 @@
 package scale
 
-// Chaos-at-scale: a 200-node hollow cluster coordinating through
-// broker.AsyncTransport while the fault injector runs a full broker
+// Chaos-at-scale: a 200-node hollow cluster coordinating across the
+// fabric's shards while the fault injector runs a full broker
 // outage, partitions individual clients, and drops/delays exchange
 // messages. The run must stay audit-clean (the degrade observer marks
 // the graceful fallback to local fairness during disconnection) and —

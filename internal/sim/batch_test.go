@@ -196,8 +196,9 @@ func TestWheelSameTickCrossLevelTie(t *testing.T) {
 	// flushing the tie's slot early — the tie event must still be
 	// wheel-resident at a higher level when the near filing arrives.
 	e.At(tie-0.5, func() { fired = append(fired, 3) })
-	e.RunUntil(tie - 1.1) // cursor now within a slot of the tie tick
-	e.At(tie, func() { fired = append(fired, 2) }) // near: level 0
+	e.RunUntil(tie - 1.1) // the cursor is now within a slot of the tie tick
+	// Filed near, at level 0.
+	e.At(tie, func() { fired = append(fired, 2) })
 	e.Run()
 	want := []int{1, 3, 0, 2}
 	if len(fired) != len(want) {

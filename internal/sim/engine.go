@@ -24,7 +24,7 @@ type event struct {
 	gen    uint64
 	next   *event // intrusive links while resident in a timing-wheel slot
 	prev   *event
-	index  int32  // position in Engine.queue when >= 0; see wheel.go markers
+	index  int32 // position in Engine.queue when >= 0; see wheel.go markers
 	daemon bool
 }
 
