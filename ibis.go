@@ -414,10 +414,11 @@ func (s *Simulation) Cluster() *cluster.Cluster { return s.cl }
 // units) the Scheduling Broker has recorded for an app; zero without
 // coordination.
 func (s *Simulation) BrokerTotal(app AppID) float64 {
-	if s.cl.Broker == nil {
-		return 0
+	var total float64
+	for _, p := range s.cl.Partitions() {
+		total += p.Broker().Total(app)
 	}
-	return s.cl.Broker.Total(app)
+	return total
 }
 
 // DeviceStats aggregates cluster-wide storage counters.

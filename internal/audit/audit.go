@@ -373,10 +373,10 @@ func (a *Auditor) skipWindow(ws, we float64) bool {
 }
 
 // Attach audits cl. It registers the coordination plane — the
-// centralized broker, or else the federation root (live, on the
-// coordinator shard) plus every partition broker (checked at Finish) —
-// and probes the schedulers of every every-th node (every ≤ 1: all of
-// them) through cluster.Instrument. It also routes those schedulers'
+// federation root, if any, and every partition broker, live on the
+// coordinator shard and at Finish on a shard of their own — and probes
+// the schedulers of every every-th node (every ≤ 1: all of them)
+// through cluster.Instrument. It also routes those schedulers'
 // degrade and recovery notes and the share tree's transitions here as
 // NoteDegradeStart/End and NoteEpochChange. Tenant checks still need
 // SetShares. Attach before the simulation runs.
@@ -385,12 +385,13 @@ func (a *Auditor) Attach(cl *cluster.Cluster, every int) {
 		every = 1
 	}
 	coord := cl.CoordShard().ID()
-	if cl.Broker != nil {
-		a.AttachBroker(coord, cl.Broker)
-	}
 	if root := cl.FederationRoot(); root != nil {
 		a.attachAggregator(coord, root)
-		for _, p := range cl.Partitions() {
+	}
+	for i, p := range cl.Partitions() {
+		if cl.PartitionShard(i) == coord {
+			a.AttachBroker(coord, p.Broker())
+		} else {
 			a.attachBrokerDeferred(p.Broker())
 		}
 	}

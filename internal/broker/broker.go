@@ -70,6 +70,14 @@ func (s Stats) BytesApprox() uint64 {
 	return (s.EntriesUp + s.EntriesDown + s.TenantEntriesDown) * 24
 }
 
+// Merge folds other into s.
+func (s *Stats) Merge(o Stats) {
+	s.Exchanges += o.Exchanges
+	s.EntriesUp += o.EntriesUp
+	s.EntriesDown += o.EntriesDown
+	s.TenantEntriesDown += o.TenantEntriesDown
+}
+
 // Broker is the centralized aggregation point. It keeps, per reporting
 // scheduler, the last cumulative service vector, and maintains the
 // per-application totals incrementally — the state is "simply a vector

@@ -22,7 +22,10 @@
 // needs eventually-consistent remote totals, so the hierarchy's extra
 // staleness (≤ 2 aggregation periods plus the round trip) widens the
 // audit's fairness bound rather than breaking it; the audit's
-// share-federated regime makes that bound explicit.
+// share-federated regime makes that bound explicit. A partition that
+// never syncs — the lone partition of a one-partition plane — has no
+// downlink, so the remote term is 0 and its responses are exactly the
+// centralized broker's.
 //
 // Failure model. A partition leader can be down (SetDownOracle):
 // exchanges and registrations fail with ErrUnavailable — clients
@@ -177,8 +180,8 @@ func (p *Partition) Register(scheduler string, now float64) error {
 	return nil
 }
 
-// Unregister removes a scheduler (out-of-band death detection; not
-// gated on leader health, matching the centralized transport).
+// Unregister removes a scheduler (out-of-band death detection, so not
+// gated on leader health).
 func (p *Partition) Unregister(scheduler string) { p.b.Unregister(scheduler) }
 
 // remoteTenant is the service tenant t received outside this partition,

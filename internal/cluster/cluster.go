@@ -112,14 +112,14 @@ type Config struct {
 	// (default 1, piggybacked on heartbeats in the prototype).
 	CoordinationPeriod float64
 	// Federation splits the broker plane into partition brokers under a
-	// root aggregator (sharded assembly only). The zero value keeps the
-	// centralized broker.
+	// root aggregator (sharded assembly only). The zero value is one
+	// partition broker on the coordinator shard.
 	Federation Federation
 	// Faults, when non-nil, injects the compiled fault schedule into
-	// the coordination plane: exchanges flow through a faulty
-	// transport, scheduler restarts and device-degradation windows are
-	// armed on the engine. Nil keeps the reliable direct transport —
-	// the pre-fault fast path.
+	// the coordination plane: exchanges suffer its message faults,
+	// outages and leader outages, and scheduler restarts and
+	// device-degradation windows are armed on the engines. Nil keeps
+	// every message reliable.
 	Faults *faults.Injector
 	// Retry tunes the clients' failure handling; zero fields take
 	// defaults derived from CoordinationPeriod.
@@ -235,15 +235,13 @@ func (n *Node) FreeMemGB() float64 { return n.MemGB - n.UsedMemGB }
 type Cluster struct {
 	Eng    *sim.Engine
 	Nodes  []*Node
-	Broker *broker.Broker
 	cfg    Config
 	shares *shares.Tree
 
 	coord     *sim.Shard   // the coordinator shard, wrapping Eng
 	fabric    *sim.Fabric  // nil in single-engine mode
 	meta      []*sim.Shard // dedicated metadata shards (sharded mode)
-	fed       *fedPlane    // nil when the broker plane is centralized
-	transport broker.Transport
+	plane     *brokerPlane // nil without coordination
 	clients   []ClientRef
 	byID      map[string]*broker.Client
 	devByName map[string]*storage.Device
@@ -278,6 +276,9 @@ func New(eng *sim.Engine, cfg Config) (*Cluster, error) {
 // shard's engine).
 func assemble(eng *sim.Engine, fab *sim.Fabric, cfg Config) (*Cluster, error) {
 	cfg.defaults()
+	if err := cfg.Federation.validate(cfg, fab != nil); err != nil {
+		return nil, err
+	}
 	var hdfsCtrl, localCtrl iosched.ControllerConfig
 	if cfg.Policy == SFQD2 {
 		var err error
@@ -309,23 +310,7 @@ func assemble(eng *sim.Engine, fab *sim.Fabric, cfg Config) (*Cluster, error) {
 		c.coord = sim.NewShard(eng)
 	}
 	if cfg.Coordinate {
-		if cfg.Federation.Enabled() {
-			if err := c.buildFederation(fab, cfg); err != nil {
-				return nil, err
-			}
-		} else {
-			c.Broker = broker.New()
-			c.Broker.SetShares(c.shares)
-			switch {
-			case fab != nil:
-				// Sharded: each client gets its own async transport bound
-				// to its node's shard (built in attach); no shared one.
-			case cfg.Faults != nil:
-				c.transport = faults.NewTransport(eng, cfg.Faults, c.Broker)
-			default:
-				c.transport = broker.NewDirectTransport(c.Broker)
-			}
-		}
+		c.buildBrokerPlane(fab, cfg)
 	}
 	for i := 0; i < cfg.Nodes; i++ {
 		n := &Node{
@@ -363,7 +348,7 @@ func assemble(eng *sim.Engine, fab *sim.Fabric, cfg Config) (*Cluster, error) {
 			}
 		}
 
-		if c.Broker != nil || c.fed != nil {
+		if c.plane != nil {
 			c.attach(n, nodeEng, "hdfs", n.HDFSSched, fmt.Sprintf("node%d-hdfs", i))
 			if !cfg.Hollow {
 				c.attach(n, nodeEng, "local", n.LocalSched, fmt.Sprintf("node%d-local", i))
@@ -452,22 +437,22 @@ func (l *linkBackend) Submit(_ storage.OpKind, size float64, onDone func(float64
 	})
 }
 
-// attach connects an SFQ scheduler to the broker; non-SFQ schedulers
-// cannot coordinate and are skipped. The client lives on the node's
-// engine; when that is not the broker's shard, its exchanges cross the
-// fabric through a per-client async transport.
+// attach connects an SFQ scheduler to its partition broker; non-SFQ
+// schedulers cannot coordinate and are skipped. The client lives on
+// the node's engine and reaches the partition through its own
+// asyncTransport, except on one engine with faults, where every client
+// shares the faults package's transport (DESIGN §9 says why).
 func (c *Cluster) attach(n *Node, eng *sim.Engine, dev string, s iosched.Scheduler, id string) {
 	sfq, ok := s.(*iosched.SFQ)
 	if !ok {
 		return
 	}
-	tr := c.transport
-	switch {
-	case c.fed != nil:
-		p := c.fed.partOf(n.Index, c.cfg.Nodes)
-		tr = &asyncTransport{to: c.fed.parts[p], inj: c.cfg.Faults, shard: n.shard, at: c.fed.shards[p]}
-	case n.shard != c.coord:
-		tr = &asyncTransport{to: centralTarget{c.Broker}, inj: c.cfg.Faults, shard: n.shard, at: c.coord}
+	var tr broker.Transport
+	if c.plane.local != nil {
+		tr = c.plane.local
+	} else {
+		p := c.plane.partOf(n.Index, c.cfg.Nodes)
+		tr = &asyncTransport{to: c.plane.parts[p], inj: c.cfg.Faults, shard: n.shard, at: c.plane.shards[p]}
 	}
 	client := broker.NewClient(eng, id, sfq.Accounting(), broker.ClientOptions{
 		Transport: tr,
@@ -498,41 +483,18 @@ func (c *Cluster) DetachNode(i int) {
 	}
 }
 
-// RetireApp tells the broker the application has finished cluster-wide:
-// its totals are dropped and late straggler reports for it are ignored,
-// so a long-lived AppID cannot haunt future jobs with stale service.
-// No-op without coordination.
+// RetireApp tells every partition broker the application has finished
+// cluster-wide: its totals are dropped and late straggler reports for
+// it are ignored, so a long-lived AppID cannot haunt future jobs with
+// stale service. No-op without coordination.
 func (c *Cluster) RetireApp(app iosched.AppID) {
-	if c.fed != nil {
-		c.fedEachPartition(func(p *broker.Partition) { p.Broker().Retire(app) })
-		return
-	}
-	if c.Broker != nil {
-		c.Broker.Retire(app)
-	}
+	c.eachPartition(func(b *broker.Broker) { b.Retire(app) })
 }
 
 // ReviveApp undoes RetireApp for a reused AppID (e.g. consecutive Hive
 // stages). No-op without coordination.
 func (c *Cluster) ReviveApp(app iosched.AppID) {
-	if c.fed != nil {
-		c.fedEachPartition(func(p *broker.Partition) { p.Broker().Revive(app) })
-		return
-	}
-	if c.Broker != nil {
-		c.Broker.Revive(app)
-	}
-}
-
-// fedEachPartition runs fn against every partition broker on its own
-// shard (one daemon hop from the coordinator, whose context retire and
-// revive are called from). The next uplink of each partition carries
-// the resulting state change to the root as explicit-zero deltas.
-func (c *Cluster) fedEachPartition(fn func(*broker.Partition)) {
-	for i, part := range c.fed.parts {
-		part := part
-		c.fed.rootShard.PostDaemon(c.fed.shards[i].ID(), 0, func() { fn(part) })
-	}
+	c.eachPartition(func(b *broker.Broker) { b.Revive(app) })
 }
 
 // CoordinationHealth merges the failure-handling counters of every

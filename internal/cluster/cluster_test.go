@@ -124,11 +124,14 @@ func TestNICContention(t *testing.T) {
 
 func TestCoordinationCreatesBroker(t *testing.T) {
 	_, c := newCluster(t, Config{Nodes: 2, Policy: SFQD, Coordinate: true})
-	if c.Broker == nil {
-		t.Fatal("Coordinate=true but no broker")
+	if got := len(c.Partitions()); got != 1 {
+		t.Fatalf("Coordinate=true: %d partition brokers, want 1", got)
+	}
+	if c.FederationRoot() != nil {
+		t.Fatal("one partition but a federation root")
 	}
 	_, c2 := newCluster(t, Config{Nodes: 2, Policy: SFQD})
-	if c2.Broker != nil {
+	if c2.Partitions() != nil {
 		t.Fatal("Coordinate=false but broker present")
 	}
 }
@@ -138,7 +141,7 @@ func TestCoordinatedSchedulersReport(t *testing.T) {
 	c.Nodes[0].SubmitIO(&iosched.Request{App: "A", Shares: iosched.FixedWeight(1), Class: iosched.PersistentRead, Size: 10e6})
 	eng.Schedule(3, func() {}) // keep alive for a few exchanges
 	eng.Run()
-	if c.Broker.Total("A") <= 0 {
+	if c.Partitions()[0].Broker().Total("A") <= 0 {
 		t.Fatal("broker never learned about app A's service")
 	}
 }
@@ -213,5 +216,44 @@ func TestSSDClusterBuilds(t *testing.T) {
 	})
 	if c.Nodes[0].HDFS.Spec().Name != "ssd" {
 		t.Fatal("SSD spec not applied")
+	}
+}
+
+// TestFederationValidation: a partitioning the assembly cannot honour
+// is an error from every constructor, not a silently centralized plane.
+func TestFederationValidation(t *testing.T) {
+	fo := sim.FabricOptions{Workers: 1}
+	cases := []struct {
+		name  string
+		build func(Config) (*Cluster, error)
+		cfg   Config
+		want  string
+	}{
+		{"uncoordinated sharded", func(c Config) (*Cluster, error) { return NewSharded(c, 0, fo) },
+			Config{Nodes: 4, Policy: SFQD, Federation: Federation{Partitions: 2}}, "without Coordinate"},
+		{"uncoordinated hollow", func(c Config) (*Cluster, error) { return NewHollowSharded(c, 0, fo) },
+			Config{Nodes: 4, Policy: SFQD, Federation: Federation{Partitions: 2}}, "without Coordinate"},
+		{"uncoordinated one engine", func(c Config) (*Cluster, error) { return New(sim.NewEngine(), c) },
+			Config{Nodes: 4, Policy: SFQD, Federation: Federation{Partitions: 2}}, "without Coordinate"},
+		{"one engine", func(c Config) (*Cluster, error) { return New(sim.NewEngine(), c) },
+			Config{Nodes: 4, Policy: SFQD, Coordinate: true, Federation: Federation{Partitions: 2}}, "sharded assembly"},
+		{"more partitions than nodes", func(c Config) (*Cluster, error) { return NewSharded(c, 0, fo) },
+			Config{Nodes: 2, Policy: SFQD, Coordinate: true, Federation: Federation{Partitions: 3}}, "exceed"},
+	}
+	for _, tc := range cases {
+		_, err := tc.build(tc.cfg)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one mentioning %q", tc.name, err, tc.want)
+		}
+	}
+	// One partition is the plane's default, with or without sharding.
+	for _, p := range []int{0, 1} {
+		c, err := NewSharded(Config{Nodes: 2, Policy: SFQD, Coordinate: true, Federation: Federation{Partitions: p}}, 0, fo)
+		if err != nil {
+			t.Fatalf("Partitions=%d: %v", p, err)
+		}
+		if got := len(c.Partitions()); got != 1 || c.PartitionShard(0) != c.CoordShard().ID() {
+			t.Errorf("Partitions=%d: %d partitions, first on shard %d, want 1 on the coordinator", p, got, c.PartitionShard(0))
+		}
 	}
 }

@@ -99,13 +99,13 @@ func TestDetachNodeUnregistersClients(t *testing.T) {
 	keepBusy(eng, c.Nodes[1], "A", 4, &s1)
 	eng.Schedule(2, func() {
 		c.DetachNode(1)
-		if got := len(c.Broker.Schedulers()); got != 2 {
+		if got := len(c.Partitions()[0].Broker().Schedulers()); got != 2 {
 			t.Errorf("schedulers after detach = %d, want 2", got)
 		}
 	})
 	eng.Schedule(5, func() {})
 	eng.Run()
-	for _, id := range c.Broker.Schedulers() {
+	for _, id := range c.Partitions()[0].Broker().Schedulers() {
 		if id == "node1-hdfs" || id == "node1-local" {
 			t.Errorf("detached client %s re-registered", id)
 		}

@@ -7,18 +7,21 @@
 // gives each its own. The node code is the same for both: a datanode's
 // devices, NICs, schedulers and coordination clients live on its
 // node's shard, I/O submits are calls on that shard, and every edge to
-// another node — a NIC-to-NIC hop, a completion, a broker exchange —
-// is a Shard.Post. On one shard a post to itself is a direct call, so
-// a single-engine cluster runs exactly the zero-latency model; across
-// shards each post is a timestamped message.
+// another node or to its partition broker — a NIC-to-NIC hop, a
+// completion, a broker exchange — is a Shard.Post. On one shard a post
+// to itself is a direct call, so a single-engine cluster runs exactly
+// the zero-latency model; across shards each post is a timestamped
+// message. The broker plane is the same on both layouts (see
+// federation.go): one partition broker on the coordinator shard unless
+// a sharded cluster asks for more.
 //
 // Partitioning. Shard 0 (the coordinator) owns what is genuinely
 // cluster-global: the fair scheduler's slot accounting, per-job
-// barriers (map/reduce completion counts), the broker root, and the
-// share tree's clock. Shard 1+i owns datanode i and the running task
-// attempts placed on it (their chunk pipelines, shuffle fetchers and
-// merge loops; see the mapreduce runtime). A full (non-hollow) sharded
-// cluster also carries DefaultMetaShards metadata shards, after the
+// barriers (map/reduce completion counts), the lone partition broker
+// or the federation root, and the share tree's clock. Shard 1+i owns
+// datanode i and the running task attempts placed on it (their chunk
+// pipelines, shuffle fetchers and merge loops; see the mapreduce
+// runtime). A full (non-hollow) sharded cluster also carries DefaultMetaShards metadata shards, after the
 // federation partitions, hosting the partitioned namenode's placement
 // draws so they never serialize on shard 0. Every cross-shard
 // interaction travels as a timestamped inter-shard message, so each
@@ -173,48 +176,25 @@ func (n *Node) Shard() *sim.Shard { return n.shard }
 // CoordShard returns the coordinator shard.
 func (c *Cluster) CoordShard() *sim.Shard { return c.coord }
 
-// coordTarget is what a client's async transport delivers to: the
-// centralized broker (through centralTarget) or a partition broker.
-type coordTarget interface {
-	Exchange(id string, vec map[iosched.AppID]float64, now float64) (broker.Response, error)
-	Register(id string, now float64) error
-	Unregister(id string)
-}
-
-var _ coordTarget = (*broker.Partition)(nil)
-
-// centralTarget adapts the centralized broker, which never refuses a
-// delivered message, to coordTarget.
-type centralTarget struct{ *broker.Broker }
-
-func (b centralTarget) Exchange(id string, vec map[iosched.AppID]float64, _ float64) (broker.Response, error) {
-	return b.Broker.Exchange(id, vec), nil
-}
-
-func (b centralTarget) Register(id string, _ float64) error {
-	b.Broker.Register(id)
-	return nil
-}
-
-// asyncTransport carries one coordination client's broker traffic
-// across the fabric: the request is a daemon message to the target's
-// shard — the coordinator for the centralized broker, the partition's
-// own shard under federation — where the fault model is evaluated, and
-// the response a daemon message back. Daemon, because periodic
-// coordination must not keep the simulation alive.
+// asyncTransport carries one coordination client's broker traffic to
+// its partition: the request is a daemon message to the partition's
+// shard, where the fault model is evaluated, and the response a daemon
+// message back. When the client and the partition share a shard each
+// post is a direct call. Daemon, because periodic coordination must
+// not keep the simulation alive.
 type asyncTransport struct {
-	to    coordTarget
+	to    *broker.Partition
 	inj   *faults.Injector // nil = reliable
 	shard *sim.Shard       // the client's node shard
-	at    *sim.Shard       // the target's shard
-	seq   uint64           // per-client fate counter, advanced on the target's shard
+	at    *sim.Shard       // the partition's shard
+	seq   uint64           // per-client fate counter, advanced on the partition's shard
 }
 
 var _ broker.Transport = (*asyncTransport)(nil)
 
-// roundTrip delivers one message from client id to the target's shard
-// and rolls its fate there. Unless the request is lost, apply runs
-// against the target; unless the response is lost, reply receives its
+// roundTrip delivers one message from client id to the partition's
+// shard and rolls its fate there. Unless the request is lost, apply
+// runs against the partition; unless the response is lost, reply receives its
 // error (or the outage) back on the client's shard. Fates use a
 // per-client sequence counter: messages from one client arrive in send
 // order, so the counter — and with it every fault roll — is

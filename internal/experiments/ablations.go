@@ -196,7 +196,10 @@ type CoordPeriodResult struct {
 func AblationCoordPeriod() (*CoordPeriodResult, error) {
 	out := &CoordPeriodResult{}
 	for _, period := range []float64{0.25, 1, 4, 16} {
-		ratio, exchanges := microServiceRatioPeriod(true, period, 8)
+		ratio, exchanges, err := microRun(true, period, 8)
+		if err != nil {
+			return nil, err
+		}
 		out.Rows = append(out.Rows, CoordPeriodRow{
 			PeriodSeconds: period,
 			ServiceRatio:  ratio,
@@ -238,7 +241,10 @@ type ScalabilityResult struct {
 func ExtScalability() (*ScalabilityResult, error) {
 	out := &ScalabilityResult{}
 	for _, n := range []int{8, 16, 32, 64} {
-		ratio, exchanges := microServiceRatioPeriod(true, 1, n)
+		ratio, exchanges, err := microRun(true, 1, n)
+		if err != nil {
+			return nil, err
+		}
 		out.Rows = append(out.Rows, ScalabilityRow{
 			Nodes:        n,
 			ServiceRatio: ratio,
@@ -259,12 +265,4 @@ func (r *ScalabilityResult) String() string {
 	}
 	b.WriteString("  (traffic linear in schedulers, KB/s at 64 nodes; fairness holds — paper §9)\n")
 	return b.String()
-}
-
-// microServiceRatioPeriod generalizes the Figure 12 microbenchmark
-// with a configurable coordination period and cluster size, returning
-// the wide/narrow service ratio and the broker exchange count.
-func microServiceRatioPeriod(coordinate bool, period float64, nodes int) (float64, uint64) {
-	ratio, exchanges := microRun(coordinate, period, nodes)
-	return ratio, exchanges
 }

@@ -191,24 +191,21 @@ func Fig12(scale float64) (*Fig12Result, error) {
 	if out.Sync, err = run(true); err != nil {
 		return nil, err
 	}
-	out.MicroNoSyncRatio = microServiceRatio(false)
-	out.MicroSyncRatio = microServiceRatio(true)
+	if out.MicroNoSyncRatio, _, err = microRun(false, 1, 8); err != nil {
+		return nil, err
+	}
+	if out.MicroSyncRatio, _, err = microRun(true, 1, 8); err != nil {
+		return nil, err
+	}
 	return out, nil
 }
 
-// microServiceRatio runs the uneven-presence microbenchmark and returns
-// wide/narrow total service after 60 simulated seconds.
-func microServiceRatio(coordinate bool) float64 {
-	ratio, _ := microRun(coordinate, 1, 8)
-	return ratio
-}
-
-// microRun is the generalized uneven-presence microbenchmark: one app
-// backlogged on every node, another on a quarter of them, equal
-// weights, SFQ(D=2) schedulers, configurable coordination period and
-// cluster size. Returns the wide/narrow service ratio and the broker
-// exchange count.
-func microRun(coordinate bool, period float64, nodes int) (float64, uint64) {
+// microRun is the uneven-presence microbenchmark: one app backlogged
+// on every node, another on a quarter of them, equal weights, SFQ(D=2)
+// schedulers, configurable coordination period and cluster size.
+// Returns the wide/narrow service ratio after 60 simulated seconds and
+// the broker exchange count.
+func microRun(coordinate bool, period float64, nodes int) (float64, uint64, error) {
 	eng := sim.NewEngine()
 	cl, err := cluster.New(eng, cluster.Config{
 		Nodes:              nodes,
@@ -218,7 +215,7 @@ func microRun(coordinate bool, period float64, nodes int) (float64, uint64) {
 		CoordinationPeriod: period,
 	})
 	if err != nil {
-		panic(err)
+		return 0, 0, err
 	}
 	var wide, narrow float64
 	backlog := func(n *cluster.Node, app iosched.AppID, served *float64) {
@@ -249,14 +246,11 @@ func microRun(coordinate bool, period float64, nodes int) (float64, uint64) {
 		}
 	}
 	eng.RunUntil(60)
-	var exchanges uint64
-	if cl.Broker != nil {
-		exchanges = cl.Broker.Stats().Exchanges
-	}
+	exchanges := cl.BrokerStats().Exchanges
 	if narrow == 0 {
-		return math.Inf(1), exchanges
+		return math.Inf(1), exchanges, nil
 	}
-	return wide / narrow, exchanges
+	return wide / narrow, exchanges, nil
 }
 
 // Improvement returns how much lower the Sync average slowdown is,

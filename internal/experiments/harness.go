@@ -330,9 +330,7 @@ func RunWithSetup(opts Options, entries []Entry, setup func(*mapreduce.Runtime) 
 			res.Duration = jr.EndTime
 		}
 	}
-	if cl.Broker != nil {
-		res.BrokerExchanges = cl.Broker.Stats().Exchanges
-	}
+	res.BrokerExchanges = cl.BrokerStats().Exchanges
 	res.JobHandles = rt.Jobs()
 	res.DepthTrace = depthTrace
 	res.EventsFired = cl.Fired()

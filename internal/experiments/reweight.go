@@ -189,7 +189,8 @@ func Reweight(spec ReweightSpec) (*ReweightResult, error) {
 		}
 		res.ConvergedAt = pt.T
 	}
-	if tt := cl.Broker.TenantTotals(); tt["t-base"] > 0 {
+	// A single-engine cluster has exactly one partition broker.
+	if tt := cl.Partitions()[0].Broker().TenantTotals(); tt["t-base"] > 0 {
 		res.TenantRatio = tt["t-hot"] / tt["t-base"]
 	}
 	checks := au.Checks()

@@ -42,18 +42,31 @@ const chaosHorizon = 40
 // node, narrow w=1 on the first quarter — weights chosen so the
 // proportional target matches the physical optimum and the total-share
 // bound is satisfiable when coordination is healthy) under the given
-// fault schedule, with full auditing.
+// fault schedule, with full auditing, on one engine.
 func chaosRun(t *testing.T, spec faults.Spec, nodes int) chaosOutcome {
 	t.Helper()
-	eng := sim.NewEngine()
-	cl, err := cluster.New(eng, cluster.Config{
+	return chaosRunOn(t, spec, nodes, false)
+}
+
+// chaosRunOn is chaosRun on one engine or, sharded, with every node on
+// its own fabric shard (one worker).
+func chaosRunOn(t *testing.T, spec faults.Spec, nodes int, sharded bool) chaosOutcome {
+	t.Helper()
+	cfg := cluster.Config{
 		Nodes:              nodes,
 		Policy:             cluster.SFQD,
 		SFQDepth:           2,
 		Coordinate:         true,
 		CoordinationPeriod: 1,
 		Faults:             faults.New(spec),
-	})
+	}
+	var cl *cluster.Cluster
+	var err error
+	if sharded {
+		cl, err = cluster.NewSharded(cfg, 0, sim.FabricOptions{Workers: 1})
+	} else {
+		cl, err = cluster.New(sim.NewEngine(), cfg)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,6 +75,7 @@ func chaosRun(t *testing.T, spec faults.Spec, nodes int) chaosOutcome {
 
 	var wide, narrow float64
 	backlog := func(n *cluster.Node, app iosched.AppID, weight float64, served *float64) {
+		eng := n.Shard().Engine()
 		var issue func()
 		issue = func() {
 			n.SubmitIO(&iosched.Request{
@@ -89,7 +103,7 @@ func chaosRun(t *testing.T, spec faults.Spec, nodes int) chaosOutcome {
 		}
 	}
 
-	eng.RunUntil(chaosHorizon)
+	cl.RunUntil(chaosHorizon)
 	au.Finish()
 
 	if err := au.Err(); err != nil {
@@ -97,7 +111,7 @@ func chaosRun(t *testing.T, spec faults.Spec, nodes int) chaosOutcome {
 	}
 	checks := au.Checks()
 	return chaosOutcome{
-		Fired:          eng.Fired(),
+		Fired:          cl.Fired(),
 		Wide:           wide,
 		Narrow:         narrow,
 		Health:         cl.CoordinationHealth(),
@@ -236,6 +250,33 @@ func TestChaosLateResponseGolden(t *testing.T) {
 		got := fmt.Sprintf("%+v degraded-time=%v", out, out.Health.DegradedTime)
 		if got != w {
 			t.Errorf("seed %d outcome:\n%s\nwant:\n%s", seed, got, w)
+		}
+	}
+}
+
+// TestChaosLeaderOutageReachesLoneBroker: partition 0's leader outage
+// takes the lone broker of a one-partition plane down, on one engine
+// and sharded alike. Every client must degrade and come back after the
+// broker's crash recovery, with the audit clean and the total-share
+// check engaged once the grace expires.
+func TestChaosLeaderOutageReachesLoneBroker(t *testing.T) {
+	const nodes = 8
+	spec := faults.Spec{LeaderOutages: map[int][]faults.Window{0: {{Start: 10, End: 15}}}}
+	for _, sharded := range []bool{false, true} {
+		out := chaosRunOn(t, spec, nodes, sharded)
+		t.Logf("sharded=%v: %+v", sharded, out)
+		if out.Health.Degradations == 0 {
+			t.Errorf("sharded=%v: no client degraded during the leader outage", sharded)
+		}
+		if out.Health.Degradations != out.Health.Recoveries {
+			t.Errorf("sharded=%v: %d degradations but %d recoveries",
+				sharded, out.Health.Degradations, out.Health.Recoveries)
+		}
+		if out.Violations != 0 {
+			t.Errorf("sharded=%v: %d audit violations, want 0", sharded, out.Violations)
+		}
+		if out.TotalChecks == 0 {
+			t.Errorf("sharded=%v: cluster total-share check never engaged", sharded)
 		}
 	}
 }

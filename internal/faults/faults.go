@@ -80,11 +80,11 @@ type Spec struct {
 	DegradeTargets []string // required when DegradeCount > 0
 	DegradeFactor  float64  // default 0.25
 
-	// LeaderOutages kill individual partition-broker leaders in the
-	// federated coordination plane, keyed by partition index: while a
-	// window is open that partition's client exchanges fail with
-	// ErrUnavailable and its root syncs stop; recovery is a crash
-	// recovery (snapshot resync). Ignored by centralized topologies.
+	// LeaderOutages kill individual partition-broker leaders, keyed by
+	// partition index (0 is the lone broker of a one-partition plane):
+	// while a window is open that partition's client exchanges fail
+	// with ErrUnavailable and its root syncs stop; recovery is a crash
+	// recovery (a snapshot resync where there is a root).
 	LeaderOutages       map[int][]Window
 	LeaderOutageCount   int
 	LeaderOutageMeanDur float64 // default 5 s
@@ -436,33 +436,35 @@ func itoa(i int) string {
 	return string(buf[pos:])
 }
 
-// Transport is the message protocol to a broker on the client's own
-// engine, with the injector's faults applied to every round trip. The
-// uplink is instantaneous (the broker applies a surviving report at
-// send time), so a failure is known at once and reported to the client
-// inside the call; a delayed response arrives through a daemon event,
-// which is where staleness, timeouts and reordering matter.
+// Transport is the message protocol to a partition broker on the
+// client's own engine, with the injector's faults applied to every
+// round trip. The uplink is instantaneous (the partition applies a
+// surviving report at send time), so a failure is known at once and
+// reported to the client inside the call; a delayed response arrives
+// through a daemon event, which is where staleness, timeouts and
+// reordering matter.
 type Transport struct {
 	eng *sim.Engine
 	inj *Injector
-	b   *broker.Broker
+	p   *broker.Partition
 	seq uint64
 }
 
 var _ broker.Transport = (*Transport)(nil)
 
-// NewTransport wires an injector in front of a broker.
-func NewTransport(eng *sim.Engine, inj *Injector, b *broker.Broker) *Transport {
-	return &Transport{eng: eng, inj: inj, b: b}
+// NewTransport wires an injector in front of a partition broker.
+func NewTransport(eng *sim.Engine, inj *Injector, p *broker.Partition) *Transport {
+	return &Transport{eng: eng, inj: inj, p: p}
 }
 
 // roundTrip rolls the next message's fate; unless the request is lost
-// it runs apply against the broker, and unless the response is lost it
-// delivers reply, after the rolled delay. The sequence counter is
-// shared by every client on this transport: single-engine runs have
-// one global message order.
-func (t *Transport) roundTrip(id string, apply func(), reply func(error)) {
-	f := t.inj.Fate(id, t.seq, t.eng.Now())
+// it runs apply against the partition, and unless the response is lost
+// it delivers reply — the partition's refusal at once, success after
+// the rolled delay. The sequence counter is shared by every client on
+// this transport: single-engine runs have one global message order.
+func (t *Transport) roundTrip(id string, apply func(now float64) error, reply func(error)) {
+	now := t.eng.Now()
+	f := t.inj.Fate(id, t.seq, now)
 	t.seq++
 	switch {
 	case f.Unavailable:
@@ -472,7 +474,10 @@ func (t *Transport) roundTrip(id string, apply func(), reply func(error)) {
 		reply(broker.ErrLost)
 		return
 	}
-	apply()
+	if err := apply(now); err != nil {
+		reply(err)
+		return
+	}
 	switch {
 	case f.RespDrop:
 		reply(broker.ErrLost)
@@ -486,16 +491,19 @@ func (t *Transport) roundTrip(id string, apply func(), reply func(error)) {
 // Exchange implements broker.Transport.
 func (t *Transport) Exchange(id string, vec map[iosched.AppID]float64, done func(broker.Response, error)) {
 	var resp broker.Response
-	t.roundTrip(id, func() { resp = t.b.Exchange(id, vec) }, func(err error) { done(resp, err) })
+	t.roundTrip(id, func(now float64) (err error) {
+		resp, err = t.p.Exchange(id, vec, now)
+		return err
+	}, func(err error) { done(resp, err) })
 }
 
 // Register implements broker.Transport: the handshake rides the same
 // faulty channel as exchanges.
 func (t *Transport) Register(id string, done func(error)) {
-	t.roundTrip(id, func() { t.b.Register(id) }, done)
+	t.roundTrip(id, func(now float64) error { return t.p.Register(id, now) }, done)
 }
 
 // Unregister implements broker.Transport. Node death is detected out
 // of band (the resource manager's liveness tracking), so it is not
 // subject to message faults.
-func (t *Transport) Unregister(id string) { t.b.Unregister(id) }
+func (t *Transport) Unregister(id string) { t.p.Unregister(id) }

@@ -199,11 +199,11 @@ func exchangeNow(t *testing.T, tr *Transport, id string, vec map[iosched.AppID]f
 
 func TestTransportOutageAndPartition(t *testing.T) {
 	eng := sim.NewEngine()
-	b := broker.New()
+	p := broker.NewPartition(0, nil, 0)
 	tr := NewTransport(eng, New(Spec{
 		Outages:    []Window{{Start: 10, End: 20}},
 		Partitions: map[string][]Window{"n0": {{Start: 30, End: 40}}},
-	}), b)
+	}), p)
 
 	vec := map[iosched.AppID]float64{"a": 1}
 	if err := exchangeNow(t, tr, "n0", vec); err != nil {
@@ -232,8 +232,9 @@ func TestTransportOutageAndPartition(t *testing.T) {
 
 func TestTransportRequestDropNeverReachesBroker(t *testing.T) {
 	eng := sim.NewEngine()
-	b := broker.New()
-	tr := NewTransport(eng, New(Spec{DropProb: 1}), b)
+	p := broker.NewPartition(0, nil, 0)
+	b := p.Broker()
+	tr := NewTransport(eng, New(Spec{DropProb: 1}), p)
 	b.Register("n0")
 	if err := exchangeNow(t, tr, "n0", map[iosched.AppID]float64{"a": 7}); err != broker.ErrLost {
 		t.Fatalf("err = %v, want ErrLost", err)
@@ -245,8 +246,9 @@ func TestTransportRequestDropNeverReachesBroker(t *testing.T) {
 
 func TestTransportResponseDropAppliesReport(t *testing.T) {
 	eng := sim.NewEngine()
-	b := broker.New()
-	tr := NewTransport(eng, New(Spec{RespDropProb: 1}), b)
+	p := broker.NewPartition(0, nil, 0)
+	b := p.Broker()
+	tr := NewTransport(eng, New(Spec{RespDropProb: 1}), p)
 	b.Register("n0")
 	if err := exchangeNow(t, tr, "n0", map[iosched.AppID]float64{"a": 7}); err != broker.ErrLost {
 		t.Fatalf("err = %v, want ErrLost", err)
@@ -260,8 +262,9 @@ func TestTransportResponseDropAppliesReport(t *testing.T) {
 
 func TestTransportDelayBounds(t *testing.T) {
 	eng := sim.NewEngine()
-	b := broker.New()
-	tr := NewTransport(eng, New(Spec{DelayProb: 1, DelayMin: 0.1, DelayMax: 0.2}), b)
+	p := broker.NewPartition(0, nil, 0)
+	b := p.Broker()
+	tr := NewTransport(eng, New(Spec{DelayProb: 1, DelayMin: 0.1, DelayMax: 0.2}), p)
 	b.Register("n0")
 	// Every exchange is sent at t=0, so its arrival time is its rtt.
 	arrivals := 0

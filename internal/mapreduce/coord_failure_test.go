@@ -50,7 +50,7 @@ func TestFailNodeDetachesBrokerClients(t *testing.T) {
 	}
 
 	registered := func(id string) bool {
-		for _, s := range h.cl.Broker.Schedulers() {
+		for _, s := range h.cl.Partitions()[0].Broker().Schedulers() {
 			if s == id {
 				return true
 			}
@@ -60,17 +60,17 @@ func TestFailNodeDetachesBrokerClients(t *testing.T) {
 
 	h.eng.Schedule(0.9, func() {
 		if !registered("node2-hdfs") || !registered("node2-local") {
-			t.Fatalf("node 2's clients never registered: %v", h.cl.Broker.Schedulers())
+			t.Fatalf("node 2's clients never registered: %v", h.cl.Partitions()[0].Broker().Schedulers())
 		}
 	})
 	h.eng.Schedule(1, func() { h.rt.FailNode(2) })
 	h.eng.Schedule(1.01, func() {
 		for _, id := range []string{"node2-hdfs", "node2-local"} {
 			if registered(id) {
-				t.Errorf("dead node's client %s still registered: %v", id, h.cl.Broker.Schedulers())
+				t.Errorf("dead node's client %s still registered: %v", id, h.cl.Partitions()[0].Broker().Schedulers())
 			}
 		}
-		if got := len(h.cl.Broker.Schedulers()); got != 6 {
+		if got := len(h.cl.Partitions()[0].Broker().Schedulers()); got != 6 {
 			t.Errorf("registered schedulers = %d, want 6 (3 live nodes × 2)", got)
 		}
 	})
@@ -107,17 +107,17 @@ func TestJobCompletionRetiresApp(t *testing.T) {
 	if !job.Done() {
 		t.Fatal("job did not finish")
 	}
-	if !h.cl.Broker.Retired(job.App) {
+	if !h.cl.Partitions()[0].Broker().Retired(job.App) {
 		t.Error("finished app was not retired at the broker")
 	}
-	for _, app := range h.cl.Broker.Apps() {
+	for _, app := range h.cl.Partitions()[0].Broker().Apps() {
 		if app == job.App {
 			t.Error("retired app still listed among live broker apps")
 		}
 	}
 	// The final total stays observable as a tombstone — retirement prunes
 	// the live vector, it does not erase history.
-	if got := h.cl.Broker.Total(job.App); got <= 0 {
+	if got := h.cl.Partitions()[0].Broker().Total(job.App); got <= 0 {
 		t.Errorf("tombstoned total = %v, want > 0", got)
 	}
 }

@@ -77,7 +77,7 @@ type ScaleStats struct {
 	// mean bit-identical runs.
 	Digest uint64
 
-	// Federation plane (all zero when the broker is centralized). The
+	// Federation plane (all zero with one partition broker). The
 	// sync counts and wire bytes are deterministic — encoding and sync
 	// cadence are pure functions of the virtual timeline. BaselineBytes
 	// is what a centralized full-vector broker would have shipped for
@@ -119,7 +119,7 @@ func (s ScaleStats) Deterministic() string {
 }
 
 // FedCompression returns the baseline-to-federation wire-volume ratio
-// (0 when centralized or nothing was shipped).
+// (0 with one partition or when nothing was shipped).
 func (s ScaleStats) FedCompression() float64 {
 	fed := s.FedUpBytes + s.FedDownBytes
 	if s.Partitions == 0 || fed == 0 {

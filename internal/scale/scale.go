@@ -464,14 +464,14 @@ func Run(cfg Config) (*Report, error) {
 	}
 	st.FairnessMaxRatio = worstRatio
 	st.Digest = digest
-	if parts := cl.Partitions(); len(parts) > 0 {
-		fs := cl.FederationStats()
-		st.Partitions = len(parts)
+	if root := cl.FederationRoot(); root != nil {
+		fs := root.Stats()
+		st.Partitions = len(cl.Partitions())
 		st.FedSyncs = fs.Syncs
 		st.FedSnapshots = fs.Snapshots
 		st.FedUpBytes = fs.UpBytes
 		st.FedDownBytes = fs.DownBytes
-		st.BaselineBytes = cl.CentralizedBaselineBytes()
+		st.BaselineBytes = cl.BrokerStats().BytesApprox()
 	}
 	st.Events = cl.Fired()
 	st.ShardLoad = cl.ShardLoad()
