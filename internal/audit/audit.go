@@ -33,8 +33,8 @@
 //     tenant-pair difference is bounded by the worst member-pair
 //     bound — checked per window, locally and cluster-wide;
 //   - broker-conservation: the sum of the schedulers' reported local
-//     service vectors equals the broker's global totals, checked at
-//     every exchange.
+//     service vectors equals the broker's global totals, and its
+//     tenant rollup equals their regroup, checked at every exchange.
 //
 // Live reweights (share-tree epoch changes) open a bounded
 // reconvergence window: share checks are suspended for windows
@@ -518,7 +518,8 @@ func (a *Auditor) violate(v Violation) {
 }
 
 // checkBroker verifies that the per-app sum of the latest local service
-// vectors equals the broker's incrementally maintained totals.
+// vectors equals the broker's incrementally maintained totals, and that
+// its tenant rollup equals the regroup of those totals.
 func (a *Auditor) checkBroker(b *broker.Broker) {
 	a.count("broker-conservation")
 	sums := b.ReportedTotals()
@@ -530,6 +531,9 @@ func (a *Auditor) checkBroker(b *broker.Broker) {
 				Detail: fmt.Sprintf("sum of reports %.6g != broker total %.6g (diff %.3g)", sums[app], total, diff),
 			})
 		}
+	}
+	if err := b.CheckRollup(); err != nil {
+		a.violate(Violation{Time: a.lastTime, Invariant: "broker-conservation", Node: -1, Detail: err.Error()})
 	}
 }
 

@@ -32,7 +32,9 @@ package broker
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sort"
 
 	"ibis/internal/iosched"
@@ -85,6 +87,10 @@ func (s *Stats) Merge(o Stats) {
 type Broker struct {
 	reports map[string]map[iosched.AppID]float64
 	totals  map[iosched.AppID]float64
+	// tenants rolls totals up by tenant, grouped at view epoch epoch:
+	// exchanges fold deltas in, and every other change regroups it.
+	tenants map[string]float64
+	epoch   uint64
 	retired map[iosched.AppID]bool
 	// finals are tombstones: the cluster-wide total each retired app
 	// had at retirement. They keep the service observable (Total)
@@ -94,30 +100,34 @@ type Broker struct {
 	// Retire scrubbed, so Revive can restore exact continuity instead
 	// of rebuilding the total piecemeal from future exchanges.
 	retireSnaps map[iosched.AppID]map[string]float64
-	shares      ShareView
+	view        ShareView
 	stats       Stats
 	probe       Probe
 }
 
 // ShareView is the slice of the share tree the coordination plane
-// needs: tenant attribution for aggregation and the epoch to piggyback
-// on responses. *shares.Tree implements it. A nil view treats every
-// app as its own implicit singleton tenant, which reproduces the flat
-// per-app coordination exactly.
+// needs: tenant attribution and the epoch that moves when attribution
+// may have changed. *shares.Tree implements it. The constructors
+// replace a nil view with implicit singleton tenants at epoch 0, which
+// reproduces the flat per-app coordination exactly.
 type ShareView interface {
 	TenantOf(app iosched.AppID) string
 	Epoch() uint64
 }
 
-// SetShares attaches the share tree the broker aggregates tenants
-// against (nil reverts to implicit singleton tenants).
-func (b *Broker) SetShares(v ShareView) { b.shares = v }
+// singletons is the view of a plane without a share tree: every app is
+// its own implicit tenant, and the attribution never moves.
+type singletons struct{}
 
-func (b *Broker) tenantOf(app iosched.AppID) string {
-	if b.shares != nil {
-		return b.shares.TenantOf(app)
+func (singletons) TenantOf(app iosched.AppID) string { return implicitTenant(app) }
+func (singletons) Epoch() uint64                     { return 0 }
+
+// viewOf returns v, or the implicit singletons for a nil v.
+func viewOf(v ShareView) ShareView {
+	if v == nil {
+		return singletons{}
 	}
-	return implicitTenant(app)
+	return v
 }
 
 // implicitTenant mirrors shares.ImplicitTenant without importing the
@@ -125,13 +135,12 @@ func (b *Broker) tenantOf(app iosched.AppID) string {
 // should not depend on the control plane's full API for one string).
 func implicitTenant(app iosched.AppID) string { return "~" + string(app) }
 
-// Response is one coordination response: the cluster-wide totals for
-// the apps the scheduler reported, plus tenant-level aggregates and
-// the share-tree epoch they were computed at.
+// Response is one coordination response: the reported apps the broker
+// counted and the cluster-wide service of the tenants that own them.
 type Response struct {
-	// Apps maps each reported (non-retired) app to its cluster-wide
-	// cumulative service.
-	Apps map[iosched.AppID]float64
+	// Apps lists, sorted, the reported apps the totals count: every
+	// reported app that is not retired.
+	Apps []iosched.AppID
 	// Tenants maps each tenant owning a reported app to the
 	// cluster-wide cumulative service across ALL of that tenant's apps
 	// — including apps this scheduler does not serve. This is the
@@ -139,10 +148,6 @@ type Response struct {
 	// proportionality is enforced between tenants, not just between
 	// the apps a single node happens to see.
 	Tenants map[string]float64
-	// Epoch is the share-tree version the tenant attribution was
-	// resolved at. Clients invalidate cached app→tenant bindings when
-	// it moves.
-	Epoch uint64
 }
 
 // Probe observes each completed exchange: the reporting scheduler's id
@@ -154,14 +159,17 @@ type Probe func(scheduler string, b *Broker)
 // SetProbe installs the exchange probe (nil disables).
 func (b *Broker) SetProbe(p Probe) { b.probe = p }
 
-// New creates an empty broker.
+// New creates an empty broker whose apps are implicit singleton
+// tenants.
 func New() *Broker {
 	return &Broker{
 		reports:     make(map[string]map[iosched.AppID]float64),
 		totals:      make(map[iosched.AppID]float64),
+		tenants:     make(map[string]float64),
 		retired:     make(map[iosched.AppID]bool),
 		finals:      make(map[iosched.AppID]float64),
 		retireSnaps: make(map[iosched.AppID]map[string]float64),
+		view:        singletons{},
 	}
 }
 
@@ -175,59 +183,47 @@ func (b *Broker) ResetReports() {
 	b.reports = make(map[string]map[iosched.AppID]float64)
 	b.totals = make(map[iosched.AppID]float64)
 	b.retireSnaps = make(map[iosched.AppID]map[string]float64)
+	b.regroup()
 }
 
 // Exchange is one coordination round trip for the named scheduler: it
 // reports its cumulative per-app service (cost units) and receives the
-// cluster-wide totals for exactly the apps it reported — the response
-// "is bounded by the number of applications that the scheduler
-// currently serves". The response is a fresh map each call; mutating it
-// (or the request vector, afterwards) cannot corrupt broker state.
+// cluster-wide totals of the tenants owning the apps it reported — the
+// response "is bounded by the number of applications that the
+// scheduler currently serves", and so is the work: the reported deltas
+// fold into the totals and the rollup in sorted-app order, so rounding
+// does not depend on map layout. The response is fresh each call.
 // Retired apps are skipped in both directions: their pruned state must
-// not be resurrected by the stale entries local accounting still
-// carries.
+// not be resurrected by the stale entries local accounting carries.
 func (b *Broker) Exchange(scheduler string, vector map[iosched.AppID]float64) Response {
+	b.refresh()
 	prev := b.reports[scheduler]
 	if prev == nil {
 		prev = make(map[iosched.AppID]float64)
 		b.reports[scheduler] = prev
 	}
-	up := 0
-	for app, cum := range vector {
-		if b.retired[app] {
-			continue
-		}
-		b.totals[app] += cum - prev[app]
-		prev[app] = cum
-		up++
-	}
-	resp := Response{Apps: make(map[iosched.AppID]float64, up)}
+	apps := make([]iosched.AppID, 0, len(vector))
 	for app := range vector {
-		if b.retired[app] {
-			continue
-		}
-		resp.Apps[app] = b.totals[app]
-	}
-	// Tenant aggregates: for every tenant owning a reported app, sum
-	// the totals of all that tenant's apps. The accumulation iterates
-	// apps in sorted order so float rounding is deterministic across
-	// runs regardless of map layout.
-	need := make(map[string]bool, len(resp.Apps))
-	for app := range resp.Apps {
-		need[b.tenantOf(app)] = true
-	}
-	resp.Tenants = make(map[string]float64, len(need))
-	for _, app := range b.Apps() {
-		if t := b.tenantOf(app); need[t] {
-			resp.Tenants[t] += b.totals[app]
+		if !b.retired[app] {
+			apps = append(apps, app)
 		}
 	}
-	if b.shares != nil {
-		resp.Epoch = b.shares.Epoch()
+	slices.Sort(apps)
+	resp := Response{Apps: apps, Tenants: make(map[string]float64, len(apps))}
+	for _, app := range apps {
+		d := vector[app] - prev[app]
+		prev[app] = vector[app]
+		b.totals[app] += d
+		t := b.view.TenantOf(app)
+		b.tenants[t] += d
+		resp.Tenants[t] = 0
+	}
+	for t := range resp.Tenants {
+		resp.Tenants[t] = b.tenants[t]
 	}
 	b.stats.Exchanges++
-	b.stats.EntriesUp += uint64(up)
-	b.stats.EntriesDown += uint64(len(resp.Apps))
+	b.stats.EntriesUp += uint64(len(apps))
+	b.stats.EntriesDown += uint64(len(apps))
 	b.stats.TenantEntriesDown += uint64(len(resp.Tenants))
 	if b.probe != nil {
 		b.probe(scheduler, b)
@@ -259,6 +255,7 @@ func (b *Broker) Unregister(scheduler string) {
 		b.totals[app] -= cum
 	}
 	b.pruneUnbacked()
+	b.regroup()
 }
 
 // Retire drops an application that finished: its entries are pruned
@@ -287,6 +284,7 @@ func (b *Broker) Retire(app iosched.AppID) {
 		b.retireSnaps[app] = snap
 	}
 	delete(b.totals, app)
+	b.regroup()
 }
 
 // Revive reverses Retire for an application that starts doing I/O again
@@ -326,6 +324,7 @@ func (b *Broker) Revive(app iosched.AppID) {
 		b.totals[app] = total
 	}
 	delete(b.finals, app)
+	b.regroup()
 }
 
 // Retired reports whether the app is currently retired.
@@ -381,15 +380,54 @@ func (b *Broker) Apps() []iosched.AppID {
 	return ids
 }
 
-// TenantTotals aggregates the live per-app totals by tenant,
-// accumulating in sorted-app order for deterministic rounding. Used by
-// the audit layer's cluster-wide hierarchical invariant.
+// TenantTotals returns a copy of the tenant rollup: the live per-app
+// totals summed by tenant.
 func (b *Broker) TenantTotals() map[string]float64 {
+	b.refresh()
+	return maps.Clone(b.tenants)
+}
+
+// regrouped sums the live per-app totals by tenant, accumulating in
+// sorted-app order for deterministic rounding.
+func (b *Broker) regrouped() map[string]float64 {
 	out := make(map[string]float64)
 	for _, app := range b.Apps() {
-		out[b.tenantOf(app)] += b.totals[app]
+		out[b.view.TenantOf(app)] += b.totals[app]
 	}
 	return out
+}
+
+// regroup rebuilds the tenant rollup at the view's current epoch: the
+// rare paths that remove or move service call it, so the fold in
+// Exchange only ever adds exchange deltas.
+func (b *Broker) regroup() {
+	b.epoch = b.view.Epoch()
+	b.tenants = b.regrouped()
+}
+
+// refresh regroups the rollup if the share view moved since the rollup
+// was last grouped: a binding may have moved an app between tenants.
+func (b *Broker) refresh() {
+	if b.view.Epoch() != b.epoch {
+		b.regroup()
+	}
+}
+
+// CheckRollup verifies the incremental tenant rollup against a fresh
+// regroup of the live per-app totals, within a relative 1e-6 (the two
+// round differently). It returns the first discrepancy found.
+func (b *Broker) CheckRollup() error {
+	b.refresh()
+	want := b.regrouped()
+	if len(b.tenants) != len(want) {
+		return fmt.Errorf("broker: tenant rollup holds %d tenants, regroup %d", len(b.tenants), len(want))
+	}
+	for t, exp := range want {
+		if got, ok := b.tenants[t]; !ok || math.Abs(got-exp) > 1e-6*math.Max(1, math.Abs(exp)) {
+			return fmt.Errorf("broker: tenant rollup: tenant %s folded %.6g != regrouped %.6g", t, got, exp)
+		}
+	}
+	return nil
 }
 
 // Schedulers returns the registered scheduler ids, sorted.
@@ -536,7 +574,8 @@ type ClientOptions struct {
 	// defaults.
 	Retry RetryPolicy
 	// Shares attributes apps to tenants on the client side (nil means
-	// implicit singleton tenants, i.e. flat per-app coordination).
+	// implicit singleton tenants, i.e. flat per-app coordination). It
+	// must be the view the broker aggregates against.
 	Shares ShareView
 }
 
@@ -546,8 +585,9 @@ type ClientOptions struct {
 // latest applied response. With only implicit singleton tenants this is
 // exactly the app's own remote service (the flat pre-tree semantics);
 // with declared tenants the DSFQ delay charges the whole tenant's
-// remote service, enforcing tenant-level proportionality. A Client
-// with a nil transport never coordinates (No Sync).
+// remote service, enforcing tenant-level proportionality; attribution
+// resolves through the share view on every lookup. A Client with a nil
+// transport never coordinates (No Sync).
 type Client struct {
 	id        string
 	transport Transport // nil for a No Sync client
@@ -555,14 +595,9 @@ type Client struct {
 	eng       *sim.Engine
 	period    float64
 	policy    RetryPolicy
-	shares    ShareView
+	view      ShareView
 
 	otherTenant map[string]float64
-	// tenantCache memoizes app→tenant attribution so the per-arrival
-	// OtherService lookup stays allocation-free; it is invalidated
-	// whenever a response carries a newer share-tree epoch.
-	tenantCache map[iosched.AppID]string
-	shareEpoch  uint64
 	rounds      uint64
 
 	sched     *iosched.SFQ
@@ -606,9 +641,8 @@ func NewClient(eng *sim.Engine, id string, reporter Reporter, opts ClientOptions
 		eng:          eng,
 		period:       period,
 		policy:       opts.Retry.withDefaults(period),
-		shares:       opts.Shares,
+		view:         viewOf(opts.Shares),
 		otherTenant:  make(map[string]float64),
-		tenantCache:  make(map[iosched.AppID]string),
 		failingSince: -1,
 		nextSeq:      1,
 	}
@@ -756,26 +790,13 @@ func (c *Client) deliver(r *pending) bool {
 // apply folds a successful response into the client's remote-service
 // view and completes the round. The view is tenant-level: for each
 // tenant in the response, remote service = cluster-wide tenant total
-// minus the local per-tenant sum of the vector this round reported.
+// minus the local per-tenant sum, over the apps the broker counted
+// (resp.Apps, sorted), of the vector this round reported: a retired
+// app has left its tenant's total, so it must not count locally either.
 func (c *Client) apply(vec map[iosched.AppID]float64, resp Response, now float64) {
-	if resp.Epoch != c.shareEpoch {
-		// Bindings may have moved between tenants; recompute
-		// attribution lazily from the shares view.
-		c.shareEpoch = resp.Epoch
-		for app := range c.tenantCache {
-			delete(c.tenantCache, app)
-		}
-	}
-	// Local per-tenant sums, accumulated in sorted-app order so float
-	// rounding stays deterministic.
-	apps := make([]iosched.AppID, 0, len(vec))
-	for app := range vec {
-		apps = append(apps, app)
-	}
-	sort.Slice(apps, func(i, j int) bool { return apps[i] < apps[j] })
 	local := make(map[string]float64, len(resp.Tenants))
-	for _, app := range apps {
-		local[c.tenant(app)] += vec[app]
+	for _, app := range resp.Apps {
+		local[c.view.TenantOf(app)] += vec[app]
 	}
 	for t, total := range resp.Tenants {
 		other := total - local[t]
@@ -794,21 +815,6 @@ func (c *Client) apply(vec map[iosched.AppID]float64, resp Response, now float64
 	c.rounds++
 	c.health.Successes++
 	c.noteSuccess(now)
-}
-
-// tenant memoizes the app→tenant attribution.
-func (c *Client) tenant(app iosched.AppID) string {
-	if t, ok := c.tenantCache[app]; ok {
-		return t
-	}
-	var t string
-	if c.shares != nil {
-		t = c.shares.TenantOf(app)
-	} else {
-		t = implicitTenant(app)
-	}
-	c.tenantCache[app] = t
-	return t
 }
 
 func (c *Client) noteSuccess(now float64) {
@@ -907,7 +913,6 @@ func (c *Client) Restart() {
 	c.epoch++
 	c.eng.Cancel(c.retryEv)
 	c.otherTenant = make(map[string]float64)
-	c.tenantCache = make(map[iosched.AppID]string)
 	c.inRound = false
 	c.attempt = 0
 	c.needRegister = true
@@ -946,7 +951,7 @@ func (c *Client) Detached() bool { return c.detached }
 // the app's tenant. For implicit singleton tenants this is the app's
 // own remote service, bit-identical to the flat semantics.
 func (c *Client) OtherService(app iosched.AppID) float64 {
-	return c.otherTenant[c.tenant(app)]
+	return c.otherTenant[c.view.TenantOf(app)]
 }
 
 // Rounds returns the number of successful exchanges applied.

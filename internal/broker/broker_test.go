@@ -3,10 +3,12 @@ package broker
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"ibis/internal/iosched"
+	"ibis/internal/shares"
 	"ibis/internal/sim"
 	"ibis/internal/storage"
 )
@@ -15,8 +17,8 @@ func TestExchangeAggregatesAcrossSchedulers(t *testing.T) {
 	b := New()
 	b.Exchange("n1", map[iosched.AppID]float64{"A": 100, "B": 50})
 	resp := b.Exchange("n2", map[iosched.AppID]float64{"A": 40})
-	if resp.Apps["A"] != 140 {
-		t.Fatalf("total A = %v, want 140", resp.Apps["A"])
+	if b.Total("A") != 140 {
+		t.Fatalf("total A = %v, want 140", b.Total("A"))
 	}
 	if resp.Tenants["~A"] != 140 {
 		t.Fatalf("tenant total ~A = %v, want 140", resp.Tenants["~A"])
@@ -39,14 +41,14 @@ func TestExchangeResponseScopedToReportedApps(t *testing.T) {
 	b := New()
 	b.Exchange("n1", map[iosched.AppID]float64{"A": 1, "B": 2})
 	resp := b.Exchange("n2", map[iosched.AppID]float64{"B": 3})
-	if _, ok := resp.Apps["A"]; ok {
+	if slices.Contains(resp.Apps, "A") {
 		t.Fatal("response leaked app the scheduler does not serve")
 	}
 	if _, ok := resp.Tenants["~A"]; ok {
 		t.Fatal("response leaked tenant the scheduler does not serve")
 	}
-	if resp.Apps["B"] != 5 {
-		t.Fatalf("total B = %v, want 5", resp.Apps["B"])
+	if resp.Tenants["~B"] != 5 {
+		t.Fatalf("total B = %v, want 5", resp.Tenants["~B"])
 	}
 }
 
@@ -102,9 +104,48 @@ func TestClientOtherService(t *testing.T) {
 }
 
 func TestClientUnknownAppZero(t *testing.T) {
-	c := &Client{otherTenant: map[string]float64{}, tenantCache: map[iosched.AppID]string{}}
+	c := &Client{otherTenant: map[string]float64{}, view: singletons{}}
 	if c.OtherService("nope") != 0 {
 		t.Fatal("unknown app should have zero other-service")
+	}
+}
+
+// TestRetiredSiblingLeavesTenantCharge: a retired app's service leaves
+// its tenant's broker total, so a client must not subtract the local
+// service its accounting still holds for that app from a live sibling's
+// remote charge.
+func TestRetiredSiblingLeavesTenantCharge(t *testing.T) {
+	tree := shares.NewTree()
+	for _, a := range []iosched.AppID{"a", "b"} {
+		if err := tree.Bind(a, "T", 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b := NewPartition(0, tree, 0).Broker()
+	eng := sim.NewEngine()
+	rep := fakeReporter{"a": 100, "b": 50}
+	c := NewClient(eng, "s1", rep, ClientOptions{Transport: NewDirectTransport(b), Period: 1, Shares: tree})
+	b.Exchange("s2", map[iosched.AppID]float64{"b": 30})
+	c.ExchangeNow()
+	b.Retire("a")
+	rep["b"] = 60
+	c.ExchangeNow()
+	if got := c.OtherService("b"); got != 30 {
+		t.Fatalf("other service of b's tenant = %v, want 30 (s2's share of live b)", got)
+	}
+}
+
+// TestCheckRollupDetectsSkew: a tenant rollup that drifted from the
+// regroup of the per-app totals is reported.
+func TestCheckRollupDetectsSkew(t *testing.T) {
+	b := New()
+	b.Exchange("n1", map[iosched.AppID]float64{"A": 100, "B": 50})
+	if err := b.CheckRollup(); err != nil {
+		t.Fatalf("clean rollup reported: %v", err)
+	}
+	b.tenants["~B"] += 1
+	if err := b.CheckRollup(); err == nil {
+		t.Fatal("skewed tenant ~B not reported")
 	}
 }
 
@@ -149,11 +190,20 @@ func TestClientDefaultPeriod(t *testing.T) {
 }
 
 // Property: broker totals always equal the sum of the latest per-
-// scheduler reports, regardless of interleaving.
+// scheduler reports, regardless of interleaving; and with every app in
+// one tenant, two brokers fed the same fractional costs answer the
+// same tenant totals bit for bit, so the rollup's rounding cannot
+// follow map iteration order.
 func TestPropertyBrokerTotalsConsistent(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		b := New()
+		tree := shares.NewTree()
+		for _, a := range []iosched.AppID{"A", "B", "C"} {
+			if err := tree.Bind(a, "T", 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		b, twin := NewPartition(0, tree, 0).Broker(), NewPartition(0, tree, 0).Broker()
 		latest := map[string]map[iosched.AppID]float64{}
 		scheds := []string{"n1", "n2", "n3", "n4"}
 		apps := []iosched.AppID{"A", "B", "C"}
@@ -172,7 +222,15 @@ func TestPropertyBrokerTotalsConsistent(t *testing.T) {
 					vec[a] = cums[s][a]
 				}
 			}
-			b.Exchange(s, vec)
+			resp, twinResp := b.Exchange(s, vec), twin.Exchange(s, vec)
+			if len(resp.Tenants) != len(twinResp.Tenants) {
+				return false
+			}
+			for tn, v := range resp.Tenants {
+				if twinResp.Tenants[tn] != v {
+					return false
+				}
+			}
 			if latest[s] == nil {
 				latest[s] = map[iosched.AppID]float64{}
 			}

@@ -1,6 +1,7 @@
 package broker
 
 import (
+	"slices"
 	"testing"
 
 	"ibis/internal/iosched"
@@ -30,17 +31,20 @@ type hookTransport struct {
 }
 
 // Exchange adapts the scripted per-app map into a Response, deriving
-// the implicit singleton tenant totals the real broker would send.
+// the sorted app list and the implicit singleton tenant totals the
+// real broker would send.
 func (h *hookTransport) Exchange(id string, vec map[iosched.AppID]float64, done func(Response, error)) {
 	m, rtt, err := h.exchange(id, vec)
 	if err != nil {
 		done(Response{}, err)
 		return
 	}
-	resp := Response{Apps: m, Tenants: make(map[string]float64, len(m))}
+	resp := Response{Apps: make([]iosched.AppID, 0, len(m)), Tenants: make(map[string]float64, len(m))}
 	for a, v := range m {
+		resp.Apps = append(resp.Apps, a)
 		resp.Tenants[implicitTenant(a)] = v
 	}
+	slices.Sort(resp.Apps)
 	h.reply(rtt, func() { done(resp, nil) })
 }
 
@@ -357,13 +361,13 @@ func TestBrokerUnregisterWithdrawsServiceAndPrunes(t *testing.T) {
 func TestBrokerExchangeReturnsDefensiveCopy(t *testing.T) {
 	b := New()
 	resp := b.Exchange("n0", map[iosched.AppID]float64{"a": 10})
-	resp.Apps["a"] = 1e12 // mutate the response
+	resp.Apps[0] = "z" // mutate the response
 	resp.Tenants["~a"] = 1e12
 	if got := b.Total("a"); got != 10 {
 		t.Errorf("total mutated through response: %g, want 10", got)
 	}
 	resp2 := b.Exchange("n1", map[iosched.AppID]float64{"a": 5})
-	if got := resp2.Apps["a"]; got != 15 {
+	if got := resp2.Tenants["~a"]; got != 15 {
 		t.Errorf("second response = %g, want 15", got)
 	}
 }
@@ -385,7 +389,7 @@ func TestBrokerRetireBlocksResurrection(t *testing.T) {
 	// A straggler report with the app's full cumulative value must not
 	// resurrect it — local accounting never forgets an app.
 	resp := b.Exchange("n0", map[iosched.AppID]float64{"a": 12, "live": 2})
-	if _, ok := resp.Apps["a"]; ok {
+	if slices.Contains(resp.Apps, "a") {
 		t.Error("retired app present in exchange response")
 	}
 	if got := b.Total("a"); got != 10 {

@@ -107,12 +107,12 @@ type Partition struct {
 }
 
 // NewPartition creates partition p's broker. shares attributes apps to
-// tenants (as in Broker.SetShares); staleAfter bounds tolerated
+// tenants (nil: implicit singletons); staleAfter bounds tolerated
 // downlink staleness in seconds (the cluster wires K × aggregation
 // period).
 func NewPartition(id int, shares ShareView, staleAfter float64) *Partition {
 	b := New()
-	b.SetShares(shares)
+	b.view = viewOf(shares)
 	return &Partition{
 		id:         id,
 		b:          b,
@@ -229,7 +229,7 @@ func (p *Partition) BuildUplink(now float64) (msg []byte, entries int, ok bool) 
 	// subtraction base when the matching downlink arrives.
 	pend := make(map[string]int64, len(p.upTenantQ))
 	for app, q := range p.upCur {
-		pend[p.b.tenantOf(iosched.AppID(app))] += q
+		pend[p.b.view.TenantOf(iosched.AppID(app))] += q
 	}
 	p.pendingUpTenantQ = pend
 	return msg, entries, true
@@ -284,15 +284,14 @@ func (p *Partition) ApplyDownlink(msg []byte, now float64) error {
 // incrementally in exact int64 arithmetic, and one downlink encoder
 // per partition.
 type Aggregator struct {
-	shares  ShareView
+	view    ShareView
+	epoch   uint64 // the view epoch globalTenant is grouped at
 	quantum float64
 
 	parts map[int]*aggPart
 
 	globalApp    map[string]int64
 	globalTenant map[string]int64
-	tenantCache  map[string]string
-	shareEpoch   uint64
 
 	probe func()
 	stats FedStats
@@ -310,15 +309,14 @@ type aggPart struct {
 
 // NewAggregator creates the root. shares must attribute apps to
 // tenants identically to every partition's view (the cluster passes
-// the same tree to both).
+// the same tree to both; nil: implicit singletons).
 func NewAggregator(shares ShareView) *Aggregator {
 	return &Aggregator{
-		shares:       shares,
+		view:         viewOf(shares),
 		quantum:      DefaultQuantum,
 		parts:        make(map[int]*aggPart),
 		globalApp:    make(map[string]int64),
 		globalTenant: make(map[string]int64),
-		tenantCache:  make(map[string]string),
 	}
 }
 
@@ -335,29 +333,16 @@ func (a *Aggregator) part(p int) *aggPart {
 	return ap
 }
 
-func (a *Aggregator) tenant(app string) string {
-	if t, ok := a.tenantCache[app]; ok {
-		return t
-	}
-	var t string
-	if a.shares != nil {
-		t = a.shares.TenantOf(iosched.AppID(app))
-	} else {
-		t = implicitTenant(iosched.AppID(app))
-	}
-	a.tenantCache[app] = t
-	return t
-}
+func (a *Aggregator) tenant(app string) string { return a.view.TenantOf(iosched.AppID(app)) }
 
-// refreshEpoch invalidates tenant attribution when the share tree
-// moved, rebuilding the tenant totals from the app totals (rare:
-// epochs move on reweights and bindings, not on traffic).
+// refreshEpoch rebuilds the tenant totals from the app totals when the
+// share tree moved (rare: epochs move on reweights and bindings, not
+// on traffic).
 func (a *Aggregator) refreshEpoch() {
-	if a.shares == nil || a.shares.Epoch() == a.shareEpoch {
+	if a.view.Epoch() == a.epoch {
 		return
 	}
-	a.shareEpoch = a.shares.Epoch()
-	a.tenantCache = make(map[string]string)
+	a.epoch = a.view.Epoch()
 	a.globalTenant = make(map[string]int64)
 	for app, q := range a.globalApp {
 		a.globalTenant[a.tenant(app)] += q

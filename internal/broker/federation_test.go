@@ -59,7 +59,7 @@ func TestFederationMergesRemoteTenantService(t *testing.T) {
 	}
 	// The app-level view stays local: cross-partition reconciliation is
 	// tenant-granular by design.
-	if got := resp.Apps["A"]; got != 10*q {
+	if got := p0.Broker().Total("A"); got != 10*q {
 		t.Fatalf("local app service = %v, want %v", got, 10*q)
 	}
 	if err := ag.CheckConservation(); err != nil {

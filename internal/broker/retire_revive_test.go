@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"ibis/internal/iosched"
+	"ibis/internal/shares"
 )
 
 // TestReviveRestoresExactContinuity pins the Revive snapshot fix: a
@@ -29,7 +30,7 @@ func TestReviveRestoresExactContinuity(t *testing.T) {
 		t.Fatalf("revived total = %v, want 150 (exact continuity)", got)
 	}
 	resp := b.Exchange("n1", map[iosched.AppID]float64{"A": 120})
-	if got := resp.Apps["A"]; got != 170 {
+	if got := resp.Tenants["~A"]; got != 170 {
 		t.Fatalf("post-revive exchange total = %v, want 170 (150 + delta 20)", got)
 	}
 }
@@ -65,7 +66,7 @@ func TestReviveDropsEntriesOfDepartedSchedulers(t *testing.T) {
 		t.Fatalf("revived total = %v, want 100 (n2's 50 departed)", got)
 	}
 	resp := b.Exchange("n1", map[iosched.AppID]float64{"A": 110})
-	if got := resp.Apps["A"]; got != 110 {
+	if got := resp.Tenants["~A"]; got != 110 {
 		t.Fatalf("post-revive total = %v, want 110", got)
 	}
 }
@@ -108,11 +109,40 @@ func conservationCheck(t *testing.T, b *Broker, step string) {
 	}
 }
 
+// exactRollup regroups the latest per-scheduler reports by tenant. The
+// costs are integers, so it is exact and the broker's tenant totals
+// must equal it, not merely approximate it.
+func exactRollup(b *Broker, tree *shares.Tree) map[string]float64 {
+	out := map[string]float64{}
+	for app, v := range b.ReportedTotals() {
+		out[tree.TenantOf(app)] += v
+	}
+	return out
+}
+
+// rollupCheck asserts that the tenant totals equal the exact regroup
+// (a missing tenant counts as zero service).
+func rollupCheck(t *testing.T, step, what string, got, want map[string]float64) {
+	t.Helper()
+	for tn, v := range got {
+		if want[tn] != v {
+			t.Fatalf("%s: %s tenant %s = %v, want %v", step, what, tn, v, want[tn])
+		}
+	}
+	for tn, v := range want {
+		if got[tn] != v {
+			t.Fatalf("%s: %s tenant %s = %v, want %v", step, what, tn, got[tn], v)
+		}
+	}
+}
+
 // TestRetireReviveUnregisterInterleavings drives seeded random
 // interleavings of the full scheduler/app lifecycle — monotone
-// cumulative exchanges, retire, revive, unregister, broker restart —
-// and asserts conservation plus tombstone stability after every
-// operation.
+// cumulative exchanges, retire, revive, unregister, broker restart,
+// rebinding an app to another tenant — and asserts conservation,
+// tombstone stability and an exact tenant rollup after every
+// operation. Odd seeds put all three apps in one tenant; even seeds
+// put A and B in one and leave C implicit.
 func TestRetireReviveUnregisterInterleavings(t *testing.T) {
 	apps := []iosched.AppID{"A", "B", "C"}
 	scheds := []string{"s1", "s2", "s3"}
@@ -125,7 +155,17 @@ func TestRetireReviveUnregisterInterleavings(t *testing.T) {
 				rng ^= rng << 17
 				return int(rng % uint64(n))
 			}
-			b := New()
+			tree := shares.NewTree()
+			grouped := apps[:2]
+			if seed%2 == 1 {
+				grouped = apps
+			}
+			for _, a := range grouped {
+				if err := tree.Bind(a, "T", 1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			b := NewPartition(0, tree, 0).Broker()
 			// cum[sched][app] is the model's monotone local accounting —
 			// it never forgets, exactly like scheduler accounting.
 			cum := map[string]map[iosched.AppID]float64{}
@@ -136,7 +176,7 @@ func TestRetireReviveUnregisterInterleavings(t *testing.T) {
 			tombstone := map[iosched.AppID]float64{}
 			for op := 0; op < 400; op++ {
 				step := fmt.Sprintf("seed %d op %d", seed, op)
-				switch next(10) {
+				switch next(11) {
 				case 0, 1, 2, 3, 4, 5: // exchange: the common case
 					s := scheds[next(len(scheds))]
 					for _, a := range apps {
@@ -148,8 +188,15 @@ func TestRetireReviveUnregisterInterleavings(t *testing.T) {
 					for a, v := range cum[s] {
 						vec[a] = v
 					}
-					b.Exchange(s, vec)
+					resp := b.Exchange(s, vec)
 					live[s] = true
+					want := exactRollup(b, tree)
+					for tn := range want {
+						if _, ok := resp.Tenants[tn]; !ok {
+							delete(want, tn)
+						}
+					}
+					rollupCheck(t, step, "response", resp.Tenants, want)
 				case 6: // retire
 					a := apps[next(len(apps))]
 					if !b.Retired(a) {
@@ -176,8 +223,18 @@ func TestRetireReviveUnregisterInterleavings(t *testing.T) {
 						delete(live, s)
 						cum[s] = map[iosched.AppID]float64{}
 					}
+				case 10: // rebind: move an app to another tenant
+					a := apps[next(len(apps))]
+					to := []string{"T", "U", ""}[next(3)]
+					if err := tree.Bind(a, to, 1); err != nil {
+						t.Fatal(err)
+					}
 				}
 				conservationCheck(t, b, step)
+				if err := b.CheckRollup(); err != nil {
+					t.Fatalf("%s: %v", step, err)
+				}
+				rollupCheck(t, step, "rollup", b.TenantTotals(), exactRollup(b, tree))
 				for a, want := range tombstone {
 					if !b.Retired(a) {
 						t.Fatalf("%s: app %s lost retired flag", step, a)
