@@ -1,9 +1,12 @@
 package ibis_test
 
 import (
+	"math"
+	"reflect"
 	"testing"
 
 	"ibis"
+	"ibis/internal/experiments"
 )
 
 // contend runs the standard two-app contention scenario (a light
@@ -102,6 +105,15 @@ func TestAuditCleanOnAllPolicies(t *testing.T) {
 // devices and the windowed share checks have eligible pairs.
 func shareScenario(t *testing.T, cfg ibis.Config) *ibis.Simulation {
 	t.Helper()
+	sim := shareSubmitted(t, cfg)
+	sim.Run()
+	return sim
+}
+
+// shareSubmitted builds shareScenario's simulation with both jobs
+// submitted, not yet run.
+func shareSubmitted(t *testing.T, cfg ibis.Config) *ibis.Simulation {
+	t.Helper()
 	sim, err := ibis.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -120,8 +132,52 @@ func shareScenario(t *testing.T, cfg ibis.Config) *ibis.Simulation {
 	if _, err := sim.Submit(b, 0); err != nil {
 		t.Fatal(err)
 	}
-	sim.Run()
 	return sim
+}
+
+// TestAuditSplitRunMatchesSingleRun pins that RunUntil leaves the audit
+// windows open: a run split at odd instants (mid-window, window
+// boundaries excluded) and finished by Run reports exactly the check
+// tallies and violations of one Run. Closing the windows at each split
+// would check a window twice and drop the empty-queue time accrued
+// before the split.
+func TestAuditSplitRunMatchesSingleRun(t *testing.T) {
+	cfg := ibis.Config{Policy: ibis.SFQD, Seed: 21, Audit: true}
+	whole := shareScenario(t, cfg)
+	split := shareSubmitted(t, cfg)
+	for _, at := range []float64{12.5, 27.5, 41.3, 58.9, 73.1} {
+		split.RunUntil(at)
+	}
+	if end, want := split.Run(), whole.Now(); end != want {
+		t.Fatalf("split run ended at %v, single run at %v", end, want)
+	}
+	want, got := whole.Audit(), split.Audit()
+	if want.Checks()["proportional-share"] == 0 {
+		t.Fatalf("no proportional-share checks: the split is untested (checks: %v)", want.Checks())
+	}
+	if !reflect.DeepEqual(got.Checks(), want.Checks()) {
+		t.Fatalf("check tallies differ:\n  split  %v\n  single %v", got.Checks(), want.Checks())
+	}
+	if !reflect.DeepEqual(got.Violations(), want.Violations()) {
+		t.Fatalf("violations differ:\n  split  %v\n  single %v", got.Violations(), want.Violations())
+	}
+}
+
+// TestAuditWindowRejected pins that an audit window that is negative,
+// NaN or infinite is an error at ibis.New and experiments.Run, not a
+// silently vacuous or defaulted share check.
+func TestAuditWindowRejected(t *testing.T) {
+	for _, w := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -3} {
+		if _, err := ibis.New(ibis.Config{Audit: true, AuditWindow: w}); err == nil {
+			t.Errorf("ibis.New accepted AuditWindow %v", w)
+		}
+		if _, err := experiments.Run(experiments.Options{Audit: true, AuditWindow: w}, nil); err == nil {
+			t.Errorf("experiments.Run accepted AuditWindow %v", w)
+		}
+	}
+	if _, err := ibis.New(ibis.Config{Audit: true}); err != nil {
+		t.Fatalf("AuditWindow 0 (the default) rejected: %v", err)
+	}
 }
 
 // TestAuditProportionalShareExercised pins the non-vacuousness of the

@@ -176,7 +176,8 @@ type Config struct {
 	// the broker, when coordinating); results via Simulation.Audit.
 	Audit bool
 	// AuditWindow overrides the proportional-share audit period in
-	// virtual seconds (0 = default 5 s).
+	// virtual seconds (0 = default 5 s). New rejects a negative, NaN or
+	// infinite window.
 	AuditWindow float64
 
 	// Faults, when non-nil, compiles and injects a deterministic fault
@@ -236,6 +237,9 @@ type Simulation struct {
 
 // New assembles a simulation.
 func New(cfg Config) (*Simulation, error) {
+	if err := audit.CheckWindow(cfg.AuditWindow); err != nil {
+		return nil, fmt.Errorf("ibis: %w", err)
+	}
 	eng := sim.NewEngine()
 	disk := storage.HDDSpec()
 	if cfg.SSD {
@@ -330,14 +334,11 @@ func (s *Simulation) Run() float64 {
 	return t
 }
 
-// RunUntil executes events up to the virtual-time limit. If auditing
-// is enabled the open audit windows are closed at the limit.
+// RunUntil executes events up to the virtual-time limit. It leaves the
+// audit windows open, so a run split across RunUntil calls is audited
+// as one run; after a final RunUntil, call Audit().Finish().
 func (s *Simulation) RunUntil(limit float64) float64 {
-	t := s.eng.RunUntil(limit)
-	if s.au != nil {
-		s.au.Finish()
-	}
-	return t
+	return s.eng.RunUntil(limit)
 }
 
 // Shares returns the cluster's share tree for direct control-plane
@@ -388,7 +389,8 @@ func (s *Simulation) ShareTransitions() []ShareTransition {
 func (s *Simulation) Trace() *Tracer { return s.tr }
 
 // Audit returns the invariant auditor, or nil when Config.Audit was
-// false.
+// false. Run finishes it; a run that ends with RunUntil must call
+// Audit().Finish() before reading the verdict.
 func (s *Simulation) Audit() *Auditor { return s.au }
 
 // Now returns the current virtual time.

@@ -52,25 +52,22 @@
 //
 // Shards. Each probe — on a scheduler, a broker or the federation root
 // — is registered with the simulation shard whose engine drives it.
-// When every probe sits on one shard the auditor judges each event as
-// it happens. Otherwise it cannot: one event can touch per-scheduler
-// flows, the cluster aggregate and the violation list, which parallel
-// windows would mutate concurrently. Each scheduler probe then appends
-// a value copy of the event to its shard's private log, and Finish
-// merges the logs by (event time, shard, log order) and replays them
-// through the same invariant battery. A shard's log is already in time
-// order (its engine clock is monotonic) and ties across shards go to
-// the lower shard, as in the trace merge, so every check count and
-// violation is a pure function of the simulated system, independent of
-// worker count.
+// Every scheduler event, and every degrade/recover note, is written as
+// the tracer's record into the scheduler's shard log (trace.Log), and
+// the auditor judges only records. When every probe sits on one shard
+// each record is judged as it is written. Otherwise one record could
+// touch state that parallel windows mutate concurrently, so the logs
+// grow through the run and Finish judges them in the tracer's merge
+// order (event time, shard, log order): every check count and
+// violation is a pure function of the simulated system, independent
+// of worker count.
 package audit
 
 import (
-	"cmp"
 	"fmt"
+	"maps"
 	"math"
 	"slices"
-	"sort"
 	"strings"
 
 	"ibis/internal/broker"
@@ -78,6 +75,7 @@ import (
 	"ibis/internal/iosched"
 	"ibis/internal/shares"
 	"ibis/internal/storage"
+	"ibis/internal/trace"
 )
 
 // Options tune the auditor.
@@ -117,6 +115,15 @@ type Options struct {
 	// MaxViolations caps stored violations; excess ones are counted
 	// but dropped (default 256).
 	MaxViolations int
+}
+
+// CheckWindow rejects a Window that is negative, NaN or infinite; 0
+// takes the default.
+func CheckWindow(w float64) error {
+	if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
+		return fmt.Errorf("audit window %g s: must be finite and non-negative (0 = default)", w)
+	}
+	return nil
 }
 
 func (o *Options) defaults() {
@@ -174,7 +181,7 @@ func (v Violation) String() string {
 type Auditor struct {
 	opts       Options
 	scheds     []*schedState
-	byKey      map[string]*schedState
+	byNode     [][trace.DevNIC + 1]*schedState // scheduler index by (node, device)
 	cluster    *clusterState
 	brokers    []*broker.Broker
 	violations []Violation
@@ -187,7 +194,7 @@ type Auditor struct {
 	// K recovery periods of grace — and openSkips tracks the interval
 	// each currently-degraded scheduler opened.
 	skips     []span
-	openSkips map[string]int
+	openSkips map[schedRef]int
 
 	// Epoch bookkeeping (see NoteEpochChange): reconvergence intervals
 	// around live weight changes, during which share checks (but not
@@ -197,11 +204,17 @@ type Auditor struct {
 	// (nil disables them).
 	shares broker.ShareView
 
-	// logs holds one sample log per shard with a probe, in shard
-	// order; deferred (more than one) means events are judged at
-	// Finish.
-	logs     []*shardLog
-	deferred bool
+	// log holds the records of every shard with a scheduler probe.
+	// shards holds the shards whose engines write the auditor; with more
+	// than one, records are judged at Finish.
+	log    trace.Log
+	shards map[int]bool
+}
+
+// schedRef names a scheduler by node and device.
+type schedRef struct {
+	node int32
+	dev  trace.DeviceKind
 }
 
 // SetShares attaches the share tree view used to group flows into
@@ -219,10 +232,12 @@ func (a *Auditor) NoteEpochChange(t float64) {
 	a.epochSkips = append(a.epochSkips, span{from: t, to: t + grace})
 }
 
-// epochSkipWindow reports whether [ws, we) overlaps any reweight
-// reconvergence interval.
-func (a *Auditor) epochSkipWindow(ws, we float64) bool {
-	for _, sp := range a.epochSkips {
+// span is a virtual-time interval; to is +Inf while still open.
+type span struct{ from, to float64 }
+
+// overlaps reports whether [ws, we) overlaps any of spans.
+func overlaps(spans []span, ws, we float64) bool {
+	for _, sp := range spans {
 		if sp.from < we && ws < sp.to {
 			return true
 		}
@@ -230,29 +245,27 @@ func (a *Auditor) epochSkipWindow(ws, we float64) bool {
 	return false
 }
 
-// span is a virtual-time interval; to is +Inf while still open.
-type span struct{ from, to float64 }
-
 // New creates an auditor.
 func New(opts Options) *Auditor {
 	opts.defaults()
 	return &Auditor{
 		opts:      opts,
-		byKey:     make(map[string]*schedState),
 		checks:    make(map[string]uint64),
-		openSkips: make(map[string]int),
+		openSkips: make(map[schedRef]int),
+		shards:    make(map[int]bool),
 	}
 }
 
 // Probe returns the lifecycle probe auditing one scheduler, labeled
-// with its node index and device name; shard is the simulation shard
-// whose engine drives the scheduler. SFQ schedulers get the full
-// invariant set; other policies get lifecycle sanity checks only.
-// Register every probe before the simulation runs.
-func (a *Auditor) Probe(shard, node int, dev string, sched iosched.Scheduler) iosched.Probe {
+// with its node index and device; shard is the simulation shard whose
+// engine drives the scheduler. SFQ schedulers get the full invariant
+// set; other policies get lifecycle sanity checks only. Register every
+// probe before the simulation runs.
+func (a *Auditor) Probe(shard, node int, dev trace.DeviceKind, sched iosched.Scheduler) iosched.Probe {
+	a.shards[shard] = true
 	s := &schedState{
 		a:     a,
-		log:   a.logFor(shard),
+		w:     a.log.Writer(shard, node, dev),
 		node:  node,
 		dev:   dev,
 		id:    len(a.scheds),
@@ -275,21 +288,42 @@ func (a *Auditor) Probe(shard, node int, dev string, sched iosched.Scheduler) io
 		a.cluster.members++
 	}
 	a.scheds = append(a.scheds, s)
-	a.byKey[schedKey(node, dev)] = s
+	for len(a.byNode) <= node {
+		a.byNode = append(a.byNode, [trace.DevNIC + 1]*schedState{})
+	}
+	a.byNode[node][dev] = s
 	return s
 }
 
-// logFor returns shard's sample log, creating it on first use.
-func (a *Auditor) logFor(shard int) *shardLog {
-	i, ok := slices.BinarySearchFunc(a.logs, shard, func(l *shardLog, s int) int { return cmp.Compare(l.shard, s) })
-	if !ok {
-		a.logs = slices.Insert(a.logs, i, &shardLog{shard: shard})
-		a.deferred = len(a.logs) > 1
+// sched returns the scheduler registered at (node, dev), or nil.
+func (a *Auditor) sched(node int32, dev trace.DeviceKind) *schedState {
+	if node < 0 || int(node) >= len(a.byNode) {
+		return nil
 	}
-	return a.logs[i]
+	return a.byNode[node][dev]
 }
 
-func schedKey(node int, dev string) string { return fmt.Sprintf("%d/%s", node, dev) }
+// judgeLive judges the logged records now when every writer sits on
+// one shard; otherwise they wait for Finish.
+func (a *Auditor) judgeLive() {
+	if len(a.shards) <= 1 {
+		a.log.Drain(a.judge)
+	}
+}
+
+// judge runs one record through the invariant battery: a note switches
+// its scheduler's regime, a lifecycle event is checked.
+func (a *Auditor) judge(r trace.Record) {
+	s := a.sched(r.Node, r.Dev)
+	switch r.Event {
+	case trace.EventDegrade:
+		a.degradeStart(s, r)
+	case trace.EventRecover:
+		a.degradeEnd(s, r)
+	default:
+		s.observe(&r)
+	}
+}
 
 // NoteDegradeStart records that the scheduler at (node, dev) suspended
 // DSFQ coordination at time t. The auditor switches invariant regimes
@@ -299,13 +333,11 @@ func schedKey(node int, dev string) string { return fmt.Sprintf("%d/%s", node, d
 // degradation preserves), and per-flow start-tag monotonicity is reset
 // once — suspension clamps accumulated delay-rule debt down to the
 // scheduler's virtual time, which legitimately regresses tags at that
-// single instant. Call it from the scheduler's shard: when events are
-// judged at Finish, the note joins that shard's log and lands between
-// exactly the samples it did in the simulation.
+// single instant. Call it from the scheduler's shard: the note joins
+// that shard's log and lands between exactly the records it did in the
+// simulation.
 func (a *Auditor) NoteDegradeStart(node int, dev string, t float64) {
-	if !a.logNote(entryDegradeStart, node, dev, t) {
-		a.degradeStart(node, dev, t)
-	}
+	a.note(trace.EventDegrade, node, dev, t)
 }
 
 // NoteDegradeEnd records recovery at time t. The scheduler's local
@@ -313,64 +345,54 @@ func (a *Auditor) NoteDegradeStart(node int, dev string, t float64) {
 // relaxed for K = RecoveryPeriods coordination periods more, after
 // which total-service proportionality must re-tighten.
 func (a *Auditor) NoteDegradeEnd(node int, dev string, t float64) {
-	if !a.logNote(entryDegradeEnd, node, dev, t) {
-		a.degradeEnd(node, dev, t)
-	}
+	a.note(trace.EventRecover, node, dev, t)
 }
 
-// logNote appends a degradation note to the log of the shard the
-// scheduler at (node, dev) was registered on, when events are judged
-// at Finish. It reports whether the note was logged.
-func (a *Auditor) logNote(kind uint8, node int, dev string, t float64) bool {
-	if !a.deferred {
-		return false
+// note writes a degrade or recover note into the log of the scheduler
+// at (node, dev). A note for a scheduler with no probe is judged on the
+// spot.
+func (a *Auditor) note(ev iosched.ProbeEvent, node int, dev string, t float64) {
+	kind := trace.DeviceKindOf(dev)
+	if s := a.sched(int32(node), kind); s != nil {
+		s.w.Note(ev, t)
+		a.judgeLive()
+		return
 	}
-	s := a.byKey[schedKey(node, dev)]
-	if s == nil {
-		return false
-	}
-	s.log.entries = append(s.log.entries, logEntry{time: t, kind: kind, node: node, dev: dev})
-	return true
+	a.judge(trace.Record{Time: t, Node: int32(node), Dev: kind, Event: ev})
 }
 
-func (a *Auditor) degradeStart(node int, dev string, t float64) {
+// degradeStart applies a degrade note; s is its scheduler, or nil.
+func (a *Auditor) degradeStart(s *schedState, r trace.Record) {
 	a.count("degrade-noted")
-	key := schedKey(node, dev)
-	if s := a.byKey[key]; s != nil {
-		s.degraded = append(s.degraded, span{from: t, to: math.Inf(1)})
+	if s != nil {
+		s.degraded = append(s.degraded, span{from: r.Time, to: math.Inf(1)})
 		for _, f := range s.flows {
 			f.lastStart = 0
 		}
 	}
-	a.openSkips[key] = len(a.skips)
-	a.skips = append(a.skips, span{from: t, to: math.Inf(1)})
+	a.openSkips[schedRef{r.Node, r.Dev}] = len(a.skips)
+	a.skips = append(a.skips, span{from: r.Time, to: math.Inf(1)})
 }
 
-func (a *Auditor) degradeEnd(node int, dev string, t float64) {
+// degradeEnd applies a recover note; s is its scheduler, or nil.
+func (a *Auditor) degradeEnd(s *schedState, r trace.Record) {
 	a.count("recover-noted")
-	key := schedKey(node, dev)
-	if s := a.byKey[key]; s != nil {
+	if s != nil {
 		if n := len(s.degraded); n > 0 && math.IsInf(s.degraded[n-1].to, 1) {
-			s.degraded[n-1].to = t
+			s.degraded[n-1].to = r.Time
 		}
 	}
+	key := schedRef{r.Node, r.Dev}
 	if idx, ok := a.openSkips[key]; ok {
 		grace := float64(a.opts.RecoveryPeriods) * a.opts.CoordinationPeriod
-		a.skips[idx].to = t + grace
+		a.skips[idx].to = r.Time + grace
 		delete(a.openSkips, key)
 	}
 }
 
 // skipWindow reports whether [ws, we) overlaps any cluster-level
 // relaxation interval.
-func (a *Auditor) skipWindow(ws, we float64) bool {
-	for _, sp := range a.skips {
-		if sp.from < we && ws < sp.to {
-			return true
-		}
-	}
-	return false
-}
+func (a *Auditor) skipWindow(ws, we float64) bool { return overlaps(a.skips, ws, we) }
 
 // Attach audits cl. It registers the coordination plane — the
 // federation root, if any, and every partition broker, live on the
@@ -392,14 +414,17 @@ func (a *Auditor) Attach(cl *cluster.Cluster, every int) {
 		if cl.PartitionShard(i) == coord {
 			a.AttachBroker(coord, p.Broker())
 		} else {
-			a.attachBrokerDeferred(p.Broker())
+			// Checked at Finish only: its exchanges run on a partition
+			// shard inside parallel fabric windows, where a live probe
+			// would write the auditor concurrently with the coordinator.
+			a.brokers = append(a.brokers, p.Broker())
 		}
 	}
 	cl.Instrument(func(shard, node int, dev string, sched iosched.Scheduler) iosched.Probe {
 		if node%every != 0 {
 			return nil
 		}
-		return a.Probe(shard, node, dev, sched)
+		return a.Probe(shard, node, trace.DeviceKindOf(dev), sched)
 	})
 	sampled := func(note func(int, string, float64)) func(int, string, float64) {
 		return func(node int, dev string, t float64) {
@@ -416,17 +441,9 @@ func (a *Auditor) Attach(cl *cluster.Cluster, every int) {
 // live, from the shard whose engine runs b. Like a scheduler probe, it
 // counts toward the shards the auditor is written from.
 func (a *Auditor) AttachBroker(shard int, b *broker.Broker) {
-	a.logFor(shard)
+	a.shards[shard] = true
 	a.brokers = append(a.brokers, b)
 	b.SetProbe(func(string, *broker.Broker) { a.checkBroker(b) })
-}
-
-// attachBrokerDeferred audits b's conservation only at Finish. For
-// partition brokers: their exchanges run on partition shards inside
-// parallel fabric windows, where a live probe would mutate the auditor
-// concurrently with the coordinator-shard probes.
-func (a *Auditor) attachBrokerDeferred(b *broker.Broker) {
-	a.brokers = append(a.brokers, b)
 }
 
 // attachAggregator audits the federation root on every applied uplink:
@@ -435,7 +452,7 @@ func (a *Auditor) attachBrokerDeferred(b *broker.Broker) {
 // int64 equalities, no tolerance (invariant federation-conservation).
 // shard is the shard whose engine runs ag, as for AttachBroker.
 func (a *Auditor) attachAggregator(shard int, ag *broker.Aggregator) {
-	a.logFor(shard)
+	a.shards[shard] = true
 	ag.SetProbe(func() {
 		a.count("federation-conservation")
 		if err := ag.CheckConservation(); err != nil {
@@ -447,12 +464,13 @@ func (a *Auditor) attachAggregator(shard int, ag *broker.Aggregator) {
 	})
 }
 
-// Finish replays the shard logs (when probes sit on more than one
+// Finish judges the logged records (when probes sit on more than one
 // shard), closes the open audit windows and re-checks broker
-// conservation. Call it once the simulation has drained; it is safe to
-// call more than once.
+// conservation. Call it once the simulation is over, not between
+// slices of a run: a window it closes early is checked again when the
+// run resumes. A repeated call at the end is harmless.
 func (a *Auditor) Finish() {
-	a.replay()
+	a.log.Drain(a.judge)
 	for _, s := range a.scheds {
 		s.roll(a.lastTime)
 		s.closeWindow()
@@ -467,11 +485,7 @@ func (a *Auditor) Finish() {
 }
 
 // Violations returns the recorded breaches (up to MaxViolations).
-func (a *Auditor) Violations() []Violation {
-	out := make([]Violation, len(a.violations))
-	copy(out, a.violations)
-	return out
-}
+func (a *Auditor) Violations() []Violation { return slices.Clone(a.violations) }
 
 // ViolationCount returns the total number of breaches observed,
 // including ones dropped past the MaxViolations cap.
@@ -481,13 +495,7 @@ func (a *Auditor) ViolationCount() uint64 {
 
 // Checks returns per-invariant evaluation counts — how many times each
 // property was actually tested.
-func (a *Auditor) Checks() map[string]uint64 {
-	out := make(map[string]uint64, len(a.checks))
-	for k, v := range a.checks {
-		out[k] = v
-	}
-	return out
-}
+func (a *Auditor) Checks() map[string]uint64 { return maps.Clone(a.checks) }
 
 // Err returns nil for a clean run, else an error summarizing the first
 // violations.
@@ -537,60 +545,6 @@ func (a *Auditor) checkBroker(b *broker.Broker) {
 	}
 }
 
-// shardLog is one shard's record of probe events awaiting replay:
-// append-only, written only by that shard's engine.
-type shardLog struct {
-	shard   int
-	entries []logEntry
-}
-
-const (
-	entrySample = iota
-	entryDegradeStart
-	entryDegradeEnd
-)
-
-type logEntry struct {
-	time  float64
-	kind  uint8
-	sched *schedState // sample entries
-	smp   sample
-	node  int // degrade entries
-	dev   string
-}
-
-// replay merges the shard logs by (event time, shard, log order) and
-// runs them through the invariant battery, then empties them.
-func (a *Auditor) replay() {
-	type tagged struct {
-		time     float64
-		log, idx int
-	}
-	var order []tagged
-	for li, l := range a.logs {
-		for i := range l.entries {
-			order = append(order, tagged{l.entries[i].time, li, i})
-		}
-	}
-	slices.SortFunc(order, func(x, y tagged) int {
-		return cmp.Or(cmp.Compare(x.time, y.time), cmp.Compare(x.log, y.log), cmp.Compare(x.idx, y.idx))
-	})
-	for _, o := range order {
-		e := &a.logs[o.log].entries[o.idx]
-		switch e.kind {
-		case entrySample:
-			e.sched.observeSample(&e.smp)
-		case entryDegradeStart:
-			a.degradeStart(e.node, e.dev, e.time)
-		case entryDegradeEnd:
-			a.degradeEnd(e.node, e.dev, e.time)
-		}
-	}
-	for _, l := range a.logs {
-		l.entries = nil
-	}
-}
-
 // flowAudit is one application's per-scheduler audit state.
 type flowAudit struct {
 	lastStart float64 // last start tag seen at arrival
@@ -609,18 +563,18 @@ type flowAudit struct {
 	maxUnit  float64 // running max cost/weight (the bound's c_f/w_f)
 }
 
-// schedState audits one scheduler.
 // readSFQBacked is satisfied by schedulers that wrap an SFQ queue for
 // reads while passing writes through uncontrolled (cgroups Weight).
 type readSFQBacked interface {
 	ReadSFQ() *iosched.SFQ
 }
 
+// schedState audits one scheduler.
 type schedState struct {
 	a           *Auditor
-	log         *shardLog // the shard log of the scheduler's shard
+	w           trace.Writer // into the log of the scheduler's shard
 	node        int
-	dev         string
+	dev         trace.DeviceKind
 	id          int
 	sfq         bool
 	readsOnly   bool // SFQ invariants apply to read-class requests only
@@ -662,146 +616,111 @@ func (s *schedState) flow(app iosched.AppID) *flowAudit {
 // tagEps is the float-comparison slack for tag arithmetic.
 func tagEps(x, y float64) float64 { return 1e-9 * (math.Abs(x) + math.Abs(y) + 1) }
 
-// sample captures everything the invariant checks read from a request
-// at probe time. Request objects are pooled and retagged after
-// completion, so a logged event must copy the fields eagerly rather
-// than hold the pointer.
-type sample struct {
-	app    iosched.AppID
-	class  iosched.Class
-	start  float64
-	finish float64
-	cost   float64
-	weight float64
-	st     iosched.ProbeState
-}
-
-func makeSample(req *iosched.Request, st iosched.ProbeState) sample {
-	return sample{
-		app:    req.App,
-		class:  req.Class,
-		start:  req.StartTag(),
-		finish: req.FinishTag(),
-		cost:   req.Cost(),
-		weight: req.Weight(),
-		st:     st,
-	}
-}
-
-// Observe implements iosched.Probe.
+// Observe implements iosched.Probe: the event is written to the log,
+// and judged there.
 func (s *schedState) Observe(req *iosched.Request, st iosched.ProbeState) {
-	if s.a.deferred {
-		s.log.entries = append(s.log.entries, logEntry{
-			time: st.Time, kind: entrySample, sched: s, smp: makeSample(req, st),
-		})
-		return
-	}
-	smp := makeSample(req, st)
-	s.observeSample(&smp)
+	s.w.Observe(req, st)
+	s.a.judgeLive()
 }
 
-// observeSample runs the full invariant battery on one captured
-// lifecycle event, live (Observe) or from a shard log (Finish).
-func (s *schedState) observeSample(smp *sample) {
+// observe runs the full invariant battery on one lifecycle record.
+func (s *schedState) observe(r *trace.Record) {
 	a := s.a
-	st := smp.st
-	if st.Time > a.lastTime {
-		a.lastTime = st.Time
+	if r.Time > a.lastTime {
+		a.lastTime = r.Time
 	}
 	a.count("lifecycle")
-	if st.Queued < 0 || st.InFlight < 0 {
-		a.violate(Violation{Time: st.Time, Invariant: "lifecycle", Node: s.node, Dev: s.dev, App: smp.app,
-			Detail: fmt.Sprintf("negative counters: queued=%d inflight=%d", st.Queued, st.InFlight)})
+	if r.Queued < 0 || r.InFlight < 0 {
+		a.violate(Violation{Time: r.Time, Invariant: "lifecycle", Node: s.node, Dev: s.dev.String(), App: r.App,
+			Detail: fmt.Sprintf("negative counters: queued=%d inflight=%d", r.Queued, r.InFlight)})
 	}
-	if st.Event == iosched.ProbeComplete && st.Latency < 0 {
-		a.violate(Violation{Time: st.Time, Invariant: "lifecycle", Node: s.node, Dev: s.dev, App: smp.app,
-			Detail: fmt.Sprintf("negative latency %g", st.Latency)})
+	if r.Event == iosched.ProbeComplete && r.Latency < 0 {
+		a.violate(Violation{Time: r.Time, Invariant: "lifecycle", Node: s.node, Dev: s.dev.String(), App: r.App,
+			Detail: fmt.Sprintf("negative latency %g", r.Latency)})
 	}
 
-	s.roll(st.Time)
+	s.roll(r.Time)
 	if s.coordinated && a.cluster != nil {
-		a.cluster.roll(st.Time)
+		a.cluster.roll(r.Time)
 	}
-	if st.Depth > s.maxDepth {
-		s.maxDepth = st.Depth
-	}
-	s.lastDepth = st.Depth
-	if s.readsOnly && smp.class.OpKind() != storage.Read {
+	s.lastDepth = int(r.Depth)
+	s.maxDepth = max(s.maxDepth, s.lastDepth)
+	if s.readsOnly && r.Class.OpKind() != storage.Read {
 		// Uncontrolled write-back pass-through: lifecycle sanity only.
 		return
 	}
 
-	f := s.flow(smp.app)
-	switch st.Event {
+	f := s.flow(r.App)
+	switch r.Event {
 	case iosched.ProbeArrive:
 		if f.waiting == 0 && f.zeroSince >= 0 {
-			if from := math.Max(f.zeroSince, s.windowStart); st.Time > from {
-				f.zeroDur += st.Time - from
+			if from := math.Max(f.zeroSince, s.windowStart); r.Time > from {
+				f.zeroDur += r.Time - from
 			}
 			f.zeroSince = -1
 		}
 		f.waiting++
 		if s.sfq {
 			a.count("start-tag-monotonicity")
-			if smp.start < f.lastStart-tagEps(smp.start, f.lastStart) {
-				a.violate(Violation{Time: st.Time, Invariant: "start-tag-monotonicity", Node: s.node, Dev: s.dev, App: smp.app,
-					Detail: fmt.Sprintf("start tag %.9g < previous %.9g", smp.start, f.lastStart)})
+			if r.StartTag < f.lastStart-tagEps(r.StartTag, f.lastStart) {
+				a.violate(Violation{Time: r.Time, Invariant: "start-tag-monotonicity", Node: s.node, Dev: s.dev.String(), App: r.App,
+					Detail: fmt.Sprintf("start tag %.9g < previous %.9g", r.StartTag, f.lastStart)})
 			}
-			f.lastStart = smp.start
+			f.lastStart = r.StartTag
 			a.count("tag-consistency")
-			want := smp.start + smp.cost/smp.weight
-			if math.Abs(smp.finish-want) > tagEps(smp.finish, want) {
-				a.violate(Violation{Time: st.Time, Invariant: "tag-consistency", Node: s.node, Dev: s.dev, App: smp.app,
-					Detail: fmt.Sprintf("finish tag %.9g != start %.9g + cost/w %.9g", smp.finish, smp.start, smp.cost/smp.weight)})
+			want := r.StartTag + r.Cost/r.Weight
+			if math.Abs(r.FinishTag-want) > tagEps(r.FinishTag, want) {
+				a.violate(Violation{Time: r.Time, Invariant: "tag-consistency", Node: s.node, Dev: s.dev.String(), App: r.App,
+					Detail: fmt.Sprintf("finish tag %.9g != start %.9g + cost/w %.9g", r.FinishTag, r.StartTag, r.Cost/r.Weight)})
 			}
-			if smp.start < st.VTime-tagEps(smp.start, st.VTime) {
-				a.violate(Violation{Time: st.Time, Invariant: "tag-consistency", Node: s.node, Dev: s.dev, App: smp.app,
-					Detail: fmt.Sprintf("start tag %.9g below virtual time %.9g at arrival", smp.start, st.VTime)})
+			if r.StartTag < r.VTime-tagEps(r.StartTag, r.VTime) {
+				a.violate(Violation{Time: r.Time, Invariant: "tag-consistency", Node: s.node, Dev: s.dev.String(), App: r.App,
+					Detail: fmt.Sprintf("start tag %.9g below virtual time %.9g at arrival", r.StartTag, r.VTime)})
 			}
 		}
 		if s.coordinated && a.cluster != nil {
-			a.cluster.arrive(smp.app, s.id, st.Time)
+			a.cluster.arrive(r.App, s.id, r.Time)
 		}
 	case iosched.ProbeDispatch:
 		f.waiting--
 		if f.waiting <= 0 {
 			f.waiting = 0
-			f.zeroSince = st.Time
+			f.zeroSince = r.Time
 		}
 		if s.coordinated && a.cluster != nil {
-			a.cluster.dispatch(smp.app, s.id, st.Time)
+			a.cluster.dispatch(r.App, s.id, r.Time)
 		}
 		if s.sfq {
 			a.count("vtime-monotonicity")
-			if st.VTime < s.lastVTime-tagEps(st.VTime, s.lastVTime) {
-				a.violate(Violation{Time: st.Time, Invariant: "vtime-monotonicity", Node: s.node, Dev: s.dev, App: smp.app,
-					Detail: fmt.Sprintf("virtual time %.9g < previous %.9g", st.VTime, s.lastVTime)})
+			if r.VTime < s.lastVTime-tagEps(r.VTime, s.lastVTime) {
+				a.violate(Violation{Time: r.Time, Invariant: "vtime-monotonicity", Node: s.node, Dev: s.dev.String(), App: r.App,
+					Detail: fmt.Sprintf("virtual time %.9g < previous %.9g", r.VTime, s.lastVTime)})
 			}
-			s.lastVTime = st.VTime
-			if st.Depth > 0 {
+			s.lastVTime = r.VTime
+			if r.Depth > 0 {
 				a.count("depth-bound")
-				if st.InFlight > st.Depth {
-					a.violate(Violation{Time: st.Time, Invariant: "depth-bound", Node: s.node, Dev: s.dev, App: smp.app,
-						Detail: fmt.Sprintf("dispatched with %d in flight > depth %d", st.InFlight, st.Depth)})
+				if r.InFlight > r.Depth {
+					a.violate(Violation{Time: r.Time, Invariant: "depth-bound", Node: s.node, Dev: s.dev.String(), App: r.App,
+						Detail: fmt.Sprintf("dispatched with %d in flight > depth %d", r.InFlight, r.Depth)})
 				}
 			}
 		}
 	case iosched.ProbeComplete:
-		if s.sfq && st.Depth > 0 {
+		if s.sfq && r.Depth > 0 {
 			a.count("work-conservation")
-			if st.Queued > 0 && st.InFlight < st.Depth {
-				a.violate(Violation{Time: st.Time, Invariant: "work-conservation", Node: s.node, Dev: s.dev, App: smp.app,
-					Detail: fmt.Sprintf("queue has %d waiting but only %d of %d slots in flight", st.Queued, st.InFlight, st.Depth)})
+			if r.Queued > 0 && r.InFlight < r.Depth {
+				a.violate(Violation{Time: r.Time, Invariant: "work-conservation", Node: s.node, Dev: s.dev.String(), App: r.App,
+					Detail: fmt.Sprintf("queue has %d waiting but only %d of %d slots in flight", r.Queued, r.InFlight, r.Depth)})
 			}
 		}
-		f.service += smp.cost
+		f.service += r.Cost
 		f.requests++
-		f.weight = smp.weight
-		if u := smp.cost / smp.weight; u > f.maxUnit {
+		f.weight = r.Weight
+		if u := r.Cost / r.Weight; u > f.maxUnit {
 			f.maxUnit = u
 		}
 		if s.coordinated && a.cluster != nil {
-			a.cluster.complete(smp.app, smp.cost, smp.weight, s.id, st.Time)
+			a.cluster.complete(r.App, r.Cost, r.Weight, s.id, r.Time)
 		}
 	}
 }
@@ -840,7 +759,7 @@ func (s *schedState) closeWindow() {
 		// applies for windows spent fully degraded.
 		invariant = "proportional-share-degraded"
 	}
-	if invariant != "" && s.a.epochSkipWindow(s.windowStart, end) {
+	if invariant != "" && overlaps(s.a.epochSkips, s.windowStart, end) {
 		// A live reweight landed in (or near) this window: normalized
 		// service mixes the old and new weights, so share comparisons
 		// are suspended for the declared reconvergence interval.
@@ -849,63 +768,26 @@ func (s *schedState) closeWindow() {
 	}
 	if invariant != "" {
 		maxZero := w * s.a.opts.BacklogSlack
-		apps := make([]iosched.AppID, 0, len(s.flows))
+		var flows []shareAgg
 		for app, f := range s.flows {
 			if f.zeroDur <= maxZero && f.requests >= s.a.opts.MinWindowRequests && f.weight > 0 {
-				apps = append(apps, app)
+				flows = append(flows, shareAgg{name: string(app), app: app, service: f.service, weight: f.weight, maxUnit: f.maxUnit, members: 1})
 			}
 		}
-		sort.Slice(apps, func(i, j int) bool { return apps[i] < apps[j] })
-		d := s.maxDepth
-		if d < 1 {
-			d = 1
+		sortAggs(flows)
+		win := shareWindow{a: s.a, node: s.node, dev: s.dev.String(), start: s.windowStart, end: end, d: max(s.maxDepth, 1)}
+		bound := func(x, y *shareAgg, _, _ float64) float64 {
+			return float64(win.d+1) * (x.maxUnit + y.maxUnit) * (1 + s.a.opts.ShareSlack)
 		}
-		for i := 0; i < len(apps); i++ {
-			for j := i + 1; j < len(apps); j++ {
-				fi, fj := s.flows[apps[i]], s.flows[apps[j]]
-				s.a.count(invariant)
-				ri, rj := fi.service/fi.weight, fj.service/fj.weight
-				bound := float64(d+1) * (fi.maxUnit + fj.maxUnit) * (1 + s.a.opts.ShareSlack)
-				if diff := math.Abs(ri - rj); diff > bound {
-					s.a.violate(Violation{
-						Time: s.windowStart + s.a.opts.Window, Invariant: invariant,
-						Node: s.node, Dev: s.dev, App: apps[i],
-						Detail: fmt.Sprintf("window [%.1fs,%.1fs): normalized service %s=%.4g vs %s=%.4g, |diff| %.4g > bound %.4g (D=%d)",
-							s.windowStart, s.windowStart+s.a.opts.Window, apps[i], ri, apps[j], rj, math.Abs(ri-rj), bound, d),
-					})
-				}
-			}
-		}
+		win.check(invariant, "normalized service", flows, nil, bound)
 		// Hierarchical check: a tenant's aggregate normalized service
 		// (Σ service / Σ effective weight over qualifying members) is a
 		// weighted average of its members' per-flow ratios, so any
 		// tenant-pair difference is bounded by the worst member-pair
 		// bound. Singleton-vs-singleton pairs duplicate the per-app
 		// check above and are skipped.
-		if s.a.shares != nil && len(apps) > 1 {
-			names, aggs := tenantAggregates(apps, s.a.shares, func(app iosched.AppID) (float64, float64, float64) {
-				f := s.flows[app]
-				return f.service, f.weight, f.maxUnit
-			})
-			for i := 0; i < len(names); i++ {
-				for j := i + 1; j < len(names); j++ {
-					ti, tj := aggs[names[i]], aggs[names[j]]
-					if ti.members < 2 && tj.members < 2 {
-						continue
-					}
-					s.a.count("tenant-" + invariant)
-					ri, rj := ti.service/ti.weight, tj.service/tj.weight
-					bound := float64(d+1) * (ti.maxUnit + tj.maxUnit) * (1 + s.a.opts.ShareSlack)
-					if diff := math.Abs(ri - rj); diff > bound {
-						s.a.violate(Violation{
-							Time: s.windowStart + s.a.opts.Window, Invariant: "tenant-" + invariant,
-							Node: s.node, Dev: s.dev,
-							Detail: fmt.Sprintf("window [%.1fs,%.1fs): tenant normalized service %s=%.4g vs %s=%.4g, |diff| %.4g > bound %.4g (D=%d)",
-								s.windowStart, s.windowStart+s.a.opts.Window, names[i], ri, names[j], rj, diff, bound, d),
-						})
-					}
-				}
-			}
+		if s.a.shares != nil && len(flows) > 1 {
+			win.check("tenant-"+invariant, "tenant normalized service", tenantAggs(flows, s.a.shares), multiMember, bound)
 		}
 	}
 	for _, f := range s.flows {
@@ -916,39 +798,94 @@ func (s *schedState) closeWindow() {
 	s.maxDepth = s.lastDepth
 }
 
-// tenantAgg aggregates the qualifying member flows of one tenant for
-// the hierarchical share checks.
-type tenantAgg struct {
+// shareAgg is one flow's, or one tenant's, window aggregate in the
+// pairwise share checks.
+type shareAgg struct {
+	name    string
+	app     iosched.AppID // the flow; empty for a tenant
 	service float64
-	weight  float64 // Σ member effective weights
-	maxUnit float64 // max member cost/weight
-	members int
+	weight  float64      // a tenant's: Σ member effective weights
+	maxUnit float64      // max cost/weight (the bound's c/w)
+	members int          // qualifying member flows
+	set     map[int]bool // cluster-wide: schedulers kept backlogged
 }
 
-// tenantAggregates groups qualifying apps (already sorted) by tenant,
-// accumulating in app order so float rounding is deterministic. get
-// returns one flow's (service, weight, maxUnit) window accumulators.
-func tenantAggregates(apps []iosched.AppID, shares broker.ShareView, get func(iosched.AppID) (float64, float64, float64)) ([]string, map[string]*tenantAgg) {
-	aggs := make(map[string]*tenantAgg)
-	var names []string
-	for _, app := range apps {
-		tn := shares.TenantOf(app)
-		ag := aggs[tn]
-		if ag == nil {
-			ag = &tenantAgg{}
-			aggs[tn] = ag
-			names = append(names, tn)
+// sortAggs orders aggregates by name, so checks and float rounding
+// are deterministic.
+func sortAggs(aggs []shareAgg) {
+	slices.SortFunc(aggs, func(x, y shareAgg) int { return strings.Compare(x.name, y.name) })
+}
+
+// tenantAggs groups qualifying flows (sorted by app) by tenant,
+// accumulating in app order so float rounding is deterministic, and
+// unions their backlogged-scheduler sets.
+func tenantAggs(flows []shareAgg, v broker.ShareView) []shareAgg {
+	var out []shareAgg
+	idx := make(map[string]int)
+	for _, f := range flows {
+		tn := v.TenantOf(f.app)
+		i, ok := idx[tn]
+		if !ok {
+			i = len(out)
+			idx[tn] = i
+			out = append(out, shareAgg{name: tn})
 		}
-		service, weight, maxUnit := get(app)
-		ag.service += service
-		ag.weight += weight
-		ag.members++
-		if maxUnit > ag.maxUnit {
-			ag.maxUnit = maxUnit
+		t := &out[i]
+		t.service += f.service
+		t.weight += f.weight
+		t.maxUnit = max(t.maxUnit, f.maxUnit)
+		t.members++
+		if f.set != nil {
+			if t.set == nil {
+				t.set = make(map[int]bool)
+			}
+			for id := range f.set {
+				t.set[id] = true
+			}
 		}
 	}
-	sort.Strings(names)
-	return names, aggs
+	sortAggs(out)
+	return out
+}
+
+// multiMember admits a tenant pair unless both are singletons, whose
+// comparison duplicates the per-app check.
+func multiMember(x, y *shareAgg) bool { return x.members > 1 || y.members > 1 }
+
+// shareWindow is one closing audit window's pairwise share checks:
+// where they run (node -1 = cluster-wide), the window, and the
+// dispatch depth D in their bounds.
+type shareWindow struct {
+	a          *Auditor
+	node       int
+	dev        string
+	start, end float64
+	d          int
+}
+
+// check compares the normalized service (service/weight) of every pair
+// of aggs that pair admits (nil admits all), counting one inv check per
+// pair, and records a violation when the difference exceeds bound.
+// what names the compared quantity in the violation text.
+func (w shareWindow) check(inv, what string, aggs []shareAgg, pair func(x, y *shareAgg) bool, bound func(x, y *shareAgg, rx, ry float64) float64) {
+	for i := range aggs {
+		for j := i + 1; j < len(aggs); j++ {
+			x, y := &aggs[i], &aggs[j]
+			if pair != nil && !pair(x, y) {
+				continue
+			}
+			w.a.count(inv)
+			rx, ry := x.service/x.weight, y.service/y.weight
+			b := bound(x, y, rx, ry)
+			if diff := math.Abs(rx - ry); diff > b {
+				w.a.violate(Violation{
+					Time: w.end, Invariant: inv, Node: w.node, Dev: w.dev, App: x.app,
+					Detail: fmt.Sprintf("window [%.1fs,%.1fs): %s %s=%.4g vs %s=%.4g, |diff| %.4g > bound %.4g (D=%d)",
+						w.start, w.end, what, x.name, rx, y.name, ry, diff, b, w.d),
+				})
+			}
+		}
+	}
 }
 
 // clusterFlow is one application's cluster-wide audit state under
@@ -1073,8 +1010,7 @@ func (c *clusterState) closeWindow() {
 		}
 	}
 	maxZero := w * c.a.opts.BacklogSlack
-	apps := make([]iosched.AppID, 0, len(c.flows))
-	sets := make(map[iosched.AppID]map[int]bool, len(c.flows))
+	var flows []shareAgg
 	for app, f := range c.flows {
 		if f.requests < c.a.opts.MinWindowRequests || f.weight <= 0 {
 			continue
@@ -1083,105 +1019,53 @@ func (c *clusterState) closeWindow() {
 		if len(set) == 0 {
 			continue
 		}
-		apps = append(apps, app)
-		sets[app] = set
+		flows = append(flows, shareAgg{name: string(app), app: app, service: f.service, weight: f.weight, maxUnit: f.maxUnit, members: 1, set: set})
 	}
-	sort.Slice(apps, func(i, j int) bool { return apps[i] < apps[j] })
-	d := c.maxDepth
-	if d < 1 {
-		d = 1
-	}
+	sortAggs(flows)
 	// While any member is degraded — and for K recovery periods after —
 	// the delay functions are allowed to be stale, so the cluster-wide
 	// bound is suspended (it relaxes to the per-node bounds the
 	// degraded schedulers are checked against). Past the grace the
 	// window is checked again: reconvergence must actually happen.
 	skipped := c.a.skipWindow(c.windowStart, end)
-	if skipped && len(apps) > 0 {
+	if skipped && len(flows) > 0 {
 		c.a.count("total-proportional-share-skipped")
 	}
-	if !skipped && c.a.epochSkipWindow(c.windowStart, end) {
+	if !skipped && overlaps(c.a.epochSkips, c.windowStart, end) {
 		// Reweight reconvergence: the delay functions are converging
 		// toward the new targets for a bounded number of coordination
 		// periods; past the grace the bound re-tightens.
 		skipped = true
-		if len(apps) > 0 {
+		if len(flows) > 0 {
 			c.a.count("share-skipped-epoch")
 		}
 	}
-	// Staleness allowance: up to one coordination period of each flow's
-	// cluster-wide service rate may be unreported on both the rising
-	// and falling edge of the window — plus, under a federated plane,
-	// the hierarchy's aggregation lag (FederationStaleness), which also
-	// renames the invariant to the share-federated regime.
-	lag := c.a.opts.CoordinationPeriod + c.a.opts.FederationStaleness
-	totalInv := "total-proportional-share"
-	if c.a.opts.FederationStaleness > 0 {
-		totalInv = "share-federated"
-	}
-	for i := 0; i < len(apps) && !skipped; i++ {
-		for j := i + 1; j < len(apps); j++ {
-			if !intersects(sets[apps[i]], sets[apps[j]]) {
-				continue
-			}
-			fi, fj := c.flows[apps[i]], c.flows[apps[j]]
-			c.a.count(totalInv)
-			ri, rj := fi.service/fi.weight, fj.service/fj.weight
-			stale := 2 * lag * (ri + rj) / w
-			bound := float64(d+1)*(fi.maxUnit+fj.maxUnit)*float64(c.members+1)*(1+c.a.opts.ShareSlack) + stale
-			if diff := math.Abs(ri - rj); diff > bound {
-				c.a.violate(Violation{
-					Time: end, Invariant: totalInv,
-					Node: -1, App: apps[i],
-					Detail: fmt.Sprintf("window [%.1fs,%.1fs): total normalized service %s=%.4g vs %s=%.4g, |diff| %.4g > bound %.4g (D=%d)",
-						c.windowStart, end, apps[i], ri, apps[j], rj, diff, bound, d),
-				})
-			}
+	if !skipped {
+		// Staleness allowance: up to one coordination period of each
+		// flow's cluster-wide service rate may be unreported on both the
+		// rising and falling edge of the window — plus, under a
+		// federated plane, the hierarchy's aggregation lag
+		// (FederationStaleness), which also renames the invariant to the
+		// share-federated regime.
+		lag := c.a.opts.CoordinationPeriod + c.a.opts.FederationStaleness
+		totalInv := "total-proportional-share"
+		if c.a.opts.FederationStaleness > 0 {
+			totalInv = "share-federated"
 		}
-	}
-	// Hierarchical cluster-wide check, by the same weighted-average
-	// argument as the local one: tenant aggregate ratios are bounded by
-	// the worst member-pair bound. Tenant pairs qualify when their
-	// members' backlogged-scheduler sets intersect and at least one
-	// tenant has two or more qualifying members (singleton pairs
-	// duplicate the per-app check).
-	if !skipped && c.a.shares != nil && len(apps) > 1 {
-		names, aggs := tenantAggregates(apps, c.a.shares, func(app iosched.AppID) (float64, float64, float64) {
-			f := c.flows[app]
-			return f.service, f.weight, f.maxUnit
-		})
-		union := make(map[string]map[int]bool, len(names))
-		for _, app := range apps {
-			tn := c.a.shares.TenantOf(app)
-			if union[tn] == nil {
-				union[tn] = make(map[int]bool)
-			}
-			for id := range sets[app] {
-				union[tn][id] = true
-			}
+		win := shareWindow{a: c.a, node: -1, start: c.windowStart, end: end, d: max(c.maxDepth, 1)}
+		bound := func(x, y *shareAgg, rx, ry float64) float64 {
+			stale := 2 * lag * (rx + ry) / w
+			return float64(win.d+1)*(x.maxUnit+y.maxUnit)*float64(c.members+1)*(1+c.a.opts.ShareSlack) + stale
 		}
-		for i := 0; i < len(names); i++ {
-			for j := i + 1; j < len(names); j++ {
-				ti, tj := aggs[names[i]], aggs[names[j]]
-				if ti.members < 2 && tj.members < 2 {
-					continue
-				}
-				if !intersects(union[names[i]], union[names[j]]) {
-					continue
-				}
-				c.a.count("total-tenant-proportional-share")
-				ri, rj := ti.service/ti.weight, tj.service/tj.weight
-				stale := 2 * lag * (ri + rj) / w
-				bound := float64(d+1)*(ti.maxUnit+tj.maxUnit)*float64(c.members+1)*(1+c.a.opts.ShareSlack) + stale
-				if diff := math.Abs(ri - rj); diff > bound {
-					c.a.violate(Violation{
-						Time: end, Invariant: "total-tenant-proportional-share",
-						Node: -1,
-						Detail: fmt.Sprintf("window [%.1fs,%.1fs): tenant normalized service %s=%.4g vs %s=%.4g, |diff| %.4g > bound %.4g (D=%d)",
-							c.windowStart, end, names[i], ri, names[j], rj, diff, bound, d),
-					})
-				}
-			}
+		shared := func(x, y *shareAgg) bool { return intersects(x.set, y.set) }
+		win.check(totalInv, "total normalized service", flows, shared, bound)
+		// Hierarchical cluster-wide check, by the same weighted-average
+		// argument as the local one: tenant pairs qualify when their
+		// members' backlogged-scheduler sets intersect and at least one
+		// tenant has two or more qualifying members.
+		if c.a.shares != nil && len(flows) > 1 {
+			win.check("total-tenant-proportional-share", "tenant normalized service", tenantAggs(flows, c.a.shares),
+				func(x, y *shareAgg) bool { return multiMember(x, y) && shared(x, y) }, bound)
 		}
 	}
 	for _, f := range c.flows {

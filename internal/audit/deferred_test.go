@@ -9,12 +9,13 @@ import (
 	"ibis/internal/iosched"
 	"ibis/internal/sim"
 	"ibis/internal/storage"
+	"ibis/internal/trace"
 )
 
 // feedStream pushes a fixed lifecycle stream carrying five invariant
 // breaches through the probe, mutating the (shared, pool-style) request
-// object between observations — the deferred path must have copied
-// every field eagerly or the replay sees retagged garbage.
+// object between observations — the logged record must have captured
+// every field at probe time or the replay sees retagged garbage.
 func feedStream(p iosched.Probe) {
 	req := &iosched.Request{App: "x", Shares: iosched.FixedWeight(1), Class: iosched.PersistentRead, Size: 1e6}
 	p.Observe(req, iosched.ProbeState{Event: iosched.ProbeComplete, Time: 0.5, Latency: -0.5})
@@ -43,7 +44,7 @@ func newAuditedSched() iosched.Scheduler {
 // tallies — with nothing judged before Finish.
 func TestDeferredReplayMatchesDirect(t *testing.T) {
 	direct := audit.New(audit.Options{})
-	p := direct.Probe(0, 0, "disk", newAuditedSched())
+	p := direct.Probe(0, 0, trace.DevHDFS, newAuditedSched())
 	feedStream(p)
 	if direct.ViolationCount() == 0 {
 		t.Fatal("one-shard auditor judged no breach before Finish: it must observe live, or the test stream is broken")
@@ -51,8 +52,8 @@ func TestDeferredReplayMatchesDirect(t *testing.T) {
 	direct.Finish()
 
 	deferredAud := audit.New(audit.Options{})
-	p = deferredAud.Probe(1, 0, "disk", newAuditedSched())
-	deferredAud.Probe(2, 1, "disk", newAuditedSched()) // a second shard defers judgement
+	p = deferredAud.Probe(1, 0, trace.DevHDFS, newAuditedSched())
+	deferredAud.Probe(2, 1, trace.DevHDFS, newAuditedSched()) // a second shard defers judgement
 	feedStream(p)
 	if got := deferredAud.ViolationCount(); got != 0 {
 		t.Fatalf("multi-shard auditor judged %d violations before Finish, want 0", got)
@@ -79,8 +80,8 @@ func TestDeferredReplayMatchesDirect(t *testing.T) {
 // higher shard first, must replay lower shard first.
 func TestDeferredMergesShardLogsInTimeOrder(t *testing.T) {
 	a := audit.New(audit.Options{})
-	p1 := a.Probe(1, 0, "disk", newAuditedSched())
-	p2 := a.Probe(2, 1, "disk", newAuditedSched())
+	p1 := a.Probe(1, 0, trace.DevHDFS, newAuditedSched())
+	p2 := a.Probe(2, 1, trace.DevHDFS, newAuditedSched())
 	req := &iosched.Request{App: "x", Shares: iosched.FixedWeight(1), Class: iosched.PersistentRead, Size: 1e6}
 	breach := func(p iosched.Probe, at float64) {
 		p.Observe(req, iosched.ProbeState{Event: iosched.ProbeComplete, Time: at, Latency: -1})
@@ -111,8 +112,8 @@ func TestDeferredMergesShardLogsInTimeOrder(t *testing.T) {
 // than applied on the spot, and applied when Finish replays the log.
 func TestDeferredDegradeNoteJoinsShardLog(t *testing.T) {
 	a := audit.New(audit.Options{})
-	p := a.Probe(1, 0, "disk", newAuditedSched())
-	a.Probe(2, 1, "disk", newAuditedSched())
+	p := a.Probe(1, 0, trace.DevHDFS, newAuditedSched())
+	a.Probe(2, 1, trace.DevHDFS, newAuditedSched())
 	req := &iosched.Request{App: "x", Shares: iosched.FixedWeight(1), Class: iosched.PersistentRead, Size: 1e6}
 	p.Observe(req, iosched.ProbeState{Event: iosched.ProbeArrive, Time: 1.0})
 	a.NoteDegradeStart(0, "disk", 2.0)
@@ -134,7 +135,7 @@ func TestDeferredDegradeNoteJoinsShardLog(t *testing.T) {
 func TestDeferredWhenBrokerOnOtherShard(t *testing.T) {
 	a := audit.New(audit.Options{})
 	a.AttachBroker(0, broker.New())
-	p := a.Probe(1, 0, "disk", newAuditedSched())
+	p := a.Probe(1, 0, trace.DevHDFS, newAuditedSched())
 	req := &iosched.Request{App: "x", Shares: iosched.FixedWeight(1), Class: iosched.PersistentRead, Size: 1e6}
 	p.Observe(req, iosched.ProbeState{Event: iosched.ProbeComplete, Time: 1.0, Latency: -1})
 	if got := a.ViolationCount(); got != 0 {

@@ -11,6 +11,7 @@ import (
 	"ibis/internal/iosched"
 	"ibis/internal/sim"
 	"ibis/internal/storage"
+	"ibis/internal/trace"
 )
 
 func TestDegradeSkipSpans(t *testing.T) {
@@ -160,7 +161,7 @@ func TestRegimeSwitchingEndToEnd(t *testing.T) {
 	sched := iosched.NewSFQD(eng, dev, 2)
 	sched.SetCoordinator(zeroCoord{})
 	au := New(Options{Window: 1, CoordinationPeriod: 0.5, RecoveryPeriods: 2, MinWindowRequests: 1})
-	sched.SetProbe(au.Probe(0, 0, "d", sched))
+	sched.SetProbe(au.Probe(0, 0, trace.DevHDFS, sched))
 
 	const horizon = 8.0
 	for _, app := range []iosched.AppID{"a", "b"} {

@@ -11,6 +11,7 @@ import (
 	"ibis/internal/iosched"
 	"ibis/internal/sim"
 	"ibis/internal/storage"
+	"ibis/internal/trace"
 )
 
 // Property tests: for randomized weight mixes (3–8 apps, weights 1–64)
@@ -116,7 +117,7 @@ func runShareTrial(t *testing.T, seed int64, pol propPolicy, spec storage.Spec) 
 	// Coordination is detected at probe-attach time, so probes go on
 	// after any SetCoordinator call.
 	for i, s := range scheds {
-		s.SetProbe(au.Probe(0, i, "disk", s))
+		s.SetProbe(au.Probe(0, i, trace.DevHDFS, s))
 	}
 
 	// Keep every flow continuously backlogged at every scheduler:

@@ -1,0 +1,170 @@
+package audit
+
+import (
+	"cmp"
+	"reflect"
+	"slices"
+	"testing"
+
+	"ibis/internal/iosched"
+	"ibis/internal/sim"
+	"ibis/internal/storage"
+	"ibis/internal/trace"
+)
+
+// splitScheds is how many schedulers the fuzzed streams cover; the odd
+// ones are coordinated, so the cluster-wide state and the degrade notes
+// are exercised too.
+const splitScheds = 4
+
+// splitEvent is one entry of a shard's stream: a lifecycle event on
+// scheduler sched, or a degrade/recover note for it.
+type splitEvent struct {
+	shard, sched int
+	ev           iosched.ProbeEvent
+	req          *iosched.Request
+	st           iosched.ProbeState
+}
+
+// taggedPool returns requests of three apps carrying real SFQ tags,
+// submitted in order to one SFQ(D) scheduler; replaying them out of
+// order breaks start-tag monotonicity, and a virtual time above a start
+// tag breaks tag consistency.
+func taggedPool() []*iosched.Request {
+	eng := sim.NewEngine()
+	dev := storage.NewDevice(eng, "d", storage.Spec{
+		Name: "flat", ReadBW: 100e6, WriteBW: 100e6,
+		Curve: []float64{1}, CurveDecay: 1, MinCurve: 1,
+	})
+	tagger := iosched.NewSFQD(eng, dev, 2)
+	var pool []*iosched.Request
+	for i := 0; i < 12; i++ {
+		req := &iosched.Request{
+			App: []iosched.AppID{"a", "b", "c"}[i%3], Shares: iosched.FixedWeight(float64(1 + i%2)),
+			Class: iosched.PersistentRead, Size: 1e6,
+		}
+		if err := tagger.Submit(req); err != nil {
+			panic(err)
+		}
+		pool = append(pool, req)
+	}
+	return pool
+}
+
+// splitAuditor builds an auditor over splitScheds SFQ schedulers, the
+// i-th on shard shardOf(i), and returns it with the schedulers' probes.
+func splitAuditor(shardOf func(int) int) (*Auditor, []iosched.Probe) {
+	a := New(Options{Window: 1, MinWindowRequests: 1, CoordinationPeriod: 0.5, RecoveryPeriods: 2})
+	probes := make([]iosched.Probe, splitScheds)
+	for i := range probes {
+		eng := sim.NewEngine()
+		dev := storage.NewDevice(eng, "d", storage.Spec{
+			Name: "flat", ReadBW: 100e6, WriteBW: 100e6,
+			Curve: []float64{1}, CurveDecay: 1, MinCurve: 1,
+		})
+		s := iosched.NewSFQD(eng, dev, 2)
+		if i%2 == 1 {
+			s.SetCoordinator(zeroCoord{})
+		}
+		probes[i] = a.Probe(shardOf(i), i, trace.DevHDFS, s)
+	}
+	return a, probes
+}
+
+// feed delivers one event to a's probe or note entry point.
+func feed(a *Auditor, probes []iosched.Probe, e splitEvent) {
+	switch e.ev {
+	case trace.EventDegrade:
+		a.NoteDegradeStart(e.sched, "hdfs", e.st.Time)
+	case trace.EventRecover:
+		a.NoteDegradeEnd(e.sched, "hdfs", e.st.Time)
+	default:
+		probes[e.sched].Observe(e.req, e.st)
+	}
+}
+
+// FuzzAuditShardSplit judges one set of per-shard lifecycle streams
+// twice: live, on a one-shard auditor fed the streams in (time, shard,
+// order), and at Finish, on a k-shard auditor whose shard logs are
+// merged there. The streams carry tag, depth, counter and latency
+// breaches and degrade/recover notes; both verdicts must agree on
+// every check tally and violation.
+func FuzzAuditShardSplit(f *testing.F) {
+	f.Add(uint8(0), []byte{0x00, 0x10, 0x21, 0x04, 0x05, 0x96, 0x09, 0x2a, 0xc3, 0x11, 0x40, 0x7f, 0x13, 0x01, 0x00})
+	f.Add(uint8(1), []byte{0x10, 0x00, 0x00, 0x11, 0x00, 0x00, 0x02, 0x30, 0xff, 0x17, 0x04, 0x80, 0x0b, 0x08, 0x41})
+	f.Add(uint8(2), []byte{0x03, 0x4c, 0x12, 0x07, 0x8d, 0x35, 0x16, 0x01, 0xe0, 0x1e, 0x02, 0x00, 0x05, 0x03, 0x22})
+	pool := taggedPool()
+	f.Fuzz(func(t *testing.T, shards uint8, data []byte) { checkShardSplit(t, pool, shards, data) })
+}
+
+// checkShardSplit is FuzzAuditShardSplit's property on one input.
+func checkShardSplit(t *testing.T, pool []*iosched.Request, shards uint8, data []byte) {
+	k := 2 + int(shards%3)
+	// Every stream opens with an arrival on each scheduler, so the
+	// battery is never vacuous; then each 3-byte group is one event
+	// on one scheduler, at a clock step of 0–0.75 s on its shard.
+	clock := make([]float64, k)
+	var events []splitEvent
+	add := func(sched int, ev iosched.ProbeEvent, dt float64, req *iosched.Request, st iosched.ProbeState) {
+		shard := sched % k
+		clock[shard] += dt
+		st.Event, st.Time = ev, clock[shard]
+		events = append(events, splitEvent{shard: shard, sched: sched, ev: ev, req: req, st: st})
+	}
+	for i := 0; i < splitScheds; i++ {
+		add(i, iosched.ProbeArrive, 0, pool[i], iosched.ProbeState{Queued: 1, Depth: 2})
+	}
+	kinds := []iosched.ProbeEvent{
+		iosched.ProbeArrive, iosched.ProbeDispatch, iosched.ProbeComplete,
+		iosched.ProbeArrive, iosched.ProbeComplete, trace.EventDegrade, trace.EventRecover,
+	}
+	for ; len(data) >= 3; data = data[3:] {
+		x, y, z := data[0], data[1], data[2]
+		add(int(x)%splitScheds, kinds[int(x>>2)%len(kinds)], float64(y%4)*0.25, pool[int(y>>2)%len(pool)],
+			iosched.ProbeState{
+				Queued:   int(z & 3),
+				InFlight: int(z >> 2 & 3),
+				Depth:    2,
+				VTime:    float64(z>>4) * 0.005,
+				Latency:  float64(int(z>>6) - 1),
+			})
+	}
+
+	live, liveProbes := splitAuditor(func(int) int { return 0 })
+	merged := slices.Clone(events)
+	slices.SortStableFunc(merged, func(x, y splitEvent) int {
+		return cmp.Or(cmp.Compare(x.st.Time, y.st.Time), cmp.Compare(x.shard, y.shard))
+	})
+	for _, e := range merged {
+		feed(live, liveProbes, e)
+	}
+	live.Finish()
+
+	deferred, deferredProbes := splitAuditor(func(i int) int { return i % k })
+	// Shard by shard, highest first: only the merge at Finish can
+	// restore the live order.
+	for shard := k - 1; shard >= 0; shard-- {
+		for _, e := range events {
+			if e.shard == shard {
+				feed(deferred, deferredProbes, e)
+			}
+		}
+	}
+	if n := deferred.ViolationCount(); n != 0 {
+		t.Fatalf("k-shard auditor judged %d violations before Finish", n)
+	}
+	deferred.Finish()
+
+	if live.Checks()["lifecycle"] == 0 {
+		t.Fatal("no lifecycle checks: the stream is vacuous")
+	}
+	if !reflect.DeepEqual(deferred.Checks(), live.Checks()) {
+		t.Fatalf("check tallies differ:\n  %d shards %v\n  one shard %v", k, deferred.Checks(), live.Checks())
+	}
+	if got, want := deferred.ViolationCount(), live.ViolationCount(); got != want {
+		t.Fatalf("%d shards found %d violations, one shard %d", k, got, want)
+	}
+	if !reflect.DeepEqual(deferred.Violations(), live.Violations()) {
+		t.Fatalf("violations differ:\n  %d shards %v\n  one shard %v", k, deferred.Violations(), live.Violations())
+	}
+}

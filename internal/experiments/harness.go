@@ -76,7 +76,8 @@ type Options struct {
 	// into a ring of that many records (Result.Trace).
 	TraceCapacity int
 	// Audit enables online invariant auditing (Result.Audit);
-	// AuditWindow overrides the share-check period (0 = default).
+	// AuditWindow overrides the share-check period (0 = default; Run
+	// rejects a negative, NaN or infinite window).
 	Audit       bool
 	AuditWindow float64
 	// Shards, when positive, runs the scenario on the sharded parallel
@@ -189,6 +190,9 @@ func Run(opts Options, entries []Entry) (*Result, error) {
 // RunWithSetup is Run with a hook that can attach additional workloads
 // (e.g. a Hive query's stage chain) to the runtime before execution.
 func RunWithSetup(opts Options, entries []Entry, setup func(*mapreduce.Runtime) error) (*Result, error) {
+	if err := audit.CheckWindow(opts.AuditWindow); err != nil {
+		return nil, fmt.Errorf("experiments: %w", err)
+	}
 	opts.defaults()
 	disk := storage.HDDSpec()
 	if opts.SSD {

@@ -80,8 +80,9 @@ type Config struct {
 	Faults *faults.Injector
 
 	// Audit attaches the invariant auditor to every AuditSampleEvery-th
-	// node (1 = all nodes; sampling bounds the deferred log's memory at
-	// the 1000-node shape).
+	// node (1 = all nodes). Each sampled node's shard log keeps one
+	// fixed-size, pointer-free record per lifecycle event until Finish,
+	// so sampling bounds that memory at the 1000-node shape.
 	Audit            bool
 	AuditSampleEvery int
 
@@ -316,7 +317,7 @@ func Run(cfg Config) (*Report, error) {
 	}
 
 	// Audit wiring (sampled nodes only; the node shards' logs are
-	// replayed at Finish).
+	// judged at Finish).
 	var auditor *audit.Auditor
 	if cfg.Audit {
 		auditor = audit.New(audit.Options{

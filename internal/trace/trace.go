@@ -10,6 +10,10 @@
 //     pre-allocated ring slot — no allocation per event;
 //   - with no probe installed at all, schedulers pay a single nil check.
 //
+// The same record, capture and merge serve the invariant auditor: a Log
+// keeps one append-only buffer per shard instead of a ring, so it never
+// drops a record.
+//
 // Two export formats are supported: JSONL (one record per line, fixed
 // field order, deterministic formatting — byte-identical across runs
 // with the same Config.Seed) and the Chrome trace-event format
@@ -23,7 +27,6 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -72,9 +75,8 @@ func DeviceKindOf(label string) DeviceKind {
 	}
 }
 
-// Record is one traced lifecycle event. Records are fixed-size and live
-// in the ring buffer; all fields are plain values so a record write
-// never allocates.
+// Record is one traced lifecycle event, in the exported layout; the
+// buffers store the pointer-free rec.
 type Record struct {
 	// Time is the virtual time of the event (seconds).
 	Time float64
@@ -114,11 +116,11 @@ type Record struct {
 // non-positive capacity (64Ki records ≈ a few MB).
 const DefaultCapacity = 1 << 16
 
-// rec is the in-ring record layout: Record with the app string replaced
-// by an intern-table index. No field carries a pointer, so a ring write
-// is barrier-free and the garbage collector never scans the buffer —
-// the two costs that dominated tracing overhead with the exported
-// layout in the ring.
+// rec is the stored record layout: Record with the app string replaced
+// by an intern-table index and the class narrowed to a byte. No field
+// carries a pointer, so a write is barrier-free and the garbage
+// collector never scans a buffer — the two costs that dominated tracing
+// overhead with the exported layout stored.
 type rec struct {
 	time      float64
 	seq       uint64
@@ -137,46 +139,193 @@ type rec struct {
 	app       uint32
 	dev       DeviceKind
 	event     iosched.ProbeEvent
-	class     iosched.Class
+	class     uint8
+}
+
+// EventDegrade and EventRecover are the events of an audit log's note
+// records: a scheduler suspended or resumed DSFQ coordination. A note
+// carries only Time, Node, Dev and its Event, and the tracer never
+// writes one.
+const (
+	EventDegrade = iosched.ProbeComplete + 1 + iota
+	EventRecover
+)
+
+// buffer is one shard's records, written only by that shard's engine:
+// a tracer ring, which keeps the newest len(buf) records, or a log,
+// which keeps them all. Either is in nondecreasing time order, since
+// the shard's engine clock is monotonic.
+type buffer struct {
+	shard int
+	buf   []rec
+	ring  bool
+	mask  uint64 // ring: len(buf)-1, a power of two minus one
+	next  uint64 // records written since the last reset
+
+	// App-string interning: apps holds each distinct AppID once, records
+	// store the index. A one-entry cache catches the common case (runs
+	// of records from the same app) without a map lookup.
+	apps     []iosched.AppID
+	appIdx   map[iosched.AppID]uint32
+	lastApp  iosched.AppID
+	lastIdx  uint32
+	haveLast bool
+}
+
+// buffers holds one buffer per shard that has a writer, in shard order.
+type buffers []*buffer
+
+// get returns shard's buffer, creating it on first use: a ring of
+// capacity records, or a log when capacity is 0.
+func (bs *buffers) get(shard, capacity int) *buffer {
+	i, ok := slices.BinarySearchFunc(*bs, shard, func(b *buffer, s int) int { return cmp.Compare(b.shard, s) })
+	if !ok {
+		b := &buffer{shard: shard, appIdx: make(map[iosched.AppID]uint32)}
+		if capacity > 0 {
+			b.buf, b.ring, b.mask = make([]rec, capacity), true, uint64(capacity-1)
+		}
+		*bs = slices.Insert(*bs, i, b)
+	}
+	return (*bs)[i]
+}
+
+// walk calls fn on every held record in (time, shard, buffer order): a
+// k-way merge over per-shard cursors. Each buffer is already in time
+// order, so this is the order a stable sort on (time, shard) would
+// give, and any digest over it is a pure function of the simulated
+// system, independent of how many worker goroutines executed it.
+func (bs buffers) walk(fn func(*buffer, *rec)) {
+	if len(bs) == 1 {
+		b := bs[0]
+		for i, n := 0, b.len(); i < n; i++ {
+			fn(b, b.at(i))
+		}
+		return
+	}
+	type cursor struct {
+		b    *buffer
+		i, n int
+		time float64 // of the record at i
+	}
+	h := make([]cursor, 0, len(bs))
+	for _, b := range bs {
+		if n := b.len(); n > 0 {
+			h = append(h, cursor{b: b, n: n, time: b.at(0).time})
+		}
+	}
+	less := func(x, y *cursor) bool {
+		return x.time < y.time || x.time == y.time && x.b.shard < y.b.shard
+	}
+	down := func(i int) {
+		for {
+			m := i
+			if l := 2*i + 1; l < len(h) && less(&h[l], &h[m]) {
+				m = l
+			}
+			if r := 2*i + 2; r < len(h) && less(&h[r], &h[m]) {
+				m = r
+			}
+			if m == i {
+				return
+			}
+			h[i], h[m] = h[m], h[i]
+			i = m
+		}
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		down(i)
+	}
+	for len(h) > 0 {
+		c := &h[0]
+		fn(c.b, c.b.at(c.i))
+		if c.i++; c.i < c.n {
+			c.time = c.b.at(c.i).time
+		} else {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+		}
+		down(0)
+	}
+}
+
+// slot returns the record the next write fills: the oldest slot of a
+// full ring, or a new slot at the end of a log.
+func (b *buffer) slot() *rec {
+	b.next++
+	if b.ring {
+		return &b.buf[(b.next-1)&b.mask]
+	}
+	b.buf = append(b.buf, rec{})
+	return &b.buf[len(b.buf)-1]
+}
+
+// reset empties the buffer (a log keeps its capacity; the app intern
+// table is kept).
+func (b *buffer) reset() {
+	b.next = 0
+	if !b.ring {
+		b.buf = b.buf[:0]
+	}
+}
+
+// intern returns the stable index of app in the buffer's app table.
+func (b *buffer) intern(app iosched.AppID) uint32 {
+	if b.haveLast && app == b.lastApp {
+		return b.lastIdx
+	}
+	idx, ok := b.appIdx[app]
+	if !ok {
+		idx = uint32(len(b.apps))
+		b.apps = append(b.apps, app)
+		b.appIdx[app] = idx
+	}
+	b.lastApp, b.lastIdx, b.haveLast = app, idx, true
+	return idx
+}
+
+// len returns how many records the buffer holds.
+func (b *buffer) len() int {
+	if b.next < uint64(len(b.buf)) {
+		return int(b.next)
+	}
+	return len(b.buf)
+}
+
+// at returns the i-th held record, oldest first.
+func (b *buffer) at(i int) *rec {
+	if b.next <= uint64(len(b.buf)) {
+		return &b.buf[i]
+	}
+	return &b.buf[(b.next+uint64(i))&b.mask]
+}
+
+// export materializes one record in the public layout.
+func (b *buffer) export(x *rec) Record {
+	return Record{
+		Time: x.time, Node: x.node, Dev: x.dev, Event: x.event,
+		App: b.apps[x.app], Class: iosched.Class(x.class), Seq: x.seq, Size: x.size,
+		Weight: x.weight, Epoch: x.epoch, Cost: x.cost,
+		StartTag: x.startTag, FinishTag: x.finishTag, VTime: x.vtime,
+		Queued: x.queued, InFlight: x.inFlight, Depth: x.depth,
+		Latency: x.latency,
+	}
 }
 
 // Tracer is a ring-buffered lifecycle recorder with one ring per
 // simulation shard that carries a probe. Each ring is written only by
 // its shard's engine, so shards record with no synchronization, and
-// Records assembles one stream after the run. A one-shard model has a
-// single ring and reads it directly.
-//
-// The merged order is (event time, shard, ring order). A ring is
-// already in nondecreasing time order (each shard's engine clock is
-// monotonic), so the order — and any digest taken over the exported
-// trace — is a pure function of the simulated system, independent of
-// how many worker goroutines executed it.
+// Records assembles one stream after the run, merged in (event time,
+// shard, ring order). A one-shard model has a single ring and reads it
+// directly.
 type Tracer struct {
 	capacity int
-	rings    []*ring // in shard order
+	rings    buffers
 	epochs   []EpochMark
 
 	// merged caches Records until a record is written or Reset runs;
 	// mergedAt is Total() when it was built.
 	merged   []Record
 	mergedAt uint64
-}
-
-// ring is one shard's record buffer.
-type ring struct {
-	shard int
-	buf   []rec
-	mask  uint64 // len(buf)-1; the capacity is a power of two
-	next  uint64 // total records ever written
-
-	// App-string interning: apps holds each distinct AppID once, ring
-	// records store the index. A one-entry cache catches the common
-	// case (runs of records from the same app) without a map lookup.
-	apps     []iosched.AppID
-	appIdx   map[iosched.AppID]uint32
-	lastApp  iosched.AppID
-	lastIdx  uint32
-	haveLast bool
 }
 
 // New creates a tracer whose rings hold capacity records each
@@ -198,65 +347,6 @@ func ceilPow2(n int) int {
 		p <<= 1
 	}
 	return p
-}
-
-// ringFor returns shard's ring, allocating it on first use.
-func (t *Tracer) ringFor(shard int) *ring {
-	i, ok := slices.BinarySearchFunc(t.rings, shard, func(r *ring, s int) int { return cmp.Compare(r.shard, s) })
-	if ok {
-		return t.rings[i]
-	}
-	r := &ring{
-		shard:  shard,
-		buf:    make([]rec, t.capacity),
-		mask:   uint64(t.capacity - 1),
-		appIdx: make(map[iosched.AppID]uint32),
-	}
-	t.rings = slices.Insert(t.rings, i, r)
-	return r
-}
-
-// intern returns the stable index of app in the ring's app table.
-func (r *ring) intern(app iosched.AppID) uint32 {
-	if r.haveLast && app == r.lastApp {
-		return r.lastIdx
-	}
-	idx, ok := r.appIdx[app]
-	if !ok {
-		idx = uint32(len(r.apps))
-		r.apps = append(r.apps, app)
-		r.appIdx[app] = idx
-	}
-	r.lastApp, r.lastIdx, r.haveLast = app, idx, true
-	return idx
-}
-
-// len returns how many records the ring holds.
-func (r *ring) len() int {
-	if r.next < uint64(len(r.buf)) {
-		return int(r.next)
-	}
-	return len(r.buf)
-}
-
-// at returns the i-th held record, oldest first.
-func (r *ring) at(i int) *rec {
-	if r.next <= uint64(len(r.buf)) {
-		return &r.buf[i]
-	}
-	return &r.buf[(r.next+uint64(i))&r.mask]
-}
-
-// export materializes one ring record in the public layout.
-func (r *ring) export(x *rec) Record {
-	return Record{
-		Time: x.time, Node: x.node, Dev: x.dev, Event: x.event,
-		App: r.apps[x.app], Class: x.class, Seq: x.seq, Size: x.size,
-		Weight: x.weight, Epoch: x.epoch, Cost: x.cost,
-		StartTag: x.startTag, FinishTag: x.finishTag, VTime: x.vtime,
-		Queued: x.queued, InFlight: x.inFlight, Depth: x.depth,
-		Latency: x.latency,
-	}
 }
 
 // Capacity returns the size of each shard's ring.
@@ -288,7 +378,7 @@ func (t *Tracer) Dropped() uint64 { return t.Total() - uint64(t.Len()) }
 // intern tables are kept).
 func (t *Tracer) Reset() {
 	for _, r := range t.rings {
-		r.next = 0
+		r.reset()
 	}
 	t.epochs = nil
 	t.merged = nil
@@ -303,26 +393,8 @@ func (t *Tracer) Records() []Record {
 	if t.merged != nil && t.mergedAt == total {
 		return t.merged
 	}
-	type key struct {
-		time      float64
-		ring, idx int32
-	}
-	keys := make([]key, 0, t.Len())
-	for ri, r := range t.rings {
-		for i, n := 0, r.len(); i < n; i++ {
-			keys = append(keys, key{r.at(i).time, int32(ri), int32(i)})
-		}
-	}
-	if len(t.rings) > 1 {
-		slices.SortFunc(keys, func(a, b key) int {
-			return cmp.Or(cmp.Compare(a.time, b.time), cmp.Compare(a.ring, b.ring), cmp.Compare(a.idx, b.idx))
-		})
-	}
-	out := make([]Record, len(keys))
-	for i, k := range keys {
-		r := t.rings[k.ring]
-		out[i] = r.export(r.at(int(k.idx)))
-	}
+	out := make([]Record, 0, t.Len())
+	t.rings.walk(func(b *buffer, x *rec) { out = append(out, b.export(x)) })
 	t.merged, t.mergedAt = out, total
 	return out
 }
@@ -343,27 +415,52 @@ func (t *Tracer) Attach(cl *cluster.Cluster) {
 // into shard's ring, labeled with the node index and device kind. The
 // probe must only be driven by that shard's engine.
 func (t *Tracer) Probe(shard, node int, dev DeviceKind) iosched.Probe {
-	return probe{r: t.ringFor(shard), node: int32(node), dev: dev}
+	return Writer{b: t.rings.get(shard, t.capacity), node: int32(node), dev: dev}
 }
 
-type probe struct {
-	r    *ring
+// Log is a set of per-shard append-only record logs: the tracer's
+// record, capture and merge, but a log never drops a record. The
+// auditor writes every lifecycle event and degrade/recover note it
+// receives into the log of the scheduler's shard, and judges the
+// records in merged order. The zero Log is empty and ready to use.
+type Log struct{ shards buffers }
+
+// Writer returns the writer of one scheduler's records into shard's
+// log, labeled with the node index and device kind. It must only be
+// driven by that shard's engine.
+func (l *Log) Writer(shard, node int, dev DeviceKind) Writer {
+	return Writer{b: l.shards.get(shard, 0), node: int32(node), dev: dev}
+}
+
+// Drain calls fn on every logged record in (time, shard, log order),
+// then empties the logs. fn must not write to the log.
+func (l *Log) Drain(fn func(Record)) {
+	l.shards.walk(func(b *buffer, x *rec) { fn(b.export(x)) })
+	for _, b := range l.shards {
+		b.reset()
+	}
+}
+
+// Writer captures one scheduler's lifecycle events into its shard's
+// buffer: a tracer ring or a log. It is the tracer's probe.
+type Writer struct {
+	b    *buffer
 	node int32
 	dev  DeviceKind
 }
 
-// Observe implements iosched.Probe: one barrier-free ring write, no
-// allocation, no division (the ring index is a mask).
-func (p probe) Observe(req *iosched.Request, st iosched.ProbeState) {
-	g := p.r
-	r := &g.buf[g.next&g.mask]
-	g.next++
+// Observe implements iosched.Probe: one barrier-free record write, with
+// no allocation once a log has grown (a ring never allocates; its index
+// is a mask, not a division).
+func (w Writer) Observe(req *iosched.Request, st iosched.ProbeState) {
+	g := w.b
+	r := g.slot()
 	r.time = st.Time
-	r.node = p.node
-	r.dev = p.dev
+	r.node = w.node
+	r.dev = w.dev
 	r.event = st.Event
 	r.app = g.intern(req.App)
-	r.class = req.Class
+	r.class = uint8(req.Class)
 	r.seq = req.Seq()
 	r.size = req.Size
 	r.weight = req.Weight()
@@ -376,6 +473,11 @@ func (p probe) Observe(req *iosched.Request, st iosched.ProbeState) {
 	r.inFlight = int32(st.InFlight)
 	r.depth = int32(st.Depth)
 	r.latency = st.Latency
+}
+
+// Note writes a note record (EventDegrade or EventRecover) at time t.
+func (w Writer) Note(ev iosched.ProbeEvent, t float64) {
+	*w.b.slot() = rec{time: t, node: w.node, dev: w.dev, event: ev, app: w.b.intern("")}
 }
 
 // EpochMark records one share-tree transition observed while tracing,
@@ -543,18 +645,8 @@ func (t *Tracer) Requests() []RequestTrace {
 			rt.Latency = r.Latency
 		}
 	}
-	sort.SliceStable(out, func(i, j int) bool {
-		ti, tj := firstTime(out[i]), firstTime(out[j])
-		if ti != tj {
-			return ti < tj
-		}
-		if out[i].Node != out[j].Node {
-			return out[i].Node < out[j].Node
-		}
-		if out[i].Dev != out[j].Dev {
-			return out[i].Dev < out[j].Dev
-		}
-		return out[i].Seq < out[j].Seq
+	slices.SortStableFunc(out, func(x, y RequestTrace) int {
+		return cmp.Or(cmp.Compare(firstTime(x), firstTime(y)), cmp.Compare(x.Node, y.Node), cmp.Compare(x.Dev, y.Dev), cmp.Compare(x.Seq, y.Seq))
 	})
 	return out
 }
