@@ -41,10 +41,12 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
 	"sort"
+	"strconv"
 	"strings"
 
 	"ibis/internal/experiments"
@@ -78,13 +80,15 @@ func parseReweight(s string) (experiments.ReweightSpec, error) {
 		}
 		switch k {
 		case "t":
-			if _, err := fmt.Sscanf(v, "%g", &spec.At); err != nil {
+			var err error
+			if spec.At, err = parseFinite(v); err != nil {
 				return spec, fmt.Errorf("reweight: bad time %q", v)
 			}
 		case "app":
 			spec.App = iosched.AppID(v)
 		case "w":
-			if _, err := fmt.Sscanf(v, "%g", &spec.Weight); err != nil {
+			var err error
+			if spec.Weight, err = parseFinite(v); err != nil {
 				return spec, fmt.Errorf("reweight: bad weight %q", v)
 			}
 		default:
@@ -92,6 +96,16 @@ func parseReweight(s string) (experiments.ReweightSpec, error) {
 		}
 	}
 	return spec, nil
+}
+
+// parseFinite parses a whole decimal value, rejecting trailing input,
+// NaN and ±Inf.
+func parseFinite(v string) (float64, error) {
+	f, err := strconv.ParseFloat(v, 64)
+	if err == nil && (math.IsNaN(f) || math.IsInf(f, 0)) {
+		err = fmt.Errorf("%q is not finite", v)
+	}
+	return f, err
 }
 
 // scaleSpecFlag parameterizes the "scale" experiment: the hollow-node
@@ -115,19 +129,19 @@ func parseScaleSpec(s string) (experiments.ScaleSpec, error) {
 		var err error
 		switch k {
 		case "nodes":
-			_, err = fmt.Sscanf(v, "%d", &spec.Nodes)
+			spec.Nodes, err = strconv.Atoi(v)
 		case "tenants":
-			_, err = fmt.Sscanf(v, "%d", &spec.Tenants)
+			spec.Tenants, err = strconv.Atoi(v)
 		case "apps":
-			_, err = fmt.Sscanf(v, "%d", &spec.Apps)
+			spec.Apps, err = strconv.Atoi(v)
 		case "flows":
-			_, err = fmt.Sscanf(v, "%d", &spec.Flows)
+			spec.Flows, err = strconv.Atoi(v)
 		case "shards":
-			_, err = fmt.Sscanf(v, "%d", &spec.Shards)
+			spec.Shards, err = strconv.Atoi(v)
 		case "seed":
-			_, err = fmt.Sscanf(v, "%d", &spec.Seed)
+			spec.Seed, err = strconv.ParseUint(v, 10, 64)
 		case "horizon":
-			_, err = fmt.Sscanf(v, "%g", &spec.Horizon)
+			spec.Horizon, err = parseFinite(v)
 		default:
 			return spec, fmt.Errorf("scale-spec: unknown field %q", k)
 		}
@@ -159,19 +173,19 @@ func parseFederationSpec(s string) (experiments.FederationSpec, error) {
 		var err error
 		switch k {
 		case "nodes":
-			_, err = fmt.Sscanf(v, "%d", &spec.Nodes)
+			spec.Nodes, err = strconv.Atoi(v)
 		case "tenants":
-			_, err = fmt.Sscanf(v, "%d", &spec.Tenants)
+			spec.Tenants, err = strconv.Atoi(v)
 		case "apps":
-			_, err = fmt.Sscanf(v, "%d", &spec.Apps)
+			spec.Apps, err = strconv.Atoi(v)
 		case "partitions":
-			_, err = fmt.Sscanf(v, "%d", &spec.Partitions)
+			spec.Partitions, err = strconv.Atoi(v)
 		case "shards":
-			_, err = fmt.Sscanf(v, "%d", &spec.Shards)
+			spec.Shards, err = strconv.Atoi(v)
 		case "seed":
-			_, err = fmt.Sscanf(v, "%d", &spec.Seed)
+			spec.Seed, err = strconv.ParseUint(v, 10, 64)
 		case "horizon":
-			_, err = fmt.Sscanf(v, "%g", &spec.Horizon)
+			spec.Horizon, err = parseFinite(v)
 		default:
 			return spec, fmt.Errorf("federation-spec: unknown field %q", k)
 		}

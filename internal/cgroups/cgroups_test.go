@@ -16,7 +16,7 @@ func flatSpec() storage.Spec {
 	}
 }
 
-func newThrottle(t *testing.T, eng *sim.Engine, dev *storage.Device, limits map[iosched.AppID]float64) *Throttle {
+func newThrottle(t *testing.T, eng *sim.Engine, dev *storage.Device, limits map[iosched.AppID]float64) *iosched.Pacer {
 	t.Helper()
 	s, err := NewThrottle(eng, dev, limits)
 	if err != nil {

@@ -318,12 +318,6 @@ func (inj *Injector) LeaderDown(p int, t float64) bool {
 	return inj.BrokerDown(t) || inWindows(inj.leaders[p], t)
 }
 
-// LeaderOutagesFor returns the compiled outage windows of partition
-// p's leader.
-func (inj *Injector) LeaderOutagesFor(p int) []Window {
-	return append([]Window(nil), inj.leaders[p]...)
-}
-
 // Outages returns the compiled broker outage windows (sorted, merged).
 func (inj *Injector) Outages() []Window { return append([]Window(nil), inj.outages...) }
 

@@ -13,6 +13,8 @@ package iosched_test
 //     eventually completed;
 //   - probe event ordering: each request observes arrive → dispatch →
 //     complete exactly once each, at non-decreasing virtual times.
+//   - cost at submission: every request carries its device cost from
+//     its arrival event on, whichever path it takes.
 
 import (
 	"testing"
@@ -35,6 +37,7 @@ type conformRecorder struct {
 	t     *testing.T
 	name  string
 	sched iosched.Scheduler
+	dev   *storage.Device
 
 	lastTime float64
 	stage    map[*iosched.Request]int // 1 arrived, 2 dispatched, 3 completed
@@ -62,6 +65,11 @@ func (r *conformRecorder) Observe(req *iosched.Request, st iosched.ProbeState) {
 		t.Fatalf("%s: request %s/seq=%d got %s at stage %d", r.name, req.App, req.Seq(), st.Event, got)
 	}
 	r.stage[req] = want + 1
+	// Every scheduler assigns the device cost at submission, so the
+	// probe sees it from arrival on.
+	if c := r.dev.Cost(req.Class.OpKind(), req.Size); req.Cost() != c {
+		t.Fatalf("%s: request %s/seq=%d cost %v at %s, want %v", r.name, req.App, req.Seq(), req.Cost(), st.Event, c)
+	}
 	r.counts[int(st.Event)]++
 
 	if st.Event == iosched.ProbeComplete {
@@ -115,13 +123,18 @@ func conformanceWorkload(t *testing.T, eng *sim.Engine, s iosched.Scheduler, nam
 	return bytes, reqs
 }
 
-func TestSchedulerConformance(t *testing.T) {
+// conformCase builds one scheduler under test on a device.
+type conformCase struct {
+	name  string
+	build func(eng *sim.Engine, dev *storage.Device) (iosched.Scheduler, error)
+}
+
+// conformCases lists every Scheduler implementation in the tree, with
+// the rate tables the suite runs them under.
+func conformCases() []conformCase {
 	limits := map[iosched.AppID]float64{"B": 10e6}
 	rates := map[iosched.AppID]float64{"A": 30e6, "B": 20e6, "C": 10e6}
-	cases := []struct {
-		name  string
-		build func(eng *sim.Engine, dev *storage.Device) (iosched.Scheduler, error)
-	}{
+	return []conformCase{
 		{"fifo", func(eng *sim.Engine, dev *storage.Device) (iosched.Scheduler, error) {
 			return iosched.NewFIFO(eng, dev), nil
 		}},
@@ -141,7 +154,10 @@ func TestSchedulerConformance(t *testing.T) {
 			return iosched.NewReservation(eng, dev, rates, 5e6)
 		}},
 	}
-	for _, tc := range cases {
+}
+
+func TestSchedulerConformance(t *testing.T) {
+	for _, tc := range conformCases() {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			eng := sim.NewEngine()
@@ -151,7 +167,7 @@ func TestSchedulerConformance(t *testing.T) {
 				t.Fatalf("build: %v", err)
 			}
 			rec := &conformRecorder{
-				t: t, name: tc.name, sched: s,
+				t: t, name: tc.name, sched: s, dev: dev,
 				stage:   make(map[*iosched.Request]int),
 				lastSvc: make(map[iosched.AppID]iosched.AppService),
 			}

@@ -12,7 +12,6 @@ import (
 	"math"
 	"testing"
 
-	"ibis/internal/cgroups"
 	"ibis/internal/iosched"
 	"ibis/internal/sim"
 	"ibis/internal/storage"
@@ -104,32 +103,7 @@ func pooledWorkload(t *testing.T, eng *sim.Engine, s iosched.Scheduler, pool *io
 }
 
 func TestPooledRequestsConformance(t *testing.T) {
-	limits := map[iosched.AppID]float64{"B": 10e6}
-	rates := map[iosched.AppID]float64{"A": 30e6, "B": 20e6, "C": 10e6}
-	cases := []struct {
-		name  string
-		build func(eng *sim.Engine, dev *storage.Device) (iosched.Scheduler, error)
-	}{
-		{"fifo", func(eng *sim.Engine, dev *storage.Device) (iosched.Scheduler, error) {
-			return iosched.NewFIFO(eng, dev), nil
-		}},
-		{"sfq(d)", func(eng *sim.Engine, dev *storage.Device) (iosched.Scheduler, error) {
-			return iosched.NewSFQD(eng, dev, 4), nil
-		}},
-		{"sfq(d2)", func(eng *sim.Engine, dev *storage.Device) (iosched.Scheduler, error) {
-			return iosched.NewSFQD2(eng, dev, iosched.ControllerConfig{ReadLref: 0.02}), nil
-		}},
-		{"cgroups-weight", func(eng *sim.Engine, dev *storage.Device) (iosched.Scheduler, error) {
-			return cgroups.NewWeight(eng, dev, 4), nil
-		}},
-		{"cgroups-throttle", func(eng *sim.Engine, dev *storage.Device) (iosched.Scheduler, error) {
-			return cgroups.NewThrottle(eng, dev, limits)
-		}},
-		{"reservation", func(eng *sim.Engine, dev *storage.Device) (iosched.Scheduler, error) {
-			return iosched.NewReservation(eng, dev, rates, 5e6)
-		}},
-	}
-	for _, tc := range cases {
+	for _, tc := range conformCases() {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			run := func(pool *iosched.RequestPool) uint64 {

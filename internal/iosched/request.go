@@ -129,7 +129,6 @@ type Request struct {
 	weight    float64
 	epoch     uint64
 	arrive    float64
-	dispatch  float64
 	cost      float64
 	startTag  float64
 	finishTag float64
@@ -139,11 +138,6 @@ type Request struct {
 
 // Arrive returns the virtual time the request entered the scheduler.
 func (r *Request) Arrive() float64 { return r.arrive }
-
-// DispatchedAt returns the virtual time the request was handed to the
-// device (zero until dispatched; schedulers outside this package may
-// leave it zero).
-func (r *Request) DispatchedAt() float64 { return r.dispatch }
 
 // Cost returns the request's normalized device cost, assigned at
 // submission (zero before then).
@@ -160,15 +154,6 @@ func (r *Request) Weight() float64 { return r.weight }
 // ShareEpoch returns the weight-table version the request's weight was
 // resolved against (zero before submission, and for fixed sources).
 func (r *Request) ShareEpoch() uint64 { return r.epoch }
-
-// MarkExternalArrival records the arrival time and scheduler-local
-// sequence number for a request handled by a scheduler implemented
-// outside this package (the cgroups baselines). Schedulers in this
-// package do this bookkeeping internally.
-func (r *Request) MarkExternalArrival(seq uint64, now float64) {
-	r.seq = seq
-	r.arrive = now
-}
 
 // StartTag returns the SFQ start tag assigned at arrival (zero for
 // schedulers that do not use tags).
@@ -203,9 +188,3 @@ func (r *Request) prepare() error {
 	r.epoch = epoch
 	return nil
 }
-
-// Resolve runs the same validation and weight resolution as a
-// scheduler's Submit, for schedulers implemented outside this package
-// (the cgroups baselines) whose uncontrolled paths bypass an inner
-// SFQ.
-func (r *Request) Resolve() error { return r.prepare() }

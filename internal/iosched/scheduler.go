@@ -71,7 +71,9 @@ func NewAccounting() *Accounting {
 	return &Accounting{apps: make(map[AppID]*AppService)}
 }
 
-func (a *Accounting) add(req *Request) {
+// Add books a completed request's service at the device cost its
+// scheduler assigned at submission.
+func (a *Accounting) Add(req *Request) {
 	s := a.apps[req.App]
 	if s == nil {
 		s = &AppService{}
@@ -81,14 +83,6 @@ func (a *Accounting) add(req *Request) {
 	s.Cost += req.cost
 	s.Requests++
 	s.ByClass[req.Class] += req.Size
-}
-
-// AddExternal records a completed request serviced by a scheduler
-// implemented outside this package (e.g. the cgroups baselines), with
-// the device cost supplied explicitly.
-func (a *Accounting) AddExternal(req *Request, cost float64) {
-	req.cost = cost
-	a.add(req)
 }
 
 // Service returns the counters for one app (zero value if unseen).
@@ -166,7 +160,6 @@ func (f *FIFO) Submit(req *Request) error {
 		return err
 	}
 	req.arrive = f.eng.Now()
-	req.dispatch = req.arrive
 	req.cost = f.dev.Cost(req.Class.OpKind(), req.Size)
 	req.seq = f.seq
 	f.seq++
@@ -180,7 +173,7 @@ func (f *FIFO) Submit(req *Request) error {
 	f.dev.Submit(req.Class.OpKind(), req.Size, func(float64) {
 		f.inflight--
 		lat := f.eng.Now() - req.arrive
-		f.acct.add(req)
+		f.acct.Add(req)
 		if f.probe != nil {
 			f.probe.Observe(req, ProbeState{
 				Event:    ProbeComplete,

@@ -55,10 +55,6 @@ type SFQ struct {
 	delayClamp float64
 
 	inflight int
-
-	// Counters for overhead accounting (Table 2 proxy).
-	dispatched uint64
-	tagOps     uint64
 }
 
 // NewSFQD builds a classic SFQ(D) scheduler with a static depth.
@@ -201,13 +197,6 @@ func (s *SFQ) Controller() *DepthController { return s.ctrl }
 // tag of the most recently dispatched request).
 func (s *SFQ) VirtualTime() float64 { return s.vtime }
 
-// Dispatched returns the number of requests sent to the device so far.
-func (s *SFQ) Dispatched() uint64 { return s.dispatched }
-
-// TagOps returns the number of tag computations performed, a proxy for
-// the scheduler's CPU overhead.
-func (s *SFQ) TagOps() uint64 { return s.tagOps }
-
 // Submit implements Scheduler. Tags are computed per SFQ:
 //
 //	S(r) = max(v(arrival), F(prev_f) [+ δ_f/w_f])
@@ -232,7 +221,6 @@ func (s *SFQ) Submit(req *Request) error {
 	req.cost = s.dev.Cost(req.Class.OpKind(), req.Size)
 	req.seq = s.seq
 	s.seq++
-	s.tagOps++
 
 	f := s.flows[req.App]
 	if f == nil {
@@ -283,12 +271,10 @@ func (s *SFQ) dispatch() {
 		req := s.queue.pop()
 		s.vtime = req.startTag
 		s.inflight++
-		s.dispatched++
-		req.dispatch = s.eng.Now()
 		if s.probe != nil {
 			s.probe.Observe(req, ProbeState{
 				Event:    ProbeDispatch,
-				Time:     req.dispatch,
+				Time:     s.eng.Now(),
 				Queued:   s.queue.Len(),
 				InFlight: s.inflight,
 				Depth:    s.Depth(),
@@ -304,7 +290,7 @@ func (s *SFQ) dispatch() {
 func (s *SFQ) complete(req *Request, devLat float64) {
 	s.inflight--
 	total := s.eng.Now() - req.arrive
-	s.acct.add(req)
+	s.acct.Add(req)
 	if s.ctrl != nil {
 		s.ctrl.Sample(devLat, req.Class.OpKind() == storage.Read)
 	}

@@ -131,7 +131,6 @@ func (r *reduceTask) restart() {
 	r.node = nil
 	r.pending = nil
 	r.segsDone = 0
-	r.shuffleDoneTime = 0
 }
 
 // withoutSource drops, in place and in order, the segments fetched

@@ -425,7 +425,6 @@ func (f *fairScheduler) pickReduce(j *Job, n *cluster.Node) *reduceTask {
 
 func (f *fairScheduler) launchMap(n *cluster.Node, j *Job, m *mapTask) {
 	m.state = taskRunning
-	m.startTime = f.rt.eng.Now()
 	m.node = n
 	n.UsedCores++
 	n.UsedMemGB += j.Spec.MapMemGB
@@ -437,7 +436,6 @@ func (f *fairScheduler) launchMap(n *cluster.Node, j *Job, m *mapTask) {
 
 func (f *fairScheduler) launchReduce(n *cluster.Node, j *Job, r *reduceTask) {
 	r.state = taskRunning
-	r.startTime = f.rt.eng.Now()
 	r.node = n
 	n.UsedCores++
 	n.UsedMemGB += j.Spec.ReduceMemGB

@@ -353,34 +353,6 @@ func (j *Job) Runtime() float64 {
 	return j.EndTime - j.SubmitTime
 }
 
-// TaskTiming reports one task's lifecycle timestamps.
-type TaskTiming struct {
-	// Kind is "map" or "reduce".
-	Kind string
-	// Index is the task ordinal within its kind.
-	Index int
-	// Start is when the task got its slot; End when it released it.
-	Start, End float64
-	// ShuffleDone (reduces only) is when the last segment arrived.
-	ShuffleDone float64
-}
-
-// TaskTimings returns the lifecycle timestamps of every task, maps
-// first, for performance analysis.
-func (j *Job) TaskTimings() []TaskTiming {
-	out := make([]TaskTiming, 0, len(j.maps)+len(j.reduces))
-	for _, m := range j.maps {
-		out = append(out, TaskTiming{Kind: "map", Index: m.index, Start: m.startTime, End: m.endTime})
-	}
-	for _, r := range j.reduces {
-		out = append(out, TaskTiming{
-			Kind: "reduce", Index: r.index,
-			Start: r.startTime, End: r.endTime, ShuffleDone: r.shuffleDoneTime,
-		})
-	}
-	return out
-}
-
 // coreDemand counts unfinished tasks — the cores the job could use.
 func (j *Job) coreDemand() int {
 	d := 0

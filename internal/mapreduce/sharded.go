@@ -432,9 +432,6 @@ func (rr *reduceRun) maybeFinishShuffle() {
 		return
 	}
 	rr.finishing = true
-	// shuffleDoneTime is owned by the live attempt; the coordinator
-	// only reads task timings after the run completes.
-	rr.r.shuffleDoneTime = rr.eng.Now()
 	rt := rr.rt
 	cpuPerByte := rr.job.Spec.ReduceCPUSecPerMB / 1e6
 	alive := rr.alive

@@ -36,8 +36,6 @@ type mapTask struct {
 	// srun is the node-shard execution of the current attempt; nil
 	// between attempts.
 	srun *mapRun
-
-	startTime, endTime float64
 }
 
 // inputBytes returns the split size this map consumes.
@@ -80,7 +78,6 @@ func (m *mapTask) localOn(n *cluster.Node) bool {
 
 func (m *mapTask) finish() {
 	m.state = taskDone
-	m.endTime = m.job.rt.eng.Now()
 	job := m.job
 	job.rt.fair.release(m.node, job, job.Spec.MapMemGB)
 	job.noteMapDone(m)
@@ -132,8 +129,6 @@ type reduceTask struct {
 	// rrun is the node-shard execution of the current attempt; nil
 	// between attempts.
 	rrun *reduceRun
-
-	startTime, shuffleDoneTime, endTime float64
 }
 
 // addSegment delivers one map output partition. A running attempt owns
@@ -181,7 +176,6 @@ func (r *reduceTask) expectedSegments() int {
 
 func (r *reduceTask) finish() {
 	r.state = taskDone
-	r.endTime = r.job.rt.eng.Now()
 	job := r.job
 	job.rt.fair.releaseReduce(r.node, job, job.Spec.ReduceMemGB)
 	job.noteReduceDone()

@@ -41,9 +41,6 @@ func (h *HeapWatermark) Sample() {
 	}
 }
 
-// Baseline returns the post-construction heap in bytes.
-func (h *HeapWatermark) Baseline() uint64 { return h.baseline }
-
 // Peak returns the highest sampled heap in bytes.
 func (h *HeapWatermark) Peak() uint64 { return h.peak }
 
@@ -126,16 +123,4 @@ func (s ScaleStats) FedCompression() float64 {
 		return 0
 	}
 	return float64(s.BaselineBytes) / float64(fed)
-}
-
-// Envelope formats the host-dependent throughput and memory numbers.
-func (s ScaleStats) Envelope() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "events=%d wall=%.2fs events/sec=%.0f\n", s.Events, s.WallSeconds, s.EventsPerSec)
-	fmt.Fprintf(&b, "peak-heap=%.1fMB bytes/flow=%.0f bytes/node=%.0f\n",
-		float64(s.PeakHeapBytes)/1e6, s.BytesPerFlow, s.BytesPerNode)
-	if s.ShardLoad.Shards() > 0 {
-		fmt.Fprintf(&b, "%s\n", s.ShardLoad.Note())
-	}
-	return b.String()
 }

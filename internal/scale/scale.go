@@ -45,8 +45,9 @@ type Config struct {
 	Replicas      int
 	// Seed drives the population generator and every request-size draw.
 	Seed uint64
-	// Horizon is the submission window in virtual seconds; after it the
-	// pumps stop and the run drains.
+	// Horizon is the submission window in virtual seconds (0 = 10);
+	// after it the pumps stop and the run drains. Run rejects a NaN,
+	// infinite or negative horizon.
 	Horizon float64
 	// TickPeriod is the pump period (batching granularity of the
 	// open-loop arrival process).
@@ -255,6 +256,9 @@ func unit(x uint64) float64 {
 // (Workers changes wall-clock only); events/sec, wall seconds and heap
 // numbers are host-dependent.
 func Run(cfg Config) (*Report, error) {
+	if h := cfg.Horizon; math.IsNaN(h) || math.IsInf(h, 0) || h < 0 {
+		return nil, fmt.Errorf("scale: horizon must be finite and non-negative, got %g", h)
+	}
 	cfg.defaults()
 	pop := workloads.Generate(workloads.PopulationConfig{
 		Tenants:       cfg.Tenants,

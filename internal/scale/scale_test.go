@@ -1,6 +1,7 @@
 package scale
 
 import (
+	"math"
 	"testing"
 
 	"ibis/internal/cluster"
@@ -123,6 +124,17 @@ func TestScalePolicies(t *testing.T) {
 		cfg.Horizon = 3
 		if _, err := Run(cfg); err != nil {
 			t.Fatalf("policy %v: %v", p, err)
+		}
+	}
+}
+
+// TestScaleHorizonRejected pins the horizon check at the public
+// boundary: an infinite horizon would pump forever and a NaN one would
+// silently run a single tick.
+func TestScaleHorizonRejected(t *testing.T) {
+	for _, h := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
+		if _, err := Run(Config{Nodes: 2, Tenants: 2, Horizon: h}); err == nil {
+			t.Errorf("horizon %g accepted", h)
 		}
 	}
 }

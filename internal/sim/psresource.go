@@ -31,9 +31,6 @@ type PSJob struct {
 	Payload any
 }
 
-// Demand returns the total service units the job requested.
-func (j *PSJob) Demand() float64 { return j.demand }
-
 // Remaining returns the service units still owed to the job. Progress is
 // only applied at events; callers that need an exact instantaneous value
 // should call PSResource.Sync first.
