@@ -279,6 +279,14 @@ func assemble(eng *sim.Engine, fab *sim.Fabric, cfg Config) (*Cluster, error) {
 	if err := cfg.Federation.validate(cfg, fab != nil); err != nil {
 		return nil, err
 	}
+	if err := cfg.HDFSDisk.Validate(); err != nil {
+		return nil, fmt.Errorf("cluster: HDFS disk: %w", err)
+	}
+	if !cfg.Hollow {
+		if err := cfg.LocalDisk.Validate(); err != nil {
+			return nil, fmt.Errorf("cluster: local disk: %w", err)
+		}
+	}
 	var hdfsCtrl, localCtrl iosched.ControllerConfig
 	if cfg.Policy == SFQD2 {
 		var err error
@@ -344,7 +352,7 @@ func assemble(eng *sim.Engine, fab *sim.Fabric, cfg Config) (*Cluster, error) {
 				return nil, err
 			}
 			if cfg.ScheduleNetwork {
-				n.NetSched = iosched.NewSFQD(nodeEng, &linkBackend{eng: nodeEng, res: n.nicOut}, cfg.NetworkDepth)
+				n.NetSched = iosched.NewSFQD(nodeEng, &linkBackend{res: n.nicOut}, cfg.NetworkDepth)
 			}
 		}
 
@@ -420,7 +428,6 @@ func (c *Cluster) buildScheduler(eng *sim.Engine, dev *storage.Device, persisten
 // linkBackend adapts an egress NIC to the scheduler Backend interface:
 // the cost of a transfer is its size (links are symmetric).
 type linkBackend struct {
-	eng *sim.Engine
 	res *sim.PSResource
 }
 
@@ -428,13 +435,16 @@ type linkBackend struct {
 func (l *linkBackend) Cost(_ storage.OpKind, size float64) float64 { return size }
 
 // Submit implements iosched.Backend.
-func (l *linkBackend) Submit(_ storage.OpKind, size float64, onDone func(float64)) {
-	t0 := l.eng.Now()
-	l.res.Submit(size, func() {
-		if onDone != nil {
-			onDone(l.eng.Now() - t0)
-		}
-	})
+func (l *linkBackend) Submit(_ storage.OpKind, size float64, done sim.DoneFunc, arg any) {
+	l.res.Submit(size, done, arg)
+}
+
+// runHop is the completion of an untagged NIC hop: arg is the func()
+// continuing the transfer (nil for none).
+func runHop(arg any, _ float64) {
+	if fn := arg.(func()); fn != nil {
+		fn()
+	}
 }
 
 // attach connects an SFQ scheduler to its partition broker; non-SFQ
@@ -635,7 +645,7 @@ func (n *Node) SubmitIO(req *iosched.Request) error {
 // The caller must be executing on n's shard; done fires on dst's shard
 // when the last byte arrives.
 func (n *Node) Send(dst *Node, size float64, done func()) {
-	n.nicOut.Submit(size, n.arrival(dst, size, done))
+	n.nicOut.Submit(size, runHop, n.arrival(dst, size, done))
 }
 
 // SendTagged is Send with application attribution: when the cluster
@@ -671,11 +681,7 @@ func (n *Node) arrival(dst *Node, size float64, done func()) func() {
 				}
 				return
 			}
-			dst.nicIn.Submit(size, func() {
-				if done != nil {
-					done()
-				}
-			})
+			dst.nicIn.Submit(size, runHop, done)
 		})
 	}
 }

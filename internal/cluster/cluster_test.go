@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -254,6 +255,46 @@ func TestFederationValidation(t *testing.T) {
 		}
 		if got := len(c.Partitions()); got != 1 || c.PartitionShard(0) != c.CoordShard().ID() {
 			t.Errorf("Partitions=%d: %d partitions, first on shard %d, want 1 on the coordinator", p, got, c.PartitionShard(0))
+		}
+	}
+}
+
+// TestInvalidDiskSpecIsAnError: a malformed disk spec in the public
+// config is rejected with an error by every constructor, instead of
+// panicking in the device model. A hollow cluster has no local disk,
+// so only its HDFS disk is checked.
+func TestInvalidDiskSpecIsAnError(t *testing.T) {
+	emptyCurve := storage.HDDSpec()
+	emptyCurve.Curve = nil
+	nanRead := storage.HDDSpec()
+	nanRead.ReadBW = math.NaN()
+	infCurve := storage.HDDSpec()
+	infCurve.Curve = []float64{1, math.Inf(1)}
+	negOverhead := storage.HDDSpec()
+	negOverhead.PerOpOverhead = -1
+	builds := map[string]func(Config) (*Cluster, error){
+		"New": func(cfg Config) (*Cluster, error) { return New(sim.NewEngine(), cfg) },
+		"NewSharded": func(cfg Config) (*Cluster, error) {
+			return NewSharded(cfg, 0, sim.FabricOptions{})
+		},
+		"NewHollowSharded": func(cfg Config) (*Cluster, error) {
+			return NewHollowSharded(cfg, 0, sim.FabricOptions{})
+		},
+	}
+	for name, build := range builds {
+		for bad, spec := range map[string]storage.Spec{
+			"empty-curve": emptyCurve, "nan-read": nanRead,
+			"inf-curve": infCurve, "negative-overhead": negOverhead,
+		} {
+			for _, policy := range []Policy{Native, SFQD2} {
+				if _, err := build(Config{Nodes: 2, Policy: policy, HDFSDisk: spec}); err == nil {
+					t.Errorf("%s: %s HDFS disk under %v accepted", name, bad, policy)
+				}
+				_, err := build(Config{Nodes: 2, Policy: policy, LocalDisk: spec})
+				if hollow := name == "NewHollowSharded"; hollow != (err == nil) {
+					t.Errorf("%s: %s local disk under %v: err = %v", name, bad, policy, err)
+				}
+			}
 		}
 	}
 }

@@ -18,8 +18,8 @@ type benchDev struct {
 
 func (d benchDev) Cost(kind storage.OpKind, size float64) float64 { return size }
 
-func (d benchDev) Submit(kind storage.OpKind, size float64, done func(latency float64)) {
-	d.eng.Schedule(0.001, func() { done(0.001) })
+func (d benchDev) Submit(kind storage.OpKind, size float64, done sim.DoneFunc, arg any) {
+	d.eng.Schedule(0.001, func() { done(arg, 0.001) })
 }
 
 // BenchmarkSFQSubmitDispatch drives a closed loop of requests from four
@@ -62,5 +62,74 @@ func BenchmarkSFQSubmitDispatch(b *testing.B) {
 		if !eng.Step() {
 			b.Fatal("engine drained before all requests completed")
 		}
+	}
+}
+
+// roundTrip is a closed loop of SFQ(D) over a real HDD device: window
+// requests from four weighted flows, each resubmitted on completion
+// until target submissions have been made.
+type roundTrip struct {
+	eng                *sim.Engine
+	s                  *SFQ
+	done, sent, target int
+}
+
+func newRoundTrip(window int) (*roundTrip, []*Request) {
+	eng := sim.NewEngine()
+	rt := &roundTrip{eng: eng, s: NewSFQD(eng, storage.NewDevice(eng, "hdd", storage.HDDSpec()), 4)}
+	reqs := make([]*Request, window)
+	for i := range reqs {
+		r := &Request{
+			App:    AppID(fmt.Sprintf("app%d", i%4)),
+			Shares: FixedWeight(float64(1 + i%3)),
+			Class:  PersistentRead,
+			Size:   64 << 10,
+		}
+		r.OnDone = func(float64) {
+			rt.done++
+			if rt.sent < rt.target {
+				rt.sent++
+				if err := rt.s.Submit(r); err != nil {
+					panic(err)
+				}
+			}
+		}
+		reqs[i] = r
+	}
+	return rt, reqs
+}
+
+// run submits the first window and steps the engine until target
+// requests have completed.
+func (rt *roundTrip) run(reqs []*Request, target int) error {
+	rt.done, rt.target = 0, target
+	rt.sent = min(len(reqs), target)
+	for _, r := range reqs[:rt.sent] {
+		if err := rt.s.Submit(r); err != nil {
+			return err
+		}
+	}
+	for rt.done < target {
+		if !rt.eng.Step() {
+			return fmt.Errorf("engine drained after %d of %d completions", rt.done, target)
+		}
+	}
+	return nil
+}
+
+// BenchmarkSFQDeviceRoundTrip drives SFQ(D) over a real storage.Device
+// (HDDSpec): each op is one request's submit → tag → queue → dispatch
+// → device service → complete cycle. The whole path recycles its
+// records, so it must report 0 allocs/op — CI fails otherwise.
+func BenchmarkSFQDeviceRoundTrip(b *testing.B) {
+	rt, reqs := newRoundTrip(64)
+	// Warm the flow table, accounting slots, heaps and free lists.
+	if err := rt.run(reqs, 256); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := rt.run(reqs, b.N); err != nil {
+		b.Fatal(err)
 	}
 }

@@ -17,6 +17,7 @@ package iosched_test
 //     its arrival event on, whichever path it takes.
 
 import (
+	"math"
 	"testing"
 
 	"ibis/internal/cgroups"
@@ -206,6 +207,37 @@ func TestSchedulerConformance(t *testing.T) {
 				if byClass != want {
 					t.Errorf("app %s per-class split sums to %g, want %g", app, byClass, want)
 				}
+			}
+		})
+	}
+}
+
+// TestSchedulersRejectNonFiniteSize: a NaN or infinite size is a
+// malformed request on every policy. Accepted, a NaN size would
+// "complete" in zero time and book NaN bytes and cost; an infinite one
+// would never complete.
+func TestSchedulersRejectNonFiniteSize(t *testing.T) {
+	for _, tc := range conformCases() {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			eng := sim.NewEngine()
+			dev := storage.NewDevice(eng, "d", storage.HDDSpec())
+			s, err := tc.build(eng, dev)
+			if err != nil {
+				t.Fatalf("build: %v", err)
+			}
+			for _, size := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+				for _, class := range []iosched.Class{iosched.PersistentRead, iosched.IntermediateWrite} {
+					req := &iosched.Request{App: "A", Shares: iosched.FixedWeight(1), Class: class, Size: size}
+					if err := s.Submit(req); err == nil {
+						t.Errorf("%v request of size %g accepted", class, size)
+					}
+				}
+			}
+			eng.Run()
+			if s.Queued() != 0 || s.InFlight() != 0 || len(s.Accounting().Apps()) != 0 {
+				t.Fatalf("rejected requests left state: queued=%d inflight=%d apps=%v",
+					s.Queued(), s.InFlight(), s.Accounting().Apps())
 			}
 		})
 	}

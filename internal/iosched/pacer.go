@@ -46,6 +46,7 @@ type Pacer struct {
 	flows    map[AppID]*paceFlow
 	inflight int
 	queued   int
+	doneFn   sim.DoneFunc // cached complete method value
 }
 
 // paceFlow is one app's token bucket and its FIFO of waiting requests.
@@ -82,7 +83,7 @@ func newPacer(eng *sim.Engine, dev Backend, name string, rates map[AppID]float64
 			return nil, fmt.Errorf("iosched: %s rate for %q must be positive and finite, got %g", name, app, r)
 		}
 	}
-	return &Pacer{
+	p := &Pacer{
 		eng:         eng,
 		dev:         dev,
 		acct:        NewAccounting(),
@@ -91,7 +92,9 @@ func newPacer(eng *sim.Engine, dev Backend, name string, rates map[AppID]float64
 		defaultRate: defaultRate,
 		blkio:       blkio,
 		flows:       make(map[AppID]*paceFlow),
-	}, nil
+	}
+	p.doneFn = p.complete
+	return p, nil
 }
 
 func validRate(r float64) bool { return r > 0 && !math.IsInf(r, 1) }
@@ -246,21 +249,24 @@ func (p *Pacer) dispatch(req *Request) {
 			InFlight: p.inflight,
 		})
 	}
-	p.dev.Submit(req.Class.OpKind(), req.Size, func(float64) {
-		p.inflight--
-		lat := p.eng.Now() - req.arrive
-		p.acct.Add(req)
-		if p.probe != nil {
-			p.probe.Observe(req, ProbeState{
-				Event:    ProbeComplete,
-				Time:     p.eng.Now(),
-				Queued:   p.queued,
-				InFlight: p.inflight,
-				Latency:  lat,
-			})
-		}
-		if req.OnDone != nil {
-			req.OnDone(lat)
-		}
-	})
+	p.dev.Submit(req.Class.OpKind(), req.Size, p.doneFn, req)
+}
+
+func (p *Pacer) complete(arg any, _ float64) {
+	req := arg.(*Request)
+	p.inflight--
+	lat := p.eng.Now() - req.arrive
+	p.acct.Add(req)
+	if p.probe != nil {
+		p.probe.Observe(req, ProbeState{
+			Event:    ProbeComplete,
+			Time:     p.eng.Now(),
+			Queued:   p.queued,
+			InFlight: p.inflight,
+			Latency:  lat,
+		})
+	}
+	if req.OnDone != nil {
+		req.OnDone(lat)
+	}
 }

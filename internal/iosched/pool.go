@@ -5,11 +5,13 @@ package iosched
 // A hollow-datanode simulation keeps millions of requests in flight;
 // allocating each *Request individually scatters them across the heap
 // and charges the garbage collector for every one. RequestPool packs
-// records into large contiguous slabs (structure-of-arrays at the slab
-// level: one allocation holds thousands of adjacent Request structs)
-// and recycles completed records through a free list, so steady-state
-// submission allocates only when the live population grows past its
-// previous peak.
+// records into contiguous slabs and recycles completed records through
+// a free list, so steady-state submission allocates only when the live
+// population grows past its previous peak. Slabs grow geometrically,
+// from minSlabSize records up to the pool's cap, so a pool backs at
+// most about twice its peak population: a thousand per-node pools of a
+// few hundred live requests each no longer pin (and zero) a full-cap
+// slab apiece.
 //
 // Interner complements the pool on the other axis: with thousands of
 // generated tenants × apps, every request carrying its own copy of the
@@ -17,10 +19,14 @@ package iosched
 // Interning canonicalizes each distinct ID to a single backing string
 // shared by every request, flow-state map key, and accounting entry.
 
-// requestSlabSize is the default number of Request records per slab.
-// At ~128 B per record a slab is ~½ MB — large enough to amortize
-// allocator overhead, small enough not to strand memory on tiny runs.
+// requestSlabSize is the default cap on Request records per slab. At
+// ~128 B per record a full slab is ~½ MB, large enough to amortize
+// allocator overhead.
 const requestSlabSize = 4096
+
+// minSlabSize is the size of a pool's first slab; each later slab
+// doubles the previous one, up to the pool's cap.
+const minSlabSize = 64
 
 // RequestPool is a slab-backed free-list allocator for Request records.
 // It is not safe for concurrent use: in sharded simulations each shard
@@ -29,13 +35,14 @@ type RequestPool struct {
 	slabs [][]Request
 	free  []*Request
 	next  int // records handed out of the newest slab
-	slab  int // records per slab
+	slab  int // cap on records per slab
+	used  int // records handed out of all slabs
 
 	outstanding int
 }
 
-// NewRequestPool returns a pool with the given slab size (records per
-// contiguous allocation); sizes < 1 take the default.
+// NewRequestPool returns a pool whose slabs (contiguous allocations of
+// records) grow up to slabSize records; sizes < 1 take the default.
 func NewRequestPool(slabSize int) *RequestPool {
 	if slabSize < 1 {
 		slabSize = requestSlabSize
@@ -53,12 +60,17 @@ func (p *RequestPool) Get() *Request {
 		p.free = p.free[:n-1]
 		return r
 	}
-	if len(p.slabs) == 0 || p.next == p.slab {
-		p.slabs = append(p.slabs, make([]Request, p.slab))
+	if len(p.slabs) == 0 || p.next == len(p.slabs[len(p.slabs)-1]) {
+		n := min(minSlabSize, p.slab)
+		if k := len(p.slabs); k > 0 {
+			n = min(2*len(p.slabs[k-1]), p.slab)
+		}
+		p.slabs = append(p.slabs, make([]Request, n))
 		p.next = 0
 	}
 	r := &p.slabs[len(p.slabs)-1][p.next]
 	p.next++
+	p.used++
 	return r
 }
 
@@ -77,14 +89,10 @@ func (p *RequestPool) Put(r *Request) {
 // Outstanding returns Get minus Put — the live record count.
 func (p *RequestPool) Outstanding() int { return p.outstanding }
 
-// Allocated returns the total records backed by slabs (the pool's
-// memory footprint in records, reached at the historical peak).
-func (p *RequestPool) Allocated() int {
-	if len(p.slabs) == 0 {
-		return 0
-	}
-	return (len(p.slabs)-1)*p.slab + p.next
-}
+// Allocated returns the number of records ever handed out of slabs:
+// the pool's historical peak population. The slabs back at most about
+// twice that many.
+func (p *RequestPool) Allocated() int { return p.used }
 
 // Interner canonicalizes AppID strings: every distinct ID maps to one
 // shared backing string. Not safe for concurrent mutation; populate it

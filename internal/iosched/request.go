@@ -133,7 +133,7 @@ type Request struct {
 	startTag  float64
 	finishTag float64
 	seq       uint64
-	heapIndex int
+	flow      *flowState // SFQ's per-app state, set at tagging
 }
 
 // Arrive returns the virtual time the request entered the scheduler.
@@ -171,8 +171,8 @@ func (r *Request) prepare() error {
 	if r.App == "" {
 		return fmt.Errorf("iosched: request without app id")
 	}
-	if r.Size < 0 {
-		return fmt.Errorf("iosched: request for %q with negative size %g", r.App, r.Size)
+	if !(r.Size >= 0) || math.IsInf(r.Size, 1) {
+		return fmt.Errorf("iosched: request for %q with invalid size %g (want finite and non-negative)", r.App, r.Size)
 	}
 	if r.Class < 0 || r.Class >= numClasses {
 		return fmt.Errorf("iosched: request for %q with unknown class %d", r.App, int(r.Class))

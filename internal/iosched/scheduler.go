@@ -14,8 +14,11 @@ import (
 type Backend interface {
 	// Cost converts an operation to service units.
 	Cost(kind storage.OpKind, size float64) float64
-	// Submit starts servicing; onDone receives the in-resource latency.
-	Submit(kind storage.OpKind, size float64, onDone func(latency float64))
+	// Submit starts servicing. done, if non-nil, fires with arg and the
+	// in-resource latency; schedulers pass a method value cached at
+	// construction and the request as arg, so dispatch allocates
+	// nothing.
+	Submit(kind storage.OpKind, size float64, done sim.DoneFunc, arg any)
 }
 
 var _ Backend = (*storage.Device)(nil)
@@ -73,12 +76,22 @@ func NewAccounting() *Accounting {
 
 // Add books a completed request's service at the device cost its
 // scheduler assigned at submission.
-func (a *Accounting) Add(req *Request) {
-	s := a.apps[req.App]
+func (a *Accounting) Add(req *Request) { a.slot(req.App).add(req) }
+
+// slot returns app's counters, creating them on first use. The pointer
+// stays valid for the book's lifetime, so a scheduler may cache it per
+// flow; it must only be taken at a completion, so that Apps lists an
+// app from its first booked request on.
+func (a *Accounting) slot(app AppID) *AppService {
+	s := a.apps[app]
 	if s == nil {
 		s = &AppService{}
-		a.apps[req.App] = s
+		a.apps[app] = s
 	}
+	return s
+}
+
+func (s *AppService) add(req *Request) {
 	s.Bytes += req.Size
 	s.Cost += req.cost
 	s.Requests++
@@ -132,11 +145,14 @@ type FIFO struct {
 	probe    Probe
 	inflight int
 	seq      uint64
+	doneFn   sim.DoneFunc // cached complete method value
 }
 
 // NewFIFO builds the native pass-through scheduler for a device.
 func NewFIFO(eng *sim.Engine, dev Backend) *FIFO {
-	return &FIFO{eng: eng, dev: dev, acct: NewAccounting()}
+	f := &FIFO{eng: eng, dev: dev, acct: NewAccounting()}
+	f.doneFn = f.complete
+	return f
 }
 
 // SetProbe installs a lifecycle probe (tracing/auditing).
@@ -170,21 +186,24 @@ func (f *FIFO) Submit(req *Request) error {
 		st.Event = ProbeDispatch
 		f.probe.Observe(req, st)
 	}
-	f.dev.Submit(req.Class.OpKind(), req.Size, func(float64) {
-		f.inflight--
-		lat := f.eng.Now() - req.arrive
-		f.acct.Add(req)
-		if f.probe != nil {
-			f.probe.Observe(req, ProbeState{
-				Event:    ProbeComplete,
-				Time:     f.eng.Now(),
-				InFlight: f.inflight,
-				Latency:  lat,
-			})
-		}
-		if req.OnDone != nil {
-			req.OnDone(lat)
-		}
-	})
+	f.dev.Submit(req.Class.OpKind(), req.Size, f.doneFn, req)
 	return nil
+}
+
+func (f *FIFO) complete(arg any, _ float64) {
+	req := arg.(*Request)
+	f.inflight--
+	lat := f.eng.Now() - req.arrive
+	f.acct.Add(req)
+	if f.probe != nil {
+		f.probe.Observe(req, ProbeState{
+			Event:    ProbeComplete,
+			Time:     f.eng.Now(),
+			InFlight: f.inflight,
+			Latency:  lat,
+		})
+	}
+	if req.OnDone != nil {
+		req.OnDone(lat)
+	}
 }

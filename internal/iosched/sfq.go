@@ -22,6 +22,9 @@ type flowState struct {
 	lastFinish float64 // finish tag of the flow's most recent request
 	lastOther  float64 // other-node service snapshot at last arrival
 	seenOther  bool    // whether lastOther has been initialized
+	// svc is the flow's slot in the scheduler's Accounting, taken at
+	// its first completion so completions book without a map lookup.
+	svc *AppService
 }
 
 // SFQ is a Start-time Fair Queueing scheduler with a bounded number of
@@ -55,6 +58,7 @@ type SFQ struct {
 	delayClamp float64
 
 	inflight int
+	doneFn   sim.DoneFunc // cached complete method value
 }
 
 // NewSFQD builds a classic SFQ(D) scheduler with a static depth.
@@ -62,13 +66,15 @@ func NewSFQD(eng *sim.Engine, dev Backend, depth int) *SFQ {
 	if depth < 1 {
 		panic(fmt.Sprintf("iosched: SFQ(D) depth %d < 1", depth))
 	}
-	return &SFQ{
+	s := &SFQ{
 		eng:    eng,
 		dev:    dev,
 		acct:   NewAccounting(),
 		flows:  make(map[AppID]*flowState),
 		static: depth,
 	}
+	s.doneFn = s.complete
+	return s
 }
 
 // NewSFQD2 builds the paper's SFQ(D2): SFQ whose depth is driven by the
@@ -80,6 +86,7 @@ func NewSFQD2(eng *sim.Engine, dev Backend, cfg ControllerConfig) *SFQ {
 		acct:  NewAccounting(),
 		flows: make(map[AppID]*flowState),
 	}
+	s.doneFn = s.complete
 	s.ctrl = newDepthController(eng, cfg, func() {
 		// Depth may have increased; try to fill the new slots.
 		s.dispatch()
@@ -132,10 +139,13 @@ func (s *SFQ) SuspendCoordination() {
 	// had the delay rule never applied (never grow — tags at or below
 	// the replay position were fairly earned and are kept).
 	if len(s.queue) > 0 {
-		old := append([]*Request(nil), s.queue...)
+		old := make([]*Request, len(s.queue))
+		for i, e := range s.queue {
+			old[i] = e.req
+		}
 		sort.Slice(old, func(i, j int) bool { return old[i].seq < old[j].seq })
 		for _, r := range old {
-			f := s.flows[r.App]
+			f := r.flow
 			if replay := math.Max(s.vtime, f.lastFinish); r.startTag > replay {
 				r.startTag = replay
 				r.finishTag = replay + r.cost/r.weight
@@ -227,6 +237,7 @@ func (s *SFQ) Submit(req *Request) error {
 		f = &flowState{lastFinish: s.vtime}
 		s.flows[req.App] = f
 	}
+	req.flow = f
 
 	base := f.lastFinish
 	if s.coord != nil && !s.coordSuspended {
@@ -281,16 +292,19 @@ func (s *SFQ) dispatch() {
 				VTime:    s.vtime,
 			})
 		}
-		s.dev.Submit(req.Class.OpKind(), req.Size, func(devLat float64) {
-			s.complete(req, devLat)
-		})
+		s.dev.Submit(req.Class.OpKind(), req.Size, s.doneFn, req)
 	}
 }
 
-func (s *SFQ) complete(req *Request, devLat float64) {
+func (s *SFQ) complete(arg any, devLat float64) {
+	req := arg.(*Request)
 	s.inflight--
 	total := s.eng.Now() - req.arrive
-	s.acct.Add(req)
+	f := req.flow
+	if f.svc == nil {
+		f.svc = s.acct.slot(req.App)
+	}
+	f.svc.add(req)
 	if s.ctrl != nil {
 		s.ctrl.Sample(devLat, req.Class.OpKind() == storage.Read)
 	}
@@ -313,14 +327,22 @@ func (s *SFQ) complete(req *Request, devLat float64) {
 	}
 }
 
-// reqHeap is a specialized min-heap over *Request ordered by
-// (startTag, seq). Hand-rolled push/pop avoid container/heap's
-// interface boxing and indirect calls on the scheduler hot path.
-type reqHeap []*Request
+// reqHeap is a specialized min-heap of queued requests ordered by
+// (startTag, seq). Each slot carries its ordering key inline next to
+// the request pointer, so sifting compares adjacent memory and never
+// dereferences a queued request; hand-rolled push/pop avoid
+// container/heap's interface boxing and indirect calls.
+type reqHeap []reqEntry
+
+type reqEntry struct {
+	startTag float64
+	seq      uint64
+	req      *Request
+}
 
 func (h reqHeap) Len() int { return len(h) }
 
-func reqLess(a, b *Request) bool {
+func entryLess(a, b *reqEntry) bool {
 	if a.startTag != b.startTag {
 		return a.startTag < b.startTag
 	}
@@ -328,53 +350,48 @@ func reqLess(a, b *Request) bool {
 }
 
 func (h *reqHeap) push(r *Request) {
-	q := append(*h, r)
+	e := reqEntry{startTag: r.startTag, seq: r.seq, req: r}
+	q := append(*h, e)
 	i := len(q) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !reqLess(r, q[parent]) {
+		if !entryLess(&e, &q[parent]) {
 			break
 		}
 		q[i] = q[parent]
-		q[i].heapIndex = i
 		i = parent
 	}
-	q[i] = r
-	r.heapIndex = i
+	q[i] = e
 	*h = q
 }
 
 func (h *reqHeap) pop() *Request {
 	q := *h
-	min := q[0]
+	min := q[0].req
 	last := len(q) - 1
-	q[0] = q[last]
-	q[last] = nil
+	e := q[last]
+	q[last] = reqEntry{}
 	q = q[:last]
 	*h = q
-	min.heapIndex = -1
 	if last == 0 {
 		return min
 	}
-	// Sift the relocated tail element down from the root.
-	r := q[0]
+	// Sift the relocated tail entry down from the root.
 	i := 0
 	for {
 		child := 2*i + 1
 		if child >= last {
 			break
 		}
-		if rc := child + 1; rc < last && reqLess(q[rc], q[child]) {
+		if rc := child + 1; rc < last && entryLess(&q[rc], &q[child]) {
 			child = rc
 		}
-		if !reqLess(q[child], r) {
+		if !entryLess(&q[child], &e) {
 			break
 		}
 		q[i] = q[child]
-		q[i].heapIndex = i
 		i = child
 	}
-	q[i] = r
-	r.heapIndex = i
+	q[i] = e
 	return min
 }

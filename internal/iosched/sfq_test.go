@@ -399,3 +399,26 @@ func TestSFQNames(t *testing.T) {
 		t.Fatal("SFQ(D2) without controller")
 	}
 }
+
+// TestSFQDeviceRoundTripAllocs is the tier-1 twin of
+// BenchmarkSFQDeviceRoundTrip: once warm, a request's full trip through
+// SFQ(D), the device and its processor-sharing resource allocates
+// nothing (no dispatch closure, device closure or job record).
+func TestSFQDeviceRoundTripAllocs(t *testing.T) {
+	rt, reqs := newRoundTrip(16)
+	if err := rt.run(reqs, 256); err != nil {
+		t.Fatal(err)
+	}
+	var err error
+	allocs := testing.AllocsPerRun(50, func() {
+		if e := rt.run(reqs, 64); e != nil {
+			err = e
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if perReq := allocs / 64; perReq != 0 {
+		t.Fatalf("round trip allocates %.3g times per request, want 0", perReq)
+	}
+}

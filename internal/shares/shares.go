@@ -70,6 +70,7 @@ type tenantNode struct {
 
 type appNode struct {
 	tenant string
+	tn     *tenantNode // tenants[tenant], held so resolution skips a lookup
 	weight float64
 	class  [iosched.NumClasses]float64 // multipliers, default 1
 	// explicit marks a weight set through SetAppWeight (the control
@@ -180,21 +181,23 @@ func (t *Tree) TenantWeight(name string) float64 {
 	return 0
 }
 
-// ensureTenant resolves a binding's tenant name, creating implicit or
-// auto-declared tenants as needed. An empty name means "the app's
-// implicit singleton tenant".
-func (t *Tree) ensureTenant(name string, app iosched.AppID) (string, error) {
+// ensureTenant resolves a binding's tenant name and node, creating
+// implicit or auto-declared tenants as needed. An empty name means "the
+// app's implicit singleton tenant".
+func (t *Tree) ensureTenant(name string, app iosched.AppID) (string, *tenantNode, error) {
 	if name == "" {
 		name = ImplicitTenant(app)
 	} else if name[0] == '~' {
-		return "", fmt.Errorf("shares: tenant name %q is reserved (implicit-tenant prefix)", name)
+		return "", nil, fmt.Errorf("shares: tenant name %q is reserved (implicit-tenant prefix)", name)
 	}
-	if t.tenants[name] == nil {
+	tn := t.tenants[name]
+	if tn == nil {
 		// Auto-declare at weight 1; an explicit Tenant() call can
 		// re-weight it at any time.
-		t.tenants[name] = &tenantNode{weight: 1}
+		tn = &tenantNode{weight: 1}
+		t.tenants[name] = tn
 	}
-	return name, nil
+	return name, tn, nil
 }
 
 // Bind attributes an application to a tenant with the given weight.
@@ -212,13 +215,13 @@ func (t *Tree) Bind(app iosched.AppID, tenant string, weight float64) error {
 	if !validWeight(weight) {
 		return fmt.Errorf("shares: app %q weight must be positive and finite, got %g", app, weight)
 	}
-	tname, err := t.ensureTenant(tenant, app)
+	tname, tn, err := t.ensureTenant(tenant, app)
 	if err != nil {
 		return err
 	}
 	an := t.apps[app]
 	if an == nil {
-		an = &appNode{tenant: tname, weight: weight}
+		an = &appNode{tenant: tname, tn: tn, weight: weight}
 		for i := range an.class {
 			an.class[i] = 1
 		}
@@ -232,7 +235,7 @@ func (t *Tree) Bind(app iosched.AppID, tenant string, weight float64) error {
 		an.weight = weight
 	}
 	if moved || old != an.weight {
-		an.tenant = tname
+		an.tenant, an.tn = tname, tn
 		t.record("bind", tname, app, old, an.weight, true)
 	}
 	return nil
@@ -319,7 +322,7 @@ func (t *Tree) EffectiveWeight(app iosched.AppID, class iosched.Class) (float64,
 	if class < 0 || int(class) >= iosched.NumClasses {
 		return 0, t.epoch
 	}
-	return t.tenants[an.tenant].weight * an.weight * an.class[class], t.epoch
+	return an.tn.weight * an.weight * an.class[class], t.epoch
 }
 
 var _ iosched.WeightSource = (*Tree)(nil)

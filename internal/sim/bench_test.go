@@ -43,12 +43,12 @@ func BenchmarkPSResourceChurn(b *testing.B) {
 	}
 	r := NewPSResource(e, "disk", curve)
 	for i := 0; i < 64; i++ { // warm up the job heap and event freelist
-		r.Submit(1+float64(i%17)*3.7, nil)
+		r.Submit(1+float64(i%17)*3.7, nil, nil)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.Submit(1+float64(i%17)*3.7, nil)
+		r.Submit(1+float64(i%17)*3.7, nil, nil)
 		for r.InFlight() > 32 {
 			if !e.Step() {
 				b.Fatal("engine drained with jobs in flight")

@@ -16,39 +16,32 @@ func ConstantCapacity(rate float64) CapacityFunc {
 	return func(int) float64 { return rate }
 }
 
-// PSJob is one unit of work being serviced by a PSResource.
-type PSJob struct {
-	res      *PSResource
-	demand   float64 // total service units requested
-	finishV  float64 // virtual service point at which the job completes
-	residual float64 // remaining units frozen at deactivation
-	start    float64 // virtual time service began
-	seq      uint64  // submission order, for deterministic tie-breaking
-	index    int32   // position in PSResource.heap, -1 when not queued
-	onDone   func()
-	active   bool
-	// Payload lets callers attach arbitrary context to a job.
-	Payload any
+// DoneFunc is a completion callback: it receives the argument the job
+// was submitted with and the job's in-resource latency in seconds.
+// Passing a cached method value plus a pointer argument, instead of a
+// fresh closure per job, keeps submission allocation-free.
+type DoneFunc func(arg any, latency float64)
+
+// psJob is one unit of work in service. Records are owned by their
+// PSResource and recycled through its free list once they complete, so
+// no caller may hold one; callers identify their work by the argument
+// they submit with.
+type psJob struct {
+	demand  float64 // total service units requested
+	finishV float64 // virtual service point at which the job completes
+	start   float64 // virtual time service began
+	seq     uint64  // submission order, for deterministic tie-breaking
+	done    DoneFunc
+	arg     any
 }
 
-// Remaining returns the service units still owed to the job. Progress is
-// only applied at events; callers that need an exact instantaneous value
-// should call PSResource.Sync first.
-func (j *PSJob) Remaining() float64 {
-	if !j.active {
-		return j.residual
-	}
-	if rem := j.finishV - j.res.vserv; rem > 0 {
-		return rem
-	}
-	return 0
+// psEntry is one heap slot: the (finishV, seq) ordering key held inline
+// next to its job, so sifting never dereferences a job record.
+type psEntry struct {
+	finishV float64
+	seq     uint64
+	job     *psJob
 }
-
-// Start returns the virtual time at which service of the job began.
-func (j *PSJob) Start() float64 { return j.start }
-
-// Active reports whether the job is still in service.
-func (j *PSJob) Active() bool { return j.active }
 
 // PSResource models a processor-sharing server: all active jobs progress
 // simultaneously, each receiving an equal share of the aggregate capacity,
@@ -69,14 +62,15 @@ type PSResource struct {
 	eng         *Engine
 	capacity    CapacityFunc
 	disturbance float64 // multiplier on capacity, default 1
-	heap        []*PSJob
+	heap        []psEntry
 	vserv       float64 // cumulative per-job virtual service
 	lastUpdate  float64
 	nextDone    Event
 	name        string
 	jobSeq      uint64
 	completeFn  func()   // cached completeDue method value (no per-reschedule alloc)
-	due         []*PSJob // scratch reused by completeDue
+	due         []*psJob // scratch reused by completeDue
+	free        []*psJob // completed job records, reused by Submit
 
 	// Cumulative accounting.
 	servedUnits float64
@@ -142,52 +136,27 @@ func (r *PSResource) SetDisturbance(factor float64) {
 func (r *PSResource) Disturbance() float64 { return r.disturbance }
 
 // Submit begins servicing a job of the given demand (service units).
-// onDone fires when the job completes. Zero- or negative-demand jobs
-// complete immediately (via a zero-delay event, preserving causality).
-func (r *PSResource) Submit(demand float64, onDone func()) *PSJob {
-	job := &PSJob{
-		res:    r,
-		demand: demand,
-		start:  r.eng.Now(),
-		seq:    r.jobSeq,
-		index:  -1,
-		onDone: onDone,
-		active: true,
+// done, if non-nil, fires with arg and the job's latency when the job
+// completes. Zero- or negative-demand jobs complete immediately (via a
+// zero-delay event, preserving causality).
+func (r *PSResource) Submit(demand float64, done DoneFunc, arg any) {
+	var job *psJob
+	if n := len(r.free); n > 0 {
+		job = r.free[n-1]
+		r.free[n-1] = nil
+		r.free = r.free[:n-1]
+	} else {
+		job = &psJob{}
 	}
+	*job = psJob{demand: demand, start: r.eng.Now(), seq: r.jobSeq, done: done, arg: arg}
 	r.jobSeq++
 	if demand <= 0 {
-		job.finishV = r.vserv
 		r.eng.Schedule(0, func() { r.finish(job) })
-		return job
+		return
 	}
 	r.advance()
 	job.finishV = r.vserv + demand
 	r.jobPush(job)
-	r.reschedule()
-	return job
-}
-
-// Abort removes a job from service without running its completion
-// callback. Aborting an inactive job is a no-op.
-func (r *PSResource) Abort(job *PSJob) {
-	if job == nil || !job.active {
-		return
-	}
-	r.advance()
-	job.active = false
-	if rem := job.finishV - r.vserv; rem > 0 {
-		job.residual = rem
-	}
-	if job.index >= 0 {
-		r.jobRemove(int(job.index))
-	}
-	r.reschedule()
-}
-
-// Sync advances internal progress accounting to the current virtual time
-// without changing the job set. Useful before inspecting Remaining.
-func (r *PSResource) Sync() {
-	r.advance()
 	r.reschedule()
 }
 
@@ -239,7 +208,7 @@ func (r *PSResource) completeDue() {
 	r.advance()
 	due := r.due[:0]
 	for len(r.heap) > 0 {
-		top := r.heap[0]
+		top := r.heap[0].job
 		if top.finishV-r.vserv > dueEpsilon(top.demand) {
 			break
 		}
@@ -253,7 +222,7 @@ func (r *PSResource) completeDue() {
 	if len(due) == 0 && len(r.heap) > 0 {
 		n := len(r.heap)
 		perJob := r.capacity(n) * r.disturbance / float64(n)
-		top := r.heap[0]
+		top := r.heap[0].job
 		if t := r.eng.Now(); t+(top.finishV-r.vserv)/perJob == t {
 			r.jobPopMin()
 			due = append(due, top)
@@ -268,7 +237,8 @@ func (r *PSResource) completeDue() {
 		r.servedUnits += j.finishV - r.vserv
 	}
 	r.reschedule()
-	for _, j := range due {
+	for i, j := range due {
+		due[i] = nil
 		r.finish(j)
 	}
 	r.due = due[:0]
@@ -281,22 +251,22 @@ func dueEpsilon(demand float64) float64 {
 	return 1e-9 + demand*1e-12
 }
 
-func (r *PSResource) finish(job *PSJob) {
-	if !job.active {
-		return
-	}
-	job.active = false
-	job.residual = 0
+// finish retires a job: its record goes back on the free list before
+// the callback runs, so a callback that submits again reuses it.
+func (r *PSResource) finish(job *psJob) {
 	r.completed++
-	if job.onDone != nil {
-		job.onDone()
+	done, arg, lat := job.done, job.arg, r.eng.Now()-job.start
+	*job = psJob{}
+	r.free = append(r.free, job)
+	if done != nil {
+		done(arg, lat)
 	}
 }
 
 // sortJobs orders jobs deterministically by submission sequence so that
 // completion callbacks fire in a reproducible order even when several
 // jobs finish in the same instant.
-func sortJobs(js []*PSJob) {
+func sortJobs(js []*psJob) {
 	for i := 1; i < len(js); i++ {
 		for k := i; k > 0 && js[k].seq < js[k-1].seq; k-- {
 			js[k], js[k-1] = js[k-1], js[k]
@@ -306,89 +276,54 @@ func sortJobs(js []*PSJob) {
 
 // --- specialized job min-heap, ordered by (finishV, seq) ---
 
-func jobLess(a, b *PSJob) bool {
+func entryLess(a, b *psEntry) bool {
 	if a.finishV != b.finishV {
 		return a.finishV < b.finishV
 	}
 	return a.seq < b.seq
 }
 
-func (r *PSResource) jobPush(j *PSJob) {
-	j.index = int32(len(r.heap))
-	r.heap = append(r.heap, j)
-	r.jobSiftUp(len(r.heap) - 1)
-}
-
-func (r *PSResource) jobPopMin() *PSJob {
-	h := r.heap
-	min := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	h[last] = nil
-	r.heap = h[:last]
-	if last > 0 {
-		h[0].index = 0
-		r.jobSiftDown(0)
-	}
-	min.index = -1
-	return min
-}
-
-func (r *PSResource) jobRemove(i int) {
-	h := r.heap
-	last := len(h) - 1
-	j := h[i]
-	if i != last {
-		h[i] = h[last]
-		h[i].index = int32(i)
-	}
-	h[last] = nil
-	r.heap = h[:last]
-	if i < last {
-		if !r.jobSiftDown(i) {
-			r.jobSiftUp(i)
-		}
-	}
-	j.index = -1
-}
-
-func (r *PSResource) jobSiftUp(i int) {
-	h := r.heap
-	j := h[i]
+func (r *PSResource) jobPush(j *psJob) {
+	e := psEntry{finishV: j.finishV, seq: j.seq, job: j}
+	h := append(r.heap, e)
+	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !jobLess(j, h[parent]) {
+		if !entryLess(&e, &h[parent]) {
 			break
 		}
 		h[i] = h[parent]
-		h[i].index = int32(i)
 		i = parent
 	}
-	h[i] = j
-	j.index = int32(i)
+	h[i] = e
+	r.heap = h
 }
 
-func (r *PSResource) jobSiftDown(i int) bool {
+func (r *PSResource) jobPopMin() {
 	h := r.heap
-	n := len(h)
-	j := h[i]
-	start := i
+	last := len(h) - 1
+	e := h[last]
+	h[last] = psEntry{}
+	h = h[:last]
+	r.heap = h
+	if last == 0 {
+		return
+	}
+	// Sift the relocated tail entry down from the root.
+	i := 0
 	for {
 		child := 2*i + 1
-		if child >= n {
+		if child >= last {
 			break
 		}
-		if rc := child + 1; rc < n && jobLess(h[rc], h[child]) {
+		if rc := child + 1; rc < last && entryLess(&h[rc], &h[child]) {
 			child = rc
 		}
-		if !jobLess(h[child], j) {
+		if !entryLess(&h[child], &e) {
 			break
 		}
 		h[i] = h[child]
-		h[i].index = int32(i)
 		i = child
 	}
-	h[i] = j
-	j.index = int32(i)
-	return i > start
+	h[i] = e
 }

@@ -19,8 +19,6 @@ type refJob struct {
 	demand    float64
 	seq       uint64
 	onDone    func()
-	active    bool
-	queued    bool
 }
 
 type refPS struct {
@@ -37,28 +35,16 @@ func newRefPS(eng *Engine, capacity CapacityFunc) *refPS {
 	return &refPS{eng: eng, capacity: capacity, disturbance: 1, lastUpdate: eng.Now()}
 }
 
-func (r *refPS) Submit(demand float64, onDone func()) *refJob {
-	job := &refJob{remaining: demand, demand: demand, seq: r.jobSeq, onDone: onDone, active: true}
+func (r *refPS) Submit(demand float64, onDone func()) {
+	job := &refJob{remaining: demand, demand: demand, seq: r.jobSeq, onDone: onDone}
 	r.jobSeq++
 	if demand <= 0 {
 		job.remaining = 0
 		r.eng.Schedule(0, func() { r.finish(job) })
-		return job
-	}
-	r.advance()
-	job.queued = true
-	r.jobs = append(r.jobs, job)
-	r.reschedule()
-	return job
-}
-
-func (r *refPS) Abort(job *refJob) {
-	if job == nil || !job.active {
 		return
 	}
 	r.advance()
-	job.active = false
-	r.remove(job)
+	r.jobs = append(r.jobs, job)
 	r.reschedule()
 }
 
@@ -72,7 +58,6 @@ func (r *refPS) remove(job *refJob) {
 	for i, j := range r.jobs {
 		if j == job {
 			r.jobs = append(r.jobs[:i], r.jobs[i+1:]...)
-			job.queued = false
 			return
 		}
 	}
@@ -146,10 +131,6 @@ func (r *refPS) completeDue() {
 }
 
 func (r *refPS) finish(job *refJob) {
-	if !job.active {
-		return
-	}
-	job.active = false
 	if job.onDone != nil {
 		job.onDone()
 	}
@@ -158,9 +139,8 @@ func (r *refPS) finish(job *refJob) {
 // psOp is one scripted action in a replayed workload.
 type psOp struct {
 	at          float64
-	kind        int // 0 = submit, 1 = abort (by submit index), 2 = disturbance
+	kind        int // 0 = submit, 1 = disturbance
 	demand      float64
-	target      int
 	disturbance float64
 }
 
@@ -175,14 +155,11 @@ func genOps(rng *rand.Rand, n int) []psOp {
 	submits := 0
 	for i := 0; i < n; i++ {
 		at := rng.Float64() * 20
-		switch k := rng.Intn(10); {
-		case k < 7 || submits == 0:
+		if k := rng.Intn(10); k < 9 || submits == 0 {
 			ops = append(ops, psOp{at: at, kind: 0, demand: 0.5 + rng.Float64()*400})
 			submits++
-		case k < 9:
-			ops = append(ops, psOp{at: at, kind: 1, target: rng.Intn(submits)})
-		default:
-			ops = append(ops, psOp{at: at, kind: 2, disturbance: 0.2 + rng.Float64()*1.6})
+		} else {
+			ops = append(ops, psOp{at: at, kind: 1, disturbance: 0.2 + rng.Float64()*1.6})
 		}
 	}
 	return ops
@@ -193,7 +170,6 @@ func replayNew(ops []psOp, capacity CapacityFunc) []psCompletion {
 	e := NewEngine()
 	r := NewPSResource(e, "disk", capacity)
 	var out []psCompletion
-	jobs := make(map[int]*PSJob)
 	id := 0
 	for _, op := range ops {
 		op := op
@@ -202,13 +178,11 @@ func replayNew(ops []psOp, capacity CapacityFunc) []psCompletion {
 			myID := id
 			id++
 			e.Schedule(op.at, func() {
-				jobs[myID] = r.Submit(op.demand, func() {
+				r.Submit(op.demand, func(any, float64) {
 					out = append(out, psCompletion{id: myID, at: e.Now()})
-				})
+				}, nil)
 			})
 		case 1:
-			e.Schedule(op.at, func() { r.Abort(jobs[op.target]) })
-		case 2:
 			e.Schedule(op.at, func() { r.SetDisturbance(op.disturbance) })
 		}
 	}
@@ -221,7 +195,6 @@ func replayRef(ops []psOp, capacity CapacityFunc) []psCompletion {
 	e := NewEngine()
 	r := newRefPS(e, capacity)
 	var out []psCompletion
-	jobs := make(map[int]*refJob)
 	id := 0
 	for _, op := range ops {
 		op := op
@@ -230,13 +203,11 @@ func replayRef(ops []psOp, capacity CapacityFunc) []psCompletion {
 			myID := id
 			id++
 			e.Schedule(op.at, func() {
-				jobs[myID] = r.Submit(op.demand, func() {
+				r.Submit(op.demand, func() {
 					out = append(out, psCompletion{id: myID, at: e.Now()})
 				})
 			})
 		case 1:
-			e.Schedule(op.at, func() { r.Abort(jobs[op.target]) })
-		case 2:
 			e.Schedule(op.at, func() { r.SetDisturbance(op.disturbance) })
 		}
 	}
@@ -245,7 +216,7 @@ func replayRef(ops []psOp, capacity CapacityFunc) []psCompletion {
 }
 
 // TestPSEquivalenceWithReferenceModel replays randomized
-// submit/abort/disturbance scripts against the virtual-service
+// submit/disturbance scripts against the virtual-service
 // PSResource and the O(n)-rescan reference semantics. Completion order
 // must match exactly and completion times within float-rounding slop —
 // the heap rewrite must not change observable scheduling behavior.

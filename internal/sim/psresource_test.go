@@ -11,7 +11,7 @@ func TestPSSingleJobServiceTime(t *testing.T) {
 	e := NewEngine()
 	r := NewPSResource(e, "disk", ConstantCapacity(100))
 	done := -1.0
-	r.Submit(250, func() { done = e.Now() })
+	r.Submit(250, func(any, float64) { done = e.Now() }, nil)
 	e.Run()
 	if math.Abs(done-2.5) > 1e-9 {
 		t.Fatalf("completion at %v, want 2.5", done)
@@ -22,8 +22,8 @@ func TestPSEqualSharing(t *testing.T) {
 	e := NewEngine()
 	r := NewPSResource(e, "disk", ConstantCapacity(100))
 	var t1, t2 float64
-	r.Submit(100, func() { t1 = e.Now() })
-	r.Submit(100, func() { t2 = e.Now() })
+	r.Submit(100, func(any, float64) { t1 = e.Now() }, nil)
+	r.Submit(100, func(any, float64) { t2 = e.Now() }, nil)
 	e.Run()
 	// Two equal jobs sharing 100 u/s: both finish at 2s.
 	if math.Abs(t1-2) > 1e-9 || math.Abs(t2-2) > 1e-9 {
@@ -35,8 +35,8 @@ func TestPSUnequalJobs(t *testing.T) {
 	e := NewEngine()
 	r := NewPSResource(e, "disk", ConstantCapacity(100))
 	var small, large float64
-	r.Submit(50, func() { small = e.Now() })
-	r.Submit(150, func() { large = e.Now() })
+	r.Submit(50, func(any, float64) { small = e.Now() }, nil)
+	r.Submit(150, func(any, float64) { large = e.Now() }, nil)
 	e.Run()
 	// Shared until small finishes: small gets 50 u/s -> done at 1s.
 	// Large has 100 left, alone at 100 u/s -> done at 2s.
@@ -52,8 +52,8 @@ func TestPSLateArrival(t *testing.T) {
 	e := NewEngine()
 	r := NewPSResource(e, "disk", ConstantCapacity(100))
 	var a, b float64
-	r.Submit(100, func() { a = e.Now() })
-	e.Schedule(0.5, func() { r.Submit(100, func() { b = e.Now() }) })
+	r.Submit(100, func(any, float64) { a = e.Now() }, nil)
+	e.Schedule(0.5, func() { r.Submit(100, func(any, float64) { b = e.Now() }, nil) })
 	e.Run()
 	// First runs alone 0.5s (50 units), then shares. 50 left at 50 u/s:
 	// a done at 1.5. b: 100 units: 50 shared (1s), then alone 50 at 100:
@@ -72,8 +72,8 @@ func TestPSCapacityCurve(t *testing.T) {
 	cap := func(n int) float64 { return 100 * float64(n) }
 	r := NewPSResource(e, "ssd", cap)
 	var a, b float64
-	r.Submit(100, func() { a = e.Now() })
-	r.Submit(100, func() { b = e.Now() })
+	r.Submit(100, func(any, float64) { a = e.Now() }, nil)
+	r.Submit(100, func(any, float64) { b = e.Now() }, nil)
 	e.Run()
 	if math.Abs(a-1) > 1e-9 || math.Abs(b-1) > 1e-9 {
 		t.Fatalf("completions %v %v, want both 1 (no interference)", a, b)
@@ -84,7 +84,7 @@ func TestPSZeroDemandCompletesImmediately(t *testing.T) {
 	e := NewEngine()
 	r := NewPSResource(e, "disk", ConstantCapacity(100))
 	done := false
-	r.Submit(0, func() { done = true })
+	r.Submit(0, func(any, float64) { done = true }, nil)
 	if done {
 		t.Fatal("zero-demand job completed synchronously; want deferred event")
 	}
@@ -94,41 +94,11 @@ func TestPSZeroDemandCompletesImmediately(t *testing.T) {
 	}
 }
 
-func TestPSAbort(t *testing.T) {
-	e := NewEngine()
-	r := NewPSResource(e, "disk", ConstantCapacity(100))
-	var a float64
-	aborted := false
-	r.Submit(100, func() { a = e.Now() })
-	victim := r.Submit(100, func() { aborted = true })
-	e.Schedule(0.5, func() { r.Abort(victim) })
-	e.Run()
-	if aborted {
-		t.Fatal("aborted job ran its completion callback")
-	}
-	// a: 0.5s shared (25 units), then alone: 75 left at 100 -> done 1.25.
-	if math.Abs(a-1.25) > 1e-9 {
-		t.Fatalf("survivor done at %v, want 1.25", a)
-	}
-	if victim.Active() {
-		t.Fatal("victim still active after abort")
-	}
-}
-
-func TestPSAbortInactiveNoop(t *testing.T) {
-	e := NewEngine()
-	r := NewPSResource(e, "disk", ConstantCapacity(100))
-	j := r.Submit(10, nil)
-	e.Run()
-	r.Abort(j) // completed; must not panic
-	r.Abort(nil)
-}
-
 func TestPSDisturbanceSlowsService(t *testing.T) {
 	e := NewEngine()
 	r := NewPSResource(e, "disk", ConstantCapacity(100))
 	var done float64
-	r.Submit(100, func() { done = e.Now() })
+	r.Submit(100, func(any, float64) { done = e.Now() }, nil)
 	e.Schedule(0.5, func() { r.SetDisturbance(0.5) })
 	e.Run()
 	// 50 units in first 0.5s; remaining 50 at 50 u/s -> 1 more second.
@@ -154,8 +124,8 @@ func TestPSDisturbanceInvalidPanics(t *testing.T) {
 func TestPSAccounting(t *testing.T) {
 	e := NewEngine()
 	r := NewPSResource(e, "disk", ConstantCapacity(100))
-	r.Submit(100, nil)
-	r.Submit(200, nil)
+	r.Submit(100, nil, nil)
+	r.Submit(200, nil, nil)
 	e.Run()
 	if got := r.ServedUnits(); math.Abs(got-300) > 1e-6 {
 		t.Fatalf("ServedUnits = %v, want 300", got)
@@ -171,8 +141,8 @@ func TestPSAccounting(t *testing.T) {
 func TestPSWorkConservingIdleGap(t *testing.T) {
 	e := NewEngine()
 	r := NewPSResource(e, "disk", ConstantCapacity(100))
-	r.Submit(100, nil)
-	e.Schedule(5, func() { r.Submit(100, nil) })
+	r.Submit(100, nil, nil)
+	e.Schedule(5, func() { r.Submit(100, nil, nil) })
 	e.Run()
 	if got := r.BusyTime(); math.Abs(got-2) > 1e-9 {
 		t.Fatalf("BusyTime = %v, want 2 (1s + 1s with idle gap)", got)
@@ -188,27 +158,14 @@ func TestPSInFlightAndRate(t *testing.T) {
 	if r.Rate() != 0 {
 		t.Fatalf("idle Rate = %v, want 0", r.Rate())
 	}
-	r.Submit(1000, nil)
-	r.Submit(1000, nil)
+	r.Submit(1000, nil, nil)
+	r.Submit(1000, nil, nil)
 	if r.InFlight() != 2 {
 		t.Fatalf("InFlight = %d, want 2", r.InFlight())
 	}
 	if r.Rate() != 80 {
 		t.Fatalf("Rate = %v, want 80", r.Rate())
 	}
-}
-
-func TestPSSyncUpdatesRemaining(t *testing.T) {
-	e := NewEngine()
-	r := NewPSResource(e, "disk", ConstantCapacity(100))
-	j := r.Submit(100, nil)
-	e.Schedule(0.25, func() {
-		r.Sync()
-		if got := j.Remaining(); math.Abs(got-75) > 1e-9 {
-			t.Errorf("Remaining = %v at 0.25s, want 75", got)
-		}
-	})
-	e.Run()
 }
 
 func TestPSNilCapacityPanics(t *testing.T) {
@@ -234,7 +191,7 @@ func TestPropertyPSWorkConservation(t *testing.T) {
 			d := 1 + rng.Float64()*500
 			total += d
 			arrival := rng.Float64() * 3
-			e.Schedule(arrival, func() { r.Submit(d, func() { completions++ }) })
+			e.Schedule(arrival, func() { r.Submit(d, func(any, float64) { completions++ }, nil) })
 		}
 		e.Run()
 		if completions != n {
@@ -270,7 +227,7 @@ func TestPropertyPSCapacityBound(t *testing.T) {
 		r := NewPSResource(e, "disk", capFn)
 		for i := 0; i < 12; i++ {
 			d := 1 + rng.Float64()*200
-			e.Schedule(rng.Float64()*2, func() { r.Submit(d, nil) })
+			e.Schedule(rng.Float64()*2, func() { r.Submit(d, nil, nil) })
 		}
 		e.Run()
 		return r.ServedUnits() <= 100*r.BusyTime()+1e-6
@@ -287,7 +244,7 @@ func TestPSDeterministicCompletionOrder(t *testing.T) {
 		var order []int
 		for i := 0; i < 8; i++ {
 			i := i
-			r.Submit(100, func() { order = append(order, i) })
+			r.Submit(100, func(any, float64) { order = append(order, i) }, nil)
 		}
 		e.Run()
 		return order
@@ -320,19 +277,12 @@ func TestPSServedUnitsBitDeterminism(t *testing.T) {
 			return 100
 		}
 		r := NewPSResource(e, "disk", curve)
-		var jobs []*PSJob
 		for i := 0; i < 60; i++ {
 			d := 0.5 + rng.Float64()*300
 			at := rng.Float64() * 10
-			e.Schedule(at, func() { jobs = append(jobs, r.Submit(d, nil)) })
+			e.Schedule(at, func() { r.Submit(d, nil, nil) })
 		}
 		for i := 0; i < 8; i++ {
-			at := rng.Float64() * 12
-			e.Schedule(at, func() {
-				if len(jobs) > 0 {
-					r.Abort(jobs[len(jobs)/2])
-				}
-			})
 			e.Schedule(rng.Float64()*12, func() { r.SetDisturbance(0.3 + rng.Float64()) })
 		}
 		e.Run()
@@ -348,31 +298,42 @@ func TestPSServedUnitsBitDeterminism(t *testing.T) {
 	}
 }
 
-// TestPSAbortMidHeap exercises removal from the middle of the finishV
-// heap: aborting a job that is neither the next completion nor the last
-// inserted must leave the heap consistent.
-func TestPSAbortMidHeap(t *testing.T) {
+// TestPSDoneReceivesArgAndLatency pins the completion contract: the
+// callback gets back the argument its job was submitted with and the
+// job's latency from submission, and a callback that resubmits reuses
+// the recycled record without disturbing the next completion.
+func TestPSDoneReceivesArgAndLatency(t *testing.T) {
 	e := NewEngine()
 	r := NewPSResource(e, "disk", ConstantCapacity(100))
-	var order []int
-	var js []*PSJob
-	for i := 0; i < 9; i++ {
-		i := i
-		js = append(js, r.Submit(float64(50+10*i), func() { order = append(order, i) }))
+	type rec struct {
+		name string
+		lat  float64
+		at   float64
 	}
-	e.Schedule(0.1, func() { r.Abort(js[4]) })
-	e.Schedule(0.2, func() { r.Abort(js[1]) })
-	e.Run()
-	want := []int{0, 2, 3, 5, 6, 7, 8}
-	if len(order) != len(want) {
-		t.Fatalf("completions %v, want %v", order, want)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("completion order %v, want %v (shortest demand first)", order, want)
+	var got []rec
+	var done DoneFunc
+	done = func(arg any, lat float64) {
+		name := *arg.(*string)
+		got = append(got, rec{name, lat, e.Now()})
+		if name == "a" {
+			next := "c"
+			r.Submit(50, done, &next)
 		}
 	}
-	if r.InFlight() != 0 {
-		t.Fatalf("InFlight = %d after drain, want 0", r.InFlight())
+	a, b := "a", "b"
+	r.Submit(100, done, &a)
+	e.Schedule(0.5, func() { r.Submit(100, done, &b) })
+	e.Run()
+	// a: 0.5 s alone, then 50 units shared at 50 u/s -> done at 1.5
+	// (latency 1.5). b from 0.5: 50 shared by 1.5, then shares with c
+	// from 1.5; b and c each have 50 left at 50 u/s -> both at 2.5.
+	want := []rec{{"a", 1.5, 1.5}, {"b", 2.0, 2.5}, {"c", 1.0, 2.5}}
+	if len(got) != len(want) {
+		t.Fatalf("completions %+v, want %+v", got, want)
+	}
+	for i := range want {
+		if got[i].name != want[i].name || math.Abs(got[i].lat-want[i].lat) > 1e-9 || math.Abs(got[i].at-want[i].at) > 1e-9 {
+			t.Fatalf("completion %d = %+v, want %+v", i, got[i], want[i])
+		}
 	}
 }

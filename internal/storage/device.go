@@ -71,30 +71,40 @@ type Spec struct {
 	FlushFactor float64
 }
 
-// Validate reports configuration errors in the spec.
+// Validate reports configuration errors in the spec. Every rate,
+// curve entry and factor must be a finite number in its range, so NaN
+// and infinities are rejected along with non-positive values.
 func (s *Spec) Validate() error {
-	if s.ReadBW <= 0 || s.WriteBW <= 0 {
-		return fmt.Errorf("storage: %s: bandwidths must be positive (read=%g write=%g)", s.Name, s.ReadBW, s.WriteBW)
+	if !finitePositive(s.ReadBW) || !finitePositive(s.WriteBW) {
+		return fmt.Errorf("storage: %s: bandwidths must be positive and finite (read=%g write=%g)", s.Name, s.ReadBW, s.WriteBW)
+	}
+	if !(s.PerOpOverhead >= 0) || math.IsInf(s.PerOpOverhead, 1) {
+		return fmt.Errorf("storage: %s: per-op overhead %g must be non-negative and finite", s.Name, s.PerOpOverhead)
 	}
 	if len(s.Curve) == 0 {
 		return fmt.Errorf("storage: %s: empty concurrency curve", s.Name)
 	}
 	for i, c := range s.Curve {
-		if c <= 0 {
-			return fmt.Errorf("storage: %s: curve[%d] = %g must be positive", s.Name, i, c)
+		if !finitePositive(c) {
+			return fmt.Errorf("storage: %s: curve[%d] = %g must be positive and finite", s.Name, i, c)
 		}
 	}
-	if s.CurveDecay <= 0 || s.CurveDecay > 1 {
+	if !(s.CurveDecay > 0 && s.CurveDecay <= 1) {
 		return fmt.Errorf("storage: %s: curve decay %g outside (0,1]", s.Name, s.CurveDecay)
 	}
-	if s.MinCurve <= 0 {
-		return fmt.Errorf("storage: %s: min curve %g must be positive", s.Name, s.MinCurve)
+	if !finitePositive(s.MinCurve) {
+		return fmt.Errorf("storage: %s: min curve %g must be positive and finite", s.Name, s.MinCurve)
 	}
-	if s.FlushThreshold > 0 && (s.FlushFactor <= 0 || s.FlushFactor > 1 || s.FlushDuration <= 0) {
+	if math.IsNaN(s.FlushThreshold) {
+		return fmt.Errorf("storage: %s: flush threshold is NaN", s.Name)
+	}
+	if s.FlushThreshold > 0 && !(s.FlushFactor > 0 && s.FlushFactor <= 1 && finitePositive(s.FlushDuration)) {
 		return fmt.Errorf("storage: %s: invalid flush parameters", s.Name)
 	}
 	return nil
 }
+
+func finitePositive(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
 
 // WriteCost returns the multiplier applied to write sizes.
 func (s *Spec) WriteCost() float64 { return s.ReadBW / s.WriteBW }
@@ -204,6 +214,18 @@ type Device struct {
 	dirty    float64
 	flushing bool
 	flushEnd sim.Event
+
+	finishFn sim.DoneFunc // cached finish method value
+	free     []*devOp     // completed op records, reused by Submit
+}
+
+// devOp is one request in service: what finish books and whom it
+// notifies. Records are recycled through the device's free list.
+type devOp struct {
+	kind OpKind
+	size float64
+	done sim.DoneFunc
+	arg  any
 }
 
 // NewDevice builds a device from a spec, panicking on invalid specs
@@ -216,6 +238,7 @@ func NewDevice(eng *sim.Engine, name string, spec Spec) *Device {
 	d.res = sim.NewPSResource(eng, name, func(n int) float64 {
 		return spec.ReadBW * spec.multiplier(n)
 	})
+	d.finishFn = d.finish
 	return d
 }
 
@@ -243,29 +266,44 @@ func (d *Device) Cost(kind OpKind, size float64) float64 {
 	return units + d.spec.PerOpOverhead
 }
 
-// Submit starts servicing a request of `size` bytes. onDone receives the
-// in-device latency in seconds when the request completes.
-func (d *Device) Submit(kind OpKind, size float64, onDone func(latency float64)) {
-	if size < 0 {
-		panic(fmt.Sprintf("storage: negative request size %g", size))
+// Submit starts servicing a request of `size` bytes. done, if non-nil,
+// fires with arg and the in-device latency in seconds when the request
+// completes.
+func (d *Device) Submit(kind OpKind, size float64, done sim.DoneFunc, arg any) {
+	if !(size >= 0) || math.IsInf(size, 1) {
+		panic(fmt.Sprintf("storage: invalid request size %g", size))
 	}
-	start := d.eng.Now()
-	d.res.Submit(d.Cost(kind, size), func() {
-		lat := d.eng.Now() - start
-		d.stats.TotalLatency += lat
-		switch kind {
-		case Read:
-			d.stats.ReadBytes += size
-			d.stats.ReadOps++
-		case Write:
-			d.stats.WriteBytes += size
-			d.stats.WriteOps++
-			d.noteDirty(size)
-		}
-		if onDone != nil {
-			onDone(lat)
-		}
-	})
+	var op *devOp
+	if n := len(d.free); n > 0 {
+		op = d.free[n-1]
+		d.free[n-1] = nil
+		d.free = d.free[:n-1]
+	} else {
+		op = &devOp{}
+	}
+	*op = devOp{kind: kind, size: size, done: done, arg: arg}
+	d.res.Submit(d.Cost(kind, size), d.finishFn, op)
+}
+
+// finish books a completed op and hands its latency to the submitter.
+func (d *Device) finish(arg any, lat float64) {
+	op := arg.(*devOp)
+	kind, size, done, doneArg := op.kind, op.size, op.done, op.arg
+	*op = devOp{}
+	d.free = append(d.free, op)
+	d.stats.TotalLatency += lat
+	switch kind {
+	case Read:
+		d.stats.ReadBytes += size
+		d.stats.ReadOps++
+	case Write:
+		d.stats.WriteBytes += size
+		d.stats.WriteOps++
+		d.noteDirty(size)
+	}
+	if done != nil {
+		done(doneArg, lat)
+	}
 }
 
 // SetDisturbance scales the device's capacity by factor until called

@@ -24,6 +24,18 @@ func TestSpecValidation(t *testing.T) {
 		{"zero min curve", func(s *Spec) { s.MinCurve = 0 }, false},
 		{"flush without duration", func(s *Spec) { s.FlushThreshold = 1; s.FlushDuration = 0 }, false},
 		{"flush factor > 1", func(s *Spec) { s.FlushThreshold = 1; s.FlushFactor = 2 }, false},
+		{"NaN read bw", func(s *Spec) { s.ReadBW = math.NaN() }, false},
+		{"infinite write bw", func(s *Spec) { s.WriteBW = math.Inf(1) }, false},
+		{"NaN curve point", func(s *Spec) { s.Curve = []float64{0.5, math.NaN()} }, false},
+		{"infinite curve point", func(s *Spec) { s.Curve = []float64{math.Inf(1)} }, false},
+		{"NaN decay", func(s *Spec) { s.CurveDecay = math.NaN() }, false},
+		{"NaN min curve", func(s *Spec) { s.MinCurve = math.NaN() }, false},
+		{"NaN per-op overhead", func(s *Spec) { s.PerOpOverhead = math.NaN() }, false},
+		{"negative per-op overhead", func(s *Spec) { s.PerOpOverhead = -1 }, false},
+		{"zero per-op overhead", func(s *Spec) { s.PerOpOverhead = 0 }, true},
+		{"NaN flush threshold", func(s *Spec) { s.FlushThreshold = math.NaN() }, false},
+		{"NaN flush factor", func(s *Spec) { s.FlushFactor = math.NaN() }, false},
+		{"flushes disabled", func(s *Spec) { s.FlushThreshold = 0; s.FlushFactor = 0 }, true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -102,7 +114,7 @@ func TestSingleReadLatency(t *testing.T) {
 	dev := NewDevice(eng, "d", spec)
 	var lat float64
 	size := 4e6
-	dev.Submit(Read, size, func(l float64) { lat = l })
+	dev.Submit(Read, size, func(_ any, l float64) { lat = l }, nil)
 	eng.Run()
 	want := (size + spec.PerOpOverhead) / (spec.ReadBW * spec.Curve[0])
 	if math.Abs(lat-want) > 1e-9 {
@@ -116,7 +128,7 @@ func TestWriteSlowerThanReadOnSSD(t *testing.T) {
 		eng := sim.NewEngine()
 		dev := NewDevice(eng, "d", spec)
 		var lat float64
-		dev.Submit(kind, 8e6, func(l float64) { lat = l })
+		dev.Submit(kind, 8e6, func(_ any, l float64) { lat = l }, nil)
 		eng.Run()
 		return lat
 	}
@@ -129,9 +141,9 @@ func TestWriteSlowerThanReadOnSSD(t *testing.T) {
 func TestStatsAccounting(t *testing.T) {
 	eng := sim.NewEngine()
 	dev := NewDevice(eng, "d", SSDSpec())
-	dev.Submit(Read, 1e6, nil)
-	dev.Submit(Write, 2e6, nil)
-	dev.Submit(Write, 3e6, nil)
+	dev.Submit(Read, 1e6, nil, nil)
+	dev.Submit(Write, 2e6, nil, nil)
+	dev.Submit(Write, 3e6, nil, nil)
 	eng.Run()
 	st := dev.Stats()
 	if st.ReadOps != 1 || st.WriteOps != 2 {
@@ -163,7 +175,21 @@ func TestNegativeSizePanics(t *testing.T) {
 			t.Fatal("negative size did not panic")
 		}
 	}()
-	dev.Submit(Read, -1, nil)
+	dev.Submit(Read, -1, nil, nil)
+}
+
+func TestNonFiniteSizePanics(t *testing.T) {
+	for _, size := range []float64{math.NaN(), math.Inf(1)} {
+		func() {
+			dev := NewDevice(sim.NewEngine(), "d", SSDSpec())
+			defer func() {
+				if recover() == nil {
+					t.Errorf("size %g did not panic", size)
+				}
+			}()
+			dev.Submit(Read, size, nil, nil)
+		}()
+	}
 }
 
 func TestInvalidSpecPanics(t *testing.T) {
@@ -191,7 +217,7 @@ func TestFlushTriggersAndRecovers(t *testing.T) {
 			return
 		}
 		issued += 8e6
-		dev.Submit(Write, 8e6, func(float64) { issue() })
+		dev.Submit(Write, 8e6, func(any, float64) { issue() }, nil)
 	}
 	issue()
 	eng.Run()
@@ -232,7 +258,7 @@ func writeStream(t *testing.T, spec Spec, count int, size float64) float64 {
 			return
 		}
 		remaining--
-		dev.Submit(Write, size, func(float64) { issue() })
+		dev.Submit(Write, size, func(any, float64) { issue() }, nil)
 	}
 	issue()
 	return eng.Run()
@@ -271,12 +297,12 @@ func TestConcurrencyImprovesThroughput(t *testing.T) {
 			var bytes float64
 			var issue func()
 			issue = func() {
-				dev.Submit(Read, 4e6, func(float64) {
+				dev.Submit(Read, 4e6, func(any, float64) {
 					bytes += 4e6
 					if eng.Now() < 20 {
 						issue()
 					}
-				})
+				}, nil)
 			}
 			for i := 0; i < n; i++ {
 				issue()
@@ -303,12 +329,12 @@ func TestHDDDeepQueueKeepsThroughput(t *testing.T) {
 		var bytes float64
 		var issue func()
 		issue = func() {
-			dev.Submit(Read, 4e6, func(float64) {
+			dev.Submit(Read, 4e6, func(any, float64) {
 				bytes += 4e6
 				if eng.Now() < 20 {
 					issue()
 				}
-			})
+			}, nil)
 		}
 		for i := 0; i < n; i++ {
 			issue()
@@ -330,13 +356,13 @@ func TestLatencyGrowsWithConcurrency(t *testing.T) {
 		var ops int
 		var issue func()
 		issue = func() {
-			dev.Submit(Read, 4e6, func(l float64) {
+			dev.Submit(Read, 4e6, func(_ any, l float64) {
 				latSum += l
 				ops++
 				if eng.Now() < 20 {
 					issue()
 				}
-			})
+			}, nil)
 		}
 		for i := 0; i < n; i++ {
 			issue()

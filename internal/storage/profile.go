@@ -116,14 +116,14 @@ func probe(spec Spec, kind OpKind, n int, opts ProfileOptions) ProfilePoint {
 	var ops uint64
 	var issue func()
 	issue = func() {
-		dev.Submit(kind, opts.RequestSize, func(lat float64) {
+		dev.Submit(kind, opts.RequestSize, func(_ any, lat float64) {
 			bytes += opts.RequestSize
 			latSum += lat
 			ops++
 			if eng.Now() < opts.Duration {
 				issue()
 			}
-		})
+		}, nil)
 	}
 	for i := 0; i < n; i++ {
 		issue()
