@@ -316,8 +316,9 @@ func (s *Simulation) OnJobDone(fn func(*Job)) { s.rt.OnJobDone(fn) }
 // FailNode injects a datanode failure at the current virtual time:
 // running tasks are killed and requeued, completed map outputs on the
 // node re-execute, and the DFS falls back to surviving replicas. A job
-// that loses every replica of an input block fails gracefully.
-func (s *Simulation) FailNode(idx int) { s.rt.FailNode(idx) }
+// that loses every replica of an input block fails gracefully. An index
+// outside [0, Nodes) is an error.
+func (s *Simulation) FailNode(idx int) error { return s.rt.FailNode(idx) }
 
 // Schedule runs fn after delay seconds of virtual time — the hook for
 // scripting failure injection and other mid-run interventions.

@@ -176,6 +176,20 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
+// TestFailNodeBadIndexIsAnError: the public FailNode reports an index
+// outside [0, Nodes) instead of panicking.
+func TestFailNodeBadIndexIsAnError(t *testing.T) {
+	sim, err := ibis.New(ibis.Config{Nodes: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, idx := range []int{-1, 4} {
+		if err := sim.FailNode(idx); err == nil {
+			t.Errorf("FailNode(%d) on 4 nodes accepted", idx)
+		}
+	}
+}
+
 func TestFailureInjectionThroughAPI(t *testing.T) {
 	sim, err := ibis.New(ibis.Config{Policy: ibis.SFQD2, Seed: 4})
 	if err != nil {

@@ -1,6 +1,6 @@
 package iosched
 
-// Request pooling and application-ID interning for scale runs.
+// Request pooling for scale runs.
 //
 // A hollow-datanode simulation keeps millions of requests in flight;
 // allocating each *Request individually scatters them across the heap
@@ -12,12 +12,6 @@ package iosched
 // most about twice its peak population: a thousand per-node pools of a
 // few hundred live requests each no longer pin (and zero) a full-cap
 // slab apiece.
-//
-// Interner complements the pool on the other axis: with thousands of
-// generated tenants × apps, every request carrying its own copy of the
-// AppID string header would duplicate the backing bytes per node.
-// Interning canonicalizes each distinct ID to a single backing string
-// shared by every request, flow-state map key, and accounting entry.
 
 // requestSlabSize is the default cap on Request records per slab. At
 // ~128 B per record a full slab is ~½ MB, large enough to amortize
@@ -93,30 +87,3 @@ func (p *RequestPool) Outstanding() int { return p.outstanding }
 // the pool's historical peak population. The slabs back at most about
 // twice that many.
 func (p *RequestPool) Allocated() int { return p.used }
-
-// Interner canonicalizes AppID strings: every distinct ID maps to one
-// shared backing string. Not safe for concurrent mutation; populate it
-// before a sharded run (reads of a quiescent interner are safe from
-// any shard).
-type Interner struct {
-	ids map[string]AppID
-}
-
-// NewInterner returns an empty interner.
-func NewInterner() *Interner {
-	return &Interner{ids: make(map[string]AppID)}
-}
-
-// Intern returns the canonical AppID for s, registering it on first
-// use.
-func (in *Interner) Intern(s string) AppID {
-	if id, ok := in.ids[s]; ok {
-		return id
-	}
-	id := AppID(s)
-	in.ids[s] = id
-	return id
-}
-
-// Len returns the number of distinct IDs interned.
-func (in *Interner) Len() int { return len(in.ids) }

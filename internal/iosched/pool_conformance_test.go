@@ -1,7 +1,7 @@
 package iosched_test
 
 // Pooled-request conformance: the hollow-node fast path (RequestPool
-// slab recycling + Interner'd app IDs) must be observationally
+// slab recycling) must be observationally
 // identical to freshly allocated requests with plain string app IDs,
 // for every scheduler in the tree. The pin is a digest over the full
 // probe stream — event kind, virtual time, app, sequence number, tags,
@@ -56,13 +56,9 @@ func (d *digestProbe) Observe(req *iosched.Request, st iosched.ProbeState) {
 
 // pooledWorkload replays the exact request mix of conformanceWorkload.
 // With pool == nil it allocates fresh requests; otherwise it draws from
-// the pool, interns every app ID, and recycles each request at OnDone
-// (the earliest safe point: the scheduler's last touch).
+// the pool and recycles each request at OnDone (the earliest safe
+// point: the scheduler's last touch).
 func pooledWorkload(t *testing.T, eng *sim.Engine, s iosched.Scheduler, pool *iosched.RequestPool) {
-	var intern *iosched.Interner
-	if pool != nil {
-		intern = iosched.NewInterner()
-	}
 	apps := []struct {
 		id iosched.AppID
 		w  float64
@@ -80,7 +76,7 @@ func pooledWorkload(t *testing.T, eng *sim.Engine, s iosched.Scheduler, pool *io
 					var req *iosched.Request
 					if pool != nil {
 						req = pool.Get()
-						req.App = intern.Intern(string(app.id))
+						req.App = app.id
 						req.Shares = iosched.FixedWeight(app.w)
 						req.Class = classes[(batch+ai+k)%len(classes)]
 						req.Size = size

@@ -88,22 +88,3 @@ func TestRequestPoolRightSized(t *testing.T) {
 		}
 	}
 }
-
-func TestInterner(t *testing.T) {
-	in := NewInterner()
-	a := in.Intern("tenant-0042/app-7")
-	b := in.Intern("tenant-0042/app-7")
-	if a != b {
-		t.Fatal("interner returned different IDs for the same string")
-	}
-	if in.Len() != 1 {
-		t.Fatalf("len = %d, want 1", in.Len())
-	}
-	c := in.Intern("tenant-0042/app-8")
-	if c == a {
-		t.Fatal("distinct strings interned to the same ID")
-	}
-	if in.Len() != 2 {
-		t.Fatalf("len = %d, want 2", in.Len())
-	}
-}

@@ -1,6 +1,11 @@
 package mapreduce
 
-import "ibis/internal/cluster"
+import (
+	"errors"
+	"fmt"
+
+	"ibis/internal/cluster"
+)
 
 // Node-failure injection with Hadoop's recovery semantics:
 //
@@ -19,17 +24,21 @@ import "ibis/internal/cluster"
 // loss.
 
 // FailNode marks the datanode dead and triggers recovery. Failing an
-// already-dead node is a no-op.
-func (rt *Runtime) FailNode(idx int) {
+// already-dead node is a no-op. It returns an error, and changes
+// nothing, for an index outside [0, Nodes) or on a multi-shard cluster.
+func (rt *Runtime) FailNode(idx int) error {
 	if rt.cluster.Shards() > 1 {
 		// Recovery walks and mutates task state that lives on the node
 		// shards; across more than one shard that would need a
 		// cross-shard resurrection protocol, which does not exist yet.
-		panic("mapreduce: FailNode is unsupported on a multi-shard cluster")
+		return errors.New("mapreduce: FailNode is unsupported on a multi-shard cluster")
+	}
+	if idx < 0 || idx >= len(rt.cluster.Nodes) {
+		return fmt.Errorf("mapreduce: FailNode index %d outside [0, %d)", idx, len(rt.cluster.Nodes))
 	}
 	n := rt.cluster.Nodes[idx]
 	if n.Dead {
-		return
+		return nil
 	}
 	n.Dead = true
 	// Disconnect the node's coordination clients: its schedulers will
@@ -83,6 +92,7 @@ func (rt *Runtime) FailNode(idx int) {
 	}
 	rt.reclaimShuffleHeadroom()
 	rt.fair.pump()
+	return nil
 }
 
 // reclaimShuffleHeadroom restarts waiting (shuffling) reduces until the

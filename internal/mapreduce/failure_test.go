@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"ibis/internal/cluster"
+	"ibis/internal/dfs"
+	"ibis/internal/sim"
 )
 
 // failureHarness builds a 4-node cluster with replication 2 so one
@@ -88,6 +90,38 @@ func TestFailNodeIdempotent(t *testing.T) {
 	h.eng.Run()
 	if !job.Done() {
 		t.Fatal("job did not finish")
+	}
+}
+
+// TestFailNodeRejectsBadInput: an index outside [0, Nodes) and a
+// multi-shard cluster are errors that change nothing, not panics.
+func TestFailNodeRejectsBadInput(t *testing.T) {
+	h := newHarness(t, cluster.Native, 3)
+	for _, idx := range []int{-1, 3} {
+		if err := h.rt.FailNode(idx); err == nil {
+			t.Errorf("FailNode(%d) on 3 nodes accepted", idx)
+		}
+	}
+	for _, n := range h.cl.Nodes {
+		if n.Dead {
+			t.Errorf("rejected FailNode killed node %d", n.Index)
+		}
+	}
+	if err := h.rt.FailNode(2); err != nil {
+		t.Fatalf("FailNode(2) on 3 nodes: %v", err)
+	}
+
+	cl, err := cluster.NewSharded(cluster.Config{Nodes: 2}, 0, sim.FabricOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nn := dfs.NewNamenode(dfs.Config{Nodes: 2, Partitions: len(cl.MetaShards())})
+	rt := NewRuntime(cl.Eng, cl, nn, Config{})
+	if err := rt.FailNode(0); err == nil {
+		t.Error("FailNode on a multi-shard cluster accepted")
+	}
+	if cl.Nodes[0].Dead {
+		t.Error("rejected FailNode killed node 0 of the sharded cluster")
 	}
 }
 

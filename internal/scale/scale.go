@@ -1,11 +1,11 @@
 // Package scale is the kubemark/clusterloader2-style scale suite: it
 // runs the existing simulator with hollow datanodes (one device + one
-// interposed scheduler per node, slab-pooled requests, interned app
-// IDs) and generated multi-tenant populations (thousands of tenants ×
-// apps with weighted share trees and open-loop arrival processes), and
-// measures the envelope real experiments cannot reach — millions of
-// requests in flight across a thousand nodes — while keeping the two
-// properties that make it a test harness rather than a demo:
+// interposed scheduler per node, slab-pooled requests) and generated
+// multi-tenant populations (thousands of tenants × apps with weighted
+// share trees and open-loop arrival processes), and measures the
+// envelope real experiments cannot reach — millions of requests in
+// flight across a thousand nodes — while keeping the two properties
+// that make it a test harness rather than a demo:
 //
 //   - deterministic under sim.Fabric sharding: the completion-stream
 //     digest is bit-identical for every worker count;
@@ -218,6 +218,7 @@ type nodeCell struct {
 	series    []int // outstanding requests at each pump tick
 	snapHalf  map[iosched.AppID]iosched.AppService
 	snapFull  map[iosched.AppID]iosched.AppService
+	err       error // first rejected submit; it stops the node's pump
 }
 
 const (
@@ -258,6 +259,25 @@ func unit(x uint64) float64 {
 func Run(cfg Config) (*Report, error) {
 	if h := cfg.Horizon; math.IsNaN(h) || math.IsInf(h, 0) || h < 0 {
 		return nil, fmt.Errorf("scale: horizon must be finite and non-negative, got %g", h)
+	}
+	// Zero and negative values take defaults below, but a NaN or
+	// infinite one would run zero requests or pump forever.
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"MeanRequestBytes", cfg.MeanRequestBytes},
+		{"NodeBandwidth", cfg.NodeBandwidth},
+		{"LoadFactor", cfg.LoadFactor},
+		{"TickPeriod", cfg.TickPeriod},
+		{"CoordinationPeriod", cfg.CoordinationPeriod},
+		{"AggregationPeriod", cfg.AggregationPeriod},
+		{"Lookahead", cfg.Lookahead},
+		{"NodeLookahead", cfg.NodeLookahead},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return nil, fmt.Errorf("scale: %s must be finite, got %g", f.name, f.v)
+		}
 	}
 	cfg.defaults()
 	pop := workloads.Generate(workloads.PopulationConfig{
@@ -364,7 +384,8 @@ func Run(cfg Config) (*Report, error) {
 						c.pool.Put(req)
 					}
 					if err := sched.Submit(req); err != nil {
-						panic(fmt.Sprintf("scale: node %d rejected submit: %v", i, err))
+						c.err = fmt.Errorf("scale: node %d rejected submit: %w", i, err)
+						return
 					}
 					c.submitted++
 				}
@@ -411,6 +432,11 @@ func Run(cfg Config) (*Report, error) {
 
 	if auditor != nil {
 		auditor.Finish()
+	}
+	for i := range cells {
+		if cells[i].err != nil {
+			return nil, cells[i].err
+		}
 	}
 
 	// Merge cells in node order.

@@ -139,6 +139,35 @@ func TestScaleHorizonRejected(t *testing.T) {
 	}
 }
 
+// TestScaleNonFiniteRejected pins the finiteness check on the other
+// float fields: a NaN or infinite value is an error before the run
+// starts, where it used to run zero requests (NaN MeanRequestBytes or
+// LoadFactor, +Inf MeanRequestBytes) or pump forever (+Inf TickPeriod).
+func TestScaleNonFiniteRejected(t *testing.T) {
+	fields := []struct {
+		name string
+		set  func(*Config, float64)
+	}{
+		{"MeanRequestBytes", func(c *Config, v float64) { c.MeanRequestBytes = v }},
+		{"NodeBandwidth", func(c *Config, v float64) { c.NodeBandwidth = v }},
+		{"LoadFactor", func(c *Config, v float64) { c.LoadFactor = v }},
+		{"TickPeriod", func(c *Config, v float64) { c.TickPeriod = v }},
+		{"CoordinationPeriod", func(c *Config, v float64) { c.CoordinationPeriod = v }},
+		{"AggregationPeriod", func(c *Config, v float64) { c.AggregationPeriod = v }},
+		{"Lookahead", func(c *Config, v float64) { c.Lookahead = v }},
+		{"NodeLookahead", func(c *Config, v float64) { c.NodeLookahead = v }},
+	}
+	for _, f := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			cfg := Config{Nodes: 2, Tenants: 2, Horizon: 1}
+			f.set(&cfg, v)
+			if _, err := Run(cfg); err == nil {
+				t.Errorf("%s = %g accepted", f.name, v)
+			}
+		}
+	}
+}
+
 // TestScaleGate is the acceptance-criteria run: 1000 hollow nodes, 10k
 // tenants, ≥ 1M requests in flight, audit-clean, digest-identical
 // across worker counts. Skipped under -short; CI runs it in the scale

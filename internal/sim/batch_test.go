@@ -5,16 +5,16 @@ import (
 	"testing"
 )
 
-// TestRunBeforeBatchMidCancel: a same-instant run is drained as one
-// batch; a callback early in the batch cancels a later member, which
-// must be skipped — and the cancel must keep Pending/Live exact.
+// TestRunBeforeBatchMidCancel: a callback early in a same-instant run
+// cancels a later member, which must be skipped — and the cancel must
+// keep Pending/Live exact.
 func TestRunBeforeBatchMidCancel(t *testing.T) {
 	e := NewEngine()
 	var fired []string
 	var hC Event
 	e.Schedule(1, func() {
 		fired = append(fired, "A")
-		e.Cancel(hC) // C is already drained into the batch buffer
+		e.Cancel(hC) // C is due at this same instant
 	})
 	e.Schedule(1, func() { fired = append(fired, "B") })
 	hC = e.Schedule(1, func() { fired = append(fired, "C") })
@@ -38,10 +38,10 @@ func TestRunBeforeBatchMidCancel(t *testing.T) {
 	}
 }
 
-// TestRunBeforeBatchSameInstantSchedule: events a batch callback
-// schedules for the current instant carry higher sequence numbers and
-// fire within the same RunBefore call, after the drained batch —
-// exactly the one-at-a-time order.
+// TestRunBeforeBatchSameInstantSchedule: events a callback schedules
+// for the current instant carry higher sequence numbers and fire within
+// the same RunBefore call, after every event already queued for that
+// instant.
 func TestRunBeforeBatchSameInstantSchedule(t *testing.T) {
 	e := NewEngine()
 	var fired []string
@@ -63,8 +63,8 @@ func TestRunBeforeBatchSameInstantSchedule(t *testing.T) {
 
 // TestRunBeforeEmptyWindowFastPath: a window with nothing pending at
 // any horizon returns immediately without touching the clock, and a
-// window strictly below every wheel-held timer fires nothing and
-// leaves the wheel population intact.
+// window strictly below every pending timer fires nothing and leaves
+// the pending population intact.
 func TestRunBeforeEmptyWindowFastPath(t *testing.T) {
 	e := NewEngine()
 	if n := e.RunBefore(1e9); n != 0 {
@@ -73,8 +73,7 @@ func TestRunBeforeEmptyWindowFastPath(t *testing.T) {
 	if e.Now() != 0 {
 		t.Fatalf("empty window moved the clock to %v", e.Now())
 	}
-	// Far timers live in the wheel; a window below them must not
-	// disturb them.
+	// A window below the far timers must not disturb them.
 	e.Schedule(500, func() {})
 	e.Schedule(900, func() {})
 	before := e.Pending()
@@ -91,9 +90,9 @@ func TestRunBeforeEmptyWindowFastPath(t *testing.T) {
 	}
 }
 
-// TestPeekTimeResolvesWheelHead: PeekTime must resolve the exact head
-// even when the earliest event is parked in a far wheel slot, and
-// report absence once everything fired.
+// TestPeekTimeResolvesWheelHead: PeekTime must report the exact head
+// whatever order far and near timers were scheduled in, and report
+// absence once everything fired.
 func TestPeekTimeResolvesWheelHead(t *testing.T) {
 	e := NewEngine()
 	if _, ok := e.PeekTime(); ok {
@@ -117,13 +116,13 @@ func TestPeekTimeResolvesWheelHead(t *testing.T) {
 
 // TestGuardCoversBatchMutations: the SetGuard hook (the fabric's
 // single-owner check at shard handoff) must fire on every mutating
-// entry — schedules and cancels issued by batch callbacks included —
-// and never on dispatch itself.
+// entry — schedules and cancels issued by RunBefore callbacks
+// included — and never on dispatch itself.
 func TestGuardCoversBatchMutations(t *testing.T) {
 	e := NewEngine()
 	var hB Event
 	e.Schedule(1, func() {
-		e.Cancel(hB)                   // mid-batch cancel: guarded
+		e.Cancel(hB)                   // same-instant cancel: guarded
 		e.Schedule(0.25, func() {})    // in-callback schedule: guarded
 		e.ScheduleDaemon(2, func() {}) // daemon schedule: guarded
 	})
@@ -154,9 +153,9 @@ func TestGuardCoversBatchMutations(t *testing.T) {
 	e.Run()
 }
 
-// TestRunBeforeBatchDaemonAccounting: daemons drained into a batch
-// fire under RunBefore regardless of the live count, and a cancelled
-// daemon does not disturb Live.
+// TestRunBeforeBatchDaemonAccounting: same-instant daemons fire under
+// RunBefore regardless of the live count, and a cancelled daemon does
+// not disturb Live.
 func TestRunBeforeBatchDaemonAccounting(t *testing.T) {
 	e := NewEngine()
 	fired := 0
@@ -175,29 +174,25 @@ func TestRunBeforeBatchDaemonAccounting(t *testing.T) {
 	}
 }
 
-// TestWheelSameTickCrossLevelTie: two events at the same absolute time
-// can be resident at different wheel levels — one filed from far away
-// (higher level), one filed after the cursor moved close (level 0).
-// When their slot bounds tie, the higher level must cascade before the
-// level-0 slot drains; flushing level 0 first advances the cursor past
-// the shared tick and strands the higher-level resident, firing it
-// late. Regression test for the tie-break in settleHead (found by
-// FuzzEngineOrder; the triggering input is in testdata).
+// TestWheelSameTickCrossLevelTie: two events at the same absolute time,
+// one scheduled from far away and one scheduled after the clock moved
+// close, must fire in scheduling order, after everything earlier. The
+// instant is the one at which an earlier timing-wheel engine filed the
+// two at different levels and fired the far one late (found by
+// FuzzEngineOrder; the triggering input is in testdata). It stays as a
+// regression test of the (time, seq) order.
 func TestWheelSameTickCrossLevelTie(t *testing.T) {
 	e := NewEngine()
 	var fired []int
-	// tick 118784 = 464<<8: exactly a level-boundary tick, so the far
-	// and near filings of the same instant land at different levels
-	// with identical slot bounds.
-	tie := 118784 * wheelTick
+	// 118784/64 s = 1856 s, a dyadic instant both schedules reach
+	// exactly.
+	tie := 118784 * (1.0 / 64)
 	e.At(tie, func() { fired = append(fired, 0) }) // far: higher level
 	e.Schedule(tie-1.1, func() { fired = append(fired, 1) })
-	// A heap-resident event below the tie keeps settleHead from
-	// flushing the tie's slot early — the tie event must still be
-	// wheel-resident at a higher level when the near filing arrives.
+	// An event between where the clock stops below and the tie.
 	e.At(tie-0.5, func() { fired = append(fired, 3) })
-	e.RunUntil(tie - 1.1) // the cursor is now within a slot of the tie tick
-	// Filed near, at level 0.
+	e.RunUntil(tie - 1.1) // the clock is now close to the tie
+	// Scheduled near.
 	e.At(tie, func() { fired = append(fired, 2) })
 	e.Run()
 	want := []int{1, 3, 0, 2}

@@ -13,18 +13,17 @@ import (
 	"math"
 )
 
-// event is the engine-owned record of one scheduled callback. Records
-// are recycled through a generation-counted freelist once they fire or
-// are cancelled, so steady-state scheduling does not allocate; callers
-// hold Event handles, never *event.
+// event is the engine-owned record of one scheduled callback. A pending
+// record sits in Engine.queue at position index. Records are recycled
+// through a generation-counted freelist once they fire or are
+// cancelled, so steady-state scheduling does not allocate; callers hold
+// Event handles, never *event.
 type event struct {
 	time   float64
 	fn     func()
 	seq    uint64
 	gen    uint64
-	next   *event // intrusive links while resident in a timing-wheel slot
-	prev   *event
-	index  int32 // position in Engine.queue when >= 0; see wheel.go markers
+	index  int32 // position in Engine.queue while pending
 	daemon bool
 }
 
@@ -57,7 +56,7 @@ func (h Event) Canceled() bool { return h.ev == nil || h.ev.gen != h.gen }
 type Engine struct {
 	now    float64
 	seq    uint64
-	queue  []*event // min-heap ordered by (time, seq); near-term events
+	queue  []*event // min-heap ordered by (time, seq); every pending event
 	free   []*event // recycled records; see event doc
 	fired  uint64
 	halted bool
@@ -66,26 +65,10 @@ type Engine struct {
 	// (schedule, cancel). The sharded fabric installs an ownership
 	// check here in debug mode; nil costs one branch.
 	guard func()
-	// w holds far-future events O(1) until the clock needs them; see
-	// wheel.go. noWheel forces every event through the heap — the
-	// pure-heap reference the differential fuzzer compares against.
-	w            wheel
-	noWheel      bool
-	batch        []*event // reusable same-instant dispatch buffer (RunBefore)
-	batchPending int      // drained-but-unfired batch events
 }
 
 // NewEngine returns an engine with virtual time 0.
-func NewEngine() *Engine {
-	e := &Engine{}
-	e.w.low = math.Inf(1)
-	return e
-}
-
-// disableWheel routes every schedule through the inline min-heap,
-// turning the engine into the pure-heap reference implementation the
-// differential fuzzer checks the hybrid against.
-func (e *Engine) disableWheel() { e.noWheel = true }
+func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current virtual time in seconds.
 func (e *Engine) Now() float64 { return e.now }
@@ -94,9 +77,10 @@ func (e *Engine) Now() float64 { return e.now }
 // and complexity metric for experiments.
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// Pending returns the number of scheduled-but-unfired events. Cancelled
-// events are removed from the queue immediately, so they never count.
-func (e *Engine) Pending() int { return len(e.queue) + e.w.count + e.batchPending }
+// Pending returns the number of scheduled-but-unfired events: the size
+// of the heap. Cancelled events are removed from it immediately, so they
+// never count.
+func (e *Engine) Pending() int { return len(e.queue) }
 
 // Schedule runs fn after delay seconds of virtual time. A negative delay
 // is treated as zero. It returns a cancellable handle.
@@ -152,7 +136,7 @@ func (e *Engine) schedule(t float64, fn func(), daemon bool) Event {
 	if !daemon {
 		e.live++
 	}
-	e.wheelInsert(ev)
+	e.heapPush(ev)
 	return Event{ev: ev, gen: ev.gen, time: t}
 }
 
@@ -161,20 +145,18 @@ func (e *Engine) schedule(t float64, fn func(), daemon bool) Event {
 func (e *Engine) recycle(ev *event) {
 	ev.gen++
 	ev.fn = nil
-	ev.next = nil
 	e.free = append(e.free, ev)
 }
 
 // Cancel prevents a scheduled event from firing, removing it from the
-// queue or its wheel slot immediately (no tombstones). Cancelling an
-// event that already fired or was already cancelled is a no-op, as is
-// cancelling the zero handle, so callers can cancel optional timers
-// unconditionally. An event drained into the current RunBefore batch
-// but not yet fired is still cancellable: its record is skipped when
-// the batch reaches it.
+// heap immediately (no tombstones). Cancelling an event that already
+// fired or was already cancelled is a no-op, as is cancelling the zero
+// handle, so callers can cancel optional timers unconditionally. A
+// record is recycled (its generation bumped) before its callback runs,
+// so a callback cancelling its own handle is a no-op too.
 func (e *Engine) Cancel(h Event) {
 	ev := h.ev
-	if ev == nil || ev.gen != h.gen || ev.index == idxFired {
+	if ev == nil || ev.gen != h.gen {
 		return
 	}
 	if e.guard != nil {
@@ -183,19 +165,8 @@ func (e *Engine) Cancel(h Event) {
 	if !ev.daemon {
 		e.live--
 	}
-	switch {
-	case ev.index >= 0:
-		e.heapRemove(int(ev.index))
-		e.recycle(ev)
-	case ev.index == idxBatch:
-		// Mid-batch: the record sits in the dispatch buffer. Invalidate
-		// the handle now; the batch loop recycles the record in place.
-		ev.gen++
-		ev.fn = nil
-		e.batchPending--
-	default:
-		e.wheelRemove(ev)
-	}
+	e.heapRemove(int(ev.index))
+	e.recycle(ev)
 }
 
 // Halt stops the currently executing Run/RunUntil after the current event
@@ -219,22 +190,8 @@ func (e *Engine) Run() float64 {
 // event.
 func (e *Engine) RunUntil(limit float64) float64 {
 	e.halted = false
-	for e.live > 0 && e.settleHead() {
-		next := e.queue[0]
-		if next.time > limit {
-			break
-		}
-		e.heapPopMin()
-		e.now = next.time
-		e.fired++
-		if !next.daemon {
-			e.live--
-		}
-		fn := next.fn
-		// Recycle before running fn: the record is dead the moment it is
-		// popped, and recycling first lets fn's own scheduling reuse it.
-		e.recycle(next)
-		fn()
+	for e.live > 0 && len(e.queue) > 0 && e.queue[0].time <= limit {
+		e.fireNext()
 		if e.halted {
 			return e.now
 		}
@@ -256,12 +213,10 @@ func (e *Engine) Live() int { return e.live }
 // debug-build single-owner check.
 func (e *Engine) SetGuard(fn func()) { e.guard = fn }
 
-// PeekTime returns the time of the earliest pending event, or false if
-// none is pending. It may flush timing-wheel slots into the heap to
-// resolve the head exactly; the flush is order-neutral, so nothing is
-// observable beyond this call's cost.
+// PeekTime returns the time of the earliest pending event (the heap
+// head), or false if none is pending.
 func (e *Engine) PeekTime() (float64, bool) {
-	if !e.settleHead() {
+	if len(e.queue) == 0 {
 		return 0, false
 	}
 	return e.queue[0].time, true
@@ -275,51 +230,14 @@ func (e *Engine) PeekTime() (float64, bool) {
 // executor of the sharded conservative-sync fabric; ordinary callers
 // want Run or RunUntil.
 //
-// Dispatch is batched: the whole same-instant run at the head is
-// drained from the heap in one pass and fired in sequence order, so a
-// window's worth of simultaneous completions costs one heap drain
-// instead of interleaved pop/sift cycles. Events a callback schedules
-// for the current instant carry higher sequence numbers and fire after
-// the drained batch, exactly as they would under one-at-a-time popping;
-// events it cancels mid-batch are skipped.
+// Events pop one at a time, so events a callback schedules for the
+// current instant fire after those already queued for it, and events it
+// cancels leave the heap before they can fire.
 func (e *Engine) RunBefore(limit float64) int {
-	if len(e.queue) == 0 && e.w.count == 0 {
-		return 0 // empty window: nothing pending at any horizon
-	}
 	n := 0
-	for e.settleHead() {
-		t := e.queue[0].time
-		if t >= limit {
-			break
-		}
-		// Drain the full same-instant run. settleHead has flushed every
-		// wheel slot at or below t, so the heap holds the complete run.
-		batch := e.batch[:0]
-		for len(e.queue) > 0 && e.queue[0].time == t {
-			ev := e.heapPopMin()
-			ev.index = idxBatch
-			batch = append(batch, ev)
-		}
-		e.batch = batch
-		e.batchPending = len(batch)
-		e.now = t
-		for i, ev := range batch {
-			batch[i] = nil
-			if ev.fn == nil { // cancelled mid-batch
-				e.recycle(ev)
-				continue
-			}
-			e.batchPending--
-			e.fired++
-			if !ev.daemon {
-				e.live--
-			}
-			fn := ev.fn
-			e.recycle(ev)
-			fn()
-			n++
-		}
-		e.batch = batch[:0]
+	for len(e.queue) > 0 && e.queue[0].time < limit {
+		e.fireNext()
+		n++
 	}
 	return n
 }
@@ -330,9 +248,16 @@ func (e *Engine) RunBefore(limit float64) int {
 // when no live work remains — it is a debugging aid, not a scheduling
 // primitive.
 func (e *Engine) Step() bool {
-	if !e.settleHead() {
+	if len(e.queue) == 0 {
 		return false
 	}
+	e.fireNext()
+	return true
+}
+
+// fireNext pops the earliest event, advances the clock to it and runs
+// its callback: the one dispatch path of RunUntil, RunBefore and Step.
+func (e *Engine) fireNext() {
 	ev := e.heapPopMin()
 	e.now = ev.time
 	e.fired++
@@ -340,9 +265,10 @@ func (e *Engine) Step() bool {
 		e.live--
 	}
 	fn := ev.fn
+	// Recycle before running fn: the record is dead the moment it is
+	// popped, and recycling first lets fn's own scheduling reuse it.
 	e.recycle(ev)
 	fn()
-	return true
 }
 
 // String implements fmt.Stringer for debugging.
@@ -381,7 +307,6 @@ func (e *Engine) heapPopMin() *event {
 		q[0].index = 0
 		e.siftDown(0)
 	}
-	min.index = -1
 	return min
 }
 
@@ -389,19 +314,15 @@ func (e *Engine) heapPopMin() *event {
 func (e *Engine) heapRemove(i int) {
 	q := e.queue
 	last := len(q) - 1
-	ev := q[i]
-	if i != last {
-		q[i] = q[last]
-		q[i].index = int32(i)
-	}
+	q[i] = q[last]
 	q[last] = nil
 	e.queue = q[:last]
 	if i < last {
+		q[i].index = int32(i)
 		if !e.siftDown(i) {
 			e.siftUp(i)
 		}
 	}
-	ev.index = -1
 }
 
 func (e *Engine) siftUp(i int) {

@@ -67,7 +67,7 @@ func (c *PopulationConfig) defaults() {
 	}
 }
 
-// AppSpec is one generated application: an interned ID, its weight
+// AppSpec is one generated application: its ID, its weight
 // inside the tenant, the nodes it runs on, and its share of the
 // open-loop load (RateShare sums to 1 over the population; the harness
 // multiplies by aggregate cluster load).
@@ -86,11 +86,9 @@ type TenantSpec struct {
 	Apps   []AppSpec
 }
 
-// Population is a generated tenant/app universe plus the interner that
-// canonicalized its IDs.
+// Population is a generated tenant/app universe.
 type Population struct {
-	Tenants  []TenantSpec
-	Interner *iosched.Interner
+	Tenants []TenantSpec
 
 	cfg PopulationConfig
 }
@@ -116,7 +114,7 @@ func unit(x uint64) float64 {
 // ≈ Tenants×AppsPerTenant×Replicas/Nodes apps).
 func Generate(cfg PopulationConfig) *Population {
 	cfg.defaults()
-	p := &Population{Interner: iosched.NewInterner(), cfg: cfg}
+	p := &Population{cfg: cfg}
 	rng := splitmix64(cfg.Seed ^ 0x1b15) // domain-separate from other users of the seed
 	appIdx := 0
 	stride := cfg.Nodes / cfg.Replicas
@@ -140,7 +138,7 @@ func Generate(cfg PopulationConfig) *Population {
 			for r := 0; r < cfg.Replicas; r++ {
 				nodes[r] = (base + r*stride) % cfg.Nodes
 			}
-			id := p.Interner.Intern(fmt.Sprintf("%s/app-%02d", ts.Name, a))
+			id := iosched.AppID(fmt.Sprintf("%s/app-%02d", ts.Name, a))
 			ts.Apps = append(ts.Apps, AppSpec{
 				ID:     id,
 				Tenant: ts.Name,

@@ -30,9 +30,6 @@ func TestPopulationShape(t *testing.T) {
 	if p.NumApps() != 80 {
 		t.Fatalf("apps = %d, want 80", p.NumApps())
 	}
-	if p.Interner.Len() != 80 {
-		t.Fatalf("interned IDs = %d, want 80", p.Interner.Len())
-	}
 	perNode := map[int]int{}
 	totalShare := 0.0
 	for _, ts := range p.Tenants {
