@@ -446,7 +446,8 @@ func (s *Simulation) Storage() DeviceStats {
 }
 
 // IOObserver receives every completed I/O request; see
-// cluster.IOObserver.
+// cluster.IOObserver. The *Request is valid only during the call: the
+// simulator recycles its requests, so an observer copies what it needs.
 type IOObserver = cluster.IOObserver
 
 // SetIOObserver adds a completion observer to every storage scheduler;

@@ -132,6 +132,8 @@ func TestCoordinationVisibleThroughAPI(t *testing.T) {
 	}
 }
 
+// TestIOObserverThroughAPI only counts: the job's requests are pooled
+// and recycled after completion, so an observer keeps no pointer.
 func TestIOObserverThroughAPI(t *testing.T) {
 	sim, err := ibis.New(ibis.Config{})
 	if err != nil {

@@ -170,7 +170,7 @@ func TestRegimeSwitchingEndToEnd(t *testing.T) {
 		issue = func() {
 			sched.Submit(&iosched.Request{
 				App: app, Shares: iosched.FixedWeight(1), Class: iosched.PersistentRead, Size: 1e6,
-				OnDone: func(float64) {
+				Done: func(any, float64) {
 					if eng.Now() < horizon {
 						issue()
 					}

@@ -135,7 +135,7 @@ func runShareTrial(t *testing.T, seed int64, pol propPolicy, spec storage.Spec) 
 			issue = func() {
 				s.Submit(&iosched.Request{
 					App: f.app, Shares: iosched.FixedWeight(f.weight), Class: iosched.PersistentRead, Size: f.size,
-					OnDone: func(float64) {
+					Done: func(any, float64) {
 						if eng.Now() < horizon {
 							issue()
 						}

@@ -283,7 +283,7 @@ func TestCoordinationBalancesTotalService(t *testing.T) {
 		issue = func() {
 			s.Submit(&iosched.Request{
 				App: app, Shares: iosched.FixedWeight(1), Class: iosched.PersistentRead, Size: 1e6,
-				OnDone: func(float64) {
+				Done: func(any, float64) {
 					*served += 1e6
 					if eng.Now() < 60 {
 						issue()
@@ -325,7 +325,7 @@ func TestNoCoordinationIsUnfair(t *testing.T) {
 		issue = func() {
 			s.Submit(&iosched.Request{
 				App: app, Shares: iosched.FixedWeight(1), Class: iosched.PersistentRead, Size: 1e6,
-				OnDone: func(float64) {
+				Done: func(any, float64) {
 					*served += 1e6
 					if eng.Now() < 60 {
 						issue()

@@ -205,7 +205,7 @@ func (d *DeltaDec) Decode(msg []byte, apply func(name string, old, new int64)) (
 		}
 		msg = msg[n:]
 		idx := last + int(gap)
-		if gap == 0 || idx >= base+len(fresh) {
+		if gap == 0 || gap > uint64(base+len(fresh)) || idx >= base+len(fresh) {
 			return snapshot, 0, fmt.Errorf("broker: delta entry index %d out of range", idx)
 		}
 		changes = append(changes, change{idx: idx, d: v})

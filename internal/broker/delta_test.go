@@ -135,6 +135,8 @@ func TestDeltaDecodeGarbageNeverPanics(t *testing.T) {
 		{0x01, 0x00, 0xff, 0xff, 0xff, 0xff, 0xff},
 		bytes.Repeat([]byte{0x80}, 64),
 		{0x01, 0x00, 0x01, 0xff}, // name length far beyond payload
+		// An entry gap past MaxInt64 wraps the index negative.
+		[]byte("01\x00\x01Ď\xef\xc8\xc8\xe2\xc8\xc8\xc8\x010"),
 	}
 	for _, in := range inputs {
 		var dec DeltaDec

@@ -35,7 +35,7 @@ func TestWeightIsProportional(t *testing.T) {
 		issue = func() {
 			s.Submit(&iosched.Request{
 				App: app, Shares: iosched.FixedWeight(w), Class: iosched.IntermediateRead, Size: 1e6,
-				OnDone: func(float64) {
+				Done: func(any, float64) {
 					*served += 1e6
 					if eng.Now() < 30 {
 						issue()
@@ -64,7 +64,7 @@ func TestThrottleCapsRate(t *testing.T) {
 	issue = func() {
 		s.Submit(&iosched.Request{
 			App: "capped", Shares: iosched.FixedWeight(1), Class: iosched.IntermediateRead, Size: 1e6,
-			OnDone: func(float64) {
+			Done: func(any, float64) {
 				served += 1e6
 				if eng.Now() < 20 {
 					issue()
@@ -94,7 +94,7 @@ func TestThrottleNonWorkConserving(t *testing.T) {
 	var done float64
 	s.Submit(&iosched.Request{
 		App: "capped", Shares: iosched.FixedWeight(1), Class: iosched.IntermediateRead, Size: 10e6,
-		OnDone: func(float64) { done = eng.Now() },
+		Done: func(any, float64) { done = eng.Now() },
 	})
 	eng.Run()
 	// 10 MB at 1 MB/s needs ≈9s of token accumulation (1s burst) even
@@ -114,7 +114,7 @@ func TestThrottleUncappedPassthrough(t *testing.T) {
 	var freeDone float64
 	s.Submit(&iosched.Request{
 		App: "free", Shares: iosched.FixedWeight(1), Class: iosched.IntermediateRead, Size: 10e6,
-		OnDone: func(float64) { freeDone = eng.Now() },
+		Done: func(any, float64) { freeDone = eng.Now() },
 	})
 	eng.Run()
 	if freeDone > 0.2 {
@@ -131,7 +131,7 @@ func TestThrottleFIFOWithinApp(t *testing.T) {
 		i := i
 		s.Submit(&iosched.Request{
 			App: "c", Shares: iosched.FixedWeight(1), Class: iosched.IntermediateRead, Size: 1e6,
-			OnDone: func(float64) { order = append(order, i) },
+			Done: func(any, float64) { order = append(order, i) },
 		})
 	}
 	eng.Run()
@@ -194,7 +194,7 @@ func TestThrottleWritesBypassCap(t *testing.T) {
 	done := -1.0
 	s.Submit(&iosched.Request{
 		App: "capped", Shares: iosched.FixedWeight(1), Class: iosched.IntermediateWrite, Size: 10e6,
-		OnDone: func(float64) { done = eng.Now() },
+		Done: func(any, float64) { done = eng.Now() },
 	})
 	eng.Run()
 	if done > 0.5 {

@@ -176,7 +176,9 @@ func (c *Config) defaults() {
 
 // IOObserver receives every completed I/O on a node's storage
 // schedulers, with the node index and the scheduler-observed total
-// latency. Used by experiment probes and throughput meters.
+// latency. Used by experiment probes and throughput meters. The
+// *Request is valid only during the call: node-issued requests are
+// recycled after completion, so an observer keeps no pointer.
 type IOObserver func(node int, req *iosched.Request, latency float64)
 
 // Node is one datanode.
@@ -220,7 +222,8 @@ type Node struct {
 	// shard owns this node's devices, NICs and schedulers: its own
 	// fabric shard under NewSharded, the coordinator's single shard
 	// under New.
-	shard *sim.Shard
+	shard    *sim.Shard
+	requests *iosched.RequestPool // only n's shard touches it
 }
 
 // FreeCores returns unallocated CPU slots.
@@ -322,11 +325,12 @@ func assemble(eng *sim.Engine, fab *sim.Fabric, cfg Config) (*Cluster, error) {
 	}
 	for i := 0; i < cfg.Nodes; i++ {
 		n := &Node{
-			Index:  i,
-			Cores:  cfg.CoresPerNode,
-			MemGB:  cfg.MemGBPerNode,
-			shares: c.shares,
-			shard:  c.coord,
+			Index:    i,
+			Cores:    cfg.CoresPerNode,
+			MemGB:    cfg.MemGBPerNode,
+			shares:   c.shares,
+			shard:    c.coord,
+			requests: new(iosched.RequestPool),
 		}
 		if fab != nil {
 			n.shard = fab.Shard(i + 1)
@@ -439,9 +443,9 @@ func (l *linkBackend) Submit(_ storage.OpKind, size float64, done sim.DoneFunc, 
 	l.res.Submit(size, done, arg)
 }
 
-// runHop is the completion of an untagged NIC hop: arg is the func()
-// continuing the transfer (nil for none).
-func runHop(arg any, _ float64) {
+// callFunc completes every node job that continues through a closure,
+// NIC hops and pooled requests alike: arg is the func() (nil for none).
+func callFunc(arg any, _ float64) {
 	if fn := arg.(func()); fn != nil {
 		fn()
 	}
@@ -621,23 +625,54 @@ func (c *Cluster) TotalCores() int {
 
 // SubmitIO routes one tagged request on node n: persistent classes go
 // to the HDFS device's scheduler, intermediate classes to the local
-// device's scheduler — the routing the IBIS interposition layer
-// performs in DataNode and NodeManager. A request without a weight
+// device's, network transfers to the NIC's (if the cluster schedules
+// it) — the routing the IBIS interposition layer performs in DataNode
+// and NodeManager. A request without a weight
 // source resolves through the cluster's share tree. The caller must be
-// executing on n's shard (or at a barrier); OnDone fires there. A
+// executing on n's shard (or at a barrier); Done fires there. A
 // non-nil error means the request was rejected and will never
 // complete.
 func (n *Node) SubmitIO(req *iosched.Request) error {
+	s, err := n.route(req.Class)
+	if err != nil {
+		return err
+	}
 	if req.Shares == nil {
 		req.Shares = n.shares
 	}
-	if req.Class.Persistent() {
-		return n.HDFSSched.Submit(req)
+	return s.Submit(req)
+}
+
+// IO is SubmitIO for a request drawn from the node's pool, weighted by
+// the share tree, whose completion calls done (nil for none) on n's
+// shard. The caller must be executing on n's shard.
+func (n *Node) IO(app iosched.AppID, class iosched.Class, size float64, done func()) error {
+	s, err := n.route(class)
+	if err != nil {
+		return err
 	}
-	if n.LocalSched == nil {
-		return fmt.Errorf("cluster: node %d is hollow; class %v has no device", n.Index, req.Class)
+	req := n.requests.Get()
+	req.App, req.Shares, req.Class, req.Size = app, n.shares, class, size
+	req.Done, req.DoneArg = callFunc, done
+	return s.Submit(req)
+}
+
+// Requests returns the node's request pool; draw from it only on n's
+// shard. Its Outstanding count is the node's live request population.
+func (n *Node) Requests() *iosched.RequestPool { return n.requests }
+
+// route returns the scheduler a class of I/O passes through on n.
+func (n *Node) route(class iosched.Class) (iosched.Scheduler, error) {
+	s := n.LocalSched
+	if class.Persistent() {
+		s = n.HDFSSched
+	} else if class == iosched.NetworkTransfer {
+		s = n.NetSched
 	}
-	return n.LocalSched.Submit(req)
+	if s == nil {
+		return nil, fmt.Errorf("cluster: node %d has no scheduler for class %v", n.Index, class)
+	}
+	return s, nil
 }
 
 // Send models a network transfer of size bytes from node n to dst: a
@@ -645,7 +680,7 @@ func (n *Node) SubmitIO(req *iosched.Request) error {
 // The caller must be executing on n's shard; done fires on dst's shard
 // when the last byte arrives.
 func (n *Node) Send(dst *Node, size float64, done func()) {
-	n.nicOut.Submit(size, runHop, n.arrival(dst, size, done))
+	n.nicOut.Submit(size, callFunc, n.arrival(dst, size, done))
 }
 
 // SendTagged is Send with application attribution: when the cluster
@@ -659,14 +694,7 @@ func (n *Node) SendTagged(dst *Node, app iosched.AppID, size float64, done func(
 		n.Send(dst, size, done)
 		return nil
 	}
-	arrive := n.arrival(dst, size, done)
-	return n.NetSched.Submit(&iosched.Request{
-		App:    app,
-		Shares: n.shares,
-		Class:  iosched.NetworkTransfer,
-		Size:   size,
-		OnDone: func(float64) { arrive() },
-	})
+	return n.IO(app, iosched.NetworkTransfer, size, n.arrival(dst, size, done))
 }
 
 // arrival continues a transfer once its last byte has left n: the hop
@@ -681,7 +709,7 @@ func (n *Node) arrival(dst *Node, size float64, done func()) func() {
 				}
 				return
 			}
-			dst.nicIn.Submit(size, runHop, done)
+			dst.nicIn.Submit(size, callFunc, done)
 		})
 	}
 }

@@ -158,6 +158,8 @@ func TestSFQD2ControllerFilledFromProfile(t *testing.T) {
 	}
 }
 
+// TestIOObserverSeesAllTraffic submits caller-allocated requests, which
+// no pool recycles; the observer still keeps no pointer past its call.
 func TestIOObserverSeesAllTraffic(t *testing.T) {
 	eng, c := newCluster(t, Config{Nodes: 2, Policy: SFQD})
 	var events int

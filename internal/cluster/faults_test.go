@@ -16,7 +16,7 @@ func keepBusy(eng interface {
 	issue = func() {
 		n.SubmitIO(&iosched.Request{
 			App: app, Shares: iosched.FixedWeight(1), Class: iosched.PersistentRead, Size: 1e6,
-			OnDone: func(float64) {
+			Done: func(any, float64) {
 				*served += 1e6
 				if eng.Now() < horizon {
 					issue()

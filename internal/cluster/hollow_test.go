@@ -54,10 +54,10 @@ func TestHollowSubmitIO(t *testing.T) {
 	n := c.Nodes[0]
 	done := 0
 	req := &iosched.Request{
-		App:    "a",
-		Class:  iosched.PersistentRead,
-		Size:   1e6,
-		OnDone: func(float64) { done++ },
+		App:   "a",
+		Class: iosched.PersistentRead,
+		Size:  1e6,
+		Done:  func(any, float64) { done++ },
 	}
 	if err := n.SubmitIO(req); err != nil {
 		t.Fatalf("persistent submit rejected: %v", err)
@@ -108,10 +108,10 @@ func TestHollowShardedCoordinated(t *testing.T) {
 	done := 0
 	for i, n := range c.Nodes {
 		n.SubmitIO(&iosched.Request{
-			App:    iosched.AppID("app" + string(rune('A'+i))),
-			Class:  iosched.PersistentRead,
-			Size:   1e6,
-			OnDone: func(float64) { done++ },
+			App:   iosched.AppID("app" + string(rune('A'+i))),
+			Class: iosched.PersistentRead,
+			Size:  1e6,
+			Done:  func(any, float64) { done++ },
 		})
 	}
 	c.RunUntil(math.Inf(1))

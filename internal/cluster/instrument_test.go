@@ -7,7 +7,9 @@ import (
 )
 
 // lifecycleTally counts one probe's events per request, indexed by
-// iosched.ProbeEvent.
+// iosched.ProbeEvent. Keying by *Request is sound only because the
+// tests that use it allocate their own requests: a pooled record is
+// recycled after completion, so its pointer names a new request later.
 type lifecycleTally map[*iosched.Request]*[3]int
 
 func (l lifecycleTally) Observe(req *iosched.Request, st iosched.ProbeState) {
@@ -54,7 +56,7 @@ func TestInstrumentComposes(t *testing.T) {
 				} {
 					for _, app := range []iosched.AppID{"A", "B", "A"} {
 						req := &iosched.Request{App: app, Shares: iosched.FixedWeight(1), Class: class, Size: 1e6}
-						req.OnDone = func(lat float64) { done[req] = lat }
+						req.Done = func(_ any, lat float64) { done[req] = lat }
 						if err := n.SubmitIO(req); err != nil {
 							t.Fatal(err)
 						}

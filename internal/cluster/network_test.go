@@ -39,7 +39,7 @@ func TestReservePolicyPacesIO(t *testing.T) {
 	issue = func() {
 		n.SubmitIO(&iosched.Request{
 			App: "A", Shares: iosched.FixedWeight(1), Class: iosched.PersistentRead, Size: 2e6,
-			OnDone: func(float64) {
+			Done: func(any, float64) {
 				served += 2e6
 				if eng.Now() < 20 {
 					issue()

@@ -210,50 +210,34 @@ type SSDPromotionRow struct {
 func ExtSSDPromotion() (*SSDPromotionResult, error) {
 	out := &SSDPromotionResult{}
 	for _, depth := range []int{1, 2, 4, 8, 12} {
-		row := ssdPromotionPoint(depth)
+		row, err := ssdPromotionPoint(depth)
+		if err != nil {
+			return nil, err
+		}
 		out.Rows = append(out.Rows, row)
 	}
 	return out, nil
 }
 
-func ssdPromotionPoint(depth int) SSDPromotionRow {
+func ssdPromotionPoint(depth int) (SSDPromotionRow, error) {
 	eng := sim.NewEngine()
 	dev := storage.NewDevice(eng, "ssd", storage.SSDSpec())
 	s := iosched.NewSFQD(eng, dev, depth)
-	var readBytes, writeBytes, latSum float64
-	var reads int
+	l := newClosedLoop(eng, 30)
+	var reads, writes tally
 	// Equal weights: the promotion effect is purely about write cost.
-	keep := func(app iosched.AppID, class iosched.Class, outstanding int, served *float64, lat *float64, n *int) {
-		var issue func()
-		issue = func() {
-			s.Submit(&iosched.Request{
-				App: app, Shares: iosched.FixedWeight(1), Class: class, Size: 2e6,
-				OnDone: func(l float64) {
-					*served += 2e6
-					if lat != nil {
-						*lat += l
-						*n++
-					}
-					if eng.Now() < 30 {
-						issue()
-					}
-				},
-			})
-		}
-		for i := 0; i < outstanding; i++ {
-			issue()
-		}
+	l.keep(s.Submit, &reads, 2, iosched.Request{App: "reader", Shares: iosched.FixedWeight(1), Class: iosched.PersistentRead, Size: 2e6})
+	l.keep(s.Submit, &writes, 8, iosched.Request{App: "writer", Shares: iosched.FixedWeight(1), Class: iosched.PersistentWrite, Size: 2e6})
+	if err := l.run(); err != nil {
+		return SSDPromotionRow{}, err
 	}
-	keep("reader", iosched.PersistentRead, 2, &readBytes, &latSum, &reads)
-	keep("writer", iosched.PersistentWrite, 8, &writeBytes, nil, nil)
-	eng.RunUntil(30)
 	row := SSDPromotionRow{Depth: depth}
-	if reads > 0 {
-		row.ReadLatencyMS = latSum / float64(reads) * 1e3
+	if reads.n > 0 {
+		row.ReadLatencyMS = reads.latency / float64(reads.n) * 1e3
 	}
-	row.ReadMBps = readBytes / 30 / 1e6
-	row.WriteMBps = writeBytes / 30 / 1e6
-	return row
+	row.ReadMBps = reads.bytes / 30 / 1e6
+	row.WriteMBps = writes.bytes / 30 / 1e6
+	return row, nil
 }
 
 // String renders the study.

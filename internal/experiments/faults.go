@@ -8,7 +8,6 @@ import (
 	"ibis/internal/audit"
 	"ibis/internal/cluster"
 	"ibis/internal/faults"
-	"ibis/internal/iosched"
 	"ibis/internal/metrics"
 	"ibis/internal/sim"
 )
@@ -160,46 +159,21 @@ func faultRun(sc FaultScenario, nodes int) (FaultMatrixRow, error) {
 	au := audit.New(audit.Options{CoordinationPeriod: 1})
 	au.Attach(cl, 1)
 
-	var wide, narrow float64
-	backlog := func(n *cluster.Node, app iosched.AppID, weight float64, served *float64) {
-		var issue func()
-		issue = func() {
-			n.SubmitIO(&iosched.Request{
-				App: app, Shares: iosched.FixedWeight(weight), Class: iosched.PersistentRead, Size: 2e6,
-				OnDone: func(float64) {
-					*served += 2e6
-					if eng.Now() < faultHorizon {
-						issue()
-					}
-				},
-			})
-		}
-		for i := 0; i < 4; i++ {
-			issue()
-		}
-	}
-	quarter := nodes / 4
-	if quarter < 1 {
-		quarter = 1
-	}
-	for i, n := range cl.Nodes {
-		backlog(n, "wide", 3, &wide)
-		if i < quarter {
-			backlog(n, "narrow", 1, &narrow)
-		}
-	}
+	l := newClosedLoop(eng, faultHorizon)
+	wide, narrow := l.keepUneven(cl.Nodes, 3)
 
 	// Sample cumulative service at each phase boundary.
 	type snap struct{ wide, narrow float64 }
 	marks := make(map[float64]snap)
 	for _, ph := range faultPhases {
 		for _, t := range []float64{ph.Start, ph.End} {
-			t := t
-			eng.ScheduleDaemon(t, func() { marks[t] = snap{wide, narrow} })
+			eng.ScheduleDaemon(t, func() { marks[t] = snap{wide.bytes, narrow.bytes} })
 		}
 	}
 
-	eng.RunUntil(faultHorizon)
+	if err := l.run(); err != nil {
+		return FaultMatrixRow{}, err
+	}
 	au.Finish()
 
 	ratio := func(start, end float64) float64 {

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"ibis/internal/cluster"
-	"ibis/internal/iosched"
 	"ibis/internal/metrics"
 	"ibis/internal/sim"
 )
@@ -217,40 +216,16 @@ func microRun(coordinate bool, period float64, nodes int) (float64, uint64, erro
 	if err != nil {
 		return 0, 0, err
 	}
-	var wide, narrow float64
-	backlog := func(n *cluster.Node, app iosched.AppID, served *float64) {
-		var issue func()
-		issue = func() {
-			n.SubmitIO(&iosched.Request{
-				App: app, Shares: iosched.FixedWeight(1), Class: iosched.PersistentRead, Size: 2e6,
-				OnDone: func(float64) {
-					*served += 2e6
-					if eng.Now() < 60 {
-						issue()
-					}
-				},
-			})
-		}
-		for i := 0; i < 4; i++ {
-			issue()
-		}
+	l := newClosedLoop(eng, 60)
+	wide, narrow := l.keepUneven(cl.Nodes, 1)
+	if err := l.run(); err != nil {
+		return 0, 0, err
 	}
-	quarter := nodes / 4
-	if quarter < 1 {
-		quarter = 1
-	}
-	for i, n := range cl.Nodes {
-		backlog(n, "wide", &wide)
-		if i < quarter {
-			backlog(n, "narrow", &narrow)
-		}
-	}
-	eng.RunUntil(60)
 	exchanges := cl.BrokerStats().Exchanges
-	if narrow == 0 {
+	if narrow.bytes == 0 {
 		return math.Inf(1), exchanges, nil
 	}
-	return wide / narrow, exchanges, nil
+	return wide.bytes / narrow.bytes, exchanges, nil
 }
 
 // Improvement returns how much lower the Sync average slowdown is,

@@ -117,49 +117,28 @@ func Reweight(spec ReweightSpec) (*ReweightResult, error) {
 	au.SetShares(tree)
 	au.Attach(cl, 1)
 
-	var hot, base float64
-	backlog := func(n *cluster.Node, app iosched.AppID, served *float64) {
-		var issue func()
-		issue = func() {
-			// No Shares on the request: SubmitIO resolves through the
-			// node's share tree — the path under test.
-			if err := n.SubmitIO(&iosched.Request{
-				App: app, Class: iosched.PersistentRead, Size: 2e6,
-				OnDone: func(float64) {
-					*served += 2e6
-					if eng.Now() < reweightHorizon {
-						issue()
-					}
-				},
-			}); err != nil {
-				panic(err)
-			}
-		}
-		for i := 0; i < 4; i++ {
-			issue()
-		}
-	}
+	// No Shares on the requests: SubmitIO resolves through the node's
+	// share tree — the path under test.
+	l := newClosedLoop(eng, reweightHorizon)
+	var hot, base tally
 	for _, n := range cl.Nodes {
-		backlog(n, "hot", &hot)
-		backlog(n, "base", &base)
+		l.keep(n.SubmitIO, &hot, 4, iosched.Request{App: "hot", Class: iosched.PersistentRead, Size: 2e6})
+		l.keep(n.SubmitIO, &base, 4, iosched.Request{App: "base", Class: iosched.PersistentRead, Size: 2e6})
 	}
 
 	// The live reweight, through the same tree the schedulers resolve.
-	eng.ScheduleDaemon(spec.At, func() {
-		if err := tree.SetAppWeight(spec.App, spec.Weight); err != nil {
-			panic(err)
-		}
-	})
+	eng.ScheduleDaemon(spec.At, func() { l.fail(tree.SetAppWeight(spec.App, spec.Weight)) })
 
 	// Per-second service snapshots.
 	type snap struct{ hot, base float64 }
 	samples := make([]snap, reweightHorizon+1)
 	for s := 1; s <= reweightHorizon; s++ {
-		s := s
-		eng.ScheduleDaemon(float64(s), func() { samples[s] = snap{hot, base} })
+		eng.ScheduleDaemon(float64(s), func() { samples[s] = snap{hot.bytes, base.bytes} })
 	}
 
-	eng.RunUntil(reweightHorizon)
+	if err := l.run(); err != nil {
+		return nil, err
+	}
 	au.Finish()
 
 	res := &ReweightResult{Spec: spec, OldTarget: 1, NewTarget: spec.Weight}

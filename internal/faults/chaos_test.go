@@ -80,7 +80,7 @@ func chaosRunOn(t *testing.T, spec faults.Spec, nodes int, sharded bool) chaosOu
 		issue = func() {
 			n.SubmitIO(&iosched.Request{
 				App: app, Shares: iosched.FixedWeight(weight), Class: iosched.PersistentRead, Size: 2e6,
-				OnDone: func(float64) {
+				Done: func(any, float64) {
 					*served += 2e6
 					if eng.Now() < chaosHorizon {
 						issue()

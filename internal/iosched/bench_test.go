@@ -38,7 +38,7 @@ func BenchmarkSFQSubmitDispatch(b *testing.B) {
 			Class:  PersistentRead,
 			Size:   1000,
 		}
-		r.OnDone = func(float64) {
+		r.Done = func(any, float64) {
 			done++
 			if submitted < target {
 				submitted++
@@ -85,7 +85,7 @@ func newRoundTrip(window int) (*roundTrip, []*Request) {
 			Class:  PersistentRead,
 			Size:   64 << 10,
 		}
-		r.OnDone = func(float64) {
+		r.Done = func(any, float64) {
 			rt.done++
 			if rt.sent < rt.target {
 				rt.sent++

@@ -171,7 +171,7 @@ func TestSuspendPreservesDispatchOrder(t *testing.T) {
 	submit := func(app AppID) {
 		s.Submit(&Request{
 			App: app, Shares: FixedWeight(1), Class: PersistentRead, Size: 1e6,
-			OnDone: func(float64) { order = append(order, app) },
+			Done: func(any, float64) { order = append(order, app) },
 		})
 	}
 	submit("A") // dispatches; snapshots

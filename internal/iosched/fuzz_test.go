@@ -123,7 +123,7 @@ func FuzzSFQTags(f *testing.F) {
 				Shares: FixedWeight(w),
 				Class:  class,
 				Size:   size,
-				OnDone: func(float64) { done++ },
+				Done:   func(any, float64) { done++ },
 			}
 			eng.Schedule(at, func() {
 				if err := s.Submit(req); err != nil {

@@ -121,11 +121,11 @@ func (p *Pacer) SetProbe(pr Probe) { p.probe = pr }
 // non-work-conserving partitioning has no bandwidth to give it.
 func (p *Pacer) Submit(req *Request) error {
 	if err := req.prepare(); err != nil {
-		return err
+		return reject(req, err)
 	}
 	f, err := p.flow(req)
 	if err != nil {
-		return err
+		return reject(req, err)
 	}
 	req.arrive = p.eng.Now()
 	req.cost = p.dev.Cost(req.Class.OpKind(), req.Size)
@@ -255,18 +255,6 @@ func (p *Pacer) dispatch(req *Request) {
 func (p *Pacer) complete(arg any, _ float64) {
 	req := arg.(*Request)
 	p.inflight--
-	lat := p.eng.Now() - req.arrive
 	p.acct.Add(req)
-	if p.probe != nil {
-		p.probe.Observe(req, ProbeState{
-			Event:    ProbeComplete,
-			Time:     p.eng.Now(),
-			Queued:   p.queued,
-			InFlight: p.inflight,
-			Latency:  lat,
-		})
-	}
-	if req.OnDone != nil {
-		req.OnDone(lat)
-	}
+	finish(p.probe, req, ProbeState{Time: p.eng.Now(), Queued: p.queued, InFlight: p.inflight})
 }

@@ -56,8 +56,8 @@ func (d *digestProbe) Observe(req *iosched.Request, st iosched.ProbeState) {
 
 // pooledWorkload replays the exact request mix of conformanceWorkload.
 // With pool == nil it allocates fresh requests; otherwise it draws from
-// the pool and recycles each request at OnDone (the earliest safe
-// point: the scheduler's last touch).
+// the pool, and the scheduler recycles each record after its
+// completion.
 func pooledWorkload(t *testing.T, eng *sim.Engine, s iosched.Scheduler, pool *iosched.RequestPool) {
 	apps := []struct {
 		id iosched.AppID
@@ -80,7 +80,6 @@ func pooledWorkload(t *testing.T, eng *sim.Engine, s iosched.Scheduler, pool *io
 						req.Shares = iosched.FixedWeight(app.w)
 						req.Class = classes[(batch+ai+k)%len(classes)]
 						req.Size = size
-						req.OnDone = func(float64) { pool.Put(req) }
 					} else {
 						req = &iosched.Request{
 							App:    app.id,
@@ -119,14 +118,100 @@ func TestPooledRequestsConformance(t *testing.T) {
 				return dp.h
 			}
 			fresh := run(nil)
-			pool := iosched.NewRequestPool(16)
+			// Hold 60 records first, so the workload's records straddle
+			// the pool's first slab boundary (64 records).
+			pool := new(iosched.RequestPool)
+			const held = 60
+			for i := 0; i < held; i++ {
+				pool.Get()
+			}
 			pooled := run(pool)
 			if fresh != pooled {
 				t.Fatalf("probe-stream digest diverged: fresh=%016x pooled=%016x", fresh, pooled)
 			}
-			if pool.Outstanding() != 0 {
-				t.Fatalf("pool leaked %d requests", pool.Outstanding())
+			if got := pool.Outstanding() - held; got != 0 {
+				t.Fatalf("pool leaked %d requests", got)
 			}
 		})
+	}
+}
+
+// TestPooledRecordIntactInDone: on every scheduler, a pooled record's
+// public fields are intact inside its Done, and the record goes back to
+// its pool only after Done returns.
+func TestPooledRecordIntactInDone(t *testing.T) {
+	for _, tc := range conformCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := sim.NewEngine()
+			s, err := tc.build(eng, storage.NewDevice(eng, "d", conformSpec()))
+			if err != nil {
+				t.Fatalf("build: %v", err)
+			}
+			pool := new(iosched.RequestPool)
+			completed := 0
+			for i, class := range []iosched.Class{iosched.PersistentRead, iosched.IntermediateWrite} {
+				req := pool.Get()
+				req.App, req.Shares, req.Class, req.Size = "B", iosched.FixedWeight(2), class, float64(1+i)*1e5
+				req.DoneArg = i
+				req.Done = func(arg any, _ float64) {
+					i := arg.(int)
+					if req.App != "B" || req.Class != class || req.Size != float64(1+i)*1e5 || req.Weight() != 2 {
+						t.Errorf("request %d changed before its Done: %+v", i, *req)
+					}
+					if got := pool.Outstanding(); got != 2-completed {
+						t.Errorf("request %d: outstanding = %d inside Done, want %d", i, got, 2-completed)
+					}
+					completed++
+				}
+				if err := s.Submit(req); err != nil {
+					t.Fatalf("submit rejected: %v", err)
+				}
+			}
+			eng.Run()
+			if completed != 2 || pool.Outstanding() != 0 {
+				t.Fatalf("completed %d of 2, outstanding %d after the run, want 0", completed, pool.Outstanding())
+			}
+		})
+	}
+}
+
+// TestPoolRejectedSubmitRecycles: a pooled request a scheduler rejects
+// at Submit goes straight back to its pool, on every scheduler.
+func TestPoolRejectedSubmitRecycles(t *testing.T) {
+	for _, tc := range conformCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := sim.NewEngine()
+			s, err := tc.build(eng, storage.NewDevice(eng, "d", conformSpec()))
+			if err != nil {
+				t.Fatalf("build: %v", err)
+			}
+			pool := new(iosched.RequestPool)
+			req := pool.Get()
+			req.App, req.Class, req.Size = "A", iosched.PersistentRead, 1e5 // no weight source
+			req.Done = func(any, float64) { t.Error("rejected request completed") }
+			if err := s.Submit(req); err == nil {
+				t.Fatal("request without a weight source accepted")
+			}
+			if got := pool.Outstanding(); got != 0 {
+				t.Fatalf("outstanding = %d after a rejected submit, want 0", got)
+			}
+			eng.Run()
+		})
+	}
+	// A reservation also rejects a well-formed request from an app it
+	// has no rate for.
+	eng := sim.NewEngine()
+	s, err := iosched.NewReservation(eng, storage.NewDevice(eng, "d", conformSpec()), map[iosched.AppID]float64{"A": 1e6}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := new(iosched.RequestPool)
+	req := pool.Get()
+	req.App, req.Shares, req.Class, req.Size = "B", iosched.FixedWeight(1), iosched.PersistentRead, 1e5
+	if err := s.Submit(req); err == nil {
+		t.Fatal("reservation accepted an app with no rate")
+	}
+	if got := pool.Outstanding(); got != 0 {
+		t.Fatalf("outstanding = %d after a rejected reservation submit, want 0", got)
 	}
 }

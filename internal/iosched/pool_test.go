@@ -3,43 +3,73 @@ package iosched
 import "testing"
 
 func TestRequestPoolRecycleZeroes(t *testing.T) {
-	p := NewRequestPool(4)
+	p := new(RequestPool)
 	r := p.Get()
+	if r.pool != p {
+		t.Fatalf("Get did not stamp the record with its pool")
+	}
 	r.App = "a"
 	r.Shares = FixedWeight(2)
 	r.Size = 123
-	r.OnDone = func(float64) {}
+	r.Done = func(any, float64) {}
+	r.DoneArg = r
 	r.weight = 2
 	r.startTag = 9
 	r.finishTag = 10
 	r.seq = 7
 	r.flow = &flowState{}
-	p.Put(r)
+	p.put(r)
 	if p.Outstanding() != 0 {
-		t.Fatalf("outstanding = %d after Put, want 0", p.Outstanding())
+		t.Fatalf("outstanding = %d after put, want 0", p.Outstanding())
+	}
+	if r.pool != nil || r.Done != nil || r.DoneArg != nil {
+		t.Fatalf("recycled record keeps its completion or pool: %+v", *r)
 	}
 	got := p.Get()
 	if got != r {
 		t.Fatalf("free list did not recycle the record")
 	}
-	if got.App != "" || got.Shares != nil || got.Size != 0 || got.OnDone != nil ||
+	if got.App != "" || got.Shares != nil || got.Size != 0 || got.Done != nil || got.DoneArg != nil ||
 		got.weight != 0 || got.startTag != 0 || got.finishTag != 0 ||
 		got.seq != 0 || got.flow != nil {
 		t.Fatalf("recycled record not zeroed: %+v", *got)
 	}
+	if got.pool != p {
+		t.Fatalf("recycled record not stamped with its pool again")
+	}
 }
 
+// carved counts the records ever handed out of p's slabs: the pool's
+// historical peak population.
+func carved(p *RequestPool) int {
+	n := 0
+	for _, s := range p.slabs {
+		n += len(s)
+	}
+	if k := len(p.slabs); k > 0 {
+		n -= len(p.slabs[k-1]) - p.next
+	}
+	return n
+}
+
+// TestRequestPoolSlabGrowth draws enough records to cross the first
+// two slab boundaries (64 and 64+128 records), so distinctness and the
+// no-growth-after-recycle check span slabs.
 func TestRequestPoolSlabGrowth(t *testing.T) {
-	p := NewRequestPool(3)
+	const n = 200
+	p := new(RequestPool)
 	var live []*Request
-	for i := 0; i < 10; i++ {
+	for i := 0; i < n; i++ {
 		live = append(live, p.Get())
 	}
-	if got := p.Allocated(); got != 10 {
-		t.Fatalf("allocated = %d, want 10", got)
+	if len(p.slabs) < 3 {
+		t.Fatalf("%d records fit in %d slab(s), want them to span at least 3", n, len(p.slabs))
 	}
-	if got := p.Outstanding(); got != 10 {
-		t.Fatalf("outstanding = %d, want 10", got)
+	if got := carved(p); got != n {
+		t.Fatalf("allocated = %d, want %d", got, n)
+	}
+	if got := p.Outstanding(); got != n {
+		t.Fatalf("outstanding = %d, want %d", got, n)
 	}
 	// Records must be distinct.
 	seen := map[*Request]bool{}
@@ -49,15 +79,22 @@ func TestRequestPoolSlabGrowth(t *testing.T) {
 		}
 		seen[r] = true
 	}
-	// Recycle everything; the next 10 Gets must not grow the slabs.
+	// Recycle everything; the next n Gets must not grow the slabs and
+	// must hand back exactly the recycled records.
+	slabs := len(p.slabs)
 	for _, r := range live {
-		p.Put(r)
+		p.put(r)
 	}
-	for i := 0; i < 10; i++ {
-		p.Get()
+	again := map[*Request]bool{}
+	for i := 0; i < n; i++ {
+		r := p.Get()
+		if !seen[r] || again[r] {
+			t.Fatal("steady-state Get handed out a new or duplicate record")
+		}
+		again[r] = true
 	}
-	if got := p.Allocated(); got != 10 {
-		t.Fatalf("allocated grew to %d after steady-state churn, want 10", got)
+	if got := carved(p); got != n || len(p.slabs) != slabs {
+		t.Fatalf("allocated grew to %d in %d slabs after steady-state churn, want %d in %d", got, len(p.slabs), n, slabs)
 	}
 }
 
@@ -66,14 +103,14 @@ func TestRequestPoolSlabGrowth(t *testing.T) {
 // per-node pools do not each pin a full-cap slab.
 func TestRequestPoolRightSized(t *testing.T) {
 	for _, k := range []int{1, 63, 64, 65, 300, 1000, 4096, 8129, 20000} {
-		p := NewRequestPool(0)
+		p := new(RequestPool)
 		live := make([]*Request, 0, k)
 		for i := 0; i < k; i++ {
 			live = append(live, p.Get())
 		}
 		// Churn at the peak must not grow the slabs.
 		for i := 0; i < 3*k; i++ {
-			p.Put(live[i%k])
+			p.put(live[i%k])
 			live[i%k] = p.Get()
 		}
 		backed := 0
@@ -83,7 +120,7 @@ func TestRequestPoolRightSized(t *testing.T) {
 		if backed >= 2*k+64 {
 			t.Errorf("peak %d: pool backs %d records, want < %d", k, backed, 2*k+64)
 		}
-		if got := p.Allocated(); got != k {
+		if got := carved(p); got != k {
 			t.Errorf("peak %d: allocated = %d", k, got)
 		}
 	}

@@ -13,7 +13,7 @@ const (
 	ProbeDispatch
 	// ProbeComplete fires when the device completes the request and the
 	// scheduler has refilled its dispatch window, before the request's
-	// own OnDone callback runs.
+	// own Done runs.
 	ProbeComplete
 )
 
@@ -56,7 +56,9 @@ type ProbeState struct {
 
 // Probe observes request lifecycle events on one scheduler. The tracing
 // and auditing layers implement it; schedulers invoke it synchronously,
-// so implementations must not submit new I/O from inside Observe.
+// so implementations must not submit new I/O from inside Observe. The
+// *Request is valid only during the call: pooled records (every cluster
+// node's requests) are recycled right after completion.
 type Probe interface {
 	Observe(req *Request, st ProbeState)
 }

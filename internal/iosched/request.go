@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 
+	"ibis/internal/sim"
 	"ibis/internal/storage"
 )
 
@@ -121,9 +122,12 @@ type Request struct {
 	Class Class
 	// Size is the transfer size in bytes.
 	Size float64
-	// OnDone, if non-nil, fires at completion with the request's total
-	// latency (arrival to completion, queueing included).
-	OnDone func(latency float64)
+	// Done, if non-nil, fires at completion with DoneArg and the
+	// request's total latency (arrival to completion, queueing
+	// included). It may resubmit a caller-allocated record; a pooled
+	// one is recycled when Done returns.
+	Done    sim.DoneFunc
+	DoneArg any
 
 	// Scheduling state (owned by the scheduler).
 	weight    float64
@@ -133,11 +137,9 @@ type Request struct {
 	startTag  float64
 	finishTag float64
 	seq       uint64
-	flow      *flowState // SFQ's per-app state, set at tagging
+	flow      *flowState   // SFQ's per-app state, set at tagging
+	pool      *RequestPool // the pool that handed the record out, if any
 }
-
-// Arrive returns the virtual time the request entered the scheduler.
-func (r *Request) Arrive() float64 { return r.arrive }
 
 // Cost returns the request's normalized device cost, assigned at
 // submission (zero before then).
@@ -161,6 +163,27 @@ func (r *Request) StartTag() float64 { return r.startTag }
 
 // FinishTag returns the SFQ finish tag assigned at arrival.
 func (r *Request) FinishTag() float64 { return r.finishTag }
+
+// finish is every scheduler's completion tail: the ProbeComplete
+// probe, then Done, then the record's return to its pool. st is the
+// scheduler's state after the completion took effect.
+func finish(p Probe, req *Request, st ProbeState) {
+	st.Event, st.Latency = ProbeComplete, st.Time-req.arrive
+	if p != nil {
+		p.Observe(req, st)
+	}
+	if req.Done != nil {
+		req.Done(req.DoneArg, st.Latency)
+	}
+	req.pool.put(req)
+}
+
+// reject returns a refused request's record to its pool and passes err
+// on.
+func reject(req *Request, err error) error {
+	req.pool.put(req)
+	return err
+}
 
 // prepare validates the request and resolves its effective weight
 // through the weight source. Schedulers call it at the top of Submit —

@@ -133,7 +133,7 @@ func TestReservationFIFOWithinApp(t *testing.T) {
 		i := i
 		s.Submit(&Request{
 			App: "A", Shares: FixedWeight(1), Class: PersistentRead, Size: 1e6,
-			OnDone: func(float64) { order = append(order, i) },
+			Done: func(any, float64) { order = append(order, i) },
 		})
 	}
 	eng.Run()

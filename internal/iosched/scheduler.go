@@ -29,9 +29,9 @@ var _ Backend = (*storage.Device)(nil)
 type Scheduler interface {
 	// Submit presents a tagged request. On success the scheduler owns
 	// it from this point and will eventually dispatch it and invoke
-	// OnDone. A non-nil error means the request was rejected (malformed
-	// or its weight failed to resolve) and the scheduler took no
-	// ownership.
+	// Done. A non-nil error means the request was rejected (malformed
+	// or its weight failed to resolve): the scheduler took no
+	// ownership, and a pooled record is back in its pool.
 	Submit(*Request) error
 	// Name identifies the policy, e.g. "native", "sfq(d=4)", "sfq(d2)".
 	Name() string
@@ -173,7 +173,7 @@ func (f *FIFO) Accounting() *Accounting { return f.acct }
 // Submit implements Scheduler.
 func (f *FIFO) Submit(req *Request) error {
 	if err := req.prepare(); err != nil {
-		return err
+		return reject(req, err)
 	}
 	req.arrive = f.eng.Now()
 	req.cost = f.dev.Cost(req.Class.OpKind(), req.Size)
@@ -193,17 +193,6 @@ func (f *FIFO) Submit(req *Request) error {
 func (f *FIFO) complete(arg any, _ float64) {
 	req := arg.(*Request)
 	f.inflight--
-	lat := f.eng.Now() - req.arrive
 	f.acct.Add(req)
-	if f.probe != nil {
-		f.probe.Observe(req, ProbeState{
-			Event:    ProbeComplete,
-			Time:     f.eng.Now(),
-			InFlight: f.inflight,
-			Latency:  lat,
-		})
-	}
-	if req.OnDone != nil {
-		req.OnDone(lat)
-	}
+	finish(f.probe, req, ProbeState{Time: f.eng.Now(), InFlight: f.inflight})
 }

@@ -225,7 +225,7 @@ func (s *SFQ) VirtualTime() float64 { return s.vtime }
 // were promised at arrival.
 func (s *SFQ) Submit(req *Request) error {
 	if err := req.prepare(); err != nil {
-		return err
+		return reject(req, err)
 	}
 	req.arrive = s.eng.Now()
 	req.cost = s.dev.Cost(req.Class.OpKind(), req.Size)
@@ -299,7 +299,6 @@ func (s *SFQ) dispatch() {
 func (s *SFQ) complete(arg any, devLat float64) {
 	req := arg.(*Request)
 	s.inflight--
-	total := s.eng.Now() - req.arrive
 	f := req.flow
 	if f.svc == nil {
 		f.svc = s.acct.slot(req.App)
@@ -311,20 +310,13 @@ func (s *SFQ) complete(arg any, devLat float64) {
 	// Refill the dispatch window before surfacing the completion so the
 	// device never idles while the queue is backlogged.
 	s.dispatch()
-	if s.probe != nil {
-		s.probe.Observe(req, ProbeState{
-			Event:    ProbeComplete,
-			Time:     s.eng.Now(),
-			Queued:   s.queue.Len(),
-			InFlight: s.inflight,
-			Depth:    s.Depth(),
-			VTime:    s.vtime,
-			Latency:  total,
-		})
-	}
-	if req.OnDone != nil {
-		req.OnDone(total)
-	}
+	finish(s.probe, req, ProbeState{
+		Time:     s.eng.Now(),
+		Queued:   s.queue.Len(),
+		InFlight: s.inflight,
+		Depth:    s.Depth(),
+		VTime:    s.vtime,
+	})
 }
 
 // reqHeap is a specialized min-heap of queued requests ordered by

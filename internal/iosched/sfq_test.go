@@ -38,7 +38,7 @@ func backlog(eng *sim.Engine, s Scheduler, app AppID, weight float64, class Clas
 	issue = func() {
 		s.Submit(&Request{
 			App: app, Shares: FixedWeight(weight), Class: class, Size: size,
-			OnDone: func(float64) {
+			Done: func(any, float64) {
 				*served += size
 				if eng.Now() < until {
 					issue()
@@ -373,7 +373,7 @@ func TestPropertySFQCompleteness(t *testing.T) {
 					Shares: FixedWeight(1 + rng.Float64()*7),
 					Class:  Class(rng.Intn(4)),
 					Size:   rng.Float64() * 4e6,
-					OnDone: func(float64) { completions++ },
+					Done:   func(any, float64) { completions++ },
 				})
 			})
 		}

@@ -19,7 +19,7 @@ type testHarness struct {
 	rt  *Runtime
 }
 
-func newHarness(t *testing.T, policy cluster.Policy, nodes int) *testHarness {
+func newHarness(t testing.TB, policy cluster.Policy, nodes int) *testHarness {
 	t.Helper()
 	eng := sim.NewEngine()
 	spec := storage.Spec{

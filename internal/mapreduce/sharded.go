@@ -137,17 +137,7 @@ func (rt *Runtime) placeInput(job *Job, name string, size float64) {
 // removed mid-run) fails the job through the coordinator rather than
 // wedging it waiting for a completion that will never come.
 func (rt *Runtime) submit(job *Job, n *cluster.Node, class iosched.Class, size float64, done func()) {
-	err := n.SubmitIO(&iosched.Request{
-		App:   job.App,
-		Class: class,
-		Size:  size,
-		OnDone: func(float64) {
-			if done != nil {
-				done()
-			}
-		},
-	})
-	if err != nil {
+	if err := n.IO(job.App, class, size, done); err != nil {
 		rt.toCoord(n, job.fail)
 	}
 }

@@ -201,13 +201,12 @@ type resident struct {
 	credit float64
 }
 
-// nodeCell is the per-node, single-shard-owner state: the request
-// pool, the arrival credits, and the completion counters. Only the
-// node's own engine callbacks touch it during the run; the coordinator
-// reads it after the fabric drains.
+// nodeCell is the per-node, single-shard-owner state: the arrival
+// credits and the completion counters. Only the node's own engine
+// callbacks touch it during the run; the coordinator reads it after the
+// fabric drains.
 type nodeCell struct {
 	node      *cluster.Node
-	pool      *iosched.RequestPool
 	rng       uint64
 	residents []resident
 
@@ -219,6 +218,19 @@ type nodeCell struct {
 	snapHalf  map[iosched.AppID]iosched.AppService
 	snapFull  map[iosched.AppID]iosched.AppService
 	err       error // first rejected submit; it stops the node's pump
+}
+
+// complete is the Done of every request the cell's pump issues (arg is
+// the request): it books the completion into the counters and digest.
+func (c *nodeCell) complete(arg any, lat float64) {
+	req := arg.(*iosched.Request)
+	c.completed++
+	c.bytes += req.Size
+	d := fnvString(c.digest, string(req.App))
+	d = fnvUint(d, math.Float64bits(req.Size))
+	d = fnvUint(d, math.Float64bits(lat))
+	d = fnvUint(d, math.Float64bits(c.node.Shard().Engine().Now()))
+	c.digest = d
 }
 
 const (
@@ -323,7 +335,6 @@ func Run(cfg Config) (*Report, error) {
 	for i := range cells {
 		cells[i] = nodeCell{
 			node:     cl.Nodes[i],
-			pool:     iosched.NewRequestPool(0),
 			rng:      splitmix64(cfg.Seed ^ (uint64(i) * 0x9e37)),
 			digest:   fnvOffset,
 			snapHalf: make(map[iosched.AppID]iosched.AppService),
@@ -359,30 +370,22 @@ func Run(cfg Config) (*Report, error) {
 		c := &cells[i]
 		eng := c.node.Shard().Engine()
 		sched := c.node.HDFSSched
+		pool, done := c.node.Requests(), sim.DoneFunc(c.complete)
 		var step func()
 		step = func() {
-			c.series = append(c.series, c.pool.Outstanding())
+			c.series = append(c.series, pool.Outstanding())
 			for ri := range c.residents {
 				r := &c.residents[ri]
 				r.credit += r.rate * cfg.TickPeriod
 				for ; r.credit >= 1; r.credit-- {
 					c.rng = splitmix64(c.rng)
 					size := cfg.MeanRequestBytes * (0.5 + 1.5*unit(c.rng))
-					req := c.pool.Get()
+					req := pool.Get()
 					req.App = r.id
 					req.Shares = tree
 					req.Class = iosched.PersistentRead
 					req.Size = size
-					req.OnDone = func(lat float64) {
-						c.completed++
-						c.bytes += req.Size
-						d := fnvString(c.digest, string(req.App))
-						d = fnvUint(d, math.Float64bits(req.Size))
-						d = fnvUint(d, math.Float64bits(lat))
-						d = fnvUint(d, math.Float64bits(eng.Now()))
-						c.digest = d
-						c.pool.Put(req)
-					}
+					req.Done, req.DoneArg = done, req
 					if err := sched.Submit(req); err != nil {
 						c.err = fmt.Errorf("scale: node %d rejected submit: %w", i, err)
 						return
