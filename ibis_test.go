@@ -208,3 +208,49 @@ func TestFailureInjectionThroughAPI(t *testing.T) {
 		t.Fatalf("job state %v; replication 3 must survive one node failure", j.State())
 	}
 }
+
+// A job whose byte volume or CPU cost is NaN or ±Inf is refused at
+// Submit, before it can reach the runtime's task and chunk sizing.
+func TestSubmitRejectsNonFiniteSpec(t *testing.T) {
+	sim, err := ibis.New(ibis.Config{Policy: ibis.SFQD2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(*ibis.JobSpec)
+	}{
+		{"+Inf input", func(s *ibis.JobSpec) { s.InputBytes = math.Inf(1) }},
+		{"NaN input", func(s *ibis.JobSpec) { s.InputBytes = math.NaN() }},
+		{"-Inf output", func(s *ibis.JobSpec) { s.OutputBytes = math.Inf(-1) }},
+		{"NaN map CPU", func(s *ibis.JobSpec) { s.MapCPUSecPerMB = math.NaN() }},
+	} {
+		spec := ibis.WordCount(3e9, 4)
+		tc.mutate(&spec)
+		if _, err := sim.Submit(spec, 0); err == nil {
+			t.Errorf("%s: Submit accepted %+v", tc.name, spec)
+		}
+	}
+	if end := sim.Run(); end != 0 {
+		t.Fatalf("refused jobs ran until t=%v", end)
+	}
+}
+
+// A query with a malformed later stage is refused at SubmitQuery,
+// before its first stage is submitted, instead of failing mid-run
+// when the chain reaches that stage.
+func TestSubmitQueryRejectsBadLaterStage(t *testing.T) {
+	sim, err := ibis.New(ibis.Config{Policy: ibis.Native})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := ibis.Q9()
+	q.Stages[1].InputGB = -1
+	if _, err := sim.SubmitQuery(q, ibis.QueryOptions{ScaleBytes: 0.002}); err == nil {
+		sim.Run()
+		t.Fatal("SubmitQuery accepted a query whose stage 1 has a negative input volume")
+	}
+	if end := sim.Run(); end != 0 {
+		t.Fatalf("refused query ran until t=%v", end)
+	}
+}

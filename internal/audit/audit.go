@@ -56,11 +56,20 @@
 // the tracer's record into the scheduler's shard log (trace.Log), and
 // the auditor judges only records. When every probe sits on one shard
 // each record is judged as it is written. Otherwise one record could
-// touch state that parallel windows mutate concurrently, so the logs
-// grow through the run and Finish judges them in the tracer's merge
-// order (event time, shard, log order): every check count and
-// violation is a pure function of the simulated system, independent
-// of worker count.
+// touch state that parallel windows mutate concurrently, so records
+// wait in the logs until no shard is running — each fabric barrier
+// (Attach), or Finish for an auditor wired by hand — and are judged
+// there in the tracer's merge order (event time, shard, log order).
+// Every record of a fabric window precedes every later record in that
+// order, so judging window by window gives the order of one merge at
+// the end: every check count and violation is a pure function of the
+// simulated system, independent of worker count, and the logs hold at
+// most one window of records.
+//
+// Audit windows. One clock cuts the run into Options.Window windows for
+// every check: the first judged record at or past a window's end
+// closes it everywhere at once — each scheduler's local share checks,
+// in registration order, then the cluster-wide check.
 package audit
 
 import (
@@ -188,6 +197,11 @@ type Auditor struct {
 	dropped    uint64
 	checks     map[string]uint64
 	lastTime   float64
+	// windowStart opens the current audit window [windowStart,
+	// windowStart+Window), one clock for every scheduler and the
+	// cluster: the first judged record at or past its end closes it
+	// everywhere at once (closeWindow).
+	windowStart float64
 
 	// Degradation bookkeeping (see NoteDegradeStart): skips are the
 	// cluster-level relaxation intervals — each degraded stretch plus
@@ -206,7 +220,8 @@ type Auditor struct {
 
 	// log holds the records of every shard with a scheduler probe.
 	// shards holds the shards whose engines write the auditor; with more
-	// than one, records are judged at Finish.
+	// than one, records are judged at the next drain: a fabric barrier
+	// once attached, else Finish.
 	log    trace.Log
 	shards map[int]bool
 }
@@ -283,7 +298,7 @@ func (a *Auditor) Probe(shard, node int, dev trace.DeviceKind, sched iosched.Sch
 	}
 	if s.coordinated {
 		if a.cluster == nil {
-			a.cluster = &clusterState{a: a, flows: make(map[iosched.AppID]*clusterFlow)}
+			a.cluster = &clusterState{a: a, flows: make(map[iosched.AppID]*flowWindow)}
 		}
 		a.cluster.members++
 	}
@@ -304,12 +319,17 @@ func (a *Auditor) sched(node int32, dev trace.DeviceKind) *schedState {
 }
 
 // judgeLive judges the logged records now when every writer sits on
-// one shard; otherwise they wait for Finish.
+// one shard; otherwise they wait for the next drain.
 func (a *Auditor) judgeLive() {
 	if len(a.shards) <= 1 {
-		a.log.Drain(a.judge)
+		a.drain()
 	}
 }
+
+// drain judges every logged record in the tracer's merge order and
+// empties the logs. Call it only when no shard is writing: at a fabric
+// barrier (Attach wires it there) or at Finish.
+func (a *Auditor) drain() { a.log.Drain(a.judge) }
 
 // judge runs one record through the invariant battery: a note switches
 // its scheduler's regime, a lifecycle event is checked.
@@ -400,8 +420,9 @@ func (a *Auditor) skipWindow(ws, we float64) bool { return overlaps(a.skips, ws,
 // the schedulers of every every-th node (every ≤ 1: all of them)
 // through cluster.Instrument. It also routes those schedulers'
 // degrade and recovery notes and the share tree's transitions here as
-// NoteDegradeStart/End and NoteEpochChange. Tenant checks still need
-// SetShares. Attach before the simulation runs.
+// NoteDegradeStart/End and NoteEpochChange, and judges the logged
+// records at every fabric barrier. Tenant checks still need SetShares.
+// Attach before the simulation runs.
 func (a *Auditor) Attach(cl *cluster.Cluster, every int) {
 	if every < 1 {
 		every = 1
@@ -435,6 +456,7 @@ func (a *Auditor) Attach(cl *cluster.Cluster, every int) {
 	}
 	cl.SetDegradeObserver(sampled(a.NoteDegradeStart), sampled(a.NoteDegradeEnd))
 	cl.Shares().OnChange(func(tr shares.Transition) { a.NoteEpochChange(tr.Time) })
+	cl.OnBarrier(a.drain)
 }
 
 // AttachBroker audits service conservation on every exchange of b,
@@ -464,21 +486,17 @@ func (a *Auditor) attachAggregator(shard int, ag *broker.Aggregator) {
 	})
 }
 
-// Finish judges the logged records (when probes sit on more than one
-// shard), closes the open audit windows and re-checks broker
-// conservation. Call it once the simulation is over, not between
-// slices of a run: a window it closes early is checked again when the
-// run resumes. A repeated call at the end is harmless.
+// Finish judges the records still logged (when probes sit on more
+// than one shard: all of them for an auditor not attached to a fabric,
+// none after a fabric's last barrier), closes the open audit window
+// and re-checks broker conservation. Call it once the simulation is
+// over, not between slices of a run: a window it closes early is
+// checked again when the run resumes. A repeated call at the end is
+// harmless.
 func (a *Auditor) Finish() {
-	a.log.Drain(a.judge)
-	for _, s := range a.scheds {
-		s.roll(a.lastTime)
-		s.closeWindow()
-	}
-	if a.cluster != nil {
-		a.cluster.roll(a.lastTime)
-		a.cluster.closeWindow()
-	}
+	a.drain()
+	a.roll(a.lastTime)
+	a.closeWindow()
 	for _, b := range a.brokers {
 		a.checkBroker(b)
 	}
@@ -556,11 +574,32 @@ type flowAudit struct {
 	// share checks only compare flows that kept requests waiting.
 	zeroSince float64 // when the queue last emptied (-1 while waiting > 0)
 	zeroDur   float64 // empty-queue time accumulated this window
-	// Window accumulators.
-	service  float64
-	requests int
-	weight   float64
+	flowWindow
+}
+
+// flowWindow accumulates one flow's completions, on one scheduler or
+// cluster-wide, for the share checks.
+type flowWindow struct {
+	service  float64 // this window
+	requests int     // this window
+	weight   float64 // of the latest completion
 	maxUnit  float64 // running max cost/weight (the bound's c_f/w_f)
+}
+
+// add books one completion.
+func (f *flowWindow) add(cost, weight float64) {
+	f.service += cost
+	f.requests++
+	f.weight = weight
+	if u := cost / weight; u > f.maxUnit {
+		f.maxUnit = u
+	}
+}
+
+// qualifies reports whether f completed enough requests this window,
+// at a known weight, to take part in share checks.
+func (a *Auditor) qualifies(f *flowWindow) bool {
+	return f.requests >= a.opts.MinWindowRequests && f.weight > 0
 }
 
 // readSFQBacked is satisfied by schedulers that wrap an SFQ queue for
@@ -580,11 +619,10 @@ type schedState struct {
 	readsOnly   bool // SFQ invariants apply to read-class requests only
 	coordinated bool
 
-	lastVTime   float64
-	lastDepth   int
-	windowStart float64
-	maxDepth    int // max depth seen this window
-	flows       map[iosched.AppID]*flowAudit
+	lastVTime float64
+	lastDepth int
+	maxDepth  int // max depth seen this window
+	flows     map[iosched.AppID]*flowAudit
 	// degraded intervals (NoteDegradeStart/End): while one is open the
 	// scheduler runs pure local SFQ(D), so local proportional sharing
 	// is checked even though the scheduler is nominally coordinated.
@@ -607,7 +645,7 @@ func (s *schedState) flow(app iosched.AppID) *flowAudit {
 	f := s.flows[app]
 	if f == nil {
 		// A new flow counts as empty since the window opened.
-		f = &flowAudit{zeroSince: s.windowStart}
+		f = &flowAudit{zeroSince: s.a.windowStart}
 		s.flows[app] = f
 	}
 	return f
@@ -639,12 +677,12 @@ func (s *schedState) observe(r *trace.Record) {
 			Detail: fmt.Sprintf("negative latency %g", r.Latency)})
 	}
 
-	s.roll(r.Time)
-	if s.coordinated && a.cluster != nil {
-		a.cluster.roll(r.Time)
-	}
+	a.roll(r.Time)
 	s.lastDepth = int(r.Depth)
 	s.maxDepth = max(s.maxDepth, s.lastDepth)
+	if s.coordinated {
+		a.cluster.maxDepth = max(a.cluster.maxDepth, s.lastDepth)
+	}
 	if s.readsOnly && r.Class.OpKind() != storage.Read {
 		// Uncontrolled write-back pass-through: lifecycle sanity only.
 		return
@@ -654,7 +692,7 @@ func (s *schedState) observe(r *trace.Record) {
 	switch r.Event {
 	case iosched.ProbeArrive:
 		if f.waiting == 0 && f.zeroSince >= 0 {
-			if from := math.Max(f.zeroSince, s.windowStart); r.Time > from {
+			if from := math.Max(f.zeroSince, a.windowStart); r.Time > from {
 				f.zeroDur += r.Time - from
 			}
 			f.zeroSince = -1
@@ -678,17 +716,11 @@ func (s *schedState) observe(r *trace.Record) {
 					Detail: fmt.Sprintf("start tag %.9g below virtual time %.9g at arrival", r.StartTag, r.VTime)})
 			}
 		}
-		if s.coordinated && a.cluster != nil {
-			a.cluster.arrive(r.App, s.id, r.Time)
-		}
 	case iosched.ProbeDispatch:
 		f.waiting--
 		if f.waiting <= 0 {
 			f.waiting = 0
 			f.zeroSince = r.Time
-		}
-		if s.coordinated && a.cluster != nil {
-			a.cluster.dispatch(r.App, s.id, r.Time)
 		}
 		if s.sfq {
 			a.count("vtime-monotonicity")
@@ -713,37 +745,51 @@ func (s *schedState) observe(r *trace.Record) {
 					Detail: fmt.Sprintf("queue has %d waiting but only %d of %d slots in flight", r.Queued, r.InFlight, r.Depth)})
 			}
 		}
-		f.service += r.Cost
-		f.requests++
-		f.weight = r.Weight
-		if u := r.Cost / r.Weight; u > f.maxUnit {
-			f.maxUnit = u
-		}
-		if s.coordinated && a.cluster != nil {
-			a.cluster.complete(r.App, r.Cost, r.Weight, s.id, r.Time)
+		f.add(r.Cost, r.Weight)
+		if s.coordinated {
+			a.cluster.complete(r.App, r.Cost, r.Weight)
 		}
 	}
 }
 
-// roll closes audit windows up to time t.
-func (s *schedState) roll(t float64) {
-	for w := s.a.opts.Window; t >= s.windowStart+w; s.windowStart += w {
-		s.closeWindow()
+// roll closes the audit windows that end at or before time t.
+func (a *Auditor) roll(t float64) {
+	for w := a.opts.Window; t >= a.windowStart+w; a.windowStart += w {
+		a.closeWindow()
 	}
 }
 
-// closeWindow runs the per-window proportional-share check and resets
-// the window accumulators. The local check applies to uncoordinated
-// SFQ schedulers; under DSFQ coordination the delay rule intentionally
-// skews local shares toward total-service fairness, so the cluster
-// state checks the global analog instead.
-func (s *schedState) closeWindow() {
+// closeWindow closes the open audit window everywhere at once, in a
+// fixed order: each scheduler accrues its open empty-queue time up to
+// the window end and runs its local share checks, then the cluster
+// check reads the coordinated schedulers' backlog (resetting its own
+// totals as it reads them), then the schedulers' accumulators reset.
+func (a *Auditor) closeWindow() {
+	start, end := a.windowStart, a.windowStart+a.opts.Window
+	for _, s := range a.scheds {
+		s.checkWindow(start, end)
+	}
+	if a.cluster != nil {
+		a.cluster.checkWindow(start, end)
+	}
+	for _, s := range a.scheds {
+		for _, f := range s.flows {
+			f.service, f.requests, f.zeroDur = 0, 0, 0
+		}
+		s.maxDepth = s.lastDepth
+	}
+}
+
+// checkWindow accrues the open empty-queue intervals up to the window
+// end and runs the window's local proportional-share check. The check
+// applies to uncoordinated SFQ schedulers; under DSFQ coordination the
+// delay rule intentionally skews local shares toward total-service
+// fairness, so the cluster state checks the global analog instead.
+func (s *schedState) checkWindow(start, end float64) {
 	w := s.a.opts.Window
-	end := s.windowStart + w
-	// Accrue open empty-queue intervals up to the window end.
 	for _, f := range s.flows {
 		if f.zeroSince >= 0 {
-			if from := math.Max(f.zeroSince, s.windowStart); end > from {
+			if from := math.Max(f.zeroSince, start); end > from {
 				f.zeroDur += end - from
 			}
 			f.zeroSince = end
@@ -753,13 +799,13 @@ func (s *schedState) closeWindow() {
 	switch {
 	case s.sfq && !s.coordinated:
 		invariant = "proportional-share"
-	case s.sfq && s.coordinated && s.fullyDegraded(s.windowStart, end):
+	case s.sfq && s.coordinated && s.fullyDegraded(start, end):
 		// Degradation's contract: with the delay rule suspended the
 		// scheduler is a plain local SFQ(D), so the per-node bound
 		// applies for windows spent fully degraded.
 		invariant = "proportional-share-degraded"
 	}
-	if invariant != "" && overlaps(s.a.epochSkips, s.windowStart, end) {
+	if invariant != "" && overlaps(s.a.epochSkips, start, end) {
 		// A live reweight landed in (or near) this window: normalized
 		// service mixes the old and new weights, so share comparisons
 		// are suspended for the declared reconvergence interval.
@@ -770,12 +816,12 @@ func (s *schedState) closeWindow() {
 		maxZero := w * s.a.opts.BacklogSlack
 		var flows []shareAgg
 		for app, f := range s.flows {
-			if f.zeroDur <= maxZero && f.requests >= s.a.opts.MinWindowRequests && f.weight > 0 {
+			if f.zeroDur <= maxZero && s.a.qualifies(&f.flowWindow) {
 				flows = append(flows, shareAgg{name: string(app), app: app, service: f.service, weight: f.weight, maxUnit: f.maxUnit, members: 1})
 			}
 		}
 		sortAggs(flows)
-		win := shareWindow{a: s.a, node: s.node, dev: s.dev.String(), start: s.windowStart, end: end, d: max(s.maxDepth, 1)}
+		win := shareWindow{a: s.a, node: s.node, dev: s.dev.String(), start: start, end: end, d: max(s.maxDepth, 1)}
 		bound := func(x, y *shareAgg, _, _ float64) float64 {
 			return float64(win.d+1) * (x.maxUnit + y.maxUnit) * (1 + s.a.opts.ShareSlack)
 		}
@@ -790,12 +836,6 @@ func (s *schedState) closeWindow() {
 			win.check("tenant-"+invariant, "tenant normalized service", tenantAggs(flows, s.a.shares), multiMember, bound)
 		}
 	}
-	for _, f := range s.flows {
-		f.service = 0
-		f.requests = 0
-		f.zeroDur = 0
-	}
-	s.maxDepth = s.lastDepth
 }
 
 // shareAgg is one flow's, or one tenant's, window aggregate in the
@@ -888,138 +928,60 @@ func (w shareWindow) check(inv, what string, aggs []shareAgg, pair func(x, y *sh
 	}
 }
 
-// clusterFlow is one application's cluster-wide audit state under
-// coordination, tracked per scheduler id.
-type clusterFlow struct {
-	waiting   map[int]int     // scheduler id → queued (undispatched) requests
-	zeroSince map[int]float64 // scheduler id → when queue emptied (-1 while busy)
-	zeroDur   map[int]float64 // scheduler id → empty-queue time this window
-	service   float64
-	requests  int
-	weight    float64
-	maxUnit   float64
-}
-
-// touch ensures per-scheduler backlog state exists, treating a newly
-// seen scheduler as empty since the window opened.
-func (f *clusterFlow) touch(sched int, windowStart float64) {
-	if _, ok := f.zeroSince[sched]; !ok {
-		f.zeroSince[sched] = windowStart
-	}
-}
-
 // clusterState audits total-service proportional sharing across all
-// coordinated schedulers.
+// coordinated schedulers. Each flow's backlog is read from the
+// coordinated schedulers' own flowAudit at window close.
 type clusterState struct {
-	a           *Auditor
-	members     int
-	windowStart float64
-	maxDepth    int
-	flows       map[iosched.AppID]*clusterFlow
+	a        *Auditor
+	members  int
+	maxDepth int // running max dispatch depth over every coordinated record
+	flows    map[iosched.AppID]*flowWindow
 }
 
-func (c *clusterState) flow(app iosched.AppID) *clusterFlow {
+// complete books one coordinated completion into the app's
+// cluster-wide window.
+func (c *clusterState) complete(app iosched.AppID, cost, weight float64) {
 	f := c.flows[app]
 	if f == nil {
-		f = &clusterFlow{
-			waiting:   make(map[int]int),
-			zeroSince: make(map[int]float64),
-			zeroDur:   make(map[int]float64),
-		}
+		f = &flowWindow{}
 		c.flows[app] = f
 	}
-	return f
+	f.add(cost, weight)
 }
 
-func (c *clusterState) arrive(app iosched.AppID, sched int, t float64) {
-	f := c.flow(app)
-	f.touch(sched, c.windowStart)
-	if f.waiting[sched] == 0 && f.zeroSince[sched] >= 0 {
-		if from := math.Max(f.zeroSince[sched], c.windowStart); t > from {
-			f.zeroDur[sched] += t - from
-		}
-		f.zeroSince[sched] = -1
-	}
-	f.waiting[sched]++
-}
-
-func (c *clusterState) dispatch(app iosched.AppID, sched int, t float64) {
-	f := c.flow(app)
-	f.touch(sched, c.windowStart)
-	f.waiting[sched]--
-	if f.waiting[sched] <= 0 {
-		f.waiting[sched] = 0
-		f.zeroSince[sched] = t
-	}
-}
-
-func (c *clusterState) complete(app iosched.AppID, cost, weight float64, sched int, t float64) {
-	f := c.flow(app)
-	f.service += cost
-	f.requests++
-	f.weight = weight
-	if u := cost / weight; u > f.maxUnit {
-		f.maxUnit = u
-	}
-	// Track the deepest dispatch bound any coordinated scheduler used.
-	for _, s := range c.a.scheds {
-		if s.coordinated && s.maxDepth > c.maxDepth {
-			c.maxDepth = s.maxDepth
-		}
-	}
-}
-
-func (c *clusterState) roll(t float64) {
-	for w := c.a.opts.Window; t >= c.windowStart+w; c.windowStart += w {
-		c.closeWindow()
-	}
-}
-
-// backloggedSet returns the scheduler ids a flow kept a non-empty
-// queue on for (nearly) the whole window.
-func (f *clusterFlow) backloggedSet(maxZero float64) map[int]bool {
-	set := make(map[int]bool, len(f.zeroSince))
-	for id := range f.zeroSince {
-		if f.zeroDur[id] <= maxZero {
-			set[id] = true
-		}
-	}
-	return set
-}
-
-// closeWindow compares total normalized service between flows that
+// checkWindow compares total normalized service between flows that
 // share at least one continuously backlogged scheduler — the DSFQ
 // regime: the delay rule at a shared scheduler compensates each flow
 // for service received elsewhere, making *total* service proportional.
 // The bound carries one (D+1)(c/w) term per coordinated scheduler plus
 // a staleness term for service accrued during the coordination period
 // but not yet reflected in the delay functions.
-func (c *clusterState) closeWindow() {
+func (c *clusterState) checkWindow(start, end float64) {
 	w := c.a.opts.Window
-	end := c.windowStart + w
-	// Accrue open empty-queue intervals up to the window end.
-	for _, f := range c.flows {
-		for id, since := range f.zeroSince {
-			if since < 0 {
+	// Each qualifying flow's backlogged set: the coordinated schedulers
+	// on which it kept a non-empty queue for (nearly) the whole window.
+	maxZero := w * c.a.opts.BacklogSlack
+	sets := make(map[iosched.AppID]map[int]bool)
+	for _, s := range c.a.scheds {
+		if !s.coordinated {
+			continue
+		}
+		for app, f := range s.flows {
+			if cf := c.flows[app]; f.zeroDur > maxZero || cf == nil || !c.a.qualifies(cf) {
 				continue
 			}
-			if from := math.Max(since, c.windowStart); end > from {
-				f.zeroDur[id] += end - from
+			if sets[app] == nil {
+				sets[app] = make(map[int]bool)
 			}
-			f.zeroSince[id] = end
+			sets[app][s.id] = true
 		}
 	}
-	maxZero := w * c.a.opts.BacklogSlack
 	var flows []shareAgg
 	for app, f := range c.flows {
-		if f.requests < c.a.opts.MinWindowRequests || f.weight <= 0 {
-			continue
+		if set := sets[app]; set != nil {
+			flows = append(flows, shareAgg{name: string(app), app: app, service: f.service, weight: f.weight, maxUnit: f.maxUnit, members: 1, set: set})
 		}
-		set := f.backloggedSet(maxZero)
-		if len(set) == 0 {
-			continue
-		}
-		flows = append(flows, shareAgg{name: string(app), app: app, service: f.service, weight: f.weight, maxUnit: f.maxUnit, members: 1, set: set})
+		f.service, f.requests = 0, 0
 	}
 	sortAggs(flows)
 	// While any member is degraded — and for K recovery periods after —
@@ -1027,11 +989,11 @@ func (c *clusterState) closeWindow() {
 	// bound is suspended (it relaxes to the per-node bounds the
 	// degraded schedulers are checked against). Past the grace the
 	// window is checked again: reconvergence must actually happen.
-	skipped := c.a.skipWindow(c.windowStart, end)
+	skipped := c.a.skipWindow(start, end)
 	if skipped && len(flows) > 0 {
 		c.a.count("total-proportional-share-skipped")
 	}
-	if !skipped && overlaps(c.a.epochSkips, c.windowStart, end) {
+	if !skipped && overlaps(c.a.epochSkips, start, end) {
 		// Reweight reconvergence: the delay functions are converging
 		// toward the new targets for a bounded number of coordination
 		// periods; past the grace the bound re-tightens.
@@ -1052,7 +1014,7 @@ func (c *clusterState) closeWindow() {
 		if c.a.opts.FederationStaleness > 0 {
 			totalInv = "share-federated"
 		}
-		win := shareWindow{a: c.a, node: -1, start: c.windowStart, end: end, d: max(c.maxDepth, 1)}
+		win := shareWindow{a: c.a, node: -1, start: start, end: end, d: max(c.maxDepth, 1)}
 		bound := func(x, y *shareAgg, rx, ry float64) float64 {
 			stale := 2 * lag * (rx + ry) / w
 			return float64(win.d+1)*(x.maxUnit+y.maxUnit)*float64(c.members+1)*(1+c.a.opts.ShareSlack) + stale
@@ -1066,13 +1028,6 @@ func (c *clusterState) closeWindow() {
 		if c.a.shares != nil && len(flows) > 1 {
 			win.check("total-tenant-proportional-share", "tenant normalized service", tenantAggs(flows, c.a.shares),
 				func(x, y *shareAgg) bool { return multiMember(x, y) && shared(x, y) }, bound)
-		}
-	}
-	for _, f := range c.flows {
-		f.service = 0
-		f.requests = 0
-		for id := range f.zeroDur {
-			f.zeroDur[id] = 0
 		}
 	}
 }

@@ -102,6 +102,7 @@ func TestFullyDegradedRequiresCompleteCoverage(t *testing.T) {
 func TestDegradedWindowChecksLocalShare(t *testing.T) {
 	mkState := func(a *Auditor) *schedState {
 		s := &schedState{a: a, sfq: true, coordinated: true, flows: make(map[iosched.AppID]*flowAudit)}
+		a.scheds = append(a.scheds, s)
 		for app, svc := range map[iosched.AppID]float64{"a": 100, "b": 0.1} {
 			f := s.flow(app)
 			f.service = svc
@@ -116,7 +117,7 @@ func TestDegradedWindowChecksLocalShare(t *testing.T) {
 	// Coordinated and healthy: no local check, no violation.
 	a := New(Options{})
 	s := mkState(a)
-	s.closeWindow()
+	a.closeWindow()
 	if a.checks["proportional-share"] != 0 || a.checks["proportional-share-degraded"] != 0 {
 		t.Errorf("healthy coordinated window ran a local share check: %v", a.checks)
 	}
@@ -129,7 +130,7 @@ func TestDegradedWindowChecksLocalShare(t *testing.T) {
 	a = New(Options{})
 	s = mkState(a)
 	s.degraded = []span{{from: 0, to: math.Inf(1)}}
-	s.closeWindow()
+	a.closeWindow()
 	if a.checks["proportional-share-degraded"] == 0 {
 		t.Fatal("degraded window did not run the local share check")
 	}

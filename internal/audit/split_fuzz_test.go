@@ -2,6 +2,7 @@ package audit
 
 import (
 	"cmp"
+	"math"
 	"reflect"
 	"slices"
 	"testing"
@@ -84,21 +85,23 @@ func feed(a *Auditor, probes []iosched.Probe, e splitEvent) {
 }
 
 // FuzzAuditShardSplit judges one set of per-shard lifecycle streams
-// twice: live, on a one-shard auditor fed the streams in (time, shard,
-// order), and at Finish, on a k-shard auditor whose shard logs are
-// merged there. The streams carry tag, depth, counter and latency
-// breaches and degrade/recover notes; both verdicts must agree on
-// every check tally and violation.
+// three times: live, on a one-shard auditor fed the streams in (time,
+// shard, order); at Finish, on a k-shard auditor whose shard logs are
+// merged there; and window by window, on a k-shard auditor drained as
+// a fabric barrier drains it, at times cut from cuts. The streams
+// carry tag, depth, counter and latency breaches and degrade/recover
+// notes; all three verdicts must agree on every check tally and
+// violation.
 func FuzzAuditShardSplit(f *testing.F) {
-	f.Add(uint8(0), []byte{0x00, 0x10, 0x21, 0x04, 0x05, 0x96, 0x09, 0x2a, 0xc3, 0x11, 0x40, 0x7f, 0x13, 0x01, 0x00})
-	f.Add(uint8(1), []byte{0x10, 0x00, 0x00, 0x11, 0x00, 0x00, 0x02, 0x30, 0xff, 0x17, 0x04, 0x80, 0x0b, 0x08, 0x41})
-	f.Add(uint8(2), []byte{0x03, 0x4c, 0x12, 0x07, 0x8d, 0x35, 0x16, 0x01, 0xe0, 0x1e, 0x02, 0x00, 0x05, 0x03, 0x22})
+	f.Add(uint8(0), []byte{0x00, 0x10, 0x21, 0x04, 0x05, 0x96, 0x09, 0x2a, 0xc3, 0x11, 0x40, 0x7f, 0x13, 0x01, 0x00}, []byte{0x01, 0x03})
+	f.Add(uint8(1), []byte{0x10, 0x00, 0x00, 0x11, 0x00, 0x00, 0x02, 0x30, 0xff, 0x17, 0x04, 0x80, 0x0b, 0x08, 0x41}, []byte{0x00, 0x00, 0x01})
+	f.Add(uint8(2), []byte{0x03, 0x4c, 0x12, 0x07, 0x8d, 0x35, 0x16, 0x01, 0xe0, 0x1e, 0x02, 0x00, 0x05, 0x03, 0x22}, []byte{0x07})
 	pool := taggedPool()
-	f.Fuzz(func(t *testing.T, shards uint8, data []byte) { checkShardSplit(t, pool, shards, data) })
+	f.Fuzz(func(t *testing.T, shards uint8, data, cuts []byte) { checkShardSplit(t, pool, shards, data, cuts) })
 }
 
 // checkShardSplit is FuzzAuditShardSplit's property on one input.
-func checkShardSplit(t *testing.T, pool []*iosched.Request, shards uint8, data []byte) {
+func checkShardSplit(t *testing.T, pool []*iosched.Request, shards uint8, data, cuts []byte) {
 	k := 2 + int(shards%3)
 	// Every stream opens with an arrival on each scheduler, so the
 	// battery is never vacuous; then each 3-byte group is one event
@@ -155,16 +158,46 @@ func checkShardSplit(t *testing.T, pool []*iosched.Request, shards uint8, data [
 	}
 	deferred.Finish()
 
+	// Fabric windows end at T1 < T2 < ..., each 0.125-2 s after the
+	// last. Window i holds the records with time in [T(i-1), Ti); they
+	// are written shard by shard, highest first, then drained as the
+	// barrier hook drains them. Records past the last cut wait for
+	// Finish.
+	drained, drainedProbes := splitAuditor(func(i int) int { return i % k })
+	lo, cut := math.Inf(-1), 0.0
+	for i := 0; i <= len(cuts); i++ {
+		hi := math.Inf(1)
+		if i < len(cuts) {
+			cut += 0.125 * float64(1+cuts[i]%16)
+			hi = cut
+		}
+		for shard := k - 1; shard >= 0; shard-- {
+			for _, e := range events {
+				if e.shard == shard && e.st.Time >= lo && e.st.Time < hi {
+					feed(drained, drainedProbes, e)
+				}
+			}
+		}
+		drained.drain()
+		lo = hi
+	}
+	drained.Finish()
+
 	if live.Checks()["lifecycle"] == 0 {
 		t.Fatal("no lifecycle checks: the stream is vacuous")
 	}
-	if !reflect.DeepEqual(deferred.Checks(), live.Checks()) {
-		t.Fatalf("check tallies differ:\n  %d shards %v\n  one shard %v", k, deferred.Checks(), live.Checks())
-	}
-	if got, want := deferred.ViolationCount(), live.ViolationCount(); got != want {
-		t.Fatalf("%d shards found %d violations, one shard %d", k, got, want)
-	}
-	if !reflect.DeepEqual(deferred.Violations(), live.Violations()) {
-		t.Fatalf("violations differ:\n  %d shards %v\n  one shard %v", k, deferred.Violations(), live.Violations())
+	for _, c := range []struct {
+		how string
+		a   *Auditor
+	}{{"judged at Finish", deferred}, {"drained at barriers", drained}} {
+		if !reflect.DeepEqual(c.a.Checks(), live.Checks()) {
+			t.Fatalf("check tallies differ:\n  %d shards %s %v\n  one shard %v", k, c.how, c.a.Checks(), live.Checks())
+		}
+		if got, want := c.a.ViolationCount(), live.ViolationCount(); got != want {
+			t.Fatalf("%d shards %s found %d violations, one shard %d", k, c.how, got, want)
+		}
+		if !reflect.DeepEqual(c.a.Violations(), live.Violations()) {
+			t.Fatalf("violations differ:\n  %d shards %s %v\n  one shard %v", k, c.how, c.a.Violations(), live.Violations())
+		}
 	}
 }

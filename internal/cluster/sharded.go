@@ -123,6 +123,15 @@ func (c *Cluster) RunUntil(limit float64) {
 	c.fabric.RunUntil(limit)
 }
 
+// OnBarrier registers fn to run at every fabric barrier, between
+// windows, when no shard is running. A single-engine cluster has no
+// barriers and never calls fn.
+func (c *Cluster) OnBarrier(fn func()) {
+	if c.fabric != nil {
+		c.fabric.OnBarrier(fn)
+	}
+}
+
 // Fired returns the number of events executed across every shard.
 func (c *Cluster) Fired() uint64 {
 	if c.fabric == nil {

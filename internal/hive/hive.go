@@ -210,11 +210,12 @@ func Run(rt *mapreduce.Runtime, q Query, opts RunOptions) (*Execution, error) {
 	app := iosched.AppID(fmt.Sprintf("hive-%s", q.Name))
 	exec := &Execution{Query: q, App: app, StartTime: opts.Delay}
 
-	var submit func(i int) error
-	submit = func(i int) error {
-		st := q.Stages[i]
-		gb := 1e9 * opts.ScaleBytes
-		spec := mapreduce.JobSpec{
+	// Every stage's spec is built and validated here, so a malformed
+	// later stage fails the submission, not the run.
+	gb := 1e9 * opts.ScaleBytes
+	specs := make([]mapreduce.JobSpec, len(q.Stages))
+	for i, st := range q.Stages {
+		specs[i] = mapreduce.JobSpec{
 			Name:              fmt.Sprintf("%s-%s", q.Name, st.Label),
 			App:               app,
 			Weight:            opts.Weight,
@@ -229,52 +230,42 @@ func Run(rt *mapreduce.Runtime, q Query, opts RunOptions) (*Execution, error) {
 			MapCPUSecPerMB:    st.MapCPU,
 			ReduceCPUSecPerMB: st.ReduceCPU,
 		}
-		delay := 0.0
-		if i == 0 {
-			delay = opts.Delay
+		if err := specs[i].Validate(); err != nil {
+			return nil, err
 		}
-		job, err := rt.Submit(spec, delay)
-		if err != nil {
-			return err
-		}
-		exec.stages = append(exec.stages, job)
-		return nil
 	}
-	if err := submit(0); err != nil {
+	submit := func(i int, delay float64) error {
+		job, err := rt.Submit(specs[i], delay)
+		if err == nil {
+			exec.stages = append(exec.stages, job)
+		}
+		return err
+	}
+	if err := submit(0, opts.Delay); err != nil {
 		return nil, err
 	}
-	// Chain the remaining stages via the runtime's completion hook.
-	next := 1
-	rt.OnJobDone(func(j *Job) {
-		if exec.done || exec.failed || next > len(q.Stages) {
-			return
-		}
-		if len(exec.stages) == 0 || j != exec.stages[len(exec.stages)-1] {
-			return
-		}
-		if j.Failed() {
-			// A lost stage aborts the query.
-			exec.failed = true
-			exec.done = true
-			exec.EndTime = rt.Engine().Now()
-			for _, fn := range exec.onDone {
-				fn(exec)
-			}
-			return
-		}
-		if next < len(q.Stages) {
-			i := next
-			next++
-			if err := submit(i); err != nil {
-				panic(err) // specs are validated at build time
-			}
-			return
-		}
-		next++
+	finish := func(failed bool) {
+		exec.failed = failed
 		exec.done = true
 		exec.EndTime = rt.Engine().Now()
 		for _, fn := range exec.onDone {
 			fn(exec)
+		}
+	}
+	// Chain the remaining stages via the runtime's completion hook.
+	rt.OnJobDone(func(j *Job) {
+		if exec.done || j != exec.stages[len(exec.stages)-1] {
+			return
+		}
+		switch {
+		case j.Failed():
+			finish(true) // a lost stage aborts the query
+		case len(exec.stages) < len(specs):
+			if submit(len(exec.stages), 0) != nil {
+				finish(true) // so does a stage the runtime refuses
+			}
+		default:
+			finish(false)
 		}
 	})
 	return exec, nil

@@ -70,6 +70,13 @@ func TestSpecValidation(t *testing.T) {
 		func(s *JobSpec) { s.NumReduces = -1 },
 		func(s *JobSpec) { s.NumReduces = 0 }, // shuffle bytes with no reduces
 		func(s *JobSpec) { s.MapCPUSecPerMB = -1 },
+		func(s *JobSpec) { s.InputBytes = math.NaN() },
+		func(s *JobSpec) { s.InputBytes = math.Inf(1) },
+		func(s *JobSpec) { s.MapOutputBytes = math.Inf(-1) },
+		func(s *JobSpec) { s.OutputBytes = math.NaN() },
+		func(s *JobSpec) { s.MapCPUSecPerMB = math.NaN() },
+		func(s *JobSpec) { s.ReduceCPUSecPerMB = math.Inf(1) },
+		func(s *JobSpec) { s.Weight = math.NaN() },
 	}
 	for i, mutate := range cases {
 		s := base

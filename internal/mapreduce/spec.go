@@ -13,6 +13,7 @@ package mapreduce
 
 import (
 	"fmt"
+	"math"
 
 	"ibis/internal/iosched"
 )
@@ -105,6 +106,9 @@ func (s *JobSpec) Validate() error {
 	if s.Name == "" {
 		return fmt.Errorf("mapreduce: job without a name")
 	}
+	if !finite(s.Weight, s.InputBytes, s.MapOutputBytes, s.DirectOutputBytes, s.OutputBytes, s.MapCPUSecPerMB, s.ReduceCPUSecPerMB) {
+		return fmt.Errorf("mapreduce: job %q: non-finite weight, byte volume or CPU cost", s.Name)
+	}
 	if s.Weight <= 0 {
 		return fmt.Errorf("mapreduce: job %q: weight %g must be positive", s.Name, s.Weight)
 	}
@@ -124,6 +128,16 @@ func (s *JobSpec) Validate() error {
 		return fmt.Errorf("mapreduce: job %q: negative CPU cost", s.Name)
 	}
 	return nil
+}
+
+// finite reports whether every value is neither NaN nor ±Inf.
+func finite(vs ...float64) bool {
+	for _, v := range vs {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // State is a job's lifecycle phase.

@@ -82,8 +82,9 @@ type Config struct {
 
 	// Audit attaches the invariant auditor to every AuditSampleEvery-th
 	// node (1 = all nodes). Each sampled node's shard log keeps one
-	// fixed-size, pointer-free record per lifecycle event until Finish,
-	// so sampling bounds that memory at the 1000-node shape.
+	// fixed-size, pointer-free record per lifecycle event until the
+	// next fabric barrier judges it; sampling bounds the judging work at
+	// the 1000-node shape.
 	Audit            bool
 	AuditSampleEvery int
 
@@ -352,7 +353,7 @@ func Run(cfg Config) (*Report, error) {
 	}
 
 	// Audit wiring (sampled nodes only; the node shards' logs are
-	// judged at Finish).
+	// judged at every fabric barrier).
 	var auditor *audit.Auditor
 	if cfg.Audit {
 		auditor = audit.New(audit.Options{

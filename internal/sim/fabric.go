@@ -134,6 +134,9 @@ type Fabric struct {
 	workerWG  sync.WaitGroup
 
 	stats FabricStats
+
+	// barrier holds the OnBarrier hooks.
+	barrier []func()
 }
 
 // nextEntry is one lazy next-event-time cache entry. An entry is valid
@@ -234,6 +237,12 @@ func (f *Fabric) Shard(i int) *Shard { return f.shards[i] }
 
 // Lookahead returns the fabric-wide minimum cross-shard latency.
 func (f *Fabric) Lookahead() float64 { return f.lookahead }
+
+// OnBarrier registers fn to run at every barrier: after each window
+// has been folded back in and before the next one opens, when no shard
+// is running, so fn may read state every shard writes. Call it before
+// Run, as part of wiring the model.
+func (f *Fabric) OnBarrier(fn func()) { f.barrier = append(f.barrier, fn) }
 
 // Stats returns the accumulated fabric counters.
 func (f *Fabric) Stats() FabricStats { return f.stats }
@@ -456,7 +465,8 @@ func (f *Fabric) RunUntil(limit float64) float64 {
 // finishWindow folds the shards that just ran back into the
 // incremental window state: outboxes drain into the pending heap, the
 // live-event sum absorbs each shard's delta, and a fresh next-event
-// entry replaces the consumed one. Runs only at barriers.
+// entry replaces the consumed one. Then it runs the barrier hooks.
+// Runs only at barriers.
 func (f *Fabric) finishWindow() {
 	for _, s := range f.active {
 		s.active = false
@@ -473,6 +483,9 @@ func (f *Fabric) finishWindow() {
 	}
 	if len(f.pending) > f.stats.MaxPending {
 		f.stats.MaxPending = len(f.pending)
+	}
+	for _, fn := range f.barrier {
+		fn()
 	}
 }
 
