@@ -372,7 +372,7 @@ func (s *Simulation) SetClassWeight(app AppID, class Class, mult float64) error 
 // EffectiveWeight resolves the weight a scheduler would use right now
 // for (app, class): tenantWeight × appWeight × classMultiplier.
 func (s *Simulation) EffectiveWeight(app AppID, class Class) float64 {
-	w, _ := s.cl.Shares().EffectiveWeight(app, class)
+	_, w, _ := s.cl.Shares().Resolve(app, iosched.NoApp, class)
 	return w
 }
 

@@ -74,7 +74,6 @@ package audit
 
 import (
 	"fmt"
-	"maps"
 	"math"
 	"slices"
 	"strings"
@@ -195,7 +194,7 @@ type Auditor struct {
 	brokers    []*broker.Broker
 	violations []Violation
 	dropped    uint64
-	checks     map[string]uint64
+	checks     [numInvariants]uint64
 	lastTime   float64
 	// windowStart opens the current audit window [windowStart,
 	// windowStart+Window), one clock for every scheduler and the
@@ -216,7 +215,7 @@ type Auditor struct {
 	epochSkips []span
 	// shares attributes apps to tenants for the hierarchical checks
 	// (nil disables them).
-	shares broker.ShareView
+	shares *shares.Tree
 
 	// log holds the records of every shard with a scheduler probe.
 	// shards holds the shards whose engines write the auditor; with more
@@ -234,7 +233,7 @@ type schedRef struct {
 
 // SetShares attaches the share tree view used to group flows into
 // tenants for the hierarchical proportional-share invariants.
-func (a *Auditor) SetShares(v broker.ShareView) { a.shares = v }
+func (a *Auditor) SetShares(v *shares.Tree) { a.shares = v }
 
 // NoteEpochChange records a live weight change at virtual time t: all
 // share checks are suspended for windows overlapping the reconvergence
@@ -242,7 +241,7 @@ func (a *Auditor) SetShares(v broker.ShareView) { a.shares = v }
 // shares.Tree.OnChange. Windows past the interval are checked again —
 // the system must actually reconverge to the new targets.
 func (a *Auditor) NoteEpochChange(t float64) {
-	a.count("epoch-noted")
+	a.count(invEpochNoted)
 	grace := float64(a.opts.RecoveryPeriods) * a.opts.CoordinationPeriod
 	a.epochSkips = append(a.epochSkips, span{from: t, to: t + grace})
 }
@@ -265,7 +264,6 @@ func New(opts Options) *Auditor {
 	opts.defaults()
 	return &Auditor{
 		opts:      opts,
-		checks:    make(map[string]uint64),
 		openSkips: make(map[schedRef]int),
 		shards:    make(map[int]bool),
 	}
@@ -383,7 +381,7 @@ func (a *Auditor) note(ev iosched.ProbeEvent, node int, dev string, t float64) {
 
 // degradeStart applies a degrade note; s is its scheduler, or nil.
 func (a *Auditor) degradeStart(s *schedState, r trace.Record) {
-	a.count("degrade-noted")
+	a.count(invDegradeNoted)
 	if s != nil {
 		s.degraded = append(s.degraded, span{from: r.Time, to: math.Inf(1)})
 		for _, f := range s.flows {
@@ -396,7 +394,7 @@ func (a *Auditor) degradeStart(s *schedState, r trace.Record) {
 
 // degradeEnd applies a recover note; s is its scheduler, or nil.
 func (a *Auditor) degradeEnd(s *schedState, r trace.Record) {
-	a.count("recover-noted")
+	a.count(invRecoverNoted)
 	if s != nil {
 		if n := len(s.degraded); n > 0 && math.IsInf(s.degraded[n-1].to, 1) {
 			s.degraded[n-1].to = r.Time
@@ -476,10 +474,10 @@ func (a *Auditor) AttachBroker(shard int, b *broker.Broker) {
 func (a *Auditor) attachAggregator(shard int, ag *broker.Aggregator) {
 	a.shards[shard] = true
 	ag.SetProbe(func() {
-		a.count("federation-conservation")
+		a.count(invFederationConservation)
 		if err := ag.CheckConservation(); err != nil {
 			a.violate(Violation{
-				Time: a.lastTime, Invariant: "federation-conservation", Node: -1,
+				Time: a.lastTime, Invariant: invFederationConservation.String(), Node: -1,
 				Detail: err.Error(),
 			})
 		}
@@ -513,7 +511,15 @@ func (a *Auditor) ViolationCount() uint64 {
 
 // Checks returns per-invariant evaluation counts — how many times each
 // property was actually tested.
-func (a *Auditor) Checks() map[string]uint64 { return maps.Clone(a.checks) }
+func (a *Auditor) Checks() map[string]uint64 {
+	out := make(map[string]uint64)
+	for inv, n := range a.checks {
+		if n > 0 {
+			out[invariantNames[inv]] = n
+		}
+	}
+	return out
+}
 
 // Err returns nil for a clean run, else an error summarizing the first
 // violations.
@@ -533,7 +539,60 @@ func (a *Auditor) Err() error {
 	return fmt.Errorf("%s", b.String())
 }
 
-func (a *Auditor) count(inv string) { a.checks[inv]++ }
+func (a *Auditor) count(inv invariant) { a.checks[inv]++ }
+
+// invariant names one audited property or note; the tallies are a
+// fixed array indexed by it, and Checks reports them by name.
+type invariant uint8
+
+const (
+	invEpochNoted invariant = iota
+	invDegradeNoted
+	invRecoverNoted
+	invFederationConservation
+	invBrokerConservation
+	invLifecycle
+	invStartTagMonotonicity
+	invTagConsistency
+	invVtimeMonotonicity
+	invDepthBound
+	invWorkConservation
+	invShareSkippedEpoch
+	invProportionalShare
+	invProportionalShareDegraded
+	invTenantProportionalShare
+	invTenantProportionalShareDegraded
+	invTotalProportionalShare
+	invShareFederated
+	invTotalTenantProportionalShare
+	invTotalProportionalShareSkipped
+	numInvariants
+)
+
+var invariantNames = [numInvariants]string{
+	invEpochNoted:                      "epoch-noted",
+	invDegradeNoted:                    "degrade-noted",
+	invRecoverNoted:                    "recover-noted",
+	invFederationConservation:          "federation-conservation",
+	invBrokerConservation:              "broker-conservation",
+	invLifecycle:                       "lifecycle",
+	invStartTagMonotonicity:            "start-tag-monotonicity",
+	invTagConsistency:                  "tag-consistency",
+	invVtimeMonotonicity:               "vtime-monotonicity",
+	invDepthBound:                      "depth-bound",
+	invWorkConservation:                "work-conservation",
+	invShareSkippedEpoch:               "share-skipped-epoch",
+	invProportionalShare:               "proportional-share",
+	invProportionalShareDegraded:       "proportional-share-degraded",
+	invTenantProportionalShare:         "tenant-proportional-share",
+	invTenantProportionalShareDegraded: "tenant-proportional-share-degraded",
+	invTotalProportionalShare:          "total-proportional-share",
+	invShareFederated:                  "share-federated",
+	invTotalTenantProportionalShare:    "total-tenant-proportional-share",
+	invTotalProportionalShareSkipped:   "total-proportional-share-skipped",
+}
+
+func (i invariant) String() string { return invariantNames[i] }
 
 func (a *Auditor) violate(v Violation) {
 	if len(a.violations) >= a.opts.MaxViolations {
@@ -547,19 +606,9 @@ func (a *Auditor) violate(v Violation) {
 // vectors equals the broker's incrementally maintained totals, and that
 // its tenant rollup equals the regroup of those totals.
 func (a *Auditor) checkBroker(b *broker.Broker) {
-	a.count("broker-conservation")
-	sums := b.ReportedTotals()
-	for _, app := range b.Apps() {
-		total := b.Total(app)
-		if diff := math.Abs(sums[app] - total); diff > 1e-6*math.Max(1, math.Abs(total)) {
-			a.violate(Violation{
-				Time: a.lastTime, Invariant: "broker-conservation", Node: -1, App: app,
-				Detail: fmt.Sprintf("sum of reports %.6g != broker total %.6g (diff %.3g)", sums[app], total, diff),
-			})
-		}
-	}
-	if err := b.CheckRollup(); err != nil {
-		a.violate(Violation{Time: a.lastTime, Invariant: "broker-conservation", Node: -1, Detail: err.Error()})
+	a.count(invBrokerConservation)
+	if err := b.CheckConservation(); err != nil {
+		a.violate(Violation{Time: a.lastTime, Invariant: invBrokerConservation.String(), Node: -1, Detail: err.Error()})
 	}
 }
 
@@ -667,13 +716,13 @@ func (s *schedState) observe(r *trace.Record) {
 	if r.Time > a.lastTime {
 		a.lastTime = r.Time
 	}
-	a.count("lifecycle")
+	a.count(invLifecycle)
 	if r.Queued < 0 || r.InFlight < 0 {
-		a.violate(Violation{Time: r.Time, Invariant: "lifecycle", Node: s.node, Dev: s.dev.String(), App: r.App,
+		a.violate(Violation{Time: r.Time, Invariant: invLifecycle.String(), Node: s.node, Dev: s.dev.String(), App: r.App,
 			Detail: fmt.Sprintf("negative counters: queued=%d inflight=%d", r.Queued, r.InFlight)})
 	}
 	if r.Event == iosched.ProbeComplete && r.Latency < 0 {
-		a.violate(Violation{Time: r.Time, Invariant: "lifecycle", Node: s.node, Dev: s.dev.String(), App: r.App,
+		a.violate(Violation{Time: r.Time, Invariant: invLifecycle.String(), Node: s.node, Dev: s.dev.String(), App: r.App,
 			Detail: fmt.Sprintf("negative latency %g", r.Latency)})
 	}
 
@@ -699,20 +748,20 @@ func (s *schedState) observe(r *trace.Record) {
 		}
 		f.waiting++
 		if s.sfq {
-			a.count("start-tag-monotonicity")
+			a.count(invStartTagMonotonicity)
 			if r.StartTag < f.lastStart-tagEps(r.StartTag, f.lastStart) {
-				a.violate(Violation{Time: r.Time, Invariant: "start-tag-monotonicity", Node: s.node, Dev: s.dev.String(), App: r.App,
+				a.violate(Violation{Time: r.Time, Invariant: invStartTagMonotonicity.String(), Node: s.node, Dev: s.dev.String(), App: r.App,
 					Detail: fmt.Sprintf("start tag %.9g < previous %.9g", r.StartTag, f.lastStart)})
 			}
 			f.lastStart = r.StartTag
-			a.count("tag-consistency")
+			a.count(invTagConsistency)
 			want := r.StartTag + r.Cost/r.Weight
 			if math.Abs(r.FinishTag-want) > tagEps(r.FinishTag, want) {
-				a.violate(Violation{Time: r.Time, Invariant: "tag-consistency", Node: s.node, Dev: s.dev.String(), App: r.App,
+				a.violate(Violation{Time: r.Time, Invariant: invTagConsistency.String(), Node: s.node, Dev: s.dev.String(), App: r.App,
 					Detail: fmt.Sprintf("finish tag %.9g != start %.9g + cost/w %.9g", r.FinishTag, r.StartTag, r.Cost/r.Weight)})
 			}
 			if r.StartTag < r.VTime-tagEps(r.StartTag, r.VTime) {
-				a.violate(Violation{Time: r.Time, Invariant: "tag-consistency", Node: s.node, Dev: s.dev.String(), App: r.App,
+				a.violate(Violation{Time: r.Time, Invariant: invTagConsistency.String(), Node: s.node, Dev: s.dev.String(), App: r.App,
 					Detail: fmt.Sprintf("start tag %.9g below virtual time %.9g at arrival", r.StartTag, r.VTime)})
 			}
 		}
@@ -723,25 +772,25 @@ func (s *schedState) observe(r *trace.Record) {
 			f.zeroSince = r.Time
 		}
 		if s.sfq {
-			a.count("vtime-monotonicity")
+			a.count(invVtimeMonotonicity)
 			if r.VTime < s.lastVTime-tagEps(r.VTime, s.lastVTime) {
-				a.violate(Violation{Time: r.Time, Invariant: "vtime-monotonicity", Node: s.node, Dev: s.dev.String(), App: r.App,
+				a.violate(Violation{Time: r.Time, Invariant: invVtimeMonotonicity.String(), Node: s.node, Dev: s.dev.String(), App: r.App,
 					Detail: fmt.Sprintf("virtual time %.9g < previous %.9g", r.VTime, s.lastVTime)})
 			}
 			s.lastVTime = r.VTime
 			if r.Depth > 0 {
-				a.count("depth-bound")
+				a.count(invDepthBound)
 				if r.InFlight > r.Depth {
-					a.violate(Violation{Time: r.Time, Invariant: "depth-bound", Node: s.node, Dev: s.dev.String(), App: r.App,
+					a.violate(Violation{Time: r.Time, Invariant: invDepthBound.String(), Node: s.node, Dev: s.dev.String(), App: r.App,
 						Detail: fmt.Sprintf("dispatched with %d in flight > depth %d", r.InFlight, r.Depth)})
 				}
 			}
 		}
 	case iosched.ProbeComplete:
 		if s.sfq && r.Depth > 0 {
-			a.count("work-conservation")
+			a.count(invWorkConservation)
 			if r.Queued > 0 && r.InFlight < r.Depth {
-				a.violate(Violation{Time: r.Time, Invariant: "work-conservation", Node: s.node, Dev: s.dev.String(), App: r.App,
+				a.violate(Violation{Time: r.Time, Invariant: invWorkConservation.String(), Node: s.node, Dev: s.dev.String(), App: r.App,
 					Detail: fmt.Sprintf("queue has %d waiting but only %d of %d slots in flight", r.Queued, r.InFlight, r.Depth)})
 			}
 		}
@@ -795,24 +844,24 @@ func (s *schedState) checkWindow(start, end float64) {
 			f.zeroSince = end
 		}
 	}
-	invariant := ""
+	checked, inv, tenantInv := false, invProportionalShare, invTenantProportionalShare
 	switch {
 	case s.sfq && !s.coordinated:
-		invariant = "proportional-share"
+		checked = true
 	case s.sfq && s.coordinated && s.fullyDegraded(start, end):
 		// Degradation's contract: with the delay rule suspended the
 		// scheduler is a plain local SFQ(D), so the per-node bound
 		// applies for windows spent fully degraded.
-		invariant = "proportional-share-degraded"
+		checked, inv, tenantInv = true, invProportionalShareDegraded, invTenantProportionalShareDegraded
 	}
-	if invariant != "" && overlaps(s.a.epochSkips, start, end) {
+	if checked && overlaps(s.a.epochSkips, start, end) {
 		// A live reweight landed in (or near) this window: normalized
 		// service mixes the old and new weights, so share comparisons
 		// are suspended for the declared reconvergence interval.
-		s.a.count("share-skipped-epoch")
-		invariant = ""
+		s.a.count(invShareSkippedEpoch)
+		checked = false
 	}
-	if invariant != "" {
+	if checked {
 		maxZero := w * s.a.opts.BacklogSlack
 		var flows []shareAgg
 		for app, f := range s.flows {
@@ -825,7 +874,7 @@ func (s *schedState) checkWindow(start, end float64) {
 		bound := func(x, y *shareAgg, _, _ float64) float64 {
 			return float64(win.d+1) * (x.maxUnit + y.maxUnit) * (1 + s.a.opts.ShareSlack)
 		}
-		win.check(invariant, "normalized service", flows, nil, bound)
+		win.check(inv, "normalized service", flows, nil, bound)
 		// Hierarchical check: a tenant's aggregate normalized service
 		// (Σ service / Σ effective weight over qualifying members) is a
 		// weighted average of its members' per-flow ratios, so any
@@ -833,7 +882,7 @@ func (s *schedState) checkWindow(start, end float64) {
 		// bound. Singleton-vs-singleton pairs duplicate the per-app
 		// check above and are skipped.
 		if s.a.shares != nil && len(flows) > 1 {
-			win.check("tenant-"+invariant, "tenant normalized service", tenantAggs(flows, s.a.shares), multiMember, bound)
+			win.check(tenantInv, "tenant normalized service", tenantAggs(flows, s.a.shares), multiMember, bound)
 		}
 	}
 }
@@ -859,7 +908,7 @@ func sortAggs(aggs []shareAgg) {
 // tenantAggs groups qualifying flows (sorted by app) by tenant,
 // accumulating in app order so float rounding is deterministic, and
 // unions their backlogged-scheduler sets.
-func tenantAggs(flows []shareAgg, v broker.ShareView) []shareAgg {
+func tenantAggs(flows []shareAgg, v *shares.Tree) []shareAgg {
 	var out []shareAgg
 	idx := make(map[string]int)
 	for _, f := range flows {
@@ -907,7 +956,7 @@ type shareWindow struct {
 // of aggs that pair admits (nil admits all), counting one inv check per
 // pair, and records a violation when the difference exceeds bound.
 // what names the compared quantity in the violation text.
-func (w shareWindow) check(inv, what string, aggs []shareAgg, pair func(x, y *shareAgg) bool, bound func(x, y *shareAgg, rx, ry float64) float64) {
+func (w shareWindow) check(inv invariant, what string, aggs []shareAgg, pair func(x, y *shareAgg) bool, bound func(x, y *shareAgg, rx, ry float64) float64) {
 	for i := range aggs {
 		for j := i + 1; j < len(aggs); j++ {
 			x, y := &aggs[i], &aggs[j]
@@ -919,7 +968,7 @@ func (w shareWindow) check(inv, what string, aggs []shareAgg, pair func(x, y *sh
 			b := bound(x, y, rx, ry)
 			if diff := math.Abs(rx - ry); diff > b {
 				w.a.violate(Violation{
-					Time: w.end, Invariant: inv, Node: w.node, Dev: w.dev, App: x.app,
+					Time: w.end, Invariant: inv.String(), Node: w.node, Dev: w.dev, App: x.app,
 					Detail: fmt.Sprintf("window [%.1fs,%.1fs): %s %s=%.4g vs %s=%.4g, |diff| %.4g > bound %.4g (D=%d)",
 						w.start, w.end, what, x.name, rx, y.name, ry, diff, b, w.d),
 				})
@@ -991,7 +1040,7 @@ func (c *clusterState) checkWindow(start, end float64) {
 	// window is checked again: reconvergence must actually happen.
 	skipped := c.a.skipWindow(start, end)
 	if skipped && len(flows) > 0 {
-		c.a.count("total-proportional-share-skipped")
+		c.a.count(invTotalProportionalShareSkipped)
 	}
 	if !skipped && overlaps(c.a.epochSkips, start, end) {
 		// Reweight reconvergence: the delay functions are converging
@@ -999,7 +1048,7 @@ func (c *clusterState) checkWindow(start, end float64) {
 		// periods; past the grace the bound re-tightens.
 		skipped = true
 		if len(flows) > 0 {
-			c.a.count("share-skipped-epoch")
+			c.a.count(invShareSkippedEpoch)
 		}
 	}
 	if !skipped {
@@ -1010,9 +1059,9 @@ func (c *clusterState) checkWindow(start, end float64) {
 		// (FederationStaleness), which also renames the invariant to the
 		// share-federated regime.
 		lag := c.a.opts.CoordinationPeriod + c.a.opts.FederationStaleness
-		totalInv := "total-proportional-share"
+		totalInv := invTotalProportionalShare
 		if c.a.opts.FederationStaleness > 0 {
-			totalInv = "share-federated"
+			totalInv = invShareFederated
 		}
 		win := shareWindow{a: c.a, node: -1, start: start, end: end, d: max(c.maxDepth, 1)}
 		bound := func(x, y *shareAgg, rx, ry float64) float64 {
@@ -1026,7 +1075,7 @@ func (c *clusterState) checkWindow(start, end float64) {
 		// members' backlogged-scheduler sets intersect and at least one
 		// tenant has two or more qualifying members.
 		if c.a.shares != nil && len(flows) > 1 {
-			win.check("total-tenant-proportional-share", "tenant normalized service", tenantAggs(flows, c.a.shares),
+			win.check(invTotalTenantProportionalShare, "tenant normalized service", tenantAggs(flows, c.a.shares),
 				func(x, y *shareAgg) bool { return multiMember(x, y) && shared(x, y) }, bound)
 		}
 	}

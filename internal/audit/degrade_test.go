@@ -35,9 +35,9 @@ func TestDegradeSkipSpans(t *testing.T) {
 	if a.skipWindow(25, 26) {
 		t.Error("window past the recovery grace is still skipped")
 	}
-	if a.checks["degrade-noted"] != 1 || a.checks["recover-noted"] != 1 {
+	if a.Checks()["degrade-noted"] != 1 || a.Checks()["recover-noted"] != 1 {
 		t.Errorf("note counters = %d/%d, want 1/1",
-			a.checks["degrade-noted"], a.checks["recover-noted"])
+			a.Checks()["degrade-noted"], a.Checks()["recover-noted"])
 	}
 }
 
@@ -118,8 +118,8 @@ func TestDegradedWindowChecksLocalShare(t *testing.T) {
 	a := New(Options{})
 	s := mkState(a)
 	a.closeWindow()
-	if a.checks["proportional-share"] != 0 || a.checks["proportional-share-degraded"] != 0 {
-		t.Errorf("healthy coordinated window ran a local share check: %v", a.checks)
+	if a.Checks()["proportional-share"] != 0 || a.Checks()["proportional-share-degraded"] != 0 {
+		t.Errorf("healthy coordinated window ran a local share check: %v", a.Checks())
 	}
 	if a.ViolationCount() != 0 {
 		t.Errorf("healthy coordinated window violated: %v", a.Violations())
@@ -131,7 +131,7 @@ func TestDegradedWindowChecksLocalShare(t *testing.T) {
 	s = mkState(a)
 	s.degraded = []span{{from: 0, to: math.Inf(1)}}
 	a.closeWindow()
-	if a.checks["proportional-share-degraded"] == 0 {
+	if a.Checks()["proportional-share-degraded"] == 0 {
 		t.Fatal("degraded window did not run the local share check")
 	}
 	if a.ViolationCount() != 1 {
@@ -147,7 +147,7 @@ func TestDegradedWindowChecksLocalShare(t *testing.T) {
 // local SFQ while the auditor applies the coordinated regime.
 type zeroCoord struct{}
 
-func (zeroCoord) OtherService(iosched.AppID) float64 { return 0 }
+func (zeroCoord) OtherService(iosched.AppID, iosched.AppIdx) float64 { return 0 }
 
 // TestRegimeSwitchingEndToEnd runs a real coordinated scheduler
 // through degrade → recover and checks the full regime sequence: local
@@ -194,13 +194,13 @@ func TestRegimeSwitchingEndToEnd(t *testing.T) {
 	if err := au.Err(); err != nil {
 		t.Fatalf("audit: %v", err)
 	}
-	if au.checks["proportional-share-degraded"] == 0 {
+	if au.Checks()["proportional-share-degraded"] == 0 {
 		t.Error("no degraded local-share checks in windows [0,3)")
 	}
-	if au.checks["total-proportional-share-skipped"] == 0 {
+	if au.Checks()["total-proportional-share-skipped"] == 0 {
 		t.Error("cluster check never suspended during the degraded span")
 	}
-	if au.checks["total-proportional-share"] == 0 {
+	if au.Checks()["total-proportional-share"] == 0 {
 		t.Error("cluster check never re-engaged after the recovery grace")
 	}
 }

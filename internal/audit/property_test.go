@@ -94,11 +94,15 @@ func runShareTrial(t *testing.T, seed int64, pol propPolicy, spec storage.Spec) 
 		dev := storage.NewDevice(eng, name, spec)
 		if pol == propSFQD2 {
 			prof := profileFor(t, spec)
-			return iosched.NewSFQD2(eng, dev, iosched.ControllerConfig{
+			s, err := iosched.NewSFQD2(eng, dev, iosched.ControllerConfig{
 				ReadLref:  prof.ReadLref,
 				WriteLref: prof.WriteLref,
 				MaxDepth:  8,
 			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
 		}
 		return iosched.NewSFQD(eng, dev, staticDepth)
 	}

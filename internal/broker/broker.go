@@ -27,18 +27,27 @@
 // idempotent cumulative vectors. Scheduler restarts wipe the client's
 // in-memory view and force an explicit re-register handshake before
 // exchanges resume.
+//
+// Every book a broker, client, partition or the federation root keeps
+// per app or per tenant is a slice indexed by the share tree's dense
+// iosched.AppIdx and shares.TenantIdx. Names travel on the wire — in
+// exchange vectors, responses and the delta codec's per-link name
+// table — and each end resolves a name to its index once: through the
+// index hint a vector entry carries, checked against the name, or by
+// one lookup when the name is new to it.
 package broker
 
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"math"
 	"slices"
 	"sort"
+	"strings"
 
 	"ibis/internal/iosched"
 	"ibis/internal/metrics"
+	"ibis/internal/shares"
 	"ibis/internal/sim"
 )
 
@@ -84,56 +93,57 @@ func (s *Stats) Merge(o Stats) {
 // scheduler, the last cumulative service vector, and maintains the
 // per-application totals incrementally — the state is "simply a vector
 // of total I/O service amount for all the applications in the system".
+// That vector is a slice indexed by the share tree's AppIdx, and the
+// tenant rollup one indexed by its TenantIdx.
 type Broker struct {
-	reports map[string]map[iosched.AppID]float64
-	totals  map[iosched.AppID]float64
-	// tenants rolls totals up by tenant, grouped at view epoch epoch:
-	// exchanges fold deltas in, and every other change regroups it.
-	tenants map[string]float64
+	// reports holds each registered scheduler's last cumulative vector,
+	// keyed by AppIdx: a scheduler serves few of the cluster's apps.
+	reports map[string]map[iosched.AppIdx]float64
+	apps    []appBook // by AppIdx
+	// tenants rolls the live totals up by tenant (by TenantIdx),
+	// grouped at view epoch epoch: exchanges fold deltas in, and every
+	// other change regroups it.
+	tenants []float64
 	epoch   uint64
-	retired map[iosched.AppID]bool
-	// finals are tombstones: the cluster-wide total each retired app
-	// had at retirement. They keep the service observable (Total)
-	// after cleanup without participating in exchanges.
-	finals map[iosched.AppID]float64
-	// retireSnaps hold, per retired app, the per-scheduler entries
-	// Retire scrubbed, so Revive can restore exact continuity instead
-	// of rebuilding the total piecemeal from future exchanges.
-	retireSnaps map[iosched.AppID]map[string]float64
-	view        ShareView
-	stats       Stats
-	probe       Probe
+	view    *shares.Tree
+	stats   Stats
+	probe   Probe
+
+	// Working buffers, reused across calls.
+	touched []shares.TenantIdx
+	order   []iosched.AppIdx
+	sums    []float64
 }
 
-// ShareView is the slice of the share tree the coordination plane
-// needs: tenant attribution and the epoch that moves when attribution
-// may have changed. *shares.Tree implements it. The constructors
-// replace a nil view with implicit singleton tenants at epoch 0, which
-// reproduces the flat per-app coordination exactly.
-type ShareView interface {
-	TenantOf(app iosched.AppID) string
-	Epoch() uint64
+// appBook is the broker's state of one app.
+type appBook struct {
+	total float64
+	// live marks an app the totals count: reported since it was last
+	// retired, reset or pruned. A total that is not live is 0.
+	live    bool
+	retired bool
+	// final is the tombstone: the cluster-wide total the app had at
+	// retirement. It keeps the service observable (Total) after
+	// cleanup without participating in exchanges.
+	final float64
+	// snap holds, for a retired app, the per-scheduler entries Retire
+	// scrubbed, so Revive can restore exact continuity instead of
+	// rebuilding the total piecemeal from future exchanges.
+	snap map[string]float64
 }
 
-// singletons is the view of a plane without a share tree: every app is
-// its own implicit tenant, and the attribution never moves.
-type singletons struct{}
-
-func (singletons) TenantOf(app iosched.AppID) string { return implicitTenant(app) }
-func (singletons) Epoch() uint64                     { return 0 }
-
-// viewOf returns v, or the implicit singletons for a nil v.
-func viewOf(v ShareView) ShareView {
-	if v == nil {
-		return singletons{}
+// viewOf returns the share tree a plane attributes apps to tenants
+// with: tree, or for nil a fresh tree of its own, in which every app
+// auto-binds to its implicit singleton tenant — the flat per-app
+// coordination. The tree also numbers the plane's apps and tenants
+// (iosched.AppIdx, shares.TenantIdx), and its epoch moves whenever an
+// attribution may have changed.
+func viewOf(tree *shares.Tree) *shares.Tree {
+	if tree == nil {
+		return shares.NewTree()
 	}
-	return v
+	return tree
 }
-
-// implicitTenant mirrors shares.ImplicitTenant without importing the
-// shares package (which would be legal, but the coordination plane
-// should not depend on the control plane's full API for one string).
-func implicitTenant(app iosched.AppID) string { return "~" + string(app) }
 
 // Response is one coordination response: the reported apps the broker
 // counted and the cluster-wide service of the tenants that own them.
@@ -162,15 +172,18 @@ func (b *Broker) SetProbe(p Probe) { b.probe = p }
 // New creates an empty broker whose apps are implicit singleton
 // tenants.
 func New() *Broker {
-	return &Broker{
-		reports:     make(map[string]map[iosched.AppID]float64),
-		totals:      make(map[iosched.AppID]float64),
-		tenants:     make(map[string]float64),
-		retired:     make(map[iosched.AppID]bool),
-		finals:      make(map[iosched.AppID]float64),
-		retireSnaps: make(map[iosched.AppID]map[string]float64),
-		view:        singletons{},
+	return &Broker{reports: make(map[string]map[iosched.AppIdx]float64), view: shares.NewTree()}
+}
+
+// book returns app ai's state, growing the books to hold it.
+func (b *Broker) book(ai iosched.AppIdx) *appBook { return slot(&b.apps, int(ai)) }
+
+// lookup returns a known app's state, or nil; it binds nothing.
+func (b *Broker) lookup(app iosched.AppID) *appBook {
+	if ai, ok := b.view.Lookup(app); ok && int(ai) < len(b.apps) {
+		return &b.apps[ai]
 	}
+	return nil
 }
 
 // ResetReports models the broker process restarting with empty memory:
@@ -180,9 +193,11 @@ func New() *Broker {
 // double counting. Retirement state (flags, tombstones) survives: it
 // is control-plane membership knowledge, not broker memory.
 func (b *Broker) ResetReports() {
-	b.reports = make(map[string]map[iosched.AppID]float64)
-	b.totals = make(map[iosched.AppID]float64)
-	b.retireSnaps = make(map[iosched.AppID]map[string]float64)
+	b.reports = make(map[string]map[iosched.AppIdx]float64)
+	for i := range b.apps {
+		ab := &b.apps[i]
+		ab.total, ab.live, ab.snap = 0, false, nil
+	}
 	b.regroup()
 }
 
@@ -190,40 +205,56 @@ func (b *Broker) ResetReports() {
 // reports its cumulative per-app service (cost units) and receives the
 // cluster-wide totals of the tenants owning the apps it reported — the
 // response "is bounded by the number of applications that the
-// scheduler currently serves", and so is the work: the reported deltas
-// fold into the totals and the rollup in sorted-app order, so rounding
-// does not depend on map layout. The response is fresh each call.
+// scheduler currently serves", and so is the work. The vector is
+// sorted by app, as a Reporter's is, and the reported deltas fold into
+// the totals and the rollup in that order, so rounding does not depend
+// on the order apps were numbered in. The response is fresh each call.
 // Retired apps are skipped in both directions: their pruned state must
 // not be resurrected by the stale entries local accounting carries.
-func (b *Broker) Exchange(scheduler string, vector map[iosched.AppID]float64) Response {
+func (b *Broker) Exchange(scheduler string, vector []iosched.AppCost) Response {
+	return b.exchange(scheduler, vector, nil)
+}
+
+// exchange is Exchange with remote(t) added to each returned tenant
+// total (a partition's view of the rest of the federation; nil: none).
+func (b *Broker) exchange(scheduler string, vector []iosched.AppCost, remote func(shares.TenantIdx) float64) Response {
 	b.refresh()
 	prev := b.reports[scheduler]
 	if prev == nil {
-		prev = make(map[iosched.AppID]float64)
+		prev = make(map[iosched.AppIdx]float64)
 		b.reports[scheduler] = prev
 	}
-	apps := make([]iosched.AppID, 0, len(vector))
-	for app := range vector {
-		if !b.retired[app] {
-			apps = append(apps, app)
+	resp := Response{Apps: make([]iosched.AppID, 0, len(vector)), Tenants: make(map[string]float64, len(vector))}
+	touched := b.touched[:0]
+	for _, e := range vector {
+		ai := b.view.Index(e.App, e.Idx)
+		if ai == iosched.NoApp {
+			continue
 		}
+		ab := b.book(ai)
+		if ab.retired {
+			continue
+		}
+		resp.Apps = append(resp.Apps, e.App)
+		d := e.Cost - prev[ai]
+		prev[ai] = e.Cost
+		ab.total += d
+		ab.live = true
+		t := b.view.TenantAt(ai)
+		*slot(&b.tenants, int(t)) += d
+		touched = append(touched, t)
 	}
-	slices.Sort(apps)
-	resp := Response{Apps: apps, Tenants: make(map[string]float64, len(apps))}
-	for _, app := range apps {
-		d := vector[app] - prev[app]
-		prev[app] = vector[app]
-		b.totals[app] += d
-		t := b.view.TenantOf(app)
-		b.tenants[t] += d
-		resp.Tenants[t] = 0
+	for _, t := range touched {
+		v := b.tenants[t]
+		if remote != nil {
+			v += remote(t)
+		}
+		resp.Tenants[b.view.TenantName(t)] = v
 	}
-	for t := range resp.Tenants {
-		resp.Tenants[t] = b.tenants[t]
-	}
+	b.touched = touched
 	b.stats.Exchanges++
-	b.stats.EntriesUp += uint64(len(apps))
-	b.stats.EntriesDown += uint64(len(apps))
+	b.stats.EntriesUp += uint64(len(resp.Apps))
+	b.stats.EntriesDown += uint64(len(resp.Apps))
 	b.stats.TenantEntriesDown += uint64(len(resp.Tenants))
 	if b.probe != nil {
 		b.probe(scheduler, b)
@@ -237,7 +268,7 @@ func (b *Broker) Exchange(scheduler string, vector map[iosched.AppID]float64) Re
 // client's full re-report apply as a no-op delta.
 func (b *Broker) Register(scheduler string) {
 	if b.reports[scheduler] == nil {
-		b.reports[scheduler] = make(map[iosched.AppID]float64)
+		b.reports[scheduler] = make(map[iosched.AppIdx]float64)
 	}
 }
 
@@ -251,8 +282,10 @@ func (b *Broker) Unregister(scheduler string) {
 		return
 	}
 	delete(b.reports, scheduler)
-	for app, cum := range vec {
-		b.totals[app] -= cum
+	for ai, cum := range vec {
+		ab := b.book(ai)
+		ab.total -= cum
+		ab.live = true
 	}
 	b.pruneUnbacked()
 	b.regroup()
@@ -265,25 +298,23 @@ func (b *Broker) Unregister(scheduler string) {
 // kept as a tombstone so the app's cluster-wide service stays
 // observable through Total after cleanup.
 func (b *Broker) Retire(app iosched.AppID) {
-	if b.retired[app] {
+	ai := b.view.Index(app, iosched.NoApp)
+	if ai == iosched.NoApp || b.book(ai).retired {
 		return
 	}
-	b.retired[app] = true
-	b.finals[app] = b.totals[app]
-	var snap map[string]float64
+	ab := b.book(ai)
+	ab.retired = true
+	ab.final = ab.total
 	for sched, vec := range b.reports {
-		if cum, ok := vec[app]; ok {
-			if snap == nil {
-				snap = make(map[string]float64)
+		if cum, ok := vec[ai]; ok {
+			if ab.snap == nil {
+				ab.snap = make(map[string]float64)
 			}
-			snap[sched] = cum
-			delete(vec, app)
+			ab.snap[sched] = cum
+			delete(vec, ai)
 		}
 	}
-	if snap != nil {
-		b.retireSnaps[app] = snap
-	}
-	delete(b.totals, app)
+	ab.total, ab.live = 0, false
 	b.regroup()
 }
 
@@ -298,103 +329,119 @@ func (b *Broker) Retire(app iosched.AppID) {
 // unregistered first, pruneUnbacked would drop the rebuilt value and
 // Total would surface the stale tombstone.
 func (b *Broker) Revive(app iosched.AppID) {
-	if !b.retired[app] {
+	ai, ok := b.view.Lookup(app)
+	if !ok || int(ai) >= len(b.apps) || !b.apps[ai].retired {
 		return
 	}
-	delete(b.retired, app)
+	ab := &b.apps[ai]
+	ab.retired = false
 	total := 0.0
-	if snap := b.retireSnaps[app]; snap != nil {
-		// Restore in sorted-scheduler order for deterministic rounding;
-		// entries whose scheduler unregistered during retirement stay
-		// dropped — Unregister would have subtracted them anyway.
-		scheds := make([]string, 0, len(snap))
-		for sched := range snap {
-			if _, ok := b.reports[sched]; ok {
-				scheds = append(scheds, sched)
-			}
-		}
-		sort.Strings(scheds)
-		for _, sched := range scheds {
-			b.reports[sched][app] = snap[sched]
-			total += snap[sched]
-		}
-		delete(b.retireSnaps, app)
+	// Restore in sorted-scheduler order for deterministic rounding;
+	// entries whose scheduler unregistered during retirement stay
+	// dropped — Unregister would have subtracted them anyway.
+	scheds := make([]string, 0, len(ab.snap))
+	for sched := range ab.snap {
+		scheds = append(scheds, sched)
 	}
+	sort.Strings(scheds)
+	for _, sched := range scheds {
+		if vec, ok := b.reports[sched]; ok {
+			vec[ai] = ab.snap[sched]
+			total += ab.snap[sched]
+		}
+	}
+	ab.snap = nil
 	if total > 0 {
-		b.totals[app] = total
+		ab.total, ab.live = total, true
 	}
-	delete(b.finals, app)
+	ab.final = 0
 	b.regroup()
 }
 
 // Retired reports whether the app is currently retired.
-func (b *Broker) Retired(app iosched.AppID) bool { return b.retired[app] }
-
-// pruneUnbacked deletes totals entries for apps present in no report.
-// Their remaining value is float residue from subtraction, not service.
-func (b *Broker) pruneUnbacked() {
-	for app := range b.totals {
-		backed := false
-		for _, vec := range b.reports {
-			if _, ok := vec[app]; ok {
-				backed = true
-				break
-			}
-		}
-		if !backed {
-			delete(b.totals, app)
-		}
-	}
+func (b *Broker) Retired(app iosched.AppID) bool {
+	ab := b.lookup(app)
+	return ab != nil && ab.retired
 }
 
-// ReportedTotals sums the latest per-scheduler service vectors per app —
-// the quantity that must equal the incrementally maintained totals if
-// the broker conserves service.
-func (b *Broker) ReportedTotals() map[iosched.AppID]float64 {
-	sums := make(map[iosched.AppID]float64, len(b.totals))
+// pruneUnbacked drops the totals of apps present in no report. Their
+// remaining value is float residue from subtraction, not service.
+func (b *Broker) pruneUnbacked() {
+	backed := make([]bool, len(b.apps))
 	for _, vec := range b.reports {
-		for app, cum := range vec {
-			sums[app] += cum
+		for ai := range vec {
+			backed[ai] = true
 		}
 	}
-	return sums
+	for ai := range b.apps {
+		if ab := &b.apps[ai]; ab.live && !backed[ai] {
+			ab.total, ab.live = 0, false
+		}
+	}
 }
 
 // Total returns the cluster-wide cumulative service for one app. For a
 // retired app this is its tombstoned final total (a revived app
 // resumes live accounting at its first exchange).
 func (b *Broker) Total(app iosched.AppID) float64 {
-	if v, ok := b.totals[app]; ok {
-		return v
+	ab := b.lookup(app)
+	switch {
+	case ab == nil:
+		return 0
+	case ab.live:
+		return ab.total
 	}
-	return b.finals[app]
+	return ab.final
 }
 
 // Apps returns all known apps, sorted.
 func (b *Broker) Apps() []iosched.AppID {
-	ids := make([]iosched.AppID, 0, len(b.totals))
-	for id := range b.totals {
-		ids = append(ids, id)
+	order := b.liveByName()
+	ids := make([]iosched.AppID, len(order))
+	for i, ai := range order {
+		ids[i] = b.view.AppName(ai)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
 }
 
-// TenantTotals returns a copy of the tenant rollup: the live per-app
-// totals summed by tenant.
-func (b *Broker) TenantTotals() map[string]float64 {
-	b.refresh()
-	return maps.Clone(b.tenants)
+// liveByName returns the live apps sorted by name, in a reused slice.
+func (b *Broker) liveByName() []iosched.AppIdx {
+	order := b.order[:0]
+	for ai := range b.apps {
+		if b.apps[ai].live {
+			order = append(order, iosched.AppIdx(ai))
+		}
+	}
+	slices.SortFunc(order, func(x, y iosched.AppIdx) int {
+		return strings.Compare(string(b.view.AppName(x)), string(b.view.AppName(y)))
+	})
+	b.order = order
+	return order
 }
 
-// regrouped sums the live per-app totals by tenant, accumulating in
-// sorted-app order for deterministic rounding.
-func (b *Broker) regrouped() map[string]float64 {
+// TenantTotals returns a copy of the tenant rollup by tenant name: the
+// live per-app totals summed by tenant.
+func (b *Broker) TenantTotals() map[string]float64 {
+	b.refresh()
 	out := make(map[string]float64)
-	for _, app := range b.Apps() {
-		out[b.view.TenantOf(app)] += b.totals[app]
+	for ai := range b.apps {
+		if b.apps[ai].live {
+			t := b.view.TenantAt(iosched.AppIdx(ai))
+			out[b.view.TenantName(t)] = at(b.tenants, int(t))
+		}
 	}
 	return out
+}
+
+// regrouped sums the live per-app totals by tenant into into (resized
+// and zeroed), accumulating in sorted-app order for deterministic
+// rounding.
+func (b *Broker) regrouped(into []float64) []float64 {
+	into = zeroed(into, b.view.NumTenants())
+	for _, ai := range b.liveByName() {
+		into[b.view.TenantAt(ai)] += b.apps[ai].total
+	}
+	return into
 }
 
 // regroup rebuilds the tenant rollup at the view's current epoch: the
@@ -402,7 +449,7 @@ func (b *Broker) regrouped() map[string]float64 {
 // Exchange only ever adds exchange deltas.
 func (b *Broker) regroup() {
 	b.epoch = b.view.Epoch()
-	b.tenants = b.regrouped()
+	b.tenants = b.regrouped(b.tenants)
 }
 
 // refresh regroups the rollup if the share view moved since the rollup
@@ -413,21 +460,46 @@ func (b *Broker) refresh() {
 	}
 }
 
+// CheckConservation verifies the broker's books: every live app's
+// total equals the sum of the latest per-scheduler reports, and the
+// tenant rollup equals a regroup of the totals. Both compare within a
+// relative 1e-6, as the two sides sum in different orders. It returns
+// the first discrepancy found.
+func (b *Broker) CheckConservation() error {
+	sums := zeroed(b.sums, len(b.apps))
+	for _, vec := range b.reports {
+		for ai, cum := range vec {
+			sums[ai] += cum
+		}
+	}
+	b.sums = sums
+	for ai, ab := range b.apps {
+		if ab.live && !near(sums[ai], ab.total) {
+			return fmt.Errorf("broker: conservation: app %s sum of reports %.6g != total %.6g", b.view.AppName(iosched.AppIdx(ai)), sums[ai], ab.total)
+		}
+	}
+	return b.CheckRollup()
+}
+
 // CheckRollup verifies the incremental tenant rollup against a fresh
 // regroup of the live per-app totals, within a relative 1e-6 (the two
-// round differently). It returns the first discrepancy found.
+// round differently). A rollup entry for a tenant without live apps
+// must be 0. It returns the first discrepancy found.
 func (b *Broker) CheckRollup() error {
 	b.refresh()
-	want := b.regrouped()
-	if len(b.tenants) != len(want) {
-		return fmt.Errorf("broker: tenant rollup holds %d tenants, regroup %d", len(b.tenants), len(want))
-	}
-	for t, exp := range want {
-		if got, ok := b.tenants[t]; !ok || math.Abs(got-exp) > 1e-6*math.Max(1, math.Abs(exp)) {
-			return fmt.Errorf("broker: tenant rollup: tenant %s folded %.6g != regrouped %.6g", t, got, exp)
+	want := b.regrouped(b.sums)
+	b.sums = want
+	for t := range max(len(want), len(b.tenants)) {
+		if got, exp := at(b.tenants, t), at(want, t); !near(got, exp) {
+			return fmt.Errorf("broker: tenant rollup: tenant %s folded %.6g != regrouped %.6g", b.view.TenantName(shares.TenantIdx(t)), got, exp)
 		}
 	}
 	return nil
+}
+
+// near reports whether got is within a relative 1e-6 of want.
+func near(got, want float64) bool {
+	return math.Abs(got-want) <= 1e-6*math.Max(1, math.Abs(want))
 }
 
 // Schedulers returns the registered scheduler ids, sorted.
@@ -443,10 +515,10 @@ func (b *Broker) Schedulers() []string {
 // Stats returns the accumulated traffic counters.
 func (b *Broker) Stats() Stats { return b.stats }
 
-// Reporter exposes the cumulative per-app service of a local scheduler;
-// *iosched.Accounting satisfies it.
+// Reporter exposes the cumulative per-app service of a local
+// scheduler, sorted by app; *iosched.Accounting satisfies it.
 type Reporter interface {
-	CostVector() map[iosched.AppID]float64
+	CostVector() []iosched.AppCost
 }
 
 // Transport carries one client's coordination messages to its broker.
@@ -461,7 +533,7 @@ type Transport interface {
 	// ErrUnavailable or ErrLost. On error the broker may or may not
 	// have applied the report (response loss); retrying is safe because
 	// vectors are cumulative.
-	Exchange(id string, vector map[iosched.AppID]float64, done func(Response, error))
+	Exchange(id string, vector []iosched.AppCost, done func(Response, error))
 	// Register performs the (re-)registration handshake.
 	Register(id string, done func(error))
 	// Unregister removes the scheduler's report from the broker. It
@@ -477,7 +549,7 @@ type directTransport struct{ b *Broker }
 // NewDirectTransport wraps a broker in the reliable transport.
 func NewDirectTransport(b *Broker) Transport { return directTransport{b} }
 
-func (d directTransport) Exchange(id string, vec map[iosched.AppID]float64, done func(Response, error)) {
+func (d directTransport) Exchange(id string, vec []iosched.AppCost, done func(Response, error)) {
 	done(d.b.Exchange(id, vec), nil)
 }
 
@@ -576,7 +648,7 @@ type ClientOptions struct {
 	// Shares attributes apps to tenants on the client side (nil means
 	// implicit singleton tenants, i.e. flat per-app coordination). It
 	// must be the view the broker aggregates against.
-	Shares ShareView
+	Shares *shares.Tree
 }
 
 // Client performs the periodic exchange for one local scheduler and
@@ -595,9 +667,12 @@ type Client struct {
 	eng       *sim.Engine
 	period    float64
 	policy    RetryPolicy
-	view      ShareView
+	view      *shares.Tree
 
-	otherTenant map[string]float64
+	// otherTenant is the remote service per tenant (by TenantIdx) as
+	// of the last applied response; local is apply's working buffer.
+	otherTenant []float64
+	local       []float64
 	rounds      uint64
 
 	sched     *iosched.SFQ
@@ -642,7 +717,6 @@ func NewClient(eng *sim.Engine, id string, reporter Reporter, opts ClientOptions
 		period:       period,
 		policy:       opts.Retry.withDefaults(period),
 		view:         viewOf(opts.Shares),
-		otherTenant:  make(map[string]float64),
 		failingSince: -1,
 		nextSeq:      1,
 	}
@@ -791,26 +865,29 @@ func (c *Client) deliver(r *pending) bool {
 // view and completes the round. The view is tenant-level: for each
 // tenant in the response, remote service = cluster-wide tenant total
 // minus the local per-tenant sum, over the apps the broker counted
-// (resp.Apps, sorted), of the vector this round reported: a retired
-// app has left its tenant's total, so it must not count locally either.
-func (c *Client) apply(vec map[iosched.AppID]float64, resp Response, now float64) {
-	local := make(map[string]float64, len(resp.Tenants))
-	for _, app := range resp.Apps {
-		local[c.view.TenantOf(app)] += vec[app]
+// (resp.Apps, sorted), of the vector this round reported (vec, sorted):
+// a retired app has left its tenant's total, so it must not count
+// locally either. Tenants the response no longer carries (retired
+// apps, dissolved tenants) drop to zero.
+func (c *Client) apply(vec []iosched.AppCost, resp Response, now float64) {
+	clear(c.local)
+	i := 0
+	for _, e := range vec {
+		for i < len(resp.Apps) && resp.Apps[i] < e.App {
+			i++
+		}
+		if i < len(resp.Apps) && resp.Apps[i] == e.App {
+			*slot(&c.local, int(c.view.TenantAt(c.view.Index(e.App, e.Idx)))) += e.Cost
+		}
 	}
-	for t, total := range resp.Tenants {
-		other := total - local[t]
+	clear(c.otherTenant)
+	for name, total := range resp.Tenants {
+		t := c.view.TenantIndex(name)
+		other := total - at(c.local, int(t))
 		if other < 0 {
 			other = 0
 		}
-		c.otherTenant[t] = other
-	}
-	// Prune entries the broker no longer returns (retired apps /
-	// dissolved tenants) so long-lived clients don't leak entries.
-	for t := range c.otherTenant {
-		if _, ok := resp.Tenants[t]; !ok {
-			delete(c.otherTenant, t)
-		}
+		*slot(&c.otherTenant, int(t)) = other
 	}
 	c.rounds++
 	c.health.Successes++
@@ -912,7 +989,7 @@ func (c *Client) Restart() {
 	c.health.Restarts++
 	c.epoch++
 	c.eng.Cancel(c.retryEv)
-	c.otherTenant = make(map[string]float64)
+	clear(c.otherTenant)
 	c.inRound = false
 	c.attempt = 0
 	c.needRegister = true
@@ -949,9 +1026,14 @@ func (c *Client) Detached() bool { return c.detached }
 
 // OtherService implements iosched.Coordinator: the remote service of
 // the app's tenant. For implicit singleton tenants this is the app's
-// own remote service, bit-identical to the flat semantics.
-func (c *Client) OtherService(app iosched.AppID) float64 {
-	return c.otherTenant[c.view.TenantOf(app)]
+// own remote service, bit-identical to the flat semantics. idx is the
+// app's index hint (iosched.NoApp if none).
+func (c *Client) OtherService(app iosched.AppID, idx iosched.AppIdx) float64 {
+	ai := c.view.Index(app, idx)
+	if ai == iosched.NoApp {
+		return 0
+	}
+	return at(c.otherTenant, int(c.view.TenantAt(ai)))
 }
 
 // Rounds returns the number of successful exchanges applied.

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -15,8 +16,8 @@ import (
 
 func TestExchangeAggregatesAcrossSchedulers(t *testing.T) {
 	b := New()
-	b.Exchange("n1", map[iosched.AppID]float64{"A": 100, "B": 50})
-	resp := b.Exchange("n2", map[iosched.AppID]float64{"A": 40})
+	b.Exchange("n1", costs(map[iosched.AppID]float64{"A": 100, "B": 50}))
+	resp := b.Exchange("n2", costs(map[iosched.AppID]float64{"A": 40}))
 	if b.Total("A") != 140 {
 		t.Fatalf("total A = %v, want 140", b.Total("A"))
 	}
@@ -30,8 +31,8 @@ func TestExchangeAggregatesAcrossSchedulers(t *testing.T) {
 
 func TestExchangeIsCumulative(t *testing.T) {
 	b := New()
-	b.Exchange("n1", map[iosched.AppID]float64{"A": 100})
-	b.Exchange("n1", map[iosched.AppID]float64{"A": 150}) // +50, not +150
+	b.Exchange("n1", costs(map[iosched.AppID]float64{"A": 100}))
+	b.Exchange("n1", costs(map[iosched.AppID]float64{"A": 150})) // +50, not +150
 	if got := b.Total("A"); got != 150 {
 		t.Fatalf("total A = %v, want 150 (cumulative reporting)", got)
 	}
@@ -39,8 +40,8 @@ func TestExchangeIsCumulative(t *testing.T) {
 
 func TestExchangeResponseScopedToReportedApps(t *testing.T) {
 	b := New()
-	b.Exchange("n1", map[iosched.AppID]float64{"A": 1, "B": 2})
-	resp := b.Exchange("n2", map[iosched.AppID]float64{"B": 3})
+	b.Exchange("n1", costs(map[iosched.AppID]float64{"A": 1, "B": 2}))
+	resp := b.Exchange("n2", costs(map[iosched.AppID]float64{"B": 3}))
 	if slices.Contains(resp.Apps, "A") {
 		t.Fatal("response leaked app the scheduler does not serve")
 	}
@@ -54,7 +55,7 @@ func TestExchangeResponseScopedToReportedApps(t *testing.T) {
 
 func TestBrokerAppsSorted(t *testing.T) {
 	b := New()
-	b.Exchange("n1", map[iosched.AppID]float64{"z": 1, "a": 1, "m": 1})
+	b.Exchange("n1", costs(map[iosched.AppID]float64{"z": 1, "a": 1, "m": 1}))
 	apps := b.Apps()
 	if len(apps) != 3 || apps[0] != "a" || apps[1] != "m" || apps[2] != "z" {
 		t.Fatalf("Apps = %v", apps)
@@ -63,8 +64,8 @@ func TestBrokerAppsSorted(t *testing.T) {
 
 func TestBrokerStats(t *testing.T) {
 	b := New()
-	b.Exchange("n1", map[iosched.AppID]float64{"A": 1, "B": 2})
-	b.Exchange("n2", map[iosched.AppID]float64{"A": 3})
+	b.Exchange("n1", costs(map[iosched.AppID]float64{"A": 1, "B": 2}))
+	b.Exchange("n2", costs(map[iosched.AppID]float64{"A": 3}))
 	st := b.Stats()
 	if st.Exchanges != 2 || st.EntriesUp != 3 || st.EntriesDown != 3 {
 		t.Fatalf("stats = %+v", st)
@@ -77,12 +78,25 @@ func TestBrokerStats(t *testing.T) {
 
 type fakeReporter map[iosched.AppID]float64
 
-func (f fakeReporter) CostVector() map[iosched.AppID]float64 {
-	out := make(map[iosched.AppID]float64, len(f))
-	for k, v := range f {
-		out[k] = v
+func (f fakeReporter) CostVector() []iosched.AppCost { return costs(f) }
+
+// costs is the service vector of a name-keyed literal, sorted by app.
+func costs(m map[iosched.AppID]float64) []iosched.AppCost {
+	v := make([]iosched.AppCost, 0, len(m))
+	for app, c := range m {
+		v = append(v, iosched.AppCost{App: app, Idx: iosched.NoApp, Cost: c})
 	}
-	return out
+	slices.SortFunc(v, func(x, y iosched.AppCost) int { return strings.Compare(string(x.App), string(y.App)) })
+	return v
+}
+
+// byName is the name-keyed form of a service vector.
+func byName(v []iosched.AppCost) map[iosched.AppID]float64 {
+	m := make(map[iosched.AppID]float64, len(v))
+	for _, e := range v {
+		m[e.App] = e.Cost
+	}
+	return m
 }
 
 func TestClientOtherService(t *testing.T) {
@@ -95,17 +109,17 @@ func TestClientOtherService(t *testing.T) {
 	c1.ExchangeNow()
 	c2.ExchangeNow()
 	c1.ExchangeNow() // refresh n1's view after n2 reported
-	if got := c1.OtherService("A"); got != 60 {
+	if got := c1.OtherService("A", iosched.NoApp); got != 60 {
 		t.Fatalf("n1 sees other service %v, want 60", got)
 	}
-	if got := c2.OtherService("A"); got != 100 {
+	if got := c2.OtherService("A", iosched.NoApp); got != 100 {
 		t.Fatalf("n2 sees other service %v, want 100", got)
 	}
 }
 
 func TestClientUnknownAppZero(t *testing.T) {
-	c := &Client{otherTenant: map[string]float64{}, view: singletons{}}
-	if c.OtherService("nope") != 0 {
+	c := &Client{view: shares.NewTree()}
+	if c.OtherService("nope", iosched.NoApp) != 0 {
 		t.Fatal("unknown app should have zero other-service")
 	}
 }
@@ -125,12 +139,12 @@ func TestRetiredSiblingLeavesTenantCharge(t *testing.T) {
 	eng := sim.NewEngine()
 	rep := fakeReporter{"a": 100, "b": 50}
 	c := NewClient(eng, "s1", rep, ClientOptions{Transport: NewDirectTransport(b), Period: 1, Shares: tree})
-	b.Exchange("s2", map[iosched.AppID]float64{"b": 30})
+	b.Exchange("s2", costs(map[iosched.AppID]float64{"b": 30}))
 	c.ExchangeNow()
 	b.Retire("a")
 	rep["b"] = 60
 	c.ExchangeNow()
-	if got := c.OtherService("b"); got != 30 {
+	if got := c.OtherService("b", iosched.NoApp); got != 30 {
 		t.Fatalf("other service of b's tenant = %v, want 30 (s2's share of live b)", got)
 	}
 }
@@ -139,11 +153,11 @@ func TestRetiredSiblingLeavesTenantCharge(t *testing.T) {
 // regroup of the per-app totals is reported.
 func TestCheckRollupDetectsSkew(t *testing.T) {
 	b := New()
-	b.Exchange("n1", map[iosched.AppID]float64{"A": 100, "B": 50})
+	b.Exchange("n1", costs(map[iosched.AppID]float64{"A": 100, "B": 50}))
 	if err := b.CheckRollup(); err != nil {
 		t.Fatalf("clean rollup reported: %v", err)
 	}
-	b.tenants["~B"] += 1
+	b.tenants[b.view.TenantIndex("~B")] += 1
 	if err := b.CheckRollup(); err == nil {
 		t.Fatal("skewed tenant ~B not reported")
 	}
@@ -153,7 +167,7 @@ func TestClientNilBrokerNoSync(t *testing.T) {
 	eng := sim.NewEngine()
 	c := NewClient(eng, "n1", fakeReporter{"A": 5}, ClientOptions{Period: 1})
 	c.ExchangeNow()
-	if c.OtherService("A") != 0 {
+	if c.OtherService("A", iosched.NoApp) != 0 {
 		t.Fatal("No Sync client returned non-zero other service")
 	}
 	if c.Rounds() != 0 {
@@ -222,7 +236,7 @@ func TestPropertyBrokerTotalsConsistent(t *testing.T) {
 					vec[a] = cums[s][a]
 				}
 			}
-			resp, twinResp := b.Exchange(s, vec), twin.Exchange(s, vec)
+			resp, twinResp := b.Exchange(s, costs(vec)), twin.Exchange(s, costs(vec))
 			if len(resp.Tenants) != len(twinResp.Tenants) {
 				return false
 			}

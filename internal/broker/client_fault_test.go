@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ibis/internal/iosched"
+	"ibis/internal/shares"
 	"ibis/internal/sim"
 	"ibis/internal/storage"
 )
@@ -12,13 +13,7 @@ import (
 // mapReporter is a hand-driven Reporter.
 type mapReporter map[iosched.AppID]float64
 
-func (m mapReporter) CostVector() map[iosched.AppID]float64 {
-	out := make(map[iosched.AppID]float64, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
+func (m mapReporter) CostVector() []iosched.AppCost { return costs(m) }
 
 // hookTransport scripts every leg of the protocol. A scripted rtt > 0
 // delivers the response that much later on eng; a failure, or a
@@ -33,8 +28,8 @@ type hookTransport struct {
 // Exchange adapts the scripted per-app map into a Response, deriving
 // the sorted app list and the implicit singleton tenant totals the
 // real broker would send.
-func (h *hookTransport) Exchange(id string, vec map[iosched.AppID]float64, done func(Response, error)) {
-	m, rtt, err := h.exchange(id, vec)
+func (h *hookTransport) Exchange(id string, vec []iosched.AppCost, done func(Response, error)) {
+	m, rtt, err := h.exchange(id, byName(vec))
 	if err != nil {
 		done(Response{}, err)
 		return
@@ -42,7 +37,7 @@ func (h *hookTransport) Exchange(id string, vec map[iosched.AppID]float64, done 
 	resp := Response{Apps: make([]iosched.AppID, 0, len(m)), Tenants: make(map[string]float64, len(m))}
 	for a, v := range m {
 		resp.Apps = append(resp.Apps, a)
-		resp.Tenants[implicitTenant(a)] = v
+		resp.Tenants[shares.ImplicitTenant(a)] = v
 	}
 	slices.Sort(resp.Apps)
 	h.reply(rtt, func() { done(resp, nil) })
@@ -95,7 +90,7 @@ func TestClientRetriesAndRecoversWithinRound(t *testing.T) {
 	if c.State() != StateHealthy {
 		t.Fatalf("state = %v, want healthy", c.State())
 	}
-	if got := c.OtherService("a"); got != 15 {
+	if got := c.OtherService("a", iosched.NoApp); got != 15 {
 		t.Errorf("OtherService = %g, want 15", got)
 	}
 	h := c.Health()
@@ -200,7 +195,7 @@ func TestClientTimeoutThenStaleResponseDropped(t *testing.T) {
 	// The late 999-total response must never have been applied: the
 	// timed-out attempt was abandoned and the retry's fresh response
 	// won the race.
-	if got := c.OtherService("a"); got != 5 {
+	if got := c.OtherService("a", iosched.NoApp); got != 5 {
 		t.Errorf("OtherService = %g, want 5 (late response applied?)", got)
 	}
 	h := c.Health()
@@ -230,7 +225,7 @@ func TestClientSerializesRounds(t *testing.T) {
 		if calls != 1 {
 			t.Errorf("ExchangeNow during in-flight round issued a concurrent exchange (calls=%d)", calls)
 		}
-		if got := c.OtherService("a"); got != 100 {
+		if got := c.OtherService("a", iosched.NoApp); got != 100 {
 			t.Errorf("OtherService = %g at t=1.5, want 100", got)
 		}
 	})
@@ -240,7 +235,7 @@ func TestClientSerializesRounds(t *testing.T) {
 	if calls != 2 {
 		t.Errorf("calls = %d, want 2 (t=1 and t=2 rounds)", calls)
 	}
-	if got := c.OtherService("a"); got != 200 {
+	if got := c.OtherService("a", iosched.NoApp); got != 200 {
 		t.Errorf("OtherService = %g, want 200 after round 2", got)
 	}
 	if c.Rounds() != 2 {
@@ -257,7 +252,7 @@ func TestClientRestartWipesViewAndReRegisters(t *testing.T) {
 	c := NewClient(eng, "n0", rep, ClientOptions{Transport: NewDirectTransport(b), Period: 1})
 	eng.Schedule(10, func() {})
 	eng.RunUntil(1.5)
-	if got := c.OtherService("a"); got != 40 {
+	if got := c.OtherService("a", iosched.NoApp); got != 40 {
 		t.Fatalf("pre-restart OtherService = %g, want 40", got)
 	}
 
@@ -267,7 +262,7 @@ func TestClientRestartWipesViewAndReRegisters(t *testing.T) {
 	// cumulative and the broker kept n0's previous report, the full
 	// re-report applies as a no-op delta: totals are NOT double
 	// counted.
-	if got := c.OtherService("a"); got != 40 {
+	if got := c.OtherService("a", iosched.NoApp); got != 40 {
 		t.Errorf("post-restart OtherService = %g, want 40 (idempotent resync)", got)
 	}
 	if got := b.Total("a"); got != 50 {
@@ -339,8 +334,8 @@ func TestClientDetachUnregistersAndGoesSilent(t *testing.T) {
 
 func TestBrokerUnregisterWithdrawsServiceAndPrunes(t *testing.T) {
 	b := New()
-	b.Exchange("n0", map[iosched.AppID]float64{"a": 10, "b": 4})
-	b.Exchange("n1", map[iosched.AppID]float64{"a": 6})
+	b.Exchange("n0", costs(map[iosched.AppID]float64{"a": 10, "b": 4}))
+	b.Exchange("n1", costs(map[iosched.AppID]float64{"a": 6}))
 	b.Unregister("n0")
 	if got := b.Total("a"); got != 6 {
 		t.Errorf("total a = %g, want 6 after n0 withdrew", got)
@@ -360,13 +355,13 @@ func TestBrokerUnregisterWithdrawsServiceAndPrunes(t *testing.T) {
 
 func TestBrokerExchangeReturnsDefensiveCopy(t *testing.T) {
 	b := New()
-	resp := b.Exchange("n0", map[iosched.AppID]float64{"a": 10})
+	resp := b.Exchange("n0", costs(map[iosched.AppID]float64{"a": 10}))
 	resp.Apps[0] = "z" // mutate the response
 	resp.Tenants["~a"] = 1e12
 	if got := b.Total("a"); got != 10 {
 		t.Errorf("total mutated through response: %g, want 10", got)
 	}
-	resp2 := b.Exchange("n1", map[iosched.AppID]float64{"a": 5})
+	resp2 := b.Exchange("n1", costs(map[iosched.AppID]float64{"a": 5}))
 	if got := resp2.Tenants["~a"]; got != 15 {
 		t.Errorf("second response = %g, want 15", got)
 	}
@@ -374,7 +369,7 @@ func TestBrokerExchangeReturnsDefensiveCopy(t *testing.T) {
 
 func TestBrokerRetireBlocksResurrection(t *testing.T) {
 	b := New()
-	b.Exchange("n0", map[iosched.AppID]float64{"a": 10, "live": 1})
+	b.Exchange("n0", costs(map[iosched.AppID]float64{"a": 10, "live": 1}))
 	b.Retire("a")
 	// The live totals are pruned (the app no longer appears in Apps or
 	// in exchanges) but the final total stays observable as a tombstone.
@@ -388,7 +383,7 @@ func TestBrokerRetireBlocksResurrection(t *testing.T) {
 	}
 	// A straggler report with the app's full cumulative value must not
 	// resurrect it — local accounting never forgets an app.
-	resp := b.Exchange("n0", map[iosched.AppID]float64{"a": 12, "live": 2})
+	resp := b.Exchange("n0", costs(map[iosched.AppID]float64{"a": 12, "live": 2}))
 	if slices.Contains(resp.Apps, "a") {
 		t.Error("retired app present in exchange response")
 	}
@@ -401,7 +396,7 @@ func TestBrokerRetireBlocksResurrection(t *testing.T) {
 
 	// Revive: the next full cumulative report re-adds the service.
 	b.Revive("a")
-	b.Exchange("n0", map[iosched.AppID]float64{"a": 12, "live": 2})
+	b.Exchange("n0", costs(map[iosched.AppID]float64{"a": 12, "live": 2}))
 	if got := b.Total("a"); got != 12 {
 		t.Errorf("revived total = %g, want 12", got)
 	}
@@ -478,7 +473,7 @@ type delayedTransport struct {
 	unregistered []string
 }
 
-func (d *delayedTransport) Exchange(id string, vec map[iosched.AppID]float64, done func(Response, error)) {
+func (d *delayedTransport) Exchange(id string, vec []iosched.AppCost, done func(Response, error)) {
 	d.eng.ScheduleDaemon(d.rtt, func() { done(d.b.Exchange(id, vec), nil) })
 }
 

@@ -1,6 +1,6 @@
 // Delta-compressed state sync for the federated coordination plane.
 //
-// A DeltaEnc/DeltaDec pair keeps mirrored views of one key→int64 map
+// A DeltaEnc/DeltaDec pair keeps mirrored views of one key→int64 table
 // across a link (partition→root service quanta per app, root→partition
 // global quanta per tenant). Each Encode call takes the sender's
 // complete current state and emits only what changed since the last
@@ -31,7 +31,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 )
 
 // DefaultQuantum is the service quantization unit in cost units
@@ -57,50 +58,48 @@ const (
 )
 
 // DeltaEnc is the sending half of one link. The zero value is ready to
-// use (fresh dictionary, empty mirror, sequence 0).
+// use (fresh dictionary, empty mirror, sequence 0). Like the decoder,
+// it works on the sender's dense keys; names exist only on the wire.
 type DeltaEnc struct {
-	idx   map[string]int
-	names []string
-	prev  []int64
-	seq   uint64
+	pos  []int32 // key → dictionary position + 1 (0: not interned)
+	keys []int32 // dictionary position → key
+	prev []int64
+	seq  uint64
 }
 
 // Encode emits one message carrying the difference between cur — the
-// sender's complete current state — and the mirror, then advances the
-// mirror. A known key absent from cur encodes as a transition to zero.
-// When snapshot is set the encoder resets itself first, so the message
-// is self-contained: full dictionary, every nonzero value, and a flag
-// telling the decoder to reset before applying. entries is the number
-// of (key, value) changes carried.
-func (e *DeltaEnc) Encode(cur map[string]int64, snapshot bool) (msg []byte, entries int) {
+// sender's complete current state, indexed by its keys, 0 for a key it
+// does not hold — and the mirror, then advances the mirror. name(key)
+// is the key's name on the wire, sent once: when the key is first
+// nonzero. A known key whose value is now 0 encodes as a transition to
+// zero. When snapshot is set the encoder resets itself first, so the
+// message is self-contained: full dictionary, every nonzero value, and
+// a flag telling the decoder to reset before applying. entries is the
+// number of (key, value) changes carried.
+func (e *DeltaEnc) Encode(cur []int64, name func(key int32) string, snapshot bool) (msg []byte, entries int) {
 	if snapshot {
-		e.idx = nil
-		e.names = nil
-		e.prev = nil
-		e.seq = 0
+		*e = DeltaEnc{}
 	}
-	if e.idx == nil {
-		e.idx = make(map[string]int)
-	}
-	// Intern unseen keys in sorted order so dictionary growth — and the
-	// encoded bytes — are a pure function of the state, not map layout.
-	var fresh []string
+	// Intern unseen keys in name order so dictionary growth — and the
+	// encoded bytes — are a pure function of the named state, not of
+	// the sender's numbering.
+	var fresh []int32
 	for k, v := range cur {
-		if _, ok := e.idx[k]; !ok && v != 0 {
-			fresh = append(fresh, k)
+		if v != 0 && at(e.pos, k) == 0 {
+			fresh = append(fresh, int32(k))
 		}
 	}
-	sort.Strings(fresh)
+	slices.SortFunc(fresh, func(x, y int32) int { return strings.Compare(name(x), name(y)) })
 	for _, k := range fresh {
-		e.idx[k] = len(e.names)
-		e.names = append(e.names, k)
+		*slot(&e.pos, int(k)) = int32(len(e.keys)) + 1
+		e.keys = append(e.keys, k)
 		e.prev = append(e.prev, 0)
 	}
-	// Changed entries: every dict index whose current value (0 when the
-	// key is absent from cur) differs from the mirror.
+	// Changed entries: every dict index whose current value differs
+	// from the mirror.
 	changed := make([]int, 0, len(fresh))
-	for i, name := range e.names {
-		if cur[name] != e.prev[i] {
+	for i, k := range e.keys {
+		if at(cur, int(k)) != e.prev[i] {
 			changed = append(changed, i)
 		}
 	}
@@ -115,15 +114,17 @@ func (e *DeltaEnc) Encode(cur map[string]int64, snapshot bool) (msg []byte, entr
 	buf = append(buf, flags)
 	buf = binary.AppendUvarint(buf, uint64(len(fresh)))
 	for _, k := range fresh {
-		buf = binary.AppendUvarint(buf, uint64(len(k)))
-		buf = append(buf, k...)
+		n := name(k)
+		buf = binary.AppendUvarint(buf, uint64(len(n)))
+		buf = append(buf, n...)
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(changed)))
 	last := -1
 	for _, i := range changed {
+		v := at(cur, int(e.keys[i]))
 		buf = binary.AppendUvarint(buf, uint64(i-last))
-		buf = binary.AppendVarint(buf, cur[e.names[i]]-e.prev[i])
-		e.prev[i] = cur[e.names[i]]
+		buf = binary.AppendVarint(buf, v-e.prev[i])
+		e.prev[i] = v
 		last = i
 	}
 	return buf, len(changed)
@@ -133,20 +134,25 @@ func (e *DeltaEnc) Encode(cur map[string]int64, snapshot bool) (msg []byte, entr
 func (e *DeltaEnc) Seq() uint64 { return e.seq }
 
 // DeltaDec is the receiving half of one link. The zero value mirrors a
-// zero-value DeltaEnc.
+// zero-value DeltaEnc. Next to the link's name table it keeps a key
+// column: each name's index in the receiver's own numbering, resolved
+// once, when the name arrives, so the receiver's books are slices and
+// the wire still carries names.
 type DeltaDec struct {
 	names []string
+	keys  []int32
 	prev  []int64
 	seq   uint64
 }
 
-// Decode applies one message to the mirror, invoking apply(name, old,
+// Decode applies one message to the mirror, invoking apply(key, old,
 // new) for every value change — including the implicit zeroing of every
 // nonzero entry when a snapshot resets the mirror — so the caller can
-// fold deltas into derived aggregates incrementally. On any error
-// (sequence gap, truncation, corruption) the mirror is left unchanged
-// and no apply calls have been made.
-func (d *DeltaDec) Decode(msg []byte, apply func(name string, old, new int64)) (snapshot bool, entries int, err error) {
+// fold deltas into derived aggregates incrementally. resolve maps each
+// name new to the link to its key. On any error (sequence gap,
+// truncation, corruption) the mirror is left unchanged and neither
+// callback has been called.
+func (d *DeltaDec) Decode(msg []byte, resolve func(name string) int32, apply func(key int32, old, new int64)) (snapshot bool, entries int, err error) {
 	seq, n := binary.Uvarint(msg)
 	if n <= 0 {
 		return false, 0, errDeltaShort
@@ -216,38 +222,30 @@ func (d *DeltaDec) Decode(msg []byte, apply func(name string, old, new int64)) (
 	// grow the dictionary, fold the changes.
 	if snapshot {
 		for i, v := range d.prev {
-			if v != 0 && apply != nil {
-				apply(d.names[i], v, 0)
+			if v != 0 {
+				apply(d.keys[i], v, 0)
 			}
 		}
-		d.names = nil
-		d.prev = nil
+		d.names, d.keys, d.prev = nil, nil, nil
 	}
 	d.seq = seq
-	d.names = append(d.names, fresh...)
-	for range fresh {
+	for _, name := range fresh {
+		d.names = append(d.names, name)
+		d.keys = append(d.keys, resolve(name))
 		d.prev = append(d.prev, 0)
 	}
 	for _, c := range changes {
 		old := d.prev[c.idx]
 		d.prev[c.idx] += c.d
-		if apply != nil {
-			apply(d.names[c.idx], old, d.prev[c.idx])
-		}
+		apply(d.keys[c.idx], old, d.prev[c.idx])
 	}
 	return snapshot, len(changes), nil
 }
 
-// State returns a copy of the mirror's nonzero entries.
-func (d *DeltaDec) State() map[string]int64 {
-	out := make(map[string]int64)
-	for i, v := range d.prev {
-		if v != 0 {
-			out[d.names[i]] = v
-		}
-	}
-	return out
-}
+// Entries returns the mirror as parallel key and value columns, zero
+// values included. The slices are the decoder's own: read them before
+// the next Decode, and do not write them.
+func (d *DeltaDec) Entries() (keys []int32, vals []int64) { return d.keys, d.prev }
 
 // Seq returns the sequence number of the last applied message.
 func (d *DeltaDec) Seq() uint64 { return d.seq }

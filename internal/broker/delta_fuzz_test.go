@@ -21,12 +21,12 @@ func FuzzDeltaCodec(f *testing.F) {
 		// the decoder untouched.
 		var raw DeltaDec
 		applied := 0
-		if _, _, err := raw.Decode(data, func(string, int64, int64) { applied++ }); err != nil {
+		if _, _, err := decodeNames(&raw, data, func(string, int64, int64) { applied++ }); err != nil {
 			if applied != 0 {
 				t.Fatalf("failed decode applied %d entries", applied)
 			}
-			if len(raw.State()) != 0 || raw.Seq() != 0 {
-				t.Fatalf("failed decode mutated decoder: state=%v seq=%d", raw.State(), raw.Seq())
+			if len(stateOf(&raw)) != 0 || raw.Seq() != 0 {
+				t.Fatalf("failed decode mutated decoder: state=%v seq=%d", stateOf(&raw), raw.Seq())
 			}
 		}
 
@@ -60,8 +60,8 @@ func FuzzDeltaCodec(f *testing.F) {
 				enc = DeltaEnc{}
 				snap = true
 			}
-			msg, _ := enc.Encode(cur, snap)
-			gotSnap, _, err := dec.Decode(msg, func(name string, old, new int64) {
+			msg, _ := encodeNames(&enc, cur, snap)
+			gotSnap, _, err := decodeNames(&dec, msg, func(name string, old, new int64) {
 				merged[name] += new - old
 			})
 			if err != nil {
@@ -72,7 +72,7 @@ func FuzzDeltaCodec(f *testing.F) {
 			}
 			// Exact state round-trip: the decoder mirror must equal the
 			// nonzero subset of the encoded state.
-			st := dec.State()
+			st := stateOf(&dec)
 			for k, v := range cur {
 				if v != 0 && st[k] != v {
 					t.Fatalf("round %d: key %q decoded %d, want %d", r, k, st[k], v)

@@ -41,8 +41,10 @@ package broker
 
 import (
 	"fmt"
+	"slices"
 
 	"ibis/internal/iosched"
+	"ibis/internal/shares"
 )
 
 // FedStats counts federation-plane traffic: the partition↔root sync
@@ -90,15 +92,18 @@ type Partition struct {
 	down       func(now float64) bool // leader-outage oracle; nil = never
 
 	upEnc DeltaEnc
-	upCur map[string]int64 // scratch for BuildUplink
+	upCur []int64 // BuildUplink's quanta by AppIdx
 
-	downDec     DeltaDec
-	downTenantQ map[string]int64 // tenant → global quanta, last applied downlink
-	// upTenantQ is this partition's per-tenant quanta as of the uplink
-	// the last downlink acknowledged; pendingUpTenantQ is the same for
-	// the uplink still in flight (promoted when its downlink arrives).
-	upTenantQ        map[string]int64
-	pendingUpTenantQ map[string]int64
+	downDec DeltaDec
+	// The per-tenant books are indexed by shares.TenantIdx.
+	// downTenantQ is each tenant's global quanta as of the last applied
+	// downlink. upTenantQ is this partition's per-tenant quanta as of
+	// the uplink the last downlink acknowledged; pendingUpTenantQ is the
+	// same for the uplink still in flight (promoted when its downlink
+	// arrives).
+	downTenantQ      []int64
+	upTenantQ        []int64
+	pendingUpTenantQ []int64
 
 	wasDown      bool
 	needSnapshot bool
@@ -106,13 +111,13 @@ type Partition struct {
 	lastDownAt   float64
 }
 
-// NewPartition creates partition p's broker. shares attributes apps to
-// tenants (nil: implicit singletons); staleAfter bounds tolerated
-// downlink staleness in seconds (the cluster wires K × aggregation
-// period).
-func NewPartition(id int, shares ShareView, staleAfter float64) *Partition {
+// NewPartition creates partition p's broker. tree attributes apps to
+// tenants (nil: a fresh tree, so every app is its implicit singleton
+// tenant); staleAfter bounds tolerated downlink staleness in seconds
+// (the cluster wires K × aggregation period).
+func NewPartition(id int, tree *shares.Tree, staleAfter float64) *Partition {
 	b := New()
-	b.view = viewOf(shares)
+	b.view = viewOf(tree)
 	return &Partition{
 		id:         id,
 		b:          b,
@@ -122,9 +127,6 @@ func NewPartition(id int, shares ShareView, staleAfter float64) *Partition {
 		// must overwrite whatever mirror the root still holds for this
 		// partition id.
 		needSnapshot: true,
-		upCur:        make(map[string]int64),
-		downTenantQ:  make(map[string]int64),
-		upTenantQ:    make(map[string]int64),
 	}
 }
 
@@ -153,7 +155,7 @@ func (p *Partition) Stale(now float64) bool {
 // the leader is down or its root view too stale — the client-side
 // retry/degrade machinery handles both exactly like a centralized
 // outage.
-func (p *Partition) Exchange(scheduler string, vector map[iosched.AppID]float64, now float64) (Response, error) {
+func (p *Partition) Exchange(scheduler string, vector []iosched.AppCost, now float64) (Response, error) {
 	if p.Down(now) {
 		p.wasDown = true
 		return Response{}, ErrUnavailable
@@ -162,11 +164,7 @@ func (p *Partition) Exchange(scheduler string, vector map[iosched.AppID]float64,
 	if p.Stale(now) {
 		return Response{}, ErrUnavailable
 	}
-	resp := p.b.Exchange(scheduler, vector)
-	for t := range resp.Tenants {
-		resp.Tenants[t] += p.remoteTenant(t)
-	}
-	return resp, nil
+	return p.b.exchange(scheduler, vector, p.remoteTenant), nil
 }
 
 // Register is the registration handshake, gated like Exchange.
@@ -187,8 +185,8 @@ func (p *Partition) Unregister(scheduler string) { p.b.Unregister(scheduler) }
 // remoteTenant is the service tenant t received outside this partition,
 // per the last sync round trip: global minus own contribution, clamped
 // — local service may have outrun the sync by a sub-period amount.
-func (p *Partition) remoteTenant(t string) float64 {
-	r := p.downTenantQ[t] - p.upTenantQ[t]
+func (p *Partition) remoteTenant(t shares.TenantIdx) float64 {
+	r := at(p.downTenantQ, int(t)) - at(p.upTenantQ, int(t))
 	if r <= 0 {
 		return 0
 	}
@@ -216,21 +214,21 @@ func (p *Partition) BuildUplink(now float64) (msg []byte, entries int, ok bool) 
 		return nil, 0, false
 	}
 	p.recoverIfNeeded(now)
-	for k := range p.upCur {
-		delete(p.upCur, k)
-	}
-	for app, total := range p.b.totals {
-		p.upCur[string(app)] = int64(total / p.quantum)
-	}
-	snapshot := p.needSnapshot
-	msg, entries = p.upEnc.Encode(p.upCur, snapshot)
-	p.needSnapshot = false
+	view := p.b.view
+	cur := zeroed(p.upCur, len(p.b.apps))
 	// Remember this uplink's per-tenant contribution; it becomes the
 	// subtraction base when the matching downlink arrives.
-	pend := make(map[string]int64, len(p.upTenantQ))
-	for app, q := range p.upCur {
-		pend[p.b.view.TenantOf(iosched.AppID(app))] += q
+	pend := make([]int64, view.NumTenants())
+	for ai, ab := range p.b.apps {
+		if ab.live {
+			cur[ai] = int64(ab.total / p.quantum)
+			pend[view.TenantAt(iosched.AppIdx(ai))] += cur[ai]
+		}
 	}
+	p.upCur = cur
+	snapshot := p.needSnapshot
+	msg, entries = p.upEnc.Encode(cur, p.appName, snapshot)
+	p.needSnapshot = false
 	p.pendingUpTenantQ = pend
 	return msg, entries, true
 }
@@ -248,8 +246,8 @@ func (p *Partition) crashRecover(now float64) {
 	p.b.ResetReports()
 	p.upEnc = DeltaEnc{}
 	p.downDec = DeltaDec{}
-	p.downTenantQ = make(map[string]int64)
-	p.upTenantQ = make(map[string]int64)
+	clear(p.downTenantQ)
+	clear(p.upTenantQ)
 	p.pendingUpTenantQ = nil
 	p.synced = false
 	p.lastDownAt = now
@@ -257,12 +255,8 @@ func (p *Partition) crashRecover(now float64) {
 
 // ApplyDownlink folds one root reply into the partition's remote view.
 func (p *Partition) ApplyDownlink(msg []byte, now float64) error {
-	_, _, err := p.downDec.Decode(msg, func(tenant string, _, new int64) {
-		if new == 0 {
-			delete(p.downTenantQ, tenant)
-			return
-		}
-		p.downTenantQ[tenant] = new
+	_, _, err := p.downDec.Decode(msg, p.resolveTenant, func(t int32, _, new int64) {
+		*slot(&p.downTenantQ, int(t)) = new
 	})
 	if err != nil {
 		// A gap here means the root answered from state we never sent
@@ -271,53 +265,56 @@ func (p *Partition) ApplyDownlink(msg []byte, now float64) error {
 		return err
 	}
 	if p.pendingUpTenantQ != nil {
-		p.upTenantQ = p.pendingUpTenantQ
-		p.pendingUpTenantQ = nil
+		p.upTenantQ, p.pendingUpTenantQ = p.pendingUpTenantQ, nil
 	}
 	p.synced = true
 	p.lastDownAt = now
 	return nil
 }
 
+func (p *Partition) resolveTenant(name string) int32 { return int32(p.b.view.TenantIndex(name)) }
+
+func (p *Partition) appName(ai int32) string { return string(p.b.view.AppName(iosched.AppIdx(ai))) }
+
 // Aggregator is the root of the federation: per-partition mirrors of
 // uplinked app quanta, global per-app and per-tenant totals maintained
 // incrementally in exact int64 arithmetic, and one downlink encoder
-// per partition.
+// per partition. Its books are slices indexed by the tree's AppIdx and
+// TenantIdx; names appear only on the wire and in error messages.
 type Aggregator struct {
-	view    ShareView
-	epoch   uint64 // the view epoch globalTenant is grouped at
+	view    *shares.Tree
+	epoch   uint64 // the view epoch the tenant books are grouped at
 	quantum float64
 
-	parts map[int]*aggPart
+	parts []*aggPart // by partition id
 
-	globalApp    map[string]int64
-	globalTenant map[string]int64
+	globalApp    []int64 // by AppIdx
+	globalTenant []int64 // by TenantIdx
+
+	// downCur is HandleUplink's downlink state; sumApp and sumTenant are
+	// CheckConservation's regroupings. All are reused.
+	downCur, sumApp, sumTenant []int64
 
 	probe func()
 	stats FedStats
 }
 
 type aggPart struct {
-	dec DeltaDec
+	dec DeltaDec // keys are AppIdx
 	enc DeltaEnc
 	// tenantQ regroups the partition's mirror by tenant — the hosted
-	// set its downlink is scoped to. A tenant whose apps never crossed
-	// one quantum in this partition is not hosted: its sub-quantum local
-	// service needs no cross-partition compensation.
-	tenantQ map[string]int64
+	// set its downlink is scoped to is its nonzero entries. A tenant
+	// whose apps never crossed one quantum in this partition is not
+	// hosted: its sub-quantum local service needs no cross-partition
+	// compensation.
+	tenantQ []int64
 }
 
-// NewAggregator creates the root. shares must attribute apps to
-// tenants identically to every partition's view (the cluster passes
-// the same tree to both; nil: implicit singletons).
-func NewAggregator(shares ShareView) *Aggregator {
-	return &Aggregator{
-		view:         viewOf(shares),
-		quantum:      DefaultQuantum,
-		parts:        make(map[int]*aggPart),
-		globalApp:    make(map[string]int64),
-		globalTenant: make(map[string]int64),
-	}
+// NewAggregator creates the root. tree must attribute apps to tenants
+// identically to every partition's view (the cluster passes the same
+// tree to both; nil: a fresh tree of implicit singletons).
+func NewAggregator(tree *shares.Tree) *Aggregator {
+	return &Aggregator{view: viewOf(tree), quantum: DefaultQuantum}
 }
 
 // SetProbe installs a callback fired after every applied uplink (the
@@ -325,33 +322,72 @@ func NewAggregator(shares ShareView) *Aggregator {
 func (a *Aggregator) SetProbe(fn func()) { a.probe = fn }
 
 func (a *Aggregator) part(p int) *aggPart {
-	ap := a.parts[p]
-	if ap == nil {
-		ap = &aggPart{tenantQ: make(map[string]int64)}
-		a.parts[p] = ap
+	for len(a.parts) <= p {
+		a.parts = append(a.parts, &aggPart{})
 	}
-	return ap
+	return a.parts[p]
 }
 
-func (a *Aggregator) tenant(app string) string { return a.view.TenantOf(iosched.AppID(app)) }
+func (a *Aggregator) resolveApp(name string) int32 {
+	return int32(a.view.Index(iosched.AppID(name), iosched.NoApp))
+}
+
+func (a *Aggregator) tenantName(t int32) string { return a.view.TenantName(shares.TenantIdx(t)) }
+
+// The books indexed by AppIdx or TenantIdx grow on demand: an index
+// past a book's end holds the zero value.
+
+// slot returns &(*s)[i], growing *s with zero values to reach i.
+func slot[T any](s *[]T, i int) *T {
+	if i >= len(*s) {
+		*s = append(*s, make([]T, i+1-len(*s))...)
+	}
+	return &(*s)[i]
+}
+
+// at reads s[i], which is 0 past the end.
+func at[T int32 | int64 | float64](s []T, i int) T {
+	if i < len(s) {
+		return s[i]
+	}
+	return 0
+}
+
+// zeroed returns s resized to n entries, all zero.
+func zeroed[T any](s []T, n int) []T {
+	s = slices.Grow(s[:0], n)[:n]
+	clear(s)
+	return s
+}
+
+// regroup adds each mirror entry's value into into[tenant of its app].
+func (a *Aggregator) regroup(into []int64, mirror *DeltaDec) {
+	keys, vals := mirror.Entries()
+	for i, k := range keys {
+		if v := vals[i]; v != 0 {
+			into[a.view.TenantAt(iosched.AppIdx(k))] += v
+		}
+	}
+}
 
 // refreshEpoch rebuilds the tenant totals from the app totals when the
 // share tree moved (rare: epochs move on reweights and bindings, not
-// on traffic).
+// on traffic): a rebind moves an app to another tenant.
 func (a *Aggregator) refreshEpoch() {
 	if a.view.Epoch() == a.epoch {
 		return
 	}
 	a.epoch = a.view.Epoch()
-	a.globalTenant = make(map[string]int64)
-	for app, q := range a.globalApp {
-		a.globalTenant[a.tenant(app)] += q
+	n := a.view.NumTenants()
+	a.globalTenant = zeroed(a.globalTenant, n)
+	for ai, q := range a.globalApp {
+		if q != 0 {
+			a.globalTenant[a.view.TenantAt(iosched.AppIdx(ai))] += q
+		}
 	}
 	for _, ap := range a.parts {
-		ap.tenantQ = make(map[string]int64)
-		for app, q := range ap.dec.State() {
-			ap.tenantQ[a.tenant(app)] += q
-		}
+		ap.tenantQ = zeroed(ap.tenantQ, n)
+		a.regroup(ap.tenantQ, &ap.dec)
 	}
 }
 
@@ -365,14 +401,12 @@ func (a *Aggregator) refreshEpoch() {
 func (a *Aggregator) HandleUplink(p int, msg []byte) (down []byte, err error) {
 	a.refreshEpoch()
 	ap := a.part(p)
-	snapshot, entries, err := ap.dec.Decode(msg, func(app string, old, new int64) {
-		a.bump(app, new-old)
-		t := a.tenant(app)
-		if v := ap.tenantQ[t] + new - old; v == 0 {
-			delete(ap.tenantQ, t)
-		} else {
-			ap.tenantQ[t] = v
-		}
+	snapshot, entries, err := ap.dec.Decode(msg, a.resolveApp, func(app int32, old, new int64) {
+		d := new - old
+		t := int(a.view.TenantAt(iosched.AppIdx(app)))
+		*slot(&a.globalApp, int(app)) += d
+		*slot(&a.globalTenant, t) += d
+		*slot(&ap.tenantQ, t) += d
 	})
 	if err != nil {
 		a.stats.SeqGaps++
@@ -385,11 +419,14 @@ func (a *Aggregator) HandleUplink(p int, msg []byte) (down []byte, err error) {
 	}
 	a.stats.UpEntries += uint64(entries)
 	a.stats.UpBytes += uint64(len(msg))
-	downCur := make(map[string]int64, len(ap.tenantQ))
-	for t := range ap.tenantQ {
-		downCur[t] = a.globalTenant[t]
+	cur := zeroed(a.downCur, len(ap.tenantQ))
+	for t, q := range ap.tenantQ {
+		if q != 0 {
+			cur[t] = a.globalTenant[t]
+		}
 	}
-	down, n := ap.enc.Encode(downCur, snapshot)
+	a.downCur = cur
+	down, n := ap.enc.Encode(cur, a.tenantName, snapshot)
 	a.stats.DownEntries += uint64(n)
 	a.stats.DownBytes += uint64(len(down))
 	if a.probe != nil {
@@ -398,82 +435,75 @@ func (a *Aggregator) HandleUplink(p int, msg []byte) (down []byte, err error) {
 	return down, nil
 }
 
-func (a *Aggregator) bump(app string, delta int64) {
-	if delta == 0 {
-		return
+// TotalQuanta returns the global cumulative quanta of one app.
+func (a *Aggregator) TotalQuanta(app iosched.AppID) int64 {
+	if ai, ok := a.view.Lookup(app); ok {
+		return at(a.globalApp, int(ai))
 	}
-	if v := a.globalApp[app] + delta; v == 0 {
-		delete(a.globalApp, app)
-	} else {
-		a.globalApp[app] = v
-	}
-	t := a.tenant(app)
-	if v := a.globalTenant[t] + delta; v == 0 {
-		delete(a.globalTenant, t)
-	} else {
-		a.globalTenant[t] = v
-	}
+	return 0
 }
 
-// TotalQuanta returns the global cumulative quanta of one app.
-func (a *Aggregator) TotalQuanta(app iosched.AppID) int64 { return a.globalApp[string(app)] }
-
 // TenantQuanta returns the global cumulative quanta of one tenant.
-func (a *Aggregator) TenantQuanta(tenant string) int64 { return a.globalTenant[tenant] }
+func (a *Aggregator) TenantQuanta(tenant string) int64 {
+	return at(a.globalTenant, int(a.view.TenantIndex(tenant)))
+}
 
 // Stats returns the accumulated federation traffic counters.
 func (a *Aggregator) Stats() FedStats { return a.stats }
 
-// CheckConservation verifies the root's books in exact arithmetic: the
-// per-app sum of the partition mirrors must equal the global app
-// totals, and the per-tenant regrouping of the app totals must equal
-// the global tenant totals. It returns the first discrepancy found.
+// CheckConservation verifies the root's books in exact arithmetic,
+// after every applied uplink when audited. Three equalities must hold
+// at every app and tenant index, so each is checked in both
+// directions — a value on either side where the other holds none is a
+// breach:
+//   - the partition mirrors sum to the global app totals;
+//   - the app totals regrouped by tenant equal the global tenant
+//     totals;
+//   - each partition's mirror regrouped by tenant equals the tenant
+//     totals it hosts.
+//
+// The regroupings reuse the aggregator's working slices, so a check
+// allocates nothing unless it fails. It returns the first discrepancy
+// found.
 func (a *Aggregator) CheckConservation() error {
-	sums := make(map[string]int64, len(a.globalApp))
+	sum := zeroed(a.sumApp, a.view.NumApps())
+	a.sumApp = sum
 	for _, ap := range a.parts {
-		for app, q := range ap.dec.State() {
-			sums[app] += q
+		keys, vals := ap.dec.Entries()
+		for i, k := range keys {
+			sum[k] += vals[i]
 		}
 	}
-	for app, q := range a.globalApp {
-		if sums[app] != q {
-			return fmt.Errorf("broker: federation conservation: app %s mirrors sum %d != global %d", app, sums[app], q)
+	for ai := range max(len(sum), len(a.globalApp)) {
+		if s, g := at(sum, ai), at(a.globalApp, ai); s != g {
+			return fmt.Errorf("broker: federation conservation: app %s mirrors sum %d != global %d", a.view.AppName(iosched.AppIdx(ai)), s, g)
 		}
 	}
-	for app, q := range sums {
-		if a.globalApp[app] != q {
-			return fmt.Errorf("broker: federation conservation: app %s mirrors sum %d != global %d", app, q, a.globalApp[app])
-		}
+	tenants := zeroed(a.sumTenant, a.view.NumTenants())
+	a.sumTenant = tenants
+	for ai, q := range a.globalApp {
+		tenants[a.view.TenantAt(iosched.AppIdx(ai))] += q
 	}
-	tenants := make(map[string]int64, len(a.globalTenant))
-	for app, q := range a.globalApp {
-		tenants[a.tenant(app)] += q
-	}
-	for t, q := range a.globalTenant {
-		if tenants[t] != q {
-			return fmt.Errorf("broker: federation conservation: tenant %s regrouped %d != global %d", t, tenants[t], q)
-		}
-	}
-	for t, q := range tenants {
-		if a.globalTenant[t] != q {
-			return fmt.Errorf("broker: federation conservation: tenant %s regrouped %d != global %d", t, q, a.globalTenant[t])
-		}
+	if t, got, want := firstDiff(tenants, a.globalTenant); t >= 0 {
+		return fmt.Errorf("broker: federation conservation: tenant %s regrouped %d != global %d", a.view.TenantName(shares.TenantIdx(t)), got, want)
 	}
 	for p, ap := range a.parts {
-		regroup := make(map[string]int64, len(ap.tenantQ))
-		for app, q := range ap.dec.State() {
-			regroup[a.tenant(app)] += q
-		}
-		for t, q := range regroup {
-			if ap.tenantQ[t] != q {
-				return fmt.Errorf("broker: federation conservation: partition %d tenant %s hosted %d != regrouped %d", p, t, ap.tenantQ[t], q)
-			}
-		}
-		for t, q := range ap.tenantQ {
-			if regroup[t] != q {
-				return fmt.Errorf("broker: federation conservation: partition %d tenant %s hosted %d != regrouped %d", p, t, q, regroup[t])
-			}
+		clear(tenants)
+		a.regroup(tenants, &ap.dec)
+		if t, regrouped, hosted := firstDiff(tenants, ap.tenantQ); t >= 0 {
+			return fmt.Errorf("broker: federation conservation: partition %d tenant %s hosted %d != regrouped %d", p, a.view.TenantName(shares.TenantIdx(t)), hosted, regrouped)
 		}
 	}
 	return nil
+}
+
+// firstDiff returns the first index at which x and y differ, reading
+// past either end as 0, and the two values there; -1 if none.
+func firstDiff(x, y []int64) (i int, xv, yv int64) {
+	for i := range max(len(x), len(y)) {
+		if xv, yv = at(x, i), at(y, i); xv != yv {
+			return i, xv, yv
+		}
+	}
+	return -1, 0, 0
 }

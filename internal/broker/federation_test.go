@@ -33,10 +33,10 @@ func TestFederationMergesRemoteTenantService(t *testing.T) {
 	p1 := NewPartition(1, nil, 0)
 
 	q := DefaultQuantum
-	if _, err := p0.Exchange("n0", map[iosched.AppID]float64{"A": 10 * q}, 0.1); err != nil {
+	if _, err := p0.Exchange("n0", costs(map[iosched.AppID]float64{"A": 10 * q}), 0.1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p1.Exchange("n1", map[iosched.AppID]float64{"A": 30 * q}, 0.1); err != nil {
+	if _, err := p1.Exchange("n1", costs(map[iosched.AppID]float64{"A": 30 * q}), 0.1); err != nil {
 		t.Fatal(err)
 	}
 	sync(t, ag, p0, 1)
@@ -49,7 +49,7 @@ func TestFederationMergesRemoteTenantService(t *testing.T) {
 	if got := ag.TotalQuanta("A"); got != 40 {
 		t.Fatalf("root quanta = %d, want 40", got)
 	}
-	resp, err := p0.Exchange("n0", map[iosched.AppID]float64{"A": 10 * q}, 2.1)
+	resp, err := p0.Exchange("n0", costs(map[iosched.AppID]float64{"A": 10 * q}), 2.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestFederationLeaderOutageRecovery(t *testing.T) {
 	p.SetDownOracle(func(float64) bool { return down })
 
 	q := DefaultQuantum
-	if _, err := p.Exchange("n0", map[iosched.AppID]float64{"A": 5 * q}, 0.5); err != nil {
+	if _, err := p.Exchange("n0", costs(map[iosched.AppID]float64{"A": 5 * q}), 0.5); err != nil {
 		t.Fatal(err)
 	}
 	sync(t, ag, p, 1)
@@ -87,7 +87,7 @@ func TestFederationLeaderOutageRecovery(t *testing.T) {
 	}
 
 	down = true
-	if _, err := p.Exchange("n0", map[iosched.AppID]float64{"A": 6 * q}, 1.5); !errors.Is(err, ErrUnavailable) {
+	if _, err := p.Exchange("n0", costs(map[iosched.AppID]float64{"A": 6 * q}), 1.5); !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("exchange during outage: %v, want ErrUnavailable", err)
 	}
 	if _, _, ok := p.BuildUplink(2); ok {
@@ -97,7 +97,7 @@ func TestFederationLeaderOutageRecovery(t *testing.T) {
 	down = false
 	// The recovered leader restarts with empty report memory; the
 	// scheduler's cumulative vector rebuilds the total in one exchange.
-	if _, err := p.Exchange("n0", map[iosched.AppID]float64{"A": 8 * q}, 2.5); err != nil {
+	if _, err := p.Exchange("n0", costs(map[iosched.AppID]float64{"A": 8 * q}), 2.5); err != nil {
 		t.Fatal(err)
 	}
 	msg, _, ok := p.BuildUplink(3)
@@ -128,26 +128,26 @@ func TestFederationLeaderOutageRecovery(t *testing.T) {
 func TestFederationStalenessFailsExchanges(t *testing.T) {
 	ag := NewAggregator(nil)
 	p := NewPartition(0, nil, 2.0) // staleAfter = 2 s
-	if _, err := p.Exchange("n0", map[iosched.AppID]float64{"A": 1 * DefaultQuantum}, 0.5); err != nil {
+	if _, err := p.Exchange("n0", costs(map[iosched.AppID]float64{"A": 1 * DefaultQuantum}), 0.5); err != nil {
 		t.Fatal(err)
 	}
 	// Never synced: exchanges keep working on purely local totals (the
 	// bound starts at the first applied downlink).
-	if _, err := p.Exchange("n0", map[iosched.AppID]float64{"A": 2 * DefaultQuantum}, 5); err != nil {
+	if _, err := p.Exchange("n0", costs(map[iosched.AppID]float64{"A": 2 * DefaultQuantum}), 5); err != nil {
 		t.Fatalf("unsynced partition must stay local, got %v", err)
 	}
 	sync(t, ag, p, 6)
-	if _, err := p.Exchange("n0", map[iosched.AppID]float64{"A": 3 * DefaultQuantum}, 7); err != nil {
+	if _, err := p.Exchange("n0", costs(map[iosched.AppID]float64{"A": 3 * DefaultQuantum}), 7); err != nil {
 		t.Fatalf("fresh view: %v", err)
 	}
-	if _, err := p.Exchange("n0", map[iosched.AppID]float64{"A": 4 * DefaultQuantum}, 8.5); !errors.Is(err, ErrUnavailable) {
+	if _, err := p.Exchange("n0", costs(map[iosched.AppID]float64{"A": 4 * DefaultQuantum}), 8.5); !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("stale view exchange: %v, want ErrUnavailable", err)
 	}
 	if !p.Stale(8.5) {
 		t.Fatal("Stale(8.5) = false with 2.5s-old view and 2s bound")
 	}
 	sync(t, ag, p, 9)
-	if _, err := p.Exchange("n0", map[iosched.AppID]float64{"A": 5 * DefaultQuantum}, 9.5); err != nil {
+	if _, err := p.Exchange("n0", costs(map[iosched.AppID]float64{"A": 5 * DefaultQuantum}), 9.5); err != nil {
 		t.Fatalf("resynced view: %v", err)
 	}
 }
@@ -160,10 +160,10 @@ func TestFederationDownlinkScopedToHostedTenants(t *testing.T) {
 	p0 := NewPartition(0, nil, 0)
 	p1 := NewPartition(1, nil, 0)
 	q := DefaultQuantum
-	if _, err := p0.Exchange("n0", map[iosched.AppID]float64{"A": 10 * q}, 0.1); err != nil {
+	if _, err := p0.Exchange("n0", costs(map[iosched.AppID]float64{"A": 10 * q}), 0.1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p1.Exchange("n1", map[iosched.AppID]float64{"B": 20 * q}, 0.1); err != nil {
+	if _, err := p1.Exchange("n1", costs(map[iosched.AppID]float64{"B": 20 * q}), 0.1); err != nil {
 		t.Fatal(err)
 	}
 	sync(t, ag, p0, 1)
@@ -175,7 +175,7 @@ func TestFederationDownlinkScopedToHostedTenants(t *testing.T) {
 	if got := ag.TenantQuanta("~B"); got != 20 {
 		t.Fatalf("root has ~B = %d, want 20", got)
 	}
-	resp, err := p0.Exchange("n0", map[iosched.AppID]float64{"A": 10 * q}, 2.1)
+	resp, err := p0.Exchange("n0", costs(map[iosched.AppID]float64{"A": 10 * q}), 2.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestFederationRetirePropagatesAsExplicitZero(t *testing.T) {
 	ag := NewAggregator(nil)
 	p := NewPartition(0, nil, 0)
 	q := DefaultQuantum
-	if _, err := p.Exchange("n0", map[iosched.AppID]float64{"A": 10 * q, "B": 4 * q}, 0.1); err != nil {
+	if _, err := p.Exchange("n0", costs(map[iosched.AppID]float64{"A": 10 * q, "B": 4 * q}), 0.1); err != nil {
 		t.Fatal(err)
 	}
 	sync(t, ag, p, 1)

@@ -16,8 +16,8 @@ import (
 // true delta accrued since retirement.
 func TestReviveRestoresExactContinuity(t *testing.T) {
 	b := New()
-	b.Exchange("n1", map[iosched.AppID]float64{"A": 100})
-	b.Exchange("n2", map[iosched.AppID]float64{"A": 50})
+	b.Exchange("n1", costs(map[iosched.AppID]float64{"A": 100}))
+	b.Exchange("n2", costs(map[iosched.AppID]float64{"A": 50}))
 	b.Retire("A")
 	if got := b.Total("A"); got != 150 {
 		t.Fatalf("tombstone total = %v, want 150", got)
@@ -29,7 +29,7 @@ func TestReviveRestoresExactContinuity(t *testing.T) {
 	if got := b.Total("A"); got != 150 {
 		t.Fatalf("revived total = %v, want 150 (exact continuity)", got)
 	}
-	resp := b.Exchange("n1", map[iosched.AppID]float64{"A": 120})
+	resp := b.Exchange("n1", costs(map[iosched.AppID]float64{"A": 120}))
 	if got := resp.Tenants["~A"]; got != 170 {
 		t.Fatalf("post-revive exchange total = %v, want 170 (150 + delta 20)", got)
 	}
@@ -41,8 +41,8 @@ func TestReviveRestoresExactContinuity(t *testing.T) {
 // finals fallback.
 func TestReviveThenUnregisterNeverSurfacesTombstone(t *testing.T) {
 	b := New()
-	b.Exchange("n1", map[iosched.AppID]float64{"A": 100})
-	b.Exchange("n2", map[iosched.AppID]float64{"A": 50})
+	b.Exchange("n1", costs(map[iosched.AppID]float64{"A": 100}))
+	b.Exchange("n2", costs(map[iosched.AppID]float64{"A": 50}))
 	b.Retire("A")
 	b.Revive("A")
 	b.Unregister("n1")
@@ -57,15 +57,15 @@ func TestReviveThenUnregisterNeverSurfacesTombstone(t *testing.T) {
 // Revive — its service left the cluster with it.
 func TestReviveDropsEntriesOfDepartedSchedulers(t *testing.T) {
 	b := New()
-	b.Exchange("n1", map[iosched.AppID]float64{"A": 100})
-	b.Exchange("n2", map[iosched.AppID]float64{"A": 50})
+	b.Exchange("n1", costs(map[iosched.AppID]float64{"A": 100}))
+	b.Exchange("n2", costs(map[iosched.AppID]float64{"A": 50}))
 	b.Retire("A")
 	b.Unregister("n2")
 	b.Revive("A")
 	if got := b.Total("A"); got != 100 {
 		t.Fatalf("revived total = %v, want 100 (n2's 50 departed)", got)
 	}
-	resp := b.Exchange("n1", map[iosched.AppID]float64{"A": 110})
+	resp := b.Exchange("n1", costs(map[iosched.AppID]float64{"A": 110}))
 	if got := resp.Tenants["~A"]; got != 110 {
 		t.Fatalf("post-revive total = %v, want 110", got)
 	}
@@ -75,9 +75,9 @@ func TestReviveDropsEntriesOfDepartedSchedulers(t *testing.T) {
 // Revive of a live app is a no-op.
 func TestRetireReviveIdempotence(t *testing.T) {
 	b := New()
-	b.Exchange("n1", map[iosched.AppID]float64{"A": 100})
+	b.Exchange("n1", costs(map[iosched.AppID]float64{"A": 100}))
 	b.Retire("A")
-	b.Exchange("n1", map[iosched.AppID]float64{"A": 999}) // skipped while retired
+	b.Exchange("n1", costs(map[iosched.AppID]float64{"A": 999})) // skipped while retired
 	b.Retire("A")
 	if got := b.Total("A"); got != 100 {
 		t.Fatalf("double-retire tombstone = %v, want 100", got)
@@ -89,12 +89,23 @@ func TestRetireReviveIdempotence(t *testing.T) {
 	}
 }
 
+// reportedTotals sums the latest per-scheduler reports per app.
+func reportedTotals(b *Broker) map[iosched.AppID]float64 {
+	sums := map[iosched.AppID]float64{}
+	for _, vec := range b.reports {
+		for ai, cum := range vec {
+			sums[b.view.AppName(ai)] += cum
+		}
+	}
+	return sums
+}
+
 // conservationCheck asserts the broker's core invariant: for every
 // non-retired app the incrementally maintained total equals the sum of
 // the latest per-scheduler reports.
 func conservationCheck(t *testing.T, b *Broker, step string) {
 	t.Helper()
-	sums := b.ReportedTotals()
+	sums := reportedTotals(b)
 	for _, app := range b.Apps() {
 		if b.Retired(app) {
 			continue
@@ -114,7 +125,7 @@ func conservationCheck(t *testing.T, b *Broker, step string) {
 // must equal it, not merely approximate it.
 func exactRollup(b *Broker, tree *shares.Tree) map[string]float64 {
 	out := map[string]float64{}
-	for app, v := range b.ReportedTotals() {
+	for app, v := range reportedTotals(b) {
 		out[tree.TenantOf(app)] += v
 	}
 	return out
@@ -188,7 +199,7 @@ func TestRetireReviveUnregisterInterleavings(t *testing.T) {
 					for a, v := range cum[s] {
 						vec[a] = v
 					}
-					resp := b.Exchange(s, vec)
+					resp := b.Exchange(s, costs(vec))
 					live[s] = true
 					want := exactRollup(b, tree)
 					for tn := range want {

@@ -411,7 +411,7 @@ func (c *Cluster) buildScheduler(eng *sim.Engine, dev *storage.Device, persisten
 	case SFQD:
 		return iosched.NewSFQD(eng, dev, c.cfg.SFQDepth), nil
 	case SFQD2:
-		return iosched.NewSFQD2(eng, dev, ctrl), nil
+		return iosched.NewSFQD2(eng, dev, ctrl)
 	case CGWeight:
 		if persistent {
 			return iosched.NewFIFO(eng, dev), nil

@@ -236,7 +236,7 @@ func (t *asyncTransport) roundTrip(id string, apply func(now float64) error, rep
 }
 
 // Exchange implements broker.Transport.
-func (t *asyncTransport) Exchange(id string, vec map[iosched.AppID]float64, done func(broker.Response, error)) {
+func (t *asyncTransport) Exchange(id string, vec []iosched.AppCost, done func(broker.Response, error)) {
 	var resp broker.Response
 	t.roundTrip(id, func(now float64) (err error) {
 		resp, err = t.to.Exchange(id, vec, now)

@@ -3,6 +3,8 @@ package experiments
 import (
 	"crypto/sha256"
 	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"ibis/internal/cluster"
@@ -370,6 +372,30 @@ func TestHarnessRejectsUnfinishedJobs(t *testing.T) {
 		[]Entry{teraGen(testScale, 1)})
 	if err == nil {
 		t.Fatal("truncated run reported success")
+	}
+}
+
+// TestHarnessRejectsNonFiniteOptions: a NaN or infinite float option
+// is an error at the public boundary, never a silently clamped run.
+func TestHarnessRejectsNonFiniteOptions(t *testing.T) {
+	fields := []struct {
+		name string
+		set  func(*Options, float64)
+	}{
+		{"Gain", func(o *Options, v float64) { o.Gain = v }},
+		{"LrefScale", func(o *Options, v float64) { o.LrefScale = v }},
+		{"Scale", func(o *Options, v float64) { o.Scale = v }},
+		{"RunLimit", func(o *Options, v float64) { o.RunLimit = v }},
+	}
+	for _, f := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			opts := Options{Scale: testScale, Policy: cluster.SFQD2}
+			f.set(&opts, v)
+			_, err := Run(opts, []Entry{teraGen(testScale, 1)})
+			if err == nil || !strings.Contains(err.Error(), f.name) {
+				t.Errorf("%s = %g: err = %v, want an error naming the option", f.name, v, err)
+			}
+		}
 	}
 }
 

@@ -193,6 +193,14 @@ func RunWithSetup(opts Options, entries []Entry, setup func(*mapreduce.Runtime) 
 	if err := audit.CheckWindow(opts.AuditWindow); err != nil {
 		return nil, fmt.Errorf("experiments: %w", err)
 	}
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{{"Gain", opts.Gain}, {"LrefScale", opts.LrefScale}, {"Scale", opts.Scale}, {"RunLimit", opts.RunLimit}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return nil, fmt.Errorf("experiments: option %s must be finite, got %g", f.name, f.v)
+		}
+	}
 	opts.defaults()
 	disk := storage.HDDSpec()
 	if opts.SSD {

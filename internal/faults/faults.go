@@ -483,7 +483,7 @@ func (t *Transport) roundTrip(id string, apply func(now float64) error, reply fu
 }
 
 // Exchange implements broker.Transport.
-func (t *Transport) Exchange(id string, vec map[iosched.AppID]float64, done func(broker.Response, error)) {
+func (t *Transport) Exchange(id string, vec []iosched.AppCost, done func(broker.Response, error)) {
 	var resp broker.Response
 	t.roundTrip(id, func(now float64) (err error) {
 		resp, err = t.p.Exchange(id, vec, now)

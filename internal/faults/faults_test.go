@@ -3,6 +3,8 @@ package faults
 import (
 	"math"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"ibis/internal/broker"
@@ -184,13 +186,23 @@ func TestClientIDs(t *testing.T) {
 	}
 }
 
+// costs is the service vector of a name-keyed literal, sorted by app.
+func costs(m map[iosched.AppID]float64) []iosched.AppCost {
+	v := make([]iosched.AppCost, 0, len(m))
+	for app, c := range m {
+		v = append(v, iosched.AppCost{App: app, Idx: iosched.NoApp, Cost: c})
+	}
+	slices.SortFunc(v, func(x, y iosched.AppCost) int { return strings.Compare(string(x.App), string(y.App)) })
+	return v
+}
+
 // exchangeNow sends one exchange whose reply must arrive inside the
 // call (a failure, or a response without delay) and returns its error.
 func exchangeNow(t *testing.T, tr *Transport, id string, vec map[iosched.AppID]float64) error {
 	t.Helper()
 	var got error
 	arrived := false
-	tr.Exchange(id, vec, func(_ broker.Response, err error) { got, arrived = err, true })
+	tr.Exchange(id, costs(vec), func(_ broker.Response, err error) { got, arrived = err, true })
 	if !arrived {
 		t.Fatalf("exchange from %s: no reply inside the call", id)
 	}
@@ -269,7 +281,7 @@ func TestTransportDelayBounds(t *testing.T) {
 	// Every exchange is sent at t=0, so its arrival time is its rtt.
 	arrivals := 0
 	for i := 0; i < 64; i++ {
-		tr.Exchange("n0", map[iosched.AppID]float64{"a": float64(i)}, func(_ broker.Response, err error) {
+		tr.Exchange("n0", costs(map[iosched.AppID]float64{"a": float64(i)}), func(_ broker.Response, err error) {
 			arrivals++
 			if err != nil {
 				t.Fatalf("exchange %d: %v", i, err)

@@ -143,7 +143,7 @@ func conformCases() []conformCase {
 			return iosched.NewSFQD(eng, dev, 4), nil
 		}},
 		{"sfq(d2)", func(eng *sim.Engine, dev *storage.Device) (iosched.Scheduler, error) {
-			return iosched.NewSFQD2(eng, dev, iosched.ControllerConfig{ReadLref: 0.02}), nil
+			return iosched.NewSFQD2(eng, dev, iosched.ControllerConfig{ReadLref: 0.02})
 		}},
 		{"cgroups-weight", func(eng *sim.Engine, dev *storage.Device) (iosched.Scheduler, error) {
 			return cgroups.NewWeight(eng, dev, 4), nil

@@ -2,6 +2,7 @@ package iosched
 
 import (
 	"fmt"
+	"math"
 
 	"ibis/internal/sim"
 )
@@ -69,7 +70,20 @@ func (c *ControllerConfig) defaults() {
 	}
 }
 
+// validate applies the defaults and rejects a configuration the
+// controller cannot run. A non-finite gain or reference latency is
+// rejected before the defaults see it: a NaN would otherwise make the
+// depth NaN, which rounds to MinDepth without a word.
 func (c *ControllerConfig) validate() error {
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{{"gain", c.Gain}, {"read reference latency", c.ReadLref}, {"write reference latency", c.WriteLref}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("iosched: controller %s must be finite (got %g)", f.name, f.v)
+		}
+	}
+	c.defaults()
 	if c.ReadLref <= 0 {
 		return fmt.Errorf("iosched: controller requires a positive reference latency (got %g)", c.ReadLref)
 	}
@@ -91,11 +105,11 @@ type DepthController struct {
 	periods  uint64
 }
 
-// newDepthController starts the periodic control loop on eng.
-func newDepthController(eng *sim.Engine, cfg ControllerConfig, onChange func()) *DepthController {
-	cfg.defaults()
+// newDepthController starts the periodic control loop on eng, or
+// returns an error for an invalid configuration.
+func newDepthController(eng *sim.Engine, cfg ControllerConfig, onChange func()) (*DepthController, error) {
 	if err := cfg.validate(); err != nil {
-		panic(err)
+		return nil, err
 	}
 	c := &DepthController{cfg: cfg, d: float64(cfg.InitialDepth), onChange: onChange}
 	var tick func()
@@ -104,7 +118,7 @@ func newDepthController(eng *sim.Engine, cfg ControllerConfig, onChange func()) 
 		eng.ScheduleDaemon(cfg.Period, tick)
 	}
 	eng.ScheduleDaemon(cfg.Period, tick)
-	return c
+	return c, nil
 }
 
 // Depth returns the integer dispatch bound for the current period.

@@ -22,29 +22,43 @@ func TestControllerDefaults(t *testing.T) {
 	}
 }
 
+// mustSFQD2 is NewSFQD2 for a configuration the test knows is valid.
+func mustSFQD2(t testing.TB, eng *sim.Engine, dev Backend, cfg ControllerConfig) *SFQ {
+	t.Helper()
+	s, err := NewSFQD2(eng, dev, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func TestControllerValidation(t *testing.T) {
 	bad := []ControllerConfig{
 		{}, // no reference latency
 		{ReadLref: 0.01, MinDepth: 9, MaxDepth: 3}, // inverted bounds
 	}
+	// Every float field the controller computes with, at each
+	// non-finite value: NaN would make the depth NaN, which rounds to
+	// MinDepth without an error.
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		bad = append(bad,
+			ControllerConfig{ReadLref: 0.01, Gain: v},
+			ControllerConfig{ReadLref: v},
+			ControllerConfig{ReadLref: 0.01, WriteLref: v},
+		)
+	}
 	for i, cfg := range bad {
-		cfg := cfg
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("case %d: invalid config accepted", i)
-				}
-			}()
-			eng := sim.NewEngine()
-			NewSFQD2(eng, storage.NewDevice(eng, "d", flatSpec()), cfg)
-		}()
+		eng := sim.NewEngine()
+		if s, err := NewSFQD2(eng, storage.NewDevice(eng, "d", flatSpec()), cfg); err == nil {
+			t.Errorf("case %d (%+v): invalid config accepted, depth %d", i, cfg, s.Depth())
+		}
 	}
 }
 
 func TestControllerShrinksDepthUnderHighLatency(t *testing.T) {
 	eng := sim.NewEngine()
 	dev := storage.NewDevice(eng, "d", flatSpec())
-	s := NewSFQD2(eng, dev, ControllerConfig{
+	s := mustSFQD2(t, eng, dev, ControllerConfig{
 		ReadLref: 0.001, // far below what the loaded device will show
 		Gain:     100,
 		Period:   1,
@@ -62,7 +76,7 @@ func TestControllerShrinksDepthUnderHighLatency(t *testing.T) {
 func TestControllerGrowsDepthUnderLowLatency(t *testing.T) {
 	eng := sim.NewEngine()
 	dev := storage.NewDevice(eng, "d", flatSpec())
-	s := NewSFQD2(eng, dev, ControllerConfig{
+	s := mustSFQD2(t, eng, dev, ControllerConfig{
 		ReadLref:     10, // far above observed latency
 		Gain:         5,
 		Period:       1,
@@ -79,7 +93,7 @@ func TestControllerGrowsDepthUnderLowLatency(t *testing.T) {
 func TestControllerIdlePeriodsLeaveDepth(t *testing.T) {
 	eng := sim.NewEngine()
 	dev := storage.NewDevice(eng, "d", flatSpec())
-	s := NewSFQD2(eng, dev, ControllerConfig{ReadLref: 0.01, InitialDepth: 5})
+	s := mustSFQD2(t, eng, dev, ControllerConfig{ReadLref: 0.01, InitialDepth: 5})
 	// Keep the sim alive with a live no-op event past several periods.
 	eng.Schedule(5.5, func() {})
 	eng.Run()
@@ -95,7 +109,7 @@ func TestControllerTrace(t *testing.T) {
 	eng := sim.NewEngine()
 	dev := storage.NewDevice(eng, "d", flatSpec())
 	var pts []TracePoint
-	s := NewSFQD2(eng, dev, ControllerConfig{
+	s := mustSFQD2(t, eng, dev, ControllerConfig{
 		ReadLref: 0.02,
 		Trace:    func(p TracePoint) { pts = append(pts, p) },
 	})
@@ -130,7 +144,7 @@ func TestControllerTrace(t *testing.T) {
 func TestControllerMixedReferenceWeighting(t *testing.T) {
 	eng := sim.NewEngine()
 	dev := storage.NewDevice(eng, "d", flatSpec())
-	s := NewSFQD2(eng, dev, ControllerConfig{
+	s := mustSFQD2(t, eng, dev, ControllerConfig{
 		ReadLref:  0.010,
 		WriteLref: 0.050,
 		Gain:      0, // isolate the Lref computation via trace
@@ -140,7 +154,7 @@ func TestControllerMixedReferenceWeighting(t *testing.T) {
 	var got []float64
 	eng2 := sim.NewEngine()
 	dev2 := storage.NewDevice(eng2, "d", flatSpec())
-	s2 := NewSFQD2(eng2, dev2, ControllerConfig{
+	s2 := mustSFQD2(t, eng2, dev2, ControllerConfig{
 		ReadLref:  0.010,
 		WriteLref: 0.050,
 		Trace: func(p TracePoint) {
@@ -202,7 +216,7 @@ func TestControllerReactsToFlushDisturbance(t *testing.T) {
 		t.Fatal(err)
 	}
 	var minDepth, maxAfter int = 99, 0
-	s := NewSFQD2(eng, dev, ControllerConfig{
+	s := mustSFQD2(t, eng, dev, ControllerConfig{
 		ReadLref: prof.ReadLref * 1.2,
 		Gain:     200,
 		Trace: func(p TracePoint) {

@@ -13,7 +13,7 @@ type fakeCoord struct {
 	other map[AppID]float64
 }
 
-func (f *fakeCoord) OtherService(app AppID) float64 { return f.other[app] }
+func (f *fakeCoord) OtherService(app AppID, _ AppIdx) float64 { return f.other[app] }
 
 func TestDSFQFirstArrivalNotDelayed(t *testing.T) {
 	eng := sim.NewEngine()

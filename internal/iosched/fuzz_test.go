@@ -32,7 +32,7 @@ type rampCoord struct {
 	total map[AppID]float64
 }
 
-func (f *rampCoord) OtherService(app AppID) float64 {
+func (f *rampCoord) OtherService(app AppID, _ AppIdx) float64 {
 	if f.total == nil {
 		f.total = make(map[AppID]float64)
 	}
@@ -91,7 +91,7 @@ func FuzzSFQTags(f *testing.F) {
 		})
 		var s *SFQ
 		if adaptive {
-			s = NewSFQD2(eng, dev, ControllerConfig{ReadLref: 0.02})
+			s = mustSFQD2(t, eng, dev, ControllerConfig{ReadLref: 0.02})
 		} else {
 			s = NewSFQD(eng, dev, 1+int(depthRaw%16))
 		}

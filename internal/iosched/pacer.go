@@ -43,7 +43,8 @@ type Pacer struct {
 	// rejected.
 	blkio bool
 
-	flows    map[AppID]*paceFlow
+	flows    map[AppIdx]*paceFlow // by keys.of
+	keys     appKeys
 	inflight int
 	queued   int
 	doneFn   sim.DoneFunc // cached complete method value
@@ -51,6 +52,7 @@ type Pacer struct {
 
 // paceFlow is one app's token bucket and its FIFO of waiting requests.
 type paceFlow struct {
+	app     AppID
 	rate    float64
 	tokens  float64
 	last    float64
@@ -91,7 +93,7 @@ func newPacer(eng *sim.Engine, dev Backend, name string, rates map[AppID]float64
 		rates:       rates,
 		defaultRate: defaultRate,
 		blkio:       blkio,
-		flows:       make(map[AppID]*paceFlow),
+		flows:       make(map[AppIdx]*paceFlow),
 	}
 	p.doneFn = p.complete
 	return p, nil
@@ -161,7 +163,11 @@ func (p *Pacer) flow(req *Request) (*paceFlow, error) {
 	if p.blkio && req.Class.OpKind() == storage.Write {
 		return nil, nil
 	}
-	if f := p.flows[req.App]; f != nil {
+	key := p.keys.of(req)
+	if f := p.flows[key]; f != nil {
+		if f.app != req.App {
+			return nil, twoNumberings(f.app, req.App, key)
+		}
 		return f, nil
 	}
 	rate, ok := p.rates[req.App]
@@ -174,8 +180,8 @@ func (p *Pacer) flow(req *Request) (*paceFlow, error) {
 		}
 		return nil, fmt.Errorf("iosched: no reservation for app %q and no default rate", req.App)
 	}
-	f := &paceFlow{rate: rate, last: p.eng.Now()}
-	p.flows[req.App] = f
+	f := &paceFlow{app: req.App, rate: rate, last: p.eng.Now()}
+	p.flows[key] = f
 	return f, nil
 }
 

@@ -1,6 +1,18 @@
 package iosched
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
+
+// TestRequestRecordSize pins the request record at 144 bytes: the pools
+// keep millions of them live, and AppIdx rides in the padding a 32-bit
+// Class leaves.
+func TestRequestRecordSize(t *testing.T) {
+	if got := unsafe.Sizeof(Request{}); got != 144 {
+		t.Fatalf("unsafe.Sizeof(Request{}) = %d, want 144", got)
+	}
+}
 
 func TestRequestPoolRecycleZeroes(t *testing.T) {
 	p := new(RequestPool)

@@ -25,11 +25,20 @@ import (
 // carried on every I/O request — the paper's DFSClient header extension.
 type AppID string
 
+// AppIdx is an application's dense index in its weight source's
+// numbering: the share tree numbers apps as they bind, so per-app state
+// downstream lives in slices, not in maps keyed by name. NoApp means
+// the source numbers no apps (FixedWeight).
+type AppIdx int32
+
+// NoApp is the AppIdx of an app its weight source does not number.
+const NoApp AppIdx = -1
+
 // Class identifies the I/O phase a request belongs to. The scheduler
 // treats all classes uniformly (that is the point of the interposition
 // layer); classes exist for accounting and for wiring baselines that can
 // only control a subset (cgroups sees intermediate I/O only).
-type Class int
+type Class int32
 
 const (
 	// PersistentRead is a map task reading its input split from the DFS.
@@ -97,19 +106,24 @@ func (c Class) Persistent() bool {
 // finish tags, so a weight change in the source takes effect on the
 // next tagged request without touching queued ones.
 type WeightSource interface {
-	// EffectiveWeight returns the weight to tag (app, class) with,
-	// plus the version (epoch) of the weight table it came from.
-	// Weights must be positive and finite; only relative values
-	// matter.
-	EffectiveWeight(app AppID, class Class) (weight float64, epoch uint64)
+	// Resolve returns app's index in the source's numbering (NoApp if
+	// the source numbers none), the weight to tag (app, class) with,
+	// and the version (epoch) of the weight table it came from. hint
+	// is a cached index for app; a source returns it unhashed when it
+	// names app, and looks the name up otherwise. Weights must be
+	// positive and finite; only relative values matter.
+	Resolve(app AppID, hint AppIdx, class Class) (idx AppIdx, weight float64, epoch uint64)
 }
 
 // FixedWeight is a WeightSource that always resolves to a constant —
-// the flat per-request weight the pre-tree code paths used.
+// the flat per-request weight the pre-tree code paths used. It numbers
+// no apps.
 type FixedWeight float64
 
-// EffectiveWeight implements WeightSource.
-func (f FixedWeight) EffectiveWeight(AppID, Class) (float64, uint64) { return float64(f), 0 }
+// Resolve implements WeightSource.
+func (f FixedWeight) Resolve(AppID, AppIdx, Class) (AppIdx, float64, uint64) {
+	return NoApp, float64(f), 0
+}
 
 // Request is one tagged I/O operation presented to a scheduler.
 type Request struct {
@@ -120,6 +134,10 @@ type Request struct {
 	Shares WeightSource
 	// Class is the I/O phase.
 	Class Class
+	// AppIdx is App's index in Shares' numbering. A caller that caches
+	// it may set it as a hint (a stale or foreign one costs a name
+	// lookup, never a wrong flow); submission resolves it.
+	AppIdx AppIdx
 	// Size is the transfer size in bytes.
 	Size float64
 	// Done, if non-nil, fires at completion with DoneArg and the
@@ -164,6 +182,34 @@ func (r *Request) StartTag() float64 { return r.startTag }
 // FinishTag returns the SFQ finish tag assigned at arrival.
 func (r *Request) FinishTag() float64 { return r.finishTag }
 
+// appKeys gives a scheduler one integer key per app to file its
+// per-app state under: the app's index in its share tree, or for an app
+// its weight source does not number (FixedWeight), a negative key of
+// the scheduler's own, kept here. A scheduler's numbered requests must
+// come from one share tree, so that one key names one app.
+type appKeys map[AppID]AppIdx
+
+func (k *appKeys) of(req *Request) AppIdx {
+	if req.AppIdx != NoApp {
+		return req.AppIdx
+	}
+	key, ok := (*k)[req.App]
+	if !ok {
+		if *k == nil {
+			*k = make(appKeys)
+		}
+		key = NoApp - 1 - AppIdx(len(*k))
+		(*k)[req.App] = key
+	}
+	return key
+}
+
+// twoNumberings is the error for a request whose key already names
+// another app's state.
+func twoNumberings(have, app AppID, key AppIdx) error {
+	return fmt.Errorf("iosched: apps %q and %q share index %d: requests from two share trees", have, app, key)
+}
+
 // finish is every scheduler's completion tail: the ProbeComplete
 // probe, then Done, then the record's return to its pool. st is the
 // scheduler's state after the completion took effect.
@@ -203,10 +249,11 @@ func (r *Request) prepare() error {
 	if r.Shares == nil {
 		return fmt.Errorf("iosched: request for %q without a weight source", r.App)
 	}
-	w, epoch := r.Shares.EffectiveWeight(r.App, r.Class)
+	idx, w, epoch := r.Shares.Resolve(r.App, r.AppIdx, r.Class)
 	if !(w > 0) || math.IsInf(w, 1) {
 		return fmt.Errorf("iosched: request for %q resolved non-positive weight %g", r.App, w)
 	}
+	r.AppIdx = idx
 	r.weight = w
 	r.epoch = epoch
 	return nil

@@ -1,7 +1,8 @@
 package iosched
 
 import (
-	"sort"
+	"slices"
+	"strings"
 
 	"ibis/internal/sim"
 	"ibis/internal/storage"
@@ -65,30 +66,51 @@ type AppService struct {
 
 // Accounting tracks cumulative per-app service for a scheduler. It backs
 // both fairness measurements and the broker's coordination vectors.
+// Its entries stay sorted by app name, the order the broker folds a
+// vector in, so a lookup by name is a binary search and the vector
+// needs no sort.
 type Accounting struct {
-	apps map[AppID]*AppService
+	apps []*appAccount
+}
+
+type appAccount struct {
+	app AppID
+	idx AppIdx // the app's index, from its first booked request
+	AppService
+}
+
+// AppCost is one entry of a scheduler's service vector: an app, its
+// index in its share tree (a hint for the receiver, see WeightSource),
+// and the cumulative cost it received.
+type AppCost struct {
+	App  AppID
+	Idx  AppIdx
+	Cost float64
 }
 
 // NewAccounting returns an empty account book.
-func NewAccounting() *Accounting {
-	return &Accounting{apps: make(map[AppID]*AppService)}
-}
+func NewAccounting() *Accounting { return &Accounting{} }
 
 // Add books a completed request's service at the device cost its
 // scheduler assigned at submission.
-func (a *Accounting) Add(req *Request) { a.slot(req.App).add(req) }
+func (a *Accounting) Add(req *Request) { a.slot(req).add(req) }
 
-// slot returns app's counters, creating them on first use. The pointer
-// stays valid for the book's lifetime, so a scheduler may cache it per
-// flow; it must only be taken at a completion, so that Apps lists an
-// app from its first booked request on.
-func (a *Accounting) slot(app AppID) *AppService {
-	s := a.apps[app]
-	if s == nil {
-		s = &AppService{}
-		a.apps[app] = s
+// slot returns the counters of req's app, creating them on first use.
+// The pointer stays valid for the book's lifetime, so a scheduler may
+// cache it per flow; it must only be taken at a completion, so that
+// Apps lists an app from its first booked request on.
+func (a *Accounting) slot(req *Request) *AppService {
+	i, ok := a.find(req.App)
+	if !ok {
+		a.apps = slices.Insert(a.apps, i, &appAccount{app: req.App, idx: req.AppIdx})
 	}
-	return s
+	return &a.apps[i].AppService
+}
+
+func (a *Accounting) find(app AppID) (int, bool) {
+	return slices.BinarySearchFunc(a.apps, app, func(e *appAccount, app AppID) int {
+		return strings.Compare(string(e.app), string(app))
+	})
 }
 
 func (s *AppService) add(req *Request) {
@@ -100,28 +122,28 @@ func (s *AppService) add(req *Request) {
 
 // Service returns the counters for one app (zero value if unseen).
 func (a *Accounting) Service(app AppID) AppService {
-	if s := a.apps[app]; s != nil {
-		return *s
+	if i, ok := a.find(app); ok {
+		return a.apps[i].AppService
 	}
 	return AppService{}
 }
 
-// Apps returns the app IDs seen, sorted for determinism.
+// Apps returns the app IDs seen, sorted.
 func (a *Accounting) Apps() []AppID {
-	ids := make([]AppID, 0, len(a.apps))
-	for id := range a.apps {
-		ids = append(ids, id)
+	ids := make([]AppID, len(a.apps))
+	for i, e := range a.apps {
+		ids[i] = e.app
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
 }
 
-// CostVector returns a copy of the per-app cumulative cost — the message
-// a local scheduler sends the Scheduling Broker each period.
-func (a *Accounting) CostVector() map[AppID]float64 {
-	v := make(map[AppID]float64, len(a.apps))
-	for id, s := range a.apps {
-		v[id] = s.Cost
+// CostVector returns a copy of the per-app cumulative cost, sorted by
+// app — the message a local scheduler sends the Scheduling Broker each
+// period.
+func (a *Accounting) CostVector() []AppCost {
+	v := make([]AppCost, len(a.apps))
+	for i, e := range a.apps {
+		v[i] = AppCost{App: e.app, Idx: e.idx, Cost: e.Cost}
 	}
 	return v
 }
@@ -129,8 +151,8 @@ func (a *Accounting) CostVector() map[AppID]float64 {
 // TotalBytes sums serviced bytes across apps.
 func (a *Accounting) TotalBytes() float64 {
 	t := 0.0
-	for _, s := range a.apps {
-		t += s.Bytes
+	for _, e := range a.apps {
+		t += e.Bytes
 	}
 	return t
 }

@@ -14,11 +14,14 @@ import (
 // service (cost units) an application has received on every node other
 // than this one, as currently known from the Scheduling Broker.
 type Coordinator interface {
-	OtherService(app AppID) float64
+	// OtherService takes the app's name and its index hint (see
+	// WeightSource).
+	OtherService(app AppID, idx AppIdx) float64
 }
 
 // flowState is the per-application SFQ bookkeeping on one scheduler.
 type flowState struct {
+	app        AppID
 	lastFinish float64 // finish tag of the flow's most recent request
 	lastOther  float64 // other-node service snapshot at last arrival
 	seenOther  bool    // whether lastOther has been initialized
@@ -39,7 +42,8 @@ type SFQ struct {
 	acct *Accounting
 
 	queue  reqHeap
-	flows  map[AppID]*flowState
+	flows  map[AppIdx]*flowState // by keys.of
+	keys   appKeys
 	vtime  float64
 	seq    uint64
 	coord  Coordinator
@@ -70,7 +74,7 @@ func NewSFQD(eng *sim.Engine, dev Backend, depth int) *SFQ {
 		eng:    eng,
 		dev:    dev,
 		acct:   NewAccounting(),
-		flows:  make(map[AppID]*flowState),
+		flows:  make(map[AppIdx]*flowState),
 		static: depth,
 	}
 	s.doneFn = s.complete
@@ -79,19 +83,24 @@ func NewSFQD(eng *sim.Engine, dev Backend, depth int) *SFQ {
 
 // NewSFQD2 builds the paper's SFQ(D2): SFQ whose depth is driven by the
 // supplied feedback controller. The controller is started immediately.
-func NewSFQD2(eng *sim.Engine, dev Backend, cfg ControllerConfig) *SFQ {
+// An invalid controller configuration is an error.
+func NewSFQD2(eng *sim.Engine, dev Backend, cfg ControllerConfig) (*SFQ, error) {
 	s := &SFQ{
 		eng:   eng,
 		dev:   dev,
 		acct:  NewAccounting(),
-		flows: make(map[AppID]*flowState),
+		flows: make(map[AppIdx]*flowState),
 	}
 	s.doneFn = s.complete
-	s.ctrl = newDepthController(eng, cfg, func() {
+	ctrl, err := newDepthController(eng, cfg, func() {
 		// Depth may have increased; try to fill the new slots.
 		s.dispatch()
 	})
-	return s
+	if err != nil {
+		return nil, err
+	}
+	s.ctrl = ctrl
+	return s, nil
 }
 
 // SetCoordinator attaches the distributed-coordination delay source.
@@ -227,21 +236,23 @@ func (s *SFQ) Submit(req *Request) error {
 	if err := req.prepare(); err != nil {
 		return reject(req, err)
 	}
+	key := s.keys.of(req)
+	f := s.flows[key]
+	if f == nil {
+		f = &flowState{app: req.App, lastFinish: s.vtime}
+		s.flows[key] = f
+	} else if f.app != req.App {
+		return reject(req, twoNumberings(f.app, req.App, key))
+	}
 	req.arrive = s.eng.Now()
 	req.cost = s.dev.Cost(req.Class.OpKind(), req.Size)
 	req.seq = s.seq
 	s.seq++
-
-	f := s.flows[req.App]
-	if f == nil {
-		f = &flowState{lastFinish: s.vtime}
-		s.flows[req.App] = f
-	}
 	req.flow = f
 
 	base := f.lastFinish
 	if s.coord != nil && !s.coordSuspended {
-		other := s.coord.OtherService(req.App)
+		other := s.coord.OtherService(req.App, req.AppIdx)
 		if !f.seenOther {
 			// First arrival: no delay, just take the snapshot.
 			f.lastOther = other
@@ -301,7 +312,7 @@ func (s *SFQ) complete(arg any, devLat float64) {
 	s.inflight--
 	f := req.flow
 	if f.svc == nil {
-		f.svc = s.acct.slot(req.App)
+		f.svc = s.acct.slot(req)
 	}
 	f.svc.add(req)
 	if s.ctrl != nil {

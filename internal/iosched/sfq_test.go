@@ -306,8 +306,9 @@ func TestCostVectorMatchesService(t *testing.T) {
 	s.Submit(&Request{App: "B", Shares: FixedWeight(1), Class: PersistentWrite, Size: 5e6})
 	eng.Run()
 	v := s.Accounting().CostVector()
-	if v["A"] != s.Accounting().Service("A").Cost || v["B"] != s.Accounting().Service("B").Cost {
-		t.Fatalf("cost vector %v mismatches accounting", v)
+	if len(v) != 2 || v[0].App != "A" || v[1].App != "B" ||
+		v[0].Cost != s.Accounting().Service("A").Cost || v[1].Cost != s.Accounting().Service("B").Cost {
+		t.Fatalf("cost vector %v mismatches accounting (or is not sorted by app)", v)
 	}
 }
 
@@ -391,7 +392,7 @@ func TestSFQNames(t *testing.T) {
 	if got := NewSFQD(eng, dev, 4).Name(); got != "sfq(d=4)" {
 		t.Fatalf("Name = %q", got)
 	}
-	d2 := NewSFQD2(eng, dev, ControllerConfig{ReadLref: 0.01})
+	d2 := mustSFQD2(t, eng, dev, ControllerConfig{ReadLref: 0.01})
 	if got := d2.Name(); got != "sfq(d2)" {
 		t.Fatalf("Name = %q", got)
 	}
@@ -421,4 +422,41 @@ func TestSFQDeviceRoundTripAllocs(t *testing.T) {
 	if perReq := allocs / 64; perReq != 0 {
 		t.Fatalf("round trip allocates %.3g times per request, want 0", perReq)
 	}
+}
+
+// numbered is a weight source that numbers its apps from a fixed
+// table, as one share tree would.
+type numbered map[AppID]AppIdx
+
+func (n numbered) Resolve(app AppID, _ AppIdx, _ Class) (AppIdx, float64, uint64) {
+	return n[app], 1, 0
+}
+
+// TestSchedulersRejectTwoNumberings: two sources that both number
+// their first app 0 must not merge two apps into one flow or bucket; a
+// scheduler refuses the second app instead. Apps of a source that
+// numbers none (FixedWeight) take keys of the scheduler's own and
+// never collide with numbered ones.
+func TestSchedulersRejectTwoNumberings(t *testing.T) {
+	eng := sim.NewEngine()
+	dev := storage.NewDevice(eng, "d", flatSpec())
+	res, err := NewReservation(eng, dev, nil, 1e9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []Scheduler{NewSFQD(eng, dev, 2), res} {
+		req := func(app AppID, src WeightSource) *Request {
+			return &Request{App: app, Shares: src, Class: PersistentRead, Size: 1e6}
+		}
+		if err := s.Submit(req("a", numbered{"a": 0})); err != nil {
+			t.Fatalf("%s: %v", s.Name(), err)
+		}
+		if err := s.Submit(req("c", FixedWeight(1))); err != nil {
+			t.Fatalf("%s: unnumbered app: %v", s.Name(), err)
+		}
+		if err := s.Submit(req("b", numbered{"b": 0})); err == nil {
+			t.Fatalf("%s: accepted app b under app a's index", s.Name())
+		}
+	}
+	eng.Run()
 }

@@ -197,9 +197,13 @@ type Report struct {
 // resident is one app's open-loop arrival state on one node.
 type resident struct {
 	id     iosched.AppID
-	weight float64 // effective weight, for fairness normalization
-	rate   float64 // requests/second on this node
+	idx    iosched.AppIdx // id's index in the share tree
+	weight float64        // effective weight, for fairness normalization
+	rate   float64        // requests/second on this node
 	credit float64
+	// halfCost and fullCost snapshot the node's service of the app at
+	// the horizon's midpoint and at the horizon.
+	halfCost, fullCost float64
 }
 
 // nodeCell is the per-node, single-shard-owner state: the arrival
@@ -216,8 +220,6 @@ type nodeCell struct {
 	bytes     float64
 	digest    uint64
 	series    []int // outstanding requests at each pump tick
-	snapHalf  map[iosched.AppID]iosched.AppService
-	snapFull  map[iosched.AppID]iosched.AppService
 	err       error // first rejected submit; it stops the node's pump
 }
 
@@ -335,19 +337,17 @@ func Run(cfg Config) (*Report, error) {
 	cells := make([]nodeCell, cfg.Nodes)
 	for i := range cells {
 		cells[i] = nodeCell{
-			node:     cl.Nodes[i],
-			rng:      splitmix64(cfg.Seed ^ (uint64(i) * 0x9e37)),
-			digest:   fnvOffset,
-			snapHalf: make(map[iosched.AppID]iosched.AppService),
-			snapFull: make(map[iosched.AppID]iosched.AppService),
+			node:   cl.Nodes[i],
+			rng:    splitmix64(cfg.Seed ^ (uint64(i) * 0x9e37)),
+			digest: fnvOffset,
 		}
 	}
 	for _, app := range pop.Apps() {
 		perNode := pop.ArrivalRate(app, nodeServiceRate) / float64(len(app.Nodes))
-		w, _ := tree.EffectiveWeight(app.ID, iosched.PersistentRead)
+		idx, w, _ := tree.Resolve(app.ID, iosched.NoApp, iosched.PersistentRead)
 		for _, n := range app.Nodes {
 			cells[n].residents = append(cells[n].residents, resident{
-				id: app.ID, weight: w, rate: perNode,
+				id: app.ID, idx: idx, weight: w, rate: perNode,
 			})
 		}
 	}
@@ -382,7 +382,7 @@ func Run(cfg Config) (*Report, error) {
 					c.rng = splitmix64(c.rng)
 					size := cfg.MeanRequestBytes * (0.5 + 1.5*unit(c.rng))
 					req := pool.Get()
-					req.App = r.id
+					req.App, req.AppIdx = r.id, r.idx
 					req.Shares = tree
 					req.Class = iosched.PersistentRead
 					req.Size = size
@@ -406,13 +406,15 @@ func Run(cfg Config) (*Report, error) {
 		// only meaningful mid-contention.
 		acct := sched.Accounting()
 		eng.ScheduleDaemon(cfg.Horizon/2, func() {
-			for _, r := range c.residents {
-				c.snapHalf[r.id] = acct.Service(r.id)
+			for ri := range c.residents {
+				r := &c.residents[ri]
+				r.halfCost = acct.Service(r.id).Cost
 			}
 		})
 		eng.ScheduleDaemon(cfg.Horizon, func() {
-			for _, r := range c.residents {
-				c.snapFull[r.id] = acct.Service(r.id)
+			for ri := range c.residents {
+				r := &c.residents[ri]
+				r.fullCost = acct.Service(r.id).Cost
 			}
 		})
 	}
@@ -470,7 +472,7 @@ func Run(cfg Config) (*Report, error) {
 		digest = fnvUint(digest, c.digest)
 		lo, hi := math.Inf(1), 0.0
 		for _, r := range c.residents {
-			window := c.snapFull[r.id].Cost - c.snapHalf[r.id].Cost
+			window := r.fullCost - r.halfCost
 			if window < minWindowCost {
 				continue
 			}

@@ -49,7 +49,7 @@ func FuzzShareTree(f *testing.F) {
 		appIDs := []iosched.AppID{"app-a", "app-b", "app-c", "app-d"}
 		weights := []float64{1, 2.5, 7, 0.125, 0, -3, math.NaN(), math.Inf(1)}
 
-		// ensureShadow mirrors Tree.ensure: auto-bind at weight 1 under
+		// ensureShadow mirrors Tree.Index: auto-bind at weight 1 under
 		// the implicit singleton tenant.
 		ensureShadow := func(app iosched.AppID) *shadowApp {
 			sa := apps[app]
@@ -180,7 +180,7 @@ func FuzzShareTree(f *testing.F) {
 				t.Fatalf("app %q weight %v, want %v", app, got, sa.weight)
 			}
 			for c := 0; c < iosched.NumClasses; c++ {
-				got, _ := tree.EffectiveWeight(app, iosched.Class(c))
+				_, got, _ := tree.Resolve(app, iosched.NoApp, iosched.Class(c))
 				want := tenants[sa.tenant] * sa.weight * sa.class[c]
 				if got != want {
 					t.Fatalf("app %q class %d effective weight %v, want %v", app, c, got, want)

@@ -64,13 +64,19 @@ type Transition struct {
 	Old, New float64
 }
 
+// TenantIdx is a tenant's dense index in its tree: tenants are
+// numbered in the order they are first declared or auto-declared, and
+// an index is never reused.
+type TenantIdx int32
+
 type tenantNode struct {
+	name   string
 	weight float64
 }
 
 type appNode struct {
-	tenant string
-	tn     *tenantNode // tenants[tenant], held so resolution skips a lookup
+	id     iosched.AppID
+	tenant TenantIdx
 	weight float64
 	class  [iosched.NumClasses]float64 // multipliers, default 1
 	// explicit marks a weight set through SetAppWeight (the control
@@ -80,12 +86,20 @@ type appNode struct {
 }
 
 // Tree is the share tree. The zero value is not usable; call NewTree.
+//
+// Apps and tenants are numbered densely as they bind (iosched.AppIdx,
+// TenantIdx), so everything keyed by app or tenant downstream — the
+// weight resolution here, SFQ flows, the broker's totals, the root's
+// books — is a slice read. Names are hashed once, when a name is first
+// resolved to its index.
 type Tree struct {
-	clock   func() float64
-	tenants map[string]*tenantNode
-	apps    map[iosched.AppID]*appNode
-	epoch   uint64
-	log     []Transition
+	clock     func() float64
+	tenantIdx map[string]TenantIdx
+	tenants   []tenantNode // by TenantIdx
+	appIdx    map[iosched.AppID]iosched.AppIdx
+	apps      []appNode // by AppIdx
+	epoch     uint64
+	log       []Transition
 	// onChange observers fire on mutations that changed an existing
 	// effective weight (not on first binds — a brand-new flow has no
 	// scheduling history to reconverge).
@@ -95,8 +109,8 @@ type Tree struct {
 // NewTree creates an empty share tree at epoch 0.
 func NewTree() *Tree {
 	return &Tree{
-		tenants: make(map[string]*tenantNode),
-		apps:    make(map[iosched.AppID]*appNode),
+		tenantIdx: make(map[string]TenantIdx),
+		appIdx:    make(map[iosched.AppID]iosched.AppIdx),
 	}
 }
 
@@ -154,12 +168,13 @@ func (t *Tree) Tenant(name string, weight float64) error {
 	if !validWeight(weight) {
 		return fmt.Errorf("shares: tenant %q weight must be positive and finite, got %g", name, weight)
 	}
-	tn := t.tenants[name]
-	if tn == nil {
-		t.tenants[name] = &tenantNode{weight: weight}
+	ti, ok := t.tenantIdx[name]
+	if !ok {
+		t.addTenant(name, weight)
 		t.record("tenant", name, "", 0, weight, false)
 		return nil
 	}
+	tn := &t.tenants[ti]
 	if tn.weight == weight {
 		return nil
 	}
@@ -172,8 +187,8 @@ func (t *Tree) Tenant(name string, weight float64) error {
 // TenantWeight returns a declared tenant's weight (implicit tenants
 // report 1; unknown explicit tenants report 0).
 func (t *Tree) TenantWeight(name string) float64 {
-	if tn := t.tenants[name]; tn != nil {
-		return tn.weight
+	if ti, ok := t.tenantIdx[name]; ok {
+		return t.tenants[ti].weight
 	}
 	if name != "" && name[0] == '~' {
 		return 1
@@ -181,23 +196,29 @@ func (t *Tree) TenantWeight(name string) float64 {
 	return 0
 }
 
-// ensureTenant resolves a binding's tenant name and node, creating
+func (t *Tree) addTenant(name string, weight float64) TenantIdx {
+	ti := TenantIdx(len(t.tenants))
+	t.tenants = append(t.tenants, tenantNode{name: name, weight: weight})
+	t.tenantIdx[name] = ti
+	return ti
+}
+
+// ensureTenant resolves a binding's tenant name to its index, creating
 // implicit or auto-declared tenants as needed. An empty name means "the
 // app's implicit singleton tenant".
-func (t *Tree) ensureTenant(name string, app iosched.AppID) (string, *tenantNode, error) {
+func (t *Tree) ensureTenant(name string, app iosched.AppID) (TenantIdx, error) {
 	if name == "" {
 		name = ImplicitTenant(app)
 	} else if name[0] == '~' {
-		return "", nil, fmt.Errorf("shares: tenant name %q is reserved (implicit-tenant prefix)", name)
+		return 0, fmt.Errorf("shares: tenant name %q is reserved (implicit-tenant prefix)", name)
 	}
-	tn := t.tenants[name]
-	if tn == nil {
+	ti, ok := t.tenantIdx[name]
+	if !ok {
 		// Auto-declare at weight 1; an explicit Tenant() call can
 		// re-weight it at any time.
-		tn = &tenantNode{weight: 1}
-		t.tenants[name] = tn
+		ti = t.addTenant(name, 1)
 	}
-	return name, tn, nil
+	return ti, nil
 }
 
 // Bind attributes an application to a tenant with the given weight.
@@ -215,28 +236,30 @@ func (t *Tree) Bind(app iosched.AppID, tenant string, weight float64) error {
 	if !validWeight(weight) {
 		return fmt.Errorf("shares: app %q weight must be positive and finite, got %g", app, weight)
 	}
-	tname, tn, err := t.ensureTenant(tenant, app)
+	ti, err := t.ensureTenant(tenant, app)
 	if err != nil {
 		return err
 	}
-	an := t.apps[app]
-	if an == nil {
-		an = &appNode{tenant: tname, tn: tn, weight: weight}
+	ai, ok := t.appIdx[app]
+	if !ok {
+		an := appNode{id: app, tenant: ti, weight: weight}
 		for i := range an.class {
 			an.class[i] = 1
 		}
-		t.apps[app] = an
-		t.record("bind", tname, app, 0, weight, false)
+		t.appIdx[app] = iosched.AppIdx(len(t.apps))
+		t.apps = append(t.apps, an)
+		t.record("bind", t.tenants[ti].name, app, 0, weight, false)
 		return nil
 	}
-	moved := an.tenant != tname
+	an := &t.apps[ai]
+	moved := an.tenant != ti
 	old := an.weight
 	if !an.explicit {
 		an.weight = weight
 	}
 	if moved || old != an.weight {
-		an.tenant, an.tn = tname, tn
-		t.record("bind", tname, app, old, an.weight, true)
+		an.tenant = ti
+		t.record("bind", t.tenants[ti].name, app, old, an.weight, true)
 	}
 	return nil
 }
@@ -252,21 +275,22 @@ func (t *Tree) SetAppWeight(app iosched.AppID, weight float64) error {
 	if !validWeight(weight) {
 		return fmt.Errorf("shares: app %q weight must be positive and finite, got %g", app, weight)
 	}
-	an := t.apps[app]
-	if an == nil {
+	ai, ok := t.appIdx[app]
+	if !ok {
 		if err := t.Bind(app, "", weight); err != nil {
 			return err
 		}
-		t.apps[app].explicit = true
+		t.apps[t.appIdx[app]].explicit = true
 		return nil
 	}
+	an := &t.apps[ai]
 	an.explicit = true
 	if an.weight == weight {
 		return nil
 	}
 	old := an.weight
 	an.weight = weight
-	t.record("app-weight", an.tenant, app, old, weight, true)
+	t.record("app-weight", t.tenants[an.tenant].name, app, old, weight, true)
 	return nil
 }
 
@@ -279,68 +303,98 @@ func (t *Tree) SetClassWeight(app iosched.AppID, class iosched.Class, mult float
 	if !validWeight(mult) {
 		return fmt.Errorf("shares: app %q class %s multiplier must be positive and finite, got %g", app, class, mult)
 	}
-	an, err := t.ensure(app)
-	if err != nil {
-		return err
+	ai := t.Index(app, iosched.NoApp)
+	if ai == iosched.NoApp {
+		return fmt.Errorf("shares: class weight with empty app id")
 	}
+	an := &t.apps[ai]
 	if an.class[class] == mult {
 		return nil
 	}
 	old := an.class[class]
 	an.class[class] = mult
-	t.record("class-weight", an.tenant, app, old, mult, true)
+	t.record("class-weight", t.tenants[an.tenant].name, app, old, mult, true)
 	return nil
 }
 
-// ensure auto-binds an unknown app to its implicit singleton tenant at
-// weight 1 — the back-compat default for requests constructed outside
-// the job frameworks.
-func (t *Tree) ensure(app iosched.AppID) (*appNode, error) {
-	if an := t.apps[app]; an != nil {
-		return an, nil
+// Index returns app's dense index. hint is the caller's cached index
+// for app, if any (iosched.NoApp otherwise): it is checked against the
+// app's name and returned without hashing when it matches, so an index
+// from another tree can never be mistaken for one of this tree's.
+// Unknown apps auto-bind to their implicit singleton tenant at weight
+// 1 — the back-compat default for requests constructed outside the job
+// frameworks. The empty app id has no index (iosched.NoApp).
+func (t *Tree) Index(app iosched.AppID, hint iosched.AppIdx) iosched.AppIdx {
+	if uint(hint) < uint(len(t.apps)) && t.apps[hint].id == app {
+		return hint
+	}
+	if ai, ok := t.appIdx[app]; ok {
+		return ai
 	}
 	if err := t.Bind(app, "", 1); err != nil {
-		return nil, err
+		return iosched.NoApp
 	}
-	return t.apps[app], nil
+	return t.appIdx[app]
 }
 
-// EffectiveWeight implements iosched.WeightSource: the weight a
-// scheduler uses when tagging a request of (app, class), plus the
-// epoch it was resolved at. Unknown apps auto-bind at weight 1 under
-// their implicit tenant. For default bindings the result is
-// bit-identical to the app weight (1 × w × 1 == w).
-func (t *Tree) EffectiveWeight(app iosched.AppID, class iosched.Class) (float64, uint64) {
-	an := t.apps[app]
-	if an == nil {
-		var err error
-		an, err = t.ensure(app)
-		if err != nil {
-			return 0, t.epoch
-		}
+// Resolve implements iosched.WeightSource: app's index, the effective
+// weight a scheduler uses when tagging a request of (app, class), and
+// the epoch it was resolved at. Unknown apps auto-bind at weight 1 under their
+// implicit tenant. For default bindings the weight is bit-identical to
+// the app weight (1 × w × 1 == w).
+func (t *Tree) Resolve(app iosched.AppID, hint iosched.AppIdx, class iosched.Class) (iosched.AppIdx, float64, uint64) {
+	ai := t.Index(app, hint)
+	if ai == iosched.NoApp || class < 0 || int(class) >= iosched.NumClasses {
+		return ai, 0, t.epoch
 	}
-	if class < 0 || int(class) >= iosched.NumClasses {
-		return 0, t.epoch
-	}
-	return an.tn.weight * an.weight * an.class[class], t.epoch
+	an := &t.apps[ai]
+	return ai, t.tenants[an.tenant].weight * an.weight * an.class[class], t.epoch
 }
 
 var _ iosched.WeightSource = (*Tree)(nil)
 
-// TenantOf returns the tenant an application belongs to, auto-binding
-// unknown apps to their implicit singleton tenant.
+// TenantOf returns the name of the tenant an application belongs to,
+// auto-binding unknown apps to their implicit singleton tenant.
 func (t *Tree) TenantOf(app iosched.AppID) string {
-	an, err := t.ensure(app)
-	if err != nil {
+	ai := t.Index(app, iosched.NoApp)
+	if ai == iosched.NoApp {
 		return ImplicitTenant(app)
 	}
-	return an.tenant
+	return t.tenants[t.apps[ai].tenant].name
+}
+
+// TenantAt returns the index of the tenant app ai belongs to.
+func (t *Tree) TenantAt(ai iosched.AppIdx) TenantIdx { return t.apps[ai].tenant }
+
+// TenantIndex returns a tenant's index, declaring it at weight 1 when
+// unknown. Unlike Tenant it accepts an implicit name: the coordination
+// plane passes tenant names through from the wire. A declaration moves
+// no epoch, as no app is bound to the new tenant.
+func (t *Tree) TenantIndex(name string) TenantIdx {
+	if ti, ok := t.tenantIdx[name]; ok {
+		return ti
+	}
+	return t.addTenant(name, 1)
+}
+
+// AppName and TenantName resolve indices back to names.
+func (t *Tree) AppName(ai iosched.AppIdx) iosched.AppID { return t.apps[ai].id }
+func (t *Tree) TenantName(ti TenantIdx) string          { return t.tenants[ti].name }
+
+// NumApps and NumTenants bound the indices handed out so far.
+func (t *Tree) NumApps() int    { return len(t.apps) }
+func (t *Tree) NumTenants() int { return len(t.tenants) }
+
+// Lookup returns a bound app's index, without binding an unknown one.
+func (t *Tree) Lookup(app iosched.AppID) (iosched.AppIdx, bool) {
+	ai, ok := t.appIdx[app]
+	return ai, ok
 }
 
 // AppWeight returns the app's own weight factor (0 if unbound).
 func (t *Tree) AppWeight(app iosched.AppID) float64 {
-	if an := t.apps[app]; an != nil {
-		return an.weight
+	if ai, ok := t.appIdx[app]; ok {
+		return t.apps[ai].weight
 	}
 	return 0
 }
@@ -348,8 +402,8 @@ func (t *Tree) AppWeight(app iosched.AppID) float64 {
 // Tenants returns the declared and implicit tenant names, sorted.
 func (t *Tree) Tenants() []string {
 	out := make([]string, 0, len(t.tenants))
-	for name := range t.tenants {
-		out = append(out, name)
+	for _, tn := range t.tenants {
+		out = append(out, tn.name)
 	}
 	sort.Strings(out)
 	return out
@@ -358,9 +412,9 @@ func (t *Tree) Tenants() []string {
 // AppsOf returns the applications bound to a tenant, sorted.
 func (t *Tree) AppsOf(tenant string) []iosched.AppID {
 	var out []iosched.AppID
-	for app, an := range t.apps {
-		if an.tenant == tenant {
-			out = append(out, app)
+	for _, an := range t.apps {
+		if t.tenants[an.tenant].name == tenant {
+			out = append(out, an.id)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
@@ -370,8 +424,8 @@ func (t *Tree) AppsOf(tenant string) []iosched.AppID {
 // Apps returns all bound applications, sorted.
 func (t *Tree) Apps() []iosched.AppID {
 	out := make([]iosched.AppID, 0, len(t.apps))
-	for app := range t.apps {
-		out = append(out, app)
+	for _, an := range t.apps {
+		out = append(out, an.id)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out

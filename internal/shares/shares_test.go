@@ -19,7 +19,7 @@ func TestImplicitTenantIdentity(t *testing.T) {
 			t.Fatal(err)
 		}
 		for c := iosched.Class(0); int(c) < iosched.NumClasses; c++ {
-			got, _ := tr.EffectiveWeight(app, c)
+			_, got, _ := tr.Resolve(app, iosched.NoApp, c)
 			if got != w {
 				t.Fatalf("EffectiveWeight(%g, %s) = %g, want bit-identical", w, c, got)
 			}
@@ -45,17 +45,17 @@ func TestEffectiveWeightProduct(t *testing.T) {
 	if err := tr.SetClassWeight("etl", iosched.IntermediateWrite, 0.5); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := tr.EffectiveWeight("etl", iosched.PersistentRead); got != 12 {
+	if _, got, _ := tr.Resolve("etl", iosched.NoApp, iosched.PersistentRead); got != 12 {
 		t.Fatalf("PersistentRead = %g, want 12 (3 x 4 x 1)", got)
 	}
-	if got, _ := tr.EffectiveWeight("etl", iosched.IntermediateWrite); got != 6 {
+	if _, got, _ := tr.Resolve("etl", iosched.NoApp, iosched.IntermediateWrite); got != 6 {
 		t.Fatalf("IntermediateWrite = %g, want 6 (3 x 4 x 0.5)", got)
 	}
 	// Reweighting the tenant scales every member.
 	if err := tr.Tenant("analytics", 6); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := tr.EffectiveWeight("etl", iosched.PersistentRead); got != 24 {
+	if _, got, _ := tr.Resolve("etl", iosched.NoApp, iosched.PersistentRead); got != 24 {
 		t.Fatalf("after tenant reweight = %g, want 24", got)
 	}
 }
@@ -64,7 +64,7 @@ func TestEffectiveWeightProduct(t *testing.T) {
 // fail — it is the back-compat path for raw requests.
 func TestUnknownAppAutoBinds(t *testing.T) {
 	tr := NewTree()
-	w, epoch := tr.EffectiveWeight("ghost", iosched.PersistentRead)
+	_, w, epoch := tr.Resolve("ghost", iosched.NoApp, iosched.PersistentRead)
 	if w != 1 {
 		t.Fatalf("unknown app weight = %g, want 1", w)
 	}
