@@ -8,8 +8,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-
-	"ibis/internal/cluster"
 )
 
 // observationOutcome renders what the observation planes saw in one
@@ -56,19 +54,7 @@ violations=0`; got != want {
 		t.Errorf("sharded outcome:\n%s\nwant:\n%s", got, want)
 	}
 
-	scale := 0.0625
-	single, err := Run(Options{
-		Scale:         scale,
-		Policy:        cluster.SFQD2,
-		Coordinate:    true,
-		Seed:          7,
-		TraceCapacity: 1 << 15,
-		Audit:         true,
-	}, []Entry{wordCount(scale, 1), teraSortContender(scale, 1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := observationOutcome(t, single), `trace bdb678394ef6a4efb6d404887f0bf56f2ac25331b698e184d291d9510771a537
+	if got, want := observationOutcome(t, oneShardRun(t, 7)), `trace bdb678394ef6a4efb6d404887f0bf56f2ac25331b698e184d291d9510771a537
 broker-conservation=2929
 depth-bound=119258
 lifecycle=357774
