@@ -277,12 +277,11 @@ func New(opts Options) *Auditor {
 func (a *Auditor) Probe(shard, node int, dev trace.DeviceKind, sched iosched.Scheduler) iosched.Probe {
 	a.shards[shard] = true
 	s := &schedState{
-		a:     a,
-		w:     a.log.Writer(shard, node, dev),
-		node:  node,
-		dev:   dev,
-		id:    len(a.scheds),
-		flows: make(map[iosched.AppID]*flowAudit),
+		a:    a,
+		w:    a.log.Writer(shard, node, dev),
+		node: node,
+		dev:  dev,
+		id:   len(a.scheds),
 	}
 	if sfq, ok := sched.(*iosched.SFQ); ok {
 		s.sfq = true
@@ -296,7 +295,7 @@ func (a *Auditor) Probe(shard, node int, dev trace.DeviceKind, sched iosched.Sch
 	}
 	if s.coordinated {
 		if a.cluster == nil {
-			a.cluster = &clusterState{a: a, flows: make(map[iosched.AppID]*flowWindow)}
+			a.cluster = &clusterState{a: a}
 		}
 		a.cluster.members++
 	}
@@ -330,8 +329,9 @@ func (a *Auditor) judgeLive() {
 func (a *Auditor) drain() { a.log.Drain(a.judge) }
 
 // judge runs one record through the invariant battery: a note switches
-// its scheduler's regime, a lifecycle event is checked.
-func (a *Auditor) judge(r trace.Record) {
+// its scheduler's regime, a lifecycle event is checked. app is the
+// record's app as the log numbers it (trace.Log.Drain).
+func (a *Auditor) judge(r *trace.Record, app int32) {
 	s := a.sched(r.Node, r.Dev)
 	switch r.Event {
 	case trace.EventDegrade:
@@ -339,7 +339,7 @@ func (a *Auditor) judge(r trace.Record) {
 	case trace.EventRecover:
 		a.degradeEnd(s, r)
 	default:
-		s.observe(&r)
+		s.observe(r, app)
 	}
 }
 
@@ -376,16 +376,18 @@ func (a *Auditor) note(ev iosched.ProbeEvent, node int, dev string, t float64) {
 		a.judgeLive()
 		return
 	}
-	a.judge(trace.Record{Time: t, Node: int32(node), Dev: kind, Event: ev})
+	a.judge(&trace.Record{Time: t, Node: int32(node), Dev: kind, Event: ev}, -1)
 }
 
 // degradeStart applies a degrade note; s is its scheduler, or nil.
-func (a *Auditor) degradeStart(s *schedState, r trace.Record) {
+func (a *Auditor) degradeStart(s *schedState, r *trace.Record) {
 	a.count(invDegradeNoted)
 	if s != nil {
 		s.degraded = append(s.degraded, span{from: r.Time, to: math.Inf(1)})
 		for _, f := range s.flows {
-			f.lastStart = 0
+			if f != nil {
+				f.lastStart = 0
+			}
 		}
 	}
 	a.openSkips[schedRef{r.Node, r.Dev}] = len(a.skips)
@@ -393,7 +395,7 @@ func (a *Auditor) degradeStart(s *schedState, r trace.Record) {
 }
 
 // degradeEnd applies a recover note; s is its scheduler, or nil.
-func (a *Auditor) degradeEnd(s *schedState, r trace.Record) {
+func (a *Auditor) degradeEnd(s *schedState, r *trace.Record) {
 	a.count(invRecoverNoted)
 	if s != nil {
 		if n := len(s.degraded); n > 0 && math.IsInf(s.degraded[n-1].to, 1) {
@@ -629,6 +631,7 @@ type flowAudit struct {
 // flowWindow accumulates one flow's completions, on one scheduler or
 // cluster-wide, for the share checks.
 type flowWindow struct {
+	app      iosched.AppID
 	service  float64 // this window
 	requests int     // this window
 	weight   float64 // of the latest completion
@@ -671,7 +674,8 @@ type schedState struct {
 	lastVTime float64
 	lastDepth int
 	maxDepth  int // max depth seen this window
-	flows     map[iosched.AppID]*flowAudit
+	// flows is indexed by the log's app number (nil = no record yet).
+	flows []*flowAudit
 	// degraded intervals (NoteDegradeStart/End): while one is open the
 	// scheduler runs pure local SFQ(D), so local proportional sharing
 	// is checked even though the scheduler is nominally coordinated.
@@ -690,14 +694,25 @@ func (s *schedState) fullyDegraded(ws, we float64) bool {
 	return false
 }
 
-func (s *schedState) flow(app iosched.AppID) *flowAudit {
+func (s *schedState) flow(app int32, name iosched.AppID) *flowAudit {
+	if int(app) >= len(s.flows) {
+		s.flows = append(s.flows, make([]*flowAudit, int(app)+1-len(s.flows))...)
+	}
 	f := s.flows[app]
 	if f == nil {
 		// A new flow counts as empty since the window opened.
-		f = &flowAudit{zeroSince: s.a.windowStart}
+		f = &flowAudit{zeroSince: s.a.windowStart, flowWindow: flowWindow{app: name}}
 		s.flows[app] = f
 	}
 	return f
+}
+
+// at returns xs[i], or nil past the end.
+func at[T any](xs []*T, i int) *T {
+	if i < len(xs) {
+		return xs[i]
+	}
+	return nil
 }
 
 // tagEps is the float-comparison slack for tag arithmetic.
@@ -710,8 +725,9 @@ func (s *schedState) Observe(req *iosched.Request, st iosched.ProbeState) {
 	s.a.judgeLive()
 }
 
-// observe runs the full invariant battery on one lifecycle record.
-func (s *schedState) observe(r *trace.Record) {
+// observe runs the full invariant battery on one lifecycle record of
+// app (the log's number).
+func (s *schedState) observe(r *trace.Record, app int32) {
 	a := s.a
 	if r.Time > a.lastTime {
 		a.lastTime = r.Time
@@ -737,7 +753,7 @@ func (s *schedState) observe(r *trace.Record) {
 		return
 	}
 
-	f := s.flow(r.App)
+	f := s.flow(app, r.App)
 	switch r.Event {
 	case iosched.ProbeArrive:
 		if f.waiting == 0 && f.zeroSince >= 0 {
@@ -796,7 +812,7 @@ func (s *schedState) observe(r *trace.Record) {
 		}
 		f.add(r.Cost, r.Weight)
 		if s.coordinated {
-			a.cluster.complete(r.App, r.Cost, r.Weight)
+			a.cluster.complete(app, r.App, r.Cost, r.Weight)
 		}
 	}
 }
@@ -823,7 +839,9 @@ func (a *Auditor) closeWindow() {
 	}
 	for _, s := range a.scheds {
 		for _, f := range s.flows {
-			f.service, f.requests, f.zeroDur = 0, 0, 0
+			if f != nil {
+				f.service, f.requests, f.zeroDur = 0, 0, 0
+			}
 		}
 		s.maxDepth = s.lastDepth
 	}
@@ -837,7 +855,7 @@ func (a *Auditor) closeWindow() {
 func (s *schedState) checkWindow(start, end float64) {
 	w := s.a.opts.Window
 	for _, f := range s.flows {
-		if f.zeroSince >= 0 {
+		if f != nil && f.zeroSince >= 0 {
 			if from := math.Max(f.zeroSince, start); end > from {
 				f.zeroDur += end - from
 			}
@@ -864,9 +882,9 @@ func (s *schedState) checkWindow(start, end float64) {
 	if checked {
 		maxZero := w * s.a.opts.BacklogSlack
 		var flows []shareAgg
-		for app, f := range s.flows {
-			if f.zeroDur <= maxZero && s.a.qualifies(&f.flowWindow) {
-				flows = append(flows, shareAgg{name: string(app), app: app, service: f.service, weight: f.weight, maxUnit: f.maxUnit, members: 1})
+		for _, f := range s.flows {
+			if f != nil && f.zeroDur <= maxZero && s.a.qualifies(&f.flowWindow) {
+				flows = append(flows, shareAgg{name: string(f.app), app: f.app, service: f.service, weight: f.weight, maxUnit: f.maxUnit, members: 1})
 			}
 		}
 		sortAggs(flows)
@@ -984,15 +1002,19 @@ type clusterState struct {
 	a        *Auditor
 	members  int
 	maxDepth int // running max dispatch depth over every coordinated record
-	flows    map[iosched.AppID]*flowWindow
+	// flows is indexed by the log's app number (nil = no completion yet).
+	flows []*flowWindow
 }
 
 // complete books one coordinated completion into the app's
 // cluster-wide window.
-func (c *clusterState) complete(app iosched.AppID, cost, weight float64) {
+func (c *clusterState) complete(app int32, name iosched.AppID, cost, weight float64) {
+	if int(app) >= len(c.flows) {
+		c.flows = append(c.flows, make([]*flowWindow, int(app)+1-len(c.flows))...)
+	}
 	f := c.flows[app]
 	if f == nil {
-		f = &flowWindow{}
+		f = &flowWindow{app: name}
 		c.flows[app] = f
 	}
 	f.add(cost, weight)
@@ -1010,13 +1032,13 @@ func (c *clusterState) checkWindow(start, end float64) {
 	// Each qualifying flow's backlogged set: the coordinated schedulers
 	// on which it kept a non-empty queue for (nearly) the whole window.
 	maxZero := w * c.a.opts.BacklogSlack
-	sets := make(map[iosched.AppID]map[int]bool)
+	sets := make([]map[int]bool, len(c.flows))
 	for _, s := range c.a.scheds {
 		if !s.coordinated {
 			continue
 		}
 		for app, f := range s.flows {
-			if cf := c.flows[app]; f.zeroDur > maxZero || cf == nil || !c.a.qualifies(cf) {
+			if cf := at(c.flows, app); f == nil || f.zeroDur > maxZero || cf == nil || !c.a.qualifies(cf) {
 				continue
 			}
 			if sets[app] == nil {
@@ -1027,8 +1049,11 @@ func (c *clusterState) checkWindow(start, end float64) {
 	}
 	var flows []shareAgg
 	for app, f := range c.flows {
+		if f == nil {
+			continue
+		}
 		if set := sets[app]; set != nil {
-			flows = append(flows, shareAgg{name: string(app), app: app, service: f.service, weight: f.weight, maxUnit: f.maxUnit, members: 1, set: set})
+			flows = append(flows, shareAgg{name: string(f.app), app: f.app, service: f.service, weight: f.weight, maxUnit: f.maxUnit, members: 1, set: set})
 		}
 		f.service, f.requests = 0, 0
 	}

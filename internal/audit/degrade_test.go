@@ -101,11 +101,14 @@ func TestFullyDegradedRequiresCompleteCoverage(t *testing.T) {
 // fully inside a degraded span.
 func TestDegradedWindowChecksLocalShare(t *testing.T) {
 	mkState := func(a *Auditor) *schedState {
-		s := &schedState{a: a, sfq: true, coordinated: true, flows: make(map[iosched.AppID]*flowAudit)}
+		s := &schedState{a: a, sfq: true, coordinated: true}
 		a.scheds = append(a.scheds, s)
-		for app, svc := range map[iosched.AppID]float64{"a": 100, "b": 0.1} {
-			f := s.flow(app)
-			f.service = svc
+		for i, fl := range []struct {
+			app iosched.AppID
+			svc float64
+		}{{"a", 100}, {"b", 0.1}} {
+			f := s.flow(int32(i), fl.app)
+			f.service = fl.svc
 			f.requests = 10
 			f.weight = 1
 			f.maxUnit = 0.1

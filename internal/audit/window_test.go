@@ -90,7 +90,7 @@ func TestShardedAuditLogEmptyAfterEveryBarrier(t *testing.T) {
 	barriers, held := 0, 0
 	cl.OnBarrier(func() {
 		barriers++
-		a.log.Drain(func(trace.Record) { held++ })
+		a.log.Drain(func(*trace.Record, int32) { held++ })
 	})
 	apps := []iosched.AppID{"a", "b"}
 	for i, app := range apps {

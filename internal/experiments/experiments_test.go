@@ -411,9 +411,8 @@ func TestResultHelpers(t *testing.T) {
 	if jr.Runtime() <= 0 {
 		t.Error("runtime zero")
 	}
-	apps := sortedAppNames(res.PerAppBytes)
-	if len(apps) != 1 {
-		t.Errorf("apps = %v", apps)
+	if len(res.PerAppBytes) != 1 {
+		t.Errorf("apps = %v", res.PerAppBytes)
 	}
 	defer func() {
 		if recover() == nil {

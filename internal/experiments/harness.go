@@ -294,7 +294,7 @@ func RunWithSetup(opts Options, entries []Entry, setup func(*mapreduce.Runtime) 
 			return nil
 		}
 		c := &cells[shard]
-		if c.perApp == nil {
+		if !c.live {
 			*c = newIOCell(opts.CaptureThroughput)
 		}
 		return c
@@ -352,23 +352,49 @@ func RunWithSetup(opts Options, entries []Entry, setup func(*mapreduce.Runtime) 
 }
 
 // ioCell accumulates one shard's I/O completions; it is the probe on
-// every storage scheduler of that shard.
+// every storage scheduler of that shard. Apps are booked by their
+// share-tree index, so a completion hashes no name: every request of a
+// cluster resolves its weight through cl.Shares(), which numbers it.
 type ioCell struct {
+	live        bool // the shard has a storage scheduler
 	totalBytes  float64
-	perApp      map[iosched.AppID]float64
-	lats        map[latKey]*metrics.Distribution
+	apps        []appIO             // by iosched.AppIdx
+	unnumbered  []appIO             // apps with iosched.NoApp, by name
 	read, write *metrics.TimeSeries // nil unless throughput is captured
 }
 
+// appIO is one app's completions in a cell.
+type appIO struct {
+	name  iosched.AppID // "" until its first completion
+	bytes float64
+	lats  [iosched.NumClasses]*metrics.Distribution
+}
+
 func newIOCell(series bool) ioCell {
-	c := ioCell{
-		perApp: make(map[iosched.AppID]float64),
-		lats:   make(map[latKey]*metrics.Distribution),
-	}
+	c := ioCell{live: true}
 	if series {
 		c.read, c.write = metrics.NewTimeSeries(1), metrics.NewTimeSeries(1)
 	}
 	return c
+}
+
+// book returns req's app's entry.
+func (c *ioCell) book(req *iosched.Request) *appIO {
+	if i := int(req.AppIdx); i >= 0 {
+		if i >= len(c.apps) {
+			c.apps = append(c.apps, make([]appIO, i+1-len(c.apps))...)
+		}
+		a := &c.apps[i]
+		a.name = req.App
+		return a
+	}
+	for i := range c.unnumbered {
+		if c.unnumbered[i].name == req.App {
+			return &c.unnumbered[i]
+		}
+	}
+	c.unnumbered = append(c.unnumbered, appIO{name: req.App})
+	return &c.unnumbered[len(c.unnumbered)-1]
 }
 
 // Observe implements iosched.Probe, booking each completion.
@@ -377,12 +403,12 @@ func (c *ioCell) Observe(req *iosched.Request, st iosched.ProbeState) {
 		return
 	}
 	c.totalBytes += req.Size
-	c.perApp[req.App] += req.Size
-	k := latKey{req.App, req.Class}
-	d := c.lats[k]
+	a := c.book(req)
+	a.bytes += req.Size
+	d := a.lats[req.Class]
 	if d == nil {
 		d = metrics.NewDistribution()
-		c.lats[k] = d
+		a.lats[req.Class] = d
 	}
 	d.Add(st.Latency)
 	if c.read != nil {
@@ -396,45 +422,40 @@ func (c *ioCell) Observe(req *iosched.Request, st iosched.ProbeState) {
 
 // mergeInto folds the cell into res, adopting its latency
 // distributions where res has none yet. Cells merge in shard order and
-// each in a fixed key order, so the result does not depend on map
-// iteration or worker count.
+// each in app-name, then class order, so the result does not depend on
+// how apps were numbered or on worker count.
 func (c *ioCell) mergeInto(res *Result) {
-	if c.perApp == nil {
+	if !c.live {
 		return // a shard with no datanode
 	}
 	res.TotalBytes += c.totalBytes
-	for _, app := range sortedAppNames(c.perApp) {
-		res.PerAppBytes[app] += c.perApp[app]
-	}
-	keys := make([]latKey, 0, len(c.lats))
-	for k := range c.lats {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].app != keys[j].app {
-			return keys[i].app < keys[j].app
+	apps := make([]*appIO, 0, len(c.apps)+len(c.unnumbered))
+	for _, set := range [][]appIO{c.apps, c.unnumbered} {
+		for i := range set {
+			if set[i].name != "" {
+				apps = append(apps, &set[i])
+			}
 		}
-		return keys[i].class < keys[j].class
-	})
-	for _, k := range keys {
-		if d := res.latencies[k]; d != nil {
-			d.Merge(c.lats[k])
-		} else {
-			res.latencies[k] = c.lats[k]
+	}
+	sort.Slice(apps, func(i, j int) bool { return apps[i].name < apps[j].name })
+	for _, a := range apps {
+		res.PerAppBytes[a.name] += a.bytes
+	}
+	for _, a := range apps {
+		for class, d := range a.lats {
+			if d == nil {
+				continue
+			}
+			k := latKey{a.name, iosched.Class(class)}
+			if have := res.latencies[k]; have != nil {
+				have.Merge(d)
+			} else {
+				res.latencies[k] = d
+			}
 		}
 	}
 	if c.read != nil {
 		res.ReadSeries.Merge(c.read)
 		res.WriteSeries.Merge(c.write)
 	}
-}
-
-// sortedAppNames lists apps in a result deterministically.
-func sortedAppNames(m map[iosched.AppID]float64) []iosched.AppID {
-	out := make([]iosched.AppID, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -26,6 +26,7 @@ import (
 	"cmp"
 	"fmt"
 	"io"
+	"math/bits"
 	"slices"
 	"strconv"
 	"strings"
@@ -170,6 +171,9 @@ type buffer struct {
 	lastApp  iosched.AppID
 	lastIdx  uint32
 	haveLast bool
+	// shared translates apps' indices into the owning Log's numbering
+	// (appSet); the reader fills it on first sight.
+	shared []int32
 }
 
 // buffers holds one buffer per shard that has a writer, in shard order.
@@ -189,62 +193,122 @@ func (bs *buffers) get(shard, capacity int) *buffer {
 	return (*bs)[i]
 }
 
-// walk calls fn on every held record in (time, shard, buffer order): a
-// k-way merge over per-shard cursors. Each buffer is already in time
+// merge is a k-way merge over per-buffer cursors that yields every held
+// record in (time, shard, buffer order). Each buffer is already in time
 // order, so this is the order a stable sort on (time, shard) would
 // give, and any digest over it is a pure function of the simulated
-// system, independent of how many worker goroutines executed it.
-func (bs buffers) walk(fn func(*buffer, *rec)) {
-	if len(bs) == 1 {
-		b := bs[0]
-		for i, n := 0, b.len(); i < n; i++ {
-			fn(b, b.at(i))
-		}
-		return
-	}
-	type cursor struct {
-		b    *buffer
-		i, n int
-		time float64 // of the record at i
-	}
-	h := make([]cursor, 0, len(bs))
+// system, independent of how many worker goroutines executed it. The
+// cursors and their heap are reused from one merge to the next.
+type merge struct {
+	cur []cursor
+	h   []head // a min-heap of the cursors' next records
+}
+
+// cursor walks one buffer's held records: seg, then rest (a wrapped
+// ring's records before its wrap point).
+type cursor struct {
+	seg, rest []rec
+	b         *buffer
+}
+
+// head is a cursor's place in the heap: its next record's time, its
+// buffer's shard, and its index in cur.
+type head struct {
+	time  float64
+	shard int32
+	c     int32
+}
+
+func (x *head) before(y *head) bool {
+	return x.time < y.time || x.time == y.time && x.shard < y.shard
+}
+
+// start positions the merge at the oldest record of bs.
+func (m *merge) start(bs buffers) {
+	m.cur, m.h = m.cur[:0], m.h[:0]
 	for _, b := range bs {
-		if n := b.len(); n > 0 {
-			h = append(h, cursor{b: b, n: n, time: b.at(0).time})
+		if seg, rest := b.held(); len(seg) > 0 {
+			m.h = append(m.h, head{time: seg[0].time, shard: int32(b.shard), c: int32(len(m.cur))})
+			m.cur = append(m.cur, cursor{seg: seg, rest: rest, b: b})
 		}
 	}
-	less := func(x, y *cursor) bool {
-		return x.time < y.time || x.time == y.time && x.b.shard < y.b.shard
+	for i := len(m.h)/2 - 1; i >= 0; i-- {
+		m.down(i)
 	}
-	down := func(i int) {
-		for {
-			m := i
-			if l := 2*i + 1; l < len(h) && less(&h[l], &h[m]) {
-				m = l
-			}
-			if r := 2*i + 2; r < len(h) && less(&h[r], &h[m]) {
-				m = r
-			}
-			if m == i {
-				return
-			}
-			h[i], h[m] = h[m], h[i]
-			i = m
+}
+
+// next returns the next record and its buffer, or a nil record once
+// every record was yielded.
+func (m *merge) next() (*buffer, *rec) {
+	if len(m.h) == 0 {
+		return nil, nil
+	}
+	c := &m.cur[m.h[0].c]
+	x := &c.seg[0]
+	if c.seg = c.seg[1:]; len(c.seg) == 0 {
+		c.seg, c.rest = c.rest, nil
+	}
+	if len(c.seg) > 0 {
+		m.h[0].time = c.seg[0].time
+	} else {
+		m.h[0] = m.h[len(m.h)-1]
+		m.h = m.h[:len(m.h)-1]
+	}
+	m.down(0)
+	return c.b, x
+}
+
+// down restores the heap below i; it stops at once while the cursor
+// at i still holds the oldest record, as in a run of one buffer's.
+func (m *merge) down(i int) {
+	h := m.h
+	for {
+		k := i
+		if l := 2*i + 1; l < len(h) && h[l].before(&h[k]) {
+			k = l
 		}
-	}
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		down(i)
-	}
-	for len(h) > 0 {
-		c := &h[0]
-		fn(c.b, c.b.at(c.i))
-		if c.i++; c.i < c.n {
-			c.time = c.b.at(c.i).time
-		} else {
-			h[0] = h[len(h)-1]
-			h = h[:len(h)-1]
+		if r := 2*i + 2; r < len(h) && h[r].before(&h[k]) {
+			k = r
 		}
-		down(0)
+		if k == i {
+			return
+		}
+		h[i], h[k] = h[k], h[i]
+		i = k
+	}
+}
+
+// appSet numbers the apps of every buffer of one Log, in the order the
+// reader first sees them, so a reader keys per-app state by a dense
+// integer instead of the name. Each buffer's translation is
+// filled once per app, by name; after that a record's number is one
+// slice read.
+type appSet struct {
+	names []iosched.AppID
+	index map[iosched.AppID]int32
+}
+
+// of returns the set-wide number of x's app (x is a record of b).
+func (s *appSet) of(b *buffer, x *rec) int32 {
+	if int(x.app) >= len(b.shared) {
+		s.learn(b)
+	}
+	return b.shared[x.app]
+}
+
+// learn extends b's translation to every app b has interned.
+func (s *appSet) learn(b *buffer) {
+	if s.index == nil {
+		s.index = make(map[iosched.AppID]int32)
+	}
+	for _, name := range b.apps[len(b.shared):] {
+		i, ok := s.index[name]
+		if !ok {
+			i = int32(len(s.names))
+			s.names = append(s.names, name)
+			s.index[name] = i
+		}
+		b.shared = append(b.shared, i)
 	}
 }
 
@@ -291,24 +355,26 @@ func (b *buffer) len() int {
 	return len(b.buf)
 }
 
-// at returns the i-th held record, oldest first.
-func (b *buffer) at(i int) *rec {
+// held returns the held records, oldest first, as two runs: a full
+// ring that wrapped holds them from its write position on, then from
+// its start.
+func (b *buffer) held() (seg, rest []rec) {
 	if b.next <= uint64(len(b.buf)) {
-		return &b.buf[i]
+		return b.buf[:b.len()], nil
 	}
-	return &b.buf[(b.next+uint64(i))&b.mask]
+	w := b.next & b.mask
+	return b.buf[w:], b.buf[:w]
 }
 
-// export materializes one record in the public layout.
-func (b *buffer) export(x *rec) Record {
-	return Record{
-		Time: x.time, Node: x.node, Dev: x.dev, Event: x.event,
-		App: b.apps[x.app], Class: iosched.Class(x.class), Seq: x.seq, Size: x.size,
-		Weight: x.weight, Epoch: x.epoch, Cost: x.cost,
-		StartTag: x.startTag, FinishTag: x.finishTag, VTime: x.vtime,
-		Queued: x.queued, InFlight: x.inFlight, Depth: x.depth,
-		Latency: x.latency,
-	}
+// export materializes one record in the public layout, field by field:
+// a composite literal would be built aside and copied in.
+func (b *buffer) export(x *rec, r *Record) {
+	r.Time, r.Node, r.Dev, r.Event = x.time, x.node, x.dev, x.event
+	r.App, r.Class, r.Seq, r.Size = b.apps[x.app], iosched.Class(x.class), x.seq, x.size
+	r.Weight, r.Epoch, r.Cost = x.weight, x.epoch, x.cost
+	r.StartTag, r.FinishTag, r.VTime = x.startTag, x.finishTag, x.vtime
+	r.Queued, r.InFlight, r.Depth = x.queued, x.inFlight, x.depth
+	r.Latency = x.latency
 }
 
 // Tracer is a ring-buffered lifecycle recorder with one ring per
@@ -393,8 +459,13 @@ func (t *Tracer) Records() []Record {
 	if t.merged != nil && t.mergedAt == total {
 		return t.merged
 	}
-	out := make([]Record, 0, t.Len())
-	t.rings.walk(func(b *buffer, x *rec) { out = append(out, b.export(x)) })
+	out := make([]Record, t.Len())
+	var m merge
+	m.start(t.rings)
+	for i := range out {
+		b, x := m.next()
+		b.export(x, &out[i])
+	}
 	t.merged, t.mergedAt = out, total
 	return out
 }
@@ -413,7 +484,9 @@ func (t *Tracer) Attach(cl *cluster.Cluster) {
 
 // Probe returns an iosched.Probe that records one scheduler's events
 // into shard's ring, labeled with the node index and device kind. The
-// probe must only be driven by that shard's engine.
+// probe must only be driven by that shard's engine, and a scheduler
+// (node, device) is probed from one shard only: Requests assembles
+// lifecycles ring by ring.
 func (t *Tracer) Probe(shard, node int, dev DeviceKind) iosched.Probe {
 	return Writer{b: t.rings.get(shard, t.capacity), node: int32(node), dev: dev}
 }
@@ -423,7 +496,12 @@ func (t *Tracer) Probe(shard, node int, dev DeviceKind) iosched.Probe {
 // auditor writes every lifecycle event and degrade/recover note it
 // receives into the log of the scheduler's shard, and judges the
 // records in merged order. The zero Log is empty and ready to use.
-type Log struct{ shards buffers }
+type Log struct {
+	shards buffers
+	apps   appSet
+	m      merge
+	r      Record // the record Drain hands out
+}
 
 // Writer returns the writer of one scheduler's records into shard's
 // log, labeled with the node index and device kind. It must only be
@@ -433,9 +511,27 @@ func (l *Log) Writer(shard, node int, dev DeviceKind) Writer {
 }
 
 // Drain calls fn on every logged record in (time, shard, log order),
-// then empties the logs. fn must not write to the log.
-func (l *Log) Drain(fn func(Record)) {
-	l.shards.walk(func(b *buffer, x *rec) { fn(b.export(x)) })
+// then empties the logs. fn gets the record in one Record reused for
+// every call, and the record's app as a dense log-wide number, assigned
+// in first-drained order (a note's names the empty app). fn must not
+// keep r, nor write to the log.
+func (l *Log) Drain(fn func(r *Record, app int32)) {
+	if len(l.shards) == 1 {
+		// One log is its own merge (the one-shard auditor drains after
+		// every record).
+		b := l.shards[0]
+		for i := range b.buf {
+			x := &b.buf[i]
+			b.export(x, &l.r)
+			fn(&l.r, l.apps.of(b, x))
+		}
+	} else {
+		l.m.start(l.shards)
+		for b, x := l.m.next(); x != nil; b, x = l.m.next() {
+			b.export(x, &l.r)
+			fn(&l.r, l.apps.of(b, x))
+		}
+	}
 	for _, b := range l.shards {
 		b.reset()
 	}
@@ -600,64 +696,218 @@ func (r RequestTrace) ServiceTime() float64 {
 	return r.Complete - r.Dispatch
 }
 
-type reqKey struct {
-	node  int32
-	dev   DeviceKind
-	class iosched.Class
-	app   iosched.AppID
-	seq   uint64
-}
-
 // Requests groups the held records into per-request lifecycles, ordered
-// by first-observed event time (ties broken by node, device, sequence).
+// by first-observed event time (ties broken by node, device, sequence,
+// then the order the merge first saw them in).
+//
+// Every record of one scheduler is in one ring (Probe), so Requests
+// assembles each ring on its own, in ring order: a lifecycle is found by
+// its integer key (node, device, class, the ring's app index, sequence)
+// in an open-addressing table of int32 slots sized for every record of
+// the ring to start its own lifecycle, so it never fills. A ring's
+// lifecycles are created in first-observed-time order already, so only
+// runs of equal first time need the tie-break, and one merge of the
+// rings' sorted runs, applied in place, gives the order.
 func (t *Tracer) Requests() []RequestTrace {
-	idx := make(map[reqKey]int)
-	var out []RequestTrace
-	for _, r := range t.Records() {
-		k := reqKey{r.Node, r.Dev, r.Class, r.App, r.Seq}
-		i, ok := idx[k]
-		if !ok {
-			i = len(out)
-			idx[k] = i
-			out = append(out, RequestTrace{
-				Node: r.Node, Dev: r.Dev, App: r.App, Class: r.Class,
-				Seq: r.Seq, Size: r.Size, Weight: r.Weight,
-				Arrive: -1, Dispatch: -1, Complete: -1, Latency: -1,
-			})
+	n := t.Len()
+	if n == 0 {
+		return nil
+	}
+	// Most lifecycles hold an arrival, a dispatch and a completion; the
+	// slack covers the ones a ring cut short.
+	out := make([]RequestTrace, 0, n/3+n/32+1)
+	var slots []int32
+	runs := make([]int, 1, len(t.rings)+1) // ring i's lifecycles are out[runs[i]:runs[i+1]]
+	for _, b := range t.rings {
+		if m := b.len(); m > 0 {
+			lg := bits.Len(uint(m-1)) + 1
+			if cap(slots) < 1<<lg {
+				slots = make([]int32, 1<<lg)
+			} else {
+				slots = slots[:1<<lg]
+				clear(slots)
+			}
+			out = b.lifecycles(out, slots, lg)
 		}
-		rt := &out[i]
-		if r.Cost != 0 {
-			rt.Cost = r.Cost
-		}
-		if r.StartTag != 0 {
-			rt.StartTag = r.StartTag
-		}
-		if r.FinishTag != 0 {
-			rt.FinishTag = r.FinishTag
-		}
-		switch r.Event {
-		case iosched.ProbeArrive:
-			rt.Arrive = r.Time
-		case iosched.ProbeDispatch:
-			rt.Dispatch = r.Time
-		case iosched.ProbeComplete:
-			rt.Complete = r.Time
-			rt.Latency = r.Latency
+		runs = append(runs, len(out))
+	}
+	for i := 1; i < len(runs); i++ {
+		if !tieBreak(out[runs[i-1]:runs[i]]) {
+			// Phases observed out of time order, which no scheduler does.
+			slices.SortStableFunc(out, func(x, y RequestTrace) int { return x.compare(&y) })
+			return out
 		}
 	}
-	slices.SortStableFunc(out, func(x, y RequestTrace) int {
-		return cmp.Or(cmp.Compare(firstTime(x), firstTime(y)), cmp.Compare(x.Node, y.Node), cmp.Compare(x.Dev, y.Dev), cmp.Compare(x.Seq, y.Seq))
-	})
+	mergeRuns(out, runs)
 	return out
 }
 
-func firstTime(r RequestTrace) float64 {
-	for _, t := range []float64{r.Arrive, r.Dispatch, r.Complete} {
-		if t >= 0 {
-			return t
+// lifecycles appends the lifecycles of b's records to out, in the
+// order their first records were written. slots is the cleared lookup
+// table of 1<<lg entries: a lifecycle's index in out plus one, 0 =
+// empty.
+func (b *buffer) lifecycles(out []RequestTrace, slots []int32, lg int) []RequestTrace {
+	seg, rest := b.held()
+	for _, part := range [2][]rec{seg, rest} {
+		for i := range part {
+			x := &part[i]
+			app := b.apps[x.app]
+			h := (x.seq ^ uint64(uint32(x.node))<<40 ^ uint64(x.app)<<16 ^ uint64(x.dev)<<8 ^ uint64(x.class)) * 0x9e3779b97f4a7c15
+			var rt *RequestTrace
+			for j := h >> (64 - lg); ; j = (j + 1) & (1<<lg - 1) {
+				k := slots[j] - 1
+				if k < 0 {
+					slots[j] = int32(len(out)) + 1
+					// Set field by field: a composite literal would be
+					// built aside and copied in.
+					out = slices.Grow(out, 1)[:len(out)+1]
+					rt = &out[len(out)-1]
+					rt.Node, rt.Dev, rt.App, rt.Class = x.node, x.dev, app, iosched.Class(x.class)
+					rt.Seq, rt.Size, rt.Weight = x.seq, x.size, x.weight
+					rt.Cost, rt.StartTag, rt.FinishTag = 0, 0, 0
+					rt.Arrive, rt.Dispatch, rt.Complete, rt.Latency = -1, -1, -1, -1
+					break
+				}
+				if rt = &out[k]; rt.Seq == x.seq && rt.Node == x.node && rt.Dev == x.dev && rt.Class == iosched.Class(x.class) && rt.App == app {
+					break
+				}
+			}
+			if x.cost != 0 {
+				rt.Cost = x.cost
+			}
+			if x.startTag != 0 {
+				rt.StartTag = x.startTag
+			}
+			if x.finishTag != 0 {
+				rt.FinishTag = x.finishTag
+			}
+			switch x.event {
+			case iosched.ProbeArrive:
+				rt.Arrive = x.time
+			case iosched.ProbeDispatch:
+				rt.Dispatch = x.time
+			case iosched.ProbeComplete:
+				rt.Complete = x.time
+				rt.Latency = x.latency
+			}
 		}
 	}
-	return -1
+	return out
+}
+
+// firstTime returns the first observed phase time: arrival, else
+// dispatch, else completion (-1 when none was observed).
+func (r *RequestTrace) firstTime() float64 {
+	switch {
+	case r.Arrive >= 0:
+		return r.Arrive
+	case r.Dispatch >= 0:
+		return r.Dispatch
+	default:
+		return r.Complete
+	}
+}
+
+// compare orders lifecycles by first time, node, device and sequence.
+func (r *RequestTrace) compare(y *RequestTrace) int {
+	return cmp.Or(cmp.Compare(r.firstTime(), y.firstTime()), r.compareID(y))
+}
+
+// compareID orders lifecycles by node, device and sequence.
+func (r *RequestTrace) compareID(y *RequestTrace) int {
+	return cmp.Or(cmp.Compare(r.Node, y.Node), cmp.Compare(r.Dev, y.Dev), cmp.Compare(r.Seq, y.Seq))
+}
+
+// tieBreak sorts one ring's lifecycles, created in first-record order,
+// by compare, keeping creation order among equals: a stable sort of
+// each run of equal first time. It reports false, sorting nothing
+// more, if a first time decreases.
+func tieBreak(rs []RequestTrace) bool {
+	for i, j := 0, 1; j <= len(rs); j++ {
+		if j < len(rs) && rs[j].firstTime() == rs[i].firstTime() {
+			continue
+		}
+		if j < len(rs) && rs[j].firstTime() < rs[i].firstTime() {
+			return false
+		}
+		if j-i > 1 {
+			slices.SortStableFunc(rs[i:j], func(x, y RequestTrace) int { return x.compare(&y) })
+		}
+		i = j
+	}
+	return true
+}
+
+// mergeRuns sorts out, whose runs out[runs[i]:runs[i+1]] are each
+// sorted by compare, with a k-way merge: it lists the sources of the
+// merged order, then moves every lifecycle once, cycle by cycle. Two
+// runs never hold equal lifecycles, which would be one scheduler's
+// records in two rings.
+func mergeRuns(out []RequestTrace, runs []int) {
+	type cursor struct {
+		at, end int32
+		first   float64 // out[at].firstTime()
+	}
+	h := make([]cursor, 0, len(runs))
+	for i := 1; i < len(runs); i++ {
+		if lo := runs[i-1]; lo < runs[i] {
+			h = append(h, cursor{int32(lo), int32(runs[i]), out[lo].firstTime()})
+		}
+	}
+	if len(h) < 2 {
+		return
+	}
+	less := func(i, j int) bool {
+		x, y := &h[i], &h[j]
+		return x.first < y.first || x.first == y.first && out[x.at].compareID(&out[y.at]) < 0
+	}
+	down := func(i int) {
+		for {
+			k := i
+			if l := 2*i + 1; l < len(h) && less(l, k) {
+				k = l
+			}
+			if r := 2*i + 2; r < len(h) && less(r, k) {
+				k = r
+			}
+			if k == i {
+				return
+			}
+			h[i], h[k] = h[k], h[i]
+			i = k
+		}
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		down(i)
+	}
+	from := make([]int32, len(out)) // out[p] takes the old out[from[p]]
+	for p := range from {
+		c := &h[0]
+		from[p] = c.at
+		if c.at++; c.at < c.end {
+			c.first = out[c.at].firstTime()
+		} else {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+		}
+		down(0)
+	}
+	for p := range from {
+		if from[p] < 0 || int(from[p]) == p {
+			continue
+		}
+		held, q := out[p], p
+		for {
+			src := int(from[q])
+			from[q] = -1
+			if src == p {
+				out[q] = held
+				break
+			}
+			out[q] = out[src]
+			q = src
+		}
+	}
 }
 
 // WriteChromeTrace writes the held records in the Chrome trace-event
