@@ -61,6 +61,43 @@ func BenchmarkFig02_TracingOverhead(b *testing.B) {
 	}
 }
 
+// BenchmarkObservationOverhead times the Figure 3-class co-run
+// (experiments.CorunObserved) bare, traced into 32Ki-record rings and
+// audited, on the one-engine cluster and on the fabric at one worker.
+// Each configuration takes the best of 5 runs made in this process,
+// interleaved so that a drift in host speed hits all three alike, and
+// each path reports what tracing and auditing add to its bare run. CI
+// gates audit-overhead-% on both paths, as it gates the Figure 2
+// tracing overhead.
+func BenchmarkObservationOverhead(b *testing.B) {
+	configs := []struct {
+		traceCapacity int
+		audit         bool
+	}{{0, false}, {1 << 15, false}, {0, true}}
+	for i := 0; i < b.N; i++ {
+		for _, path := range []struct {
+			name   string
+			shards int
+		}{{"serial", 0}, {"fabric", 1}} {
+			var best [3]time.Duration
+			for rep := 0; rep < 5; rep++ {
+				for c, cfg := range configs {
+					t0 := time.Now()
+					if _, err := experiments.CorunObserved(benchScale, path.shards, cfg.traceCapacity, cfg.audit); err != nil {
+						b.Fatal(err)
+					}
+					if d := time.Since(t0); rep == 0 || d < best[c] {
+						best[c] = d
+					}
+				}
+			}
+			overhead := func(d time.Duration) float64 { return float64(d-best[0]) / float64(best[0]) * 100 }
+			b.ReportMetric(overhead(best[1]), path.name+"-trace-overhead-%")
+			b.ReportMetric(overhead(best[2]), path.name+"-audit-overhead-%")
+		}
+	}
+}
+
 func maxOf(v []float64) (float64, int) {
 	best, idx := 0.0, -1
 	for i, x := range v {

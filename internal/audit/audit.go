@@ -223,6 +223,9 @@ type Auditor struct {
 	// once attached, else Finish.
 	log    trace.Log
 	shards map[int]bool
+	// aggs is the local share check's flow list, reused from one
+	// window to the next.
+	aggs []shareAgg
 }
 
 // schedRef names a scheduler by node and device.
@@ -719,10 +722,16 @@ func at[T any](xs []*T, i int) *T {
 func tagEps(x, y float64) float64 { return 1e-9 * (math.Abs(x) + math.Abs(y) + 1) }
 
 // Observe implements iosched.Probe: the event is written to the log,
-// and judged there.
+// and judged there; when every writer sits on one shard it is judged at
+// once, as the record it would be logged as.
 func (s *schedState) Observe(req *iosched.Request, st iosched.ProbeState) {
+	if len(s.a.shards) <= 1 {
+		var r trace.Record
+		app := s.w.Fill(req, st, &r)
+		s.a.judge(&r, app)
+		return
+	}
 	s.w.Observe(req, st)
-	s.a.judgeLive()
 }
 
 // observe runs the full invariant battery on one lifecycle record of
@@ -881,12 +890,13 @@ func (s *schedState) checkWindow(start, end float64) {
 	}
 	if checked {
 		maxZero := w * s.a.opts.BacklogSlack
-		var flows []shareAgg
+		flows := s.a.aggs[:0]
 		for _, f := range s.flows {
 			if f != nil && f.zeroDur <= maxZero && s.a.qualifies(&f.flowWindow) {
 				flows = append(flows, shareAgg{name: string(f.app), app: f.app, service: f.service, weight: f.weight, maxUnit: f.maxUnit, members: 1})
 			}
 		}
+		s.a.aggs = flows
 		sortAggs(flows)
 		win := shareWindow{a: s.a, node: s.node, dev: s.dev.String(), start: start, end: end, d: max(s.maxDepth, 1)}
 		bound := func(x, y *shareAgg, _, _ float64) float64 {

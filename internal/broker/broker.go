@@ -38,6 +38,7 @@
 package broker
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -96,10 +97,12 @@ func (s *Stats) Merge(o Stats) {
 // That vector is a slice indexed by the share tree's AppIdx, and the
 // tenant rollup one indexed by its TenantIdx.
 type Broker struct {
-	// reports holds each registered scheduler's last cumulative vector,
-	// keyed by AppIdx: a scheduler serves few of the cluster's apps.
-	reports map[string]map[iosched.AppIdx]float64
-	apps    []appBook // by AppIdx
+	// reports holds each registered scheduler's last cumulative vector
+	// by scheduler id, and registered holds the same reports in
+	// registration order, for the sweeps over every report.
+	reports    map[string]*report
+	registered []*report
+	apps       []appBook // by AppIdx
 	// tenants rolls the live totals up by tenant (by TenantIdx),
 	// grouped at view epoch epoch: exchanges fold deltas in, and every
 	// other change regroups it.
@@ -113,6 +116,32 @@ type Broker struct {
 	touched []shares.TenantIdx
 	order   []iosched.AppIdx
 	sums    []float64
+}
+
+// report is one scheduler's last cumulative vector: its entries sorted
+// by AppIdx, as a scheduler serves few of the cluster's apps.
+type report struct {
+	sched string
+	cums  []appCum
+}
+
+type appCum struct {
+	ai  iosched.AppIdx
+	cum float64
+}
+
+// find returns the index of ai's entry, and whether there is one.
+func (r *report) find(ai iosched.AppIdx) (int, bool) {
+	return slices.BinarySearchFunc(r.cums, ai, func(c appCum, ai iosched.AppIdx) int { return cmp.Compare(c.ai, ai) })
+}
+
+// at returns ai's entry, adding a zero one if there is none.
+func (r *report) at(ai iosched.AppIdx) *float64 {
+	i, ok := r.find(ai)
+	if !ok {
+		r.cums = slices.Insert(r.cums, i, appCum{ai: ai})
+	}
+	return &r.cums[i].cum
 }
 
 // appBook is the broker's state of one app.
@@ -172,7 +201,7 @@ func (b *Broker) SetProbe(p Probe) { b.probe = p }
 // New creates an empty broker whose apps are implicit singleton
 // tenants.
 func New() *Broker {
-	return &Broker{reports: make(map[string]map[iosched.AppIdx]float64), view: shares.NewTree()}
+	return &Broker{reports: make(map[string]*report), view: shares.NewTree()}
 }
 
 // book returns app ai's state, growing the books to hold it.
@@ -193,7 +222,7 @@ func (b *Broker) lookup(app iosched.AppID) *appBook {
 // double counting. Retirement state (flags, tombstones) survives: it
 // is control-plane membership knowledge, not broker memory.
 func (b *Broker) ResetReports() {
-	b.reports = make(map[string]map[iosched.AppIdx]float64)
+	b.reports, b.registered = make(map[string]*report), nil
 	for i := range b.apps {
 		ab := &b.apps[i]
 		ab.total, ab.live, ab.snap = 0, false, nil
@@ -219,11 +248,7 @@ func (b *Broker) Exchange(scheduler string, vector []iosched.AppCost) Response {
 // total (a partition's view of the rest of the federation; nil: none).
 func (b *Broker) exchange(scheduler string, vector []iosched.AppCost, remote func(shares.TenantIdx) float64) Response {
 	b.refresh()
-	prev := b.reports[scheduler]
-	if prev == nil {
-		prev = make(map[iosched.AppIdx]float64)
-		b.reports[scheduler] = prev
-	}
+	prev := b.register(scheduler)
 	resp := Response{Apps: make([]iosched.AppID, 0, len(vector)), Tenants: make(map[string]float64, len(vector))}
 	touched := b.touched[:0]
 	for _, e := range vector {
@@ -236,8 +261,9 @@ func (b *Broker) exchange(scheduler string, vector []iosched.AppCost, remote fun
 			continue
 		}
 		resp.Apps = append(resp.Apps, e.App)
-		d := e.Cost - prev[ai]
-		prev[ai] = e.Cost
+		cum := prev.at(ai)
+		d := e.Cost - *cum
+		*cum = e.Cost
 		ab.total += d
 		ab.live = true
 		t := b.view.TenantAt(ai)
@@ -266,10 +292,17 @@ func (b *Broker) exchange(scheduler string, vector []iosched.AppCost, remote fun
 // re-registration after a scheduler restart keeps the previous
 // cumulative vector, which is exactly what makes the restarted
 // client's full re-report apply as a no-op delta.
-func (b *Broker) Register(scheduler string) {
-	if b.reports[scheduler] == nil {
-		b.reports[scheduler] = make(map[iosched.AppIdx]float64)
+func (b *Broker) Register(scheduler string) { b.register(scheduler) }
+
+// register returns the scheduler's report, adding an empty one.
+func (b *Broker) register(scheduler string) *report {
+	r := b.reports[scheduler]
+	if r == nil {
+		r = &report{sched: scheduler}
+		b.reports[scheduler] = r
+		b.registered = append(b.registered, r)
 	}
+	return r
 }
 
 // Unregister removes a scheduler (a dead node's device): its last
@@ -277,14 +310,15 @@ func (b *Broker) Register(scheduler string) {
 // service stops counting forever, and per-app totals no longer backed
 // by any live report are pruned.
 func (b *Broker) Unregister(scheduler string) {
-	vec, ok := b.reports[scheduler]
+	r, ok := b.reports[scheduler]
 	if !ok {
 		return
 	}
 	delete(b.reports, scheduler)
-	for ai, cum := range vec {
-		ab := b.book(ai)
-		ab.total -= cum
+	b.registered = slices.DeleteFunc(b.registered, func(x *report) bool { return x == r })
+	for _, c := range r.cums {
+		ab := b.book(c.ai)
+		ab.total -= c.cum
 		ab.live = true
 	}
 	b.pruneUnbacked()
@@ -305,13 +339,13 @@ func (b *Broker) Retire(app iosched.AppID) {
 	ab := b.book(ai)
 	ab.retired = true
 	ab.final = ab.total
-	for sched, vec := range b.reports {
-		if cum, ok := vec[ai]; ok {
+	for _, r := range b.registered {
+		if i, ok := r.find(ai); ok {
 			if ab.snap == nil {
 				ab.snap = make(map[string]float64)
 			}
-			ab.snap[sched] = cum
-			delete(vec, ai)
+			ab.snap[r.sched] = r.cums[i].cum
+			r.cums = slices.Delete(r.cums, i, i+1)
 		}
 	}
 	ab.total, ab.live = 0, false
@@ -345,8 +379,8 @@ func (b *Broker) Revive(app iosched.AppID) {
 	}
 	sort.Strings(scheds)
 	for _, sched := range scheds {
-		if vec, ok := b.reports[sched]; ok {
-			vec[ai] = ab.snap[sched]
+		if r, ok := b.reports[sched]; ok {
+			*r.at(ai) = ab.snap[sched]
 			total += ab.snap[sched]
 		}
 	}
@@ -368,9 +402,9 @@ func (b *Broker) Retired(app iosched.AppID) bool {
 // remaining value is float residue from subtraction, not service.
 func (b *Broker) pruneUnbacked() {
 	backed := make([]bool, len(b.apps))
-	for _, vec := range b.reports {
-		for ai := range vec {
-			backed[ai] = true
+	for _, r := range b.registered {
+		for _, c := range r.cums {
+			backed[c.ai] = true
 		}
 	}
 	for ai := range b.apps {
@@ -467,9 +501,9 @@ func (b *Broker) refresh() {
 // the first discrepancy found.
 func (b *Broker) CheckConservation() error {
 	sums := zeroed(b.sums, len(b.apps))
-	for _, vec := range b.reports {
-		for ai, cum := range vec {
-			sums[ai] += cum
+	for _, r := range b.registered {
+		for _, c := range r.cums {
+			sums[c.ai] += c.cum
 		}
 	}
 	b.sums = sums
@@ -504,9 +538,9 @@ func near(got, want float64) bool {
 
 // Schedulers returns the registered scheduler ids, sorted.
 func (b *Broker) Schedulers() []string {
-	ids := make([]string, 0, len(b.reports))
-	for id := range b.reports {
-		ids = append(ids, id)
+	ids := make([]string, 0, len(b.registered))
+	for _, r := range b.registered {
+		ids = append(ids, r.sched)
 	}
 	sort.Strings(ids)
 	return ids

@@ -92,9 +92,9 @@ func TestRetireReviveIdempotence(t *testing.T) {
 // reportedTotals sums the latest per-scheduler reports per app.
 func reportedTotals(b *Broker) map[iosched.AppID]float64 {
 	sums := map[iosched.AppID]float64{}
-	for _, vec := range b.reports {
-		for ai, cum := range vec {
-			sums[b.view.AppName(ai)] += cum
+	for _, r := range b.registered {
+		for _, c := range r.cums {
+			sums[b.view.AppName(c.ai)] += c.cum
 		}
 	}
 	return sums

@@ -68,6 +68,17 @@ func ShardsOnce(scale float64, workers int) (ShardsRow, error) {
 	return shardsRun(scale, workers)
 }
 
+// CorunObserved runs the shards scenario with the observers chosen: a
+// trace ring of traceCapacity records (0 = off) and the auditor. shards
+// is the fabric's worker count; 0 runs the one-engine cluster. The root
+// benchmark suite times it bare, traced and audited to gate what the
+// observers cost.
+func CorunObserved(scale float64, shards, traceCapacity int, audit bool) (*Result, error) {
+	opts := shardsScenario(scale, shards)
+	opts.TraceCapacity, opts.Audit = traceCapacity, audit
+	return Run(opts, []Entry{wordCount(scale, 1), teraSortContender(scale, 1)})
+}
+
 func shardsRun(scale float64, workers int) (ShardsRow, error) {
 	start := time.Now()
 	res, err := Run(shardsScenario(scale, workers),

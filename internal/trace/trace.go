@@ -171,8 +171,9 @@ type buffer struct {
 	lastApp  iosched.AppID
 	lastIdx  uint32
 	haveLast bool
-	// shared translates apps' indices into the owning Log's numbering
-	// (appSet); the reader fills it on first sight.
+	// A log's buffer: set is the Log's numbering, and shared translates
+	// apps' indices into it, filled by the reader on first sight.
+	set    *appSet
 	shared []int32
 }
 
@@ -507,7 +508,9 @@ type Log struct {
 // log, labeled with the node index and device kind. It must only be
 // driven by that shard's engine.
 func (l *Log) Writer(shard, node int, dev DeviceKind) Writer {
-	return Writer{b: l.shards.get(shard, 0), node: int32(node), dev: dev}
+	b := l.shards.get(shard, 0)
+	b.set = &l.apps
+	return Writer{b: b, node: int32(node), dev: dev}
 }
 
 // Drain calls fn on every logged record in (time, shard, log order),
@@ -523,13 +526,13 @@ func (l *Log) Drain(fn func(r *Record, app int32)) {
 		for i := range b.buf {
 			x := &b.buf[i]
 			b.export(x, &l.r)
-			fn(&l.r, l.apps.of(b, x))
+			fn(&l.r, b.set.of(b, x))
 		}
 	} else {
 		l.m.start(l.shards)
 		for b, x := l.m.next(); x != nil; b, x = l.m.next() {
 			b.export(x, &l.r)
-			fn(&l.r, l.apps.of(b, x))
+			fn(&l.r, b.set.of(b, x))
 		}
 	}
 	for _, b := range l.shards {
@@ -549,13 +552,27 @@ type Writer struct {
 // no allocation once a log has grown (a ring never allocates; its index
 // is a mask, not a division).
 func (w Writer) Observe(req *iosched.Request, st iosched.ProbeState) {
-	g := w.b
-	r := g.slot()
+	w.fill(w.b.slot(), req, st)
+}
+
+// Fill sets r to the record Observe would log for (req, st), without
+// logging it, and returns its app's number as Drain would hand it out.
+// It is for a Log's writer: the auditor judges this way, at once, when
+// every writer sits on one shard.
+func (w Writer) Fill(req *iosched.Request, st iosched.ProbeState, r *Record) int32 {
+	var x rec
+	w.fill(&x, req, st)
+	w.b.export(&x, r)
+	return w.b.set.of(w.b, &x)
+}
+
+// fill writes the record of (req, st) into r.
+func (w Writer) fill(r *rec, req *iosched.Request, st iosched.ProbeState) {
 	r.time = st.Time
 	r.node = w.node
 	r.dev = w.dev
 	r.event = st.Event
-	r.app = g.intern(req.App)
+	r.app = w.b.intern(req.App)
 	r.class = uint8(req.Class)
 	r.seq = req.Seq()
 	r.size = req.Size
