@@ -12,6 +12,7 @@ package ibis_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -64,7 +65,7 @@ func BenchmarkFig02_TracingOverhead(b *testing.B) {
 // BenchmarkObservationOverhead times the Figure 3-class co-run
 // (experiments.CorunObserved) bare, traced into 32Ki-record rings and
 // audited, on the one-engine cluster and on the fabric at one worker.
-// Each configuration takes the best of 5 runs made in this process,
+// Each configuration takes the best of 9 runs made in this process,
 // interleaved so that a drift in host speed hits all three alike, and
 // each path reports what tracing and auditing add to its bare run. CI
 // gates audit-overhead-% on both paths, as it gates the Figure 2
@@ -80,8 +81,9 @@ func BenchmarkObservationOverhead(b *testing.B) {
 			shards int
 		}{{"serial", 0}, {"fabric", 1}} {
 			var best [3]time.Duration
-			for rep := 0; rep < 5; rep++ {
+			for rep := 0; rep < 9; rep++ {
 				for c, cfg := range configs {
+					runtime.GC() // start every run from the same heap
 					t0 := time.Now()
 					if _, err := experiments.CorunObserved(benchScale, path.shards, cfg.traceCapacity, cfg.audit); err != nil {
 						b.Fatal(err)
