@@ -55,11 +55,13 @@
 // Every scheduler event, and every degrade/recover note, is written as
 // the tracer's record into the scheduler's shard log (trace.Log), and
 // the auditor judges only records. When every probe sits on one shard
-// each record is judged as it is written. Otherwise one record could
-// touch state that parallel windows mutate concurrently, so records
-// wait in the logs until no shard is running — each fabric barrier
-// (Attach), or Finish for an auditor wired by hand — and are judged
-// there in the tracer's merge order (event time, shard, log order).
+// each event is judged at once, as the record it would be logged as
+// (trace.Writer.Fill), and each note as it is written. Otherwise one
+// record could touch state that parallel windows mutate concurrently,
+// so records wait in the logs until no shard is running — each fabric
+// barrier (Attach), or Finish for an auditor wired by hand — and are
+// judged there in the tracer's merge order (event time, shard, log
+// order).
 // Every record of a fabric window precedes every later record in that
 // order, so judging window by window gives the order of one merge at
 // the end: every check count and violation is a pure function of the

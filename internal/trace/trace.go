@@ -279,15 +279,12 @@ func (m *merge) down(i int) {
 	}
 }
 
-// appSet numbers the apps of every buffer of one Log, in the order the
-// reader first sees them, so a reader keys per-app state by a dense
-// integer instead of the name. Each buffer's translation is
-// filled once per app, by name; after that a record's number is one
-// slice read.
-type appSet struct {
-	names []iosched.AppID
-	index map[iosched.AppID]int32
-}
+// appSet numbers the apps of every buffer of one Log, so a reader keys
+// per-app state by a dense integer instead of the name. A buffer's
+// translation is extended, by name, when the reader meets an app the
+// buffer interned since; after that a record's number is one slice
+// read.
+type appSet struct{ index map[iosched.AppID]int32 }
 
 // of returns the set-wide number of x's app (x is a record of b).
 func (s *appSet) of(b *buffer, x *rec) int32 {
@@ -305,8 +302,7 @@ func (s *appSet) learn(b *buffer) {
 	for _, name := range b.apps[len(b.shared):] {
 		i, ok := s.index[name]
 		if !ok {
-			i = int32(len(s.names))
-			s.names = append(s.names, name)
+			i = int32(len(s.index))
 			s.index[name] = i
 		}
 		b.shared = append(b.shared, i)
@@ -515,9 +511,9 @@ func (l *Log) Writer(shard, node int, dev DeviceKind) Writer {
 
 // Drain calls fn on every logged record in (time, shard, log order),
 // then empties the logs. fn gets the record in one Record reused for
-// every call, and the record's app as a dense log-wide number, assigned
-// in first-drained order (a note's names the empty app). fn must not
-// keep r, nor write to the log.
+// every call, and the record's app as a dense log-wide number (a
+// note's names the empty app). fn must not keep r, nor write to the
+// log.
 func (l *Log) Drain(fn func(r *Record, app int32)) {
 	if len(l.shards) == 1 {
 		// One log is its own merge (the one-shard auditor drains after
