@@ -83,11 +83,11 @@ func referenceRequests(t *Tracer) []RequestTrace {
 // FuzzTraceRequests drives random record streams into one to three
 // shard rings and checks Requests against referenceRequests. Each op
 // is four bytes: shard and event (degrade and recover notes included);
-// node (one of three the shard owns), device and app; class and
-// sequence; time step and the cost and tag values. Small sequence and
-// node ranges make lifecycles recur and collide across nodes, apps and
-// classes; quarter-second steps on per-shard clocks make cross-shard
-// time ties; rings of 1 to 32 records wrap.
+// node, device and app; class and sequence; time step and the cost and
+// tag values. Small sequence and node ranges make lifecycles recur and
+// collide across nodes, apps, classes and shards; quarter-second steps
+// on per-shard clocks make cross-shard time ties; rings of 1 to 32
+// records wrap.
 func FuzzTraceRequests(f *testing.F) {
 	f.Add(uint8(2), uint8(3), []byte("\x00\x00\x00\x01\x04\x00\x00\x01\x08\x00\x00\x01\x01\x00\x00\x00\x05\x00\x00\x00"))
 	f.Add(uint8(3), uint8(1), []byte("\x00\x11\x09\x04\x01\x22\x0a\x00\x0e\x11\x09\x06\x09\x12\x11\x00\x10\x11\x09\x03\x02\x00\x00\x00"))
@@ -100,9 +100,7 @@ func FuzzTraceRequests(f *testing.F) {
 		for i := 0; i+4 <= len(ops); i += 4 {
 			b0, b1, b2, b3 := ops[i], ops[i+1], ops[i+2], ops[i+3]
 			shard := int(b0) % nShards
-			// Node labels are the shard's own, as a cluster's are: a
-			// scheduler records into one ring.
-			w := tr.Probe(shard, shard+nShards*(int(b1)%3), DeviceKind(b1>>2)%3).(Writer)
+			w := tr.Probe(shard, int(b1)%3, DeviceKind(b1>>2)%3).(Writer)
 			clock[shard] += 0.25 * float64(b3%4)
 			now := clock[shard]
 			switch ev := iosched.ProbeEvent(b0>>2) % 5; ev {

@@ -26,6 +26,7 @@ import (
 	"cmp"
 	"fmt"
 	"io"
+	"math"
 	"math/bits"
 	"slices"
 	"strconv"
@@ -171,8 +172,9 @@ type buffer struct {
 	lastApp  iosched.AppID
 	lastIdx  uint32
 	haveLast bool
-	// A log's buffer: set is the Log's numbering, and shared translates
-	// apps' indices into it, filled by the reader on first sight.
+	// set is the owning Tracer's or Log's app numbering, and shared
+	// translates apps' indices into it, filled by the reader on first
+	// sight.
 	set    *appSet
 	shared []int32
 }
@@ -212,29 +214,40 @@ type cursor struct {
 	b         *buffer
 }
 
-// head is a cursor's place in the heap: its next record's time, its
-// buffer's shard, and its index in cur.
+// head is a cursor's place in the heap: its next record's time as an
+// order key, its buffer's shard, and its index in cur.
 type head struct {
-	time  float64
-	shard int32
-	c     int32
+	time, shard uint64
+	c           int
 }
 
-func (x *head) before(y *head) bool {
-	return x.time < y.time || x.time == y.time && x.shard < y.shard
+// timeKey maps a time to an integer of the same order: the IEEE 754
+// bits with the sign folded in (−0 orders just before +0).
+func timeKey(t float64) uint64 {
+	b := math.Float64bits(t)
+	return b ^ (uint64(int64(b)>>63) | 1<<63)
+}
+
+// before is 1 if x's record comes first, else 0: the (time, shard)
+// compare is one 128-bit subtraction's borrow, so the heap chooses a
+// child without a branch to mispredict.
+func (x *head) before(y *head) uint64 {
+	_, borrow := bits.Sub64(x.shard, y.shard, 0)
+	_, borrow = bits.Sub64(x.time, y.time, borrow)
+	return borrow
 }
 
 // start positions the merge at the oldest record of bs.
 func (m *merge) start(bs buffers) {
-	m.cur, m.h = m.cur[:0], m.h[:0]
+	m.cur, m.h = slices.Grow(m.cur[:0], len(bs)), slices.Grow(m.h[:0], len(bs))
 	for _, b := range bs {
 		if seg, rest := b.held(); len(seg) > 0 {
-			m.h = append(m.h, head{time: seg[0].time, shard: int32(b.shard), c: int32(len(m.cur))})
+			m.h = append(m.h, head{time: timeKey(seg[0].time), shard: uint64(b.shard), c: len(m.cur)})
 			m.cur = append(m.cur, cursor{seg: seg, rest: rest, b: b})
 		}
 	}
 	for i := len(m.h)/2 - 1; i >= 0; i-- {
-		m.down(i)
+		m.down(i, m.h[i])
 	}
 }
 
@@ -244,46 +257,51 @@ func (m *merge) next() (*buffer, *rec) {
 	if len(m.h) == 0 {
 		return nil, nil
 	}
-	c := &m.cur[m.h[0].c]
+	top := m.h[0]
+	c := &m.cur[top.c]
 	x := &c.seg[0]
 	if c.seg = c.seg[1:]; len(c.seg) == 0 {
 		c.seg, c.rest = c.rest, nil
 	}
 	if len(c.seg) > 0 {
-		m.h[0].time = c.seg[0].time
+		top.time = timeKey(c.seg[0].time)
 	} else {
-		m.h[0] = m.h[len(m.h)-1]
-		m.h = m.h[:len(m.h)-1]
+		top = m.h[len(m.h)-1]
+		if m.h = m.h[:len(m.h)-1]; len(m.h) == 0 {
+			return c.b, x
+		}
 	}
-	m.down(0)
+	m.down(0, top)
 	return c.b, x
 }
 
-// down restores the heap below i; it stops at once while the cursor
-// at i still holds the oldest record, as in a run of one buffer's.
-func (m *merge) down(i int) {
+// down places x at i, then moves it down the heap below i; it stops at
+// once while x still holds the oldest record, as in a run of one
+// buffer's.
+func (m *merge) down(i int, x head) {
 	h := m.h
 	for {
-		k := i
-		if l := 2*i + 1; l < len(h) && h[l].before(&h[k]) {
-			k = l
+		c := 2*i + 1
+		if c >= len(h) {
+			break
 		}
-		if r := 2*i + 2; r < len(h) && h[r].before(&h[k]) {
-			k = r
+		if r := c + 1; r < len(h) {
+			c += int(h[r].before(&h[c]))
 		}
-		if k == i {
-			return
+		if h[c].before(&x) == 0 {
+			break
 		}
-		h[i], h[k] = h[k], h[i]
-		i = k
+		h[i] = h[c]
+		i = c
 	}
+	h[i] = x
 }
 
-// appSet numbers the apps of every buffer of one Log, so a reader keys
-// per-app state by a dense integer instead of the name. A buffer's
-// translation is extended, by name, when the reader meets an app the
-// buffer interned since; after that a record's number is one slice
-// read.
+// appSet numbers the apps of every buffer of one Tracer or Log, so a
+// reader keys per-app state by a dense integer instead of the name. A
+// buffer's translation is extended, by name, when the reader meets an
+// app the buffer interned since; after that a record's number is one
+// slice read.
 type appSet struct{ index map[iosched.AppID]int32 }
 
 // of returns the set-wide number of x's app (x is a record of b).
@@ -378,11 +396,11 @@ func (b *buffer) export(x *rec, r *Record) {
 // simulation shard that carries a probe. Each ring is written only by
 // its shard's engine, so shards record with no synchronization, and
 // Records assembles one stream after the run, merged in (event time,
-// shard, ring order). A one-shard model has a single ring and reads it
-// directly.
+// shard, ring order).
 type Tracer struct {
 	capacity int
 	rings    buffers
+	apps     appSet // numbers the rings' apps for Requests
 	epochs   []EpochMark
 
 	// merged caches Records until a record is written or Reset runs;
@@ -481,11 +499,11 @@ func (t *Tracer) Attach(cl *cluster.Cluster) {
 
 // Probe returns an iosched.Probe that records one scheduler's events
 // into shard's ring, labeled with the node index and device kind. The
-// probe must only be driven by that shard's engine, and a scheduler
-// (node, device) is probed from one shard only: Requests assembles
-// lifecycles ring by ring.
+// probe must only be driven by that shard's engine.
 func (t *Tracer) Probe(shard, node int, dev DeviceKind) iosched.Probe {
-	return Writer{b: t.rings.get(shard, t.capacity), node: int32(node), dev: dev}
+	b := t.rings.get(shard, t.capacity)
+	b.set = &t.apps
+	return Writer{b: b, node: int32(node), dev: dev}
 }
 
 // Log is a set of per-shard append-only record logs: the tracer's
@@ -515,21 +533,10 @@ func (l *Log) Writer(shard, node int, dev DeviceKind) Writer {
 // note's names the empty app). fn must not keep r, nor write to the
 // log.
 func (l *Log) Drain(fn func(r *Record, app int32)) {
-	if len(l.shards) == 1 {
-		// One log is its own merge (the one-shard auditor drains after
-		// every record).
-		b := l.shards[0]
-		for i := range b.buf {
-			x := &b.buf[i]
-			b.export(x, &l.r)
-			fn(&l.r, b.set.of(b, x))
-		}
-	} else {
-		l.m.start(l.shards)
-		for b, x := l.m.next(); x != nil; b, x = l.m.next() {
-			b.export(x, &l.r)
-			fn(&l.r, b.set.of(b, x))
-		}
+	l.m.start(l.shards)
+	for b, x := l.m.next(); x != nil; b, x = l.m.next() {
+		b.export(x, &l.r)
+		fn(&l.r, l.apps.of(b, x))
 	}
 	for _, b := range l.shards {
 		b.reset()
@@ -713,14 +720,12 @@ func (r RequestTrace) ServiceTime() float64 {
 // by first-observed event time (ties broken by node, device, sequence,
 // then the order the merge first saw them in).
 //
-// Every record of one scheduler is in one ring (Probe), so Requests
-// assembles each ring on its own, in ring order: a lifecycle is found by
-// its integer key (node, device, class, the ring's app index, sequence)
-// in an open-addressing table of int32 slots sized for every record of
-// the ring to start its own lifecycle, so it never fills. A ring's
-// lifecycles are created in first-observed-time order already, so only
-// runs of equal first time need the tie-break, and one merge of the
-// rings' sorted runs, applied in place, gives the order.
+// One pass of the record merge assembles them: a lifecycle is found by
+// its integer key (node, device, class, the tracer-wide app number,
+// sequence) in an open-addressing table of int32 slots sized for every
+// record to start its own lifecycle, so it never fills. The merge yields
+// records in time order, so lifecycles are created in first-observed-time
+// order already, and only runs of equal first time need the tie-break.
 func (t *Tracer) Requests() []RequestTrace {
 	n := t.Len()
 	if n == 0 {
@@ -729,81 +734,54 @@ func (t *Tracer) Requests() []RequestTrace {
 	// Most lifecycles hold an arrival, a dispatch and a completion; the
 	// slack covers the ones a ring cut short.
 	out := make([]RequestTrace, 0, n/3+n/32+1)
-	var slots []int32
-	runs := make([]int, 1, len(t.rings)+1) // ring i's lifecycles are out[runs[i]:runs[i+1]]
-	for _, b := range t.rings {
-		if m := b.len(); m > 0 {
-			lg := bits.Len(uint(m-1)) + 1
-			if cap(slots) < 1<<lg {
-				slots = make([]int32, 1<<lg)
-			} else {
-				slots = slots[:1<<lg]
-				clear(slots)
+	lg := bits.Len(uint(n-1)) + 1
+	slots := make([]int32, 1<<lg) // a lifecycle's index in out plus one, 0 = empty
+	var m merge
+	m.start(t.rings)
+	for b, x := m.next(); x != nil; b, x = m.next() {
+		app := b.apps[x.app]
+		h := (x.seq ^ uint64(uint32(x.node))<<40 ^ uint64(t.apps.of(b, x))<<16 ^ uint64(x.dev)<<8 ^ uint64(x.class)) * 0x9e3779b97f4a7c15
+		var rt *RequestTrace
+		for j := h >> (64 - lg); ; j = (j + 1) & (1<<lg - 1) {
+			k := slots[j] - 1
+			if k < 0 {
+				slots[j] = int32(len(out)) + 1
+				// Set field by field: a composite literal would be built
+				// aside and copied in.
+				out = slices.Grow(out, 1)[:len(out)+1]
+				rt = &out[len(out)-1]
+				rt.Node, rt.Dev, rt.App, rt.Class = x.node, x.dev, app, iosched.Class(x.class)
+				rt.Seq, rt.Size, rt.Weight = x.seq, x.size, x.weight
+				rt.Cost, rt.StartTag, rt.FinishTag = 0, 0, 0
+				rt.Arrive, rt.Dispatch, rt.Complete, rt.Latency = -1, -1, -1, -1
+				break
 			}
-			out = b.lifecycles(out, slots, lg)
+			if rt = &out[k]; rt.Seq == x.seq && rt.Node == x.node && rt.Dev == x.dev && rt.Class == iosched.Class(x.class) && rt.App == app {
+				break
+			}
 		}
-		runs = append(runs, len(out))
+		if x.cost != 0 {
+			rt.Cost = x.cost
+		}
+		if x.startTag != 0 {
+			rt.StartTag = x.startTag
+		}
+		if x.finishTag != 0 {
+			rt.FinishTag = x.finishTag
+		}
+		switch x.event {
+		case iosched.ProbeArrive:
+			rt.Arrive = x.time
+		case iosched.ProbeDispatch:
+			rt.Dispatch = x.time
+		case iosched.ProbeComplete:
+			rt.Complete = x.time
+			rt.Latency = x.latency
+		}
 	}
-	for i := 1; i < len(runs); i++ {
-		if !tieBreak(out[runs[i-1]:runs[i]]) {
-			// Phases observed out of time order, which no scheduler does.
-			slices.SortStableFunc(out, func(x, y RequestTrace) int { return x.compare(&y) })
-			return out
-		}
-	}
-	mergeRuns(out, runs)
-	return out
-}
-
-// lifecycles appends the lifecycles of b's records to out, in the
-// order their first records were written. slots is the cleared lookup
-// table of 1<<lg entries: a lifecycle's index in out plus one, 0 =
-// empty.
-func (b *buffer) lifecycles(out []RequestTrace, slots []int32, lg int) []RequestTrace {
-	seg, rest := b.held()
-	for _, part := range [2][]rec{seg, rest} {
-		for i := range part {
-			x := &part[i]
-			app := b.apps[x.app]
-			h := (x.seq ^ uint64(uint32(x.node))<<40 ^ uint64(x.app)<<16 ^ uint64(x.dev)<<8 ^ uint64(x.class)) * 0x9e3779b97f4a7c15
-			var rt *RequestTrace
-			for j := h >> (64 - lg); ; j = (j + 1) & (1<<lg - 1) {
-				k := slots[j] - 1
-				if k < 0 {
-					slots[j] = int32(len(out)) + 1
-					// Set field by field: a composite literal would be
-					// built aside and copied in.
-					out = slices.Grow(out, 1)[:len(out)+1]
-					rt = &out[len(out)-1]
-					rt.Node, rt.Dev, rt.App, rt.Class = x.node, x.dev, app, iosched.Class(x.class)
-					rt.Seq, rt.Size, rt.Weight = x.seq, x.size, x.weight
-					rt.Cost, rt.StartTag, rt.FinishTag = 0, 0, 0
-					rt.Arrive, rt.Dispatch, rt.Complete, rt.Latency = -1, -1, -1, -1
-					break
-				}
-				if rt = &out[k]; rt.Seq == x.seq && rt.Node == x.node && rt.Dev == x.dev && rt.Class == iosched.Class(x.class) && rt.App == app {
-					break
-				}
-			}
-			if x.cost != 0 {
-				rt.Cost = x.cost
-			}
-			if x.startTag != 0 {
-				rt.StartTag = x.startTag
-			}
-			if x.finishTag != 0 {
-				rt.FinishTag = x.finishTag
-			}
-			switch x.event {
-			case iosched.ProbeArrive:
-				rt.Arrive = x.time
-			case iosched.ProbeDispatch:
-				rt.Dispatch = x.time
-			case iosched.ProbeComplete:
-				rt.Complete = x.time
-				rt.Latency = x.latency
-			}
-		}
+	if !tieBreak(out) {
+		// Phases observed out of time order, which no scheduler does.
+		slices.SortStableFunc(out, func(x, y RequestTrace) int { return x.compare(&y) })
 	}
 	return out
 }
@@ -823,104 +801,33 @@ func (r *RequestTrace) firstTime() float64 {
 
 // compare orders lifecycles by first time, node, device and sequence.
 func (r *RequestTrace) compare(y *RequestTrace) int {
-	return cmp.Or(cmp.Compare(r.firstTime(), y.firstTime()), r.compareID(y))
+	return cmp.Or(cmp.Compare(r.firstTime(), y.firstTime()), cmp.Compare(r.Node, y.Node), cmp.Compare(r.Dev, y.Dev), cmp.Compare(r.Seq, y.Seq))
 }
 
-// compareID orders lifecycles by node, device and sequence.
-func (r *RequestTrace) compareID(y *RequestTrace) int {
-	return cmp.Or(cmp.Compare(r.Node, y.Node), cmp.Compare(r.Dev, y.Dev), cmp.Compare(r.Seq, y.Seq))
-}
-
-// tieBreak sorts one ring's lifecycles, created in first-record order,
+// tieBreak sorts lifecycles, created in first-record order,
 // by compare, keeping creation order among equals: a stable sort of
 // each run of equal first time. It reports false, sorting nothing
 // more, if a first time decreases.
 func tieBreak(rs []RequestTrace) bool {
-	for i, j := 0, 1; j <= len(rs); j++ {
-		if j < len(rs) && rs[j].firstTime() == rs[i].firstTime() {
-			continue
-		}
-		if j < len(rs) && rs[j].firstTime() < rs[i].firstTime() {
-			return false
+	if len(rs) == 0 {
+		return true
+	}
+	i, first := 0, rs[0].firstTime() // the run rs[i:j] starts at first
+	for j := 1; j <= len(rs); j++ {
+		var t float64
+		if j < len(rs) {
+			if t = rs[j].firstTime(); t == first {
+				continue
+			} else if t < first {
+				return false
+			}
 		}
 		if j-i > 1 {
 			slices.SortStableFunc(rs[i:j], func(x, y RequestTrace) int { return x.compare(&y) })
 		}
-		i = j
+		i, first = j, t
 	}
 	return true
-}
-
-// mergeRuns sorts out, whose runs out[runs[i]:runs[i+1]] are each
-// sorted by compare, with a k-way merge: it lists the sources of the
-// merged order, then moves every lifecycle once, cycle by cycle. Two
-// runs never hold equal lifecycles, which would be one scheduler's
-// records in two rings.
-func mergeRuns(out []RequestTrace, runs []int) {
-	type cursor struct {
-		at, end int32
-		first   float64 // out[at].firstTime()
-	}
-	h := make([]cursor, 0, len(runs))
-	for i := 1; i < len(runs); i++ {
-		if lo := runs[i-1]; lo < runs[i] {
-			h = append(h, cursor{int32(lo), int32(runs[i]), out[lo].firstTime()})
-		}
-	}
-	if len(h) < 2 {
-		return
-	}
-	less := func(i, j int) bool {
-		x, y := &h[i], &h[j]
-		return x.first < y.first || x.first == y.first && out[x.at].compareID(&out[y.at]) < 0
-	}
-	down := func(i int) {
-		for {
-			k := i
-			if l := 2*i + 1; l < len(h) && less(l, k) {
-				k = l
-			}
-			if r := 2*i + 2; r < len(h) && less(r, k) {
-				k = r
-			}
-			if k == i {
-				return
-			}
-			h[i], h[k] = h[k], h[i]
-			i = k
-		}
-	}
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		down(i)
-	}
-	from := make([]int32, len(out)) // out[p] takes the old out[from[p]]
-	for p := range from {
-		c := &h[0]
-		from[p] = c.at
-		if c.at++; c.at < c.end {
-			c.first = out[c.at].firstTime()
-		} else {
-			h[0] = h[len(h)-1]
-			h = h[:len(h)-1]
-		}
-		down(0)
-	}
-	for p := range from {
-		if from[p] < 0 || int(from[p]) == p {
-			continue
-		}
-		held, q := out[p], p
-		for {
-			src := int(from[q])
-			from[q] = -1
-			if src == p {
-				out[q] = held
-				break
-			}
-			out[q] = out[src]
-			q = src
-		}
-	}
 }
 
 // WriteChromeTrace writes the held records in the Chrome trace-event
