@@ -327,6 +327,9 @@ func RunWithSetup(opts Options, entries []Entry, setup func(*mapreduce.Runtime) 
 		res.WriteSeries = metrics.NewTimeSeries(1)
 	}
 	for i := range cells {
+		if cells[i].unnumbered {
+			return nil, fmt.Errorf("experiments: shard %d completed a request with no app index", i)
+		}
 		cells[i].mergeInto(res)
 	}
 
@@ -357,9 +360,9 @@ func RunWithSetup(opts Options, entries []Entry, setup func(*mapreduce.Runtime) 
 // cluster resolves its weight through cl.Shares(), which numbers it.
 type ioCell struct {
 	live        bool // the shard has a storage scheduler
+	unnumbered  bool // a completion carried iosched.NoApp
 	totalBytes  float64
 	apps        []appIO             // by iosched.AppIdx
-	unnumbered  []appIO             // apps with iosched.NoApp, by name
 	read, write *metrics.TimeSeries // nil unless throughput is captured
 }
 
@@ -378,32 +381,23 @@ func newIOCell(series bool) ioCell {
 	return c
 }
 
-// book returns req's app's entry.
-func (c *ioCell) book(req *iosched.Request) *appIO {
-	if i := int(req.AppIdx); i >= 0 {
-		if i >= len(c.apps) {
-			c.apps = append(c.apps, make([]appIO, i+1-len(c.apps))...)
-		}
-		a := &c.apps[i]
-		a.name = req.App
-		return a
-	}
-	for i := range c.unnumbered {
-		if c.unnumbered[i].name == req.App {
-			return &c.unnumbered[i]
-		}
-	}
-	c.unnumbered = append(c.unnumbered, appIO{name: req.App})
-	return &c.unnumbered[len(c.unnumbered)-1]
-}
-
-// Observe implements iosched.Probe, booking each completion.
+// Observe implements iosched.Probe, booking each completion. One with
+// no app index only marks the cell, and RunWithSetup fails the run.
 func (c *ioCell) Observe(req *iosched.Request, st iosched.ProbeState) {
 	if st.Event != iosched.ProbeComplete {
 		return
 	}
+	i := int(req.AppIdx)
+	if i < 0 {
+		c.unnumbered = true
+		return
+	}
+	if i >= len(c.apps) {
+		c.apps = append(c.apps, make([]appIO, i+1-len(c.apps))...)
+	}
+	a := &c.apps[i]
+	a.name = req.App
 	c.totalBytes += req.Size
-	a := c.book(req)
 	a.bytes += req.Size
 	d := a.lats[req.Class]
 	if d == nil {
@@ -429,12 +423,10 @@ func (c *ioCell) mergeInto(res *Result) {
 		return // a shard with no datanode
 	}
 	res.TotalBytes += c.totalBytes
-	apps := make([]*appIO, 0, len(c.apps)+len(c.unnumbered))
-	for _, set := range [][]appIO{c.apps, c.unnumbered} {
-		for i := range set {
-			if set[i].name != "" {
-				apps = append(apps, &set[i])
-			}
+	apps := make([]*appIO, 0, len(c.apps))
+	for i := range c.apps {
+		if c.apps[i].name != "" {
+			apps = append(apps, &c.apps[i])
 		}
 	}
 	sort.Slice(apps, func(i, j int) bool { return apps[i].name < apps[j].name })

@@ -51,3 +51,14 @@ func TestClusterRequestsAreNumbered(t *testing.T) {
 type probeFunc func(*iosched.Request, iosched.ProbeState)
 
 func (f probeFunc) Observe(req *iosched.Request, st iosched.ProbeState) { f(req, st) }
+
+// TestIOCellRefusesUnnumberedApps pins the guard behind the cells'
+// index: a completion whose app has no share-tree index is not booked
+// under some other app's number but marks the cell, which fails the run.
+func TestIOCellRefusesUnnumberedApps(t *testing.T) {
+	c := newIOCell(false)
+	c.Observe(&iosched.Request{App: "fixed", AppIdx: iosched.NoApp, Size: 1e6}, iosched.ProbeState{Event: iosched.ProbeComplete, Latency: 0.01})
+	if !c.unnumbered || c.totalBytes != 0 || len(c.apps) != 0 {
+		t.Fatalf("NoApp completion: unnumbered %v, %g bytes booked, %d apps", c.unnumbered, c.totalBytes, len(c.apps))
+	}
+}
