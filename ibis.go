@@ -279,14 +279,14 @@ func New(cfg Config) (*Simulation, error) {
 	rt := mapreduce.NewRuntime(eng, cl, nn, mapreduce.Config{})
 	s := &Simulation{eng: eng, cl: cl, nn: nn, rt: rt}
 	if cfg.TraceCapacity > 0 {
-		s.tr = trace.New(cfg.TraceCapacity)
+		s.tr = trace.New(cfg.TraceCapacity, cl.Shares())
 		s.tr.Attach(cl)
 	}
 	if cfg.Audit {
 		s.au = audit.New(audit.Options{
 			Window:             cfg.AuditWindow,
 			CoordinationPeriod: cfg.CoordinationPeriod,
-		})
+		}, cl.Shares())
 		s.au.SetShares(cl.Shares())
 		s.au.Attach(cl, 1)
 	}

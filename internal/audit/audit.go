@@ -218,6 +218,9 @@ type Auditor struct {
 	// shares attributes apps to tenants for the hierarchical checks
 	// (nil disables them).
 	shares *shares.Tree
+	// names numbers the audited requests' apps, and names them when
+	// the log is drained.
+	names *shares.Tree
 
 	// log holds the records of every shard with a scheduler probe.
 	// shards holds the shards whose engines write the auditor; with more
@@ -264,11 +267,14 @@ func overlaps(spans []span, ws, we float64) bool {
 	return false
 }
 
-// New creates an auditor.
-func New(opts Options) *Auditor {
+// New creates an auditor of requests whose apps names numbers (a
+// cluster's Shares()). Holding names turns no tenant check on; that
+// takes SetShares.
+func New(opts Options, names *shares.Tree) *Auditor {
 	opts.defaults()
 	return &Auditor{
 		opts:      opts,
+		names:     names,
 		openSkips: make(map[schedRef]int),
 		shards:    make(map[int]bool),
 	}
@@ -331,12 +337,12 @@ func (a *Auditor) judgeLive() {
 // drain judges every logged record in the tracer's merge order and
 // empties the logs. Call it only when no shard is writing: at a fabric
 // barrier (Attach wires it there) or at Finish.
-func (a *Auditor) drain() { a.log.Drain(a.judge) }
+func (a *Auditor) drain() { a.log.Drain(a.names, a.judge) }
 
 // judge runs one record through the invariant battery: a note switches
 // its scheduler's regime, a lifecycle event is checked. app is the
-// record's app as the log numbers it (trace.Log.Drain).
-func (a *Auditor) judge(r *trace.Record, app int32) {
+// record's app index (meaningless for a note).
+func (a *Auditor) judge(r *trace.Record, app iosched.AppIdx) {
 	s := a.sched(r.Node, r.Dev)
 	switch r.Event {
 	case trace.EventDegrade:
@@ -381,7 +387,7 @@ func (a *Auditor) note(ev iosched.ProbeEvent, node int, dev string, t float64) {
 		a.judgeLive()
 		return
 	}
-	a.judge(&trace.Record{Time: t, Node: int32(node), Dev: kind, Event: ev}, -1)
+	a.judge(&trace.Record{Time: t, Node: int32(node), Dev: kind, Event: ev}, 0)
 }
 
 // degradeStart applies a degrade note; s is its scheduler, or nil.
@@ -679,7 +685,7 @@ type schedState struct {
 	lastVTime float64
 	lastDepth int
 	maxDepth  int // max depth seen this window
-	// flows is indexed by the log's app number (nil = no record yet).
+	// flows is indexed by app index (nil = no record yet).
 	flows []*flowAudit
 	// degraded intervals (NoteDegradeStart/End): while one is open the
 	// scheduler runs pure local SFQ(D), so local proportional sharing
@@ -699,7 +705,7 @@ func (s *schedState) fullyDegraded(ws, we float64) bool {
 	return false
 }
 
-func (s *schedState) flow(app int32, name iosched.AppID) *flowAudit {
+func (s *schedState) flow(app iosched.AppIdx, name iosched.AppID) *flowAudit {
 	if int(app) >= len(s.flows) {
 		s.flows = append(s.flows, make([]*flowAudit, int(app)+1-len(s.flows))...)
 	}
@@ -729,16 +735,16 @@ func tagEps(x, y float64) float64 { return 1e-9 * (math.Abs(x) + math.Abs(y) + 1
 func (s *schedState) Observe(req *iosched.Request, st iosched.ProbeState) {
 	if len(s.a.shards) <= 1 {
 		var r trace.Record
-		app := s.w.Fill(req, st, &r)
-		s.a.judge(&r, app)
+		s.w.Fill(req, st, &r)
+		s.a.judge(&r, req.AppIdx)
 		return
 	}
 	s.w.Observe(req, st)
 }
 
 // observe runs the full invariant battery on one lifecycle record of
-// app (the log's number).
-func (s *schedState) observe(r *trace.Record, app int32) {
+// app.
+func (s *schedState) observe(r *trace.Record, app iosched.AppIdx) {
 	a := s.a
 	if r.Time > a.lastTime {
 		a.lastTime = r.Time
@@ -1014,13 +1020,13 @@ type clusterState struct {
 	a        *Auditor
 	members  int
 	maxDepth int // running max dispatch depth over every coordinated record
-	// flows is indexed by the log's app number (nil = no completion yet).
+	// flows is indexed by app index (nil = no completion yet).
 	flows []*flowWindow
 }
 
 // complete books one coordinated completion into the app's
 // cluster-wide window.
-func (c *clusterState) complete(app int32, name iosched.AppID, cost, weight float64) {
+func (c *clusterState) complete(app iosched.AppIdx, name iosched.AppID, cost, weight float64) {
 	if int(app) >= len(c.flows) {
 		c.flows = append(c.flows, make([]*flowWindow, int(app)+1-len(c.flows))...)
 	}

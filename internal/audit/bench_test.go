@@ -5,6 +5,7 @@ import (
 
 	"ibis/internal/cluster"
 	"ibis/internal/iosched"
+	"ibis/internal/shares"
 	"ibis/internal/sim"
 	"ibis/internal/storage"
 	"ibis/internal/trace"
@@ -19,19 +20,25 @@ import (
 func BenchmarkAuditDrain(b *testing.B) {
 	const shards, apps, depth = 8, 4, 4
 	eng := sim.NewEngine()
-	a := New(Options{})
 	names := []iosched.AppID{"wordcount", "terasort", "grep", "sort"}
+	tree := shares.NewTree()
+	for i, app := range names {
+		if err := tree.Bind(app, "", float64(1+i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	a := New(Options{}, tree)
 	for shard := range shards {
 		dev := storage.NewDevice(eng, "d", storage.Spec{
 			Name: "flat", ReadBW: 100e6, WriteBW: 100e6,
 			Curve: []float64{1}, CurveDecay: 1, MinCurve: 1,
 		})
-		s := iosched.NewSFQD(eng, dev, depth)
+		s := sfqd(b, eng, dev, depth)
 		s.SetProbe(a.Probe(shard, shard, trace.DevHDFS, s))
 		var issue func(any, float64)
 		issue = func(app any, _ float64) {
 			i := app.(int)
-			req := &iosched.Request{App: names[i], Shares: iosched.FixedWeight(float64(1 + i)), Class: iosched.PersistentRead, Size: 1e6, Done: issue, DoneArg: app}
+			req := &iosched.Request{App: names[i], Shares: tree, Class: iosched.PersistentRead, Size: 1e6, Done: issue, DoneArg: app}
 			if err := s.Submit(req); err != nil {
 				b.Fatal(err)
 			}

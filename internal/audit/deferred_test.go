@@ -7,21 +7,32 @@ import (
 	"ibis/internal/audit"
 	"ibis/internal/broker"
 	"ibis/internal/iosched"
+	"ibis/internal/shares"
 	"ibis/internal/sim"
 	"ibis/internal/storage"
 	"ibis/internal/trace"
 )
 
+// xyz returns a share tree that numbers apps x, y and z as 0, 1 and 2.
+func xyz() *shares.Tree {
+	tree := shares.NewTree()
+	for _, app := range []iosched.AppID{"x", "y", "z"} {
+		tree.Index(app, iosched.NoApp)
+	}
+	return tree
+}
+
 // feedStream pushes a fixed lifecycle stream carrying five invariant
 // breaches through the probe, mutating the (shared, pool-style) request
 // object between observations — the logged record must have captured
-// every field at probe time or the replay sees retagged garbage.
+// every field at probe time or the replay sees retagged garbage. Its
+// apps are numbered as xyz numbers them.
 func feedStream(p iosched.Probe) {
-	req := &iosched.Request{App: "x", Shares: iosched.FixedWeight(1), Class: iosched.PersistentRead, Size: 1e6}
+	req := &iosched.Request{App: "x", Class: iosched.PersistentRead, Size: 1e6}
 	p.Observe(req, iosched.ProbeState{Event: iosched.ProbeComplete, Time: 0.5, Latency: -0.5})
-	req.App = "y" // simulate freelist reuse between events
+	req.App, req.AppIdx = "y", 1 // simulate freelist reuse between events
 	p.Observe(req, iosched.ProbeState{Event: iosched.ProbeArrive, Time: 1.0, Queued: -1})
-	req.App = "z"
+	req.App, req.AppIdx = "z", 2
 	p.Observe(req, iosched.ProbeState{Event: iosched.ProbeDispatch, Time: 1.5, InFlight: 5, Depth: 2})
 	p.Observe(req, iosched.ProbeState{Event: iosched.ProbeDispatch, Time: 2.0, InFlight: 1, Depth: 2, VTime: 10})
 	p.Observe(req, iosched.ProbeState{Event: iosched.ProbeDispatch, Time: 2.5, InFlight: 2, Depth: 2, VTime: 5})
@@ -34,7 +45,11 @@ func newAuditedSched() iosched.Scheduler {
 		Name: "flat", ReadBW: 100e6, WriteBW: 100e6,
 		Curve: []float64{1}, CurveDecay: 1, MinCurve: 1,
 	})
-	return iosched.NewSFQD(eng, dev, 2)
+	s, err := iosched.NewSFQD(eng, dev, 2)
+	if err != nil {
+		panic(err)
+	}
+	return s
 }
 
 // TestDeferredReplayMatchesDirect pins the deferred-audit contract: a
@@ -43,7 +58,7 @@ func newAuditedSched() iosched.Scheduler {
 // gives the same stream live — same violation count, same check
 // tallies — with nothing judged before Finish.
 func TestDeferredReplayMatchesDirect(t *testing.T) {
-	direct := audit.New(audit.Options{})
+	direct := audit.New(audit.Options{}, xyz())
 	p := direct.Probe(0, 0, trace.DevHDFS, newAuditedSched())
 	feedStream(p)
 	if direct.ViolationCount() == 0 {
@@ -51,7 +66,7 @@ func TestDeferredReplayMatchesDirect(t *testing.T) {
 	}
 	direct.Finish()
 
-	deferredAud := audit.New(audit.Options{})
+	deferredAud := audit.New(audit.Options{}, xyz())
 	p = deferredAud.Probe(1, 0, trace.DevHDFS, newAuditedSched())
 	deferredAud.Probe(2, 1, trace.DevHDFS, newAuditedSched()) // a second shard defers judgement
 	feedStream(p)
@@ -79,10 +94,10 @@ func TestDeferredReplayMatchesDirect(t *testing.T) {
 // come out time-reversed. Two more breaches at one instant, logged
 // higher shard first, must replay lower shard first.
 func TestDeferredMergesShardLogsInTimeOrder(t *testing.T) {
-	a := audit.New(audit.Options{})
+	a := audit.New(audit.Options{}, xyz())
 	p1 := a.Probe(1, 0, trace.DevHDFS, newAuditedSched())
 	p2 := a.Probe(2, 1, trace.DevHDFS, newAuditedSched())
-	req := &iosched.Request{App: "x", Shares: iosched.FixedWeight(1), Class: iosched.PersistentRead, Size: 1e6}
+	req := &iosched.Request{App: "x", Class: iosched.PersistentRead, Size: 1e6}
 	breach := func(p iosched.Probe, at float64) {
 		p.Observe(req, iosched.ProbeState{Event: iosched.ProbeComplete, Time: at, Latency: -1})
 	}
@@ -111,10 +126,10 @@ func TestDeferredMergesShardLogsInTimeOrder(t *testing.T) {
 // scheduler's (node, dev) registration, held in its shard's log rather
 // than applied on the spot, and applied when Finish replays the log.
 func TestDeferredDegradeNoteJoinsShardLog(t *testing.T) {
-	a := audit.New(audit.Options{})
+	a := audit.New(audit.Options{}, xyz())
 	p := a.Probe(1, 0, trace.DevHDFS, newAuditedSched())
 	a.Probe(2, 1, trace.DevHDFS, newAuditedSched())
-	req := &iosched.Request{App: "x", Shares: iosched.FixedWeight(1), Class: iosched.PersistentRead, Size: 1e6}
+	req := &iosched.Request{App: "x", Class: iosched.PersistentRead, Size: 1e6}
 	p.Observe(req, iosched.ProbeState{Event: iosched.ProbeArrive, Time: 1.0})
 	a.NoteDegradeStart(0, "disk", 2.0)
 	if got := a.Checks()["degrade-noted"]; got != 0 {
@@ -133,10 +148,10 @@ func TestDeferredDegradeNoteJoinsShardLog(t *testing.T) {
 // auditor, from different shards, so the scheduler's events must be
 // logged and judged at Finish rather than live.
 func TestDeferredWhenBrokerOnOtherShard(t *testing.T) {
-	a := audit.New(audit.Options{})
+	a := audit.New(audit.Options{}, xyz())
 	a.AttachBroker(0, broker.New())
 	p := a.Probe(1, 0, trace.DevHDFS, newAuditedSched())
-	req := &iosched.Request{App: "x", Shares: iosched.FixedWeight(1), Class: iosched.PersistentRead, Size: 1e6}
+	req := &iosched.Request{App: "x", Class: iosched.PersistentRead, Size: 1e6}
 	p.Observe(req, iosched.ProbeState{Event: iosched.ProbeComplete, Time: 1.0, Latency: -1})
 	if got := a.ViolationCount(); got != 0 {
 		t.Fatalf("judged %d violations live with the broker on another shard, want 0 before Finish", got)

@@ -9,13 +9,14 @@ import (
 	"testing"
 
 	"ibis/internal/iosched"
+	"ibis/internal/shares"
 	"ibis/internal/sim"
 	"ibis/internal/storage"
 	"ibis/internal/trace"
 )
 
 func TestDegradeSkipSpans(t *testing.T) {
-	a := New(Options{CoordinationPeriod: 1, RecoveryPeriods: 5})
+	a := New(Options{CoordinationPeriod: 1, RecoveryPeriods: 5}, shares.NewTree())
 	a.NoteDegradeStart(0, "d", 10)
 	if a.skipWindow(0, 10) {
 		t.Error("window before the degrade start is skipped")
@@ -42,7 +43,7 @@ func TestDegradeSkipSpans(t *testing.T) {
 }
 
 func TestDegradeEndWithoutStartIsSafe(t *testing.T) {
-	a := New(Options{})
+	a := New(Options{}, shares.NewTree())
 	a.NoteDegradeEnd(3, "x", 7) // never started; must not panic or open a span
 	if len(a.skips) != 0 {
 		t.Errorf("spans = %+v, want none", a.skips)
@@ -56,7 +57,7 @@ func TestDegradeEndWithoutStartIsSafe(t *testing.T) {
 // recovering while B is still down may not re-tighten the cluster
 // bound early.
 func TestInterleavedDegradeSpansCloseIndependently(t *testing.T) {
-	a := New(Options{CoordinationPeriod: 1, RecoveryPeriods: 5})
+	a := New(Options{CoordinationPeriod: 1, RecoveryPeriods: 5}, shares.NewTree())
 	a.NoteDegradeStart(0, "hdfs", 10)
 	a.NoteDegradeStart(1, "hdfs", 15)
 	a.NoteDegradeEnd(0, "hdfs", 20) // span [10, 25)
@@ -107,7 +108,7 @@ func TestDegradedWindowChecksLocalShare(t *testing.T) {
 			app iosched.AppID
 			svc float64
 		}{{"a", 100}, {"b", 0.1}} {
-			f := s.flow(int32(i), fl.app)
+			f := s.flow(iosched.AppIdx(i), fl.app)
 			f.service = fl.svc
 			f.requests = 10
 			f.weight = 1
@@ -118,7 +119,7 @@ func TestDegradedWindowChecksLocalShare(t *testing.T) {
 	}
 
 	// Coordinated and healthy: no local check, no violation.
-	a := New(Options{})
+	a := New(Options{}, shares.NewTree())
 	s := mkState(a)
 	a.closeWindow()
 	if a.Checks()["proportional-share"] != 0 || a.Checks()["proportional-share-degraded"] != 0 {
@@ -130,7 +131,7 @@ func TestDegradedWindowChecksLocalShare(t *testing.T) {
 
 	// Same state fully degraded: the local bound applies and the 1000×
 	// imbalance breaks it.
-	a = New(Options{})
+	a = New(Options{}, shares.NewTree())
 	s = mkState(a)
 	s.degraded = []span{{from: 0, to: math.Inf(1)}}
 	a.closeWindow()
@@ -162,9 +163,10 @@ func TestRegimeSwitchingEndToEnd(t *testing.T) {
 		Name: "flat", ReadBW: 100e6, WriteBW: 100e6,
 		Curve: []float64{1}, CurveDecay: 1, MinCurve: 1,
 	})
-	sched := iosched.NewSFQD(eng, dev, 2)
+	sched := sfqd(t, eng, dev, 2)
 	sched.SetCoordinator(zeroCoord{})
-	au := New(Options{Window: 1, CoordinationPeriod: 0.5, RecoveryPeriods: 2, MinWindowRequests: 1})
+	tree := shares.NewTree()
+	au := New(Options{Window: 1, CoordinationPeriod: 0.5, RecoveryPeriods: 2, MinWindowRequests: 1}, tree)
 	sched.SetProbe(au.Probe(0, 0, trace.DevHDFS, sched))
 
 	const horizon = 8.0
@@ -173,7 +175,7 @@ func TestRegimeSwitchingEndToEnd(t *testing.T) {
 		var issue func()
 		issue = func() {
 			sched.Submit(&iosched.Request{
-				App: app, Shares: iosched.FixedWeight(1), Class: iosched.PersistentRead, Size: 1e6,
+				App: app, Shares: tree, Class: iosched.PersistentRead, Size: 1e6,
 				Done: func(any, float64) {
 					if eng.Now() < horizon {
 						issue()

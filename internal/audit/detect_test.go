@@ -6,6 +6,7 @@ import (
 
 	"ibis/internal/audit"
 	"ibis/internal/iosched"
+	"ibis/internal/shares"
 	"ibis/internal/sim"
 	"ibis/internal/storage"
 	"ibis/internal/trace"
@@ -22,10 +23,14 @@ func TestAuditorDetectsInjectedViolations(t *testing.T) {
 		Name: "flat", ReadBW: 100e6, WriteBW: 100e6,
 		Curve: []float64{1}, CurveDecay: 1, MinCurve: 1,
 	})
-	sched := iosched.NewSFQD(eng, dev, 2) // real SFQ so the full invariant set arms
-	au := audit.New(audit.Options{MaxViolations: 3})
+	sched, err := iosched.NewSFQD(eng, dev, 2) // real SFQ so the full invariant set arms
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree := shares.NewTree()
+	au := audit.New(audit.Options{MaxViolations: 3}, tree)
 	p := au.Probe(0, 0, trace.DevHDFS, sched)
-	req := &iosched.Request{App: "x", Shares: iosched.FixedWeight(1), Class: iosched.PersistentRead, Size: 1e6}
+	req := &iosched.Request{App: "x", AppIdx: tree.Index("x", iosched.NoApp), Class: iosched.PersistentRead, Size: 1e6}
 
 	// 1: negative latency at completion.
 	p.Observe(req, iosched.ProbeState{Event: iosched.ProbeComplete, Time: 0.5, Latency: -0.5})
@@ -48,7 +53,7 @@ func TestAuditorDetectsInjectedViolations(t *testing.T) {
 	if got := len(au.Violations()); got != 3 {
 		t.Fatalf("retained %d violations, want MaxViolations cap of 3", got)
 	}
-	err := au.Err()
+	err = au.Err()
 	if err == nil {
 		t.Fatal("Err() = nil despite violations")
 	}
@@ -72,10 +77,11 @@ func TestAuditorLifecycleOnlyForUntaggedSchedulers(t *testing.T) {
 		Curve: []float64{1}, CurveDecay: 1, MinCurve: 1,
 	})
 	fifo := iosched.NewFIFO(eng, dev)
-	au := audit.New(audit.Options{})
+	tree := shares.NewTree()
+	au := audit.New(audit.Options{}, tree)
 	fifo.SetProbe(au.Probe(0, 0, trace.DevHDFS, fifo))
 	for i := 0; i < 8; i++ {
-		fifo.Submit(&iosched.Request{App: "a", Shares: iosched.FixedWeight(1), Class: iosched.PersistentRead, Size: 1e6})
+		fifo.Submit(&iosched.Request{App: "a", Shares: tree, Class: iosched.PersistentRead, Size: 1e6})
 	}
 	eng.Run()
 	au.Finish()

@@ -9,6 +9,7 @@ import (
 	"ibis/internal/audit"
 	"ibis/internal/broker"
 	"ibis/internal/iosched"
+	"ibis/internal/shares"
 	"ibis/internal/sim"
 	"ibis/internal/storage"
 	"ibis/internal/trace"
@@ -87,8 +88,14 @@ func runShareTrial(t *testing.T, seed int64, pol propPolicy, spec storage.Spec) 
 		brokPeriod  = 0.5
 		staticDepth = 4
 	)
+	tree := shares.NewTree()
+	for _, f := range flows {
+		if err := tree.Bind(f.app, "", f.weight); err != nil {
+			t.Fatal(err)
+		}
+	}
 	eng := sim.NewEngine()
-	au := audit.New(audit.Options{Window: window, CoordinationPeriod: brokPeriod})
+	au := audit.New(audit.Options{Window: window, CoordinationPeriod: brokPeriod}, tree)
 
 	newSched := func(name string) *iosched.SFQ {
 		dev := storage.NewDevice(eng, name, spec)
@@ -104,7 +111,11 @@ func runShareTrial(t *testing.T, seed int64, pol propPolicy, spec storage.Spec) 
 			}
 			return s
 		}
-		return iosched.NewSFQD(eng, dev, staticDepth)
+		s, err := iosched.NewSFQD(eng, dev, staticDepth)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
 	}
 
 	var scheds []*iosched.SFQ
@@ -138,7 +149,7 @@ func runShareTrial(t *testing.T, seed int64, pol propPolicy, spec storage.Spec) 
 			var issue func()
 			issue = func() {
 				s.Submit(&iosched.Request{
-					App: f.app, Shares: iosched.FixedWeight(f.weight), Class: iosched.PersistentRead, Size: f.size,
+					App: f.app, Shares: tree, Class: iosched.PersistentRead, Size: f.size,
 					Done: func(any, float64) {
 						if eng.Now() < horizon {
 							issue()

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"ibis/internal/iosched"
+	"ibis/internal/shares"
 	"ibis/internal/sim"
 	"ibis/internal/storage"
 	"ibis/internal/trace"
@@ -28,42 +29,41 @@ type splitEvent struct {
 }
 
 // taggedPool returns requests of three apps carrying real SFQ tags,
-// submitted in order to one SFQ(D) scheduler; replaying them out of
-// order breaks start-tag monotonicity, and a virtual time above a start
-// tag breaks tag consistency.
-func taggedPool() []*iosched.Request {
+// submitted in order to one SFQ(D) scheduler, and the tree that
+// numbers the apps (a and c at weight 1, b at 2); replaying them out
+// of order breaks start-tag monotonicity, and a virtual time above a
+// start tag breaks tag consistency.
+func taggedPool(tb testing.TB) ([]*iosched.Request, *shares.Tree) {
 	eng := sim.NewEngine()
-	dev := storage.NewDevice(eng, "d", storage.Spec{
-		Name: "flat", ReadBW: 100e6, WriteBW: 100e6,
-		Curve: []float64{1}, CurveDecay: 1, MinCurve: 1,
-	})
-	tagger := iosched.NewSFQD(eng, dev, 2)
+	dev := storage.NewDevice(eng, "d", flatSpec())
+	tagger := sfqd(tb, eng, dev, 2)
+	apps := []iosched.AppID{"a", "b", "c"}
+	tree := shares.NewTree()
+	for i, app := range apps {
+		if err := tree.Bind(app, "", float64(1+i%2)); err != nil {
+			tb.Fatal(err)
+		}
+	}
 	var pool []*iosched.Request
 	for i := 0; i < 12; i++ {
-		req := &iosched.Request{
-			App: []iosched.AppID{"a", "b", "c"}[i%3], Shares: iosched.FixedWeight(float64(1 + i%2)),
-			Class: iosched.PersistentRead, Size: 1e6,
-		}
+		req := &iosched.Request{App: apps[i%3], Shares: tree, Class: iosched.PersistentRead, Size: 1e6}
 		if err := tagger.Submit(req); err != nil {
-			panic(err)
+			tb.Fatal(err)
 		}
 		pool = append(pool, req)
 	}
-	return pool
+	return pool, tree
 }
 
-// splitAuditor builds an auditor over splitScheds SFQ schedulers, the
-// i-th on shard shardOf(i), and returns it with the schedulers' probes.
-func splitAuditor(shardOf func(int) int) (*Auditor, []iosched.Probe) {
-	a := New(Options{Window: 1, MinWindowRequests: 1, CoordinationPeriod: 0.5, RecoveryPeriods: 2})
+// splitAuditor builds an auditor of names' apps over splitScheds SFQ
+// schedulers, the i-th on shard shardOf(i), and returns it with the
+// schedulers' probes.
+func splitAuditor(tb testing.TB, names *shares.Tree, shardOf func(int) int) (*Auditor, []iosched.Probe) {
+	a := New(Options{Window: 1, MinWindowRequests: 1, CoordinationPeriod: 0.5, RecoveryPeriods: 2}, names)
 	probes := make([]iosched.Probe, splitScheds)
 	for i := range probes {
 		eng := sim.NewEngine()
-		dev := storage.NewDevice(eng, "d", storage.Spec{
-			Name: "flat", ReadBW: 100e6, WriteBW: 100e6,
-			Curve: []float64{1}, CurveDecay: 1, MinCurve: 1,
-		})
-		s := iosched.NewSFQD(eng, dev, 2)
+		s := sfqd(tb, eng, storage.NewDevice(eng, "d", flatSpec()), 2)
 		if i%2 == 1 {
 			s.SetCoordinator(zeroCoord{})
 		}
@@ -96,12 +96,14 @@ func FuzzAuditShardSplit(f *testing.F) {
 	f.Add(uint8(0), []byte{0x00, 0x10, 0x21, 0x04, 0x05, 0x96, 0x09, 0x2a, 0xc3, 0x11, 0x40, 0x7f, 0x13, 0x01, 0x00}, []byte{0x01, 0x03})
 	f.Add(uint8(1), []byte{0x10, 0x00, 0x00, 0x11, 0x00, 0x00, 0x02, 0x30, 0xff, 0x17, 0x04, 0x80, 0x0b, 0x08, 0x41}, []byte{0x00, 0x00, 0x01})
 	f.Add(uint8(2), []byte{0x03, 0x4c, 0x12, 0x07, 0x8d, 0x35, 0x16, 0x01, 0xe0, 0x1e, 0x02, 0x00, 0x05, 0x03, 0x22}, []byte{0x07})
-	pool := taggedPool()
-	f.Fuzz(func(t *testing.T, shards uint8, data, cuts []byte) { checkShardSplit(t, pool, shards, data, cuts) })
+	pool, names := taggedPool(f)
+	f.Fuzz(func(t *testing.T, shards uint8, data, cuts []byte) {
+		checkShardSplit(t, pool, names, shards, data, cuts)
+	})
 }
 
 // checkShardSplit is FuzzAuditShardSplit's property on one input.
-func checkShardSplit(t *testing.T, pool []*iosched.Request, shards uint8, data, cuts []byte) {
+func checkShardSplit(t *testing.T, pool []*iosched.Request, names *shares.Tree, shards uint8, data, cuts []byte) {
 	k := 2 + int(shards%3)
 	// Every stream opens with an arrival on each scheduler, so the
 	// battery is never vacuous; then each 3-byte group is one event
@@ -133,7 +135,7 @@ func checkShardSplit(t *testing.T, pool []*iosched.Request, shards uint8, data, 
 			})
 	}
 
-	live, liveProbes := splitAuditor(func(int) int { return 0 })
+	live, liveProbes := splitAuditor(t, names, func(int) int { return 0 })
 	merged := slices.Clone(events)
 	slices.SortStableFunc(merged, func(x, y splitEvent) int {
 		return cmp.Or(cmp.Compare(x.st.Time, y.st.Time), cmp.Compare(x.shard, y.shard))
@@ -143,7 +145,7 @@ func checkShardSplit(t *testing.T, pool []*iosched.Request, shards uint8, data, 
 	}
 	live.Finish()
 
-	deferred, deferredProbes := splitAuditor(func(i int) int { return i % k })
+	deferred, deferredProbes := splitAuditor(t, names, func(i int) int { return i % k })
 	// Shard by shard, highest first: only the merge at Finish can
 	// restore the live order.
 	for shard := k - 1; shard >= 0; shard-- {
@@ -163,7 +165,7 @@ func checkShardSplit(t *testing.T, pool []*iosched.Request, shards uint8, data, 
 	// are written shard by shard, highest first, then drained as the
 	// barrier hook drains them. Records past the last cut wait for
 	// Finish.
-	drained, drainedProbes := splitAuditor(func(i int) int { return i % k })
+	drained, drainedProbes := splitAuditor(t, names, func(i int) int { return i % k })
 	lo, cut := math.Inf(-1), 0.0
 	for i := 0; i <= len(cuts); i++ {
 		hi := math.Inf(1)

@@ -10,12 +10,23 @@ import (
 
 	"ibis/internal/cluster"
 	"ibis/internal/iosched"
+	"ibis/internal/shares"
 	"ibis/internal/sim"
 	"ibis/internal/storage"
 	"ibis/internal/trace"
 )
 
 // flatSpec is a device with a constant service rate.
+// sfqd builds an SFQ(D) scheduler on dev.
+func sfqd(tb testing.TB, eng *sim.Engine, dev *storage.Device, depth int) *iosched.SFQ {
+	tb.Helper()
+	s, err := iosched.NewSFQD(eng, dev, depth)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return s
+}
+
 func flatSpec() storage.Spec {
 	return storage.Spec{
 		Name: "flat", ReadBW: 100e6, WriteBW: 100e6,
@@ -31,19 +42,20 @@ func flatSpec() storage.Spec {
 // of unit cost and weight: a's total normalized service exceeds b's by
 // far more than the cluster bound.
 func TestClusterCheckDetectsBreach(t *testing.T) {
-	a := New(Options{Window: 1, MinWindowRequests: 1, CoordinationPeriod: 0.1})
+	tree := shares.NewTree()
+	a := New(Options{Window: 1, MinWindowRequests: 1, CoordinationPeriod: 0.1}, tree)
 	eng := sim.NewEngine()
 	dev := storage.NewDevice(eng, "d", flatSpec())
-	tagger := iosched.NewSFQD(eng, dev, 2)
+	tagger := sfqd(t, eng, dev, 2)
 	probes := make([]iosched.Probe, 2)
 	for i := range probes {
-		s := iosched.NewSFQD(eng, dev, 2)
+		s := sfqd(t, eng, dev, 2)
 		s.SetCoordinator(zeroCoord{})
 		probes[i] = a.Probe(0, i, trace.DevHDFS, s)
 	}
 	reqs := map[iosched.AppID]*iosched.Request{}
 	for _, app := range []iosched.AppID{"a", "b"} {
-		req := &iosched.Request{App: app, Shares: iosched.FixedWeight(1), Class: iosched.PersistentRead, Size: 1}
+		req := &iosched.Request{App: app, Shares: tree, Class: iosched.PersistentRead, Size: 1}
 		if err := tagger.Submit(req); err != nil {
 			t.Fatal(err)
 		}
@@ -85,12 +97,12 @@ func TestShardedAuditLogEmptyAfterEveryBarrier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := New(Options{Window: 1, MinWindowRequests: 1})
+	a := New(Options{Window: 1, MinWindowRequests: 1}, cl.Shares())
 	a.Attach(cl, 1)
 	barriers, held := 0, 0
 	cl.OnBarrier(func() {
 		barriers++
-		a.log.Drain(func(*trace.Record, int32) { held++ })
+		a.log.Drain(cl.Shares(), func(*trace.Record, iosched.AppIdx) { held++ })
 	})
 	apps := []iosched.AppID{"a", "b"}
 	for i, app := range apps {

@@ -268,10 +268,21 @@ func TestPropertyBrokerTotalsConsistent(t *testing.T) {
 	}
 }
 
+// sfqd builds an SFQ(D) scheduler on dev.
+func sfqd(t *testing.T, eng *sim.Engine, dev *storage.Device, depth int) *iosched.SFQ {
+	t.Helper()
+	s, err := iosched.NewSFQD(eng, dev, depth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 // Integration: two SFQ schedulers on two devices with a shared broker
 // achieve total-service proportionality even when one app can only use
 // one of the devices (the uneven-distribution problem of Section 5).
 func TestCoordinationBalancesTotalService(t *testing.T) {
+	tree := shares.NewTree()
 	eng := sim.NewEngine()
 	spec := storage.Spec{
 		Name: "flat", ReadBW: 100e6, WriteBW: 100e6,
@@ -279,8 +290,7 @@ func TestCoordinationBalancesTotalService(t *testing.T) {
 	}
 	dev1 := storage.NewDevice(eng, "d1", spec)
 	dev2 := storage.NewDevice(eng, "d2", spec)
-	s1 := iosched.NewSFQD(eng, dev1, 1)
-	s2 := iosched.NewSFQD(eng, dev2, 1)
+	s1, s2 := sfqd(t, eng, dev1, 1), sfqd(t, eng, dev2, 1)
 	b := New()
 	c1 := NewClient(eng, "n1", s1.Accounting(), ClientOptions{Transport: NewDirectTransport(b), Period: 0.5})
 	c2 := NewClient(eng, "n2", s2.Accounting(), ClientOptions{Transport: NewDirectTransport(b), Period: 0.5})
@@ -296,7 +306,7 @@ func TestCoordinationBalancesTotalService(t *testing.T) {
 		var issue func()
 		issue = func() {
 			s.Submit(&iosched.Request{
-				App: app, Shares: iosched.FixedWeight(1), Class: iosched.PersistentRead, Size: 1e6,
+				App: app, Shares: tree, Class: iosched.PersistentRead, Size: 1e6,
 				Done: func(any, float64) {
 					*served += 1e6
 					if eng.Now() < 60 {
@@ -323,6 +333,7 @@ func TestCoordinationBalancesTotalService(t *testing.T) {
 // The same scenario without coordination must be visibly unfair,
 // establishing that the previous test's fairness is the broker's doing.
 func TestNoCoordinationIsUnfair(t *testing.T) {
+	tree := shares.NewTree()
 	eng := sim.NewEngine()
 	spec := storage.Spec{
 		Name: "flat", ReadBW: 100e6, WriteBW: 100e6,
@@ -330,15 +341,14 @@ func TestNoCoordinationIsUnfair(t *testing.T) {
 	}
 	dev1 := storage.NewDevice(eng, "d1", spec)
 	dev2 := storage.NewDevice(eng, "d2", spec)
-	s1 := iosched.NewSFQD(eng, dev1, 1)
-	s2 := iosched.NewSFQD(eng, dev2, 1)
+	s1, s2 := sfqd(t, eng, dev1, 1), sfqd(t, eng, dev2, 1)
 
 	var xBytes, yBytes float64
 	keep := func(s *iosched.SFQ, app iosched.AppID, served *float64) {
 		var issue func()
 		issue = func() {
 			s.Submit(&iosched.Request{
-				App: app, Shares: iosched.FixedWeight(1), Class: iosched.PersistentRead, Size: 1e6,
+				App: app, Shares: tree, Class: iosched.PersistentRead, Size: 1e6,
 				Done: func(any, float64) {
 					*served += 1e6
 					if eng.Now() < 60 {

@@ -35,15 +35,20 @@ type Weight struct {
 }
 
 // NewWeight builds the proportional-sharing cgroups baseline for one
-// device. It must only be wired to intermediate (local) I/O.
-func NewWeight(eng *sim.Engine, dev *storage.Device, depth int) *Weight {
+// device. It must only be wired to intermediate (local) I/O. A depth
+// below 1 is an error.
+func NewWeight(eng *sim.Engine, dev *storage.Device, depth int) (*Weight, error) {
+	reads, err := iosched.NewSFQD(eng, dev, depth)
+	if err != nil {
+		return nil, err
+	}
 	w := &Weight{
-		reads:  iosched.NewSFQD(eng, dev, depth),
+		reads:  reads,
 		writes: iosched.NewFIFO(eng, dev),
 		acct:   iosched.NewAccounting(),
 	}
 	w.SetProbe(nil)
-	return w
+	return w, nil
 }
 
 var _ iosched.Scheduler = (*Weight)(nil)

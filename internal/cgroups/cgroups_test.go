@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ibis/internal/iosched"
+	"ibis/internal/shares"
 	"ibis/internal/sim"
 	"ibis/internal/storage"
 )
@@ -25,16 +26,38 @@ func newThrottle(t *testing.T, eng *sim.Engine, dev *storage.Device, limits map[
 	return s
 }
 
+func newWeight(t *testing.T, eng *sim.Engine, dev *storage.Device, depth int) *Weight {
+	t.Helper()
+	w, err := NewWeight(eng, dev, depth)
+	if err != nil {
+		t.Fatalf("NewWeight: %v", err)
+	}
+	return w
+}
+
+func TestWeightInvalidDepthRejected(t *testing.T) {
+	eng := sim.NewEngine()
+	for _, depth := range []int{0, -1} {
+		if _, err := NewWeight(eng, storage.NewDevice(eng, "d", flatSpec()), depth); err == nil {
+			t.Errorf("depth %d accepted", depth)
+		}
+	}
+}
+
 func TestWeightIsProportional(t *testing.T) {
 	eng := sim.NewEngine()
 	dev := storage.NewDevice(eng, "d", flatSpec())
-	s := NewWeight(eng, dev, 2)
+	s := newWeight(t, eng, dev, 2)
+	tree := shares.NewTree()
 	var a, b float64
 	keep := func(app iosched.AppID, w float64, served *float64) {
+		if err := tree.Bind(app, "", w); err != nil {
+			t.Fatal(err)
+		}
 		var issue func()
 		issue = func() {
 			s.Submit(&iosched.Request{
-				App: app, Shares: iosched.FixedWeight(w), Class: iosched.IntermediateRead, Size: 1e6,
+				App: app, Shares: tree, Class: iosched.IntermediateRead, Size: 1e6,
 				Done: func(any, float64) {
 					*served += 1e6
 					if eng.Now() < 30 {
@@ -56,6 +79,7 @@ func TestWeightIsProportional(t *testing.T) {
 }
 
 func TestThrottleCapsRate(t *testing.T) {
+	tree := shares.NewTree()
 	eng := sim.NewEngine()
 	dev := storage.NewDevice(eng, "d", flatSpec())
 	s := newThrottle(t, eng, dev, map[iosched.AppID]float64{"capped": 5e6})
@@ -63,7 +87,7 @@ func TestThrottleCapsRate(t *testing.T) {
 	var issue func()
 	issue = func() {
 		s.Submit(&iosched.Request{
-			App: "capped", Shares: iosched.FixedWeight(1), Class: iosched.IntermediateRead, Size: 1e6,
+			App: "capped", Shares: tree, Class: iosched.IntermediateRead, Size: 1e6,
 			Done: func(any, float64) {
 				served += 1e6
 				if eng.Now() < 20 {
@@ -86,6 +110,7 @@ func TestThrottleCapsRate(t *testing.T) {
 }
 
 func TestThrottleNonWorkConserving(t *testing.T) {
+	tree := shares.NewTree()
 	// Device idle, yet the capped app still waits: that's the
 	// underutilization the paper attributes to cgroups throttling.
 	eng := sim.NewEngine()
@@ -93,7 +118,7 @@ func TestThrottleNonWorkConserving(t *testing.T) {
 	s := newThrottle(t, eng, dev, map[iosched.AppID]float64{"capped": 1e6})
 	var done float64
 	s.Submit(&iosched.Request{
-		App: "capped", Shares: iosched.FixedWeight(1), Class: iosched.IntermediateRead, Size: 10e6,
+		App: "capped", Shares: tree, Class: iosched.IntermediateRead, Size: 10e6,
 		Done: func(any, float64) { done = eng.Now() },
 	})
 	eng.Run()
@@ -108,12 +133,13 @@ func TestThrottleNonWorkConserving(t *testing.T) {
 }
 
 func TestThrottleUncappedPassthrough(t *testing.T) {
+	tree := shares.NewTree()
 	eng := sim.NewEngine()
 	dev := storage.NewDevice(eng, "d", flatSpec())
 	s := newThrottle(t, eng, dev, map[iosched.AppID]float64{"capped": 1e6})
 	var freeDone float64
 	s.Submit(&iosched.Request{
-		App: "free", Shares: iosched.FixedWeight(1), Class: iosched.IntermediateRead, Size: 10e6,
+		App: "free", Shares: tree, Class: iosched.IntermediateRead, Size: 10e6,
 		Done: func(any, float64) { freeDone = eng.Now() },
 	})
 	eng.Run()
@@ -123,6 +149,7 @@ func TestThrottleUncappedPassthrough(t *testing.T) {
 }
 
 func TestThrottleFIFOWithinApp(t *testing.T) {
+	tree := shares.NewTree()
 	eng := sim.NewEngine()
 	dev := storage.NewDevice(eng, "d", flatSpec())
 	s := newThrottle(t, eng, dev, map[iosched.AppID]float64{"c": 2e6})
@@ -130,7 +157,7 @@ func TestThrottleFIFOWithinApp(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		i := i
 		s.Submit(&iosched.Request{
-			App: "c", Shares: iosched.FixedWeight(1), Class: iosched.IntermediateRead, Size: 1e6,
+			App: "c", Shares: tree, Class: iosched.IntermediateRead, Size: 1e6,
 			Done: func(any, float64) { order = append(order, i) },
 		})
 	}
@@ -146,10 +173,11 @@ func TestThrottleFIFOWithinApp(t *testing.T) {
 }
 
 func TestThrottleAccounting(t *testing.T) {
+	tree := shares.NewTree()
 	eng := sim.NewEngine()
 	dev := storage.NewDevice(eng, "d", flatSpec())
 	s := newThrottle(t, eng, dev, nil)
-	s.Submit(&iosched.Request{App: "A", Shares: iosched.FixedWeight(1), Class: iosched.IntermediateRead, Size: 3e6})
+	s.Submit(&iosched.Request{App: "A", Shares: tree, Class: iosched.IntermediateRead, Size: 3e6})
 	eng.Run()
 	svc := s.Accounting().Service("A")
 	if svc.Bytes != 3e6 || svc.Requests != 1 {
@@ -171,13 +199,14 @@ func TestThrottleInvalidRateRejected(t *testing.T) {
 }
 
 func TestThrottleObserver(t *testing.T) {
+	tree := shares.NewTree()
 	eng := sim.NewEngine()
 	dev := storage.NewDevice(eng, "d", flatSpec())
 	s := newThrottle(t, eng, dev, nil)
 	count := 0
 	s.SetProbe(completions(&count))
 	for i := 0; i < 3; i++ {
-		s.Submit(&iosched.Request{App: "A", Shares: iosched.FixedWeight(1), Class: iosched.IntermediateRead, Size: 1e5})
+		s.Submit(&iosched.Request{App: "A", Shares: tree, Class: iosched.IntermediateRead, Size: 1e5})
 	}
 	eng.Run()
 	if count != 3 {
@@ -186,6 +215,7 @@ func TestThrottleObserver(t *testing.T) {
 }
 
 func TestThrottleWritesBypassCap(t *testing.T) {
+	tree := shares.NewTree()
 	// blkio v1 semantics: buffered writes are not attributed to the
 	// cgroup and escape the throttle entirely.
 	eng := sim.NewEngine()
@@ -193,7 +223,7 @@ func TestThrottleWritesBypassCap(t *testing.T) {
 	s := newThrottle(t, eng, dev, map[iosched.AppID]float64{"capped": 1e6})
 	done := -1.0
 	s.Submit(&iosched.Request{
-		App: "capped", Shares: iosched.FixedWeight(1), Class: iosched.IntermediateWrite, Size: 10e6,
+		App: "capped", Shares: tree, Class: iosched.IntermediateWrite, Size: 10e6,
 		Done: func(any, float64) { done = eng.Now() },
 	})
 	eng.Run()
@@ -203,12 +233,13 @@ func TestThrottleWritesBypassCap(t *testing.T) {
 }
 
 func TestWeightWritesBypass(t *testing.T) {
+	tree := shares.NewTree()
 	eng := sim.NewEngine()
 	dev := storage.NewDevice(eng, "d", flatSpec())
-	w := NewWeight(eng, dev, 2)
+	w := newWeight(t, eng, dev, 2)
 	// Submit many writes: they all dispatch immediately (no queueing).
 	for i := 0; i < 10; i++ {
-		w.Submit(&iosched.Request{App: "A", Shares: iosched.FixedWeight(1), Class: iosched.IntermediateWrite, Size: 1e6})
+		w.Submit(&iosched.Request{App: "A", Shares: tree, Class: iosched.IntermediateWrite, Size: 1e6})
 	}
 	if w.InFlight() != 10 {
 		t.Fatalf("InFlight = %d, want 10 unmanaged writes", w.InFlight())
@@ -226,13 +257,14 @@ func TestWeightWritesBypass(t *testing.T) {
 }
 
 func TestWeightObserverBothPaths(t *testing.T) {
+	tree := shares.NewTree()
 	eng := sim.NewEngine()
 	dev := storage.NewDevice(eng, "d", flatSpec())
-	w := NewWeight(eng, dev, 2)
+	w := newWeight(t, eng, dev, 2)
 	count := 0
 	w.SetProbe(completions(&count))
-	w.Submit(&iosched.Request{App: "A", Shares: iosched.FixedWeight(1), Class: iosched.IntermediateRead, Size: 1e6})
-	w.Submit(&iosched.Request{App: "A", Shares: iosched.FixedWeight(1), Class: iosched.IntermediateWrite, Size: 1e6})
+	w.Submit(&iosched.Request{App: "A", Shares: tree, Class: iosched.IntermediateRead, Size: 1e6})
+	w.Submit(&iosched.Request{App: "A", Shares: tree, Class: iosched.IntermediateWrite, Size: 1e6})
 	eng.Run()
 	if count != 2 {
 		t.Fatalf("observer saw %d events, want 2", count)

@@ -356,7 +356,9 @@ func assemble(eng *sim.Engine, fab *sim.Fabric, cfg Config) (*Cluster, error) {
 				return nil, err
 			}
 			if cfg.ScheduleNetwork {
-				n.NetSched = iosched.NewSFQD(nodeEng, &linkBackend{res: n.nicOut}, cfg.NetworkDepth)
+				if n.NetSched, err = iosched.NewSFQD(nodeEng, &linkBackend{res: n.nicOut}, cfg.NetworkDepth); err != nil {
+					return nil, err
+				}
 			}
 		}
 
@@ -409,14 +411,14 @@ func (c *Cluster) buildScheduler(eng *sim.Engine, dev *storage.Device, persisten
 	case Native:
 		return iosched.NewFIFO(eng, dev), nil
 	case SFQD:
-		return iosched.NewSFQD(eng, dev, c.cfg.SFQDepth), nil
+		return iosched.NewSFQD(eng, dev, c.cfg.SFQDepth)
 	case SFQD2:
 		return iosched.NewSFQD2(eng, dev, ctrl)
 	case CGWeight:
 		if persistent {
 			return iosched.NewFIFO(eng, dev), nil
 		}
-		return cgroups.NewWeight(eng, dev, c.cfg.SFQDepth), nil
+		return cgroups.NewWeight(eng, dev, c.cfg.SFQDepth)
 	case CGThrottle:
 		if persistent {
 			return iosched.NewFIFO(eng, dev), nil

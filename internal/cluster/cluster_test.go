@@ -74,8 +74,8 @@ func TestPolicyStrings(t *testing.T) {
 func TestSubmitIORouting(t *testing.T) {
 	eng, c := newCluster(t, Config{Nodes: 1, Policy: Native})
 	n := c.Nodes[0]
-	n.SubmitIO(&iosched.Request{App: "A", Shares: iosched.FixedWeight(1), Class: iosched.PersistentRead, Size: 1e6})
-	n.SubmitIO(&iosched.Request{App: "A", Shares: iosched.FixedWeight(1), Class: iosched.IntermediateWrite, Size: 2e6})
+	n.SubmitIO(&iosched.Request{App: "A", Class: iosched.PersistentRead, Size: 1e6})
+	n.SubmitIO(&iosched.Request{App: "A", Class: iosched.IntermediateWrite, Size: 2e6})
 	eng.Run()
 	if got := n.HDFS.Stats().ReadBytes; got != 1e6 {
 		t.Fatalf("HDFS device read %v bytes, want 1e6", got)
@@ -139,7 +139,7 @@ func TestCoordinationCreatesBroker(t *testing.T) {
 
 func TestCoordinatedSchedulersReport(t *testing.T) {
 	eng, c := newCluster(t, Config{Nodes: 2, Policy: SFQD, Coordinate: true, CoordinationPeriod: 0.5})
-	c.Nodes[0].SubmitIO(&iosched.Request{App: "A", Shares: iosched.FixedWeight(1), Class: iosched.PersistentRead, Size: 10e6})
+	c.Nodes[0].SubmitIO(&iosched.Request{App: "A", Class: iosched.PersistentRead, Size: 10e6})
 	eng.Schedule(3, func() {}) // keep alive for a few exchanges
 	eng.Run()
 	if c.Partitions()[0].Broker().Total("A") <= 0 {
@@ -171,8 +171,8 @@ func TestIOObserverSeesAllTraffic(t *testing.T) {
 			t.Errorf("negative latency %v", lat)
 		}
 	})
-	c.Nodes[0].SubmitIO(&iosched.Request{App: "A", Shares: iosched.FixedWeight(1), Class: iosched.PersistentRead, Size: 1e6})
-	c.Nodes[1].SubmitIO(&iosched.Request{App: "A", Shares: iosched.FixedWeight(1), Class: iosched.IntermediateWrite, Size: 1e6})
+	c.Nodes[0].SubmitIO(&iosched.Request{App: "A", Class: iosched.PersistentRead, Size: 1e6})
+	c.Nodes[1].SubmitIO(&iosched.Request{App: "A", Class: iosched.IntermediateWrite, Size: 1e6})
 	eng.Run()
 	if events != 2 {
 		t.Fatalf("observer saw %d events, want 2", events)

@@ -15,7 +15,7 @@ func keepBusy(eng interface {
 	var issue func()
 	issue = func() {
 		n.SubmitIO(&iosched.Request{
-			App: app, Shares: iosched.FixedWeight(1), Class: iosched.PersistentRead, Size: 1e6,
+			App: app, Class: iosched.PersistentRead, Size: 1e6,
 			Done: func(any, float64) {
 				*served += 1e6
 				if eng.Now() < horizon {

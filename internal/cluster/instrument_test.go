@@ -55,7 +55,7 @@ func TestInstrumentComposes(t *testing.T) {
 					iosched.IntermediateRead, iosched.IntermediateWrite,
 				} {
 					for _, app := range []iosched.AppID{"A", "B", "A"} {
-						req := &iosched.Request{App: app, Shares: iosched.FixedWeight(1), Class: class, Size: 1e6}
+						req := &iosched.Request{App: app, Class: class, Size: 1e6}
 						req.Done = func(_ any, lat float64) { done[req] = lat }
 						if err := n.SubmitIO(req); err != nil {
 							t.Fatal(err)

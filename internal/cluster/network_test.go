@@ -38,7 +38,7 @@ func TestReservePolicyPacesIO(t *testing.T) {
 	var issue func()
 	issue = func() {
 		n.SubmitIO(&iosched.Request{
-			App: "A", Shares: iosched.FixedWeight(1), Class: iosched.PersistentRead, Size: 2e6,
+			App: "A", Class: iosched.PersistentRead, Size: 2e6,
 			Done: func(any, float64) {
 				served += 2e6
 				if eng.Now() < 20 {

@@ -45,13 +45,16 @@ func (l *closedLoop) keep(submit func(*iosched.Request) error, t *tally, depth i
 }
 
 // keepUneven backlogs the uneven-presence microbenchmark: app "wide"
-// (weight w) on every node, "narrow" (weight 1) on a quarter of them.
-func (l *closedLoop) keepUneven(nodes []*cluster.Node, w float64) (wide, narrow *tally) {
+// (weight w) on every node of cl, "narrow" (weight 1) on a quarter of
+// them. Both resolve through cl's share tree, "narrow" by binding at
+// weight 1 on its first request.
+func (l *closedLoop) keepUneven(cl *cluster.Cluster, w float64) (wide, narrow *tally) {
 	wide, narrow = new(tally), new(tally)
-	for i, n := range nodes {
-		l.keep(n.SubmitIO, wide, 4, iosched.Request{App: "wide", Shares: iosched.FixedWeight(w), Class: iosched.PersistentRead, Size: 2e6})
-		if i < max(len(nodes)/4, 1) {
-			l.keep(n.SubmitIO, narrow, 4, iosched.Request{App: "narrow", Shares: iosched.FixedWeight(1), Class: iosched.PersistentRead, Size: 2e6})
+	l.fail(cl.Shares().Bind("wide", "", w))
+	for i, n := range cl.Nodes {
+		l.keep(n.SubmitIO, wide, 4, iosched.Request{App: "wide", Class: iosched.PersistentRead, Size: 2e6})
+		if i < max(len(cl.Nodes)/4, 1) {
+			l.keep(n.SubmitIO, narrow, 4, iosched.Request{App: "narrow", Class: iosched.PersistentRead, Size: 2e6})
 		}
 	}
 	return wide, narrow

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ibis/internal/iosched"
+	"ibis/internal/shares"
 	"ibis/internal/sim"
 	"ibis/internal/storage"
 )
@@ -13,11 +14,15 @@ import (
 // silently running one backlog slot short or panicking, and the flows
 // it could submit still run to the horizon.
 func TestClosedLoopReturnsRejectedSubmit(t *testing.T) {
+	tree := shares.NewTree()
 	eng := sim.NewEngine()
-	s := iosched.NewSFQD(eng, storage.NewDevice(eng, "hdd", storage.HDDSpec()), 2)
+	s, err := iosched.NewSFQD(eng, storage.NewDevice(eng, "hdd", storage.HDDSpec()), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	l := newClosedLoop(eng, 5)
 	var good, bad tally
-	l.keep(s.Submit, &good, 2, iosched.Request{App: "good", Shares: iosched.FixedWeight(1), Class: iosched.PersistentRead, Size: 2e6})
+	l.keep(s.Submit, &good, 2, iosched.Request{App: "good", Shares: tree, Class: iosched.PersistentRead, Size: 2e6})
 	// No weight source: the scheduler rejects every submit.
 	l.keep(s.Submit, &bad, 2, iosched.Request{App: "bad", Class: iosched.PersistentRead, Size: 2e6})
 	if err := l.run(); err == nil {

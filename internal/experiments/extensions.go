@@ -7,6 +7,7 @@ import (
 	"ibis/internal/cluster"
 	"ibis/internal/iosched"
 	"ibis/internal/metrics"
+	"ibis/internal/shares"
 	"ibis/internal/sim"
 	"ibis/internal/storage"
 	"ibis/internal/workloads"
@@ -222,12 +223,17 @@ func ExtSSDPromotion() (*SSDPromotionResult, error) {
 func ssdPromotionPoint(depth int) (SSDPromotionRow, error) {
 	eng := sim.NewEngine()
 	dev := storage.NewDevice(eng, "ssd", storage.SSDSpec())
-	s := iosched.NewSFQD(eng, dev, depth)
+	s, err := iosched.NewSFQD(eng, dev, depth)
+	if err != nil {
+		return SSDPromotionRow{}, err
+	}
 	l := newClosedLoop(eng, 30)
 	var reads, writes tally
-	// Equal weights: the promotion effect is purely about write cost.
-	l.keep(s.Submit, &reads, 2, iosched.Request{App: "reader", Shares: iosched.FixedWeight(1), Class: iosched.PersistentRead, Size: 2e6})
-	l.keep(s.Submit, &writes, 8, iosched.Request{App: "writer", Shares: iosched.FixedWeight(1), Class: iosched.PersistentWrite, Size: 2e6})
+	// Equal weights: the promotion effect is purely about write cost. A
+	// fresh tree binds each app at weight 1 on its first request.
+	tree := shares.NewTree()
+	l.keep(s.Submit, &reads, 2, iosched.Request{App: "reader", Shares: tree, Class: iosched.PersistentRead, Size: 2e6})
+	l.keep(s.Submit, &writes, 8, iosched.Request{App: "writer", Shares: tree, Class: iosched.PersistentWrite, Size: 2e6})
 	if err := l.run(); err != nil {
 		return SSDPromotionRow{}, err
 	}

@@ -156,11 +156,11 @@ func faultRun(sc FaultScenario, nodes int) (FaultMatrixRow, error) {
 	if err != nil {
 		return FaultMatrixRow{}, err
 	}
-	au := audit.New(audit.Options{CoordinationPeriod: 1})
+	au := audit.New(audit.Options{CoordinationPeriod: 1}, cl.Shares())
 	au.Attach(cl, 1)
 
 	l := newClosedLoop(eng, faultHorizon)
-	wide, narrow := l.keepUneven(cl.Nodes, 3)
+	wide, narrow := l.keepUneven(cl, 3)
 
 	// Sample cumulative service at each phase boundary.
 	type snap struct{ wide, narrow float64 }

@@ -217,7 +217,7 @@ func microRun(coordinate bool, period float64, nodes int) (float64, uint64, erro
 		return 0, 0, err
 	}
 	l := newClosedLoop(eng, 60)
-	wide, narrow := l.keepUneven(cl.Nodes, 1)
+	wide, narrow := l.keepUneven(cl, 1)
 	if err := l.run(); err != nil {
 		return 0, 0, err
 	}

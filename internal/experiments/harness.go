@@ -276,11 +276,11 @@ func RunWithSetup(opts Options, entries []Entry, setup func(*mapreduce.Runtime) 
 		latencies:   make(map[latKey]*metrics.Distribution),
 	}
 	if opts.TraceCapacity > 0 {
-		res.Trace = trace.New(opts.TraceCapacity)
+		res.Trace = trace.New(opts.TraceCapacity, cl.Shares())
 		res.Trace.Attach(cl)
 	}
 	if opts.Audit {
-		res.Audit = audit.New(audit.Options{Window: opts.AuditWindow})
+		res.Audit = audit.New(audit.Options{Window: opts.AuditWindow}, cl.Shares())
 		res.Audit.Attach(cl, 1)
 	}
 	// I/O completions on the storage schedulers fire on the owning
@@ -327,9 +327,6 @@ func RunWithSetup(opts Options, entries []Entry, setup func(*mapreduce.Runtime) 
 		res.WriteSeries = metrics.NewTimeSeries(1)
 	}
 	for i := range cells {
-		if cells[i].unnumbered {
-			return nil, fmt.Errorf("experiments: shard %d completed a request with no app index", i)
-		}
 		cells[i].mergeInto(res)
 	}
 
@@ -356,11 +353,10 @@ func RunWithSetup(opts Options, entries []Entry, setup func(*mapreduce.Runtime) 
 
 // ioCell accumulates one shard's I/O completions; it is the probe on
 // every storage scheduler of that shard. Apps are booked by their
-// share-tree index, so a completion hashes no name: every request of a
-// cluster resolves its weight through cl.Shares(), which numbers it.
+// share-tree index, so a completion hashes no name: a scheduler admits
+// only requests that carry one.
 type ioCell struct {
 	live        bool // the shard has a storage scheduler
-	unnumbered  bool // a completion carried iosched.NoApp
 	totalBytes  float64
 	apps        []appIO             // by iosched.AppIdx
 	read, write *metrics.TimeSeries // nil unless throughput is captured
@@ -381,17 +377,12 @@ func newIOCell(series bool) ioCell {
 	return c
 }
 
-// Observe implements iosched.Probe, booking each completion. One with
-// no app index only marks the cell, and RunWithSetup fails the run.
+// Observe implements iosched.Probe, booking each completion.
 func (c *ioCell) Observe(req *iosched.Request, st iosched.ProbeState) {
 	if st.Event != iosched.ProbeComplete {
 		return
 	}
 	i := int(req.AppIdx)
-	if i < 0 {
-		c.unnumbered = true
-		return
-	}
 	if i >= len(c.apps) {
 		c.apps = append(c.apps, make([]appIO, i+1-len(c.apps))...)
 	}

@@ -27,11 +27,11 @@ func TestClusterRequestsAreNumbered(t *testing.T) {
 		for _, shards := range []int{0, 1} {
 			opts := tc.opts
 			opts.Scale, opts.Shards = scale, shards
-			var seen, unnumbered int
+			var seen, noIndex int
 			probe := probeFunc(func(req *iosched.Request, _ iosched.ProbeState) {
 				seen++
 				if req.AppIdx == iosched.NoApp {
-					unnumbered++
+					noIndex++
 				}
 			})
 			_, err := RunWithSetup(opts, []Entry{wordCount(scale, 4), teraSortContender(scale, 1)}, func(rt *mapreduce.Runtime) error {
@@ -41,8 +41,8 @@ func TestClusterRequestsAreNumbered(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s, shards %d: %v", tc.name, shards, err)
 			}
-			if seen == 0 || unnumbered > 0 {
-				t.Errorf("%s, shards %d: %d of %d probed events carry NoApp", tc.name, shards, unnumbered, seen)
+			if seen == 0 || noIndex > 0 {
+				t.Errorf("%s, shards %d: %d of %d probed events carry NoApp", tc.name, shards, noIndex, seen)
 			}
 		}
 	}
@@ -51,14 +51,3 @@ func TestClusterRequestsAreNumbered(t *testing.T) {
 type probeFunc func(*iosched.Request, iosched.ProbeState)
 
 func (f probeFunc) Observe(req *iosched.Request, st iosched.ProbeState) { f(req, st) }
-
-// TestIOCellRefusesUnnumberedApps pins the guard behind the cells'
-// index: a completion whose app has no share-tree index is not booked
-// under some other app's number but marks the cell, which fails the run.
-func TestIOCellRefusesUnnumberedApps(t *testing.T) {
-	c := newIOCell(false)
-	c.Observe(&iosched.Request{App: "fixed", AppIdx: iosched.NoApp, Size: 1e6}, iosched.ProbeState{Event: iosched.ProbeComplete, Latency: 0.01})
-	if !c.unnumbered || c.totalBytes != 0 || len(c.apps) != 0 {
-		t.Fatalf("NoApp completion: unnumbered %v, %g bytes booked, %d apps", c.unnumbered, c.totalBytes, len(c.apps))
-	}
-}

@@ -113,7 +113,7 @@ func Reweight(spec ReweightSpec) (*ReweightResult, error) {
 		}
 	}
 
-	au := audit.New(audit.Options{CoordinationPeriod: 1})
+	au := audit.New(audit.Options{CoordinationPeriod: 1}, tree)
 	au.SetShares(tree)
 	au.Attach(cl, 1)
 

@@ -33,52 +33,6 @@ func TimeSeriesCSV(w io.Writer, name string, ts *metrics.TimeSeries) error {
 	return nil
 }
 
-// MultiSeriesCSV writes several aligned series as one table:
-// time_s,<name1>,<name2>,... Missing bins render as 0.
-func MultiSeriesCSV(w io.Writer, names []string, series []*metrics.TimeSeries) error {
-	if len(names) != len(series) || len(series) == 0 {
-		return fmt.Errorf("export: %d names for %d series", len(names), len(series))
-	}
-	width := series[0].BinWidth()
-	maxLen := 0
-	rates := make([][]float64, len(series))
-	for i, ts := range series {
-		if ts == nil {
-			return fmt.Errorf("export: nil series %q", names[i])
-		}
-		if ts.BinWidth() != width {
-			return fmt.Errorf("export: bin width mismatch for %q", names[i])
-		}
-		rates[i] = ts.Rate()
-		if len(rates[i]) > maxLen {
-			maxLen = len(rates[i])
-		}
-	}
-	cols := make([]string, 0, len(names)+1)
-	cols = append(cols, "time_s")
-	for _, n := range names {
-		cols = append(cols, sanitize(n))
-	}
-	if _, err := fmt.Fprintln(w, strings.Join(cols, ",")); err != nil {
-		return err
-	}
-	for row := 0; row < maxLen; row++ {
-		out := make([]string, 0, len(series)+1)
-		out = append(out, ftoa(float64(row)*width))
-		for _, r := range rates {
-			v := 0.0
-			if row < len(r) {
-				v = r[row]
-			}
-			out = append(out, ftoa(v))
-		}
-		if _, err := fmt.Fprintln(w, strings.Join(out, ",")); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // CDFCSV writes (value, cumulative_fraction) rows — the Figure 9 data.
 func CDFCSV(w io.Writer, name string, d *metrics.Distribution) error {
 	if d == nil {

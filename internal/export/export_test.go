@@ -31,36 +31,6 @@ func TestTimeSeriesCSVNil(t *testing.T) {
 	}
 }
 
-func TestMultiSeriesCSV(t *testing.T) {
-	a := metrics.NewTimeSeries(1)
-	a.Add(0, 1)
-	a.Add(1, 2)
-	b := metrics.NewTimeSeries(1)
-	b.Add(0, 3)
-	var out strings.Builder
-	if err := MultiSeriesCSV(&out, []string{"a", "b"}, []*metrics.TimeSeries{a, b}); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
-	want := []string{"time_s,a,b", "0,1,3", "1,2,0"}
-	for i := range want {
-		if lines[i] != want[i] {
-			t.Fatalf("line %d = %q, want %q", i, lines[i], want[i])
-		}
-	}
-}
-
-func TestMultiSeriesCSVMismatch(t *testing.T) {
-	a := metrics.NewTimeSeries(1)
-	b := metrics.NewTimeSeries(2)
-	if err := MultiSeriesCSV(&strings.Builder{}, []string{"a", "b"}, []*metrics.TimeSeries{a, b}); err == nil {
-		t.Fatal("bin-width mismatch accepted")
-	}
-	if err := MultiSeriesCSV(&strings.Builder{}, []string{"a"}, []*metrics.TimeSeries{a, a}); err == nil {
-		t.Fatal("name/series count mismatch accepted")
-	}
-}
-
 func TestCDFCSV(t *testing.T) {
 	d := metrics.NewDistribution()
 	d.Add(2)

@@ -70,16 +70,24 @@ func chaosRunOn(t *testing.T, spec faults.Spec, nodes int, sharded bool) chaosOu
 	if err != nil {
 		t.Fatal(err)
 	}
-	au := audit.New(audit.Options{CoordinationPeriod: 1})
+	au := audit.New(audit.Options{CoordinationPeriod: 1}, cl.Shares())
 	au.Attach(cl, 1)
+	for _, b := range []struct {
+		app iosched.AppID
+		w   float64
+	}{{"wide", 3}, {"narrow", 1}} {
+		if err := cl.Shares().Bind(b.app, "", b.w); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	var wide, narrow float64
-	backlog := func(n *cluster.Node, app iosched.AppID, weight float64, served *float64) {
+	backlog := func(n *cluster.Node, app iosched.AppID, served *float64) {
 		eng := n.Shard().Engine()
 		var issue func()
 		issue = func() {
 			n.SubmitIO(&iosched.Request{
-				App: app, Shares: iosched.FixedWeight(weight), Class: iosched.PersistentRead, Size: 2e6,
+				App: app, Class: iosched.PersistentRead, Size: 2e6,
 				Done: func(any, float64) {
 					*served += 2e6
 					if eng.Now() < chaosHorizon {
@@ -97,9 +105,9 @@ func chaosRunOn(t *testing.T, spec faults.Spec, nodes int, sharded bool) chaosOu
 		quarter = 1
 	}
 	for i, n := range cl.Nodes {
-		backlog(n, "wide", 3, &wide)
+		backlog(n, "wide", &wide)
 		if i < quarter {
-			backlog(n, "narrow", 1, &narrow)
+			backlog(n, "narrow", &narrow)
 		}
 	}
 

@@ -27,14 +27,14 @@ func (d benchDev) Submit(kind storage.OpKind, size float64, done sim.DoneFunc, a
 // submit → tag → queue → dispatch → complete cycle.
 func BenchmarkSFQSubmitDispatch(b *testing.B) {
 	eng := sim.NewEngine()
-	s := NewSFQD(eng, benchDev{eng}, 4)
+	s := mustSFQD(b, eng, benchDev{eng}, 4)
 	const window = 64
 	reqs := make([]*Request, window)
 	done, submitted, target := 0, 0, 0
 	for i := range reqs {
 		r := &Request{
 			App:    AppID(fmt.Sprintf("app%d", i%4)),
-			Shares: FixedWeight(float64(1 + i%3)),
+			Shares: flat(float64(1 + i%3)),
 			Class:  PersistentRead,
 			Size:   1000,
 		}
@@ -74,14 +74,14 @@ type roundTrip struct {
 	done, sent, target int
 }
 
-func newRoundTrip(window int) (*roundTrip, []*Request) {
+func newRoundTrip(tb testing.TB, window int) (*roundTrip, []*Request) {
 	eng := sim.NewEngine()
-	rt := &roundTrip{eng: eng, s: NewSFQD(eng, storage.NewDevice(eng, "hdd", storage.HDDSpec()), 4)}
+	rt := &roundTrip{eng: eng, s: mustSFQD(tb, eng, storage.NewDevice(eng, "hdd", storage.HDDSpec()), 4)}
 	reqs := make([]*Request, window)
 	for i := range reqs {
 		r := &Request{
 			App:    AppID(fmt.Sprintf("app%d", i%4)),
-			Shares: FixedWeight(float64(1 + i%3)),
+			Shares: flat(float64(1 + i%3)),
 			Class:  PersistentRead,
 			Size:   64 << 10,
 		}
@@ -122,7 +122,7 @@ func (rt *roundTrip) run(reqs []*Request, target int) error {
 // → device service → complete cycle. The whole path recycles its
 // records, so it must report 0 allocs/op — CI fails otherwise.
 func BenchmarkSFQDeviceRoundTrip(b *testing.B) {
-	rt, reqs := newRoundTrip(64)
+	rt, reqs := newRoundTrip(b, 64)
 	// Warm the flow table, accounting slots, heaps and free lists.
 	if err := rt.run(reqs, 256); err != nil {
 		b.Fatal(err)

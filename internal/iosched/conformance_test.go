@@ -22,6 +22,7 @@ import (
 
 	"ibis/internal/cgroups"
 	"ibis/internal/iosched"
+	"ibis/internal/shares"
 	"ibis/internal/sim"
 	"ibis/internal/storage"
 )
@@ -90,14 +91,12 @@ func (r *conformRecorder) Observe(req *iosched.Request, st iosched.ProbeState) {
 // request mix in staggered batches and returns the per-app bytes and
 // request counts that were accepted.
 func conformanceWorkload(t *testing.T, eng *sim.Engine, s iosched.Scheduler, name string) (map[iosched.AppID]float64, map[iosched.AppID]uint64) {
-	apps := []struct {
-		id iosched.AppID
-		w  float64
-	}{{"A", 4}, {"B", 2}, {"C", 1}}
+	apps := []weighted{{"A", 4}, {"B", 2}, {"C", 1}}
 	classes := []iosched.Class{
 		iosched.PersistentRead, iosched.IntermediateWrite,
 		iosched.IntermediateRead, iosched.PersistentWrite,
 	}
+	tree := weighTree(t, apps...)
 	bytes := make(map[iosched.AppID]float64)
 	reqs := make(map[iosched.AppID]uint64)
 	for batch := 0; batch < 6; batch++ {
@@ -108,7 +107,7 @@ func conformanceWorkload(t *testing.T, eng *sim.Engine, s iosched.Scheduler, nam
 					size := 1e5 * float64(1+(batch+ai+k)%7)
 					req := &iosched.Request{
 						App:    app.id,
-						Shares: iosched.FixedWeight(app.w),
+						Shares: tree,
 						Class:  classes[(batch+ai+k)%len(classes)],
 						Size:   size,
 					}
@@ -122,6 +121,25 @@ func conformanceWorkload(t *testing.T, eng *sim.Engine, s iosched.Scheduler, nam
 		})
 	}
 	return bytes, reqs
+}
+
+// weighted is an app and the weight a test binds it at.
+type weighted struct {
+	id iosched.AppID
+	w  float64
+}
+
+// weighTree returns a share tree that binds each app at its weight
+// under its implicit tenant, which resolves to exactly that weight.
+func weighTree(t testing.TB, apps ...weighted) *shares.Tree {
+	t.Helper()
+	tree := shares.NewTree()
+	for _, app := range apps {
+		if err := tree.Bind(app.id, "", app.w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return tree
 }
 
 // conformCase builds one scheduler under test on a device.
@@ -140,13 +158,13 @@ func conformCases() []conformCase {
 			return iosched.NewFIFO(eng, dev), nil
 		}},
 		{"sfq(d)", func(eng *sim.Engine, dev *storage.Device) (iosched.Scheduler, error) {
-			return iosched.NewSFQD(eng, dev, 4), nil
+			return iosched.NewSFQD(eng, dev, 4)
 		}},
 		{"sfq(d2)", func(eng *sim.Engine, dev *storage.Device) (iosched.Scheduler, error) {
 			return iosched.NewSFQD2(eng, dev, iosched.ControllerConfig{ReadLref: 0.02})
 		}},
 		{"cgroups-weight", func(eng *sim.Engine, dev *storage.Device) (iosched.Scheduler, error) {
-			return cgroups.NewWeight(eng, dev, 4), nil
+			return cgroups.NewWeight(eng, dev, 4)
 		}},
 		{"cgroups-throttle", func(eng *sim.Engine, dev *storage.Device) (iosched.Scheduler, error) {
 			return cgroups.NewThrottle(eng, dev, limits)
@@ -228,7 +246,7 @@ func TestSchedulersRejectNonFiniteSize(t *testing.T) {
 			}
 			for _, size := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 				for _, class := range []iosched.Class{iosched.PersistentRead, iosched.IntermediateWrite} {
-					req := &iosched.Request{App: "A", Shares: iosched.FixedWeight(1), Class: class, Size: size}
+					req := &iosched.Request{App: "A", Shares: shares.NewTree(), Class: class, Size: size}
 					if err := s.Submit(req); err == nil {
 						t.Errorf("%v request of size %g accepted", class, size)
 					}

@@ -23,6 +23,15 @@ func TestControllerDefaults(t *testing.T) {
 }
 
 // mustSFQD2 is NewSFQD2 for a configuration the test knows is valid.
+func mustSFQD(t testing.TB, eng *sim.Engine, dev Backend, depth int) *SFQ {
+	t.Helper()
+	s, err := NewSFQD(eng, dev, depth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func mustSFQD2(t testing.TB, eng *sim.Engine, dev Backend, cfg ControllerConfig) *SFQ {
 	t.Helper()
 	s, err := NewSFQD2(eng, dev, cfg)

@@ -18,12 +18,12 @@ func (f *fakeCoord) OtherService(app AppID, _ AppIdx) float64 { return f.other[a
 func TestDSFQFirstArrivalNotDelayed(t *testing.T) {
 	eng := sim.NewEngine()
 	dev := storage.NewDevice(eng, "d", flatSpec())
-	s := NewSFQD(eng, dev, 1)
+	s := mustSFQD(t, eng, dev, 1)
 	coord := &fakeCoord{other: map[AppID]float64{"A": 1e9}}
 	s.SetCoordinator(coord)
 	// Even with huge other-node service already recorded, the first
 	// local arrival only snapshots it (DSFQ's initialization rule).
-	r := &Request{App: "A", Shares: FixedWeight(1), Class: PersistentRead, Size: 1e6}
+	r := &Request{App: "A", Shares: flat(1), Class: PersistentRead, Size: 1e6}
 	s.Submit(r)
 	if r.StartTag() != 0 {
 		t.Fatalf("first arrival start tag = %v, want 0 (no retroactive delay)", r.StartTag())
@@ -34,15 +34,15 @@ func TestDSFQFirstArrivalNotDelayed(t *testing.T) {
 func TestDSFQDelayProportionalToOtherService(t *testing.T) {
 	eng := sim.NewEngine()
 	dev := storage.NewDevice(eng, "d", flatSpec())
-	s := NewSFQD(eng, dev, 1)
+	s := mustSFQD(t, eng, dev, 1)
 	coord := &fakeCoord{other: map[AppID]float64{"A": 0}}
 	s.SetCoordinator(coord)
 
-	r1 := &Request{App: "A", Shares: FixedWeight(2), Class: PersistentRead, Size: 1e6}
+	r1 := &Request{App: "A", Shares: flat(2), Class: PersistentRead, Size: 1e6}
 	s.Submit(r1) // snapshot other=0
 	// The app then receives 50e6 cost units elsewhere.
 	coord.other["A"] = 50e6
-	r2 := &Request{App: "A", Shares: FixedWeight(2), Class: PersistentRead, Size: 1e6}
+	r2 := &Request{App: "A", Shares: flat(2), Class: PersistentRead, Size: 1e6}
 	s.Submit(r2)
 	// S(r2) = F(r1) + delta/weight = (1e6/2) + 50e6/2.
 	want := 1e6/2 + 50e6/2
@@ -55,11 +55,11 @@ func TestDSFQDelayProportionalToOtherService(t *testing.T) {
 func TestDSFQNoDelayWhenOtherServiceUnchanged(t *testing.T) {
 	eng := sim.NewEngine()
 	dev := storage.NewDevice(eng, "d", flatSpec())
-	s := NewSFQD(eng, dev, 1)
+	s := mustSFQD(t, eng, dev, 1)
 	coord := &fakeCoord{other: map[AppID]float64{"A": 7e6}}
 	s.SetCoordinator(coord)
-	r1 := &Request{App: "A", Shares: FixedWeight(1), Class: PersistentRead, Size: 1e6}
-	r2 := &Request{App: "A", Shares: FixedWeight(1), Class: PersistentRead, Size: 1e6}
+	r1 := &Request{App: "A", Shares: flat(1), Class: PersistentRead, Size: 1e6}
+	r2 := &Request{App: "A", Shares: flat(1), Class: PersistentRead, Size: 1e6}
 	s.Submit(r1)
 	s.Submit(r2)
 	if got, want := r2.StartTag(), r1.FinishTag(); math.Abs(got-want) > 1 {
@@ -73,13 +73,13 @@ func TestDSFQDecreasedOtherServiceIgnored(t *testing.T) {
 	// response ordering) must not produce a negative delay.
 	eng := sim.NewEngine()
 	dev := storage.NewDevice(eng, "d", flatSpec())
-	s := NewSFQD(eng, dev, 1)
+	s := mustSFQD(t, eng, dev, 1)
 	coord := &fakeCoord{other: map[AppID]float64{"A": 10e6}}
 	s.SetCoordinator(coord)
-	r1 := &Request{App: "A", Shares: FixedWeight(1), Class: PersistentRead, Size: 1e6}
+	r1 := &Request{App: "A", Shares: flat(1), Class: PersistentRead, Size: 1e6}
 	s.Submit(r1)
 	coord.other["A"] = 5e6 // stale, smaller
-	r2 := &Request{App: "A", Shares: FixedWeight(1), Class: PersistentRead, Size: 1e6}
+	r2 := &Request{App: "A", Shares: flat(1), Class: PersistentRead, Size: 1e6}
 	s.Submit(r2)
 	if r2.StartTag() < r1.FinishTag()-1 {
 		t.Fatalf("stale decrease produced a negative delay: %v < %v", r2.StartTag(), r1.FinishTag())
@@ -92,7 +92,7 @@ func TestDSFQDelayedFlowLosesLocalPriority(t *testing.T) {
 	// service elsewhere, so B should win most of this device.
 	eng := sim.NewEngine()
 	dev := storage.NewDevice(eng, "d", flatSpec())
-	s := NewSFQD(eng, dev, 1)
+	s := mustSFQD(t, eng, dev, 1)
 	coord := &fakeCoord{other: map[AppID]float64{}}
 	s.SetCoordinator(coord)
 
@@ -125,9 +125,9 @@ func TestDSFQDelayedFlowLosesLocalPriority(t *testing.T) {
 func TestSFQWithoutCoordinatorIgnoresDelay(t *testing.T) {
 	eng := sim.NewEngine()
 	dev := storage.NewDevice(eng, "d", flatSpec())
-	s := NewSFQD(eng, dev, 1)
-	r1 := &Request{App: "A", Shares: FixedWeight(1), Class: PersistentRead, Size: 1e6}
-	r2 := &Request{App: "A", Shares: FixedWeight(1), Class: PersistentRead, Size: 1e6}
+	s := mustSFQD(t, eng, dev, 1)
+	r1 := &Request{App: "A", Shares: flat(1), Class: PersistentRead, Size: 1e6}
+	r2 := &Request{App: "A", Shares: flat(1), Class: PersistentRead, Size: 1e6}
 	s.Submit(r1)
 	s.Submit(r2)
 	if got, want := r2.StartTag(), r1.FinishTag(); math.Abs(got-want) > 1 {

@@ -93,7 +93,7 @@ func FuzzSFQTags(f *testing.F) {
 		if adaptive {
 			s = mustSFQD2(t, eng, dev, ControllerConfig{ReadLref: 0.02})
 		} else {
-			s = NewSFQD(eng, dev, 1+int(depthRaw%16))
+			s = mustSFQD(t, eng, dev, 1+int(depthRaw%16))
 		}
 		if coordinated {
 			s.SetCoordinator(&rampCoord{step: 1e5})
@@ -120,7 +120,7 @@ func FuzzSFQTags(f *testing.F) {
 			}
 			req := &Request{
 				App:    app,
-				Shares: FixedWeight(w),
+				Shares: flat(w),
 				Class:  class,
 				Size:   size,
 				Done:   func(any, float64) { done++ },

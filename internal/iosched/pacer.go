@@ -43,8 +43,7 @@ type Pacer struct {
 	// rejected.
 	blkio bool
 
-	flows    map[AppIdx]*paceFlow // by keys.of
-	keys     appKeys
+	flows    map[AppIdx]*paceFlow
 	inflight int
 	queued   int
 	doneFn   sim.DoneFunc // cached complete method value
@@ -163,10 +162,9 @@ func (p *Pacer) flow(req *Request) (*paceFlow, error) {
 	if p.blkio && req.Class.OpKind() == storage.Write {
 		return nil, nil
 	}
-	key := p.keys.of(req)
-	if f := p.flows[key]; f != nil {
+	if f := p.flows[req.AppIdx]; f != nil {
 		if f.app != req.App {
-			return nil, twoNumberings(f.app, req.App, key)
+			return nil, twoNumberings(f.app, req.App, req.AppIdx)
 		}
 		return f, nil
 	}
@@ -181,7 +179,7 @@ func (p *Pacer) flow(req *Request) (*paceFlow, error) {
 		return nil, fmt.Errorf("iosched: no reservation for app %q and no default rate", req.App)
 	}
 	f := &paceFlow{app: req.App, rate: rate, last: p.eng.Now()}
-	p.flows[key] = f
+	p.flows[req.AppIdx] = f
 	return f, nil
 }
 

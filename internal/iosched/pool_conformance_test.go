@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"ibis/internal/iosched"
+	"ibis/internal/shares"
 	"ibis/internal/sim"
 	"ibis/internal/storage"
 )
@@ -59,10 +60,8 @@ func (d *digestProbe) Observe(req *iosched.Request, st iosched.ProbeState) {
 // the pool, and the scheduler recycles each record after its
 // completion.
 func pooledWorkload(t *testing.T, eng *sim.Engine, s iosched.Scheduler, pool *iosched.RequestPool) {
-	apps := []struct {
-		id iosched.AppID
-		w  float64
-	}{{"A", 4}, {"B", 2}, {"C", 1}}
+	apps := []weighted{{"A", 4}, {"B", 2}, {"C", 1}}
+	tree := weighTree(t, apps...)
 	classes := []iosched.Class{
 		iosched.PersistentRead, iosched.IntermediateWrite,
 		iosched.IntermediateRead, iosched.PersistentWrite,
@@ -77,13 +76,13 @@ func pooledWorkload(t *testing.T, eng *sim.Engine, s iosched.Scheduler, pool *io
 					if pool != nil {
 						req = pool.Get()
 						req.App = app.id
-						req.Shares = iosched.FixedWeight(app.w)
+						req.Shares = tree
 						req.Class = classes[(batch+ai+k)%len(classes)]
 						req.Size = size
 					} else {
 						req = &iosched.Request{
 							App:    app.id,
-							Shares: iosched.FixedWeight(app.w),
+							Shares: tree,
 							Class:  classes[(batch+ai+k)%len(classes)],
 							Size:   size,
 						}
@@ -148,10 +147,11 @@ func TestPooledRecordIntactInDone(t *testing.T) {
 				t.Fatalf("build: %v", err)
 			}
 			pool := new(iosched.RequestPool)
+			tree := weighTree(t, weighted{"B", 2})
 			completed := 0
 			for i, class := range []iosched.Class{iosched.PersistentRead, iosched.IntermediateWrite} {
 				req := pool.Get()
-				req.App, req.Shares, req.Class, req.Size = "B", iosched.FixedWeight(2), class, float64(1+i)*1e5
+				req.App, req.Shares, req.Class, req.Size = "B", tree, class, float64(1+i)*1e5
 				req.DoneArg = i
 				req.Done = func(arg any, _ float64) {
 					i := arg.(int)
@@ -207,11 +207,58 @@ func TestPoolRejectedSubmitRecycles(t *testing.T) {
 	}
 	pool := new(iosched.RequestPool)
 	req := pool.Get()
-	req.App, req.Shares, req.Class, req.Size = "B", iosched.FixedWeight(1), iosched.PersistentRead, 1e5
+	req.App, req.Shares, req.Class, req.Size = "B", shares.NewTree(), iosched.PersistentRead, 1e5
 	if err := s.Submit(req); err == nil {
 		t.Fatal("reservation accepted an app with no rate")
 	}
 	if got := pool.Outstanding(); got != 0 {
 		t.Fatalf("outstanding = %d after a rejected reservation submit, want 0", got)
+	}
+}
+
+// probeFunc adapts a function to iosched.Probe.
+type probeFunc func(*iosched.Request, iosched.ProbeState)
+
+func (f probeFunc) Observe(req *iosched.Request, st iosched.ProbeState) { f(req, st) }
+
+// numberless resolves a weight but no app index.
+type numberless struct{}
+
+func (numberless) Resolve(iosched.AppID, iosched.AppIdx, iosched.Class) (iosched.AppIdx, float64, uint64) {
+	return iosched.NoApp, 1, 0
+}
+
+// TestSchedulersRefuseUnnumberedApps: every scheduler refuses at Submit
+// a request whose weight source gives its app no index, on its read
+// and its write path, before any probe sees it, and the pooled record
+// goes back to its pool.
+func TestSchedulersRefuseUnnumberedApps(t *testing.T) {
+	for _, tc := range conformCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := sim.NewEngine()
+			s, err := tc.build(eng, storage.NewDevice(eng, "d", conformSpec()))
+			if err != nil {
+				t.Fatalf("build: %v", err)
+			}
+			probed := 0
+			s.SetProbe(probeFunc(func(*iosched.Request, iosched.ProbeState) { probed++ }))
+			pool := new(iosched.RequestPool)
+			for _, class := range []iosched.Class{iosched.PersistentRead, iosched.IntermediateWrite} {
+				req := pool.Get()
+				req.App, req.Shares, req.Class, req.Size = "A", numberless{}, class, 1e5
+				req.Done = func(any, float64) { t.Error("refused request completed") }
+				if err := s.Submit(req); err == nil {
+					t.Fatalf("%v request with no app index accepted", class)
+				}
+				if got := pool.Outstanding(); got != 0 {
+					t.Fatalf("%v: outstanding = %d after a refused submit, want 0", class, got)
+				}
+			}
+			eng.Run()
+			if probed != 0 || s.Queued() != 0 || s.InFlight() != 0 || len(s.Accounting().Apps()) != 0 {
+				t.Fatalf("refused requests left state: %d probe events, queued=%d inflight=%d apps=%v",
+					probed, s.Queued(), s.InFlight(), s.Accounting().Apps())
+			}
+		})
 	}
 }

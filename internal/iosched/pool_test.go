@@ -21,7 +21,7 @@ func TestRequestPoolRecycleZeroes(t *testing.T) {
 		t.Fatalf("Get did not stamp the record with its pool")
 	}
 	r.App = "a"
-	r.Shares = FixedWeight(2)
+	r.Shares = flat(2)
 	r.Size = 123
 	r.Done = func(any, float64) {}
 	r.DoneArg = r

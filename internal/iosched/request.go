@@ -27,11 +27,13 @@ type AppID string
 
 // AppIdx is an application's dense index in its weight source's
 // numbering: the share tree numbers apps as they bind, so per-app state
-// downstream lives in slices, not in maps keyed by name. NoApp means
-// the source numbers no apps (FixedWeight).
+// downstream lives in slices, not in maps keyed by name. Every
+// submitted request carries a valid one.
 type AppIdx int32
 
-// NoApp is the AppIdx of an app its weight source does not number.
+// NoApp is the "no index" value: a caller passes it as the hint when it
+// has no cached index, and a source returns it for an app it cannot
+// number, which a scheduler then refuses.
 const NoApp AppIdx = -1
 
 // Class identifies the I/O phase a request belongs to. The scheduler
@@ -101,28 +103,18 @@ func (c Class) Persistent() bool {
 
 // WeightSource resolves an application's effective I/O weight at tag
 // time. The shares tree implements it for the hierarchical runtime
-// control plane; FixedWeight bridges direct request construction.
-// Resolution happens when a scheduler computes the request's start and
-// finish tags, so a weight change in the source takes effect on the
-// next tagged request without touching queued ones.
+// control plane. Resolution happens when a scheduler computes the
+// request's start and finish tags, so a weight change in the source
+// takes effect on the next tagged request without touching queued
+// ones.
 type WeightSource interface {
 	// Resolve returns app's index in the source's numbering (NoApp if
-	// the source numbers none), the weight to tag (app, class) with,
+	// it cannot number app), the weight to tag (app, class) with,
 	// and the version (epoch) of the weight table it came from. hint
 	// is a cached index for app; a source returns it unhashed when it
 	// names app, and looks the name up otherwise. Weights must be
 	// positive and finite; only relative values matter.
 	Resolve(app AppID, hint AppIdx, class Class) (idx AppIdx, weight float64, epoch uint64)
-}
-
-// FixedWeight is a WeightSource that always resolves to a constant —
-// the flat per-request weight the pre-tree code paths used. It numbers
-// no apps.
-type FixedWeight float64
-
-// Resolve implements WeightSource.
-func (f FixedWeight) Resolve(AppID, AppIdx, Class) (AppIdx, float64, uint64) {
-	return NoApp, float64(f), 0
 }
 
 // Request is one tagged I/O operation presented to a scheduler.
@@ -172,7 +164,7 @@ func (r *Request) Seq() uint64 { return r.seq }
 func (r *Request) Weight() float64 { return r.weight }
 
 // ShareEpoch returns the weight-table version the request's weight was
-// resolved against (zero before submission, and for fixed sources).
+// resolved against (zero before submission).
 func (r *Request) ShareEpoch() uint64 { return r.epoch }
 
 // StartTag returns the SFQ start tag assigned at arrival (zero for
@@ -182,30 +174,9 @@ func (r *Request) StartTag() float64 { return r.startTag }
 // FinishTag returns the SFQ finish tag assigned at arrival.
 func (r *Request) FinishTag() float64 { return r.finishTag }
 
-// appKeys gives a scheduler one integer key per app to file its
-// per-app state under: the app's index in its share tree, or for an app
-// its weight source does not number (FixedWeight), a negative key of
-// the scheduler's own, kept here. A scheduler's numbered requests must
-// come from one share tree, so that one key names one app.
-type appKeys map[AppID]AppIdx
-
-func (k *appKeys) of(req *Request) AppIdx {
-	if req.AppIdx != NoApp {
-		return req.AppIdx
-	}
-	key, ok := (*k)[req.App]
-	if !ok {
-		if *k == nil {
-			*k = make(appKeys)
-		}
-		key = NoApp - 1 - AppIdx(len(*k))
-		(*k)[req.App] = key
-	}
-	return key
-}
-
-// twoNumberings is the error for a request whose key already names
-// another app's state.
+// twoNumberings is the error for a request whose index already names
+// another app's state: a scheduler's requests must come from one share
+// tree, so that one index names one app.
 func twoNumberings(have, app AppID, key AppIdx) error {
 	return fmt.Errorf("iosched: apps %q and %q share index %d: requests from two share trees", have, app, key)
 }
@@ -250,6 +221,9 @@ func (r *Request) prepare() error {
 		return fmt.Errorf("iosched: request for %q without a weight source", r.App)
 	}
 	idx, w, epoch := r.Shares.Resolve(r.App, r.AppIdx, r.Class)
+	if idx < 0 {
+		return fmt.Errorf("iosched: weight source gave request for %q no app index", r.App)
+	}
 	if !(w > 0) || math.IsInf(w, 1) {
 		return fmt.Errorf("iosched: request for %q resolved non-positive weight %g", r.App, w)
 	}

@@ -82,7 +82,7 @@ func TestReservationDefaultRate(t *testing.T) {
 
 func TestReservationUnknownAppRejected(t *testing.T) {
 	_, s, _ := newReservation(t, map[AppID]float64{"A": 1e6}, 0)
-	err := s.Submit(&Request{App: "ghost", Shares: FixedWeight(1), Class: PersistentRead, Size: 1e6})
+	err := s.Submit(&Request{App: "ghost", Shares: flat(1), Class: PersistentRead, Size: 1e6})
 	if err == nil {
 		t.Fatal("unreserved app accepted with no default rate")
 	}
@@ -113,7 +113,7 @@ func TestReservationInvalidRateRejected(t *testing.T) {
 
 func TestReservationAccountingAndIntrospection(t *testing.T) {
 	eng, s, _ := newReservation(t, map[AppID]float64{"B": 1e6, "A": 1e6}, 0)
-	s.Submit(&Request{App: "A", Shares: FixedWeight(1), Class: PersistentRead, Size: 0.5e6})
+	s.Submit(&Request{App: "A", Shares: flat(1), Class: PersistentRead, Size: 0.5e6})
 	eng.Run()
 	if got := s.Accounting().Service("A").Bytes; got != 0.5e6 {
 		t.Fatalf("accounted %v bytes", got)
@@ -132,7 +132,7 @@ func TestReservationFIFOWithinApp(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		i := i
 		s.Submit(&Request{
-			App: "A", Shares: FixedWeight(1), Class: PersistentRead, Size: 1e6,
+			App: "A", Shares: flat(1), Class: PersistentRead, Size: 1e6,
 			Done: func(any, float64) { order = append(order, i) },
 		})
 	}
@@ -153,7 +153,7 @@ func TestReservationObserver(t *testing.T) {
 		}
 	}))
 	for i := 0; i < 3; i++ {
-		s.Submit(&Request{App: "A", Shares: FixedWeight(1), Class: IntermediateRead, Size: 1e6})
+		s.Submit(&Request{App: "A", Shares: flat(1), Class: IntermediateRead, Size: 1e6})
 	}
 	eng.Run()
 	if n != 3 {

@@ -42,8 +42,7 @@ type SFQ struct {
 	acct *Accounting
 
 	queue  reqHeap
-	flows  map[AppIdx]*flowState // by keys.of
-	keys   appKeys
+	flows  map[AppIdx]*flowState
 	vtime  float64
 	seq    uint64
 	coord  Coordinator
@@ -65,10 +64,11 @@ type SFQ struct {
 	doneFn   sim.DoneFunc // cached complete method value
 }
 
-// NewSFQD builds a classic SFQ(D) scheduler with a static depth.
-func NewSFQD(eng *sim.Engine, dev Backend, depth int) *SFQ {
+// NewSFQD builds a classic SFQ(D) scheduler with a static depth. A
+// depth below 1 is an error.
+func NewSFQD(eng *sim.Engine, dev Backend, depth int) (*SFQ, error) {
 	if depth < 1 {
-		panic(fmt.Sprintf("iosched: SFQ(D) depth %d < 1", depth))
+		return nil, fmt.Errorf("iosched: SFQ(D) depth %d < 1", depth)
 	}
 	s := &SFQ{
 		eng:    eng,
@@ -78,7 +78,7 @@ func NewSFQD(eng *sim.Engine, dev Backend, depth int) *SFQ {
 		static: depth,
 	}
 	s.doneFn = s.complete
-	return s
+	return s, nil
 }
 
 // NewSFQD2 builds the paper's SFQ(D2): SFQ whose depth is driven by the
@@ -236,13 +236,12 @@ func (s *SFQ) Submit(req *Request) error {
 	if err := req.prepare(); err != nil {
 		return reject(req, err)
 	}
-	key := s.keys.of(req)
-	f := s.flows[key]
+	f := s.flows[req.AppIdx]
 	if f == nil {
 		f = &flowState{app: req.App, lastFinish: s.vtime}
-		s.flows[key] = f
+		s.flows[req.AppIdx] = f
 	} else if f.app != req.App {
-		return reject(req, twoNumberings(f.app, req.App, key))
+		return reject(req, twoNumberings(f.app, req.App, req.AppIdx))
 	}
 	req.arrive = s.eng.Now()
 	req.cost = s.dev.Cost(req.Class.OpKind(), req.Size)

@@ -3,6 +3,7 @@ package iosched
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -28,7 +29,25 @@ func newTestSFQ(t *testing.T, depth int) (*sim.Engine, *SFQ) {
 	t.Helper()
 	eng := sim.NewEngine()
 	dev := storage.NewDevice(eng, "d", flatSpec())
-	return eng, NewSFQD(eng, dev, depth)
+	return eng, mustSFQD(t, eng, dev, depth)
+}
+
+// flat is the package's test weight source: it numbers apps by name, in
+// one table every flat shares, and resolves every app to weight w at
+// epoch 0. It is not safe for concurrent use.
+type flat float64
+
+var flatNames []AppID // by index
+
+func (w flat) Resolve(app AppID, hint AppIdx, _ Class) (AppIdx, float64, uint64) {
+	if uint(hint) >= uint(len(flatNames)) || flatNames[hint] != app {
+		hint = AppIdx(slices.Index(flatNames, app))
+		if hint < 0 {
+			hint = AppIdx(len(flatNames))
+			flatNames = append(flatNames, app)
+		}
+	}
+	return hint, float64(w), 0
 }
 
 // backlog keeps `outstanding` requests of the given size in flight for
@@ -37,7 +56,7 @@ func backlog(eng *sim.Engine, s Scheduler, app AppID, weight float64, class Clas
 	var issue func()
 	issue = func() {
 		s.Submit(&Request{
-			App: app, Shares: FixedWeight(weight), Class: class, Size: size,
+			App: app, Shares: flat(weight), Class: class, Size: size,
 			Done: func(any, float64) {
 				*served += size
 				if eng.Now() < until {
@@ -91,7 +110,7 @@ func TestSFQWorkConservingWhenOneFlowIdle(t *testing.T) {
 func TestSFQDepthBoundsInFlight(t *testing.T) {
 	eng := sim.NewEngine()
 	dev := storage.NewDevice(eng, "d", flatSpec())
-	s := NewSFQD(eng, dev, 3)
+	s := mustSFQD(t, eng, dev, 3)
 	maxIn := 0
 	s.SetProbe(ProbeFunc(func(_ *Request, st ProbeState) {
 		if st.Event == ProbeComplete && s.InFlight() > maxIn {
@@ -99,7 +118,7 @@ func TestSFQDepthBoundsInFlight(t *testing.T) {
 		}
 	}))
 	for i := 0; i < 20; i++ {
-		s.Submit(&Request{App: "A", Shares: FixedWeight(1), Class: PersistentRead, Size: 1e6})
+		s.Submit(&Request{App: "A", Shares: flat(1), Class: PersistentRead, Size: 1e6})
 	}
 	if s.InFlight() != 3 {
 		t.Fatalf("InFlight = %d immediately after burst, want 3", s.InFlight())
@@ -119,7 +138,7 @@ func TestSFQDepthBoundsInFlight(t *testing.T) {
 func TestSFQVirtualTimeMonotone(t *testing.T) {
 	eng := sim.NewEngine()
 	dev := storage.NewDevice(eng, "d", flatSpec())
-	s := NewSFQD(eng, dev, 2)
+	s := mustSFQD(t, eng, dev, 2)
 	last := -1.0
 	s.SetProbe(ProbeFunc(func(_ *Request, st ProbeState) {
 		if st.Event != ProbeComplete {
@@ -138,7 +157,7 @@ func TestSFQVirtualTimeMonotone(t *testing.T) {
 			app = "B"
 		}
 		eng.Schedule(rng.Float64()*5, func() {
-			s.Submit(&Request{App: app, Shares: FixedWeight(1 + rng.Float64()*3), Class: PersistentWrite, Size: 1e5 + rng.Float64()*1e6})
+			s.Submit(&Request{App: app, Shares: flat(1 + rng.Float64()*3), Class: PersistentWrite, Size: 1e5 + rng.Float64()*1e6})
 		})
 	}
 	eng.Run()
@@ -148,7 +167,7 @@ func TestSFQTagAlgebra(t *testing.T) {
 	eng, s := newTestSFQ(t, 1)
 	var reqs []*Request
 	for i := 0; i < 3; i++ {
-		r := &Request{App: "A", Shares: FixedWeight(2), Class: PersistentRead, Size: 2e6}
+		r := &Request{App: "A", Shares: flat(2), Class: PersistentRead, Size: 2e6}
 		reqs = append(reqs, r)
 		s.Submit(r)
 	}
@@ -170,8 +189,8 @@ func TestSFQTagAlgebra(t *testing.T) {
 
 func TestSFQLowerWeightMeansLaterFinishTags(t *testing.T) {
 	_, s := newTestSFQ(t, 1)
-	ra := &Request{App: "A", Shares: FixedWeight(4), Class: PersistentRead, Size: 1e6}
-	rb := &Request{App: "B", Shares: FixedWeight(1), Class: PersistentRead, Size: 1e6}
+	ra := &Request{App: "A", Shares: flat(4), Class: PersistentRead, Size: 1e6}
+	rb := &Request{App: "B", Shares: flat(1), Class: PersistentRead, Size: 1e6}
 	s.Submit(ra)
 	s.Submit(rb)
 	if rb.FinishTag() <= ra.FinishTag() {
@@ -179,23 +198,22 @@ func TestSFQLowerWeightMeansLaterFinishTags(t *testing.T) {
 	}
 }
 
-func TestSFQInvalidDepthPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("depth 0 accepted")
-		}
-	}()
+func TestSFQInvalidDepthRejected(t *testing.T) {
 	eng := sim.NewEngine()
-	NewSFQD(eng, storage.NewDevice(eng, "d", flatSpec()), 0)
+	for _, depth := range []int{0, -1} {
+		if s, err := NewSFQD(eng, storage.NewDevice(eng, "d", flatSpec()), depth); err == nil || s != nil {
+			t.Errorf("depth %d: got %v, %v; want an error", depth, s, err)
+		}
+	}
 }
 
 func TestRequestValidation(t *testing.T) {
 	cases := []Request{
-		{App: "", Shares: FixedWeight(1), Class: PersistentRead, Size: 1},
-		{App: "A", Shares: FixedWeight(0), Class: PersistentRead, Size: 1},
-		{App: "A", Shares: FixedWeight(-1), Class: PersistentRead, Size: 1},
-		{App: "A", Shares: FixedWeight(1), Class: PersistentRead, Size: -5},
-		{App: "A", Shares: FixedWeight(1), Class: Class(99), Size: 1},
+		{App: "", Shares: flat(1), Class: PersistentRead, Size: 1},
+		{App: "A", Shares: flat(0), Class: PersistentRead, Size: 1},
+		{App: "A", Shares: flat(-1), Class: PersistentRead, Size: 1},
+		{App: "A", Shares: flat(1), Class: PersistentRead, Size: -5},
+		{App: "A", Shares: flat(1), Class: Class(99), Size: 1},
 	}
 	for i := range cases {
 		req := cases[i]
@@ -217,7 +235,7 @@ func TestFIFOPassthrough(t *testing.T) {
 		t.Fatalf("Name = %q", f.Name())
 	}
 	for i := 0; i < 10; i++ {
-		f.Submit(&Request{App: "A", Shares: FixedWeight(1), Class: IntermediateWrite, Size: 1e6})
+		f.Submit(&Request{App: "A", Shares: flat(1), Class: IntermediateWrite, Size: 1e6})
 	}
 	if f.InFlight() != 10 {
 		t.Fatalf("InFlight = %d, want 10 (no admission control)", f.InFlight())
@@ -254,7 +272,7 @@ func TestSFQIsolatesDespiteAggression(t *testing.T) {
 	// flow should now receive the majority of service.
 	eng := sim.NewEngine()
 	dev := storage.NewDevice(eng, "d", flatSpec())
-	s := NewSFQD(eng, dev, 1)
+	s := mustSFQD(t, eng, dev, 1)
 	var light, heavy float64
 	backlog(eng, s, "light", 32, PersistentRead, 1e6, 1, 30, &light)
 	backlog(eng, s, "heavy", 1, PersistentRead, 1e6, 16, 30, &heavy)
@@ -266,8 +284,8 @@ func TestSFQIsolatesDespiteAggression(t *testing.T) {
 
 func TestAccountingPerClass(t *testing.T) {
 	eng, s := newTestSFQ(t, 4)
-	s.Submit(&Request{App: "A", Shares: FixedWeight(1), Class: PersistentRead, Size: 1e6})
-	s.Submit(&Request{App: "A", Shares: FixedWeight(1), Class: IntermediateWrite, Size: 2e6})
+	s.Submit(&Request{App: "A", Shares: flat(1), Class: PersistentRead, Size: 1e6})
+	s.Submit(&Request{App: "A", Shares: flat(1), Class: IntermediateWrite, Size: 2e6})
 	eng.Run()
 	svc := s.Accounting().Service("A")
 	if svc.ByClass[PersistentRead] != 1e6 || svc.ByClass[IntermediateWrite] != 2e6 {
@@ -284,7 +302,7 @@ func TestAccountingPerClass(t *testing.T) {
 func TestAccountingAppsSorted(t *testing.T) {
 	eng, s := newTestSFQ(t, 4)
 	for _, app := range []AppID{"zeta", "alpha", "mid"} {
-		s.Submit(&Request{App: app, Shares: FixedWeight(1), Class: PersistentRead, Size: 1e5})
+		s.Submit(&Request{App: app, Shares: flat(1), Class: PersistentRead, Size: 1e5})
 	}
 	eng.Run()
 	apps := s.Accounting().Apps()
@@ -302,8 +320,8 @@ func TestAccountingUnknownApp(t *testing.T) {
 
 func TestCostVectorMatchesService(t *testing.T) {
 	eng, s := newTestSFQ(t, 2)
-	s.Submit(&Request{App: "A", Shares: FixedWeight(1), Class: PersistentRead, Size: 3e6})
-	s.Submit(&Request{App: "B", Shares: FixedWeight(1), Class: PersistentWrite, Size: 5e6})
+	s.Submit(&Request{App: "A", Shares: flat(1), Class: PersistentRead, Size: 3e6})
+	s.Submit(&Request{App: "B", Shares: flat(1), Class: PersistentWrite, Size: 5e6})
 	eng.Run()
 	v := s.Accounting().CostVector()
 	if len(v) != 2 || v[0].App != "A" || v[1].App != "B" ||
@@ -365,13 +383,13 @@ func TestPropertySFQCompleteness(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		eng := sim.NewEngine()
 		dev := storage.NewDevice(eng, "d", flatSpec())
-		s := NewSFQD(eng, dev, depth)
+		s := mustSFQD(t, eng, dev, depth)
 		completions := 0
 		for i := 0; i < n; i++ {
 			eng.Schedule(rng.Float64()*3, func() {
 				s.Submit(&Request{
 					App:    AppID([]string{"A", "B", "C"}[rng.Intn(3)]),
-					Shares: FixedWeight(1 + rng.Float64()*7),
+					Shares: flat(1 + rng.Float64()*7),
 					Class:  Class(rng.Intn(4)),
 					Size:   rng.Float64() * 4e6,
 					Done:   func(any, float64) { completions++ },
@@ -389,7 +407,7 @@ func TestPropertySFQCompleteness(t *testing.T) {
 func TestSFQNames(t *testing.T) {
 	eng := sim.NewEngine()
 	dev := storage.NewDevice(eng, "d", flatSpec())
-	if got := NewSFQD(eng, dev, 4).Name(); got != "sfq(d=4)" {
+	if got := mustSFQD(t, eng, dev, 4).Name(); got != "sfq(d=4)" {
 		t.Fatalf("Name = %q", got)
 	}
 	d2 := mustSFQD2(t, eng, dev, ControllerConfig{ReadLref: 0.01})
@@ -406,7 +424,7 @@ func TestSFQNames(t *testing.T) {
 // SFQ(D), the device and its processor-sharing resource allocates
 // nothing (no dispatch closure, device closure or job record).
 func TestSFQDeviceRoundTripAllocs(t *testing.T) {
-	rt, reqs := newRoundTrip(16)
+	rt, reqs := newRoundTrip(t, 16)
 	if err := rt.run(reqs, 256); err != nil {
 		t.Fatal(err)
 	}
@@ -434,9 +452,8 @@ func (n numbered) Resolve(app AppID, _ AppIdx, _ Class) (AppIdx, float64, uint64
 
 // TestSchedulersRejectTwoNumberings: two sources that both number
 // their first app 0 must not merge two apps into one flow or bucket; a
-// scheduler refuses the second app instead. Apps of a source that
-// numbers none (FixedWeight) take keys of the scheduler's own and
-// never collide with numbered ones.
+// scheduler refuses the second app instead, while another app of the
+// first numbering takes a flow of its own.
 func TestSchedulersRejectTwoNumberings(t *testing.T) {
 	eng := sim.NewEngine()
 	dev := storage.NewDevice(eng, "d", flatSpec())
@@ -444,15 +461,15 @@ func TestSchedulersRejectTwoNumberings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range []Scheduler{NewSFQD(eng, dev, 2), res} {
+	for _, s := range []Scheduler{mustSFQD(t, eng, dev, 2), res} {
 		req := func(app AppID, src WeightSource) *Request {
 			return &Request{App: app, Shares: src, Class: PersistentRead, Size: 1e6}
 		}
 		if err := s.Submit(req("a", numbered{"a": 0})); err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
 		}
-		if err := s.Submit(req("c", FixedWeight(1))); err != nil {
-			t.Fatalf("%s: unnumbered app: %v", s.Name(), err)
+		if err := s.Submit(req("c", numbered{"a": 0, "c": 1})); err != nil {
+			t.Fatalf("%s: app c of app a's numbering: %v", s.Name(), err)
 		}
 		if err := s.Submit(req("b", numbered{"b": 0})); err == nil {
 			t.Fatalf("%s: accepted app b under app a's index", s.Name())

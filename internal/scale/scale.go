@@ -359,7 +359,7 @@ func Run(cfg Config) (*Report, error) {
 		auditor = audit.New(audit.Options{
 			CoordinationPeriod:  cfg.CoordinationPeriod,
 			FederationStaleness: fed.Staleness(),
-		})
+		}, tree)
 		auditor.Attach(cl, cfg.AuditSampleEvery)
 	}
 

@@ -27,7 +27,7 @@ func FuzzEngineOrder(f *testing.F) {
 	f.Add([]byte{0x10, 0xc3, 0x11, 0xc4, 0x04, 0x00, 0x91, 0x2d, 0xf0, 0x2e, 0x2e, 0x2e})
 	// A same-instant tie between an event scheduled far ahead and one
 	// scheduled after the clock moved close. See
-	// TestWheelSameTickCrossLevelTie for the distilled case.
+	// TestFarAndNearScheduleTieInSeqOrder for the distilled case.
 	f.Add([]byte("000000000000&0000000070000000000&000000071z00000000&00\xee700000000000711000700000000&0000000000000000700000"))
 	// Clamping: NaN, negative and infinite delays, an absolute time
 	// before Now, and a daemon-only tail.

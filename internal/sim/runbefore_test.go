@@ -5,10 +5,10 @@ import (
 	"testing"
 )
 
-// TestRunBeforeBatchMidCancel: a callback early in a same-instant run
-// cancels a later member, which must be skipped — and the cancel must
-// keep Pending/Live exact.
-func TestRunBeforeBatchMidCancel(t *testing.T) {
+// TestRunBeforeSameInstantCancel: a callback early in a run of events
+// at one instant cancels a later one, which must be skipped — and the
+// cancel must keep Pending/Live exact.
+func TestRunBeforeSameInstantCancel(t *testing.T) {
 	e := NewEngine()
 	var fired []string
 	var hC Event
@@ -34,15 +34,15 @@ func TestRunBeforeBatchMidCancel(t *testing.T) {
 		}
 	}
 	if e.Pending() != 0 || e.Live() != 0 {
-		t.Fatalf("after batch: pending=%d live=%d, want 0/0", e.Pending(), e.Live())
+		t.Fatalf("after the window: pending=%d live=%d, want 0/0", e.Pending(), e.Live())
 	}
 }
 
-// TestRunBeforeBatchSameInstantSchedule: events a callback schedules
+// TestRunBeforeSameInstantChildFiresLast: events a callback schedules
 // for the current instant carry higher sequence numbers and fire within
 // the same RunBefore call, after every event already queued for that
 // instant.
-func TestRunBeforeBatchSameInstantSchedule(t *testing.T) {
+func TestRunBeforeSameInstantChildFiresLast(t *testing.T) {
 	e := NewEngine()
 	var fired []string
 	e.Schedule(1, func() {
@@ -90,10 +90,10 @@ func TestRunBeforeEmptyWindowFastPath(t *testing.T) {
 	}
 }
 
-// TestPeekTimeResolvesWheelHead: PeekTime must report the exact head
-// whatever order far and near timers were scheduled in, and report
-// absence once everything fired.
-func TestPeekTimeResolvesWheelHead(t *testing.T) {
+// TestPeekTimeReportsEarliest: PeekTime must report the heap's head,
+// the earliest pending time, whatever order far and near timers were
+// scheduled in, and report absence once everything fired.
+func TestPeekTimeReportsEarliest(t *testing.T) {
 	e := NewEngine()
 	if _, ok := e.PeekTime(); ok {
 		t.Fatal("PeekTime on empty engine reported an event")
@@ -114,11 +114,11 @@ func TestPeekTimeResolvesWheelHead(t *testing.T) {
 	}
 }
 
-// TestGuardCoversBatchMutations: the SetGuard hook (the fabric's
+// TestGuardCoversCallbackMutations: the SetGuard hook (the fabric's
 // single-owner check at shard handoff) must fire on every mutating
 // entry — schedules and cancels issued by RunBefore callbacks
 // included — and never on dispatch itself.
-func TestGuardCoversBatchMutations(t *testing.T) {
+func TestGuardCoversCallbackMutations(t *testing.T) {
 	e := NewEngine()
 	var hB Event
 	e.Schedule(1, func() {
@@ -153,10 +153,10 @@ func TestGuardCoversBatchMutations(t *testing.T) {
 	e.Run()
 }
 
-// TestRunBeforeBatchDaemonAccounting: same-instant daemons fire under
+// TestRunBeforeSameInstantDaemons: same-instant daemons fire under
 // RunBefore regardless of the live count, and a cancelled daemon does
 // not disturb Live.
-func TestRunBeforeBatchDaemonAccounting(t *testing.T) {
+func TestRunBeforeSameInstantDaemons(t *testing.T) {
 	e := NewEngine()
 	fired := 0
 	var hd Event
@@ -174,20 +174,20 @@ func TestRunBeforeBatchDaemonAccounting(t *testing.T) {
 	}
 }
 
-// TestWheelSameTickCrossLevelTie: two events at the same absolute time,
-// one scheduled from far away and one scheduled after the clock moved
-// close, must fire in scheduling order, after everything earlier. The
-// instant is the one at which an earlier timing-wheel engine filed the
-// two at different levels and fired the far one late (found by
-// FuzzEngineOrder; the triggering input is in testdata). It stays as a
-// regression test of the (time, seq) order.
-func TestWheelSameTickCrossLevelTie(t *testing.T) {
+// TestFarAndNearScheduleTieInSeqOrder: two events at the same absolute
+// time, one scheduled from far away and one scheduled after the clock
+// moved close, must fire in scheduling order, after everything
+// earlier. The instant is the one at which an earlier timing-wheel
+// engine filed the two at different levels and fired the far one late
+// (found by FuzzEngineOrder; the triggering input is in testdata). It
+// stays as a regression test of the heap's (time, seq) order.
+func TestFarAndNearScheduleTieInSeqOrder(t *testing.T) {
 	e := NewEngine()
 	var fired []int
 	// 118784/64 s = 1856 s, a dyadic instant both schedules reach
 	// exactly.
 	tie := 118784 * (1.0 / 64)
-	e.At(tie, func() { fired = append(fired, 0) }) // far: higher level
+	e.At(tie, func() { fired = append(fired, 0) }) // scheduled far
 	e.Schedule(tie-1.1, func() { fired = append(fired, 1) })
 	// An event between where the clock stops below and the tie.
 	e.At(tie-0.5, func() { fired = append(fired, 3) })
@@ -201,7 +201,7 @@ func TestWheelSameTickCrossLevelTie(t *testing.T) {
 	}
 	for i := range want {
 		if fired[i] != want[i] {
-			t.Fatalf("same-tick cross-level tie fired out of order: %v, want %v", fired, want)
+			t.Fatalf("far and near schedules of one instant fired out of order: %v, want %v", fired, want)
 		}
 	}
 }

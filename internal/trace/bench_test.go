@@ -15,8 +15,7 @@ import (
 // and in-flight lifecycles overlap and every ring wraps. Shards start
 // 0.5 ms apart, so the merge interleaves them.
 func fullTrace(capacity int) *Tracer {
-	tr := New(capacity)
-	apps := []iosched.AppID{"wordcount", "terasort", "grep", "sort"}
+	tr := New(capacity, bound("wordcount", "terasort", "grep", "sort"))
 	type ev struct {
 		t   float64
 		e   iosched.ProbeEvent
@@ -41,8 +40,7 @@ func fullTrace(capacity int) *Tracer {
 			return 0
 		})
 		for _, e := range evs {
-			app := apps[e.seq%4]
-			w.put(e.e, e.t, app, iosched.Class(e.seq%2), e.seq, 1, float64(e.seq), float64(e.seq)+1, 0.01)
+			w.put(e.e, e.t, iosched.AppIdx(e.seq%4), iosched.Class(e.seq%2), e.seq, 1, float64(e.seq), float64(e.seq)+1, 0.01)
 		}
 	}
 	return tr
@@ -66,5 +64,29 @@ func BenchmarkTracerRequests(b *testing.B) {
 				requestsSink = tr.Requests()
 			}
 		})
+	}
+}
+
+// BenchmarkTracerObserve is the tracer's write path: one Writer.Observe
+// per op, through the probe interface as a scheduler calls it, into a
+// ring that has wrapped, with requests from four apps. CI pins it at 0
+// allocs/op.
+func BenchmarkTracerObserve(b *testing.B) {
+	apps := []iosched.AppID{"wordcount", "terasort", "grep", "sort"}
+	reqs := make([]iosched.Request, len(apps))
+	for i, app := range apps {
+		reqs[i] = iosched.Request{App: app, AppIdx: iosched.AppIdx(i), Class: iosched.Class(i % 2), Size: 1e6}
+	}
+	tr := New(1<<12, bound(apps...))
+	p := tr.Probe(0, 0, DevHDFS)
+	st := iosched.ProbeState{Event: iosched.ProbeArrive, Queued: 3, InFlight: 2, Depth: 4}
+	for i := 0; i < 2*tr.Capacity(); i++ {
+		p.Observe(&reqs[i%len(reqs)], st)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st.Time = float64(i)
+		p.Observe(&reqs[i%len(reqs)], st)
 	}
 }

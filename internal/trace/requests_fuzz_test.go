@@ -7,17 +7,27 @@ import (
 	"testing"
 
 	"ibis/internal/iosched"
+	"ibis/internal/shares"
 )
 
 // put writes one lifecycle record as Observe would, with the fields a
 // scheduler owns (sequence, cost, tags) given directly.
-func (w Writer) put(ev iosched.ProbeEvent, t float64, app iosched.AppID, class iosched.Class, seq uint64, cost, stag, ftag, lat float64) {
+func (w Writer) put(ev iosched.ProbeEvent, t float64, app iosched.AppIdx, class iosched.Class, seq uint64, cost, stag, ftag, lat float64) {
 	r := w.b.slot()
 	*r = rec{
-		time: t, node: w.node, dev: w.dev, event: ev, app: w.b.intern(app), class: uint8(class),
-		seq: seq, size: float64(1+seq%3) * 1e6, weight: float64(1 + len(app)%2), cost: cost,
+		time: t, node: w.node, dev: w.dev, event: ev, app: app, class: uint8(class),
+		seq: seq, size: float64(1+seq%3) * 1e6, weight: float64(1 + app%2), cost: cost,
 		startTag: stag, finishTag: ftag, vtime: stag, latency: lat,
 	}
+}
+
+// bound returns a share tree that numbers apps in order.
+func bound(apps ...iosched.AppID) *shares.Tree {
+	tree := shares.NewTree()
+	for _, app := range apps {
+		tree.Index(app, iosched.NoApp)
+	}
+	return tree
 }
 
 // referenceRequests is the map-keyed assembly Requests is checked
@@ -92,10 +102,9 @@ func FuzzTraceRequests(f *testing.F) {
 	f.Add(uint8(2), uint8(3), []byte("\x00\x00\x00\x01\x04\x00\x00\x01\x08\x00\x00\x01\x01\x00\x00\x00\x05\x00\x00\x00"))
 	f.Add(uint8(3), uint8(1), []byte("\x00\x11\x09\x04\x01\x22\x0a\x00\x0e\x11\x09\x06\x09\x12\x11\x00\x10\x11\x09\x03\x02\x00\x00\x00"))
 	f.Add(uint8(1), uint8(5), []byte("\x00\x05\x18\x02\x04\x05\x18\x05\x08\x05\x18\x09\x00\x15\x19\x02\x04\x15\x19\x01\x08\x15\x19\x0e"))
-	apps := []iosched.AppID{"alpha", "beta", "gamma"}
 	f.Fuzz(func(t *testing.T, shards, capLog uint8, ops []byte) {
 		nShards := 1 + int(shards)%3
-		tr := New(1 << (capLog % 6))
+		tr := New(1<<(capLog%6), bound("alpha", "beta", "gamma"))
 		clock := make([]float64, nShards)
 		for i := 0; i+4 <= len(ops); i += 4 {
 			b0, b1, b2, b3 := ops[i], ops[i+1], ops[i+2], ops[i+3]
@@ -108,7 +117,7 @@ func FuzzTraceRequests(f *testing.F) {
 				w.Note(ev, now)
 			default:
 				v := float64(b3 >> 2)
-				w.put(ev, now, apps[int(b1>>4)%3], iosched.Class(b2%5), uint64(b2>>3)%8, v, v/2, v*1.5, 0.1*v)
+				w.put(ev, now, iosched.AppIdx(b1>>4)%3, iosched.Class(b2%5), uint64(b2>>3)%8, v, v/2, v*1.5, 0.1*v)
 			}
 		}
 		got, want := tr.Requests(), referenceRequests(tr)

@@ -7,25 +7,24 @@ import (
 	"testing"
 
 	"ibis/internal/iosched"
+	"ibis/internal/shares"
 	"ibis/internal/sim"
-	"ibis/internal/storage"
 	"ibis/internal/trace"
 )
 
 // runMixedTraced drives one shard's SFQ(D=2) scheduler (labeled node =
 // shard) on its own engine with reads and writes from two apps, one
 // submission every 11 ms (about one service time) from offset on.
-func runMixedTraced(tr *trace.Tracer, shard, nReqs int, offset float64) {
+func runMixedTraced(t testing.TB, tr *trace.Tracer, tree *shares.Tree, shard, nReqs int, offset float64) {
 	eng := sim.NewEngine()
-	dev := storage.NewDevice(eng, "d", flatSpec())
-	s := iosched.NewSFQD(eng, dev, 2)
+	s := sfqd2(t, eng)
 	s.SetProbe(tr.Probe(shard, shard, trace.DevLocal))
 	apps := []iosched.AppID{"alpha", "beta"}
 	classes := []iosched.Class{iosched.IntermediateRead, iosched.IntermediateWrite, iosched.PersistentRead}
 	for i := 0; i < nReqs; i++ {
 		eng.Schedule(offset+float64(i)*0.011, func() {
 			s.Submit(&iosched.Request{
-				App: apps[i%2], Shares: iosched.FixedWeight(float64(1 + i%2)), Class: classes[i%3], Size: 1e6,
+				App: apps[i%2], Shares: tree, Class: classes[i%3], Size: 1e6,
 			})
 		})
 	}
@@ -36,10 +35,11 @@ func runMixedTraced(tr *trace.Tracer, shard, nReqs int, offset float64) {
 // three 16-record rings that wrapped: some lifecycles start after their
 // arrival was overwritten, and shards 0 and 2 tie in time.
 func TestRequestsGoldenWrapped(t *testing.T) {
-	tr := trace.New(16)
-	runMixedTraced(tr, 2, 24, 0)
-	runMixedTraced(tr, 0, 24, 0)
-	runMixedTraced(tr, 1, 24, 0.0005)
+	tree := alphaBeta(t)
+	tr := trace.New(16, tree)
+	runMixedTraced(t, tr, tree, 2, 24, 0)
+	runMixedTraced(t, tr, tree, 0, 24, 0)
+	runMixedTraced(t, tr, tree, 1, 24, 0.0005)
 	h := sha256.New()
 	reqs := tr.Requests()
 	unarrived := 0

@@ -5,23 +5,22 @@ import (
 	"testing"
 
 	"ibis/internal/iosched"
+	"ibis/internal/shares"
 	"ibis/internal/sim"
-	"ibis/internal/storage"
 	"ibis/internal/trace"
 )
 
 // runShardTraced drives one shard's scheduler on its own engine with
 // the tracer's probe for that shard attached, offsetting arrivals so
 // shards interleave in time. The scheduler is labeled node = shard.
-func runShardTraced(tr *trace.Tracer, shard, nReqs int, offset float64) {
+func runShardTraced(t testing.TB, tr *trace.Tracer, tree *shares.Tree, shard, nReqs int, offset float64) {
 	eng := sim.NewEngine()
-	dev := storage.NewDevice(eng, "d", flatSpec())
-	s := iosched.NewSFQD(eng, dev, 2)
+	s := sfqd2(t, eng)
 	s.SetProbe(tr.Probe(shard, shard, trace.DevHDFS))
 	for i := 0; i < nReqs; i++ {
 		eng.Schedule(offset+float64(i)*0.001, func() {
 			s.Submit(&iosched.Request{
-				App: "alpha", Shares: iosched.FixedWeight(1), Class: iosched.PersistentRead, Size: 1e6,
+				App: "alpha", Shares: tree, Class: iosched.PersistentRead, Size: 1e6,
 			})
 		})
 	}
@@ -34,15 +33,16 @@ func runShardTraced(tr *trace.Tracer, shard, nReqs int, offset float64) {
 // and repeated exports are byte-identical.
 func TestShardedMergeDeterministicOrder(t *testing.T) {
 	const n = 16
-	tr := trace.New(1 << 10)
+	tree := shares.NewTree()
+	tr := trace.New(1<<10, tree)
 	// Interleaved offsets so the merge actually has to reorder across
 	// shards rather than concatenate; shard 3 runs shard 0's schedule,
 	// so every time has a cross-shard tie, and its probe is built
 	// before shard 0's.
-	runShardTraced(tr, 2, n, 0.0002)
-	runShardTraced(tr, 3, n, 0.0000)
-	runShardTraced(tr, 0, n, 0.0000)
-	runShardTraced(tr, 1, n, 0.0001)
+	runShardTraced(t, tr, tree, 2, n, 0.0002)
+	runShardTraced(t, tr, tree, 3, n, 0.0000)
+	runShardTraced(t, tr, tree, 0, n, 0.0000)
+	runShardTraced(t, tr, tree, 1, n, 0.0001)
 
 	if got := tr.Total(); got != 4*3*n {
 		t.Fatalf("Total() = %d, want %d", got, 4*3*n)
@@ -86,9 +86,10 @@ func TestShardedMergeDeterministicOrder(t *testing.T) {
 // keeps everything: Total and Dropped must count what the wrapped ring
 // overwrote, and the merged stream holds only the survivors.
 func TestShardedRingOverflowCounted(t *testing.T) {
-	tr := trace.New(4)
-	runShardTraced(tr, 1, 8, 0) // 24 records into a 4-record ring
-	runShardTraced(tr, 2, 1, 0) // 3 records, no wrap
+	tree := shares.NewTree()
+	tr := trace.New(4, tree)
+	runShardTraced(t, tr, tree, 1, 8, 0) // 24 records into a 4-record ring
+	runShardTraced(t, tr, tree, 2, 1, 0) // 3 records, no wrap
 	if got := tr.Total(); got != 27 {
 		t.Fatalf("Total() = %d, want 27", got)
 	}

@@ -78,7 +78,8 @@ func DeviceKindOf(label string) DeviceKind {
 }
 
 // Record is one traced lifecycle event, in the exported layout; the
-// buffers store the pointer-free rec.
+// buffers store the pointer-free rec, and the app's name is resolved
+// from its share-tree index on export.
 type Record struct {
 	// Time is the virtual time of the event (seconds).
 	Time float64
@@ -91,7 +92,7 @@ type Record struct {
 	// App, Class, Seq, Size, Weight describe the request; Seq is unique
 	// per (Node, Dev, Class direction) stream. Weight is the effective
 	// weight resolved at tag time, and Epoch the share-tree version it
-	// was resolved against (0 for fixed weight sources).
+	// was resolved against.
 	App    iosched.AppID
 	Class  iosched.Class
 	Seq    uint64
@@ -119,10 +120,10 @@ type Record struct {
 const DefaultCapacity = 1 << 16
 
 // rec is the stored record layout: Record with the app string replaced
-// by an intern-table index and the class narrowed to a byte. No field
-// carries a pointer, so a write is barrier-free and the garbage
-// collector never scans a buffer — the two costs that dominated tracing
-// overhead with the exported layout stored.
+// by the request's share-tree index and the class narrowed to a byte.
+// No field carries a pointer, so a write is barrier-free and the
+// garbage collector never scans a buffer — the two costs that dominated
+// tracing overhead with the exported layout stored.
 type rec struct {
 	time      float64
 	seq       uint64
@@ -138,7 +139,7 @@ type rec struct {
 	queued    int32
 	inFlight  int32
 	depth     int32
-	app       uint32
+	app       iosched.AppIdx
 	dev       DeviceKind
 	event     iosched.ProbeEvent
 	class     uint8
@@ -163,20 +164,6 @@ type buffer struct {
 	ring  bool
 	mask  uint64 // ring: len(buf)-1, a power of two minus one
 	next  uint64 // records written since the last reset
-
-	// App-string interning: apps holds each distinct AppID once, records
-	// store the index. A one-entry cache catches the common case (runs
-	// of records from the same app) without a map lookup.
-	apps     []iosched.AppID
-	appIdx   map[iosched.AppID]uint32
-	lastApp  iosched.AppID
-	lastIdx  uint32
-	haveLast bool
-	// set is the owning Tracer's or Log's app numbering, and shared
-	// translates apps' indices into it, filled by the reader on first
-	// sight.
-	set    *appSet
-	shared []int32
 }
 
 // buffers holds one buffer per shard that has a writer, in shard order.
@@ -187,7 +174,7 @@ type buffers []*buffer
 func (bs *buffers) get(shard, capacity int) *buffer {
 	i, ok := slices.BinarySearchFunc(*bs, shard, func(b *buffer, s int) int { return cmp.Compare(b.shard, s) })
 	if !ok {
-		b := &buffer{shard: shard, appIdx: make(map[iosched.AppID]uint32)}
+		b := &buffer{shard: shard}
 		if capacity > 0 {
 			b.buf, b.ring, b.mask = make([]rec, capacity), true, uint64(capacity-1)
 		}
@@ -209,10 +196,7 @@ type merge struct {
 
 // cursor walks one buffer's held records: seg, then rest (a wrapped
 // ring's records before its wrap point).
-type cursor struct {
-	seg, rest []rec
-	b         *buffer
-}
+type cursor struct{ seg, rest []rec }
 
 // head is a cursor's place in the heap: its next record's time as an
 // order key, its buffer's shard, and its index in cur.
@@ -243,7 +227,7 @@ func (m *merge) start(bs buffers) {
 	for _, b := range bs {
 		if seg, rest := b.held(); len(seg) > 0 {
 			m.h = append(m.h, head{time: timeKey(seg[0].time), shard: uint64(b.shard), c: len(m.cur)})
-			m.cur = append(m.cur, cursor{seg: seg, rest: rest, b: b})
+			m.cur = append(m.cur, cursor{seg: seg, rest: rest})
 		}
 	}
 	for i := len(m.h)/2 - 1; i >= 0; i-- {
@@ -251,11 +235,10 @@ func (m *merge) start(bs buffers) {
 	}
 }
 
-// next returns the next record and its buffer, or a nil record once
-// every record was yielded.
-func (m *merge) next() (*buffer, *rec) {
+// next returns the next record, or nil once every record was yielded.
+func (m *merge) next() *rec {
 	if len(m.h) == 0 {
-		return nil, nil
+		return nil
 	}
 	top := m.h[0]
 	c := &m.cur[top.c]
@@ -268,11 +251,11 @@ func (m *merge) next() (*buffer, *rec) {
 	} else {
 		top = m.h[len(m.h)-1]
 		if m.h = m.h[:len(m.h)-1]; len(m.h) == 0 {
-			return c.b, x
+			return x
 		}
 	}
 	m.down(0, top)
-	return c.b, x
+	return x
 }
 
 // down places x at i, then moves it down the heap below i; it stops at
@@ -297,36 +280,6 @@ func (m *merge) down(i int, x head) {
 	h[i] = x
 }
 
-// appSet numbers the apps of every buffer of one Tracer or Log, so a
-// reader keys per-app state by a dense integer instead of the name. A
-// buffer's translation is extended, by name, when the reader meets an
-// app the buffer interned since; after that a record's number is one
-// slice read.
-type appSet struct{ index map[iosched.AppID]int32 }
-
-// of returns the set-wide number of x's app (x is a record of b).
-func (s *appSet) of(b *buffer, x *rec) int32 {
-	if int(x.app) >= len(b.shared) {
-		s.learn(b)
-	}
-	return b.shared[x.app]
-}
-
-// learn extends b's translation to every app b has interned.
-func (s *appSet) learn(b *buffer) {
-	if s.index == nil {
-		s.index = make(map[iosched.AppID]int32)
-	}
-	for _, name := range b.apps[len(b.shared):] {
-		i, ok := s.index[name]
-		if !ok {
-			i = int32(len(s.index))
-			s.index[name] = i
-		}
-		b.shared = append(b.shared, i)
-	}
-}
-
 // slot returns the record the next write fills: the oldest slot of a
 // full ring, or a new slot at the end of a log.
 func (b *buffer) slot() *rec {
@@ -338,28 +291,12 @@ func (b *buffer) slot() *rec {
 	return &b.buf[len(b.buf)-1]
 }
 
-// reset empties the buffer (a log keeps its capacity; the app intern
-// table is kept).
+// reset empties the buffer (a log keeps its capacity).
 func (b *buffer) reset() {
 	b.next = 0
 	if !b.ring {
 		b.buf = b.buf[:0]
 	}
-}
-
-// intern returns the stable index of app in the buffer's app table.
-func (b *buffer) intern(app iosched.AppID) uint32 {
-	if b.haveLast && app == b.lastApp {
-		return b.lastIdx
-	}
-	idx, ok := b.appIdx[app]
-	if !ok {
-		idx = uint32(len(b.apps))
-		b.apps = append(b.apps, app)
-		b.appIdx[app] = idx
-	}
-	b.lastApp, b.lastIdx, b.haveLast = app, idx, true
-	return idx
 }
 
 // len returns how many records the buffer holds.
@@ -381,26 +318,37 @@ func (b *buffer) held() (seg, rest []rec) {
 	return b.buf[w:], b.buf[:w]
 }
 
-// export materializes one record in the public layout, field by field:
-// a composite literal would be built aside and copied in.
-func (b *buffer) export(x *rec, r *Record) {
+// export materializes one record in the public layout but for its app,
+// which the caller resolves, field by field: a composite literal would
+// be built aside and copied in.
+func (x *rec) export(r *Record) {
 	r.Time, r.Node, r.Dev, r.Event = x.time, x.node, x.dev, x.event
-	r.App, r.Class, r.Seq, r.Size = b.apps[x.app], iosched.Class(x.class), x.seq, x.size
+	r.Class, r.Seq, r.Size = iosched.Class(x.class), x.seq, x.size
 	r.Weight, r.Epoch, r.Cost = x.weight, x.epoch, x.cost
 	r.StartTag, r.FinishTag, r.VTime = x.startTag, x.finishTag, x.vtime
 	r.Queued, r.InFlight, r.Depth = x.queued, x.inFlight, x.depth
 	r.Latency = x.latency
 }
 
+// appName resolves the record's app index through names; a note has
+// no app.
+func (x *rec) appName(names *shares.Tree) iosched.AppID {
+	if x.event > iosched.ProbeComplete {
+		return ""
+	}
+	return names.AppName(x.app)
+}
+
 // Tracer is a ring-buffered lifecycle recorder with one ring per
 // simulation shard that carries a probe. Each ring is written only by
 // its shard's engine, so shards record with no synchronization, and
 // Records assembles one stream after the run, merged in (event time,
-// shard, ring order).
+// shard, ring order). Records carry their app's share-tree index, and
+// names is read for the name only on export.
 type Tracer struct {
 	capacity int
+	names    *shares.Tree
 	rings    buffers
-	apps     appSet // numbers the rings' apps for Requests
 	epochs   []EpochMark
 
 	// merged caches Records until a record is written or Reset runs;
@@ -411,14 +359,16 @@ type Tracer struct {
 
 // New creates a tracer whose rings hold capacity records each
 // (non-positive = DefaultCapacity; other values round up to the next
-// power of two so the ring index is a mask, not a division). A shard's
-// ring is allocated when its first probe is built, so recording never
-// allocates.
-func New(capacity int) *Tracer {
+// power of two so the ring index is a mask, not a division). names is
+// the share tree that numbers the traced requests' apps (a cluster's
+// Shares()); its numbering is append-only, so an index names one app
+// for the tracer's lifetime. A shard's ring is allocated when its first
+// probe is built, so recording never allocates.
+func New(capacity int, names *shares.Tree) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Tracer{capacity: ceilPow2(capacity)}
+	return &Tracer{capacity: ceilPow2(capacity), names: names}
 }
 
 // ceilPow2 rounds n up to the next power of two.
@@ -455,8 +405,7 @@ func (t *Tracer) Len() int {
 // Dropped returns how many records were overwritten by ring wrap.
 func (t *Tracer) Dropped() uint64 { return t.Total() - uint64(t.Len()) }
 
-// Reset discards all records and epoch marks (the rings and their app
-// intern tables are kept).
+// Reset discards all records and epoch marks (the rings are kept).
 func (t *Tracer) Reset() {
 	for _, r := range t.rings {
 		r.reset()
@@ -478,16 +427,18 @@ func (t *Tracer) Records() []Record {
 	var m merge
 	m.start(t.rings)
 	for i := range out {
-		b, x := m.next()
-		b.export(x, &out[i])
+		x := m.next()
+		x.export(&out[i])
+		out[i].App = x.appName(t.names)
 	}
 	t.merged, t.mergedAt = out, total
 	return out
 }
 
-// Attach traces cl: it adds a probe to every scheduler of every node
-// (cluster.Instrument) and records the share tree's transitions as
-// epoch marks. Attach before the simulation runs.
+// Attach traces cl, whose share tree must be the tracer's names: it
+// adds a probe to every scheduler of every node (cluster.Instrument)
+// and records the tree's transitions as epoch marks. Attach before the
+// simulation runs.
 func (t *Tracer) Attach(cl *cluster.Cluster) {
 	cl.Instrument(func(shard, node int, dev string, _ iosched.Scheduler) iosched.Probe {
 		return t.Probe(shard, node, DeviceKindOf(dev))
@@ -501,9 +452,7 @@ func (t *Tracer) Attach(cl *cluster.Cluster) {
 // into shard's ring, labeled with the node index and device kind. The
 // probe must only be driven by that shard's engine.
 func (t *Tracer) Probe(shard, node int, dev DeviceKind) iosched.Probe {
-	b := t.rings.get(shard, t.capacity)
-	b.set = &t.apps
-	return Writer{b: b, node: int32(node), dev: dev}
+	return Writer{b: t.rings.get(shard, t.capacity), node: int32(node), dev: dev}
 }
 
 // Log is a set of per-shard append-only record logs: the tracer's
@@ -513,7 +462,6 @@ func (t *Tracer) Probe(shard, node int, dev DeviceKind) iosched.Probe {
 // records in merged order. The zero Log is empty and ready to use.
 type Log struct {
 	shards buffers
-	apps   appSet
 	m      merge
 	r      Record // the record Drain hands out
 }
@@ -522,21 +470,20 @@ type Log struct {
 // log, labeled with the node index and device kind. It must only be
 // driven by that shard's engine.
 func (l *Log) Writer(shard, node int, dev DeviceKind) Writer {
-	b := l.shards.get(shard, 0)
-	b.set = &l.apps
-	return Writer{b: b, node: int32(node), dev: dev}
+	return Writer{b: l.shards.get(shard, 0), node: int32(node), dev: dev}
 }
 
 // Drain calls fn on every logged record in (time, shard, log order),
 // then empties the logs. fn gets the record in one Record reused for
-// every call, and the record's app as a dense log-wide number (a
-// note's names the empty app). fn must not keep r, nor write to the
-// log.
-func (l *Log) Drain(fn func(r *Record, app int32)) {
+// every call, with its app named through names, and the app's index in
+// names (a note's app is empty, and its index means nothing). fn must
+// not keep r, nor write to the log.
+func (l *Log) Drain(names *shares.Tree, fn func(r *Record, app iosched.AppIdx)) {
 	l.m.start(l.shards)
-	for b, x := l.m.next(); x != nil; b, x = l.m.next() {
-		b.export(x, &l.r)
-		fn(&l.r, l.apps.of(b, x))
+	for x := l.m.next(); x != nil; x = l.m.next() {
+		x.export(&l.r)
+		l.r.App = x.appName(names)
+		fn(&l.r, x.app)
 	}
 	for _, b := range l.shards {
 		b.reset()
@@ -559,14 +506,13 @@ func (w Writer) Observe(req *iosched.Request, st iosched.ProbeState) {
 }
 
 // Fill sets r to the record Observe would log for (req, st), without
-// logging it, and returns its app's number as Drain would hand it out.
-// It is for a Log's writer: the auditor judges this way, at once, when
-// every writer sits on one shard.
-func (w Writer) Fill(req *iosched.Request, st iosched.ProbeState, r *Record) int32 {
+// logging it. It is for a Log's writer: the auditor judges this way, at
+// once, when every writer sits on one shard.
+func (w Writer) Fill(req *iosched.Request, st iosched.ProbeState, r *Record) {
 	var x rec
 	w.fill(&x, req, st)
-	w.b.export(&x, r)
-	return w.b.set.of(w.b, &x)
+	x.export(r)
+	r.App = req.App
 }
 
 // fill writes the record of (req, st) into r.
@@ -575,7 +521,7 @@ func (w Writer) fill(r *rec, req *iosched.Request, st iosched.ProbeState) {
 	r.node = w.node
 	r.dev = w.dev
 	r.event = st.Event
-	r.app = w.b.intern(req.App)
+	r.app = req.AppIdx
 	r.class = uint8(req.Class)
 	r.seq = req.Seq()
 	r.size = req.Size
@@ -593,7 +539,7 @@ func (w Writer) fill(r *rec, req *iosched.Request, st iosched.ProbeState) {
 
 // Note writes a note record (EventDegrade or EventRecover) at time t.
 func (w Writer) Note(ev iosched.ProbeEvent, t float64) {
-	*w.b.slot() = rec{time: t, node: w.node, dev: w.dev, event: ev, app: w.b.intern("")}
+	*w.b.slot() = rec{time: t, node: w.node, dev: w.dev, event: ev}
 }
 
 // EpochMark records one share-tree transition observed while tracing,
@@ -721,7 +667,7 @@ func (r RequestTrace) ServiceTime() float64 {
 // then the order the merge first saw them in).
 //
 // One pass of the record merge assembles them: a lifecycle is found by
-// its integer key (node, device, class, the tracer-wide app number,
+// its integer key (node, device, class, the app's share-tree index,
 // sequence) in an open-addressing table of int32 slots sized for every
 // record to start its own lifecycle, so it never fills. The merge yields
 // records in time order, so lifecycles are created in first-observed-time
@@ -738,9 +684,9 @@ func (t *Tracer) Requests() []RequestTrace {
 	slots := make([]int32, 1<<lg) // a lifecycle's index in out plus one, 0 = empty
 	var m merge
 	m.start(t.rings)
-	for b, x := m.next(); x != nil; b, x = m.next() {
-		app := b.apps[x.app]
-		h := (x.seq ^ uint64(uint32(x.node))<<40 ^ uint64(t.apps.of(b, x))<<16 ^ uint64(x.dev)<<8 ^ uint64(x.class)) * 0x9e3779b97f4a7c15
+	for x := m.next(); x != nil; x = m.next() {
+		app := x.appName(t.names)
+		h := (x.seq ^ uint64(uint32(x.node))<<40 ^ uint64(x.app)<<16 ^ uint64(x.dev)<<8 ^ uint64(x.class)) * 0x9e3779b97f4a7c15
 		var rt *RequestTrace
 		for j := h >> (64 - lg); ; j = (j + 1) & (1<<lg - 1) {
 			k := slots[j] - 1

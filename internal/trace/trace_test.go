@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"ibis/internal/iosched"
+	"ibis/internal/shares"
 	"ibis/internal/sim"
 	"ibis/internal/storage"
 	"ibis/internal/trace"
@@ -20,27 +21,50 @@ func flatSpec() storage.Spec {
 	}
 }
 
-// runTraced pushes nReqs closed-loop 1 MB reads from two apps through
-// an SFQ(D=2) scheduler with the tracer's probe attached and runs the
-// simulation to completion.
-func runTraced(tr *trace.Tracer, nReqs int) {
+// alphaBeta returns a share tree that binds app alpha at weight 1 and
+// beta at weight 2, each under its implicit tenant, so they resolve to
+// exactly those weights.
+func alphaBeta(t testing.TB) *shares.Tree {
+	t.Helper()
+	tree := shares.NewTree()
+	for i, app := range []iosched.AppID{"alpha", "beta"} {
+		if err := tree.Bind(app, "", float64(1+i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return tree
+}
+
+// sfqd2 builds an SFQ(D=2) scheduler on a flat device.
+func sfqd2(t testing.TB, eng *sim.Engine) *iosched.SFQ {
+	t.Helper()
+	s, err := iosched.NewSFQD(eng, storage.NewDevice(eng, "d", flatSpec()), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// newTraced returns a tracer of capacity records whose apps alphaBeta
+// numbers, after nReqs closed-loop 1 MB reads from alpha and beta ran
+// to completion through an SFQ(D=2) scheduler with its probe attached.
+func newTraced(t testing.TB, capacity, nReqs int) *trace.Tracer {
+	tree := alphaBeta(t)
+	tr := trace.New(capacity, tree)
 	eng := sim.NewEngine()
-	dev := storage.NewDevice(eng, "d", flatSpec())
-	s := iosched.NewSFQD(eng, dev, 2)
+	s := sfqd2(t, eng)
 	s.SetProbe(tr.Probe(0, 0, trace.DevHDFS))
 	apps := []iosched.AppID{"alpha", "beta"}
 	for i := 0; i < nReqs; i++ {
-		s.Submit(&iosched.Request{
-			App: apps[i%2], Shares: iosched.FixedWeight(float64(1 + i%2)), Class: iosched.PersistentRead, Size: 1e6,
-		})
+		s.Submit(&iosched.Request{App: apps[i%2], Shares: tree, Class: iosched.PersistentRead, Size: 1e6})
 	}
 	eng.Run()
+	return tr
 }
 
 func TestTracerRecordsFullLifecycles(t *testing.T) {
-	tr := trace.New(1 << 10)
 	const n = 20
-	runTraced(tr, n)
+	tr := newTraced(t, 1<<10, n)
 	if got := tr.Total(); got != 3*n {
 		t.Fatalf("Total() = %d, want %d (3 events per request)", got, 3*n)
 	}
@@ -66,9 +90,8 @@ func TestTracerRecordsFullLifecycles(t *testing.T) {
 
 func TestTracerRingWraparound(t *testing.T) {
 	const capacity = 16
-	tr := trace.New(capacity)
 	const n = 40 // 120 events >> capacity
-	runTraced(tr, n)
+	tr := newTraced(t, capacity, n)
 	if tr.Len() != capacity {
 		t.Fatalf("Len() = %d, want full ring %d", tr.Len(), capacity)
 	}
@@ -91,8 +114,7 @@ func TestTracerRingWraparound(t *testing.T) {
 }
 
 func TestTracerReset(t *testing.T) {
-	tr := trace.New(64)
-	runTraced(tr, 4)
+	tr := newTraced(t, 64, 4)
 	tr.Reset()
 	if tr.Len() != 0 || tr.Total() != 0 {
 		t.Fatalf("after Reset: Len=%d Total=%d, want 0,0", tr.Len(), tr.Total())
@@ -104,8 +126,7 @@ func TestTracerReset(t *testing.T) {
 
 func TestJSONLDeterministicAndParseable(t *testing.T) {
 	export := func() string {
-		tr := trace.New(1 << 10)
-		runTraced(tr, 10)
+		tr := newTraced(t, 1<<10, 10)
 		var buf bytes.Buffer
 		if err := tr.WriteJSONL(&buf); err != nil {
 			t.Fatal(err)
@@ -134,8 +155,7 @@ func TestJSONLDeterministicAndParseable(t *testing.T) {
 }
 
 func TestChromeTraceIsValidJSON(t *testing.T) {
-	tr := trace.New(1 << 10)
-	runTraced(tr, 10)
+	tr := newTraced(t, 1<<10, 10)
 	var buf bytes.Buffer
 	if err := tr.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
@@ -153,13 +173,13 @@ func TestChromeTraceIsValidJSON(t *testing.T) {
 }
 
 func TestMultiProbeFansOut(t *testing.T) {
-	t1, t2 := trace.New(256), trace.New(256)
+	tree := shares.NewTree()
+	t1, t2 := trace.New(256, tree), trace.New(256, tree)
 	eng := sim.NewEngine()
-	dev := storage.NewDevice(eng, "d", flatSpec())
-	s := iosched.NewSFQD(eng, dev, 2)
+	s := sfqd2(t, eng)
 	s.SetProbe(iosched.MultiProbe(t1.Probe(0, 0, trace.DevHDFS), nil, t2.Probe(0, 0, trace.DevLocal)))
 	for i := 0; i < 6; i++ {
-		s.Submit(&iosched.Request{App: "a", Shares: iosched.FixedWeight(1), Class: iosched.PersistentRead, Size: 1e6})
+		s.Submit(&iosched.Request{App: "a", Shares: tree, Class: iosched.PersistentRead, Size: 1e6})
 	}
 	eng.Run()
 	if t1.Total() != 18 || t2.Total() != 18 {
