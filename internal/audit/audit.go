@@ -735,7 +735,7 @@ func tagEps(x, y float64) float64 { return 1e-9 * (math.Abs(x) + math.Abs(y) + 1
 func (s *schedState) Observe(req *iosched.Request, st iosched.ProbeState) {
 	if len(s.a.shards) <= 1 {
 		var r trace.Record
-		s.w.Fill(req, st, &r)
+		s.w.Fill(req, st, s.a.names, &r)
 		s.a.judge(&r, req.AppIdx)
 		return
 	}

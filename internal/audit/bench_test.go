@@ -33,19 +33,18 @@ func BenchmarkAuditDrain(b *testing.B) {
 			Name: "flat", ReadBW: 100e6, WriteBW: 100e6,
 			Curve: []float64{1}, CurveDecay: 1, MinCurve: 1,
 		})
-		s := sfqd(b, eng, dev, depth)
+		s := sfqd(b, eng, dev, tree, depth)
 		s.SetProbe(a.Probe(shard, shard, trace.DevHDFS, s))
-		var issue func(any, float64)
-		issue = func(app any, _ float64) {
-			i := app.(int)
-			req := &iosched.Request{App: names[i], Shares: tree, Class: iosched.PersistentRead, Size: 1e6, Done: issue, DoneArg: app}
-			if err := s.Submit(req); err != nil {
-				b.Fatal(err)
-			}
-		}
 		for i := range apps {
+			var issue iosched.DoneFunc
+			issue = func(*iosched.Request, float64) {
+				req := &iosched.Request{AppIdx: iosched.AppIdx(i), Class: iosched.PersistentRead, Size: 1e6, Done: issue}
+				if err := s.Submit(req); err != nil {
+					b.Fatal(err)
+				}
+			}
 			for range 2 * depth {
-				issue(i, 0)
+				issue(nil, 0)
 			}
 		}
 	}

@@ -28,11 +28,11 @@ func xyz() *shares.Tree {
 // every field at probe time or the replay sees retagged garbage. Its
 // apps are numbered as xyz numbers them.
 func feedStream(p iosched.Probe) {
-	req := &iosched.Request{App: "x", Class: iosched.PersistentRead, Size: 1e6}
+	req := &iosched.Request{AppIdx: 0, Class: iosched.PersistentRead, Size: 1e6}
 	p.Observe(req, iosched.ProbeState{Event: iosched.ProbeComplete, Time: 0.5, Latency: -0.5})
-	req.App, req.AppIdx = "y", 1 // simulate freelist reuse between events
+	req.AppIdx = 1 // simulate freelist reuse between events
 	p.Observe(req, iosched.ProbeState{Event: iosched.ProbeArrive, Time: 1.0, Queued: -1})
-	req.App, req.AppIdx = "z", 2
+	req.AppIdx = 2
 	p.Observe(req, iosched.ProbeState{Event: iosched.ProbeDispatch, Time: 1.5, InFlight: 5, Depth: 2})
 	p.Observe(req, iosched.ProbeState{Event: iosched.ProbeDispatch, Time: 2.0, InFlight: 1, Depth: 2, VTime: 10})
 	p.Observe(req, iosched.ProbeState{Event: iosched.ProbeDispatch, Time: 2.5, InFlight: 2, Depth: 2, VTime: 5})
@@ -45,7 +45,7 @@ func newAuditedSched() iosched.Scheduler {
 		Name: "flat", ReadBW: 100e6, WriteBW: 100e6,
 		Curve: []float64{1}, CurveDecay: 1, MinCurve: 1,
 	})
-	s, err := iosched.NewSFQD(eng, dev, 2)
+	s, err := iosched.NewSFQD(eng, dev, xyz(), 2)
 	if err != nil {
 		panic(err)
 	}
@@ -97,7 +97,7 @@ func TestDeferredMergesShardLogsInTimeOrder(t *testing.T) {
 	a := audit.New(audit.Options{}, xyz())
 	p1 := a.Probe(1, 0, trace.DevHDFS, newAuditedSched())
 	p2 := a.Probe(2, 1, trace.DevHDFS, newAuditedSched())
-	req := &iosched.Request{App: "x", Class: iosched.PersistentRead, Size: 1e6}
+	req := &iosched.Request{AppIdx: 0, Class: iosched.PersistentRead, Size: 1e6}
 	breach := func(p iosched.Probe, at float64) {
 		p.Observe(req, iosched.ProbeState{Event: iosched.ProbeComplete, Time: at, Latency: -1})
 	}
@@ -129,7 +129,7 @@ func TestDeferredDegradeNoteJoinsShardLog(t *testing.T) {
 	a := audit.New(audit.Options{}, xyz())
 	p := a.Probe(1, 0, trace.DevHDFS, newAuditedSched())
 	a.Probe(2, 1, trace.DevHDFS, newAuditedSched())
-	req := &iosched.Request{App: "x", Class: iosched.PersistentRead, Size: 1e6}
+	req := &iosched.Request{AppIdx: 0, Class: iosched.PersistentRead, Size: 1e6}
 	p.Observe(req, iosched.ProbeState{Event: iosched.ProbeArrive, Time: 1.0})
 	a.NoteDegradeStart(0, "disk", 2.0)
 	if got := a.Checks()["degrade-noted"]; got != 0 {
@@ -151,7 +151,7 @@ func TestDeferredWhenBrokerOnOtherShard(t *testing.T) {
 	a := audit.New(audit.Options{}, xyz())
 	a.AttachBroker(0, broker.New())
 	p := a.Probe(1, 0, trace.DevHDFS, newAuditedSched())
-	req := &iosched.Request{App: "x", Class: iosched.PersistentRead, Size: 1e6}
+	req := &iosched.Request{AppIdx: 0, Class: iosched.PersistentRead, Size: 1e6}
 	p.Observe(req, iosched.ProbeState{Event: iosched.ProbeComplete, Time: 1.0, Latency: -1})
 	if got := a.ViolationCount(); got != 0 {
 		t.Fatalf("judged %d violations live with the broker on another shard, want 0 before Finish", got)

@@ -163,9 +163,9 @@ func TestRegimeSwitchingEndToEnd(t *testing.T) {
 		Name: "flat", ReadBW: 100e6, WriteBW: 100e6,
 		Curve: []float64{1}, CurveDecay: 1, MinCurve: 1,
 	})
-	sched := sfqd(t, eng, dev, 2)
-	sched.SetCoordinator(zeroCoord{})
 	tree := shares.NewTree()
+	sched := sfqd(t, eng, dev, tree, 2)
+	sched.SetCoordinator(zeroCoord{})
 	au := New(Options{Window: 1, CoordinationPeriod: 0.5, RecoveryPeriods: 2, MinWindowRequests: 1}, tree)
 	sched.SetProbe(au.Probe(0, 0, trace.DevHDFS, sched))
 
@@ -175,12 +175,12 @@ func TestRegimeSwitchingEndToEnd(t *testing.T) {
 		var issue func()
 		issue = func() {
 			sched.Submit(&iosched.Request{
-				App: app, Shares: tree, Class: iosched.PersistentRead, Size: 1e6,
-				Done: func(any, float64) {
+				AppIdx: tree.Index(app, iosched.NoApp), Class: iosched.PersistentRead, Size: 1e6,
+				Done: iosched.DoneFunc(func(*iosched.Request, float64) {
 					if eng.Now() < horizon {
 						issue()
 					}
-				},
+				}),
 			})
 		}
 		// Enough outstanding requests that the app's queue never runs

@@ -23,14 +23,14 @@ func TestAuditorDetectsInjectedViolations(t *testing.T) {
 		Name: "flat", ReadBW: 100e6, WriteBW: 100e6,
 		Curve: []float64{1}, CurveDecay: 1, MinCurve: 1,
 	})
-	sched, err := iosched.NewSFQD(eng, dev, 2) // real SFQ so the full invariant set arms
+	tree := shares.NewTree()
+	sched, err := iosched.NewSFQD(eng, dev, tree, 2) // real SFQ so the full invariant set arms
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree := shares.NewTree()
 	au := audit.New(audit.Options{MaxViolations: 3}, tree)
 	p := au.Probe(0, 0, trace.DevHDFS, sched)
-	req := &iosched.Request{App: "x", AppIdx: tree.Index("x", iosched.NoApp), Class: iosched.PersistentRead, Size: 1e6}
+	req := &iosched.Request{AppIdx: tree.Index("x", iosched.NoApp), Class: iosched.PersistentRead, Size: 1e6}
 
 	// 1: negative latency at completion.
 	p.Observe(req, iosched.ProbeState{Event: iosched.ProbeComplete, Time: 0.5, Latency: -0.5})
@@ -76,12 +76,12 @@ func TestAuditorLifecycleOnlyForUntaggedSchedulers(t *testing.T) {
 		Name: "flat", ReadBW: 100e6, WriteBW: 100e6,
 		Curve: []float64{1}, CurveDecay: 1, MinCurve: 1,
 	})
-	fifo := iosched.NewFIFO(eng, dev)
 	tree := shares.NewTree()
+	fifo := iosched.NewFIFO(eng, dev, tree)
 	au := audit.New(audit.Options{}, tree)
 	fifo.SetProbe(au.Probe(0, 0, trace.DevHDFS, fifo))
 	for i := 0; i < 8; i++ {
-		fifo.Submit(&iosched.Request{App: "a", Shares: tree, Class: iosched.PersistentRead, Size: 1e6})
+		fifo.Submit(&iosched.Request{AppIdx: tree.Index("a", iosched.NoApp), Class: iosched.PersistentRead, Size: 1e6})
 	}
 	eng.Run()
 	au.Finish()

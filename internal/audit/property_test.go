@@ -101,7 +101,7 @@ func runShareTrial(t *testing.T, seed int64, pol propPolicy, spec storage.Spec) 
 		dev := storage.NewDevice(eng, name, spec)
 		if pol == propSFQD2 {
 			prof := profileFor(t, spec)
-			s, err := iosched.NewSFQD2(eng, dev, iosched.ControllerConfig{
+			s, err := iosched.NewSFQD2(eng, dev, tree, iosched.ControllerConfig{
 				ReadLref:  prof.ReadLref,
 				WriteLref: prof.WriteLref,
 				MaxDepth:  8,
@@ -111,7 +111,7 @@ func runShareTrial(t *testing.T, seed int64, pol propPolicy, spec storage.Spec) 
 			}
 			return s
 		}
-		s, err := iosched.NewSFQD(eng, dev, staticDepth)
+		s, err := iosched.NewSFQD(eng, dev, tree, staticDepth)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,12 +149,12 @@ func runShareTrial(t *testing.T, seed int64, pol propPolicy, spec storage.Spec) 
 			var issue func()
 			issue = func() {
 				s.Submit(&iosched.Request{
-					App: f.app, Shares: tree, Class: iosched.PersistentRead, Size: f.size,
-					Done: func(any, float64) {
+					AppIdx: tree.Index(f.app, iosched.NoApp), Class: iosched.PersistentRead, Size: f.size,
+					Done: iosched.DoneFunc(func(*iosched.Request, float64) {
 						if eng.Now() < horizon {
 							issue()
 						}
-					},
+					}),
 				})
 			}
 			for i := 0; i < outstanding; i++ {

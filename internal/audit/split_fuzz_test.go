@@ -36,9 +36,9 @@ type splitEvent struct {
 func taggedPool(tb testing.TB) ([]*iosched.Request, *shares.Tree) {
 	eng := sim.NewEngine()
 	dev := storage.NewDevice(eng, "d", flatSpec())
-	tagger := sfqd(tb, eng, dev, 2)
 	apps := []iosched.AppID{"a", "b", "c"}
 	tree := shares.NewTree()
+	tagger := sfqd(tb, eng, dev, tree, 2)
 	for i, app := range apps {
 		if err := tree.Bind(app, "", float64(1+i%2)); err != nil {
 			tb.Fatal(err)
@@ -46,7 +46,7 @@ func taggedPool(tb testing.TB) ([]*iosched.Request, *shares.Tree) {
 	}
 	var pool []*iosched.Request
 	for i := 0; i < 12; i++ {
-		req := &iosched.Request{App: apps[i%3], Shares: tree, Class: iosched.PersistentRead, Size: 1e6}
+		req := &iosched.Request{AppIdx: tree.Index(apps[i%3], iosched.NoApp), Class: iosched.PersistentRead, Size: 1e6}
 		if err := tagger.Submit(req); err != nil {
 			tb.Fatal(err)
 		}
@@ -63,7 +63,7 @@ func splitAuditor(tb testing.TB, names *shares.Tree, shardOf func(int) int) (*Au
 	probes := make([]iosched.Probe, splitScheds)
 	for i := range probes {
 		eng := sim.NewEngine()
-		s := sfqd(tb, eng, storage.NewDevice(eng, "d", flatSpec()), 2)
+		s := sfqd(tb, eng, storage.NewDevice(eng, "d", flatSpec()), names, 2)
 		if i%2 == 1 {
 			s.SetCoordinator(zeroCoord{})
 		}

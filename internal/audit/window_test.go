@@ -18,9 +18,9 @@ import (
 
 // flatSpec is a device with a constant service rate.
 // sfqd builds an SFQ(D) scheduler on dev.
-func sfqd(tb testing.TB, eng *sim.Engine, dev *storage.Device, depth int) *iosched.SFQ {
+func sfqd(tb testing.TB, eng *sim.Engine, dev *storage.Device, src iosched.WeightSource, depth int) *iosched.SFQ {
 	tb.Helper()
-	s, err := iosched.NewSFQD(eng, dev, depth)
+	s, err := iosched.NewSFQD(eng, dev, src, depth)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -46,16 +46,16 @@ func TestClusterCheckDetectsBreach(t *testing.T) {
 	a := New(Options{Window: 1, MinWindowRequests: 1, CoordinationPeriod: 0.1}, tree)
 	eng := sim.NewEngine()
 	dev := storage.NewDevice(eng, "d", flatSpec())
-	tagger := sfqd(t, eng, dev, 2)
+	tagger := sfqd(t, eng, dev, tree, 2)
 	probes := make([]iosched.Probe, 2)
 	for i := range probes {
-		s := sfqd(t, eng, dev, 2)
+		s := sfqd(t, eng, dev, tree, 2)
 		s.SetCoordinator(zeroCoord{})
 		probes[i] = a.Probe(0, i, trace.DevHDFS, s)
 	}
 	reqs := map[iosched.AppID]*iosched.Request{}
 	for _, app := range []iosched.AppID{"a", "b"} {
-		req := &iosched.Request{App: app, Shares: tree, Class: iosched.PersistentRead, Size: 1}
+		req := &iosched.Request{AppIdx: tree.Index(app, iosched.NoApp), Class: iosched.PersistentRead, Size: 1}
 		if err := tagger.Submit(req); err != nil {
 			t.Fatal(err)
 		}
@@ -112,19 +112,20 @@ func TestShardedAuditLogEmptyAfterEveryBarrier(t *testing.T) {
 	}
 	const horizon = 5.0
 	for _, n := range cl.Nodes {
-		var issue func(any, float64)
-		issue = func(app any, _ float64) {
-			if n.Shard().Engine().Now() >= horizon {
-				return
-			}
-			req := &iosched.Request{App: app.(iosched.AppID), Class: iosched.PersistentRead, Size: 1e6, Done: issue, DoneArg: app}
-			if err := n.SubmitIO(req); err != nil {
-				t.Error(err)
-			}
-		}
 		for _, app := range apps {
+			idx := cl.Shares().Index(app, iosched.NoApp)
+			var issue iosched.DoneFunc
+			issue = func(*iosched.Request, float64) {
+				if n.Shard().Engine().Now() >= horizon {
+					return
+				}
+				req := &iosched.Request{AppIdx: idx, Class: iosched.PersistentRead, Size: 1e6, Done: issue}
+				if err := n.SubmitIO(req); err != nil {
+					t.Error(err)
+				}
+			}
 			for range 4 {
-				issue(app, 0)
+				issue(nil, 0)
 			}
 		}
 	}

@@ -269,9 +269,9 @@ func TestPropertyBrokerTotalsConsistent(t *testing.T) {
 }
 
 // sfqd builds an SFQ(D) scheduler on dev.
-func sfqd(t *testing.T, eng *sim.Engine, dev *storage.Device, depth int) *iosched.SFQ {
+func sfqd(t *testing.T, eng *sim.Engine, dev *storage.Device, tree *shares.Tree, depth int) *iosched.SFQ {
 	t.Helper()
-	s, err := iosched.NewSFQD(eng, dev, depth)
+	s, err := iosched.NewSFQD(eng, dev, tree, depth)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +290,7 @@ func TestCoordinationBalancesTotalService(t *testing.T) {
 	}
 	dev1 := storage.NewDevice(eng, "d1", spec)
 	dev2 := storage.NewDevice(eng, "d2", spec)
-	s1, s2 := sfqd(t, eng, dev1, 1), sfqd(t, eng, dev2, 1)
+	s1, s2 := sfqd(t, eng, dev1, tree, 1), sfqd(t, eng, dev2, tree, 1)
 	b := New()
 	c1 := NewClient(eng, "n1", s1.Accounting(), ClientOptions{Transport: NewDirectTransport(b), Period: 0.5})
 	c2 := NewClient(eng, "n2", s2.Accounting(), ClientOptions{Transport: NewDirectTransport(b), Period: 0.5})
@@ -306,13 +306,13 @@ func TestCoordinationBalancesTotalService(t *testing.T) {
 		var issue func()
 		issue = func() {
 			s.Submit(&iosched.Request{
-				App: app, Shares: tree, Class: iosched.PersistentRead, Size: 1e6,
-				Done: func(any, float64) {
+				AppIdx: tree.Index(app, iosched.NoApp), Class: iosched.PersistentRead, Size: 1e6,
+				Done: iosched.DoneFunc(func(*iosched.Request, float64) {
 					*served += 1e6
 					if eng.Now() < 60 {
 						issue()
 					}
-				},
+				}),
 			})
 		}
 		for i := 0; i < 2; i++ {
@@ -341,20 +341,20 @@ func TestNoCoordinationIsUnfair(t *testing.T) {
 	}
 	dev1 := storage.NewDevice(eng, "d1", spec)
 	dev2 := storage.NewDevice(eng, "d2", spec)
-	s1, s2 := sfqd(t, eng, dev1, 1), sfqd(t, eng, dev2, 1)
+	s1, s2 := sfqd(t, eng, dev1, tree, 1), sfqd(t, eng, dev2, tree, 1)
 
 	var xBytes, yBytes float64
 	keep := func(s *iosched.SFQ, app iosched.AppID, served *float64) {
 		var issue func()
 		issue = func() {
 			s.Submit(&iosched.Request{
-				App: app, Shares: tree, Class: iosched.PersistentRead, Size: 1e6,
-				Done: func(any, float64) {
+				AppIdx: tree.Index(app, iosched.NoApp), Class: iosched.PersistentRead, Size: 1e6,
+				Done: iosched.DoneFunc(func(*iosched.Request, float64) {
 					*served += 1e6
 					if eng.Now() < 60 {
 						issue()
 					}
-				},
+				}),
 			})
 		}
 		for i := 0; i < 2; i++ {

@@ -129,7 +129,7 @@ func TestClientDegradesAfterOnePeriodAndSuspendsScheduler(t *testing.T) {
 		Name: "flat", ReadBW: 100e6, WriteBW: 100e6,
 		Curve: []float64{1}, CurveDecay: 1, MinCurve: 1,
 	})
-	sfq := sfqd(t, eng, dev, 2)
+	sfq := sfqd(t, eng, dev, shares.NewTree(), 2)
 	down := true
 	tr := &hookTransport{exchange: func(id string, vec map[iosched.AppID]float64) (map[iosched.AppID]float64, float64, error) {
 		if down {

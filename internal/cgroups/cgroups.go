@@ -31,20 +31,22 @@ import (
 type Weight struct {
 	reads  *iosched.SFQ
 	writes *iosched.FIFO
+	src    iosched.WeightSource
 	acct   *iosched.Accounting
 }
 
 // NewWeight builds the proportional-sharing cgroups baseline for one
-// device. It must only be wired to intermediate (local) I/O. A depth
-// below 1 is an error.
-func NewWeight(eng *sim.Engine, dev *storage.Device, depth int) (*Weight, error) {
-	reads, err := iosched.NewSFQD(eng, dev, depth)
+// device, whose requests' apps src numbers and weighs. It must only be
+// wired to intermediate (local) I/O. A depth below 1 is an error.
+func NewWeight(eng *sim.Engine, dev *storage.Device, src iosched.WeightSource, depth int) (*Weight, error) {
+	reads, err := iosched.NewSFQD(eng, dev, src, depth)
 	if err != nil {
 		return nil, err
 	}
 	w := &Weight{
 		reads:  reads,
-		writes: iosched.NewFIFO(eng, dev),
+		writes: iosched.NewFIFO(eng, dev, src),
+		src:    src,
 		acct:   iosched.NewAccounting(),
 	}
 	w.SetProbe(nil)
@@ -79,7 +81,7 @@ func (w *Weight) SetProbe(p iosched.Probe) {
 // book accounts a completed request's service in the merged view.
 func (w *Weight) book(req *iosched.Request, st iosched.ProbeState) {
 	if st.Event == iosched.ProbeComplete {
-		w.acct.Add(req)
+		w.acct.Add(w.src.AppName(req.AppIdx), req)
 	}
 }
 
@@ -107,10 +109,11 @@ func (w *Weight) Submit(req *iosched.Request) error {
 // throttle entirely — blkio v1 cannot attribute write-back I/O to the
 // issuing cgroup.
 //
-// limits maps each capped application to its bandwidth cap in
-// bytes/second; applications absent from the map are uncapped. Limits
-// arrive from the public cluster config, so a non-positive rate is
-// reported as an input error rather than a panic.
-func NewThrottle(eng *sim.Engine, dev *storage.Device, limits map[iosched.AppID]float64) (*iosched.Pacer, error) {
-	return iosched.NewThrottle(eng, dev, limits)
+// src numbers and weighs the requests' apps. limits maps each capped
+// application to its bandwidth cap in bytes/second; applications absent
+// from the map are uncapped. Limits arrive from the public cluster
+// config, so a non-positive rate is reported as an input error rather
+// than a panic.
+func NewThrottle(eng *sim.Engine, dev *storage.Device, src iosched.WeightSource, limits map[iosched.AppID]float64) (*iosched.Pacer, error) {
+	return iosched.NewThrottle(eng, dev, src, limits)
 }

@@ -17,18 +17,18 @@ func flatSpec() storage.Spec {
 	}
 }
 
-func newThrottle(t *testing.T, eng *sim.Engine, dev *storage.Device, limits map[iosched.AppID]float64) *iosched.Pacer {
+func newThrottle(t *testing.T, eng *sim.Engine, dev *storage.Device, tree *shares.Tree, limits map[iosched.AppID]float64) *iosched.Pacer {
 	t.Helper()
-	s, err := NewThrottle(eng, dev, limits)
+	s, err := NewThrottle(eng, dev, tree, limits)
 	if err != nil {
 		t.Fatalf("NewThrottle: %v", err)
 	}
 	return s
 }
 
-func newWeight(t *testing.T, eng *sim.Engine, dev *storage.Device, depth int) *Weight {
+func newWeight(t *testing.T, eng *sim.Engine, dev *storage.Device, tree *shares.Tree, depth int) *Weight {
 	t.Helper()
-	w, err := NewWeight(eng, dev, depth)
+	w, err := NewWeight(eng, dev, tree, depth)
 	if err != nil {
 		t.Fatalf("NewWeight: %v", err)
 	}
@@ -38,7 +38,7 @@ func newWeight(t *testing.T, eng *sim.Engine, dev *storage.Device, depth int) *W
 func TestWeightInvalidDepthRejected(t *testing.T) {
 	eng := sim.NewEngine()
 	for _, depth := range []int{0, -1} {
-		if _, err := NewWeight(eng, storage.NewDevice(eng, "d", flatSpec()), depth); err == nil {
+		if _, err := NewWeight(eng, storage.NewDevice(eng, "d", flatSpec()), shares.NewTree(), depth); err == nil {
 			t.Errorf("depth %d accepted", depth)
 		}
 	}
@@ -47,8 +47,8 @@ func TestWeightInvalidDepthRejected(t *testing.T) {
 func TestWeightIsProportional(t *testing.T) {
 	eng := sim.NewEngine()
 	dev := storage.NewDevice(eng, "d", flatSpec())
-	s := newWeight(t, eng, dev, 2)
 	tree := shares.NewTree()
+	s := newWeight(t, eng, dev, tree, 2)
 	var a, b float64
 	keep := func(app iosched.AppID, w float64, served *float64) {
 		if err := tree.Bind(app, "", w); err != nil {
@@ -57,13 +57,13 @@ func TestWeightIsProportional(t *testing.T) {
 		var issue func()
 		issue = func() {
 			s.Submit(&iosched.Request{
-				App: app, Shares: tree, Class: iosched.IntermediateRead, Size: 1e6,
-				Done: func(any, float64) {
+				AppIdx: tree.Index(app, iosched.NoApp), Class: iosched.IntermediateRead, Size: 1e6,
+				Done: iosched.DoneFunc(func(*iosched.Request, float64) {
 					*served += 1e6
 					if eng.Now() < 30 {
 						issue()
 					}
-				},
+				}),
 			})
 		}
 		for i := 0; i < 4; i++ {
@@ -82,18 +82,18 @@ func TestThrottleCapsRate(t *testing.T) {
 	tree := shares.NewTree()
 	eng := sim.NewEngine()
 	dev := storage.NewDevice(eng, "d", flatSpec())
-	s := newThrottle(t, eng, dev, map[iosched.AppID]float64{"capped": 5e6})
+	s := newThrottle(t, eng, dev, tree, map[iosched.AppID]float64{"capped": 5e6})
 	var served float64
 	var issue func()
 	issue = func() {
 		s.Submit(&iosched.Request{
-			App: "capped", Shares: tree, Class: iosched.IntermediateRead, Size: 1e6,
-			Done: func(any, float64) {
+			AppIdx: tree.Index("capped", iosched.NoApp), Class: iosched.IntermediateRead, Size: 1e6,
+			Done: iosched.DoneFunc(func(*iosched.Request, float64) {
 				served += 1e6
 				if eng.Now() < 20 {
 					issue()
 				}
-			},
+			}),
 		})
 	}
 	for i := 0; i < 4; i++ {
@@ -115,11 +115,11 @@ func TestThrottleNonWorkConserving(t *testing.T) {
 	// underutilization the paper attributes to cgroups throttling.
 	eng := sim.NewEngine()
 	dev := storage.NewDevice(eng, "d", flatSpec())
-	s := newThrottle(t, eng, dev, map[iosched.AppID]float64{"capped": 1e6})
+	s := newThrottle(t, eng, dev, tree, map[iosched.AppID]float64{"capped": 1e6})
 	var done float64
 	s.Submit(&iosched.Request{
-		App: "capped", Shares: tree, Class: iosched.IntermediateRead, Size: 10e6,
-		Done: func(any, float64) { done = eng.Now() },
+		AppIdx: tree.Index("capped", iosched.NoApp), Class: iosched.IntermediateRead, Size: 10e6,
+		Done: iosched.DoneFunc(func(*iosched.Request, float64) { done = eng.Now() }),
 	})
 	eng.Run()
 	// 10 MB at 1 MB/s needs ≈9s of token accumulation (1s burst) even
@@ -136,11 +136,11 @@ func TestThrottleUncappedPassthrough(t *testing.T) {
 	tree := shares.NewTree()
 	eng := sim.NewEngine()
 	dev := storage.NewDevice(eng, "d", flatSpec())
-	s := newThrottle(t, eng, dev, map[iosched.AppID]float64{"capped": 1e6})
+	s := newThrottle(t, eng, dev, tree, map[iosched.AppID]float64{"capped": 1e6})
 	var freeDone float64
 	s.Submit(&iosched.Request{
-		App: "free", Shares: tree, Class: iosched.IntermediateRead, Size: 10e6,
-		Done: func(any, float64) { freeDone = eng.Now() },
+		AppIdx: tree.Index("free", iosched.NoApp), Class: iosched.IntermediateRead, Size: 10e6,
+		Done: iosched.DoneFunc(func(*iosched.Request, float64) { freeDone = eng.Now() }),
 	})
 	eng.Run()
 	if freeDone > 0.2 {
@@ -152,13 +152,13 @@ func TestThrottleFIFOWithinApp(t *testing.T) {
 	tree := shares.NewTree()
 	eng := sim.NewEngine()
 	dev := storage.NewDevice(eng, "d", flatSpec())
-	s := newThrottle(t, eng, dev, map[iosched.AppID]float64{"c": 2e6})
+	s := newThrottle(t, eng, dev, tree, map[iosched.AppID]float64{"c": 2e6})
 	var order []int
 	for i := 0; i < 5; i++ {
 		i := i
 		s.Submit(&iosched.Request{
-			App: "c", Shares: tree, Class: iosched.IntermediateRead, Size: 1e6,
-			Done: func(any, float64) { order = append(order, i) },
+			AppIdx: tree.Index("c", iosched.NoApp), Class: iosched.IntermediateRead, Size: 1e6,
+			Done: iosched.DoneFunc(func(*iosched.Request, float64) { order = append(order, i) }),
 		})
 	}
 	eng.Run()
@@ -176,8 +176,8 @@ func TestThrottleAccounting(t *testing.T) {
 	tree := shares.NewTree()
 	eng := sim.NewEngine()
 	dev := storage.NewDevice(eng, "d", flatSpec())
-	s := newThrottle(t, eng, dev, nil)
-	s.Submit(&iosched.Request{App: "A", Shares: tree, Class: iosched.IntermediateRead, Size: 3e6})
+	s := newThrottle(t, eng, dev, tree, nil)
+	s.Submit(&iosched.Request{AppIdx: tree.Index("A", iosched.NoApp), Class: iosched.IntermediateRead, Size: 3e6})
 	eng.Run()
 	svc := s.Accounting().Service("A")
 	if svc.Bytes != 3e6 || svc.Requests != 1 {
@@ -193,7 +193,7 @@ func TestThrottleAccounting(t *testing.T) {
 
 func TestThrottleInvalidRateRejected(t *testing.T) {
 	eng := sim.NewEngine()
-	if _, err := NewThrottle(eng, storage.NewDevice(eng, "d", flatSpec()), map[iosched.AppID]float64{"x": 0}); err == nil {
+	if _, err := NewThrottle(eng, storage.NewDevice(eng, "d", flatSpec()), shares.NewTree(), map[iosched.AppID]float64{"x": 0}); err == nil {
 		t.Fatal("zero rate accepted")
 	}
 }
@@ -202,11 +202,11 @@ func TestThrottleObserver(t *testing.T) {
 	tree := shares.NewTree()
 	eng := sim.NewEngine()
 	dev := storage.NewDevice(eng, "d", flatSpec())
-	s := newThrottle(t, eng, dev, nil)
+	s := newThrottle(t, eng, dev, tree, nil)
 	count := 0
 	s.SetProbe(completions(&count))
 	for i := 0; i < 3; i++ {
-		s.Submit(&iosched.Request{App: "A", Shares: tree, Class: iosched.IntermediateRead, Size: 1e5})
+		s.Submit(&iosched.Request{AppIdx: tree.Index("A", iosched.NoApp), Class: iosched.IntermediateRead, Size: 1e5})
 	}
 	eng.Run()
 	if count != 3 {
@@ -220,11 +220,11 @@ func TestThrottleWritesBypassCap(t *testing.T) {
 	// cgroup and escape the throttle entirely.
 	eng := sim.NewEngine()
 	dev := storage.NewDevice(eng, "d", flatSpec())
-	s := newThrottle(t, eng, dev, map[iosched.AppID]float64{"capped": 1e6})
+	s := newThrottle(t, eng, dev, tree, map[iosched.AppID]float64{"capped": 1e6})
 	done := -1.0
 	s.Submit(&iosched.Request{
-		App: "capped", Shares: tree, Class: iosched.IntermediateWrite, Size: 10e6,
-		Done: func(any, float64) { done = eng.Now() },
+		AppIdx: tree.Index("capped", iosched.NoApp), Class: iosched.IntermediateWrite, Size: 10e6,
+		Done: iosched.DoneFunc(func(*iosched.Request, float64) { done = eng.Now() }),
 	})
 	eng.Run()
 	if done > 0.5 {
@@ -236,10 +236,10 @@ func TestWeightWritesBypass(t *testing.T) {
 	tree := shares.NewTree()
 	eng := sim.NewEngine()
 	dev := storage.NewDevice(eng, "d", flatSpec())
-	w := newWeight(t, eng, dev, 2)
+	w := newWeight(t, eng, dev, tree, 2)
 	// Submit many writes: they all dispatch immediately (no queueing).
 	for i := 0; i < 10; i++ {
-		w.Submit(&iosched.Request{App: "A", Shares: tree, Class: iosched.IntermediateWrite, Size: 1e6})
+		w.Submit(&iosched.Request{AppIdx: tree.Index("A", iosched.NoApp), Class: iosched.IntermediateWrite, Size: 1e6})
 	}
 	if w.InFlight() != 10 {
 		t.Fatalf("InFlight = %d, want 10 unmanaged writes", w.InFlight())
@@ -260,11 +260,11 @@ func TestWeightObserverBothPaths(t *testing.T) {
 	tree := shares.NewTree()
 	eng := sim.NewEngine()
 	dev := storage.NewDevice(eng, "d", flatSpec())
-	w := newWeight(t, eng, dev, 2)
+	w := newWeight(t, eng, dev, tree, 2)
 	count := 0
 	w.SetProbe(completions(&count))
-	w.Submit(&iosched.Request{App: "A", Shares: tree, Class: iosched.IntermediateRead, Size: 1e6})
-	w.Submit(&iosched.Request{App: "A", Shares: tree, Class: iosched.IntermediateWrite, Size: 1e6})
+	w.Submit(&iosched.Request{AppIdx: tree.Index("A", iosched.NoApp), Class: iosched.IntermediateRead, Size: 1e6})
+	w.Submit(&iosched.Request{AppIdx: tree.Index("A", iosched.NoApp), Class: iosched.IntermediateWrite, Size: 1e6})
 	eng.Run()
 	if count != 2 {
 		t.Fatalf("observer saw %d events, want 2", count)

@@ -215,10 +215,6 @@ type Node struct {
 	// mid-request disk crash).
 	Dead bool
 
-	// shares is the cluster's weight control plane; tagged sends
-	// resolve their weight through it.
-	shares *shares.Tree
-
 	// shard owns this node's devices, NICs and schedulers: its own
 	// fabric shard under NewSharded, the coordinator's single shard
 	// under New.
@@ -328,7 +324,6 @@ func assemble(eng *sim.Engine, fab *sim.Fabric, cfg Config) (*Cluster, error) {
 			Index:    i,
 			Cores:    cfg.CoresPerNode,
 			MemGB:    cfg.MemGBPerNode,
-			shares:   c.shares,
 			shard:    c.coord,
 			requests: new(iosched.RequestPool),
 		}
@@ -356,7 +351,7 @@ func assemble(eng *sim.Engine, fab *sim.Fabric, cfg Config) (*Cluster, error) {
 				return nil, err
 			}
 			if cfg.ScheduleNetwork {
-				if n.NetSched, err = iosched.NewSFQD(nodeEng, &linkBackend{res: n.nicOut}, cfg.NetworkDepth); err != nil {
+				if n.NetSched, err = iosched.NewSFQD(nodeEng, &linkBackend{res: n.nicOut}, c.shares, cfg.NetworkDepth); err != nil {
 					return nil, err
 				}
 			}
@@ -401,31 +396,33 @@ func (c *Cluster) armFaults(inj *faults.Injector) {
 	}
 }
 
-// buildScheduler wires one device according to the policy. persistent
-// marks the HDFS device: cgroups policies leave it uncontrolled. The
-// policy and its parameters arrive from the public config, so an
-// unknown policy or a bad rate table is an input error surfaced from
-// New, not a panic.
+// buildScheduler wires one device according to the policy, every
+// scheduler weighing its requests through the cluster's share tree.
+// persistent marks the HDFS device: cgroups policies leave it
+// uncontrolled. The policy and its parameters arrive from the public
+// config, so an unknown policy or a bad rate table is an input error
+// surfaced from New, not a panic.
 func (c *Cluster) buildScheduler(eng *sim.Engine, dev *storage.Device, persistent bool, ctrl iosched.ControllerConfig) (iosched.Scheduler, error) {
+	src := c.shares
 	switch c.cfg.Policy {
 	case Native:
-		return iosched.NewFIFO(eng, dev), nil
+		return iosched.NewFIFO(eng, dev, src), nil
 	case SFQD:
-		return iosched.NewSFQD(eng, dev, c.cfg.SFQDepth)
+		return iosched.NewSFQD(eng, dev, src, c.cfg.SFQDepth)
 	case SFQD2:
-		return iosched.NewSFQD2(eng, dev, ctrl)
+		return iosched.NewSFQD2(eng, dev, src, ctrl)
 	case CGWeight:
 		if persistent {
-			return iosched.NewFIFO(eng, dev), nil
+			return iosched.NewFIFO(eng, dev, src), nil
 		}
-		return cgroups.NewWeight(eng, dev, c.cfg.SFQDepth)
+		return cgroups.NewWeight(eng, dev, src, c.cfg.SFQDepth)
 	case CGThrottle:
 		if persistent {
-			return iosched.NewFIFO(eng, dev), nil
+			return iosched.NewFIFO(eng, dev, src), nil
 		}
-		return cgroups.NewThrottle(eng, dev, c.cfg.ThrottleLimits)
+		return cgroups.NewThrottle(eng, dev, src, c.cfg.ThrottleLimits)
 	case Reserve:
-		return iosched.NewReservation(eng, dev, c.cfg.ReservationRates, c.cfg.ReservationDefault)
+		return iosched.NewReservation(eng, dev, src, c.cfg.ReservationRates, c.cfg.ReservationDefault)
 	default:
 		return nil, fmt.Errorf("cluster: unknown policy %d", int(c.cfg.Policy))
 	}
@@ -445,13 +442,21 @@ func (l *linkBackend) Submit(_ storage.OpKind, size float64, done sim.DoneFunc, 
 	l.res.Submit(size, done, arg)
 }
 
-// callFunc completes every node job that continues through a closure,
-// NIC hops and pooled requests alike: arg is the func() (nil for none).
-func callFunc(arg any, _ float64) {
+// nicHopDone completes a NIC hop: arg is the func() that continues the
+// transfer (nil for none).
+func nicHopDone(arg any, _ float64) {
 	if fn := arg.(func()); fn != nil {
 		fn()
 	}
 }
+
+// then is a pooled request's continuation: Complete calls it. A func
+// value is pointer-shaped, so storing one in the request's Done
+// allocates nothing.
+type then func()
+
+// Complete implements iosched.Done.
+func (fn then) Complete(*iosched.Request, float64) { fn() }
 
 // attach connects an SFQ scheduler to its partition broker; non-SFQ
 // schedulers cannot coordinate and are skipped. The client lives on
@@ -629,8 +634,8 @@ func (c *Cluster) TotalCores() int {
 // to the HDFS device's scheduler, intermediate classes to the local
 // device's, network transfers to the NIC's (if the cluster schedules
 // it) — the routing the IBIS interposition layer performs in DataNode
-// and NodeManager. A request without a weight
-// source resolves through the cluster's share tree. The caller must be
+// and NodeManager. req.AppIdx is the app's index in the cluster's share
+// tree, which every scheduler weighs through. The caller must be
 // executing on n's shard (or at a barrier); Done fires there. A
 // non-nil error means the request was rejected and will never
 // complete.
@@ -639,23 +644,22 @@ func (n *Node) SubmitIO(req *iosched.Request) error {
 	if err != nil {
 		return err
 	}
-	if req.Shares == nil {
-		req.Shares = n.shares
-	}
 	return s.Submit(req)
 }
 
-// IO is SubmitIO for a request drawn from the node's pool, weighted by
-// the share tree, whose completion calls done (nil for none) on n's
-// shard. The caller must be executing on n's shard.
-func (n *Node) IO(app iosched.AppID, class iosched.Class, size float64, done func()) error {
+// IO is SubmitIO for a request of app (its index in the cluster's share
+// tree) drawn from the node's pool, whose completion calls done (nil
+// for none) on n's shard. The caller must be executing on n's shard.
+func (n *Node) IO(app iosched.AppIdx, class iosched.Class, size float64, done func()) error {
 	s, err := n.route(class)
 	if err != nil {
 		return err
 	}
 	req := n.requests.Get()
-	req.App, req.Shares, req.Class, req.Size = app, n.shares, class, size
-	req.Done, req.DoneArg = callFunc, done
+	req.AppIdx, req.Class, req.Size = app, class, size
+	if done != nil {
+		req.Done = then(done)
+	}
 	return s.Submit(req)
 }
 
@@ -682,16 +686,17 @@ func (n *Node) route(class iosched.Class) (iosched.Scheduler, error) {
 // The caller must be executing on n's shard; done fires on dst's shard
 // when the last byte arrives.
 func (n *Node) Send(dst *Node, size float64, done func()) {
-	n.nicOut.Submit(size, callFunc, n.arrival(dst, size, done))
+	n.nicOut.Submit(size, nicHopDone, n.arrival(dst, size, done))
 }
 
-// SendTagged is Send with application attribution: when the cluster
-// schedules network bandwidth, the egress hop passes through the NIC's
-// weighted fair scheduler; otherwise it behaves exactly like Send. The
-// transfer's weight resolves through the cluster's share tree at tag
-// time, like any other scheduled I/O. A non-nil error means the NIC
-// scheduler rejected the transfer and done will never fire.
-func (n *Node) SendTagged(dst *Node, app iosched.AppID, size float64, done func()) error {
+// SendTagged is Send with application attribution (app is the app's
+// index in the cluster's share tree): when the cluster schedules
+// network bandwidth, the egress hop passes through the NIC's weighted
+// fair scheduler; otherwise it behaves exactly like Send. The
+// transfer's weight resolves through the share tree at tag time, like
+// any other scheduled I/O. A non-nil error means the NIC scheduler
+// rejected the transfer and done will never fire.
+func (n *Node) SendTagged(dst *Node, app iosched.AppIdx, size float64, done func()) error {
 	if n.NetSched == nil || size <= 0 {
 		n.Send(dst, size, done)
 		return nil
@@ -711,7 +716,7 @@ func (n *Node) arrival(dst *Node, size float64, done func()) func() {
 				}
 				return
 			}
-			dst.nicIn.Submit(size, callFunc, done)
+			dst.nicIn.Submit(size, nicHopDone, done)
 		})
 	}
 }

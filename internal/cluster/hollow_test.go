@@ -53,17 +53,18 @@ func TestHollowSubmitIO(t *testing.T) {
 	}
 	n := c.Nodes[0]
 	done := 0
+	a := c.Shares().Index("a", iosched.NoApp)
 	req := &iosched.Request{
-		App:   "a",
-		Class: iosched.PersistentRead,
-		Size:  1e6,
-		Done:  func(any, float64) { done++ },
+		AppIdx: a,
+		Class:  iosched.PersistentRead,
+		Size:   1e6,
+		Done:   iosched.DoneFunc(func(*iosched.Request, float64) { done++ }),
 	}
 	if err := n.SubmitIO(req); err != nil {
 		t.Fatalf("persistent submit rejected: %v", err)
 	}
 	// Non-persistent classes have no device on a hollow node.
-	bad := &iosched.Request{App: "a", Class: iosched.IntermediateWrite, Size: 1e6}
+	bad := &iosched.Request{AppIdx: a, Class: iosched.IntermediateWrite, Size: 1e6}
 	if err := n.SubmitIO(bad); err == nil {
 		t.Fatal("intermediate submit on a hollow node did not error")
 	}
@@ -108,10 +109,10 @@ func TestHollowShardedCoordinated(t *testing.T) {
 	done := 0
 	for i, n := range c.Nodes {
 		n.SubmitIO(&iosched.Request{
-			App:   iosched.AppID("app" + string(rune('A'+i))),
-			Class: iosched.PersistentRead,
-			Size:  1e6,
-			Done:  func(any, float64) { done++ },
+			AppIdx: c.Shares().Index(iosched.AppID("app"+string(rune('A'+i))), iosched.NoApp),
+			Class:  iosched.PersistentRead,
+			Size:   1e6,
+			Done:   iosched.DoneFunc(func(*iosched.Request, float64) { done++ }),
 		})
 	}
 	c.RunUntil(math.Inf(1))

@@ -55,8 +55,8 @@ func TestInstrumentComposes(t *testing.T) {
 					iosched.IntermediateRead, iosched.IntermediateWrite,
 				} {
 					for _, app := range []iosched.AppID{"A", "B", "A"} {
-						req := &iosched.Request{App: app, Class: class, Size: 1e6}
-						req.Done = func(_ any, lat float64) { done[req] = lat }
+						req := &iosched.Request{AppIdx: c.Shares().Index(app, iosched.NoApp), Class: class, Size: 1e6}
+						req.Done = iosched.DoneFunc(func(_ *iosched.Request, lat float64) { done[req] = lat })
 						if err := n.SubmitIO(req); err != nil {
 							t.Fatal(err)
 						}
@@ -69,15 +69,15 @@ func TestInstrumentComposes(t *testing.T) {
 			for _, req := range reqs {
 				lat, ok := done[req]
 				if !ok {
-					t.Fatalf("%s %v request never completed", req.App, req.Class)
+					t.Fatalf("%d %v request never completed", req.AppIdx, req.Class)
 				}
 				for i, p := range probes {
 					if got := p[req]; got == nil || *got != [3]int{1, 1, 1} {
-						t.Errorf("probe %d saw %v for %s %v, want one arrive, dispatch and complete", i, got, req.App, req.Class)
+						t.Errorf("probe %d saw %v for %d %v, want one arrive, dispatch and complete", i, got, req.AppIdx, req.Class)
 					}
 				}
 				if got := observed[req]; len(got) != 1 || got[0] != lat {
-					t.Errorf("observer saw latencies %v for %s %v, want [%v]", got, req.App, req.Class, lat)
+					t.Errorf("observer saw latencies %v for %d %v, want [%v]", got, req.AppIdx, req.Class, lat)
 				}
 			}
 		})

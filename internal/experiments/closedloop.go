@@ -7,12 +7,11 @@ import (
 )
 
 // closedLoop is the microbenchmarks' backlog generator: it keeps records
-// outstanding until a horizon, resubmitting each as it completes
-// through one cached method value, so it allocates only its records.
+// outstanding until a horizon, each record its own completion that
+// resubmits it, so it allocates only its records.
 type closedLoop struct {
 	eng     *sim.Engine
 	horizon float64
-	done    sim.DoneFunc
 	err     error // first rejected submit or failed control action
 }
 
@@ -23,23 +22,23 @@ type tally struct {
 }
 
 // loopReq is one circulating record, its target and its flow's tally.
+// It is its record's completion.
 type loopReq struct {
 	req    iosched.Request
+	loop   *closedLoop
 	submit func(*iosched.Request) error
 	tally  *tally
 }
 
 func newClosedLoop(eng *sim.Engine, horizon float64) *closedLoop {
-	l := &closedLoop{eng: eng, horizon: horizon}
-	l.done = l.complete
-	return l
+	return &closedLoop{eng: eng, horizon: horizon}
 }
 
 // keep puts depth copies of req in circulation through submit.
 func (l *closedLoop) keep(submit func(*iosched.Request) error, t *tally, depth int, req iosched.Request) {
 	for i := 0; i < depth; i++ {
-		r := &loopReq{req: req, submit: submit, tally: t}
-		r.req.Done, r.req.DoneArg = l.done, r
+		r := &loopReq{req: req, loop: l, submit: submit, tally: t}
+		r.req.Done = r
 		l.fail(submit(&r.req))
 	}
 }
@@ -47,25 +46,28 @@ func (l *closedLoop) keep(submit func(*iosched.Request) error, t *tally, depth i
 // keepUneven backlogs the uneven-presence microbenchmark: app "wide"
 // (weight w) on every node of cl, "narrow" (weight 1) on a quarter of
 // them. Both resolve through cl's share tree, "narrow" by binding at
-// weight 1 on its first request.
+// weight 1 where node 0 first keeps it, after node 0's "wide" records.
 func (l *closedLoop) keepUneven(cl *cluster.Cluster, w float64) (wide, narrow *tally) {
 	wide, narrow = new(tally), new(tally)
-	l.fail(cl.Shares().Bind("wide", "", w))
+	tree := cl.Shares()
+	l.fail(tree.Bind("wide", "", w))
+	wideIdx := tree.Index("wide", iosched.NoApp)
 	for i, n := range cl.Nodes {
-		l.keep(n.SubmitIO, wide, 4, iosched.Request{App: "wide", Class: iosched.PersistentRead, Size: 2e6})
+		l.keep(n.SubmitIO, wide, 4, iosched.Request{AppIdx: wideIdx, Class: iosched.PersistentRead, Size: 2e6})
 		if i < max(len(cl.Nodes)/4, 1) {
-			l.keep(n.SubmitIO, narrow, 4, iosched.Request{App: "narrow", Class: iosched.PersistentRead, Size: 2e6})
+			l.keep(n.SubmitIO, narrow, 4, iosched.Request{AppIdx: tree.Index("narrow", iosched.NoApp), Class: iosched.PersistentRead, Size: 2e6})
 		}
 	}
 	return wide, narrow
 }
 
-func (l *closedLoop) complete(arg any, lat float64) {
-	r := arg.(*loopReq)
+// Complete implements iosched.Done: it tallies the completion and
+// resubmits the record until the horizon.
+func (r *loopReq) Complete(_ *iosched.Request, lat float64) {
 	r.tally.bytes += r.req.Size
 	r.tally.latency += lat
 	r.tally.n++
-	if l.eng.Now() < l.horizon {
+	if l := r.loop; l.eng.Now() < l.horizon {
 		l.fail(r.submit(&r.req))
 	}
 }

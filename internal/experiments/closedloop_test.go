@@ -16,15 +16,15 @@ import (
 func TestClosedLoopReturnsRejectedSubmit(t *testing.T) {
 	tree := shares.NewTree()
 	eng := sim.NewEngine()
-	s, err := iosched.NewSFQD(eng, storage.NewDevice(eng, "hdd", storage.HDDSpec()), 2)
+	s, err := iosched.NewSFQD(eng, storage.NewDevice(eng, "hdd", storage.HDDSpec()), tree, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	l := newClosedLoop(eng, 5)
 	var good, bad tally
-	l.keep(s.Submit, &good, 2, iosched.Request{App: "good", Shares: tree, Class: iosched.PersistentRead, Size: 2e6})
-	// No weight source: the scheduler rejects every submit.
-	l.keep(s.Submit, &bad, 2, iosched.Request{App: "bad", Class: iosched.PersistentRead, Size: 2e6})
+	l.keep(s.Submit, &good, 2, iosched.Request{AppIdx: tree.Index("good", iosched.NoApp), Class: iosched.PersistentRead, Size: 2e6})
+	// No app index: the scheduler rejects every submit.
+	l.keep(s.Submit, &bad, 2, iosched.Request{AppIdx: iosched.NoApp, Class: iosched.PersistentRead, Size: 2e6})
 	if err := l.run(); err == nil {
 		t.Fatal("rejected submits were dropped silently")
 	}

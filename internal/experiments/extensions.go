@@ -223,17 +223,17 @@ func ExtSSDPromotion() (*SSDPromotionResult, error) {
 func ssdPromotionPoint(depth int) (SSDPromotionRow, error) {
 	eng := sim.NewEngine()
 	dev := storage.NewDevice(eng, "ssd", storage.SSDSpec())
-	s, err := iosched.NewSFQD(eng, dev, depth)
+	// Equal weights: the promotion effect is purely about write cost. A
+	// fresh tree binds each app at weight 1 where it is first resolved.
+	tree := shares.NewTree()
+	s, err := iosched.NewSFQD(eng, dev, tree, depth)
 	if err != nil {
 		return SSDPromotionRow{}, err
 	}
 	l := newClosedLoop(eng, 30)
 	var reads, writes tally
-	// Equal weights: the promotion effect is purely about write cost. A
-	// fresh tree binds each app at weight 1 on its first request.
-	tree := shares.NewTree()
-	l.keep(s.Submit, &reads, 2, iosched.Request{App: "reader", Shares: tree, Class: iosched.PersistentRead, Size: 2e6})
-	l.keep(s.Submit, &writes, 8, iosched.Request{App: "writer", Shares: tree, Class: iosched.PersistentWrite, Size: 2e6})
+	l.keep(s.Submit, &reads, 2, iosched.Request{AppIdx: tree.Index("reader", iosched.NoApp), Class: iosched.PersistentRead, Size: 2e6})
+	l.keep(s.Submit, &writes, 8, iosched.Request{AppIdx: tree.Index("writer", iosched.NoApp), Class: iosched.PersistentWrite, Size: 2e6})
 	if err := l.run(); err != nil {
 		return SSDPromotionRow{}, err
 	}

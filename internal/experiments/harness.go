@@ -20,6 +20,7 @@ import (
 	"ibis/internal/iosched"
 	"ibis/internal/mapreduce"
 	"ibis/internal/metrics"
+	"ibis/internal/shares"
 	"ibis/internal/sim"
 	"ibis/internal/storage"
 	"ibis/internal/trace"
@@ -327,7 +328,7 @@ func RunWithSetup(opts Options, entries []Entry, setup func(*mapreduce.Runtime) 
 		res.WriteSeries = metrics.NewTimeSeries(1)
 	}
 	for i := range cells {
-		cells[i].mergeInto(res)
+		cells[i].mergeInto(res, cl.Shares())
 	}
 
 	// Collect every job the runtime saw — including ones attached by
@@ -364,7 +365,7 @@ type ioCell struct {
 
 // appIO is one app's completions in a cell.
 type appIO struct {
-	name  iosched.AppID // "" until its first completion
+	seen  bool // the app has completed a request in the cell
 	bytes float64
 	lats  [iosched.NumClasses]*metrics.Distribution
 }
@@ -387,7 +388,7 @@ func (c *ioCell) Observe(req *iosched.Request, st iosched.ProbeState) {
 		c.apps = append(c.apps, make([]appIO, i+1-len(c.apps))...)
 	}
 	a := &c.apps[i]
-	a.name = req.App
+	a.seen = true
 	c.totalBytes += req.Size
 	a.bytes += req.Size
 	d := a.lats[req.Class]
@@ -405,19 +406,24 @@ func (c *ioCell) Observe(req *iosched.Request, st iosched.ProbeState) {
 	}
 }
 
-// mergeInto folds the cell into res, adopting its latency
-// distributions where res has none yet. Cells merge in shard order and
-// each in app-name, then class order, so the result does not depend on
-// how apps were numbered or on worker count.
-func (c *ioCell) mergeInto(res *Result) {
+// mergeInto folds the cell into res, its apps named through names (the
+// tree that numbered them), adopting its latency distributions where
+// res has none yet. Cells merge in shard order and each in app-name,
+// then class order, so the result does not depend on how apps were
+// numbered or on worker count.
+func (c *ioCell) mergeInto(res *Result, names *shares.Tree) {
 	if !c.live {
 		return // a shard with no datanode
 	}
 	res.TotalBytes += c.totalBytes
-	apps := make([]*appIO, 0, len(c.apps))
+	type namedIO struct {
+		name iosched.AppID
+		*appIO
+	}
+	apps := make([]namedIO, 0, len(c.apps))
 	for i := range c.apps {
-		if c.apps[i].name != "" {
-			apps = append(apps, &c.apps[i])
+		if c.apps[i].seen {
+			apps = append(apps, namedIO{names.AppName(iosched.AppIdx(i)), &c.apps[i]})
 		}
 	}
 	sort.Slice(apps, func(i, j int) bool { return apps[i].name < apps[j].name })

@@ -117,13 +117,14 @@ func Reweight(spec ReweightSpec) (*ReweightResult, error) {
 	au.SetShares(tree)
 	au.Attach(cl, 1)
 
-	// No Shares on the requests: SubmitIO resolves through the node's
-	// share tree — the path under test.
+	// The schedulers resolve weights through the cluster's share tree
+	// — the path under test.
 	l := newClosedLoop(eng, reweightHorizon)
 	var hot, base tally
+	hotIdx, baseIdx := tree.Index("hot", iosched.NoApp), tree.Index("base", iosched.NoApp)
 	for _, n := range cl.Nodes {
-		l.keep(n.SubmitIO, &hot, 4, iosched.Request{App: "hot", Class: iosched.PersistentRead, Size: 2e6})
-		l.keep(n.SubmitIO, &base, 4, iosched.Request{App: "base", Class: iosched.PersistentRead, Size: 2e6})
+		l.keep(n.SubmitIO, &hot, 4, iosched.Request{AppIdx: hotIdx, Class: iosched.PersistentRead, Size: 2e6})
+		l.keep(n.SubmitIO, &base, 4, iosched.Request{AppIdx: baseIdx, Class: iosched.PersistentRead, Size: 2e6})
 	}
 
 	// The live reweight, through the same tree the schedulers resolve.

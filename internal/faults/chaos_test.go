@@ -84,16 +84,17 @@ func chaosRunOn(t *testing.T, spec faults.Spec, nodes int, sharded bool) chaosOu
 	var wide, narrow float64
 	backlog := func(n *cluster.Node, app iosched.AppID, served *float64) {
 		eng := n.Shard().Engine()
+		idx := cl.Shares().Index(app, iosched.NoApp)
 		var issue func()
 		issue = func() {
 			n.SubmitIO(&iosched.Request{
-				App: app, Class: iosched.PersistentRead, Size: 2e6,
-				Done: func(any, float64) {
+				AppIdx: idx, Class: iosched.PersistentRead, Size: 2e6,
+				Done: iosched.DoneFunc(func(*iosched.Request, float64) {
 					*served += 2e6
 					if eng.Now() < chaosHorizon {
 						issue()
 					}
-				},
+				}),
 			})
 		}
 		for i := 0; i < 4; i++ {

@@ -109,35 +109,6 @@ func Q21() Query {
 	}
 }
 
-// Q1 returns a TPC-H Q1 (pricing summary report) plan: a single heavy
-// scan-and-aggregate over lineitem — the simplest query shape, useful
-// as a light decision-support workload. Volumes follow the same 100 GB
-// scale-factor world as Q9/Q21.
-func Q1() Query {
-	return Query{
-		Name: "q1",
-		Stages: []Stage{
-			{Label: "scan-lineitem", InputGB: 46, ShuffleGB: 6, OutputGB: 0.5, MapCPU: 0.020, ReduceCPU: 0.020},
-			{Label: "sort", InputGB: 0.5, ShuffleGB: 0.6, OutputGB: 1e-5, MapCPU: 0.012, ReduceCPU: 0.015},
-		},
-	}
-}
-
-// Q5 returns a TPC-H Q5 (local supplier volume) plan: a six-table join
-// pipeline with moderate intermediate volume.
-func Q5() Query {
-	return Query{
-		Name: "q5",
-		Stages: []Stage{
-			{Label: "scan-lineitem-orders", InputGB: 42, ShuffleGB: 18, OutputGB: 12, MapCPU: 0.014, ReduceCPU: 0.018},
-			{Label: "scan-customer-supplier-nation-region", InputGB: 6, ShuffleGB: 3, OutputGB: 2, MapCPU: 0.012, ReduceCPU: 0.015},
-			{Label: "join-1", InputGB: 14, ShuffleGB: 12, OutputGB: 6, MapCPU: 0.018, ReduceCPU: 0.022},
-			{Label: "join-2", InputGB: 6, ShuffleGB: 5, OutputGB: 2, MapCPU: 0.018, ReduceCPU: 0.022},
-			{Label: "agg-sort", InputGB: 2, ShuffleGB: 2, OutputGB: 1e-4, MapCPU: 0.014, ReduceCPU: 0.018},
-		},
-	}
-}
-
 // RunOptions control query execution.
 type RunOptions struct {
 	// Weight is the I/O weight every stage carries. It seeds the

@@ -33,18 +33,17 @@ func BenchmarkSFQSubmitDispatch(b *testing.B) {
 	done, submitted, target := 0, 0, 0
 	for i := range reqs {
 		r := &Request{
-			App:    AppID(fmt.Sprintf("app%d", i%4)),
-			Shares: flat(float64(1 + i%3)),
+			AppIdx: weigh(AppID(fmt.Sprintf("app%d", i%4)), float64(1+i%4%3)),
 			Class:  PersistentRead,
 			Size:   1000,
 		}
-		r.Done = func(any, float64) {
+		r.Done = DoneFunc(func(*Request, float64) {
 			done++
 			if submitted < target {
 				submitted++
 				s.Submit(r)
 			}
-		}
+		})
 		reqs[i] = r
 	}
 	b.ReportAllocs()
@@ -80,12 +79,11 @@ func newRoundTrip(tb testing.TB, window int) (*roundTrip, []*Request) {
 	reqs := make([]*Request, window)
 	for i := range reqs {
 		r := &Request{
-			App:    AppID(fmt.Sprintf("app%d", i%4)),
-			Shares: flat(float64(1 + i%3)),
+			AppIdx: weigh(AppID(fmt.Sprintf("app%d", i%4)), float64(1+i%4%3)),
 			Class:  PersistentRead,
 			Size:   64 << 10,
 		}
-		r.Done = func(any, float64) {
+		r.Done = DoneFunc(func(*Request, float64) {
 			rt.done++
 			if rt.sent < rt.target {
 				rt.sent++
@@ -93,7 +91,7 @@ func newRoundTrip(tb testing.TB, window int) (*roundTrip, []*Request) {
 					panic(err)
 				}
 			}
-		}
+		})
 		reqs[i] = r
 	}
 	return rt, reqs
@@ -132,4 +130,65 @@ func BenchmarkSFQDeviceRoundTrip(b *testing.B) {
 	if err := rt.run(reqs, b.N); err != nil {
 		b.Fatal(err)
 	}
+}
+
+// deepNode is one scheduler of BenchmarkSFQDeepQueue and the Done of
+// its pooled requests: each completion draws a fresh record from the
+// node's pool and submits it for the same app, the way the scale pump's
+// arrivals keep a hollow node's queue deep.
+type deepNode struct {
+	s    *SFQ
+	pool RequestPool
+	done *int
+}
+
+func (d *deepNode) Complete(req *Request, _ float64) {
+	*d.done++
+	r := d.pool.Get()
+	r.AppIdx, r.Class, r.Size, r.Done = req.AppIdx, req.Class, req.Size, d
+	if err := d.s.Submit(r); err != nil {
+		panic(err)
+	}
+}
+
+// BenchmarkSFQDeepQueue is the hollow-node scheduler shape without the
+// fabric: 1000 SFQ(D=4) schedulers over flat devices on one engine,
+// each holding about 350 queued pooled requests from four of sixteen
+// weighted apps. Each op is one request's submit → tag → queue →
+// dispatch → device service → complete, its record recycled through
+// its node's pool, so it must report 0 allocs/op — CI fails otherwise.
+func BenchmarkSFQDeepQueue(b *testing.B) {
+	const scheds, depth, backlog, apps = 1000, 4, 354, 16
+	var idx [apps]AppIdx
+	for a := range idx {
+		idx[a] = weigh(AppID(fmt.Sprintf("deep%d", a)), float64(1+a%4))
+	}
+	eng := sim.NewEngine()
+	done := 0
+	nodes := make([]deepNode, scheds)
+	for i := range nodes {
+		d := &nodes[i]
+		d.s = mustSFQD(b, eng, storage.NewDevice(eng, "d", flatSpec()), depth)
+		d.done = &done
+		for k := 0; k < backlog; k++ {
+			r := d.pool.Get()
+			r.AppIdx, r.Class, r.Size, r.Done = idx[(i+k%4)%apps], PersistentRead, 5e5+float64(k%7)*2.5e5, d
+			if err := d.s.Submit(r); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	// Warm every flow's accounting slot and every device's job free
+	// list: each scheduler completes 16 requests.
+	step := func(target int) {
+		for done < target {
+			if !eng.Step() {
+				b.Fatal("engine drained with requests outstanding")
+			}
+		}
+	}
+	step(16 * scheds)
+	b.ReportAllocs()
+	b.ResetTimer()
+	step(done + b.N)
 }

@@ -64,13 +64,13 @@ func (r *conformRecorder) Observe(req *iosched.Request, st iosched.ProbeState) {
 		iosched.ProbeComplete: 2,
 	}[st.Event]
 	if got := r.stage[req]; got != want {
-		t.Fatalf("%s: request %s/seq=%d got %s at stage %d", r.name, req.App, req.Seq(), st.Event, got)
+		t.Fatalf("%s: request %d/seq=%d got %s at stage %d", r.name, req.AppIdx, req.Seq(), st.Event, got)
 	}
 	r.stage[req] = want + 1
 	// Every scheduler assigns the device cost at submission, so the
 	// probe sees it from arrival on.
 	if c := r.dev.Cost(req.Class.OpKind(), req.Size); req.Cost() != c {
-		t.Fatalf("%s: request %s/seq=%d cost %v at %s, want %v", r.name, req.App, req.Seq(), req.Cost(), st.Event, c)
+		t.Fatalf("%s: request %d/seq=%d cost %v at %s, want %v", r.name, req.AppIdx, req.Seq(), req.Cost(), st.Event, c)
 	}
 	r.counts[int(st.Event)]++
 
@@ -87,27 +87,32 @@ func (r *conformRecorder) Observe(req *iosched.Request, st iosched.ProbeState) {
 	}
 }
 
+// conformApps are the conformance workload's apps, which conformTree
+// numbers in this order.
+var conformApps = []weighted{{"A", 4}, {"B", 2}, {"C", 1}}
+
+// conformTree is the weight source the conformance schedulers are built
+// over: conformApps at their weights.
+func conformTree(t testing.TB) *shares.Tree { return weighTree(t, conformApps...) }
+
 // conformanceWorkload submits a deterministic multi-app, multi-class
-// request mix in staggered batches and returns the per-app bytes and
-// request counts that were accepted.
+// request mix in staggered batches to s, built over conformTree, and
+// returns the per-app bytes and request counts that were accepted.
 func conformanceWorkload(t *testing.T, eng *sim.Engine, s iosched.Scheduler, name string) (map[iosched.AppID]float64, map[iosched.AppID]uint64) {
-	apps := []weighted{{"A", 4}, {"B", 2}, {"C", 1}}
 	classes := []iosched.Class{
 		iosched.PersistentRead, iosched.IntermediateWrite,
 		iosched.IntermediateRead, iosched.PersistentWrite,
 	}
-	tree := weighTree(t, apps...)
 	bytes := make(map[iosched.AppID]float64)
 	reqs := make(map[iosched.AppID]uint64)
 	for batch := 0; batch < 6; batch++ {
 		batch := batch
 		eng.Schedule(float64(batch)*0.5, func() {
-			for ai, app := range apps {
+			for ai, app := range conformApps {
 				for k := 0; k < 3; k++ {
 					size := 1e5 * float64(1+(batch+ai+k)%7)
 					req := &iosched.Request{
-						App:    app.id,
-						Shares: tree,
+						AppIdx: iosched.AppIdx(ai),
 						Class:  classes[(batch+ai+k)%len(classes)],
 						Size:   size,
 					}
@@ -142,10 +147,11 @@ func weighTree(t testing.TB, apps ...weighted) *shares.Tree {
 	return tree
 }
 
-// conformCase builds one scheduler under test on a device.
+// conformCase builds one scheduler under test on a device, over a
+// weight source.
 type conformCase struct {
 	name  string
-	build func(eng *sim.Engine, dev *storage.Device) (iosched.Scheduler, error)
+	build func(eng *sim.Engine, dev *storage.Device, src iosched.WeightSource) (iosched.Scheduler, error)
 }
 
 // conformCases lists every Scheduler implementation in the tree, with
@@ -154,23 +160,23 @@ func conformCases() []conformCase {
 	limits := map[iosched.AppID]float64{"B": 10e6}
 	rates := map[iosched.AppID]float64{"A": 30e6, "B": 20e6, "C": 10e6}
 	return []conformCase{
-		{"fifo", func(eng *sim.Engine, dev *storage.Device) (iosched.Scheduler, error) {
-			return iosched.NewFIFO(eng, dev), nil
+		{"fifo", func(eng *sim.Engine, dev *storage.Device, src iosched.WeightSource) (iosched.Scheduler, error) {
+			return iosched.NewFIFO(eng, dev, src), nil
 		}},
-		{"sfq(d)", func(eng *sim.Engine, dev *storage.Device) (iosched.Scheduler, error) {
-			return iosched.NewSFQD(eng, dev, 4)
+		{"sfq(d)", func(eng *sim.Engine, dev *storage.Device, src iosched.WeightSource) (iosched.Scheduler, error) {
+			return iosched.NewSFQD(eng, dev, src, 4)
 		}},
-		{"sfq(d2)", func(eng *sim.Engine, dev *storage.Device) (iosched.Scheduler, error) {
-			return iosched.NewSFQD2(eng, dev, iosched.ControllerConfig{ReadLref: 0.02})
+		{"sfq(d2)", func(eng *sim.Engine, dev *storage.Device, src iosched.WeightSource) (iosched.Scheduler, error) {
+			return iosched.NewSFQD2(eng, dev, src, iosched.ControllerConfig{ReadLref: 0.02})
 		}},
-		{"cgroups-weight", func(eng *sim.Engine, dev *storage.Device) (iosched.Scheduler, error) {
-			return cgroups.NewWeight(eng, dev, 4)
+		{"cgroups-weight", func(eng *sim.Engine, dev *storage.Device, src iosched.WeightSource) (iosched.Scheduler, error) {
+			return cgroups.NewWeight(eng, dev, src, 4)
 		}},
-		{"cgroups-throttle", func(eng *sim.Engine, dev *storage.Device) (iosched.Scheduler, error) {
-			return cgroups.NewThrottle(eng, dev, limits)
+		{"cgroups-throttle", func(eng *sim.Engine, dev *storage.Device, src iosched.WeightSource) (iosched.Scheduler, error) {
+			return cgroups.NewThrottle(eng, dev, src, limits)
 		}},
-		{"reservation", func(eng *sim.Engine, dev *storage.Device) (iosched.Scheduler, error) {
-			return iosched.NewReservation(eng, dev, rates, 5e6)
+		{"reservation", func(eng *sim.Engine, dev *storage.Device, src iosched.WeightSource) (iosched.Scheduler, error) {
+			return iosched.NewReservation(eng, dev, src, rates, 5e6)
 		}},
 	}
 }
@@ -181,7 +187,7 @@ func TestSchedulerConformance(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			eng := sim.NewEngine()
 			dev := storage.NewDevice(eng, "d", conformSpec())
-			s, err := tc.build(eng, dev)
+			s, err := tc.build(eng, dev, conformTree(t))
 			if err != nil {
 				t.Fatalf("build: %v", err)
 			}
@@ -204,7 +210,7 @@ func TestSchedulerConformance(t *testing.T) {
 			}
 			for req, st := range rec.stage {
 				if st != 3 {
-					t.Fatalf("request %s/seq=%d stalled at stage %d", req.App, req.Seq(), st)
+					t.Fatalf("request %d/seq=%d stalled at stage %d", req.AppIdx, req.Seq(), st)
 				}
 			}
 			for app, want := range wantBytes {
@@ -240,13 +246,13 @@ func TestSchedulersRejectNonFiniteSize(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			eng := sim.NewEngine()
 			dev := storage.NewDevice(eng, "d", storage.HDDSpec())
-			s, err := tc.build(eng, dev)
+			s, err := tc.build(eng, dev, weighTree(t, weighted{"A", 1}))
 			if err != nil {
 				t.Fatalf("build: %v", err)
 			}
 			for _, size := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 				for _, class := range []iosched.Class{iosched.PersistentRead, iosched.IntermediateWrite} {
-					req := &iosched.Request{App: "A", Shares: shares.NewTree(), Class: class, Size: size}
+					req := &iosched.Request{AppIdx: 0, Class: class, Size: size}
 					if err := s.Submit(req); err == nil {
 						t.Errorf("%v request of size %g accepted", class, size)
 					}

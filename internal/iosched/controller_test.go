@@ -25,7 +25,7 @@ func TestControllerDefaults(t *testing.T) {
 // mustSFQD2 is NewSFQD2 for a configuration the test knows is valid.
 func mustSFQD(t testing.TB, eng *sim.Engine, dev Backend, depth int) *SFQ {
 	t.Helper()
-	s, err := NewSFQD(eng, dev, depth)
+	s, err := NewSFQD(eng, dev, testApps, depth)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func mustSFQD(t testing.TB, eng *sim.Engine, dev Backend, depth int) *SFQ {
 
 func mustSFQD2(t testing.TB, eng *sim.Engine, dev Backend, cfg ControllerConfig) *SFQ {
 	t.Helper()
-	s, err := NewSFQD2(eng, dev, cfg)
+	s, err := NewSFQD2(eng, dev, testApps, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestControllerValidation(t *testing.T) {
 	}
 	for i, cfg := range bad {
 		eng := sim.NewEngine()
-		if s, err := NewSFQD2(eng, storage.NewDevice(eng, "d", flatSpec()), cfg); err == nil {
+		if s, err := NewSFQD2(eng, storage.NewDevice(eng, "d", flatSpec()), testApps, cfg); err == nil {
 			t.Errorf("case %d (%+v): invalid config accepted, depth %d", i, cfg, s.Depth())
 		}
 	}

@@ -28,7 +28,7 @@ func TestSuspendCoordinationClampsQueuedTagDebt(t *testing.T) {
 	s.SetCoordinator(coord)
 
 	submit := func() *Request {
-		r := &Request{App: "A", Shares: flat(1), Class: PersistentRead, Size: 1e6}
+		r := &Request{AppIdx: weigh("A", 1), Class: PersistentRead, Size: 1e6}
 		s.Submit(r)
 		return r
 	}
@@ -85,7 +85,7 @@ func TestResumeCoordinationReSnapshotsRemoteTotals(t *testing.T) {
 	s.SetCoordinator(coord)
 
 	submit := func() *Request {
-		r := &Request{App: "A", Shares: flat(1), Class: PersistentRead, Size: 1e6}
+		r := &Request{AppIdx: weigh("A", 1), Class: PersistentRead, Size: 1e6}
 		s.Submit(r)
 		return r
 	}
@@ -128,7 +128,7 @@ func TestSetDelayClampCapsPerArrivalDelta(t *testing.T) {
 	c := dev.Cost(PersistentRead.OpKind(), 1e6)
 
 	submit := func() *Request {
-		r := &Request{App: "A", Shares: flat(1), Class: PersistentRead, Size: 1e6}
+		r := &Request{AppIdx: weigh("A", 1), Class: PersistentRead, Size: 1e6}
 		s.Submit(r)
 		return r
 	}
@@ -152,7 +152,7 @@ func TestSuspendWithoutCoordinatorIsSafe(t *testing.T) {
 	_, s, _ := newDegradeSFQ(t)
 	s.SuspendCoordination()
 	s.ResumeCoordination()
-	r := &Request{App: "A", Shares: flat(1), Class: PersistentRead, Size: 1e6}
+	r := &Request{AppIdx: weigh("A", 1), Class: PersistentRead, Size: 1e6}
 	s.Submit(r)
 	if r.StartTag() != 0 {
 		t.Errorf("start tag = %v, want 0", r.StartTag())
@@ -170,8 +170,8 @@ func TestSuspendPreservesDispatchOrder(t *testing.T) {
 	var order []AppID
 	submit := func(app AppID) {
 		s.Submit(&Request{
-			App: app, Shares: flat(1), Class: PersistentRead, Size: 1e6,
-			Done: func(any, float64) { order = append(order, app) },
+			AppIdx: weigh(app, 1), Class: PersistentRead, Size: 1e6,
+			Done: DoneFunc(func(*Request, float64) { order = append(order, app) }),
 		})
 	}
 	submit("A") // dispatches; snapshots

@@ -43,7 +43,7 @@ func (f *rampCoord) OtherService(app AppID, _ AppIdx) float64 {
 // tagChecker validates tag arithmetic from the probe stream.
 type tagChecker struct {
 	t         *testing.T
-	lastStart map[AppID]float64
+	lastStart map[AppIdx]float64
 	lastVTime float64
 	completed int
 }
@@ -60,10 +60,10 @@ func (tc *tagChecker) Observe(req *Request, st ProbeState) {
 		if math.Abs(fin-wantF) > 1e-6*math.Max(1, math.Abs(wantF)) {
 			tc.t.Fatalf("finish tag %v != start %v + cost/w %v", fin, s, wantF)
 		}
-		if last, ok := tc.lastStart[req.App]; ok && s < last-1e-9 {
-			tc.t.Fatalf("flow %s start tag regressed: %v after %v", req.App, s, last)
+		if last, ok := tc.lastStart[req.AppIdx]; ok && s < last-1e-9 {
+			tc.t.Fatalf("flow %d start tag regressed: %v after %v", req.AppIdx, s, last)
 		}
-		tc.lastStart[req.App] = s
+		tc.lastStart[req.AppIdx] = s
 	case ProbeDispatch:
 		if st.VTime < tc.lastVTime-1e-9 {
 			tc.t.Fatalf("virtual time regressed: %v after %v", st.VTime, tc.lastVTime)
@@ -99,7 +99,7 @@ func FuzzSFQTags(f *testing.F) {
 			s.SetCoordinator(&rampCoord{step: 1e5})
 			s.SetDelayClamp(5e6)
 		}
-		tc := &tagChecker{t: t, lastStart: make(map[AppID]float64)}
+		tc := &tagChecker{t: t, lastStart: make(map[AppIdx]float64)}
 		s.SetProbe(tc)
 
 		apps := []AppID{"A", "B", "C", "D"}
@@ -119,13 +119,12 @@ func FuzzSFQTags(f *testing.F) {
 				at += float64(b&0x7f) / 100
 			}
 			req := &Request{
-				App:    app,
-				Shares: flat(w),
-				Class:  class,
-				Size:   size,
-				Done:   func(any, float64) { done++ },
+				Class: class,
+				Size:  size,
+				Done:  DoneFunc(func(*Request, float64) { done++ }),
 			}
 			eng.Schedule(at, func() {
+				req.AppIdx = weigh(app, w)
 				if err := s.Submit(req); err != nil {
 					t.Fatalf("submit rejected: %v", err)
 				}

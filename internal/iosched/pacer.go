@@ -27,6 +27,7 @@ import (
 type Pacer struct {
 	eng   *sim.Engine
 	dev   Backend
+	src   WeightSource
 	acct  *Accounting
 	probe Probe
 	name  string
@@ -51,7 +52,6 @@ type Pacer struct {
 
 // paceFlow is one app's token bucket and its FIFO of waiting requests.
 type paceFlow struct {
-	app     AppID
 	rate    float64
 	tokens  float64
 	last    float64
@@ -59,26 +59,27 @@ type paceFlow struct {
 	release sim.Event
 }
 
-// NewReservation builds the strict-partitioning scheduler. rates gives
-// each app's reserved rate in cost units per second; defaultRate
-// applies to unlisted apps and must be positive if any such app may
-// submit. Rates are validated here — reservation configs arrive from
+// NewReservation builds the strict-partitioning scheduler, whose
+// requests' apps src numbers and weighs. rates gives each app's
+// reserved rate in cost units per second; defaultRate applies to
+// unlisted apps and must be positive if any such app may submit. Rates are validated here — reservation configs arrive from
 // the public cluster config, so a bad one is an input error.
-func NewReservation(eng *sim.Engine, dev Backend, rates map[AppID]float64, defaultRate float64) (*Pacer, error) {
+func NewReservation(eng *sim.Engine, dev Backend, src WeightSource, rates map[AppID]float64, defaultRate float64) (*Pacer, error) {
 	if defaultRate != 0 && !validRate(defaultRate) {
 		return nil, fmt.Errorf("iosched: default reservation rate must be non-negative and finite, got %g", defaultRate)
 	}
-	return newPacer(eng, dev, "reservation", rates, defaultRate, false)
+	return newPacer(eng, dev, src, "reservation", rates, defaultRate, false)
 }
 
-// NewThrottle builds the cgroups blkio.throttle baseline. caps maps
-// each capped app to its read bandwidth in bytes/second; apps absent
-// from the map are uncapped, and writes are never paced.
-func NewThrottle(eng *sim.Engine, dev Backend, caps map[AppID]float64) (*Pacer, error) {
-	return newPacer(eng, dev, "cgroups-throttle", caps, 0, true)
+// NewThrottle builds the cgroups blkio.throttle baseline over src's
+// apps. caps maps each capped app to its read bandwidth in
+// bytes/second; apps absent from the map are uncapped, and writes are
+// never paced.
+func NewThrottle(eng *sim.Engine, dev Backend, src WeightSource, caps map[AppID]float64) (*Pacer, error) {
+	return newPacer(eng, dev, src, "cgroups-throttle", caps, 0, true)
 }
 
-func newPacer(eng *sim.Engine, dev Backend, name string, rates map[AppID]float64, defaultRate float64, blkio bool) (*Pacer, error) {
+func newPacer(eng *sim.Engine, dev Backend, src WeightSource, name string, rates map[AppID]float64, defaultRate float64, blkio bool) (*Pacer, error) {
 	for app, r := range rates {
 		if !validRate(r) {
 			return nil, fmt.Errorf("iosched: %s rate for %q must be positive and finite, got %g", name, app, r)
@@ -87,6 +88,7 @@ func newPacer(eng *sim.Engine, dev Backend, name string, rates map[AppID]float64
 	p := &Pacer{
 		eng:         eng,
 		dev:         dev,
+		src:         src,
 		acct:        NewAccounting(),
 		name:        name,
 		rates:       rates,
@@ -121,7 +123,7 @@ func (p *Pacer) SetProbe(pr Probe) { p.probe = pr }
 // app with no reservation and no default rate with an error — the
 // non-work-conserving partitioning has no bandwidth to give it.
 func (p *Pacer) Submit(req *Request) error {
-	if err := req.prepare(); err != nil {
+	if err := req.prepare(p.src); err != nil {
 		return reject(req, err)
 	}
 	f, err := p.flow(req)
@@ -163,12 +165,10 @@ func (p *Pacer) flow(req *Request) (*paceFlow, error) {
 		return nil, nil
 	}
 	if f := p.flows[req.AppIdx]; f != nil {
-		if f.app != req.App {
-			return nil, twoNumberings(f.app, req.App, req.AppIdx)
-		}
 		return f, nil
 	}
-	rate, ok := p.rates[req.App]
+	app := p.src.AppName(req.AppIdx)
+	rate, ok := p.rates[app]
 	if !ok {
 		rate = p.defaultRate
 	}
@@ -176,9 +176,9 @@ func (p *Pacer) flow(req *Request) (*paceFlow, error) {
 		if p.blkio {
 			return nil, nil
 		}
-		return nil, fmt.Errorf("iosched: no reservation for app %q and no default rate", req.App)
+		return nil, fmt.Errorf("iosched: no reservation for app %q and no default rate", app)
 	}
-	f := &paceFlow{app: req.App, rate: rate, last: p.eng.Now()}
+	f := &paceFlow{rate: rate, last: p.eng.Now()}
 	p.flows[req.AppIdx] = f
 	return f, nil
 }
@@ -259,6 +259,6 @@ func (p *Pacer) dispatch(req *Request) {
 func (p *Pacer) complete(arg any, _ float64) {
 	req := arg.(*Request)
 	p.inflight--
-	p.acct.Add(req)
+	p.acct.Add(p.src.AppName(req.AppIdx), req)
 	finish(p.probe, req, ProbeState{Time: p.eng.Now(), Queued: p.queued, InFlight: p.inflight})
 }

@@ -14,7 +14,7 @@ package iosched
 // slab apiece. Only a scheduler puts a record back, after its Done.
 
 // requestSlabSize is the cap on Request records per slab. At
-// ~144 B per record a full slab is ~½ MB, large enough to amortize
+// 104 B per record a full slab is ~400 KB, large enough to amortize
 // allocator overhead.
 const requestSlabSize = 4096
 

@@ -1,9 +1,8 @@
 package iosched_test
 
 // Pooled-request conformance: the hollow-node fast path (RequestPool
-// slab recycling) must be observationally
-// identical to freshly allocated requests with plain string app IDs,
-// for every scheduler in the tree. The pin is a digest over the full
+// slab recycling) must be observationally identical to freshly
+// allocated requests, for every scheduler in the tree. The pin is a digest over the full
 // probe stream — event kind, virtual time, app, sequence number, tags,
 // and queue/in-flight bookkeeping at each event — which is bit-equal
 // across the two allocation strategies.
@@ -38,15 +37,17 @@ func digestStr(h uint64, s string) uint64 {
 	return h
 }
 
-// digestProbe folds every probe event into an FNV-1a digest.
+// digestProbe folds every probe event into an FNV-1a digest, naming
+// each request's app through names.
 type digestProbe struct {
-	h uint64
+	h     uint64
+	names *shares.Tree
 }
 
 func (d *digestProbe) Observe(req *iosched.Request, st iosched.ProbeState) {
 	h := digestMix(d.h, uint64(st.Event))
 	h = digestMix(h, math.Float64bits(st.Time))
-	h = digestStr(h, string(req.App))
+	h = digestStr(h, string(d.names.AppName(req.AppIdx)))
 	h = digestMix(h, req.Seq())
 	h = digestMix(h, math.Float64bits(req.StartTag()))
 	h = digestMix(h, math.Float64bits(req.FinishTag()))
@@ -60,8 +61,6 @@ func (d *digestProbe) Observe(req *iosched.Request, st iosched.ProbeState) {
 // the pool, and the scheduler recycles each record after its
 // completion.
 func pooledWorkload(t *testing.T, eng *sim.Engine, s iosched.Scheduler, pool *iosched.RequestPool) {
-	apps := []weighted{{"A", 4}, {"B", 2}, {"C", 1}}
-	tree := weighTree(t, apps...)
 	classes := []iosched.Class{
 		iosched.PersistentRead, iosched.IntermediateWrite,
 		iosched.IntermediateRead, iosched.PersistentWrite,
@@ -69,20 +68,18 @@ func pooledWorkload(t *testing.T, eng *sim.Engine, s iosched.Scheduler, pool *io
 	for batch := 0; batch < 6; batch++ {
 		batch := batch
 		eng.Schedule(float64(batch)*0.5, func() {
-			for ai, app := range apps {
+			for ai := range conformApps {
 				for k := 0; k < 3; k++ {
 					size := 1e5 * float64(1+(batch+ai+k)%7)
 					var req *iosched.Request
 					if pool != nil {
 						req = pool.Get()
-						req.App = app.id
-						req.Shares = tree
+						req.AppIdx = iosched.AppIdx(ai)
 						req.Class = classes[(batch+ai+k)%len(classes)]
 						req.Size = size
 					} else {
 						req = &iosched.Request{
-							App:    app.id,
-							Shares: tree,
+							AppIdx: iosched.AppIdx(ai),
 							Class:  classes[(batch+ai+k)%len(classes)],
 							Size:   size,
 						}
@@ -103,11 +100,12 @@ func TestPooledRequestsConformance(t *testing.T) {
 			run := func(pool *iosched.RequestPool) uint64 {
 				eng := sim.NewEngine()
 				dev := storage.NewDevice(eng, "d", conformSpec())
-				s, err := tc.build(eng, dev)
+				tree := conformTree(t)
+				s, err := tc.build(eng, dev, tree)
 				if err != nil {
 					t.Fatalf("build: %v", err)
 				}
-				dp := &digestProbe{h: digestOffset}
+				dp := &digestProbe{h: digestOffset, names: tree}
 				s.SetProbe(dp)
 				pooledWorkload(t, eng, s, pool)
 				eng.Run()
@@ -142,27 +140,25 @@ func TestPooledRecordIntactInDone(t *testing.T) {
 	for _, tc := range conformCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			eng := sim.NewEngine()
-			s, err := tc.build(eng, storage.NewDevice(eng, "d", conformSpec()))
+			tree := weighTree(t, weighted{"A", 1}, weighted{"B", 2})
+			s, err := tc.build(eng, storage.NewDevice(eng, "d", conformSpec()), tree)
 			if err != nil {
 				t.Fatalf("build: %v", err)
 			}
 			pool := new(iosched.RequestPool)
-			tree := weighTree(t, weighted{"B", 2})
 			completed := 0
 			for i, class := range []iosched.Class{iosched.PersistentRead, iosched.IntermediateWrite} {
 				req := pool.Get()
-				req.App, req.Shares, req.Class, req.Size = "B", tree, class, float64(1+i)*1e5
-				req.DoneArg = i
-				req.Done = func(arg any, _ float64) {
-					i := arg.(int)
-					if req.App != "B" || req.Class != class || req.Size != float64(1+i)*1e5 || req.Weight() != 2 {
+				req.AppIdx, req.Class, req.Size = 1, class, float64(1+i)*1e5
+				req.Done = iosched.DoneFunc(func(done *iosched.Request, _ float64) {
+					if done != req || req.AppIdx != 1 || req.Class != class || req.Size != float64(1+i)*1e5 || req.Weight() != 2 {
 						t.Errorf("request %d changed before its Done: %+v", i, *req)
 					}
 					if got := pool.Outstanding(); got != 2-completed {
 						t.Errorf("request %d: outstanding = %d inside Done, want %d", i, got, 2-completed)
 					}
 					completed++
-				}
+				})
 				if err := s.Submit(req); err != nil {
 					t.Fatalf("submit rejected: %v", err)
 				}
@@ -181,16 +177,16 @@ func TestPoolRejectedSubmitRecycles(t *testing.T) {
 	for _, tc := range conformCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			eng := sim.NewEngine()
-			s, err := tc.build(eng, storage.NewDevice(eng, "d", conformSpec()))
+			s, err := tc.build(eng, storage.NewDevice(eng, "d", conformSpec()), conformTree(t))
 			if err != nil {
 				t.Fatalf("build: %v", err)
 			}
 			pool := new(iosched.RequestPool)
 			req := pool.Get()
-			req.App, req.Class, req.Size = "A", iosched.PersistentRead, 1e5 // no weight source
-			req.Done = func(any, float64) { t.Error("rejected request completed") }
+			req.AppIdx, req.Class, req.Size = 0, iosched.PersistentRead, -1 // a negative size
+			req.Done = iosched.DoneFunc(func(*iosched.Request, float64) { t.Error("rejected request completed") })
 			if err := s.Submit(req); err == nil {
-				t.Fatal("request without a weight source accepted")
+				t.Fatal("request of negative size accepted")
 			}
 			if got := pool.Outstanding(); got != 0 {
 				t.Fatalf("outstanding = %d after a rejected submit, want 0", got)
@@ -201,13 +197,14 @@ func TestPoolRejectedSubmitRecycles(t *testing.T) {
 	// A reservation also rejects a well-formed request from an app it
 	// has no rate for.
 	eng := sim.NewEngine()
-	s, err := iosched.NewReservation(eng, storage.NewDevice(eng, "d", conformSpec()), map[iosched.AppID]float64{"A": 1e6}, 0)
+	tree := weighTree(t, weighted{"A", 1}, weighted{"B", 1})
+	s, err := iosched.NewReservation(eng, storage.NewDevice(eng, "d", conformSpec()), tree, map[iosched.AppID]float64{"A": 1e6}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pool := new(iosched.RequestPool)
 	req := pool.Get()
-	req.App, req.Shares, req.Class, req.Size = "B", shares.NewTree(), iosched.PersistentRead, 1e5
+	req.AppIdx, req.Class, req.Size = 1, iosched.PersistentRead, 1e5
 	if err := s.Submit(req); err == nil {
 		t.Fatal("reservation accepted an app with no rate")
 	}
@@ -221,37 +218,35 @@ type probeFunc func(*iosched.Request, iosched.ProbeState)
 
 func (f probeFunc) Observe(req *iosched.Request, st iosched.ProbeState) { f(req, st) }
 
-// numberless resolves a weight but no app index.
-type numberless struct{}
-
-func (numberless) Resolve(iosched.AppID, iosched.AppIdx, iosched.Class) (iosched.AppIdx, float64, uint64) {
-	return iosched.NoApp, 1, 0
-}
-
 // TestSchedulersRefuseUnnumberedApps: every scheduler refuses at Submit
-// a request whose weight source gives its app no index, on its read
-// and its write path, before any probe sees it, and the pooled record
-// goes back to its pool.
+// a request whose app index lies outside its weight source's numbering
+// (below 0, at NumApps, or past it), on its read and its write path,
+// before any probe sees it, and the pooled record goes back to its
+// pool.
 func TestSchedulersRefuseUnnumberedApps(t *testing.T) {
 	for _, tc := range conformCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			eng := sim.NewEngine()
-			s, err := tc.build(eng, storage.NewDevice(eng, "d", conformSpec()))
+			tree := conformTree(t)
+			s, err := tc.build(eng, storage.NewDevice(eng, "d", conformSpec()), tree)
 			if err != nil {
 				t.Fatalf("build: %v", err)
 			}
 			probed := 0
 			s.SetProbe(probeFunc(func(*iosched.Request, iosched.ProbeState) { probed++ }))
 			pool := new(iosched.RequestPool)
-			for _, class := range []iosched.Class{iosched.PersistentRead, iosched.IntermediateWrite} {
-				req := pool.Get()
-				req.App, req.Shares, req.Class, req.Size = "A", numberless{}, class, 1e5
-				req.Done = func(any, float64) { t.Error("refused request completed") }
-				if err := s.Submit(req); err == nil {
-					t.Fatalf("%v request with no app index accepted", class)
-				}
-				if got := pool.Outstanding(); got != 0 {
-					t.Fatalf("%v: outstanding = %d after a refused submit, want 0", class, got)
+			n := iosched.AppIdx(tree.NumApps())
+			for _, idx := range []iosched.AppIdx{iosched.NoApp, n, n + 7} {
+				for _, class := range []iosched.Class{iosched.PersistentRead, iosched.IntermediateWrite} {
+					req := pool.Get()
+					req.AppIdx, req.Class, req.Size = idx, class, 1e5
+					req.Done = iosched.DoneFunc(func(*iosched.Request, float64) { t.Error("refused request completed") })
+					if err := s.Submit(req); err == nil {
+						t.Fatalf("%v request with app index %d of %d accepted", class, idx, n)
+					}
+					if got := pool.Outstanding(); got != 0 {
+						t.Fatalf("%v, index %d: outstanding = %d after a refused submit, want 0", class, idx, got)
+					}
 				}
 			}
 			eng.Run()

@@ -5,12 +5,14 @@ import (
 	"unsafe"
 )
 
-// TestRequestRecordSize pins the request record at 144 bytes: the pools
-// keep millions of them live, and AppIdx rides in the padding a 32-bit
-// Class leaves.
+// TestRequestRecordSize pins the request record at 104 bytes: the pools
+// keep hundreds of thousands of them live at once, so every word costs
+// resident memory. The app is only its index (AppIdx shares a word with
+// the 32-bit Class), the weight source lives on the scheduler, and the
+// completion is one interface value.
 func TestRequestRecordSize(t *testing.T) {
-	if got := unsafe.Sizeof(Request{}); got != 144 {
-		t.Fatalf("unsafe.Sizeof(Request{}) = %d, want 144", got)
+	if got := unsafe.Sizeof(Request{}); got != 104 {
+		t.Fatalf("unsafe.Sizeof(Request{}) = %d, want 104", got)
 	}
 }
 
@@ -20,11 +22,9 @@ func TestRequestPoolRecycleZeroes(t *testing.T) {
 	if r.pool != p {
 		t.Fatalf("Get did not stamp the record with its pool")
 	}
-	r.App = "a"
-	r.Shares = flat(2)
+	r.AppIdx = 3
 	r.Size = 123
-	r.Done = func(any, float64) {}
-	r.DoneArg = r
+	r.Done = DoneFunc(func(*Request, float64) {})
 	r.weight = 2
 	r.startTag = 9
 	r.finishTag = 10
@@ -34,14 +34,14 @@ func TestRequestPoolRecycleZeroes(t *testing.T) {
 	if p.Outstanding() != 0 {
 		t.Fatalf("outstanding = %d after put, want 0", p.Outstanding())
 	}
-	if r.pool != nil || r.Done != nil || r.DoneArg != nil {
+	if r.pool != nil || r.Done != nil {
 		t.Fatalf("recycled record keeps its completion or pool: %+v", *r)
 	}
 	got := p.Get()
 	if got != r {
 		t.Fatalf("free list did not recycle the record")
 	}
-	if got.App != "" || got.Shares != nil || got.Size != 0 || got.Done != nil || got.DoneArg != nil ||
+	if got.AppIdx != 0 || got.Size != 0 || got.Done != nil ||
 		got.weight != 0 || got.startTag != 0 || got.finishTag != 0 ||
 		got.seq != 0 || got.flow != nil {
 		t.Fatalf("recycled record not zeroed: %+v", *got)

@@ -16,13 +16,13 @@ import (
 	"fmt"
 	"math"
 
-	"ibis/internal/sim"
 	"ibis/internal/storage"
 )
 
 // AppID identifies an application (a MapReduce job, a Hive query, ...)
-// across the entire cluster. IDs are assigned by the job scheduler and
-// carried on every I/O request — the paper's DFSClient header extension.
+// across the entire cluster. IDs are assigned by the job scheduler; every
+// I/O request carries the ID's index (AppIdx) — the paper's DFSClient
+// header extension.
 type AppID string
 
 // AppIdx is an application's dense index in its weight source's
@@ -32,8 +32,9 @@ type AppID string
 type AppIdx int32
 
 // NoApp is the "no index" value: a caller passes it as the hint when it
-// has no cached index, and a source returns it for an app it cannot
-// number, which a scheduler then refuses.
+// has no cached index, and the share tree returns it for an app it
+// cannot number. A scheduler refuses it like any index outside its
+// source's numbering.
 const NoApp AppIdx = -1
 
 // Class identifies the I/O phase a request belongs to. The scheduler
@@ -101,43 +102,52 @@ func (c Class) Persistent() bool {
 	return c == PersistentRead || c == PersistentWrite
 }
 
-// WeightSource resolves an application's effective I/O weight at tag
-// time. The shares tree implements it for the hierarchical runtime
-// control plane. Resolution happens when a scheduler computes the
-// request's start and finish tags, so a weight change in the source
-// takes effect on the next tagged request without touching queued
-// ones.
+// WeightSource numbers a scheduler's applications and resolves their
+// effective I/O weights at tag time. The shares tree implements it for
+// the hierarchical runtime control plane. Each scheduler is built with
+// one source, so one index names one app on it. Resolution happens
+// when a scheduler computes the request's start and finish tags, so a
+// weight change in the source takes effect on the next tagged request
+// without touching queued ones.
 type WeightSource interface {
-	// Resolve returns app's index in the source's numbering (NoApp if
-	// it cannot number app), the weight to tag (app, class) with,
-	// and the version (epoch) of the weight table it came from. hint
-	// is a cached index for app; a source returns it unhashed when it
-	// names app, and looks the name up otherwise. Weights must be
-	// positive and finite; only relative values matter.
-	Resolve(app AppID, hint AppIdx, class Class) (idx AppIdx, weight float64, epoch uint64)
+	// NumApps bounds the source's numbering: the valid indices are
+	// [0, NumApps()).
+	NumApps() int
+	// Weight returns the weight to tag (idx, class) with, and the
+	// version (epoch) of the weight table it came from. idx is valid
+	// and class known. Weights must be positive and finite; only
+	// relative values matter.
+	Weight(idx AppIdx, class Class) (weight float64, epoch uint64)
+	// AppName names app idx, for the edges that report by name.
+	AppName(idx AppIdx) AppID
 }
+
+// Done is a request's completion: Complete fires with the request and
+// its total latency (arrival to completion, queueing included). It may
+// resubmit a caller-allocated record; a pooled one is recycled when
+// Complete returns.
+type Done interface {
+	Complete(req *Request, latency float64)
+}
+
+// DoneFunc adapts an ordinary function to the Done interface.
+type DoneFunc func(req *Request, latency float64)
+
+// Complete implements Done.
+func (f DoneFunc) Complete(req *Request, latency float64) { f(req, latency) }
 
 // Request is one tagged I/O operation presented to a scheduler.
 type Request struct {
-	// App is the issuing application's cluster-wide identifier.
-	App AppID
-	// Shares resolves the application's effective I/O weight when the
-	// scheduler tags the request (see WeightSource). Required.
-	Shares WeightSource
 	// Class is the I/O phase.
 	Class Class
-	// AppIdx is App's index in Shares' numbering. A caller that caches
-	// it may set it as a hint (a stale or foreign one costs a name
-	// lookup, never a wrong flow); submission resolves it.
+	// AppIdx is the issuing application, as its index in the
+	// scheduler's WeightSource: the request's only app identity. A
+	// caller resolves it once, where the app enters the system.
 	AppIdx AppIdx
 	// Size is the transfer size in bytes.
 	Size float64
-	// Done, if non-nil, fires at completion with DoneArg and the
-	// request's total latency (arrival to completion, queueing
-	// included). It may resubmit a caller-allocated record; a pooled
-	// one is recycled when Done returns.
-	Done    sim.DoneFunc
-	DoneArg any
+	// Done, if non-nil, fires at completion.
+	Done Done
 
 	// Scheduling state (owned by the scheduler).
 	weight    float64
@@ -174,13 +184,6 @@ func (r *Request) StartTag() float64 { return r.startTag }
 // FinishTag returns the SFQ finish tag assigned at arrival.
 func (r *Request) FinishTag() float64 { return r.finishTag }
 
-// twoNumberings is the error for a request whose index already names
-// another app's state: a scheduler's requests must come from one share
-// tree, so that one index names one app.
-func twoNumberings(have, app AppID, key AppIdx) error {
-	return fmt.Errorf("iosched: apps %q and %q share index %d: requests from two share trees", have, app, key)
-}
-
 // finish is every scheduler's completion tail: the ProbeComplete
 // probe, then Done, then the record's return to its pool. st is the
 // scheduler's state after the completion took effect.
@@ -190,7 +193,7 @@ func finish(p Probe, req *Request, st ProbeState) {
 		p.Observe(req, st)
 	}
 	if req.Done != nil {
-		req.Done(req.DoneArg, st.Latency)
+		req.Done.Complete(req, st.Latency)
 	}
 	req.pool.put(req)
 }
@@ -203,31 +206,25 @@ func reject(req *Request, err error) error {
 }
 
 // prepare validates the request and resolves its effective weight
-// through the weight source. Schedulers call it at the top of Submit —
-// the tag-time resolution point — and surface the error to the caller
-// instead of panicking: with weights arriving from a runtime control
-// plane, a malformed request is an input error, not a programming one.
-func (r *Request) prepare() error {
-	if r.App == "" {
-		return fmt.Errorf("iosched: request without app id")
+// through src, the scheduler's weight source. Schedulers call it at the
+// top of Submit — the tag-time resolution point — and surface the error
+// to the caller instead of panicking: with weights arriving from a
+// runtime control plane, a malformed request is an input error, not a
+// programming one.
+func (r *Request) prepare(src WeightSource) error {
+	if n := src.NumApps(); r.AppIdx < 0 || int(r.AppIdx) >= n {
+		return fmt.Errorf("iosched: request app index %d outside the source's [0, %d)", r.AppIdx, n)
 	}
 	if !(r.Size >= 0) || math.IsInf(r.Size, 1) {
-		return fmt.Errorf("iosched: request for %q with invalid size %g (want finite and non-negative)", r.App, r.Size)
+		return fmt.Errorf("iosched: request for %q with invalid size %g (want finite and non-negative)", src.AppName(r.AppIdx), r.Size)
 	}
 	if r.Class < 0 || r.Class >= numClasses {
-		return fmt.Errorf("iosched: request for %q with unknown class %d", r.App, int(r.Class))
+		return fmt.Errorf("iosched: request for %q with unknown class %d", src.AppName(r.AppIdx), int(r.Class))
 	}
-	if r.Shares == nil {
-		return fmt.Errorf("iosched: request for %q without a weight source", r.App)
-	}
-	idx, w, epoch := r.Shares.Resolve(r.App, r.AppIdx, r.Class)
-	if idx < 0 {
-		return fmt.Errorf("iosched: weight source gave request for %q no app index", r.App)
-	}
+	w, epoch := src.Weight(r.AppIdx, r.Class)
 	if !(w > 0) || math.IsInf(w, 1) {
-		return fmt.Errorf("iosched: request for %q resolved non-positive weight %g", r.App, w)
+		return fmt.Errorf("iosched: request for %q resolved non-positive weight %g", src.AppName(r.AppIdx), w)
 	}
-	r.AppIdx = idx
 	r.weight = w
 	r.epoch = epoch
 	return nil

@@ -12,7 +12,7 @@ func newReservation(t *testing.T, rates map[AppID]float64, def float64) (*sim.En
 	t.Helper()
 	eng := sim.NewEngine()
 	dev := storage.NewDevice(eng, "d", flatSpec())
-	s, err := NewReservation(eng, dev, rates, def)
+	s, err := NewReservation(eng, dev, testApps, rates, def)
 	if err != nil {
 		t.Fatalf("NewReservation: %v", err)
 	}
@@ -82,7 +82,7 @@ func TestReservationDefaultRate(t *testing.T) {
 
 func TestReservationUnknownAppRejected(t *testing.T) {
 	_, s, _ := newReservation(t, map[AppID]float64{"A": 1e6}, 0)
-	err := s.Submit(&Request{App: "ghost", Shares: flat(1), Class: PersistentRead, Size: 1e6})
+	err := s.Submit(&Request{AppIdx: weigh("ghost", 1), Class: PersistentRead, Size: 1e6})
 	if err == nil {
 		t.Fatal("unreserved app accepted with no default rate")
 	}
@@ -95,17 +95,17 @@ func TestReservationUnknownAppRejected(t *testing.T) {
 func TestReservationInvalidRateRejected(t *testing.T) {
 	eng := sim.NewEngine()
 	dev := storage.NewDevice(eng, "d", flatSpec())
-	if _, err := NewReservation(eng, dev, map[AppID]float64{"A": 0}, 0); err == nil {
+	if _, err := NewReservation(eng, dev, testApps, map[AppID]float64{"A": 0}, 0); err == nil {
 		t.Fatal("zero rate accepted")
 	}
-	if _, err := NewReservation(eng, dev, nil, -1); err == nil {
+	if _, err := NewReservation(eng, dev, testApps, nil, -1); err == nil {
 		t.Fatal("negative default rate accepted")
 	}
 	for _, r := range []float64{math.NaN(), math.Inf(1)} {
-		if _, err := NewReservation(eng, dev, map[AppID]float64{"A": r}, 0); err == nil {
+		if _, err := NewReservation(eng, dev, testApps, map[AppID]float64{"A": r}, 0); err == nil {
 			t.Errorf("rate %g accepted", r)
 		}
-		if _, err := NewReservation(eng, dev, nil, r); err == nil {
+		if _, err := NewReservation(eng, dev, testApps, nil, r); err == nil {
 			t.Errorf("default rate %g accepted", r)
 		}
 	}
@@ -113,7 +113,7 @@ func TestReservationInvalidRateRejected(t *testing.T) {
 
 func TestReservationAccountingAndIntrospection(t *testing.T) {
 	eng, s, _ := newReservation(t, map[AppID]float64{"B": 1e6, "A": 1e6}, 0)
-	s.Submit(&Request{App: "A", Shares: flat(1), Class: PersistentRead, Size: 0.5e6})
+	s.Submit(&Request{AppIdx: weigh("A", 1), Class: PersistentRead, Size: 0.5e6})
 	eng.Run()
 	if got := s.Accounting().Service("A").Bytes; got != 0.5e6 {
 		t.Fatalf("accounted %v bytes", got)
@@ -132,8 +132,8 @@ func TestReservationFIFOWithinApp(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		i := i
 		s.Submit(&Request{
-			App: "A", Shares: flat(1), Class: PersistentRead, Size: 1e6,
-			Done: func(any, float64) { order = append(order, i) },
+			AppIdx: weigh("A", 1), Class: PersistentRead, Size: 1e6,
+			Done: DoneFunc(func(*Request, float64) { order = append(order, i) }),
 		})
 	}
 	eng.Run()
@@ -153,7 +153,7 @@ func TestReservationObserver(t *testing.T) {
 		}
 	}))
 	for i := 0; i < 3; i++ {
-		s.Submit(&Request{App: "A", Shares: flat(1), Class: IntermediateRead, Size: 1e6})
+		s.Submit(&Request{AppIdx: weigh("A", 1), Class: IntermediateRead, Size: 1e6})
 	}
 	eng.Run()
 	if n != 3 {

@@ -80,8 +80,8 @@ type appAccount struct {
 }
 
 // AppCost is one entry of a scheduler's service vector: an app, its
-// index in its share tree (a hint for the receiver, see WeightSource),
-// and the cumulative cost it received.
+// index in its share tree (a hint the receiver checks against the
+// name), and the cumulative cost it received.
 type AppCost struct {
 	App  AppID
 	Idx  AppIdx
@@ -91,18 +91,18 @@ type AppCost struct {
 // NewAccounting returns an empty account book.
 func NewAccounting() *Accounting { return &Accounting{} }
 
-// Add books a completed request's service at the device cost its
-// scheduler assigned at submission.
-func (a *Accounting) Add(req *Request) { a.slot(req).add(req) }
+// Add books a completed request of app (the name of req.AppIdx) at the
+// device cost its scheduler assigned at submission.
+func (a *Accounting) Add(app AppID, req *Request) { a.slot(app, req.AppIdx).add(req) }
 
-// slot returns the counters of req's app, creating them on first use.
-// The pointer stays valid for the book's lifetime, so a scheduler may
-// cache it per flow; it must only be taken at a completion, so that
+// slot returns the counters of app (index idx), creating them on first
+// use. The pointer stays valid for the book's lifetime, so a scheduler
+// may cache it per flow; it must only be taken at a completion, so that
 // Apps lists an app from its first booked request on.
-func (a *Accounting) slot(req *Request) *AppService {
-	i, ok := a.find(req.App)
+func (a *Accounting) slot(app AppID, idx AppIdx) *AppService {
+	i, ok := a.find(app)
 	if !ok {
-		a.apps = slices.Insert(a.apps, i, &appAccount{app: req.App, idx: req.AppIdx})
+		a.apps = slices.Insert(a.apps, i, &appAccount{app: app, idx: idx})
 	}
 	return &a.apps[i].AppService
 }
@@ -163,6 +163,7 @@ func (a *Accounting) TotalBytes() float64 {
 type FIFO struct {
 	eng      *sim.Engine
 	dev      Backend
+	src      WeightSource
 	acct     *Accounting
 	probe    Probe
 	inflight int
@@ -170,9 +171,10 @@ type FIFO struct {
 	doneFn   sim.DoneFunc // cached complete method value
 }
 
-// NewFIFO builds the native pass-through scheduler for a device.
-func NewFIFO(eng *sim.Engine, dev Backend) *FIFO {
-	f := &FIFO{eng: eng, dev: dev, acct: NewAccounting()}
+// NewFIFO builds the native pass-through scheduler for a device, whose
+// requests' apps src numbers and weighs.
+func NewFIFO(eng *sim.Engine, dev Backend, src WeightSource) *FIFO {
+	f := &FIFO{eng: eng, dev: dev, src: src, acct: NewAccounting()}
 	f.doneFn = f.complete
 	return f
 }
@@ -194,7 +196,7 @@ func (f *FIFO) Accounting() *Accounting { return f.acct }
 
 // Submit implements Scheduler.
 func (f *FIFO) Submit(req *Request) error {
-	if err := req.prepare(); err != nil {
+	if err := req.prepare(f.src); err != nil {
 		return reject(req, err)
 	}
 	req.arrive = f.eng.Now()
@@ -215,6 +217,6 @@ func (f *FIFO) Submit(req *Request) error {
 func (f *FIFO) complete(arg any, _ float64) {
 	req := arg.(*Request)
 	f.inflight--
-	f.acct.Add(req)
+	f.acct.Add(f.src.AppName(req.AppIdx), req)
 	finish(f.probe, req, ProbeState{Time: f.eng.Now(), InFlight: f.inflight})
 }

@@ -14,14 +14,15 @@ import (
 // service (cost units) an application has received on every node other
 // than this one, as currently known from the Scheduling Broker.
 type Coordinator interface {
-	// OtherService takes the app's name and its index hint (see
-	// WeightSource).
+	// OtherService takes the app's name and its index in the
+	// scheduler's source, a hint the coordinator checks against the
+	// name before trusting it.
 	OtherService(app AppID, idx AppIdx) float64
 }
 
 // flowState is the per-application SFQ bookkeeping on one scheduler.
 type flowState struct {
-	app        AppID
+	app        AppID   // the app's name, resolved once when the flow opens
 	lastFinish float64 // finish tag of the flow's most recent request
 	lastOther  float64 // other-node service snapshot at last arrival
 	seenOther  bool    // whether lastOther has been initialized
@@ -39,6 +40,7 @@ type flowState struct {
 type SFQ struct {
 	eng  *sim.Engine
 	dev  Backend
+	src  WeightSource
 	acct *Accounting
 
 	queue  reqHeap
@@ -64,15 +66,16 @@ type SFQ struct {
 	doneFn   sim.DoneFunc // cached complete method value
 }
 
-// NewSFQD builds a classic SFQ(D) scheduler with a static depth. A
-// depth below 1 is an error.
-func NewSFQD(eng *sim.Engine, dev Backend, depth int) (*SFQ, error) {
+// NewSFQD builds a classic SFQ(D) scheduler with a static depth, whose
+// requests' apps src numbers and weighs. A depth below 1 is an error.
+func NewSFQD(eng *sim.Engine, dev Backend, src WeightSource, depth int) (*SFQ, error) {
 	if depth < 1 {
 		return nil, fmt.Errorf("iosched: SFQ(D) depth %d < 1", depth)
 	}
 	s := &SFQ{
 		eng:    eng,
 		dev:    dev,
+		src:    src,
 		acct:   NewAccounting(),
 		flows:  make(map[AppIdx]*flowState),
 		static: depth,
@@ -82,12 +85,14 @@ func NewSFQD(eng *sim.Engine, dev Backend, depth int) (*SFQ, error) {
 }
 
 // NewSFQD2 builds the paper's SFQ(D2): SFQ whose depth is driven by the
-// supplied feedback controller. The controller is started immediately.
-// An invalid controller configuration is an error.
-func NewSFQD2(eng *sim.Engine, dev Backend, cfg ControllerConfig) (*SFQ, error) {
+// supplied feedback controller, with src numbering and weighing its
+// requests' apps. The controller is started immediately. An invalid
+// controller configuration is an error.
+func NewSFQD2(eng *sim.Engine, dev Backend, src WeightSource, cfg ControllerConfig) (*SFQ, error) {
 	s := &SFQ{
 		eng:   eng,
 		dev:   dev,
+		src:   src,
 		acct:  NewAccounting(),
 		flows: make(map[AppIdx]*flowState),
 	}
@@ -224,7 +229,7 @@ func (s *SFQ) VirtualTime() float64 { return s.vtime }
 // where δ_f is the DSFQ delay — the service flow f received on other
 // nodes since its previous arrival here.
 //
-// The weight w_f is resolved through the request's WeightSource right
+// The weight w_f is resolved through the scheduler's WeightSource right
 // here, at tag time. A live reweight therefore takes effect on the
 // flow's next arrival and cannot break tag monotonicity: S(r) is the
 // max of the virtual time and the flow's previous finish tag, both of
@@ -233,15 +238,13 @@ func (s *SFQ) VirtualTime() float64 { return s.vtime }
 // they were admitted with — virtual time owes them the service they
 // were promised at arrival.
 func (s *SFQ) Submit(req *Request) error {
-	if err := req.prepare(); err != nil {
+	if err := req.prepare(s.src); err != nil {
 		return reject(req, err)
 	}
 	f := s.flows[req.AppIdx]
 	if f == nil {
-		f = &flowState{app: req.App, lastFinish: s.vtime}
+		f = &flowState{app: s.src.AppName(req.AppIdx), lastFinish: s.vtime}
 		s.flows[req.AppIdx] = f
-	} else if f.app != req.App {
-		return reject(req, twoNumberings(f.app, req.App, req.AppIdx))
 	}
 	req.arrive = s.eng.Now()
 	req.cost = s.dev.Cost(req.Class.OpKind(), req.Size)
@@ -251,7 +254,7 @@ func (s *SFQ) Submit(req *Request) error {
 
 	base := f.lastFinish
 	if s.coord != nil && !s.coordSuspended {
-		other := s.coord.OtherService(req.App, req.AppIdx)
+		other := s.coord.OtherService(f.app, req.AppIdx)
 		if !f.seenOther {
 			// First arrival: no delay, just take the snapshot.
 			f.lastOther = other
@@ -311,7 +314,7 @@ func (s *SFQ) complete(arg any, devLat float64) {
 	s.inflight--
 	f := req.flow
 	if f.svc == nil {
-		f.svc = s.acct.slot(req)
+		f.svc = s.acct.slot(f.app, req.AppIdx)
 	}
 	f.svc.add(req)
 	if s.ctrl != nil {

@@ -32,22 +32,33 @@ func newTestSFQ(t *testing.T, depth int) (*sim.Engine, *SFQ) {
 	return eng, mustSFQD(t, eng, dev, depth)
 }
 
-// flat is the package's test weight source: it numbers apps by name, in
-// one table every flat shares, and resolves every app to weight w at
-// epoch 0. It is not safe for concurrent use.
-type flat float64
+// table is a weight source that numbers apps by name in order of first
+// use and resolves each to the weight it was last given, at epoch 0.
+type table struct {
+	names   []AppID
+	weights []float64
+}
 
-var flatNames []AppID // by index
+func (t *table) NumApps() int                               { return len(t.names) }
+func (t *table) Weight(i AppIdx, _ Class) (float64, uint64) { return t.weights[i], 0 }
+func (t *table) AppName(i AppIdx) AppID                     { return t.names[i] }
 
-func (w flat) Resolve(app AppID, hint AppIdx, _ Class) (AppIdx, float64, uint64) {
-	if uint(hint) >= uint(len(flatNames)) || flatNames[hint] != app {
-		hint = AppIdx(slices.Index(flatNames, app))
-		if hint < 0 {
-			hint = AppIdx(len(flatNames))
-			flatNames = append(flatNames, app)
-		}
+// testApps is the package's test weight source: one table every test
+// scheduler shares. It is not safe for concurrent use.
+var testApps = new(table)
+
+// weigh numbers app in testApps on its first use, sets its weight to w
+// and returns its index. A test calls it where it submits, so a
+// request is tagged with the weight weigh gave it.
+func weigh(app AppID, w float64) AppIdx {
+	i := slices.Index(testApps.names, app)
+	if i < 0 {
+		i = len(testApps.names)
+		testApps.names = append(testApps.names, app)
+		testApps.weights = append(testApps.weights, 0)
 	}
-	return hint, float64(w), 0
+	testApps.weights[i] = w
+	return AppIdx(i)
 }
 
 // backlog keeps `outstanding` requests of the given size in flight for
@@ -56,13 +67,13 @@ func backlog(eng *sim.Engine, s Scheduler, app AppID, weight float64, class Clas
 	var issue func()
 	issue = func() {
 		s.Submit(&Request{
-			App: app, Shares: flat(weight), Class: class, Size: size,
-			Done: func(any, float64) {
+			AppIdx: weigh(app, weight), Class: class, Size: size,
+			Done: DoneFunc(func(*Request, float64) {
 				*served += size
 				if eng.Now() < until {
 					issue()
 				}
-			},
+			}),
 		})
 	}
 	for i := 0; i < outstanding; i++ {
@@ -118,7 +129,7 @@ func TestSFQDepthBoundsInFlight(t *testing.T) {
 		}
 	}))
 	for i := 0; i < 20; i++ {
-		s.Submit(&Request{App: "A", Shares: flat(1), Class: PersistentRead, Size: 1e6})
+		s.Submit(&Request{AppIdx: weigh("A", 1), Class: PersistentRead, Size: 1e6})
 	}
 	if s.InFlight() != 3 {
 		t.Fatalf("InFlight = %d immediately after burst, want 3", s.InFlight())
@@ -157,7 +168,7 @@ func TestSFQVirtualTimeMonotone(t *testing.T) {
 			app = "B"
 		}
 		eng.Schedule(rng.Float64()*5, func() {
-			s.Submit(&Request{App: app, Shares: flat(1 + rng.Float64()*3), Class: PersistentWrite, Size: 1e5 + rng.Float64()*1e6})
+			s.Submit(&Request{AppIdx: weigh(app, 1+rng.Float64()*3), Class: PersistentWrite, Size: 1e5 + rng.Float64()*1e6})
 		})
 	}
 	eng.Run()
@@ -167,7 +178,7 @@ func TestSFQTagAlgebra(t *testing.T) {
 	eng, s := newTestSFQ(t, 1)
 	var reqs []*Request
 	for i := 0; i < 3; i++ {
-		r := &Request{App: "A", Shares: flat(2), Class: PersistentRead, Size: 2e6}
+		r := &Request{AppIdx: weigh("A", 2), Class: PersistentRead, Size: 2e6}
 		reqs = append(reqs, r)
 		s.Submit(r)
 	}
@@ -189,8 +200,8 @@ func TestSFQTagAlgebra(t *testing.T) {
 
 func TestSFQLowerWeightMeansLaterFinishTags(t *testing.T) {
 	_, s := newTestSFQ(t, 1)
-	ra := &Request{App: "A", Shares: flat(4), Class: PersistentRead, Size: 1e6}
-	rb := &Request{App: "B", Shares: flat(1), Class: PersistentRead, Size: 1e6}
+	ra := &Request{AppIdx: weigh("A", 4), Class: PersistentRead, Size: 1e6}
+	rb := &Request{AppIdx: weigh("B", 1), Class: PersistentRead, Size: 1e6}
 	s.Submit(ra)
 	s.Submit(rb)
 	if rb.FinishTag() <= ra.FinishTag() {
@@ -201,22 +212,29 @@ func TestSFQLowerWeightMeansLaterFinishTags(t *testing.T) {
 func TestSFQInvalidDepthRejected(t *testing.T) {
 	eng := sim.NewEngine()
 	for _, depth := range []int{0, -1} {
-		if s, err := NewSFQD(eng, storage.NewDevice(eng, "d", flatSpec()), depth); err == nil || s != nil {
+		if s, err := NewSFQD(eng, storage.NewDevice(eng, "d", flatSpec()), testApps, depth); err == nil || s != nil {
 			t.Errorf("depth %d: got %v, %v; want an error", depth, s, err)
 		}
 	}
 }
 
 func TestRequestValidation(t *testing.T) {
-	cases := []Request{
-		{App: "", Shares: flat(1), Class: PersistentRead, Size: 1},
-		{App: "A", Shares: flat(0), Class: PersistentRead, Size: 1},
-		{App: "A", Shares: flat(-1), Class: PersistentRead, Size: 1},
-		{App: "A", Shares: flat(1), Class: PersistentRead, Size: -5},
-		{App: "A", Shares: flat(1), Class: Class(99), Size: 1},
+	cases := []struct {
+		app    AppID
+		weight float64
+		req    Request
+	}{
+		{"A", 1, Request{AppIdx: NoApp, Class: PersistentRead, Size: 1}},
+		{"A", 0, Request{Class: PersistentRead, Size: 1}},
+		{"A", -1, Request{Class: PersistentRead, Size: 1}},
+		{"A", 1, Request{Class: PersistentRead, Size: -5}},
+		{"A", 1, Request{Class: Class(99), Size: 1}},
 	}
 	for i := range cases {
-		req := cases[i]
+		req := cases[i].req
+		if idx := weigh(cases[i].app, cases[i].weight); req.AppIdx != NoApp {
+			req.AppIdx = idx
+		}
 		_, s := newTestSFQ(t, 1)
 		if err := s.Submit(&req); err == nil {
 			t.Errorf("case %d: invalid request accepted: %+v", i, req)
@@ -230,12 +248,12 @@ func TestRequestValidation(t *testing.T) {
 func TestFIFOPassthrough(t *testing.T) {
 	eng := sim.NewEngine()
 	dev := storage.NewDevice(eng, "d", flatSpec())
-	f := NewFIFO(eng, dev)
+	f := NewFIFO(eng, dev, testApps)
 	if f.Name() != "native" {
 		t.Fatalf("Name = %q", f.Name())
 	}
 	for i := 0; i < 10; i++ {
-		f.Submit(&Request{App: "A", Shares: flat(1), Class: IntermediateWrite, Size: 1e6})
+		f.Submit(&Request{AppIdx: weigh("A", 1), Class: IntermediateWrite, Size: 1e6})
 	}
 	if f.InFlight() != 10 {
 		t.Fatalf("InFlight = %d, want 10 (no admission control)", f.InFlight())
@@ -254,7 +272,7 @@ func TestFIFONoIsolation(t *testing.T) {
 	// weights — the motivating problem.
 	eng := sim.NewEngine()
 	dev := storage.NewDevice(eng, "d", flatSpec())
-	f := NewFIFO(eng, dev)
+	f := NewFIFO(eng, dev, testApps)
 	var light, heavy float64
 	backlog(eng, f, "light", 32, PersistentRead, 1e6, 1, 30, &light)
 	backlog(eng, f, "heavy", 1, PersistentRead, 1e6, 16, 30, &heavy)
@@ -284,8 +302,8 @@ func TestSFQIsolatesDespiteAggression(t *testing.T) {
 
 func TestAccountingPerClass(t *testing.T) {
 	eng, s := newTestSFQ(t, 4)
-	s.Submit(&Request{App: "A", Shares: flat(1), Class: PersistentRead, Size: 1e6})
-	s.Submit(&Request{App: "A", Shares: flat(1), Class: IntermediateWrite, Size: 2e6})
+	s.Submit(&Request{AppIdx: weigh("A", 1), Class: PersistentRead, Size: 1e6})
+	s.Submit(&Request{AppIdx: weigh("A", 1), Class: IntermediateWrite, Size: 2e6})
 	eng.Run()
 	svc := s.Accounting().Service("A")
 	if svc.ByClass[PersistentRead] != 1e6 || svc.ByClass[IntermediateWrite] != 2e6 {
@@ -302,7 +320,7 @@ func TestAccountingPerClass(t *testing.T) {
 func TestAccountingAppsSorted(t *testing.T) {
 	eng, s := newTestSFQ(t, 4)
 	for _, app := range []AppID{"zeta", "alpha", "mid"} {
-		s.Submit(&Request{App: app, Shares: flat(1), Class: PersistentRead, Size: 1e5})
+		s.Submit(&Request{AppIdx: weigh(app, 1), Class: PersistentRead, Size: 1e5})
 	}
 	eng.Run()
 	apps := s.Accounting().Apps()
@@ -320,8 +338,8 @@ func TestAccountingUnknownApp(t *testing.T) {
 
 func TestCostVectorMatchesService(t *testing.T) {
 	eng, s := newTestSFQ(t, 2)
-	s.Submit(&Request{App: "A", Shares: flat(1), Class: PersistentRead, Size: 3e6})
-	s.Submit(&Request{App: "B", Shares: flat(1), Class: PersistentWrite, Size: 5e6})
+	s.Submit(&Request{AppIdx: weigh("A", 1), Class: PersistentRead, Size: 3e6})
+	s.Submit(&Request{AppIdx: weigh("B", 1), Class: PersistentWrite, Size: 5e6})
 	eng.Run()
 	v := s.Accounting().CostVector()
 	if len(v) != 2 || v[0].App != "A" || v[1].App != "B" ||
@@ -388,11 +406,10 @@ func TestPropertySFQCompleteness(t *testing.T) {
 		for i := 0; i < n; i++ {
 			eng.Schedule(rng.Float64()*3, func() {
 				s.Submit(&Request{
-					App:    AppID([]string{"A", "B", "C"}[rng.Intn(3)]),
-					Shares: flat(1 + rng.Float64()*7),
+					AppIdx: weigh(AppID([]string{"A", "B", "C"}[rng.Intn(3)]), 1+rng.Float64()*7),
 					Class:  Class(rng.Intn(4)),
 					Size:   rng.Float64() * 4e6,
-					Done:   func(any, float64) { completions++ },
+					Done:   DoneFunc(func(*Request, float64) { completions++ }),
 				})
 			})
 		}
@@ -440,40 +457,4 @@ func TestSFQDeviceRoundTripAllocs(t *testing.T) {
 	if perReq := allocs / 64; perReq != 0 {
 		t.Fatalf("round trip allocates %.3g times per request, want 0", perReq)
 	}
-}
-
-// numbered is a weight source that numbers its apps from a fixed
-// table, as one share tree would.
-type numbered map[AppID]AppIdx
-
-func (n numbered) Resolve(app AppID, _ AppIdx, _ Class) (AppIdx, float64, uint64) {
-	return n[app], 1, 0
-}
-
-// TestSchedulersRejectTwoNumberings: two sources that both number
-// their first app 0 must not merge two apps into one flow or bucket; a
-// scheduler refuses the second app instead, while another app of the
-// first numbering takes a flow of its own.
-func TestSchedulersRejectTwoNumberings(t *testing.T) {
-	eng := sim.NewEngine()
-	dev := storage.NewDevice(eng, "d", flatSpec())
-	res, err := NewReservation(eng, dev, nil, 1e9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range []Scheduler{mustSFQD(t, eng, dev, 2), res} {
-		req := func(app AppID, src WeightSource) *Request {
-			return &Request{App: app, Shares: src, Class: PersistentRead, Size: 1e6}
-		}
-		if err := s.Submit(req("a", numbered{"a": 0})); err != nil {
-			t.Fatalf("%s: %v", s.Name(), err)
-		}
-		if err := s.Submit(req("c", numbered{"a": 0, "c": 1})); err != nil {
-			t.Fatalf("%s: app c of app a's numbering: %v", s.Name(), err)
-		}
-		if err := s.Submit(req("b", numbered{"b": 0})); err == nil {
-			t.Fatalf("%s: accepted app b under app a's index", s.Name())
-		}
-	}
-	eng.Run()
 }

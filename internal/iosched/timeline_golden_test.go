@@ -18,14 +18,17 @@ import (
 	"testing"
 
 	"ibis/internal/iosched"
+	"ibis/internal/shares"
 	"ibis/internal/sim"
 	"ibis/internal/storage"
 )
 
-// timelineProbe folds every probe event into a sha256.
+// timelineProbe folds every probe event into a sha256, naming each
+// request's app through names.
 type timelineProbe struct {
-	h   hash.Hash
-	buf [8]byte
+	h     hash.Hash
+	names *shares.Tree
+	buf   [8]byte
 }
 
 func (p *timelineProbe) u64(v uint64) {
@@ -43,7 +46,7 @@ func (p *timelineProbe) str(s string) {
 func (p *timelineProbe) Observe(req *iosched.Request, st iosched.ProbeState) {
 	p.u64(uint64(st.Event))
 	p.f64(st.Time)
-	p.str(string(req.App))
+	p.str(string(p.names.AppName(req.AppIdx)))
 	p.u64(req.Seq())
 	p.u64(uint64(st.Queued))
 	p.u64(uint64(st.InFlight))
@@ -93,11 +96,12 @@ func TestConformanceTimelineGolden(t *testing.T) {
 			t.Run(key, func(t *testing.T) {
 				eng := sim.NewEngine()
 				dev := storage.NewDevice(eng, "d", spec)
-				s, err := tc.build(eng, dev)
+				tree := conformTree(t)
+				s, err := tc.build(eng, dev, tree)
 				if err != nil {
 					t.Fatalf("build: %v", err)
 				}
-				p := &timelineProbe{h: sha256.New()}
+				p := &timelineProbe{h: sha256.New(), names: tree}
 				s.SetProbe(p)
 				conformanceWorkload(t, eng, s, tc.name)
 				eng.Run()

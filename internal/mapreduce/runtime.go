@@ -200,9 +200,12 @@ func (rt *Runtime) Submit(spec JobSpec, delay float64) (*Job, error) {
 	// submission-time weight and tenant membership enter the runtime
 	// control plane. A reserved tenant name is an input error, surfaced
 	// here like any other spec problem.
-	if err := rt.cluster.Shares().Bind(app, eff.Tenant, eff.Weight); err != nil {
+	tree := rt.cluster.Shares()
+	if err := tree.Bind(app, eff.Tenant, eff.Weight); err != nil {
 		return nil, err
 	}
+	// The job's I/O carries the index the bind gave app.
+	job.idx, _ = tree.Lookup(app)
 	// A reused AppID (consecutive Hive stages, resubmitted jobs) may
 	// have been retired at the broker when its previous job finished.
 	rt.cluster.ReviveApp(app)
@@ -259,6 +262,7 @@ type Job struct {
 	rt   *Runtime
 	Spec JobSpec
 	App  iosched.AppID
+	idx  iosched.AppIdx // App's index in the cluster's share tree
 	seq  int
 
 	SubmitTime  float64

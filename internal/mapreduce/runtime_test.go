@@ -453,7 +453,7 @@ func TestIOTagging(t *testing.T) {
 	job, _ := h.rt.Submit(spec, 0)
 	bad := 0
 	h.cl.SetIOObserver(func(_ int, req *iosched.Request, _ float64) {
-		if req.App != job.App || req.Weight() != 7 {
+		if h.cl.Shares().AppName(req.AppIdx) != job.App || req.Weight() != 7 {
 			bad++
 		}
 	})

@@ -131,13 +131,12 @@ func (rt *Runtime) placeInput(job *Job, name string, size float64) {
 
 // submit issues one tagged request for job on node n; the caller runs
 // on n's shard and done fires there. The weight resolves through the
-// cluster's share tree at tag time — the job only carries its
-// identity. A rejected request (the spec was validated at submission,
+// cluster's share tree at tag time — the job only carries its index. A rejected request (the spec was validated at submission,
 // so this indicates control-plane misuse, e.g. the job's tree node was
 // removed mid-run) fails the job through the coordinator rather than
 // wedging it waiting for a completion that will never come.
 func (rt *Runtime) submit(job *Job, n *cluster.Node, class iosched.Class, size float64, done func()) {
-	if err := n.IO(job.App, class, size, done); err != nil {
+	if err := n.IO(job.idx, class, size, done); err != nil {
 		rt.toCoord(n, job.fail)
 	}
 }
@@ -146,7 +145,7 @@ func (rt *Runtime) submit(job *Job, n *cluster.Node, class iosched.Class, size f
 // on src's shard and done fires on dst's. A transfer the NIC scheduler
 // rejects fails the job like a rejected submit.
 func (rt *Runtime) send(job *Job, src, dst *cluster.Node, size float64, done func()) {
-	if err := src.SendTagged(dst, job.App, size, done); err != nil {
+	if err := src.SendTagged(dst, job.idx, size, done); err != nil {
 		rt.toCoord(src, job.fail)
 	}
 }

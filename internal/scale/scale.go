@@ -212,6 +212,7 @@ type resident struct {
 // fabric drains.
 type nodeCell struct {
 	node      *cluster.Node
+	names     *shares.Tree // numbers the residents' apps
 	rng       uint64
 	residents []resident
 
@@ -223,13 +224,12 @@ type nodeCell struct {
 	err       error // first rejected submit; it stops the node's pump
 }
 
-// complete is the Done of every request the cell's pump issues (arg is
-// the request): it books the completion into the counters and digest.
-func (c *nodeCell) complete(arg any, lat float64) {
-	req := arg.(*iosched.Request)
+// Complete implements iosched.Done for every request the cell's pump
+// issues: it books the completion into the counters and digest.
+func (c *nodeCell) Complete(req *iosched.Request, lat float64) {
 	c.completed++
 	c.bytes += req.Size
-	d := fnvString(c.digest, string(req.App))
+	d := fnvString(c.digest, string(c.names.AppName(req.AppIdx)))
 	d = fnvUint(d, math.Float64bits(req.Size))
 	d = fnvUint(d, math.Float64bits(lat))
 	d = fnvUint(d, math.Float64bits(c.node.Shard().Engine().Now()))
@@ -338,6 +338,7 @@ func Run(cfg Config) (*Report, error) {
 	for i := range cells {
 		cells[i] = nodeCell{
 			node:   cl.Nodes[i],
+			names:  tree,
 			rng:    splitmix64(cfg.Seed ^ (uint64(i) * 0x9e37)),
 			digest: fnvOffset,
 		}
@@ -371,7 +372,7 @@ func Run(cfg Config) (*Report, error) {
 		c := &cells[i]
 		eng := c.node.Shard().Engine()
 		sched := c.node.HDFSSched
-		pool, done := c.node.Requests(), sim.DoneFunc(c.complete)
+		pool := c.node.Requests()
 		var step func()
 		step = func() {
 			c.series = append(c.series, pool.Outstanding())
@@ -382,11 +383,10 @@ func Run(cfg Config) (*Report, error) {
 					c.rng = splitmix64(c.rng)
 					size := cfg.MeanRequestBytes * (0.5 + 1.5*unit(c.rng))
 					req := pool.Get()
-					req.App, req.AppIdx = r.id, r.idx
-					req.Shares = tree
+					req.AppIdx = r.idx
 					req.Class = iosched.PersistentRead
 					req.Size = size
-					req.Done, req.DoneArg = done, req
+					req.Done = c
 					if err := sched.Submit(req); err != nil {
 						c.err = fmt.Errorf("scale: node %d rejected submit: %w", i, err)
 						return

@@ -4,11 +4,11 @@
 //
 // The seed reproduction froze every weight at build time — JobSpec
 // carried a scalar that was copied into each iosched.Request at
-// submission. The tree inverts that flow: requests carry a reference
-// to the tree and schedulers resolve the effective weight when they
-// compute start/finish tags, so a weight change made mid-run takes
-// effect on the very next tag, cluster-wide, without re-submitting
-// anything.
+// submission. The tree inverts that flow: requests carry the app's
+// index in the tree, each scheduler holds the tree as its weight source
+// and resolves the effective weight when it computes start/finish tags,
+// so a weight change made mid-run takes effect on the very next tag,
+// cluster-wide, without re-submitting anything.
 //
 // Semantics:
 //
@@ -322,8 +322,9 @@ func (t *Tree) SetClassWeight(app iosched.AppID, class iosched.Class, mult float
 // app's name and returned without hashing when it matches, so an index
 // from another tree can never be mistaken for one of this tree's.
 // Unknown apps auto-bind to their implicit singleton tenant at weight
-// 1 — the back-compat default for requests constructed outside the job
-// frameworks. The empty app id has no index (iosched.NoApp).
+// 1 — the default for an app no job framework bound, numbered where
+// its caller first resolves it. The empty app id has no index
+// (iosched.NoApp).
 func (t *Tree) Index(app iosched.AppID, hint iosched.AppIdx) iosched.AppIdx {
 	if uint(hint) < uint(len(t.apps)) && t.apps[hint].id == app {
 		return hint
@@ -337,18 +338,25 @@ func (t *Tree) Index(app iosched.AppID, hint iosched.AppIdx) iosched.AppIdx {
 	return t.appIdx[app]
 }
 
-// Resolve implements iosched.WeightSource: app's index, the effective
-// weight a scheduler uses when tagging a request of (app, class), and
-// the epoch it was resolved at. Unknown apps auto-bind at weight 1 under their
-// implicit tenant. For default bindings the weight is bit-identical to
-// the app weight (1 × w × 1 == w).
+// Resolve is Weight by name: app's index (hint as for Index), its
+// effective weight for class, and the current epoch. Unknown apps
+// auto-bind at weight 1 under their implicit tenant.
 func (t *Tree) Resolve(app iosched.AppID, hint iosched.AppIdx, class iosched.Class) (iosched.AppIdx, float64, uint64) {
 	ai := t.Index(app, hint)
 	if ai == iosched.NoApp || class < 0 || int(class) >= iosched.NumClasses {
 		return ai, 0, t.epoch
 	}
+	w, epoch := t.Weight(ai, class)
+	return ai, w, epoch
+}
+
+// Weight implements iosched.WeightSource: the effective weight a
+// scheduler uses when tagging a request of (app ai, class), and the
+// epoch it was resolved at. For default bindings the weight is
+// bit-identical to the app weight (1 × w × 1 == w).
+func (t *Tree) Weight(ai iosched.AppIdx, class iosched.Class) (float64, uint64) {
 	an := &t.apps[ai]
-	return ai, t.tenants[an.tenant].weight * an.weight * an.class[class], t.epoch
+	return t.tenants[an.tenant].weight * an.weight * an.class[class], t.epoch
 }
 
 var _ iosched.WeightSource = (*Tree)(nil)

@@ -74,8 +74,8 @@ func BenchmarkTracerRequests(b *testing.B) {
 func BenchmarkTracerObserve(b *testing.B) {
 	apps := []iosched.AppID{"wordcount", "terasort", "grep", "sort"}
 	reqs := make([]iosched.Request, len(apps))
-	for i, app := range apps {
-		reqs[i] = iosched.Request{App: app, AppIdx: iosched.AppIdx(i), Class: iosched.Class(i % 2), Size: 1e6}
+	for i := range apps {
+		reqs[i] = iosched.Request{AppIdx: iosched.AppIdx(i), Class: iosched.Class(i % 2), Size: 1e6}
 	}
 	tr := New(1<<12, bound(apps...))
 	p := tr.Probe(0, 0, DevHDFS)

@@ -17,14 +17,14 @@ import (
 // submission every 11 ms (about one service time) from offset on.
 func runMixedTraced(t testing.TB, tr *trace.Tracer, tree *shares.Tree, shard, nReqs int, offset float64) {
 	eng := sim.NewEngine()
-	s := sfqd2(t, eng)
+	s := sfqd2(t, eng, tree)
 	s.SetProbe(tr.Probe(shard, shard, trace.DevLocal))
 	apps := []iosched.AppID{"alpha", "beta"}
 	classes := []iosched.Class{iosched.IntermediateRead, iosched.IntermediateWrite, iosched.PersistentRead}
 	for i := 0; i < nReqs; i++ {
 		eng.Schedule(offset+float64(i)*0.011, func() {
 			s.Submit(&iosched.Request{
-				App: apps[i%2], Shares: tree, Class: classes[i%3], Size: 1e6,
+				AppIdx: tree.Index(apps[i%2], iosched.NoApp), Class: classes[i%3], Size: 1e6,
 			})
 		})
 	}

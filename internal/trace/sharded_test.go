@@ -15,12 +15,12 @@ import (
 // shards interleave in time. The scheduler is labeled node = shard.
 func runShardTraced(t testing.TB, tr *trace.Tracer, tree *shares.Tree, shard, nReqs int, offset float64) {
 	eng := sim.NewEngine()
-	s := sfqd2(t, eng)
+	s := sfqd2(t, eng, tree)
 	s.SetProbe(tr.Probe(shard, shard, trace.DevHDFS))
 	for i := 0; i < nReqs; i++ {
 		eng.Schedule(offset+float64(i)*0.001, func() {
 			s.Submit(&iosched.Request{
-				App: "alpha", Shares: tree, Class: iosched.PersistentRead, Size: 1e6,
+				AppIdx: tree.Index("alpha", iosched.NoApp), Class: iosched.PersistentRead, Size: 1e6,
 			})
 		})
 	}

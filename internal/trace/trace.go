@@ -505,14 +505,15 @@ func (w Writer) Observe(req *iosched.Request, st iosched.ProbeState) {
 	w.fill(w.b.slot(), req, st)
 }
 
-// Fill sets r to the record Observe would log for (req, st), without
-// logging it. It is for a Log's writer: the auditor judges this way, at
-// once, when every writer sits on one shard.
-func (w Writer) Fill(req *iosched.Request, st iosched.ProbeState, r *Record) {
+// Fill sets r to the record Observe would log for (req, st), with its
+// app named through names, without logging it. It is for a Log's
+// writer: the auditor judges this way, at once, when every writer sits
+// on one shard.
+func (w Writer) Fill(req *iosched.Request, st iosched.ProbeState, names *shares.Tree, r *Record) {
 	var x rec
 	w.fill(&x, req, st)
 	x.export(r)
-	r.App = req.App
+	r.App = x.appName(names)
 }
 
 // fill writes the record of (req, st) into r.

@@ -36,9 +36,9 @@ func alphaBeta(t testing.TB) *shares.Tree {
 }
 
 // sfqd2 builds an SFQ(D=2) scheduler on a flat device.
-func sfqd2(t testing.TB, eng *sim.Engine) *iosched.SFQ {
+func sfqd2(t testing.TB, eng *sim.Engine, tree *shares.Tree) *iosched.SFQ {
 	t.Helper()
-	s, err := iosched.NewSFQD(eng, storage.NewDevice(eng, "d", flatSpec()), 2)
+	s, err := iosched.NewSFQD(eng, storage.NewDevice(eng, "d", flatSpec()), tree, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,11 +52,11 @@ func newTraced(t testing.TB, capacity, nReqs int) *trace.Tracer {
 	tree := alphaBeta(t)
 	tr := trace.New(capacity, tree)
 	eng := sim.NewEngine()
-	s := sfqd2(t, eng)
+	s := sfqd2(t, eng, tree)
 	s.SetProbe(tr.Probe(0, 0, trace.DevHDFS))
 	apps := []iosched.AppID{"alpha", "beta"}
 	for i := 0; i < nReqs; i++ {
-		s.Submit(&iosched.Request{App: apps[i%2], Shares: tree, Class: iosched.PersistentRead, Size: 1e6})
+		s.Submit(&iosched.Request{AppIdx: tree.Index(apps[i%2], iosched.NoApp), Class: iosched.PersistentRead, Size: 1e6})
 	}
 	eng.Run()
 	return tr
@@ -176,10 +176,10 @@ func TestMultiProbeFansOut(t *testing.T) {
 	tree := shares.NewTree()
 	t1, t2 := trace.New(256, tree), trace.New(256, tree)
 	eng := sim.NewEngine()
-	s := sfqd2(t, eng)
+	s := sfqd2(t, eng, tree)
 	s.SetProbe(iosched.MultiProbe(t1.Probe(0, 0, trace.DevHDFS), nil, t2.Probe(0, 0, trace.DevLocal)))
 	for i := 0; i < 6; i++ {
-		s.Submit(&iosched.Request{App: "a", Shares: tree, Class: iosched.PersistentRead, Size: 1e6})
+		s.Submit(&iosched.Request{AppIdx: tree.Index("a", iosched.NoApp), Class: iosched.PersistentRead, Size: 1e6})
 	}
 	eng.Run()
 	if t1.Total() != 18 || t2.Total() != 18 {
