@@ -1,12 +1,10 @@
 package ibis_test
 
 import (
-	"math"
 	"reflect"
 	"testing"
 
 	"ibis"
-	"ibis/internal/experiments"
 )
 
 // contend runs the standard two-app contention scenario (a light
@@ -160,23 +158,6 @@ func TestAuditSplitRunMatchesSingleRun(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got.Violations(), want.Violations()) {
 		t.Fatalf("violations differ:\n  split  %v\n  single %v", got.Violations(), want.Violations())
-	}
-}
-
-// TestAuditWindowRejected pins that an audit window that is negative,
-// NaN or infinite is an error at ibis.New and experiments.Run, not a
-// silently vacuous or defaulted share check.
-func TestAuditWindowRejected(t *testing.T) {
-	for _, w := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -3} {
-		if _, err := ibis.New(ibis.Config{Audit: true, AuditWindow: w}); err == nil {
-			t.Errorf("ibis.New accepted AuditWindow %v", w)
-		}
-		if _, err := experiments.Run(experiments.Options{Audit: true, AuditWindow: w}, nil); err == nil {
-			t.Errorf("experiments.Run accepted AuditWindow %v", w)
-		}
-	}
-	if _, err := ibis.New(ibis.Config{Audit: true}); err != nil {
-		t.Fatalf("AuditWindow 0 (the default) rejected: %v", err)
 	}
 }
 

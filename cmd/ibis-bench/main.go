@@ -52,6 +52,7 @@ import (
 	"ibis/internal/experiments"
 	"ibis/internal/faults"
 	"ibis/internal/iosched"
+	"ibis/internal/scale"
 )
 
 // shardsFlag sets the worker-goroutine count for the intra-experiment
@@ -108,92 +109,64 @@ func parseFinite(v string) (float64, error) {
 	return f, err
 }
 
-// scaleSpecFlag parameterizes the "scale" experiment: the hollow-node
-// population shape as nodes=<n>,tenants=<n>,flows=<n>[,apps=<n>]
+// scaleSpecFlag and federationSpecFlag parameterize the "scale" and
+// "federation" experiments: one hollow-node population each, as
+// nodes=<n>,tenants=<n>,flows=<n>[,apps=<n>][,shards=<n>][,seed=<n>]
+// [,horizon=<s>] and nodes=<n>,tenants=<n>,partitions=<n>[,apps=<n>]
 // [,shards=<n>][,seed=<n>][,horizon=<s>].
-var scaleSpecFlag = flag.String("scale-spec", "",
-	"hollow-node scale population nodes=,tenants=,flows=[,apps=][,shards=][,seed=][,horizon=] (empty = 200 nodes, 1000 tenants, 100k flows)")
+var (
+	scaleSpecFlag = flag.String("scale-spec", "",
+		"hollow-node scale population nodes=,tenants=,flows=[,apps=][,shards=][,seed=][,horizon=] (empty = 200 nodes, 1000 tenants, 100k flows)")
+	federationSpecFlag = flag.String("federation-spec", "",
+		"federated broker population nodes=,tenants=,partitions=[,apps=][,shards=][,seed=][,horizon=] (empty = 200 nodes, 1000 tenants, 4 partitions)")
+)
 
-// parseScaleSpec turns the flag into a spec; the empty string keeps
-// the CI-sized default shape.
-func parseScaleSpec(s string) (experiments.ScaleSpec, error) {
-	spec := experiments.DefaultScaleSpec()
+// parseHollowSpec fills cfg from a spec flag's k=v list; the empty
+// string keeps cfg. shards= is the second leg's worker count. A
+// coordinated cfg takes partitions=. With flows > 0 (the default
+// target of peak in-flight requests) flows= is taken too, and the
+// target sets the horizon through experiments.FlowHorizon unless a
+// positive horizon= is given.
+func parseHollowSpec(name, s string, cfg scale.Config, flows int) (scale.Config, error) {
 	if s == "" {
-		return spec, nil
+		return cfg, nil
 	}
+	takesFlows, horizonSet := flows > 0, false
 	for _, kv := range strings.Split(s, ",") {
 		k, v, ok := strings.Cut(kv, "=")
 		if !ok {
-			return spec, fmt.Errorf("scale-spec: malformed field %q (want k=v)", kv)
+			return cfg, fmt.Errorf("%s: malformed field %q (want k=v)", name, kv)
 		}
 		var err error
-		switch k {
-		case "nodes":
-			spec.Nodes, err = strconv.Atoi(v)
-		case "tenants":
-			spec.Tenants, err = strconv.Atoi(v)
-		case "apps":
-			spec.Apps, err = strconv.Atoi(v)
-		case "flows":
-			spec.Flows, err = strconv.Atoi(v)
-		case "shards":
-			spec.Shards, err = strconv.Atoi(v)
-		case "seed":
-			spec.Seed, err = strconv.ParseUint(v, 10, 64)
-		case "horizon":
-			spec.Horizon, err = parseFinite(v)
+		switch {
+		case k == "nodes":
+			cfg.Nodes, err = strconv.Atoi(v)
+		case k == "tenants":
+			cfg.Tenants, err = strconv.Atoi(v)
+		case k == "apps":
+			cfg.AppsPerTenant, err = strconv.Atoi(v)
+		case k == "flows" && takesFlows:
+			flows, err = strconv.Atoi(v)
+		case k == "partitions" && cfg.Coordinate:
+			cfg.Partitions, err = strconv.Atoi(v)
+		case k == "shards":
+			cfg.Workers, err = strconv.Atoi(v)
+		case k == "seed":
+			cfg.Seed, err = strconv.ParseUint(v, 10, 64)
+		case k == "horizon":
+			cfg.Horizon, err = parseFinite(v)
+			horizonSet = true
 		default:
-			return spec, fmt.Errorf("scale-spec: unknown field %q", k)
+			return cfg, fmt.Errorf("%s: unknown field %q", name, k)
 		}
 		if err != nil {
-			return spec, fmt.Errorf("scale-spec: bad value %q for %s", v, k)
+			return cfg, fmt.Errorf("%s: bad value %q for %s", name, v, k)
 		}
 	}
-	return spec, nil
-}
-
-// federationSpecFlag parameterizes the "federation" experiment: the
-// federated population shape as nodes=<n>,tenants=<n>,partitions=<n>
-// [,apps=<n>][,shards=<n>][,seed=<n>][,horizon=<s>].
-var federationSpecFlag = flag.String("federation-spec", "",
-	"federated broker population nodes=,tenants=,partitions=[,apps=][,shards=][,seed=][,horizon=] (empty = 200 nodes, 1000 tenants, 4 partitions)")
-
-// parseFederationSpec turns the flag into a spec; the empty string
-// keeps the CI-sized default shape.
-func parseFederationSpec(s string) (experiments.FederationSpec, error) {
-	spec := experiments.DefaultFederationSpec()
-	if s == "" {
-		return spec, nil
+	if takesFlows && !(horizonSet && cfg.Horizon > 0) {
+		cfg.Horizon = experiments.FlowHorizon(flows, cfg.Nodes)
 	}
-	for _, kv := range strings.Split(s, ",") {
-		k, v, ok := strings.Cut(kv, "=")
-		if !ok {
-			return spec, fmt.Errorf("federation-spec: malformed field %q (want k=v)", kv)
-		}
-		var err error
-		switch k {
-		case "nodes":
-			spec.Nodes, err = strconv.Atoi(v)
-		case "tenants":
-			spec.Tenants, err = strconv.Atoi(v)
-		case "apps":
-			spec.Apps, err = strconv.Atoi(v)
-		case "partitions":
-			spec.Partitions, err = strconv.Atoi(v)
-		case "shards":
-			spec.Shards, err = strconv.Atoi(v)
-		case "seed":
-			spec.Seed, err = strconv.ParseUint(v, 10, 64)
-		case "horizon":
-			spec.Horizon, err = parseFinite(v)
-		default:
-			return spec, fmt.Errorf("federation-spec: unknown field %q", k)
-		}
-		if err != nil {
-			return spec, fmt.Errorf("federation-spec: bad value %q for %s", v, k)
-		}
-	}
-	return spec, nil
+	return cfg, nil
 }
 
 // Fault-injection flags, consumed by the "fault-custom" experiment.
@@ -231,7 +204,7 @@ func customFaultSpec() faults.Spec {
 }
 
 func main() {
-	scale := flag.Float64("scale", experiments.DefaultScale, "data scale factor (1 = paper volumes)")
+	dataScale := flag.Float64("scale", experiments.DefaultScale, "data scale factor (1 = paper volumes)")
 	run := flag.String("run", "", "run a single experiment (e.g. fig06); empty = all")
 	list := flag.Bool("list", false, "list experiment names and exit")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "max experiments in flight (1 = serial)")
@@ -239,27 +212,9 @@ func main() {
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
 
-	type exp struct {
-		name string
-		fn   func(float64) (fmt.Stringer, error)
-	}
-	expts := []exp{
-		{"fig02", wrap(func(s float64) (fmt.Stringer, error) { return experiments.Fig02(s) })},
-		{"fig03a", wrap(func(s float64) (fmt.Stringer, error) { return experiments.Fig03(s, false) })},
-		{"fig03b", wrap(func(s float64) (fmt.Stringer, error) { return experiments.Fig03(s, true) })},
-		{"fig06", wrap(func(s float64) (fmt.Stringer, error) { return experiments.Fig06(s) })},
-		{"fig07", wrap(func(s float64) (fmt.Stringer, error) { return experiments.Fig07(s) })},
-		{"fig08", wrap(func(s float64) (fmt.Stringer, error) { return experiments.Fig08(s) })},
-	}
-	if more := extraExperiments(); more != nil {
-		for _, e := range more {
-			expts = append(expts, exp{e.name, e.fn})
-		}
-	}
-
 	if *list {
-		names := make([]string, 0, len(expts))
-		for _, e := range expts {
+		names := make([]string, 0, len(experimentTable))
+		for _, e := range experimentTable {
 			names = append(names, e.name)
 		}
 		sort.Strings(names)
@@ -283,14 +238,14 @@ func main() {
 	}
 
 	var jobs []experiments.Job
-	for _, e := range expts {
+	for _, e := range experimentTable {
 		if *run != "" && e.name != *run {
 			continue
 		}
 		fn := e.fn
 		jobs = append(jobs, experiments.Job{
 			Name: e.name,
-			Run:  func() (fmt.Stringer, error) { return fn(*scale) },
+			Run:  func() (fmt.Stringer, error) { return fn(*dataScale) },
 		})
 	}
 	if len(jobs) == 0 {
@@ -352,19 +307,21 @@ func exit(code int, memprofile, cpuprofile string) {
 	os.Exit(code)
 }
 
-func wrap(fn func(float64) (fmt.Stringer, error)) func(float64) (fmt.Stringer, error) {
-	return fn
-}
-
-type namedExp struct {
+// experiment is one named run; fn gets the -scale data factor.
+type experiment struct {
 	name string
-	fn   func(float64) (fmt.Stringer, error)
+	fn   func(dataScale float64) (fmt.Stringer, error)
 }
 
-// extraExperiments is extended as more drivers land.
-func extraExperiments() []namedExp { return extras }
-
-var extras = []namedExp{
+// experimentTable lists every experiment in the order a full run
+// prints them.
+var experimentTable = []experiment{
+	{"fig02", func(s float64) (fmt.Stringer, error) { return experiments.Fig02(s) }},
+	{"fig03a", func(s float64) (fmt.Stringer, error) { return experiments.Fig03(s, false) }},
+	{"fig03b", func(s float64) (fmt.Stringer, error) { return experiments.Fig03(s, true) }},
+	{"fig06", func(s float64) (fmt.Stringer, error) { return experiments.Fig06(s) }},
+	{"fig07", func(s float64) (fmt.Stringer, error) { return experiments.Fig07(s) }},
+	{"fig08", func(s float64) (fmt.Stringer, error) { return experiments.Fig08(s) }},
 	{"fig09", func(s float64) (fmt.Stringer, error) { return experiments.Fig09(s) }},
 	{"fig10", func(s float64) (fmt.Stringer, error) { return experiments.Fig10(s) }},
 	{"fig11", func(s float64) (fmt.Stringer, error) { return experiments.Fig11(s) }},
@@ -389,20 +346,26 @@ var extras = []namedExp{
 	{"fault-custom", func(float64) (fmt.Stringer, error) { return experiments.FaultCustom(customFaultSpec()) }},
 	// Scale: the hollow-node harness, parameterized by -scale-spec.
 	{"scale", func(float64) (fmt.Stringer, error) {
-		spec, err := parseScaleSpec(*scaleSpecFlag)
+		cfg, err := parseHollowSpec("scale-spec", *scaleSpecFlag,
+			experiments.DefaultScaleConfig(), experiments.DefaultScaleFlows)
 		if err != nil {
 			return nil, err
 		}
-		return experiments.ScaleBench(spec)
+		return experiments.Hollow(cfg)
 	}},
-	// Federation: partitioned coordination with delta-compressed
-	// hierarchical aggregation, parameterized by -federation-spec.
+	// Federation: the same harness with partitioned coordination and
+	// delta-compressed hierarchical aggregation, parameterized by
+	// -federation-spec.
 	{"federation", func(float64) (fmt.Stringer, error) {
-		spec, err := parseFederationSpec(*federationSpecFlag)
+		cfg, err := parseHollowSpec("federation-spec", *federationSpecFlag,
+			experiments.DefaultFederationConfig(), 0)
 		if err != nil {
 			return nil, err
 		}
-		return experiments.FederationBench(spec)
+		if cfg.Partitions < 2 {
+			return nil, fmt.Errorf("need >= 2 partitions (1 is the centralized broker)")
+		}
+		return experiments.Hollow(cfg)
 	}},
 	// Runtime control plane: live mid-run reweighting through the
 	// share tree, parameterized by -reweight.

@@ -1,23 +1,38 @@
 package main
 
-import "testing"
+import (
+	"testing"
+
+	"ibis/internal/experiments"
+)
+
+func parseScale(s string) error {
+	_, err := parseHollowSpec("scale-spec", s, experiments.DefaultScaleConfig(), experiments.DefaultScaleFlows)
+	return err
+}
+
+func parseFederation(s string) error {
+	_, err := parseHollowSpec("federation-spec", s, experiments.DefaultFederationConfig(), 0)
+	return err
+}
 
 func TestSpecParsersRejectPartialAndNonFiniteValues(t *testing.T) {
-	scale := func(s string) error { _, err := parseScaleSpec(s); return err }
-	fed := func(s string) error { _, err := parseFederationSpec(s); return err }
 	reweight := func(s string) error { _, err := parseReweight(s); return err }
 	for _, tc := range []struct {
 		parse func(string) error
 		in    string
 	}{
-		{scale, "nodes=1e3"},
-		{scale, "nodes=12x"},
-		{scale, "horizon=inf"},
-		{scale, "horizon=NaN"},
-		{scale, "horizon=3s"},
-		{fed, "partitions=2.5"},
-		{fed, "horizon=-Inf"},
-		{fed, "seed=-1"},
+		{parseScale, "nodes=1e3"},
+		{parseScale, "nodes=12x"},
+		{parseScale, "horizon=inf"},
+		{parseScale, "horizon=NaN"},
+		{parseScale, "horizon=3s"},
+		{parseFederation, "partitions=2.5"},
+		{parseFederation, "horizon=-Inf"},
+		{parseFederation, "seed=-1"},
+		// Each flag keeps its own keys.
+		{parseScale, "partitions=4"},
+		{parseFederation, "flows=1000"},
 		{reweight, "t=30s"},
 		{reweight, "w=NaN"},
 		{reweight, "w=+Inf"},
@@ -29,19 +44,35 @@ func TestSpecParsersRejectPartialAndNonFiniteValues(t *testing.T) {
 }
 
 func TestSpecParsersAcceptWholeValues(t *testing.T) {
-	sc, err := parseScaleSpec("nodes=120,tenants=600,flows=60000,apps=2,shards=4,seed=7,horizon=2.5")
+	sc, err := parseHollowSpec("scale-spec", "nodes=120,tenants=600,flows=60000,apps=2,shards=4,seed=7,horizon=2.5",
+		experiments.DefaultScaleConfig(), experiments.DefaultScaleFlows)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sc.Nodes != 120 || sc.Tenants != 600 || sc.Flows != 60000 || sc.Apps != 2 ||
-		sc.Shards != 4 || sc.Seed != 7 || sc.Horizon != 2.5 {
+	if sc.Nodes != 120 || sc.Tenants != 600 || sc.AppsPerTenant != 2 ||
+		sc.Workers != 4 || sc.Seed != 7 || sc.Horizon != 2.5 {
 		t.Fatalf("scale spec = %+v", sc)
 	}
-	fs, err := parseFederationSpec("nodes=40,tenants=80,partitions=4,horizon=5")
+	// Without horizon=, flows= sets it for the parsed node count.
+	sc, err = parseHollowSpec("scale-spec", "nodes=120,flows=60000",
+		experiments.DefaultScaleConfig(), experiments.DefaultScaleFlows)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fs.Nodes != 40 || fs.Tenants != 80 || fs.Partitions != 4 || fs.Horizon != 5 {
+	if want := experiments.FlowHorizon(60000, 120); sc.Horizon != want {
+		t.Fatalf("scale horizon = %g, want %g from flows=60000", sc.Horizon, want)
+	}
+	// A zero target still goes through the formula: its 5 s floor.
+	sc, err = parseHollowSpec("scale-spec", "flows=0", experiments.DefaultScaleConfig(), experiments.DefaultScaleFlows)
+	if err != nil || sc.Horizon != 5 {
+		t.Fatalf("flows=0: horizon %g, err %v; want the 5 s floor", sc.Horizon, err)
+	}
+	fs, err := parseHollowSpec("federation-spec", "nodes=40,tenants=80,partitions=4,horizon=5",
+		experiments.DefaultFederationConfig(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fs.Nodes != 40 || fs.Tenants != 80 || fs.Partitions != 4 || fs.Horizon != 5 || !fs.Coordinate {
 		t.Fatalf("federation spec = %+v", fs)
 	}
 	rw, err := parseReweight("t=30,app=hot,w=8")

@@ -38,7 +38,6 @@ import (
 	"fmt"
 
 	"ibis/internal/audit"
-	"ibis/internal/broker"
 	"ibis/internal/cluster"
 	"ibis/internal/dfs"
 	"ibis/internal/faults"
@@ -175,10 +174,6 @@ type Config struct {
 	// Audit enables online invariant auditing of every scheduler (and
 	// the broker, when coordinating); results via Simulation.Audit.
 	Audit bool
-	// AuditWindow overrides the proportional-share audit period in
-	// virtual seconds (0 = default 5 s). New rejects a negative, NaN or
-	// infinite window.
-	AuditWindow float64
 
 	// Faults, when non-nil, compiles and injects a deterministic fault
 	// schedule into the coordination plane: broker outages, per-node
@@ -187,14 +182,6 @@ type Config struct {
 	// time). Requires Coordinate for the coordination faults to have a
 	// target; device degradations apply regardless.
 	Faults *FaultSpec
-	// Retry tunes the coordination clients' failure handling (timeouts,
-	// bounded retries with exponential backoff, degradation threshold).
-	// Zero fields take defaults derived from CoordinationPeriod.
-	Retry RetryPolicy
-	// DelayClamp caps the per-arrival DSFQ delay increment in cost
-	// units (0 disables); it bounds how hard a stale burst of remote
-	// totals can penalize a flow after a partition heals.
-	DelayClamp float64
 }
 
 // FaultSpec declares the deterministic fault schedule; see
@@ -203,10 +190,6 @@ type FaultSpec = faults.Spec
 
 // FaultWindow is a [start, end) virtual-time interval.
 type FaultWindow = faults.Window
-
-// RetryPolicy tunes coordination-client failure handling; see
-// internal/broker.RetryPolicy.
-type RetryPolicy = broker.RetryPolicy
 
 // CoordinationHealth aggregates the coordination plane's
 // failure-handling counters; see internal/metrics.
@@ -237,9 +220,6 @@ type Simulation struct {
 
 // New assembles a simulation.
 func New(cfg Config) (*Simulation, error) {
-	if err := audit.CheckWindow(cfg.AuditWindow); err != nil {
-		return nil, fmt.Errorf("ibis: %w", err)
-	}
 	eng := sim.NewEngine()
 	disk := storage.HDDSpec()
 	if cfg.SSD {
@@ -264,8 +244,6 @@ func New(cfg Config) (*Simulation, error) {
 		Coordinate:         cfg.Coordinate,
 		CoordinationPeriod: cfg.CoordinationPeriod,
 		Faults:             inj,
-		Retry:              cfg.Retry,
-		DelayClamp:         cfg.DelayClamp,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("ibis: %w", err)
@@ -283,10 +261,7 @@ func New(cfg Config) (*Simulation, error) {
 		s.tr.Attach(cl)
 	}
 	if cfg.Audit {
-		s.au = audit.New(audit.Options{
-			Window:             cfg.AuditWindow,
-			CoordinationPeriod: cfg.CoordinationPeriod,
-		}, cl.Shares())
+		s.au = audit.New(audit.Options{CoordinationPeriod: cfg.CoordinationPeriod}, cl.Shares())
 		s.au.SetShares(cl.Shares())
 		s.au.Attach(cl, 1)
 	}

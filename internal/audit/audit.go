@@ -93,19 +93,9 @@ type Options struct {
 	// Window is the proportional-share audit period in virtual seconds
 	// (default 5).
 	Window float64
-	// ShareSlack is the relative slack multiplied onto the theoretical
-	// fairness bound to absorb device-model noise and window-boundary
-	// effects (default 0.5, i.e. bound × 1.5).
-	ShareSlack float64
 	// MinWindowRequests is the minimum completions a flow needs inside
 	// a window before it participates in share checks (default 4).
 	MinWindowRequests int
-	// BacklogSlack is the fraction of a window a flow's queue may be
-	// empty while still counting as continuously backlogged for the
-	// share checks (default 0.02). The fairness bound only applies to
-	// backlogged flows; a small tolerance keeps closed-loop workloads
-	// with instantaneous resubmission gaps eligible.
-	BacklogSlack float64
 	// CoordinationPeriod is the broker exchange period in seconds,
 	// used to size the staleness allowance of the cluster-level share
 	// check (default 1, matching the paper's heartbeat piggyback).
@@ -127,27 +117,25 @@ type Options struct {
 	MaxViolations int
 }
 
-// CheckWindow rejects a Window that is negative, NaN or infinite; 0
-// takes the default.
-func CheckWindow(w float64) error {
-	if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
-		return fmt.Errorf("audit window %g s: must be finite and non-negative (0 = default)", w)
-	}
-	return nil
-}
+const (
+	// shareSlack is the relative slack multiplied onto the theoretical
+	// fairness bound to absorb device-model noise and window-boundary
+	// effects (bound × 1.5).
+	shareSlack = 0.5
+	// backlogSlack is the fraction of a window a flow's queue may be
+	// empty while still counting as continuously backlogged for the
+	// share checks. The fairness bound only applies to backlogged
+	// flows; a small tolerance keeps closed-loop workloads with
+	// instantaneous resubmission gaps eligible.
+	backlogSlack = 0.02
+)
 
 func (o *Options) defaults() {
 	if o.Window <= 0 {
 		o.Window = 5
 	}
-	if o.ShareSlack <= 0 {
-		o.ShareSlack = 0.5
-	}
 	if o.MinWindowRequests <= 0 {
 		o.MinWindowRequests = 4
-	}
-	if o.BacklogSlack <= 0 {
-		o.BacklogSlack = 0.02
 	}
 	if o.CoordinationPeriod <= 0 {
 		o.CoordinationPeriod = 1
@@ -897,7 +885,7 @@ func (s *schedState) checkWindow(start, end float64) {
 		checked = false
 	}
 	if checked {
-		maxZero := w * s.a.opts.BacklogSlack
+		maxZero := w * backlogSlack
 		flows := s.a.aggs[:0]
 		for _, f := range s.flows {
 			if f != nil && f.zeroDur <= maxZero && s.a.qualifies(&f.flowWindow) {
@@ -908,7 +896,7 @@ func (s *schedState) checkWindow(start, end float64) {
 		sortAggs(flows)
 		win := shareWindow{a: s.a, node: s.node, dev: s.dev.String(), start: start, end: end, d: max(s.maxDepth, 1)}
 		bound := func(x, y *shareAgg, _, _ float64) float64 {
-			return float64(win.d+1) * (x.maxUnit + y.maxUnit) * (1 + s.a.opts.ShareSlack)
+			return float64(win.d+1) * (x.maxUnit + y.maxUnit) * (1 + shareSlack)
 		}
 		win.check(inv, "normalized service", flows, nil, bound)
 		// Hierarchical check: a tenant's aggregate normalized service
@@ -1049,7 +1037,7 @@ func (c *clusterState) checkWindow(start, end float64) {
 	w := c.a.opts.Window
 	// Each qualifying flow's backlogged set: the coordinated schedulers
 	// on which it kept a non-empty queue for (nearly) the whole window.
-	maxZero := w * c.a.opts.BacklogSlack
+	maxZero := w * backlogSlack
 	sets := make([]map[int]bool, len(c.flows))
 	for _, s := range c.a.scheds {
 		if !s.coordinated {
@@ -1109,7 +1097,7 @@ func (c *clusterState) checkWindow(start, end float64) {
 		win := shareWindow{a: c.a, node: -1, start: start, end: end, d: max(c.maxDepth, 1)}
 		bound := func(x, y *shareAgg, rx, ry float64) float64 {
 			stale := 2 * lag * (rx + ry) / w
-			return float64(win.d+1)*(x.maxUnit+y.maxUnit)*float64(c.members+1)*(1+c.a.opts.ShareSlack) + stale
+			return float64(win.d+1)*(x.maxUnit+y.maxUnit)*float64(c.members+1)*(1+shareSlack) + stale
 		}
 		shared := func(x, y *shareAgg) bool { return intersects(x.set, y.set) }
 		win.check(totalInv, "total normalized service", flows, shared, bound)

@@ -65,6 +65,10 @@ func (p Policy) String() string {
 	}
 }
 
+// nicBandwidth is the per-direction NIC rate in bytes/second (gigabit
+// Ethernet ≈ 117 MB/s effective).
+const nicBandwidth = 117e6
+
 // Config describes the cluster. The zero value is completed by
 // defaults() to the paper's testbed shape: 8 worker datanodes, 12 cores
 // and 24 GB of task memory each, two HDDs, gigabit Ethernet.
@@ -79,9 +83,6 @@ type Config struct {
 	// intermediate storage respectively.
 	HDFSDisk  storage.Spec
 	LocalDisk storage.Spec
-	// NICBandwidth is the per-direction NIC rate in bytes/second
-	// (gigabit Ethernet ≈ 117 MB/s effective).
-	NICBandwidth float64
 
 	// Policy picks the scheduler wiring.
 	Policy Policy
@@ -121,12 +122,6 @@ type Config struct {
 	// device-degradation windows are armed on the engines. Nil keeps
 	// every message reliable.
 	Faults *faults.Injector
-	// Retry tunes the clients' failure handling; zero fields take
-	// defaults derived from CoordinationPeriod.
-	Retry broker.RetryPolicy
-	// DelayClamp caps the per-arrival DSFQ delay increment (cost
-	// units; 0 disables). See iosched.SFQ.SetDelayClamp.
-	DelayClamp float64
 
 	// Shares is the runtime weight control plane every request resolves
 	// through at tag time. Nil gets a fresh tree whose implicit
@@ -156,9 +151,6 @@ func (c *Config) defaults() {
 	}
 	if c.LocalDisk.Name == "" {
 		c.LocalDisk = storage.HDDSpec()
-	}
-	if c.NICBandwidth <= 0 {
-		c.NICBandwidth = 117e6
 	}
 	if c.SFQDepth <= 0 {
 		c.SFQDepth = 4
@@ -344,8 +336,8 @@ func assemble(eng *sim.Engine, fab *sim.Fabric, cfg Config) (*Cluster, error) {
 			n.Local = storage.NewDevice(nodeEng, fmt.Sprintf("node%d-local", i), cfg.LocalDisk)
 			c.devByName[fmt.Sprintf("node%d-local", i)] = n.Local
 			c.engByID[fmt.Sprintf("node%d-local", i)] = nodeEng
-			n.nicOut = sim.NewPSResource(nodeEng, fmt.Sprintf("node%d-nic-out", i), sim.ConstantCapacity(cfg.NICBandwidth))
-			n.nicIn = sim.NewPSResource(nodeEng, fmt.Sprintf("node%d-nic-in", i), sim.ConstantCapacity(cfg.NICBandwidth))
+			n.nicOut = sim.NewPSResource(nodeEng, fmt.Sprintf("node%d-nic-out", i), sim.ConstantCapacity(nicBandwidth))
+			n.nicIn = sim.NewPSResource(nodeEng, fmt.Sprintf("node%d-nic-in", i), sim.ConstantCapacity(nicBandwidth))
 			n.LocalSched, err = c.buildScheduler(nodeEng, n.Local, false, localCtrl)
 			if err != nil {
 				return nil, err
@@ -478,11 +470,9 @@ func (c *Cluster) attach(n *Node, eng *sim.Engine, dev string, s iosched.Schedul
 	client := broker.NewClient(eng, id, sfq.Accounting(), broker.ClientOptions{
 		Transport: tr,
 		Period:    c.cfg.CoordinationPeriod,
-		Retry:     c.cfg.Retry,
 		Shares:    c.shares,
 	})
 	client.BindScheduler(sfq)
-	sfq.SetDelayClamp(c.cfg.DelayClamp)
 	sfq.SetCoordinator(client)
 	c.clients = append(c.clients, ClientRef{Node: n.Index, Dev: dev, C: client})
 	c.byID[id] = client

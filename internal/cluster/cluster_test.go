@@ -86,13 +86,13 @@ func TestSubmitIORouting(t *testing.T) {
 }
 
 func TestSendTransfersThroughNICs(t *testing.T) {
-	eng, c := newCluster(t, Config{Nodes: 2, NICBandwidth: 100e6})
+	eng, c := newCluster(t, Config{Nodes: 2})
 	done := -1.0
 	c.Nodes[0].Send(c.Nodes[1], 50e6, func() { done = eng.Now() })
 	eng.Run()
-	// 50 MB through 100 MB/s out then 100 MB/s in: 0.5s + 0.5s.
-	if done < 0.9 || done > 1.1 {
-		t.Fatalf("transfer completed at %v, want ≈1.0s", done)
+	// 50 MB through the egress NIC, then through the ingress NIC.
+	if want := 2 * 50e6 / nicBandwidth; done < 0.9*want || done > 1.1*want {
+		t.Fatalf("transfer completed at %v, want ≈%v", done, want)
 	}
 	if c.Nodes[0].NICOutBusy() == 0 || c.Nodes[1].NICInBusy() == 0 {
 		t.Fatal("NIC busy counters empty")
@@ -110,15 +110,16 @@ func TestSendZeroBytes(t *testing.T) {
 }
 
 func TestNICContention(t *testing.T) {
-	eng, c := newCluster(t, Config{Nodes: 3, NICBandwidth: 100e6})
+	eng, c := newCluster(t, Config{Nodes: 3})
 	var t1, t2 float64
 	// Two concurrent sends share node 0's egress NIC.
 	c.Nodes[0].Send(c.Nodes[1], 50e6, func() { t1 = eng.Now() })
 	c.Nodes[0].Send(c.Nodes[2], 50e6, func() { t2 = eng.Now() })
 	eng.Run()
-	// Shared egress: each gets 50 MB/s for the first leg (1s), then
-	// dedicated ingress 0.5s ⇒ ≈1.5s.
-	if t1 < 1.2 || t2 < 1.2 {
+	// Shared egress: each gets half the NIC for the first leg (two leg
+	// times), then dedicated ingress (one) ⇒ ≈3 leg times, against 2
+	// without sharing.
+	if leg := 50e6 / nicBandwidth; t1 < 2.4*leg || t2 < 2.4*leg {
 		t.Fatalf("concurrent sends finished at %v/%v; egress sharing missing", t1, t2)
 	}
 }

@@ -49,20 +49,17 @@ type Federation struct {
 	// AggregationPeriod is the partition↔root sync period in seconds
 	// (default: the coordination period).
 	AggregationPeriod float64
-	// StalenessK bounds tolerated root-view staleness: after K
-	// aggregation periods without an applied downlink a partition fails
-	// client exchanges, degrading its schedulers to local SFQ(D) rather
-	// than running the delay rule on arbitrarily stale totals
-	// (default 4).
-	StalenessK int
 }
+
+// stalenessK bounds tolerated root-view staleness: after K aggregation
+// periods without an applied downlink a partition fails client
+// exchanges, degrading its schedulers to local SFQ(D) rather than
+// running the delay rule on arbitrarily stale totals.
+const stalenessK = 4
 
 func (f *Federation) defaults(coordPeriod float64) {
 	if f.AggregationPeriod <= 0 {
 		f.AggregationPeriod = coordPeriod
-	}
-	if f.StalenessK <= 0 {
-		f.StalenessK = 4
 	}
 }
 
@@ -118,7 +115,7 @@ func (c *Cluster) buildBrokerPlane(fab *sim.Fabric, cfg Config) {
 	n, staleAfter := 1, 0.0
 	if plane.cfg.Enabled() {
 		n = plane.cfg.Partitions
-		staleAfter = float64(plane.cfg.StalenessK) * plane.cfg.AggregationPeriod
+		staleAfter = stalenessK * plane.cfg.AggregationPeriod
 		plane.root = broker.NewAggregator(c.shares)
 	}
 	for p := 0; p < n; p++ {

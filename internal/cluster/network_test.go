@@ -57,12 +57,12 @@ func TestReservePolicyPacesIO(t *testing.T) {
 }
 
 func TestSendTaggedWithoutNetSchedEqualsSend(t *testing.T) {
-	eng, c := newCluster(t, Config{Nodes: 2, NICBandwidth: 100e6})
+	eng, c := newCluster(t, Config{Nodes: 2})
 	var t1, t2 float64
 	c.Nodes[0].Send(c.Nodes[1], 50e6, func() { t1 = eng.Now() })
 	eng.Run()
 
-	eng2, c2 := newCluster(t, Config{Nodes: 2, NICBandwidth: 100e6})
+	eng2, c2 := newCluster(t, Config{Nodes: 2})
 	c2.Nodes[0].SendTagged(c2.Nodes[1], c2.Shares().Index("A", iosched.NoApp), 50e6, func() { t2 = eng2.Now() })
 	eng2.Run()
 	if math.Abs(t1-t2) > 1e-9 {
@@ -73,7 +73,6 @@ func TestSendTaggedWithoutNetSchedEqualsSend(t *testing.T) {
 func TestNetworkSchedulerWeightsTransfers(t *testing.T) {
 	eng, c := newCluster(t, Config{
 		Nodes:           2,
-		NICBandwidth:    100e6,
 		ScheduleNetwork: true,
 		NetworkDepth:    1,
 	})

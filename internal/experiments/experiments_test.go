@@ -4,10 +4,13 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"ibis/internal/cluster"
+	"ibis/internal/mapreduce"
 	"ibis/internal/workloads"
 )
 
@@ -359,6 +362,33 @@ func TestTable3Counts(t *testing.T) {
 	}
 }
 
+// TestTable3CoversEveryPackage: every directory under internal/ and
+// cmd/ belongs to some Table 3 component, so the TOTAL counts the
+// whole program.
+func TestTable3CoversEveryPackage(t *testing.T) {
+	covered := func(dir string) bool {
+		for _, c := range table3Components {
+			for _, d := range c.Dirs {
+				if dir == d || strings.HasPrefix(dir, d+"/") {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	for _, top := range []string{"internal", "cmd"} {
+		entries, err := os.ReadDir(filepath.Join("../..", top))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if dir := top + "/" + e.Name(); e.IsDir() && !covered(dir) {
+				t.Errorf("%s belongs to no Table 3 component", dir)
+			}
+		}
+	}
+}
+
 func TestTable3BadRoot(t *testing.T) {
 	if _, err := Table3("/nonexistent-path"); err == nil {
 		t.Fatal("bad root accepted")
@@ -366,10 +396,13 @@ func TestTable3BadRoot(t *testing.T) {
 }
 
 func TestHarnessRejectsUnfinishedJobs(t *testing.T) {
-	// A RunLimit shorter than the workload must surface an error
+	// A run halted before the workload finishes must surface an error
 	// rather than report partial results.
-	_, err := Run(Options{Scale: testScale, Policy: cluster.Native, RunLimit: 1},
-		[]Entry{teraGen(testScale, 1)})
+	_, err := RunWithSetup(Options{Scale: testScale, Policy: cluster.Native},
+		[]Entry{teraGen(testScale, 1)}, func(rt *mapreduce.Runtime) error {
+			rt.Engine().Schedule(1, rt.Engine().Halt)
+			return nil
+		})
 	if err == nil {
 		t.Fatal("truncated run reported success")
 	}
@@ -385,7 +418,6 @@ func TestHarnessRejectsNonFiniteOptions(t *testing.T) {
 		{"Gain", func(o *Options, v float64) { o.Gain = v }},
 		{"LrefScale", func(o *Options, v float64) { o.LrefScale = v }},
 		{"Scale", func(o *Options, v float64) { o.Scale = v }},
-		{"RunLimit", func(o *Options, v float64) { o.RunLimit = v }},
 	}
 	for _, f := range fields {
 		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {

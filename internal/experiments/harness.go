@@ -52,8 +52,6 @@ type Options struct {
 	// CaptureDepthTrace records the SFQ(D2) controller trace of node
 	// 0's HDFS scheduler (Figure 7).
 	CaptureDepthTrace bool
-	// RunLimit aborts the simulation at this virtual time (0 = none).
-	RunLimit float64
 	// WriteAhead overrides the write-behind window (0 = default).
 	WriteAhead int
 	// CoresPerNode / MemGBPerNode override the cluster shape (0 =
@@ -65,10 +63,8 @@ type Options struct {
 	// (the Section 9 isolation-vs-utilization knob; 0 = 1.0).
 	LrefScale float64
 	// ScheduleNetwork interposes weighted fair scheduling on the NICs
-	// (the OpenFlow-style extension); NetworkDepth is its dispatch
-	// bound (0 = default).
+	// (the OpenFlow-style extension).
 	ScheduleNetwork bool
-	NetworkDepth    int
 	// ReservationRates / ReservationDefault configure the Reserve
 	// policy (cost units per second per device).
 	ReservationRates   map[iosched.AppID]float64
@@ -76,11 +72,8 @@ type Options struct {
 	// TraceCapacity, when positive, enables request-lifecycle tracing
 	// into a ring of that many records (Result.Trace).
 	TraceCapacity int
-	// Audit enables online invariant auditing (Result.Audit);
-	// AuditWindow overrides the share-check period (0 = default; Run
-	// rejects a negative, NaN or infinite window).
-	Audit       bool
-	AuditWindow float64
+	// Audit enables online invariant auditing (Result.Audit).
+	Audit bool
 	// Shards, when positive, runs the scenario on the sharded parallel
 	// fabric (one engine per datanode plus a coordinator) with that
 	// many worker goroutines. The worker count changes wall-clock time
@@ -191,13 +184,10 @@ func Run(opts Options, entries []Entry) (*Result, error) {
 // RunWithSetup is Run with a hook that can attach additional workloads
 // (e.g. a Hive query's stage chain) to the runtime before execution.
 func RunWithSetup(opts Options, entries []Entry, setup func(*mapreduce.Runtime) error) (*Result, error) {
-	if err := audit.CheckWindow(opts.AuditWindow); err != nil {
-		return nil, fmt.Errorf("experiments: %w", err)
-	}
 	for _, f := range [...]struct {
 		name string
 		v    float64
-	}{{"Gain", opts.Gain}, {"LrefScale", opts.LrefScale}, {"Scale", opts.Scale}, {"RunLimit", opts.RunLimit}} {
+	}{{"Gain", opts.Gain}, {"LrefScale", opts.LrefScale}, {"Scale", opts.Scale}} {
 		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
 			return nil, fmt.Errorf("experiments: option %s must be finite, got %g", f.name, f.v)
 		}
@@ -229,7 +219,6 @@ func RunWithSetup(opts Options, entries []Entry, setup func(*mapreduce.Runtime) 
 		ReservationRates:   opts.ReservationRates,
 		ReservationDefault: opts.ReservationDefault,
 		ScheduleNetwork:    opts.ScheduleNetwork,
-		NetworkDepth:       opts.NetworkDepth,
 		Coordinate:         opts.Coordinate,
 	}
 	var cl *cluster.Cluster
@@ -281,7 +270,7 @@ func RunWithSetup(opts Options, entries []Entry, setup func(*mapreduce.Runtime) 
 		res.Trace.Attach(cl)
 	}
 	if opts.Audit {
-		res.Audit = audit.New(audit.Options{Window: opts.AuditWindow}, cl.Shares())
+		res.Audit = audit.New(audit.Options{}, cl.Shares())
 		res.Audit.Attach(cl, 1)
 	}
 	// I/O completions on the storage schedulers fire on the owning
@@ -315,11 +304,7 @@ func RunWithSetup(opts Options, entries []Entry, setup func(*mapreduce.Runtime) 
 		}
 	}
 
-	limit := math.Inf(1)
-	if opts.RunLimit > 0 {
-		limit = opts.RunLimit
-	}
-	cl.RunUntil(limit)
+	cl.RunUntil(math.Inf(1))
 	if res.Audit != nil {
 		res.Audit.Finish()
 	}

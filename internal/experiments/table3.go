@@ -27,12 +27,13 @@ type Table3Result struct {
 
 // table3Components maps Table 3's rows onto this repository.
 var table3Components = []Table3Component{
-	{Name: "Interposition (requests, classes, routing)", Dirs: []string{"internal/iosched", "internal/cluster"}},
-	{Name: "Scheduling coordination (broker, DSFQ)", Dirs: []string{"internal/broker"}},
+	{Name: "Interposition (requests, classes, shares)", Dirs: []string{"internal/iosched", "internal/cluster", "internal/shares"}},
+	{Name: "Scheduling coordination (broker, DSFQ, faults)", Dirs: []string{"internal/broker", "internal/faults"}},
 	{Name: "Simulation substrate (engine, devices)", Dirs: []string{"internal/sim", "internal/storage"}},
 	{Name: "Big-data substrate (DFS, MapReduce, Hive)", Dirs: []string{"internal/dfs", "internal/mapreduce", "internal/hive"}},
 	{Name: "Workloads + baselines", Dirs: []string{"internal/workloads", "internal/cgroups"}},
-	{Name: "Experiments + metrics + export", Dirs: []string{"internal/experiments", "internal/metrics", "internal/export"}},
+	{Name: "Observation (trace, audit)", Dirs: []string{"internal/trace", "internal/audit"}},
+	{Name: "Experiments + scale + metrics + export", Dirs: []string{"internal/experiments", "internal/scale", "internal/metrics", "internal/export"}},
 	{Name: "Public API + tools + examples", Dirs: []string{".", "cmd", "examples"}},
 }
 

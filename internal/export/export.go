@@ -65,26 +65,6 @@ func DepthTraceCSV(w io.Writer, trace []iosched.TracePoint) error {
 	return nil
 }
 
-// Table writes a generic labeled table: header row then one row per
-// entry.
-func Table(w io.Writer, header []string, rows [][]string) error {
-	if len(header) == 0 {
-		return fmt.Errorf("export: empty header")
-	}
-	if _, err := fmt.Fprintln(w, strings.Join(sanitizeAll(header), ",")); err != nil {
-		return err
-	}
-	for i, row := range rows {
-		if len(row) != len(header) {
-			return fmt.Errorf("export: row %d has %d columns, header has %d", i, len(row), len(header))
-		}
-		if _, err := fmt.Fprintln(w, strings.Join(sanitizeAll(row), ",")); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // ftoa formats floats compactly without exponent notation for the
 // magnitudes this simulator produces.
 func ftoa(v float64) string {
@@ -96,12 +76,4 @@ func sanitize(s string) string {
 	s = strings.ReplaceAll(s, ",", "_")
 	s = strings.ReplaceAll(s, "\n", " ")
 	return s
-}
-
-func sanitizeAll(in []string) []string {
-	out := make([]string, len(in))
-	for i, s := range in {
-		out[i] = sanitize(s)
-	}
-	return out
 }

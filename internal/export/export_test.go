@@ -61,26 +61,3 @@ func TestDepthTraceCSV(t *testing.T) {
 		t.Fatalf("row = %q", lines[1])
 	}
 }
-
-func TestTable(t *testing.T) {
-	var b strings.Builder
-	err := Table(&b, []string{"config", "slowdown"}, [][]string{
-		{"native", "1.07"},
-		{"sfq(d2)", "0.08"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(b.String(), "sfq(d2),0.08") {
-		t.Fatalf("output = %q", b.String())
-	}
-}
-
-func TestTableValidation(t *testing.T) {
-	if err := Table(&strings.Builder{}, nil, nil); err == nil {
-		t.Fatal("empty header accepted")
-	}
-	if err := Table(&strings.Builder{}, []string{"a"}, [][]string{{"1", "2"}}); err == nil {
-		t.Fatal("ragged row accepted")
-	}
-}

@@ -109,6 +109,9 @@ func Q21() Query {
 	}
 }
 
+// reducesPerStage bounds each stage's reduce parallelism.
+const reducesPerStage = 12
+
 // RunOptions control query execution.
 type RunOptions struct {
 	// Weight is the I/O weight every stage carries. It seeds the
@@ -126,8 +129,6 @@ type RunOptions struct {
 	Pool string
 	// ScaleBytes scales all stage volumes (1 = paper scale, GB units).
 	ScaleBytes float64
-	// NumReducesPerStage bounds stage parallelism; default 12.
-	NumReducesPerStage int
 	// Delay postpones the first stage's submission.
 	Delay float64
 }
@@ -175,9 +176,6 @@ func Run(rt *mapreduce.Runtime, q Query, opts RunOptions) (*Execution, error) {
 	if opts.ScaleBytes <= 0 {
 		opts.ScaleBytes = 1
 	}
-	if opts.NumReducesPerStage <= 0 {
-		opts.NumReducesPerStage = 12
-	}
 	app := iosched.AppID(fmt.Sprintf("hive-%s", q.Name))
 	exec := &Execution{Query: q, App: app, StartTime: opts.Delay}
 
@@ -196,7 +194,7 @@ func Run(rt *mapreduce.Runtime, q Query, opts RunOptions) (*Execution, error) {
 			Pool:              opts.Pool,
 			InputBytes:        st.InputGB * gb,
 			MapOutputBytes:    st.ShuffleGB * gb,
-			NumReduces:        opts.NumReducesPerStage,
+			NumReduces:        reducesPerStage,
 			OutputBytes:       st.OutputGB * gb,
 			MapCPUSecPerMB:    st.MapCPU,
 			ReduceCPUSecPerMB: st.ReduceCPU,

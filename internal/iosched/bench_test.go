@@ -11,15 +11,43 @@ import (
 // benchDev is a minimal Backend: unit cost per byte and a fixed
 // in-device latency delivered through the engine, so the benchmark
 // isolates scheduler tagging/queueing/dispatch cost from device
-// modeling.
+// modeling. The latency is constant, so requests complete in the order
+// they arrive: Submit queues (done, arg) and schedules one cached
+// method value, and nothing allocates per request.
 type benchDev struct {
-	eng *sim.Engine
+	eng      *sim.Engine
+	inDevice []benchOp // submitted, not yet completed, oldest first
+	fire     func()    // cached complete method value
 }
 
-func (d benchDev) Cost(kind storage.OpKind, size float64) float64 { return size }
+type benchOp struct {
+	done sim.DoneFunc
+	arg  any
+}
 
-func (d benchDev) Submit(kind storage.OpKind, size float64, done sim.DoneFunc, arg any) {
-	d.eng.Schedule(0.001, func() { done(arg, 0.001) })
+const benchLatency = 0.001
+
+func newBenchDev(eng *sim.Engine) *benchDev {
+	d := &benchDev{eng: eng}
+	d.fire = d.complete
+	return d
+}
+
+func (d *benchDev) Cost(kind storage.OpKind, size float64) float64 { return size }
+
+func (d *benchDev) Submit(kind storage.OpKind, size float64, done sim.DoneFunc, arg any) {
+	d.inDevice = append(d.inDevice, benchOp{done, arg})
+	d.eng.Schedule(benchLatency, d.fire)
+}
+
+// complete finishes the oldest request. At most the scheduler's depth
+// is in the device, so the shift is short.
+func (d *benchDev) complete() {
+	op := d.inDevice[0]
+	n := copy(d.inDevice, d.inDevice[1:])
+	d.inDevice[n] = benchOp{}
+	d.inDevice = d.inDevice[:n]
+	op.done(op.arg, benchLatency)
 }
 
 // BenchmarkSFQSubmitDispatch drives a closed loop of requests from four
@@ -27,7 +55,7 @@ func (d benchDev) Submit(kind storage.OpKind, size float64, done sim.DoneFunc, a
 // submit → tag → queue → dispatch → complete cycle.
 func BenchmarkSFQSubmitDispatch(b *testing.B) {
 	eng := sim.NewEngine()
-	s := mustSFQD(b, eng, benchDev{eng}, 4)
+	s := mustSFQD(b, eng, newBenchDev(eng), 4)
 	const window = 64
 	reqs := make([]*Request, window)
 	done, submitted, target := 0, 0, 0

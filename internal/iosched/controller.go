@@ -16,8 +16,6 @@ import (
 // read/write-mix-weighted combination of per-direction references
 // (Section 4 of the paper).
 type ControllerConfig struct {
-	// Period is the control interval in seconds. The paper uses 1 s.
-	Period float64
 	// Gain is the integral gain K, in depth units per second of latency
 	// error. The paper quotes 10⁻⁶ for latencies counted in nanoseconds,
 	// i.e. 1000 in depth-per-second terms; the effective value depends
@@ -49,10 +47,10 @@ type TracePoint struct {
 	Samples  int     // completions observed this period
 }
 
+// controlPeriod is the control interval in seconds, the paper's 1 s.
+const controlPeriod = 1.0
+
 func (c *ControllerConfig) defaults() {
-	if c.Period <= 0 {
-		c.Period = 1
-	}
 	if c.Gain <= 0 {
 		c.Gain = 120
 	}
@@ -115,9 +113,9 @@ func newDepthController(eng *sim.Engine, cfg ControllerConfig, onChange func()) 
 	var tick func()
 	tick = func() {
 		c.step(eng.Now())
-		eng.ScheduleDaemon(cfg.Period, tick)
+		eng.ScheduleDaemon(controlPeriod, tick)
 	}
-	eng.ScheduleDaemon(cfg.Period, tick)
+	eng.ScheduleDaemon(controlPeriod, tick)
 	return c, nil
 }
 

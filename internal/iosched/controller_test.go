@@ -11,7 +11,7 @@ import (
 func TestControllerDefaults(t *testing.T) {
 	c := ControllerConfig{ReadLref: 0.01}
 	c.defaults()
-	if c.Period != 1 || c.Gain <= 0 || c.MinDepth != 1 || c.MaxDepth != 12 {
+	if c.Gain <= 0 || c.MinDepth != 1 || c.MaxDepth != 12 {
 		t.Fatalf("defaults: %+v", c)
 	}
 	if c.WriteLref != c.ReadLref {
@@ -70,7 +70,6 @@ func TestControllerShrinksDepthUnderHighLatency(t *testing.T) {
 	s := mustSFQD2(t, eng, dev, ControllerConfig{
 		ReadLref: 0.001, // far below what the loaded device will show
 		Gain:     100,
-		Period:   1,
 	})
 	var served float64
 	for i := 0; i < 12; i++ {
@@ -88,7 +87,6 @@ func TestControllerGrowsDepthUnderLowLatency(t *testing.T) {
 	s := mustSFQD2(t, eng, dev, ControllerConfig{
 		ReadLref:     10, // far above observed latency
 		Gain:         5,
-		Period:       1,
 		InitialDepth: 1,
 	})
 	var served float64

@@ -10,10 +10,8 @@ import (
 
 // These tests pin down the graceful-degradation contract the
 // coordination plane relies on: SuspendCoordination cancels DSFQ tag
-// debt (pure local fairness for the outage), ResumeCoordination
-// re-snapshots remote totals instead of charging the outage's delta,
-// and SetDelayClamp bounds the per-arrival delay a stale burst of
-// totals can hand a flow.
+// debt (pure local fairness for the outage), and ResumeCoordination
+// re-snapshots remote totals instead of charging the outage's delta.
 
 func newDegradeSFQ(t *testing.T) (*sim.Engine, *SFQ, *storage.Device) {
 	t.Helper()
@@ -117,34 +115,6 @@ func TestResumeCoordinationReSnapshotsRemoteTotals(t *testing.T) {
 	r3 := submit()
 	if want := r2.FinishTag() + 30; math.Abs(r3.StartTag()-want) > 1e-6 {
 		t.Errorf("redundant resume reset snapshots: r3 start tag = %v, want %v", r3.StartTag(), want)
-	}
-}
-
-func TestSetDelayClampCapsPerArrivalDelta(t *testing.T) {
-	_, s, dev := newDegradeSFQ(t)
-	coord := &fakeCoord{other: map[AppID]float64{"A": 0}}
-	s.SetCoordinator(coord)
-	s.SetDelayClamp(5)
-	c := dev.Cost(PersistentRead.OpKind(), 1e6)
-
-	submit := func() *Request {
-		r := &Request{AppIdx: weigh("A", 1), Class: PersistentRead, Size: 1e6}
-		s.Submit(r)
-		return r
-	}
-	submit() // snapshot other=0
-
-	coord.other["A"] = 1000 // stale burst: way past the clamp
-	r1 := submit()
-	if want := c + 5; math.Abs(r1.StartTag()-want) > 1e-6 {
-		t.Fatalf("clamped start tag = %v, want %v (delta capped at 5)", r1.StartTag(), want)
-	}
-	// The excess is forgiven, not deferred: the snapshot advanced to
-	// the full total, so a small further delta charges only itself.
-	coord.other["A"] = 1003
-	r2 := submit()
-	if want := r1.FinishTag() + 3; math.Abs(r2.StartTag()-want) > 1e-6 {
-		t.Errorf("post-clamp start tag = %v, want %v (excess forgiven)", r2.StartTag(), want)
 	}
 }
 

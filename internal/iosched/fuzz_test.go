@@ -97,7 +97,6 @@ func FuzzSFQTags(f *testing.F) {
 		}
 		if coordinated {
 			s.SetCoordinator(&rampCoord{step: 1e5})
-			s.SetDelayClamp(5e6)
 		}
 		tc := &tagChecker{t: t, lastStart: make(map[AppIdx]float64)}
 		s.SetProbe(tc)

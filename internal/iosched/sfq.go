@@ -56,11 +56,6 @@ type SFQ struct {
 	// scheduler enforces pure local SFQ(D) fairness (graceful
 	// degradation during coordination-plane outages).
 	coordSuspended bool
-	// delayClamp, when positive, caps the remote-service delta charged
-	// per arrival (cost units); excess is forgiven. It bounds the
-	// delay a flow can be handed from a stale burst of totals after a
-	// partition heals without passing through the degraded state.
-	delayClamp float64
 
 	inflight int
 	doneFn   sim.DoneFunc // cached complete method value
@@ -114,10 +109,6 @@ func (s *SFQ) SetCoordinator(c Coordinator) { s.coord = c }
 
 // SetProbe installs a lifecycle probe (tracing/auditing).
 func (s *SFQ) SetProbe(p Probe) { s.probe = p }
-
-// SetDelayClamp caps the per-arrival DSFQ delay increment at clamp
-// cost units (0 disables). See the delayClamp field.
-func (s *SFQ) SetDelayClamp(clamp float64) { s.delayClamp = clamp }
 
 // Coordinated reports whether a Coordinator is attached (the DSFQ
 // delay rule is in force, so local service shares are intentionally
@@ -260,13 +251,7 @@ func (s *SFQ) Submit(req *Request) error {
 			f.lastOther = other
 			f.seenOther = true
 		} else if other > f.lastOther {
-			delta := other - f.lastOther
-			if s.delayClamp > 0 && delta > s.delayClamp {
-				// Forgive the excess of a stale burst of totals (e.g.
-				// a partition healing): charge at most the clamp.
-				delta = s.delayClamp
-			}
-			base += delta / req.weight
+			base += (other - f.lastOther) / req.weight
 			f.lastOther = other
 		}
 	}

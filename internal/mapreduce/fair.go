@@ -90,7 +90,7 @@ func (f *fairScheduler) checkPreemption() {
 			if _, ok := f.belowSince[j]; !ok {
 				f.belowSince[j] = now
 			}
-			if now-f.belowSince[j] >= f.rt.cfg.PreemptionTimeout {
+			if now-f.belowSince[j] >= preemptionTimeout {
 				deficit += share - j.usedCores
 			}
 		} else {

@@ -19,9 +19,6 @@ type Config struct {
 	// reduces become schedulable (mapreduce.job.reduce.slowstart).
 	// Default 0.05.
 	SlowstartFraction float64
-	// ShuffleParallelism is the number of concurrent fetch streams per
-	// reduce task (mapreduce.reduce.shuffle.parallelcopies). Default 4.
-	ShuffleParallelism int
 	// WriteAheadChunks is the write-behind window: how many output
 	// chunks a task keeps in flight concurrently. HDFS clients buffer
 	// and stream writes ahead of the application, which is exactly why
@@ -37,10 +34,17 @@ type Config struct {
 	// DisablePreemption turns off Fair Scheduler preemption. Table 1
 	// enables it with a 5 s timeout, so it is on by default.
 	DisablePreemption bool
-	// PreemptionTimeout is how long a job must sit below its fair share
-	// before over-share jobs lose tasks. Default 5 s.
-	PreemptionTimeout float64
 }
+
+// Table 1's Hadoop settings that no experiment varies.
+const (
+	// shuffleParallelism is the number of concurrent fetch streams per
+	// reduce task (mapreduce.reduce.shuffle.parallelcopies).
+	shuffleParallelism = 4
+	// preemptionTimeout is how long a job must sit below its fair share
+	// before over-share jobs lose tasks, in seconds.
+	preemptionTimeout = 5.0
+)
 
 func (c *Config) defaults() {
 	if c.ChunkBytes <= 0 {
@@ -49,17 +53,11 @@ func (c *Config) defaults() {
 	if c.SlowstartFraction <= 0 {
 		c.SlowstartFraction = 0.05
 	}
-	if c.ShuffleParallelism <= 0 {
-		c.ShuffleParallelism = 4
-	}
 	if c.WriteAheadChunks <= 0 {
 		c.WriteAheadChunks = 8
 	}
 	if c.ShuffleBufferBytes <= 0 {
 		c.ShuffleBufferBytes = 2e9
-	}
-	if c.PreemptionTimeout <= 0 {
-		c.PreemptionTimeout = 5
 	}
 }
 

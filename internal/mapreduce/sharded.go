@@ -355,7 +355,7 @@ func (rr *reduceRun) markAllMapsDone() {
 // pumpFetchers starts fetch streams up to the configured parallelism,
 // in the reduce's random fetch order.
 func (rr *reduceRun) pumpFetchers() {
-	for rr.activeFetchers < rr.rt.cfg.ShuffleParallelism && len(rr.pending) > 0 {
+	for rr.activeFetchers < shuffleParallelism && len(rr.pending) > 0 {
 		i := rr.r.rng.Intn(len(rr.pending))
 		seg := rr.pending[i]
 		rr.pending[i] = rr.pending[len(rr.pending)-1]

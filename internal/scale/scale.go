@@ -49,9 +49,6 @@ type Config struct {
 	// after it the pumps stop and the run drains. Run rejects a NaN,
 	// infinite or negative horizon.
 	Horizon float64
-	// TickPeriod is the pump period (batching granularity of the
-	// open-loop arrival process).
-	TickPeriod float64
 	// LoadFactor is the offered load relative to cluster capacity;
 	// > 1 keeps every app continuously backlogged.
 	LoadFactor float64
@@ -70,12 +67,9 @@ type Config struct {
 	CoordinationPeriod float64
 	// Partitions > 1 federates the broker plane: that many partition
 	// brokers on their own shards under a root aggregator, syncing
-	// delta-compressed quanta every AggregationPeriod (≤ 0 takes the
-	// coordination period). StalenessK bounds tolerated root-view age as
-	// in cluster.Federation. Requires Coordinate.
-	Partitions        int
-	AggregationPeriod float64
-	StalenessK        int
+	// delta-compressed quanta every coordination period. Requires
+	// Coordinate.
+	Partitions int
 	// Faults, when non-nil, injects the fault schedule into the
 	// coordination plane (the chaos configurations).
 	Faults *faults.Injector
@@ -88,19 +82,22 @@ type Config struct {
 	Audit            bool
 	AuditSampleEvery int
 
-	// Workers is the fabric's physical parallelism; Lookahead ≤ 0 takes
-	// the cluster default.
-	Workers   int
-	Lookahead float64
+	// Workers is the fabric's physical parallelism.
+	Workers int
+}
 
-	// NodeLookahead is the minimum virtual latency of messages leaving a
-	// node shard (the heartbeat-piggybacked control uplink). A bound
-	// looser than the base Lookahead widens the fabric's conservative
-	// windows — fewer barriers, more parallel headroom — without
-	// touching data-plane timing, which is node-local. ≤ 0 defaults to
-	// min(TickPeriod, CoordinationPeriod/8); set it to Lookahead to
-	// force uniform edges.
-	NodeLookahead float64
+// tickPeriod is the pump period in virtual seconds: the batching
+// granularity of the open-loop arrival process.
+const tickPeriod = 0.1
+
+// nodeLookahead is the minimum virtual latency of messages leaving a
+// node shard (the heartbeat-piggybacked control uplink):
+// min(tickPeriod, CoordinationPeriod/8), but never below the cluster's
+// base lookahead. A bound looser than the base widens the fabric's
+// conservative windows — fewer barriers, more parallel headroom —
+// without touching data-plane timing, which is node-local.
+func (c *Config) nodeLookahead() float64 {
+	return max(cluster.DefaultLookahead, min(tickPeriod, c.CoordinationPeriod/8))
 }
 
 func (c *Config) defaults() {
@@ -121,9 +118,6 @@ func (c *Config) defaults() {
 	}
 	if c.Horizon <= 0 {
 		c.Horizon = 10
-	}
-	if c.TickPeriod <= 0 {
-		c.TickPeriod = 0.1
 	}
 	if c.LoadFactor <= 0 {
 		c.LoadFactor = 1.4
@@ -151,19 +145,6 @@ func (c *Config) defaults() {
 	}
 	if c.Workers <= 0 {
 		c.Workers = 1
-	}
-	if c.NodeLookahead <= 0 {
-		c.NodeLookahead = c.TickPeriod
-		if la := c.CoordinationPeriod / 8; la < c.NodeLookahead {
-			c.NodeLookahead = la
-		}
-	}
-	base := c.Lookahead
-	if base <= 0 {
-		base = cluster.DefaultLookahead
-	}
-	if c.NodeLookahead < base {
-		c.NodeLookahead = base
 	}
 }
 
@@ -284,11 +265,7 @@ func Run(cfg Config) (*Report, error) {
 		{"MeanRequestBytes", cfg.MeanRequestBytes},
 		{"NodeBandwidth", cfg.NodeBandwidth},
 		{"LoadFactor", cfg.LoadFactor},
-		{"TickPeriod", cfg.TickPeriod},
 		{"CoordinationPeriod", cfg.CoordinationPeriod},
-		{"AggregationPeriod", cfg.AggregationPeriod},
-		{"Lookahead", cfg.Lookahead},
-		{"NodeLookahead", cfg.NodeLookahead},
 	} {
 		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
 			return nil, fmt.Errorf("scale: %s must be finite, got %g", f.name, f.v)
@@ -307,14 +284,9 @@ func Run(cfg Config) (*Report, error) {
 	if err := pop.Bind(tree); err != nil {
 		return nil, fmt.Errorf("scale: binding population: %w", err)
 	}
-	aggPeriod := cfg.AggregationPeriod
-	if aggPeriod <= 0 {
-		aggPeriod = cfg.CoordinationPeriod
-	}
 	fed := cluster.Federation{
 		Partitions:        cfg.Partitions,
-		AggregationPeriod: aggPeriod,
-		StalenessK:        cfg.StalenessK,
+		AggregationPeriod: cfg.CoordinationPeriod,
 	}
 	cl, err := cluster.NewHollowSharded(cluster.Config{
 		Nodes:              cfg.Nodes,
@@ -326,11 +298,11 @@ func Run(cfg Config) (*Report, error) {
 		Federation:         fed,
 		Faults:             cfg.Faults,
 		Shares:             tree,
-	}, cfg.Lookahead, sim.FabricOptions{Workers: cfg.Workers})
+	}, 0, sim.FabricOptions{Workers: cfg.Workers})
 	if err != nil {
 		return nil, err
 	}
-	cl.SetNodeUplinkLatency(cfg.NodeLookahead)
+	cl.SetNodeUplinkLatency(cfg.nodeLookahead())
 
 	// Assign residents: app → its placement nodes, rate split evenly.
 	nodeServiceRate := cfg.NodeBandwidth / cfg.MeanRequestBytes
@@ -378,7 +350,7 @@ func Run(cfg Config) (*Report, error) {
 			c.series = append(c.series, pool.Outstanding())
 			for ri := range c.residents {
 				r := &c.residents[ri]
-				r.credit += r.rate * cfg.TickPeriod
+				r.credit += r.rate * tickPeriod
 				for ; r.credit >= 1; r.credit-- {
 					c.rng = splitmix64(c.rng)
 					size := cfg.MeanRequestBytes * (0.5 + 1.5*unit(c.rng))
@@ -394,8 +366,8 @@ func Run(cfg Config) (*Report, error) {
 					c.submitted++
 				}
 			}
-			if eng.Now()+cfg.TickPeriod < cfg.Horizon-1e-9 {
-				eng.Schedule(cfg.TickPeriod, step)
+			if eng.Now()+tickPeriod < cfg.Horizon-1e-9 {
+				eng.Schedule(tickPeriod, step)
 			}
 		}
 		eng.Schedule(0, step)
@@ -427,9 +399,9 @@ func Run(cfg Config) (*Report, error) {
 	var sampleHeap func()
 	sampleHeap = func() {
 		hw.Sample()
-		coord.ScheduleDaemon(cfg.TickPeriod, sampleHeap)
+		coord.ScheduleDaemon(tickPeriod, sampleHeap)
 	}
-	coord.ScheduleDaemon(cfg.TickPeriod, sampleHeap)
+	coord.ScheduleDaemon(tickPeriod, sampleHeap)
 
 	wall0 := time.Now()
 	cl.RunUntil(math.Inf(1))

@@ -142,7 +142,7 @@ func TestScaleHorizonRejected(t *testing.T) {
 // TestScaleNonFiniteRejected pins the finiteness check on the other
 // float fields: a NaN or infinite value is an error before the run
 // starts, where it used to run zero requests (NaN MeanRequestBytes or
-// LoadFactor, +Inf MeanRequestBytes) or pump forever (+Inf TickPeriod).
+// LoadFactor, +Inf MeanRequestBytes).
 func TestScaleNonFiniteRejected(t *testing.T) {
 	fields := []struct {
 		name string
@@ -151,11 +151,7 @@ func TestScaleNonFiniteRejected(t *testing.T) {
 		{"MeanRequestBytes", func(c *Config, v float64) { c.MeanRequestBytes = v }},
 		{"NodeBandwidth", func(c *Config, v float64) { c.NodeBandwidth = v }},
 		{"LoadFactor", func(c *Config, v float64) { c.LoadFactor = v }},
-		{"TickPeriod", func(c *Config, v float64) { c.TickPeriod = v }},
 		{"CoordinationPeriod", func(c *Config, v float64) { c.CoordinationPeriod = v }},
-		{"AggregationPeriod", func(c *Config, v float64) { c.AggregationPeriod = v }},
-		{"Lookahead", func(c *Config, v float64) { c.Lookahead = v }},
-		{"NodeLookahead", func(c *Config, v float64) { c.NodeLookahead = v }},
 	}
 	for _, f := range fields {
 		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {

@@ -50,11 +50,11 @@ type ProfileOptions struct {
 	// Duration is the probe length per concurrency level, seconds of
 	// virtual time. Default 30.
 	Duration float64
-	// SaturationFraction: the knee search starts at the smallest
-	// concurrency achieving this fraction of the peak throughput.
-	// Default 0.8.
-	SaturationFraction float64
 }
+
+// saturationFraction starts the knee search at the smallest concurrency
+// achieving this fraction of the peak throughput.
+const saturationFraction = 0.8
 
 func (o *ProfileOptions) defaults() {
 	if o.RequestSize <= 0 {
@@ -65,9 +65,6 @@ func (o *ProfileOptions) defaults() {
 	}
 	if o.Duration <= 0 {
 		o.Duration = 30
-	}
-	if o.SaturationFraction <= 0 || o.SaturationFraction >= 1 {
-		o.SaturationFraction = 0.8
 	}
 }
 
@@ -92,7 +89,7 @@ func ProfileDevice(spec Spec, opts ProfileOptions) (Profile, error) {
 		for n := 1; n <= opts.MaxConcurrency; n++ {
 			points = append(points, probe(probeSpec, kind, n, opts))
 		}
-		lref, err := pickReference(points, opts.SaturationFraction)
+		lref, err := pickReference(points, saturationFraction)
 		if err != nil {
 			return Profile{}, fmt.Errorf("storage: profiling %s %s: %w", spec.Name, kind, err)
 		}

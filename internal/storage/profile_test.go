@@ -80,9 +80,6 @@ func TestProfileOptionsDefaults(t *testing.T) {
 	if o.RequestSize <= 0 || o.MaxConcurrency <= 0 || o.Duration <= 0 {
 		t.Fatalf("defaults not applied: %+v", o)
 	}
-	if o.SaturationFraction <= 0 || o.SaturationFraction >= 1 {
-		t.Fatalf("saturation default out of range: %v", o.SaturationFraction)
-	}
 }
 
 func TestPickReferenceEmptyThroughput(t *testing.T) {
