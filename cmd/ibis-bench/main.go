@@ -39,6 +39,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"math"
@@ -126,7 +127,7 @@ var (
 // coordinated cfg takes partitions=. With flows > 0 (the default
 // target of peak in-flight requests) flows= is taken too, and the
 // target sets the horizon through experiments.FlowHorizon unless a
-// positive horizon= is given.
+// positive horizon= is given. A negative horizon= is rejected.
 func parseHollowSpec(name, s string, cfg scale.Config, flows int) (scale.Config, error) {
 	if s == "" {
 		return cfg, nil
@@ -154,7 +155,9 @@ func parseHollowSpec(name, s string, cfg scale.Config, flows int) (scale.Config,
 		case k == "seed":
 			cfg.Seed, err = strconv.ParseUint(v, 10, 64)
 		case k == "horizon":
-			cfg.Horizon, err = parseFinite(v)
+			if cfg.Horizon, err = parseFinite(v); err == nil && cfg.Horizon < 0 {
+				err = errors.New("negative horizon")
+			}
 			horizonSet = true
 		default:
 			return cfg, fmt.Errorf("%s: unknown field %q", name, k)
@@ -181,8 +184,25 @@ var (
 
 // customFaultSpec assembles the Spec the fault flags describe; targets
 // default to every coordination client / HDFS device of the 8-node
-// microbenchmark cluster.
-func customFaultSpec() faults.Spec {
+// microbenchmark cluster. A probability outside [0,1) or a negative
+// count is an error.
+func customFaultSpec() (faults.Spec, error) {
+	for _, p := range [...]struct {
+		name string
+		v    float64
+	}{{"fault-loss", *faultLoss}, {"fault-delay", *faultDelay}} {
+		if !(p.v >= 0 && p.v < 1) {
+			return faults.Spec{}, fmt.Errorf("-%s must be in [0,1) (got %g)", p.name, p.v)
+		}
+	}
+	for _, n := range [...]struct {
+		name string
+		v    int
+	}{{"fault-outages", *faultOutages}, {"fault-restarts", *faultRestarts}, {"fault-degrades", *faultDegrades}} {
+		if n.v < 0 {
+			return faults.Spec{}, fmt.Errorf("-%s must be non-negative (got %d)", n.name, n.v)
+		}
+	}
 	ids := faults.ClientIDs(8)
 	devs := make([]string, 0, len(ids)/2)
 	for _, id := range ids {
@@ -200,7 +220,7 @@ func customFaultSpec() faults.Spec {
 		RestartTargets: ids,
 		DegradeCount:   *faultDegrades,
 		DegradeTargets: devs,
-	}
+	}, nil
 }
 
 func main() {
@@ -343,7 +363,13 @@ var experimentTable = []experiment{
 	{"shards", func(s float64) (fmt.Stringer, error) { return experiments.Shards(s, *shardsFlag) }},
 	// Robustness: coordination-plane fault injection.
 	{"fault-matrix", func(float64) (fmt.Stringer, error) { return experiments.FaultMatrix() }},
-	{"fault-custom", func(float64) (fmt.Stringer, error) { return experiments.FaultCustom(customFaultSpec()) }},
+	{"fault-custom", func(float64) (fmt.Stringer, error) {
+		spec, err := customFaultSpec()
+		if err != nil {
+			return nil, err
+		}
+		return experiments.FaultCustom(spec)
+	}},
 	// Scale: the hollow-node harness, parameterized by -scale-spec.
 	{"scale", func(float64) (fmt.Stringer, error) {
 		cfg, err := parseHollowSpec("scale-spec", *scaleSpecFlag,

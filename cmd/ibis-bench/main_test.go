@@ -1,6 +1,7 @@
 package main
 
 import (
+	"flag"
 	"testing"
 
 	"ibis/internal/experiments"
@@ -27,6 +28,8 @@ func TestSpecParsersRejectPartialAndNonFiniteValues(t *testing.T) {
 		{parseScale, "horizon=inf"},
 		{parseScale, "horizon=NaN"},
 		{parseScale, "horizon=3s"},
+		{parseScale, "horizon=-1"},
+		{parseFederation, "horizon=-1"},
 		{parseFederation, "partitions=2.5"},
 		{parseFederation, "horizon=-Inf"},
 		{parseFederation, "seed=-1"},
@@ -81,5 +84,41 @@ func TestSpecParsersAcceptWholeValues(t *testing.T) {
 	}
 	if rw.At != 30 || rw.App != "hot" || rw.Weight != 8 {
 		t.Fatalf("reweight spec = %+v", rw)
+	}
+}
+
+func TestCustomFaultSpecRangeChecksFlags(t *testing.T) {
+	for _, tc := range []struct {
+		name, value string
+		ok          bool
+	}{
+		{"fault-loss", "NaN", false},
+		{"fault-loss", "2", false},
+		{"fault-loss", "1", false},
+		{"fault-loss", "-1", false},
+		{"fault-loss", "0.99", true},
+		{"fault-delay", "NaN", false},
+		{"fault-delay", "2", false},
+		{"fault-delay", "-0.5", false},
+		{"fault-delay", "0", true},
+		{"fault-outages", "-1", false},
+		{"fault-outages", "0", true},
+		{"fault-restarts", "-1", false},
+		{"fault-degrades", "-2", false},
+		{"fault-degrades", "3", true},
+	} {
+		f := flag.Lookup(tc.name)
+		if err := f.Value.Set(tc.value); err != nil {
+			t.Fatalf("-%s=%s: %v", tc.name, tc.value, err)
+		}
+		if _, err := customFaultSpec(); (err == nil) != tc.ok {
+			t.Errorf("-%s=%s: err = %v, want accepted %v", tc.name, tc.value, err, tc.ok)
+		}
+		if err := f.Value.Set(f.DefValue); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := customFaultSpec(); err != nil {
+		t.Fatalf("default fault flags rejected: %v", err)
 	}
 }

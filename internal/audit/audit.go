@@ -38,7 +38,7 @@
 //
 // Live reweights (share-tree epoch changes) open a bounded
 // reconvergence window: share checks are suspended for windows
-// overlapping [t, t + RecoveryPeriods × CoordinationPeriod] after a
+// overlapping [t, t + K × CoordinationPeriod] (K = 5) after a
 // change at t, because windowed normalized service mixes service
 // earned under two different weights. Tag invariants are NOT relaxed —
 // monotonicity and consistency must hold through a reweight, which is
@@ -68,7 +68,7 @@
 // simulated system, independent of worker count, and the logs hold at
 // most one window of records.
 //
-// Audit windows. One clock cuts the run into Options.Window windows for
+// Audit windows. One clock cuts the run into 5 s windows for
 // every check: the first judged record at or past a window's end
 // closes it everywhere at once — each scheduler's local share checks,
 // in registration order, then the cluster-wide check.
@@ -90,12 +90,6 @@ import (
 
 // Options tune the auditor.
 type Options struct {
-	// Window is the proportional-share audit period in virtual seconds
-	// (default 5).
-	Window float64
-	// MinWindowRequests is the minimum completions a flow needs inside
-	// a window before it participates in share checks (default 4).
-	MinWindowRequests int
 	// CoordinationPeriod is the broker exchange period in seconds,
 	// used to size the staleness allowance of the cluster-level share
 	// check (default 1, matching the paper's heartbeat piggyback).
@@ -108,16 +102,22 @@ type Options struct {
 	// cluster-level share check into the share-federated regime: same
 	// invariant, wider — and still CI-enforced — staleness term.
 	FederationStaleness float64
-	// RecoveryPeriods is K: how many coordination periods after a
-	// degraded scheduler recovers the cluster-level share bound is
-	// still relaxed before it must re-tighten (default 5).
-	RecoveryPeriods int
-	// MaxViolations caps stored violations; excess ones are counted
-	// but dropped (default 256).
-	MaxViolations int
 }
 
 const (
+	// window is the proportional-share audit period in virtual seconds.
+	window = 5.0
+	// minWindowRequests is the minimum completions a flow needs inside
+	// a window before it participates in share checks.
+	minWindowRequests = 4
+	// recoveryPeriods is K: how many coordination periods after a
+	// degraded scheduler recovers (or a live reweight) the
+	// cluster-level share bound is still relaxed before it must
+	// re-tighten.
+	recoveryPeriods = 5
+	// maxViolations caps stored violations; excess ones are counted
+	// but dropped.
+	maxViolations = 256
 	// shareSlack is the relative slack multiplied onto the theoretical
 	// fairness bound to absorb device-model noise and window-boundary
 	// effects (bound × 1.5).
@@ -131,20 +131,8 @@ const (
 )
 
 func (o *Options) defaults() {
-	if o.Window <= 0 {
-		o.Window = 5
-	}
-	if o.MinWindowRequests <= 0 {
-		o.MinWindowRequests = 4
-	}
 	if o.CoordinationPeriod <= 0 {
 		o.CoordinationPeriod = 1
-	}
-	if o.RecoveryPeriods <= 0 {
-		o.RecoveryPeriods = 5
-	}
-	if o.MaxViolations <= 0 {
-		o.MaxViolations = 256
 	}
 }
 
@@ -187,10 +175,15 @@ type Auditor struct {
 	checks     [numInvariants]uint64
 	lastTime   float64
 	// windowStart opens the current audit window [windowStart,
-	// windowStart+Window), one clock for every scheduler and the
+	// windowStart+window), one clock for every scheduler and the
 	// cluster: the first judged record at or past its end closes it
 	// everywhere at once (closeWindow).
 	windowStart float64
+	// window, minRequests and recovery hold the window, minWindowRequests
+	// and recoveryPeriods; only this package's tests shorten them.
+	window      float64
+	minRequests int
+	recovery    int
 
 	// Degradation bookkeeping (see NoteDegradeStart): skips are the
 	// cluster-level relaxation intervals — each degraded stretch plus
@@ -233,12 +226,12 @@ func (a *Auditor) SetShares(v *shares.Tree) { a.shares = v }
 
 // NoteEpochChange records a live weight change at virtual time t: all
 // share checks are suspended for windows overlapping the reconvergence
-// interval [t, t + RecoveryPeriods × CoordinationPeriod]. Wire it to
+// interval [t, t + K × CoordinationPeriod]. Wire it to
 // shares.Tree.OnChange. Windows past the interval are checked again —
 // the system must actually reconverge to the new targets.
 func (a *Auditor) NoteEpochChange(t float64) {
 	a.count(invEpochNoted)
-	grace := float64(a.opts.RecoveryPeriods) * a.opts.CoordinationPeriod
+	grace := float64(a.recovery) * a.opts.CoordinationPeriod
 	a.epochSkips = append(a.epochSkips, span{from: t, to: t + grace})
 }
 
@@ -261,10 +254,13 @@ func overlaps(spans []span, ws, we float64) bool {
 func New(opts Options, names *shares.Tree) *Auditor {
 	opts.defaults()
 	return &Auditor{
-		opts:      opts,
-		names:     names,
-		openSkips: make(map[schedRef]int),
-		shards:    make(map[int]bool),
+		opts:        opts,
+		window:      window,
+		minRequests: minWindowRequests,
+		recovery:    recoveryPeriods,
+		names:       names,
+		openSkips:   make(map[schedRef]int),
+		shards:      make(map[int]bool),
 	}
 }
 
@@ -359,7 +355,7 @@ func (a *Auditor) NoteDegradeStart(node int, dev string, t float64) {
 
 // NoteDegradeEnd records recovery at time t. The scheduler's local
 // degraded regime ends immediately; the cluster-level bound stays
-// relaxed for K = RecoveryPeriods coordination periods more, after
+// relaxed for K = recoveryPeriods coordination periods more, after
 // which total-service proportionality must re-tighten.
 func (a *Auditor) NoteDegradeEnd(node int, dev string, t float64) {
 	a.note(trace.EventRecover, node, dev, t)
@@ -403,7 +399,7 @@ func (a *Auditor) degradeEnd(s *schedState, r *trace.Record) {
 	}
 	key := schedRef{r.Node, r.Dev}
 	if idx, ok := a.openSkips[key]; ok {
-		grace := float64(a.opts.RecoveryPeriods) * a.opts.CoordinationPeriod
+		grace := float64(a.recovery) * a.opts.CoordinationPeriod
 		a.skips[idx].to = r.Time + grace
 		delete(a.openSkips, key)
 	}
@@ -501,11 +497,11 @@ func (a *Auditor) Finish() {
 	}
 }
 
-// Violations returns the recorded breaches (up to MaxViolations).
+// Violations returns the recorded breaches (up to the first 256).
 func (a *Auditor) Violations() []Violation { return slices.Clone(a.violations) }
 
 // ViolationCount returns the total number of breaches observed,
-// including ones dropped past the MaxViolations cap.
+// including ones dropped past that cap.
 func (a *Auditor) ViolationCount() uint64 {
 	return uint64(len(a.violations)) + a.dropped
 }
@@ -596,7 +592,7 @@ var invariantNames = [numInvariants]string{
 func (i invariant) String() string { return invariantNames[i] }
 
 func (a *Auditor) violate(v Violation) {
-	if len(a.violations) >= a.opts.MaxViolations {
+	if len(a.violations) >= maxViolations {
 		a.dropped++
 		return
 	}
@@ -650,7 +646,7 @@ func (f *flowWindow) add(cost, weight float64) {
 // qualifies reports whether f completed enough requests this window,
 // at a known weight, to take part in share checks.
 func (a *Auditor) qualifies(f *flowWindow) bool {
-	return f.requests >= a.opts.MinWindowRequests && f.weight > 0
+	return f.requests >= a.minRequests && f.weight > 0
 }
 
 // readSFQBacked is satisfied by schedulers that wrap an SFQ queue for
@@ -824,7 +820,7 @@ func (s *schedState) observe(r *trace.Record, app iosched.AppIdx) {
 
 // roll closes the audit windows that end at or before time t.
 func (a *Auditor) roll(t float64) {
-	for w := a.opts.Window; t >= a.windowStart+w; a.windowStart += w {
+	for w := a.window; t >= a.windowStart+w; a.windowStart += w {
 		a.closeWindow()
 	}
 }
@@ -835,7 +831,7 @@ func (a *Auditor) roll(t float64) {
 // check reads the coordinated schedulers' backlog (resetting its own
 // totals as it reads them), then the schedulers' accumulators reset.
 func (a *Auditor) closeWindow() {
-	start, end := a.windowStart, a.windowStart+a.opts.Window
+	start, end := a.windowStart, a.windowStart+a.window
 	for _, s := range a.scheds {
 		s.checkWindow(start, end)
 	}
@@ -858,7 +854,7 @@ func (a *Auditor) closeWindow() {
 // delay rule intentionally skews local shares toward total-service
 // fairness, so the cluster state checks the global analog instead.
 func (s *schedState) checkWindow(start, end float64) {
-	w := s.a.opts.Window
+	w := s.a.window
 	for _, f := range s.flows {
 		if f != nil && f.zeroSince >= 0 {
 			if from := math.Max(f.zeroSince, start); end > from {
@@ -1034,7 +1030,7 @@ func (c *clusterState) complete(app iosched.AppIdx, name iosched.AppID, cost, we
 // a staleness term for service accrued during the coordination period
 // but not yet reflected in the delay functions.
 func (c *clusterState) checkWindow(start, end float64) {
-	w := c.a.opts.Window
+	w := c.a.window
 	// Each qualifying flow's backlogged set: the coordinated schedulers
 	// on which it kept a non-empty queue for (nearly) the whole window.
 	maxZero := w * backlogSlack

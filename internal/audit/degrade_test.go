@@ -16,7 +16,7 @@ import (
 )
 
 func TestDegradeSkipSpans(t *testing.T) {
-	a := New(Options{CoordinationPeriod: 1, RecoveryPeriods: 5}, shares.NewTree())
+	a := New(Options{CoordinationPeriod: 1}, shares.NewTree())
 	a.NoteDegradeStart(0, "d", 10)
 	if a.skipWindow(0, 10) {
 		t.Error("window before the degrade start is skipped")
@@ -57,7 +57,7 @@ func TestDegradeEndWithoutStartIsSafe(t *testing.T) {
 // recovering while B is still down may not re-tighten the cluster
 // bound early.
 func TestInterleavedDegradeSpansCloseIndependently(t *testing.T) {
-	a := New(Options{CoordinationPeriod: 1, RecoveryPeriods: 5}, shares.NewTree())
+	a := New(Options{CoordinationPeriod: 1}, shares.NewTree())
 	a.NoteDegradeStart(0, "hdfs", 10)
 	a.NoteDegradeStart(1, "hdfs", 15)
 	a.NoteDegradeEnd(0, "hdfs", 20) // span [10, 25)
@@ -166,7 +166,8 @@ func TestRegimeSwitchingEndToEnd(t *testing.T) {
 	tree := shares.NewTree()
 	sched := sfqd(t, eng, dev, tree, 2)
 	sched.SetCoordinator(zeroCoord{})
-	au := New(Options{Window: 1, CoordinationPeriod: 0.5, RecoveryPeriods: 2, MinWindowRequests: 1}, tree)
+	au := newShort(Options{CoordinationPeriod: 0.5}, tree)
+	au.recovery = 2
 	sched.SetProbe(au.Probe(0, 0, trace.DevHDFS, sched))
 
 	const horizon = 8.0

@@ -28,7 +28,7 @@ func TestAuditorDetectsInjectedViolations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	au := audit.New(audit.Options{MaxViolations: 3}, tree)
+	au := audit.New(audit.Options{}, tree)
 	p := au.Probe(0, 0, trace.DevHDFS, sched)
 	req := &iosched.Request{AppIdx: tree.Index("x", iosched.NoApp), Class: iosched.PersistentRead, Size: 1e6}
 
@@ -50,18 +50,27 @@ func TestAuditorDetectsInjectedViolations(t *testing.T) {
 		}
 		t.Fatalf("ViolationCount() = %d, want 5 injected breaches", got)
 	}
-	if got := len(au.Violations()); got != 3 {
-		t.Fatalf("retained %d violations, want MaxViolations cap of 3", got)
+	// Past the 5, enough negative latencies to overflow the 256
+	// violations the auditor keeps.
+	const injected = 300
+	for i := 5; i < injected; i++ {
+		p.Observe(req, iosched.ProbeState{Event: iosched.ProbeComplete, Time: 3.5, Latency: -0.5})
+	}
+	if got := au.ViolationCount(); got != injected {
+		t.Fatalf("ViolationCount() = %d, want %d", got, injected)
+	}
+	if got := len(au.Violations()); got != 256 {
+		t.Fatalf("retained %d violations, want the cap of 256", got)
 	}
 	err = au.Err()
 	if err == nil {
 		t.Fatal("Err() = nil despite violations")
 	}
-	if !strings.Contains(err.Error(), "5 invariant violation") {
+	if !strings.Contains(err.Error(), "300 invariant violation") {
 		t.Fatalf("Err() lost the dropped-violation count: %v", err)
 	}
-	want := []string{"lifecycle", "lifecycle", "depth-bound"}
-	for i, v := range au.Violations() {
+	want := []string{"lifecycle", "lifecycle", "depth-bound", "vtime-monotonicity", "work-conservation"}
+	for i, v := range au.Violations()[:len(want)] {
 		if v.Invariant != want[i] {
 			t.Fatalf("violation %d is %q, want %q", i, v.Invariant, want[i])
 		}

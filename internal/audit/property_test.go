@@ -54,13 +54,28 @@ func profileFor(t *testing.T, spec storage.Spec) storage.Profile {
 	if p, ok := profileCache[spec.Name]; ok {
 		return p
 	}
-	p, err := storage.ProfileDevice(spec, storage.ProfileOptions{})
+	p, err := storage.ProfileDevice(spec)
 	if err != nil {
 		t.Fatalf("profiling %s: %v", spec.Name, err)
 	}
 	profileCache[spec.Name] = p
 	return p
 }
+
+// directTransport delivers every exchange to the broker inside the
+// call: the reliable, instantaneous coordination plane.
+type directTransport struct{ b *broker.Broker }
+
+func (d directTransport) Exchange(id string, vec []iosched.AppCost, done func(broker.Response, error)) {
+	done(d.b.Exchange(id, vec), nil)
+}
+
+func (d directTransport) Register(id string, done func(error)) {
+	d.b.Register(id)
+	done(nil)
+}
+
+func (d directTransport) Unregister(id string) { d.b.Unregister(id) }
 
 // runShareTrial builds one randomized backlogged-flows scenario and
 // returns the auditor after the run.
@@ -83,8 +98,7 @@ func runShareTrial(t *testing.T, seed int64, pol propPolicy, spec storage.Spec) 
 	}
 
 	const (
-		horizon     = 24.0 // virtual seconds
-		window      = 4.0  // audit window
+		horizon     = 25.0 // virtual seconds: five audit windows
 		brokPeriod  = 0.5
 		staticDepth = 4
 	)
@@ -95,7 +109,7 @@ func runShareTrial(t *testing.T, seed int64, pol propPolicy, spec storage.Spec) 
 		}
 	}
 	eng := sim.NewEngine()
-	au := audit.New(audit.Options{Window: window, CoordinationPeriod: brokPeriod}, tree)
+	au := audit.New(audit.Options{CoordinationPeriod: brokPeriod}, tree)
 
 	newSched := func(name string) *iosched.SFQ {
 		dev := storage.NewDevice(eng, name, spec)
@@ -104,7 +118,6 @@ func runShareTrial(t *testing.T, seed int64, pol propPolicy, spec storage.Spec) 
 			s, err := iosched.NewSFQD2(eng, dev, tree, iosched.ControllerConfig{
 				ReadLref:  prof.ReadLref,
 				WriteLref: prof.WriteLref,
-				MaxDepth:  8,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -122,8 +135,8 @@ func runShareTrial(t *testing.T, seed int64, pol propPolicy, spec storage.Spec) 
 	if pol == propCoordinate {
 		s1, s2 := newSched("d1"), newSched("d2")
 		b := broker.New()
-		s1.SetCoordinator(broker.NewClient(eng, "n1", s1.Accounting(), broker.ClientOptions{Transport: broker.NewDirectTransport(b), Period: brokPeriod}))
-		s2.SetCoordinator(broker.NewClient(eng, "n2", s2.Accounting(), broker.ClientOptions{Transport: broker.NewDirectTransport(b), Period: brokPeriod}))
+		s1.SetCoordinator(broker.NewClient(eng, "n1", s1.Accounting(), broker.ClientOptions{Transport: directTransport{b}, Period: brokPeriod}))
+		s2.SetCoordinator(broker.NewClient(eng, "n2", s2.Accounting(), broker.ClientOptions{Transport: directTransport{b}, Period: brokPeriod}))
 		au.AttachBroker(0, b)
 		scheds = []*iosched.SFQ{s1, s2}
 	} else {
@@ -140,7 +153,7 @@ func runShareTrial(t *testing.T, seed int64, pol propPolicy, spec storage.Spec) 
 	// wait queue never empties while the trial runs.
 	outstanding := 2 * staticDepth
 	if pol == propSFQD2 {
-		outstanding = 16 // above the controller's MaxDepth of 8
+		outstanding = 16 // above the controller's maximum depth of 12
 	}
 	for _, s := range scheds {
 		s := s

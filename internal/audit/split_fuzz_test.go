@@ -59,7 +59,8 @@ func taggedPool(tb testing.TB) ([]*iosched.Request, *shares.Tree) {
 // schedulers, the i-th on shard shardOf(i), and returns it with the
 // schedulers' probes.
 func splitAuditor(tb testing.TB, names *shares.Tree, shardOf func(int) int) (*Auditor, []iosched.Probe) {
-	a := New(Options{Window: 1, MinWindowRequests: 1, CoordinationPeriod: 0.5, RecoveryPeriods: 2}, names)
+	a := newShort(Options{CoordinationPeriod: 0.5}, names)
+	a.recovery = 2
 	probes := make([]iosched.Probe, splitScheds)
 	for i := range probes {
 		eng := sim.NewEngine()

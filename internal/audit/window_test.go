@@ -27,6 +27,15 @@ func sfqd(tb testing.TB, eng *sim.Engine, dev *storage.Device, src iosched.Weigh
 	return s
 }
 
+// newShort is New with 1 s windows that one completion qualifies for:
+// the hand-built scenarios are shorter than the 5 s, four-completion
+// default allows.
+func newShort(opts Options, names *shares.Tree) *Auditor {
+	a := New(opts, names)
+	a.window, a.minRequests = 1, 1
+	return a
+}
+
 func flatSpec() storage.Spec {
 	return storage.Spec{
 		Name: "flat", ReadBW: 100e6, WriteBW: 100e6,
@@ -43,7 +52,7 @@ func flatSpec() storage.Spec {
 // far more than the cluster bound.
 func TestClusterCheckDetectsBreach(t *testing.T) {
 	tree := shares.NewTree()
-	a := New(Options{Window: 1, MinWindowRequests: 1, CoordinationPeriod: 0.1}, tree)
+	a := newShort(Options{CoordinationPeriod: 0.1}, tree)
 	eng := sim.NewEngine()
 	dev := storage.NewDevice(eng, "d", flatSpec())
 	tagger := sfqd(t, eng, dev, tree, 2)
@@ -97,7 +106,7 @@ func TestShardedAuditLogEmptyAfterEveryBarrier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := New(Options{Window: 1, MinWindowRequests: 1}, cl.Shares())
+	a := newShort(Options{}, cl.Shares())
 	a.Attach(cl, 1)
 	barriers, held := 0, 0
 	cl.OnBarrier(func() {

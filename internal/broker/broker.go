@@ -576,67 +576,40 @@ type Transport interface {
 	Unregister(id string)
 }
 
-// directTransport is the perfectly reliable, instantaneous in-process
-// transport: every response arrives inside the call.
-type directTransport struct{ b *Broker }
-
-// NewDirectTransport wraps a broker in the reliable transport.
-func NewDirectTransport(b *Broker) Transport { return directTransport{b} }
-
-func (d directTransport) Exchange(id string, vec []iosched.AppCost, done func(Response, error)) {
-	done(d.b.Exchange(id, vec), nil)
-}
-
-func (d directTransport) Register(id string, done func(error)) {
-	d.b.Register(id)
-	done(nil)
-}
-
-func (d directTransport) Unregister(id string) { d.b.Unregister(id) }
-
-// RetryPolicy tunes the client's failure handling. The zero value takes
-// defaults derived from the coordination period.
-type RetryPolicy struct {
-	// MaxRetries bounds re-attempts per round after the first failure
-	// (default 3; negative disables retries).
-	MaxRetries int
-	// BaseBackoff is the first retry delay; each further retry doubles
-	// it up to MaxBackoff (defaults period/20 and period/4).
-	BaseBackoff float64
-	MaxBackoff  float64
-	// JitterFrac adds up to this fraction of the backoff as
-	// deterministic jitter, decorrelating clients (default 0.25).
-	JitterFrac float64
-	// Timeout is how long the client waits for a response before
-	// declaring the attempt dead (default period/4). Responses arriving
-	// later are discarded.
-	Timeout float64
-	// DegradeAfter is how long exchanges must keep failing before the
+// retryPolicy is the client's failure handling. Every value derives
+// from the coordination period (retryPolicyFor).
+type retryPolicy struct {
+	// maxRetries bounds re-attempts per round after the first failure.
+	maxRetries int
+	// baseBackoff is the first retry delay; each further retry doubles
+	// it up to maxBackoff.
+	baseBackoff float64
+	maxBackoff  float64
+	// jitterFrac adds up to this fraction of the backoff as
+	// deterministic jitter, decorrelating clients.
+	jitterFrac float64
+	// timeout is how long the client waits for a response before
+	// declaring the attempt dead. Responses arriving later are
+	// discarded.
+	timeout float64
+	// degradeAfter is how long exchanges must keep failing before the
 	// client suspends the DSFQ delay rule and falls back to local
-	// fairness (default one period, per the paper's staleness bound).
-	DegradeAfter float64
+	// fairness: one period, per the paper's staleness bound.
+	degradeAfter float64
 }
 
-func (p RetryPolicy) withDefaults(period float64) RetryPolicy {
-	if p.MaxRetries == 0 {
-		p.MaxRetries = 3
+// retryPolicyFor returns the failure handling for a coordination
+// period: 3 retries backing off from period/20 to period/4 with 25%
+// jitter, a period/4 timeout, and degradation after one period.
+func retryPolicyFor(period float64) retryPolicy {
+	return retryPolicy{
+		maxRetries:   3,
+		baseBackoff:  period / 20,
+		maxBackoff:   period / 4,
+		jitterFrac:   0.25,
+		timeout:      period / 4,
+		degradeAfter: period,
 	}
-	if p.BaseBackoff <= 0 {
-		p.BaseBackoff = period / 20
-	}
-	if p.MaxBackoff <= 0 {
-		p.MaxBackoff = period / 4
-	}
-	if p.JitterFrac <= 0 {
-		p.JitterFrac = 0.25
-	}
-	if p.Timeout <= 0 {
-		p.Timeout = period / 4
-	}
-	if p.DegradeAfter <= 0 {
-		p.DegradeAfter = period
-	}
-	return p
 }
 
 // ClientState is the client's position in the degradation state
@@ -647,8 +620,8 @@ const (
 	// StateHealthy: exchanges are succeeding; the delay rule is live.
 	StateHealthy ClientState = iota
 	// StateRetrying: exchanges are failing but the failure stretch is
-	// still shorter than DegradeAfter; the delay rule runs on the last
-	// good totals.
+	// still shorter than one coordination period; the delay rule runs
+	// on the last good totals.
 	StateRetrying
 	// StateDegraded: coordination is suspended; the scheduler enforces
 	// pure local SFQ(D) fairness until an exchange succeeds.
@@ -674,11 +647,9 @@ type ClientOptions struct {
 	// Transport carries the exchanges. Nil means the client never
 	// coordinates (the paper's "No Sync").
 	Transport Transport
-	// Period is the coordination period in seconds (default 1).
+	// Period is the coordination period in seconds (default 1). The
+	// client's retry, timeout and degradation rule derive from it.
 	Period float64
-	// Retry tunes failure handling; zero fields take period-derived
-	// defaults.
-	Retry RetryPolicy
 	// Shares attributes apps to tenants on the client side (nil means
 	// implicit singleton tenants, i.e. flat per-app coordination). It
 	// must be the view the broker aggregates against.
@@ -700,7 +671,7 @@ type Client struct {
 	reporter  Reporter
 	eng       *sim.Engine
 	period    float64
-	policy    RetryPolicy
+	policy    retryPolicy
 	view      *shares.Tree
 
 	// otherTenant is the remote service per tenant (by TenantIdx) as
@@ -749,7 +720,7 @@ func NewClient(eng *sim.Engine, id string, reporter Reporter, opts ClientOptions
 		reporter:     reporter,
 		eng:          eng,
 		period:       period,
-		policy:       opts.Retry.withDefaults(period),
+		policy:       retryPolicyFor(period),
 		view:         viewOf(opts.Shares),
 		failingSince: -1,
 		nextSeq:      1,
@@ -876,7 +847,7 @@ func (c *Client) await(r *pending) {
 	if r.arrived {
 		return
 	}
-	r.timeout = c.eng.ScheduleDaemon(c.policy.Timeout, func() {
+	r.timeout = c.eng.ScheduleDaemon(c.policy.timeout, func() {
 		if c.epoch != r.epoch {
 			return
 		}
@@ -961,7 +932,7 @@ func (c *Client) fail(now float64) {
 		}
 	}
 	c.maybeDegrade(now)
-	if c.attempt < c.policy.MaxRetries {
+	if c.attempt < c.policy.maxRetries {
 		c.attempt++
 		c.health.Retries++
 		epoch := c.epoch
@@ -977,21 +948,21 @@ func (c *Client) fail(now float64) {
 }
 
 // backoff returns the delay before retry `attempt` (1-based):
-// exponential from BaseBackoff, capped at MaxBackoff, plus
+// exponential from baseBackoff, capped at maxBackoff, plus
 // deterministic jitter hashed from (client id, attempt sequence).
 func (c *Client) backoff(attempt int) float64 {
-	d := c.policy.BaseBackoff * math.Pow(2, float64(attempt-1))
-	if d > c.policy.MaxBackoff {
-		d = c.policy.MaxBackoff
+	d := c.policy.baseBackoff * math.Pow(2, float64(attempt-1))
+	if d > c.policy.maxBackoff {
+		d = c.policy.maxBackoff
 	}
-	return d + c.policy.JitterFrac*d*hash01(c.id, c.nextSeq)
+	return d + c.policy.jitterFrac*d*hash01(c.id, c.nextSeq)
 }
 
 func (c *Client) maybeDegrade(now float64) {
 	if c.state == StateDegraded || c.failingSince < 0 {
 		return
 	}
-	if now-c.failingSince < c.policy.DegradeAfter-1e-12 {
+	if now-c.failingSince < c.policy.degradeAfter-1e-12 {
 		return
 	}
 	c.degrade(now)

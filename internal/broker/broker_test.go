@@ -14,6 +14,21 @@ import (
 	"ibis/internal/storage"
 )
 
+// directTransport is the perfectly reliable, instantaneous in-process
+// transport: every response arrives inside the call.
+type directTransport struct{ b *Broker }
+
+func (d directTransport) Exchange(id string, vec []iosched.AppCost, done func(Response, error)) {
+	done(d.b.Exchange(id, vec), nil)
+}
+
+func (d directTransport) Register(id string, done func(error)) {
+	d.b.Register(id)
+	done(nil)
+}
+
+func (d directTransport) Unregister(id string) { d.b.Unregister(id) }
+
 func TestExchangeAggregatesAcrossSchedulers(t *testing.T) {
 	b := New()
 	b.Exchange("n1", costs(map[iosched.AppID]float64{"A": 100, "B": 50}))
@@ -104,8 +119,8 @@ func TestClientOtherService(t *testing.T) {
 	eng := sim.NewEngine()
 	r1 := fakeReporter{"A": 100}
 	r2 := fakeReporter{"A": 60}
-	c1 := NewClient(eng, "n1", r1, ClientOptions{Transport: NewDirectTransport(b), Period: 1})
-	c2 := NewClient(eng, "n2", r2, ClientOptions{Transport: NewDirectTransport(b), Period: 1})
+	c1 := NewClient(eng, "n1", r1, ClientOptions{Transport: directTransport{b}, Period: 1})
+	c2 := NewClient(eng, "n2", r2, ClientOptions{Transport: directTransport{b}, Period: 1})
 	c1.ExchangeNow()
 	c2.ExchangeNow()
 	c1.ExchangeNow() // refresh n1's view after n2 reported
@@ -138,7 +153,7 @@ func TestRetiredSiblingLeavesTenantCharge(t *testing.T) {
 	b := NewPartition(0, tree, 0).Broker()
 	eng := sim.NewEngine()
 	rep := fakeReporter{"a": 100, "b": 50}
-	c := NewClient(eng, "s1", rep, ClientOptions{Transport: NewDirectTransport(b), Period: 1, Shares: tree})
+	c := NewClient(eng, "s1", rep, ClientOptions{Transport: directTransport{b}, Period: 1, Shares: tree})
 	b.Exchange("s2", costs(map[iosched.AppID]float64{"b": 30}))
 	c.ExchangeNow()
 	b.Retire("a")
@@ -178,7 +193,7 @@ func TestClientNilBrokerNoSync(t *testing.T) {
 func TestClientPeriodicDaemonTicks(t *testing.T) {
 	b := New()
 	eng := sim.NewEngine()
-	NewClient(eng, "n1", fakeReporter{"A": 7}, ClientOptions{Transport: NewDirectTransport(b), Period: 1})
+	NewClient(eng, "n1", fakeReporter{"A": 7}, ClientOptions{Transport: directTransport{b}, Period: 1})
 	// Daemon ticks alone must not keep the sim alive.
 	end := eng.Run()
 	if end != 0 {
@@ -195,7 +210,7 @@ func TestClientPeriodicDaemonTicks(t *testing.T) {
 func TestClientDefaultPeriod(t *testing.T) {
 	b := New()
 	eng := sim.NewEngine()
-	NewClient(eng, "n1", fakeReporter{}, ClientOptions{Transport: NewDirectTransport(b), Period: 0}) // invalid period -> 1s default
+	NewClient(eng, "n1", fakeReporter{}, ClientOptions{Transport: directTransport{b}, Period: 0}) // invalid period -> 1s default
 	eng.Schedule(2.5, func() {})
 	eng.Run()
 	if got := b.Stats().Exchanges; got != 2 {
@@ -292,8 +307,8 @@ func TestCoordinationBalancesTotalService(t *testing.T) {
 	dev2 := storage.NewDevice(eng, "d2", spec)
 	s1, s2 := sfqd(t, eng, dev1, tree, 1), sfqd(t, eng, dev2, tree, 1)
 	b := New()
-	c1 := NewClient(eng, "n1", s1.Accounting(), ClientOptions{Transport: NewDirectTransport(b), Period: 0.5})
-	c2 := NewClient(eng, "n2", s2.Accounting(), ClientOptions{Transport: NewDirectTransport(b), Period: 0.5})
+	c1 := NewClient(eng, "n1", s1.Accounting(), ClientOptions{Transport: directTransport{b}, Period: 0.5})
+	c2 := NewClient(eng, "n2", s2.Accounting(), ClientOptions{Transport: directTransport{b}, Period: 0.5})
 	s1.SetCoordinator(c1)
 	s2.SetCoordinator(c2)
 

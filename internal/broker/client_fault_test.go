@@ -109,17 +109,14 @@ func TestClientBackoffIsExponentialAndBounded(t *testing.T) {
 			return nil, 0, ErrUnavailable
 		}},
 		Period: 1,
-		Retry:  RetryPolicy{BaseBackoff: 0.05, MaxBackoff: 0.1, JitterFrac: 1e-9},
 	})
-	_ = c
-	// Backoffs: 0.05, 0.1, then capped at 0.1 (plus negligible jitter).
-	prev := 0.0
-	for attempt, want := range map[int]float64{1: 0.05, 2: 0.1, 3: 0.1, 4: 0.1} {
+	// Backoffs: 0.05, 0.1, 0.2, then capped at 0.25, each plus up to
+	// 25% jitter.
+	for attempt, want := range map[int]float64{1: 0.05, 2: 0.1, 3: 0.2, 4: 0.25, 5: 0.25} {
 		got := c.backoff(attempt)
-		if got < want || got > want*1.01 {
-			t.Errorf("backoff(%d) = %g, want ≈%g", attempt, got, want)
+		if got < want || got > want*1.25 {
+			t.Errorf("backoff(%d) = %g, want in [%g, %g]", attempt, got, want, want*1.25)
 		}
-		_ = prev
 	}
 }
 
@@ -247,9 +244,9 @@ func TestClientRestartWipesViewAndReRegisters(t *testing.T) {
 	eng := sim.NewEngine()
 	b := New()
 	rep := mapReporter{"a": 10}
-	other := NewClient(eng, "n1", mapReporter{"a": 40}, ClientOptions{Transport: NewDirectTransport(b), Period: 1})
+	other := NewClient(eng, "n1", mapReporter{"a": 40}, ClientOptions{Transport: directTransport{b}, Period: 1})
 	_ = other
-	c := NewClient(eng, "n0", rep, ClientOptions{Transport: NewDirectTransport(b), Period: 1})
+	c := NewClient(eng, "n0", rep, ClientOptions{Transport: directTransport{b}, Period: 1})
 	eng.Schedule(10, func() {})
 	eng.RunUntil(1.5)
 	if got := c.OtherService("a", iosched.NoApp); got != 40 {
@@ -433,34 +430,9 @@ func TestClientStateStrings(t *testing.T) {
 }
 
 func TestRetryPolicyDefaults(t *testing.T) {
-	p := RetryPolicy{}.withDefaults(2)
-	if p.MaxRetries != 3 || p.BaseBackoff != 0.1 || p.MaxBackoff != 0.5 || p.Timeout != 0.5 || p.DegradeAfter != 2 {
-		t.Errorf("defaults = %+v", p)
-	}
-	// Negative MaxRetries disables retries entirely.
-	p = RetryPolicy{MaxRetries: -1}.withDefaults(1)
-	if p.MaxRetries != -1 {
-		t.Errorf("MaxRetries = %d, want -1 preserved", p.MaxRetries)
-	}
-}
-
-func TestClientNoRetriesWhenDisabled(t *testing.T) {
-	eng := sim.NewEngine()
-	calls := 0
-	tr := &hookTransport{exchange: func(string, map[iosched.AppID]float64) (map[iosched.AppID]float64, float64, error) {
-		calls++
-		return nil, 0, ErrUnavailable
-	}}
-	c := NewClient(eng, "n0", mapReporter{}, ClientOptions{
-		Transport: tr, Period: 1, Retry: RetryPolicy{MaxRetries: -1},
-	})
-	eng.Schedule(3.5, func() {})
-	eng.RunUntil(3.5)
-	if calls != 3 {
-		t.Errorf("attempts = %d, want 3 (one per tick, no retries)", calls)
-	}
-	if h := c.Health(); h.Retries != 0 {
-		t.Errorf("retries = %d, want 0", h.Retries)
+	p := retryPolicyFor(2)
+	if p.maxRetries != 3 || p.baseBackoff != 0.1 || p.maxBackoff != 0.5 || p.jitterFrac != 0.25 || p.timeout != 0.5 || p.degradeAfter != 2 {
+		t.Errorf("policy for a 2 s period = %+v", p)
 	}
 }
 

@@ -69,6 +69,12 @@ func (p Policy) String() string {
 // Ethernet ≈ 117 MB/s effective).
 const nicBandwidth = 117e6
 
+// networkDepth is the NIC schedulers' dispatch depth. Unlike disks,
+// links gain nothing from a small bound (it only breaks transfer
+// pipelining), so it is a deep 128: weighted fairness without
+// admission control.
+const networkDepth = 128
+
 // Config describes the cluster. The zero value is completed by
 // defaults() to the paper's testbed shape: 8 worker datanodes, 12 cores
 // and 24 GB of task memory each, two HDDs, gigabit Ethernet.
@@ -99,13 +105,9 @@ type Config struct {
 	ReservationRates   map[iosched.AppID]float64
 	ReservationDefault float64
 	// ScheduleNetwork interposes a weighted fair (SFQ) scheduler on
-	// every egress NIC as well — the paper's OpenFlow-style extension.
-	// NetworkDepth is its dispatch depth; unlike disks, links gain
-	// nothing from a small bound (it only breaks transfer pipelining),
-	// so the default is a deep 128 — weighted fairness without
-	// admission control.
+	// every egress NIC as well — the paper's OpenFlow-style extension,
+	// at dispatch depth networkDepth.
 	ScheduleNetwork bool
-	NetworkDepth    int
 
 	// Coordinate enables the Scheduling Broker (the paper's "Sync").
 	Coordinate bool
@@ -157,9 +159,6 @@ func (c *Config) defaults() {
 	}
 	if c.CoordinationPeriod <= 0 {
 		c.CoordinationPeriod = 1
-	}
-	if c.NetworkDepth <= 0 {
-		c.NetworkDepth = 128
 	}
 	if c.Coordinate && c.Federation.Enabled() {
 		c.Federation.defaults(c.CoordinationPeriod)
@@ -343,7 +342,7 @@ func assemble(eng *sim.Engine, fab *sim.Fabric, cfg Config) (*Cluster, error) {
 				return nil, err
 			}
 			if cfg.ScheduleNetwork {
-				if n.NetSched, err = iosched.NewSFQD(nodeEng, &linkBackend{res: n.nicOut}, c.shares, cfg.NetworkDepth); err != nil {
+				if n.NetSched, err = iosched.NewSFQD(nodeEng, &linkBackend{res: n.nicOut}, c.shares, networkDepth); err != nil {
 					return nil, err
 				}
 			}
@@ -544,7 +543,7 @@ func ProfileFor(spec storage.Spec) (storage.Profile, error) {
 	if p, ok := profileCache.Load(key); ok {
 		return p.(storage.Profile), nil
 	}
-	prof, err := storage.ProfileDevice(spec, storage.ProfileOptions{})
+	prof, err := storage.ProfileDevice(spec)
 	if err != nil {
 		return storage.Profile{}, err
 	}

@@ -74,7 +74,6 @@ func TestNetworkSchedulerWeightsTransfers(t *testing.T) {
 	eng, c := newCluster(t, Config{
 		Nodes:           2,
 		ScheduleNetwork: true,
-		NetworkDepth:    1,
 	})
 	if c.Nodes[0].NetSched == nil {
 		t.Fatal("NetSched missing with ScheduleNetwork=true")
@@ -96,7 +95,10 @@ func TestNetworkSchedulerWeightsTransfers(t *testing.T) {
 				}
 			})
 		}
-		for i := 0; i < 4; i++ {
+		// Each flow keeps several times the NIC scheduler's 128
+		// dispatch slots outstanding, so both always wait in its queue
+		// and the weights decide who dispatches next.
+		for i := 0; i < 4*networkDepth; i++ {
 			issue()
 		}
 	}

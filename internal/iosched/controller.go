@@ -26,12 +26,6 @@ type ControllerConfig struct {
 	// ReadLref is used for both directions.
 	ReadLref  float64
 	WriteLref float64
-	// MinDepth and MaxDepth clamp D. The paper bounds D in [1, 12].
-	MinDepth int
-	MaxDepth int
-	// InitialDepth seeds D; defaults to MaxDepth (start permissive,
-	// tighten under load).
-	InitialDepth int
 	// Trace, if non-nil, receives one record per control period —
 	// exactly the data behind Figure 7.
 	Trace func(TracePoint)
@@ -47,31 +41,28 @@ type TracePoint struct {
 	Samples  int     // completions observed this period
 }
 
-// controlPeriod is the control interval in seconds, the paper's 1 s.
-const controlPeriod = 1.0
+const (
+	// controlPeriod is the control interval in seconds, the paper's 1 s.
+	controlPeriod = 1.0
+	// minDepth and maxDepth clamp D: the paper bounds D in [1, 12]. D
+	// starts at maxDepth (start permissive, tighten under load).
+	minDepth = 1
+	maxDepth = 12
+)
 
 func (c *ControllerConfig) defaults() {
 	if c.Gain <= 0 {
 		c.Gain = 120
 	}
-	if c.MinDepth <= 0 {
-		c.MinDepth = 1
-	}
-	if c.MaxDepth <= 0 {
-		c.MaxDepth = 12
-	}
 	if c.WriteLref <= 0 {
 		c.WriteLref = c.ReadLref
-	}
-	if c.InitialDepth <= 0 {
-		c.InitialDepth = c.MaxDepth
 	}
 }
 
 // validate applies the defaults and rejects a configuration the
 // controller cannot run. A non-finite gain or reference latency is
 // rejected before the defaults see it: a NaN would otherwise make the
-// depth NaN, which rounds to MinDepth without a word.
+// depth NaN, which rounds to minDepth without a word.
 func (c *ControllerConfig) validate() error {
 	for _, f := range [...]struct {
 		name string
@@ -84,9 +75,6 @@ func (c *ControllerConfig) validate() error {
 	c.defaults()
 	if c.ReadLref <= 0 {
 		return fmt.Errorf("iosched: controller requires a positive reference latency (got %g)", c.ReadLref)
-	}
-	if c.MinDepth > c.MaxDepth {
-		return fmt.Errorf("iosched: controller depth bounds inverted: [%d, %d]", c.MinDepth, c.MaxDepth)
 	}
 	return nil
 }
@@ -109,7 +97,7 @@ func newDepthController(eng *sim.Engine, cfg ControllerConfig, onChange func()) 
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	c := &DepthController{cfg: cfg, d: float64(cfg.InitialDepth), onChange: onChange}
+	c := &DepthController{cfg: cfg, d: maxDepth, onChange: onChange}
 	var tick func()
 	tick = func() {
 		c.step(eng.Now())
@@ -122,13 +110,7 @@ func newDepthController(eng *sim.Engine, cfg ControllerConfig, onChange func()) 
 // Depth returns the integer dispatch bound for the current period.
 func (c *DepthController) Depth() int {
 	d := int(c.d + 0.5)
-	if d < c.cfg.MinDepth {
-		d = c.cfg.MinDepth
-	}
-	if d > c.cfg.MaxDepth {
-		d = c.cfg.MaxDepth
-	}
-	return d
+	return min(max(d, minDepth), maxDepth)
 }
 
 // Raw returns the continuous controller state.
@@ -161,12 +143,7 @@ func (c *DepthController) step(now float64) {
 		readFrac := float64(c.reads) / float64(c.samples)
 		lref = readFrac*c.cfg.ReadLref + (1-readFrac)*c.cfg.WriteLref
 		c.d += c.cfg.Gain * (lref - lk)
-		if c.d < float64(c.cfg.MinDepth) {
-			c.d = float64(c.cfg.MinDepth)
-		}
-		if c.d > float64(c.cfg.MaxDepth) {
-			c.d = float64(c.cfg.MaxDepth)
-		}
+		c.d = min(max(c.d, minDepth), maxDepth)
 	}
 	// An idle period (no completions) leaves D unchanged: there is no
 	// load signal to react to.

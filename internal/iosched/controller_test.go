@@ -11,14 +11,16 @@ import (
 func TestControllerDefaults(t *testing.T) {
 	c := ControllerConfig{ReadLref: 0.01}
 	c.defaults()
-	if c.Gain <= 0 || c.MinDepth != 1 || c.MaxDepth != 12 {
+	if c.Gain <= 0 {
 		t.Fatalf("defaults: %+v", c)
 	}
 	if c.WriteLref != c.ReadLref {
 		t.Fatalf("WriteLref default = %v, want ReadLref", c.WriteLref)
 	}
-	if c.InitialDepth != c.MaxDepth {
-		t.Fatalf("InitialDepth = %d, want MaxDepth", c.InitialDepth)
+	// D starts permissive, at the top of the paper's [1, 12].
+	eng := sim.NewEngine()
+	if d := mustSFQD2(t, eng, storage.NewDevice(eng, "d", flatSpec()), c).Depth(); d != 12 {
+		t.Fatalf("initial depth = %d, want 12", d)
 	}
 }
 
@@ -44,11 +46,10 @@ func mustSFQD2(t testing.TB, eng *sim.Engine, dev Backend, cfg ControllerConfig)
 func TestControllerValidation(t *testing.T) {
 	bad := []ControllerConfig{
 		{}, // no reference latency
-		{ReadLref: 0.01, MinDepth: 9, MaxDepth: 3}, // inverted bounds
 	}
 	// Every float field the controller computes with, at each
 	// non-finite value: NaN would make the depth NaN, which rounds to
-	// MinDepth without an error.
+	// the minimum depth without an error.
 	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		bad = append(bad,
 			ControllerConfig{ReadLref: 0.01, Gain: v},
@@ -85,10 +86,10 @@ func TestControllerGrowsDepthUnderLowLatency(t *testing.T) {
 	eng := sim.NewEngine()
 	dev := storage.NewDevice(eng, "d", flatSpec())
 	s := mustSFQD2(t, eng, dev, ControllerConfig{
-		ReadLref:     10, // far above observed latency
-		Gain:         5,
-		InitialDepth: 1,
+		ReadLref: 10, // far above observed latency
+		Gain:     5,
 	})
+	s.Controller().d = 1 // start at the floor, so reaching 12 is growth
 	var served float64
 	backlog(eng, s, "A", 1, PersistentRead, 1e6, 6, 20, &served)
 	eng.RunUntil(20)
@@ -100,7 +101,8 @@ func TestControllerGrowsDepthUnderLowLatency(t *testing.T) {
 func TestControllerIdlePeriodsLeaveDepth(t *testing.T) {
 	eng := sim.NewEngine()
 	dev := storage.NewDevice(eng, "d", flatSpec())
-	s := mustSFQD2(t, eng, dev, ControllerConfig{ReadLref: 0.01, InitialDepth: 5})
+	s := mustSFQD2(t, eng, dev, ControllerConfig{ReadLref: 0.01})
+	s.Controller().d = 5 // off both bounds, so a drift either way shows
 	// Keep the sim alive with a live no-op event past several periods.
 	eng.Schedule(5.5, func() {})
 	eng.Run()
@@ -185,7 +187,7 @@ func TestControllerMixedReferenceWeighting(t *testing.T) {
 }
 
 func TestControllerDepthRounding(t *testing.T) {
-	c := &DepthController{cfg: ControllerConfig{MinDepth: 1, MaxDepth: 12}, d: 3.6}
+	c := &DepthController{d: 3.6}
 	if c.Depth() != 4 {
 		t.Fatalf("Depth() = %d for raw 3.6, want 4", c.Depth())
 	}
@@ -218,7 +220,7 @@ func TestControllerReactsToFlushDisturbance(t *testing.T) {
 		MinCurve:   0.5,
 	}
 	dev := storage.NewDevice(eng, "d", spec)
-	prof, err := storage.ProfileDevice(spec, storage.ProfileOptions{MaxConcurrency: 12, RequestSize: 1e6})
+	prof, err := storage.ProfileDevice(spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,23 +30,6 @@ func TestPreemptionRebalances(t *testing.T) {
 	}
 }
 
-func TestPreemptionDisabled(t *testing.T) {
-	h := newHarness(t, cluster.Native, 2)
-	rt2 := NewRuntime(h.eng, h.cl, h.nn, Config{DisablePreemption: true})
-	spec := JobSpec{Name: "j", Weight: 1, NumMaps: 4, DirectOutputBytes: 16e6}
-	job, err := rt2.Submit(spec, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.eng.Run()
-	if !job.Done() {
-		t.Fatal("job did not finish with preemption disabled")
-	}
-	if rt2.fair.Preempted() != 0 {
-		t.Fatal("preemption fired while disabled")
-	}
-}
-
 func TestPreemptedMapRestartsCleanly(t *testing.T) {
 	h := newHarness(t, cluster.Native, 2)
 	// A job whose maps take long enough that a forced preemption mid-

@@ -15,10 +15,6 @@ type Config struct {
 	// ChunkBytes is the I/O granularity tasks use when streaming data
 	// (Hadoop's io.file.buffer / transfer chunking). Default 2 MB.
 	ChunkBytes float64
-	// SlowstartFraction is the fraction of maps that must finish before
-	// reduces become schedulable (mapreduce.job.reduce.slowstart).
-	// Default 0.05.
-	SlowstartFraction float64
 	// WriteAheadChunks is the write-behind window: how many output
 	// chunks a task keeps in flight concurrently. HDFS clients buffer
 	// and stream writes ahead of the application, which is exactly why
@@ -31,13 +27,14 @@ type Config struct {
 	// merges in memory (no spill write, no merge read-back), as Hadoop
 	// does. Default 2 GB (25% of the 8 GB reduce heap).
 	ShuffleBufferBytes float64
-	// DisablePreemption turns off Fair Scheduler preemption. Table 1
-	// enables it with a 5 s timeout, so it is on by default.
-	DisablePreemption bool
 }
 
-// Table 1's Hadoop settings that no experiment varies.
+// Table 1's Hadoop settings that no experiment varies. Fair
+// Scheduler preemption is always on.
 const (
+	// slowstartFraction is the fraction of maps that must finish before
+	// reduces become schedulable (mapreduce.job.reduce.slowstart).
+	slowstartFraction = 0.05
 	// shuffleParallelism is the number of concurrent fetch streams per
 	// reduce task (mapreduce.reduce.shuffle.parallelcopies).
 	shuffleParallelism = 4
@@ -49,9 +46,6 @@ const (
 func (c *Config) defaults() {
 	if c.ChunkBytes <= 0 {
 		c.ChunkBytes = 2e6
-	}
-	if c.SlowstartFraction <= 0 {
-		c.SlowstartFraction = 0.05
 	}
 	if c.WriteAheadChunks <= 0 {
 		c.WriteAheadChunks = 8
@@ -67,11 +61,13 @@ type Runtime struct {
 	cluster *cluster.Cluster
 	nn      *dfs.Namenode
 	cfg     Config
-	fair    *fairScheduler
-	jobs    []*Job
-	nextID  int
-	onDone  []func(*Job)
-	pools   map[string]*pool
+	// slowstart is slowstartFraction; only this package's tests move it.
+	slowstart float64
+	fair      *fairScheduler
+	jobs      []*Job
+	nextID    int
+	onDone    []func(*Job)
+	pools     map[string]*pool
 
 	// The coordinator shard, where the runtime's own state lives, and
 	// the metadata shards hosting the namenode partitions (empty: the
@@ -88,14 +84,12 @@ type Runtime struct {
 func NewRuntime(eng *sim.Engine, c *cluster.Cluster, nn *dfs.Namenode, cfg Config) *Runtime {
 	cfg.defaults()
 	rt := &Runtime{
-		eng: eng, cluster: c, nn: nn, cfg: cfg, pools: make(map[string]*pool),
+		eng: eng, cluster: c, nn: nn, cfg: cfg, slowstart: slowstartFraction, pools: make(map[string]*pool),
 		coordShard: c.CoordShard(),
 		metaShards: c.MetaShards(),
 	}
 	rt.fair = newFairScheduler(rt)
-	if !cfg.DisablePreemption {
-		rt.fair.startPreemptionMonitor()
-	}
+	rt.fair.startPreemptionMonitor()
 	return rt
 }
 
@@ -376,7 +370,7 @@ func (j *Job) reducesEligible() bool {
 	if len(j.maps) == 0 {
 		return true
 	}
-	need := int(math.Ceil(j.rt.cfg.SlowstartFraction * float64(len(j.maps))))
+	need := int(math.Ceil(j.rt.slowstart * float64(len(j.maps))))
 	if need < 1 {
 		need = 1
 	}

@@ -328,7 +328,7 @@ func TestReduceSlowstart(t *testing.T) {
 	spec := simpleSpec()
 	spec.InputBytes = 512e6 // 16 maps
 	job, _ := h.rt.Submit(spec, 0)
-	h.rt.cfg.SlowstartFraction = 0.5
+	h.rt.slowstart = 0.5
 	reduceStarted := math.Inf(1)
 	mapsAtReduceStart := 0
 	var probe func()

@@ -39,45 +39,31 @@ func (p Profile) Lref(readFrac float64) float64 {
 	return readFrac*p.ReadLref + (1-readFrac)*p.WriteLref
 }
 
-// ProfileOptions configures the calibration probe.
-type ProfileOptions struct {
-	// RequestSize is the probe request size, bytes. Default 2 MB — the
-	// execution engine's default chunking granularity, so the
-	// reference latency is measured with representative requests.
-	RequestSize float64
-	// MaxConcurrency is the deepest queue probed. Default 16.
-	MaxConcurrency int
-	// Duration is the probe length per concurrency level, seconds of
-	// virtual time. Default 30.
-	Duration float64
-}
-
-// saturationFraction starts the knee search at the smallest concurrency
-// achieving this fraction of the peak throughput.
-const saturationFraction = 0.8
-
-func (o *ProfileOptions) defaults() {
-	if o.RequestSize <= 0 {
-		o.RequestSize = 2e6
-	}
-	if o.MaxConcurrency <= 0 {
-		o.MaxConcurrency = 16
-	}
-	if o.Duration <= 0 {
-		o.Duration = 30
-	}
-}
+// The calibration probe's fixed shape.
+const (
+	// probeRequestSize is the probe request size, bytes: 2 MB, the
+	// execution engine's default chunking granularity, so the reference
+	// latency is measured with representative requests.
+	probeRequestSize = 2e6
+	// probeMaxConcurrency is the deepest queue probed.
+	probeMaxConcurrency = 16
+	// probeDuration is the probe length per concurrency level, seconds
+	// of virtual time.
+	probeDuration = 30.0
+	// saturationFraction starts the knee search at the smallest
+	// concurrency achieving this fraction of the peak throughput.
+	saturationFraction = 0.8
+)
 
 // ProfileDevice performs the offline calibration for a device spec. It
 // simulates closed loops of reads and of writes at each concurrency level
 // on a private engine (the real device is never disturbed) and derives
 // reference latencies. This needs to run once per storage setup, exactly
 // as in the paper.
-func ProfileDevice(spec Spec, opts ProfileOptions) (Profile, error) {
+func ProfileDevice(spec Spec) (Profile, error) {
 	if err := spec.Validate(); err != nil {
 		return Profile{}, err
 	}
-	opts.defaults()
 	// Flushes are a runtime disturbance, not part of the steady-state
 	// reference; profile with them disabled like a short calibration run.
 	probeSpec := spec
@@ -85,9 +71,9 @@ func ProfileDevice(spec Spec, opts ProfileOptions) (Profile, error) {
 
 	var prof Profile
 	for _, kind := range []OpKind{Read, Write} {
-		points := make([]ProfilePoint, 0, opts.MaxConcurrency)
-		for n := 1; n <= opts.MaxConcurrency; n++ {
-			points = append(points, probe(probeSpec, kind, n, opts))
+		points := make([]ProfilePoint, 0, probeMaxConcurrency)
+		for n := 1; n <= probeMaxConcurrency; n++ {
+			points = append(points, probe(probeSpec, kind, n))
 		}
 		lref, err := pickReference(points, saturationFraction)
 		if err != nil {
@@ -105,19 +91,19 @@ func ProfileDevice(spec Spec, opts ProfileOptions) (Profile, error) {
 }
 
 // probe runs one closed-loop measurement: n outstanding requests are kept
-// in flight for the configured duration.
-func probe(spec Spec, kind OpKind, n int, opts ProfileOptions) ProfilePoint {
+// in flight for probeDuration.
+func probe(spec Spec, kind OpKind, n int) ProfilePoint {
 	eng := sim.NewEngine()
 	dev := NewDevice(eng, "probe", spec)
 	var bytes, latSum float64
 	var ops uint64
 	var issue func()
 	issue = func() {
-		dev.Submit(kind, opts.RequestSize, func(_ any, lat float64) {
-			bytes += opts.RequestSize
+		dev.Submit(kind, probeRequestSize, func(_ any, lat float64) {
+			bytes += probeRequestSize
 			latSum += lat
 			ops++
-			if eng.Now() < opts.Duration {
+			if eng.Now() < probeDuration {
 				issue()
 			}
 		}, nil)

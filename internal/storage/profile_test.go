@@ -5,7 +5,7 @@ import (
 )
 
 func TestProfileHDD(t *testing.T) {
-	prof, err := ProfileDevice(HDDSpec(), ProfileOptions{})
+	prof, err := ProfileDevice(HDDSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestProfileHDD(t *testing.T) {
 }
 
 func TestProfileSSDAsymmetry(t *testing.T) {
-	prof, err := ProfileDevice(SSDSpec(), ProfileOptions{})
+	prof, err := ProfileDevice(SSDSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestProfileSSDAsymmetry(t *testing.T) {
 }
 
 func TestProfileLrefBelowDeepQueueLatency(t *testing.T) {
-	prof, err := ProfileDevice(HDDSpec(), ProfileOptions{})
+	prof, err := ProfileDevice(HDDSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,16 +69,8 @@ func TestProfileMixWeighting(t *testing.T) {
 }
 
 func TestProfileInvalidSpec(t *testing.T) {
-	if _, err := ProfileDevice(Spec{}, ProfileOptions{}); err == nil {
+	if _, err := ProfileDevice(Spec{}); err == nil {
 		t.Fatal("invalid spec accepted")
-	}
-}
-
-func TestProfileOptionsDefaults(t *testing.T) {
-	var o ProfileOptions
-	o.defaults()
-	if o.RequestSize <= 0 || o.MaxConcurrency <= 0 || o.Duration <= 0 {
-		t.Fatalf("defaults not applied: %+v", o)
 	}
 }
 

@@ -350,11 +350,6 @@ type Tracer struct {
 	names    *shares.Tree
 	rings    buffers
 	epochs   []EpochMark
-
-	// merged caches Records until a record is written or Reset runs;
-	// mergedAt is Total() when it was built.
-	merged   []Record
-	mergedAt uint64
 }
 
 // New creates a tracer whose rings hold capacity records each
@@ -411,18 +406,12 @@ func (t *Tracer) Reset() {
 		r.reset()
 	}
 	t.epochs = nil
-	t.merged = nil
 }
 
 // Records returns the held records, merged across shards in (time,
 // shard, ring order) order; a single ring is read in capture order.
-// The slice is built once and shared by later calls until another
-// record is written; do not modify it.
+// Each call builds a new slice.
 func (t *Tracer) Records() []Record {
-	total := t.Total()
-	if t.merged != nil && t.mergedAt == total {
-		return t.merged
-	}
 	out := make([]Record, t.Len())
 	var m merge
 	m.start(t.rings)
@@ -431,7 +420,6 @@ func (t *Tracer) Records() []Record {
 		x.export(&out[i])
 		out[i].App = x.appName(t.names)
 	}
-	t.merged, t.mergedAt = out, total
 	return out
 }
 

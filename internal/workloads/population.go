@@ -26,10 +26,6 @@ type PopulationConfig struct {
 	AppsPerTenant int
 	// Seed drives every sampled weight and placement offset.
 	Seed uint64
-	// TenantWeightMax and AppWeightMax bound the log-uniform weight
-	// draws; the minimum is 1. Defaults: 8 and 4.
-	TenantWeightMax float64
-	AppWeightMax    float64
 	// Nodes is the hollow cluster size apps are placed onto; Replicas
 	// is how many nodes each app runs on (clamped to Nodes).
 	Nodes    int
@@ -40,18 +36,19 @@ type PopulationConfig struct {
 	LoadFactor float64
 }
 
+// maxTenantWeight and maxAppWeight bound the log-uniform weight draws;
+// the minimum is 1.
+const (
+	maxTenantWeight = 8.0
+	maxAppWeight    = 4.0
+)
+
 func (c *PopulationConfig) defaults() {
 	if c.Tenants <= 0 {
 		c.Tenants = 16
 	}
 	if c.AppsPerTenant <= 0 {
 		c.AppsPerTenant = 1
-	}
-	if c.TenantWeightMax < 1 {
-		c.TenantWeightMax = 8
-	}
-	if c.AppWeightMax < 1 {
-		c.AppWeightMax = 4
 	}
 	if c.Nodes <= 0 {
 		c.Nodes = 1
@@ -128,11 +125,11 @@ func Generate(cfg PopulationConfig) *Population {
 		rng = splitmix64(rng)
 		ts := TenantSpec{
 			Name:   fmt.Sprintf("tenant-%04d", t),
-			Weight: math.Exp(unit(rng) * math.Log(cfg.TenantWeightMax)),
+			Weight: math.Exp(unit(rng) * math.Log(maxTenantWeight)),
 		}
 		for a := 0; a < cfg.AppsPerTenant; a++ {
 			rng = splitmix64(rng)
-			w := math.Exp(unit(rng) * math.Log(cfg.AppWeightMax))
+			w := math.Exp(unit(rng) * math.Log(maxAppWeight))
 			nodes := make([]int, cfg.Replicas)
 			base := appIdx % cfg.Nodes
 			for r := 0; r < cfg.Replicas; r++ {

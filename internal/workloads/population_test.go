@@ -21,8 +21,7 @@ func TestPopulationDeterministic(t *testing.T) {
 }
 
 func TestPopulationShape(t *testing.T) {
-	cfg := PopulationConfig{Tenants: 40, AppsPerTenant: 2, Seed: 1, Nodes: 8, Replicas: 3,
-		TenantWeightMax: 8, AppWeightMax: 4}
+	cfg := PopulationConfig{Tenants: 40, AppsPerTenant: 2, Seed: 1, Nodes: 8, Replicas: 3}
 	p := Generate(cfg)
 	if len(p.Tenants) != 40 {
 		t.Fatalf("tenants = %d, want 40", len(p.Tenants))
