@@ -43,6 +43,11 @@ func runTraceCmd(args []string) error {
 	default:
 		return fmt.Errorf("unknown format %q (want jsonl, chrome, or summary)", *format)
 	}
+	if *capacity < 1 {
+		// TraceCapacity 0 turns tracing off, and there would be no trace
+		// to write once the run ends.
+		return fmt.Errorf("-cap must be at least 1 record, got %d", *capacity)
+	}
 	cfg := ibis.Config{
 		Policy:        pol,
 		Coordinate:    *coordinate,

@@ -40,3 +40,17 @@ wordcount    local  intermediate-write       26      50.0        0.00ms      143
 		t.Errorf("summary:\n%s\nwant:\n%s", got, want)
 	}
 }
+
+// TestTraceCmdRejectsNonPositiveCap: a ring of no records turns tracing
+// off, so -cap below 1 is refused before the simulation runs, on every
+// format, instead of failing once the run is over.
+func TestTraceCmdRejectsNonPositiveCap(t *testing.T) {
+	for _, capArg := range []string{"0", "-1"} {
+		for _, format := range []string{"jsonl", "chrome", "summary"} {
+			err := runTraceCmd([]string{"-cap", capArg, "-format", format})
+			if err == nil || !strings.Contains(err.Error(), "-cap") {
+				t.Errorf("-cap %s -format %s: error %v, want a -cap error", capArg, format, err)
+			}
+		}
+	}
+}

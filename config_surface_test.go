@@ -20,7 +20,7 @@ var configSurface = []struct {
 	fields   []string
 }{
 	// Nine of the ten structs counted since the configuration sweeps
-	// began (the tenth, storage.ProfileOptions, is gone): 92 fields.
+	// began (the tenth, storage.ProfileOptions, is gone): 91 fields.
 	{".", "Config", []string{
 		"Nodes", "CoresPerNode", "MemGBPerNode", "SSD", "Policy", "SFQDepth",
 		"Coordinate", "ThrottleLimits", "ReservationRates",
@@ -50,7 +50,7 @@ var configSurface = []struct {
 	{"internal/mapreduce", "Config", []string{
 		"ChunkBytes", "WriteAheadChunks", "ShuffleBufferBytes"}},
 	{"internal/iosched", "ControllerConfig", []string{
-		"Gain", "ReadLref", "WriteLref", "Trace"}},
+		"Gain", "ReadLref", "WriteLref"}},
 	{"internal/hive", "RunOptions", []string{
 		"Weight", "Tenant", "CPUWeight", "CPUQuota", "Pool", "ScaleBytes",
 		"Delay"}},
@@ -65,8 +65,7 @@ var configSurface = []struct {
 		"Restarts", "RestartCount", "RestartTargets", "DropProb",
 		"RespDropProb", "DelayProb", "DelayMin", "DelayMax", "DeviceDegrade",
 		"DegradeCount", "DegradeMeanDur", "DegradeTargets", "DegradeFactor",
-		"LeaderOutages", "LeaderOutageCount", "LeaderOutageMeanDur",
-		"LeaderTargets"}},
+		"LeaderOutages"}},
 	// Deleted: the client derives its retry rule from its period, and
 	// device profiling has one fixed probe.
 	{"internal/broker", "RetryPolicy", nil},

@@ -262,7 +262,7 @@ func New(cfg Config) (*Simulation, error) {
 	}
 	if cfg.Audit {
 		s.au = audit.New(audit.Options{CoordinationPeriod: cfg.CoordinationPeriod}, cl.Shares())
-		s.au.SetShares(cl.Shares())
+		s.au.CheckTenants()
 		s.au.Attach(cl, 1)
 	}
 	return s, nil
@@ -347,7 +347,7 @@ func (s *Simulation) SetClassWeight(app AppID, class Class, mult float64) error 
 // EffectiveWeight resolves the weight a scheduler would use right now
 // for (app, class): tenantWeight × appWeight × classMultiplier.
 func (s *Simulation) EffectiveWeight(app AppID, class Class) float64 {
-	_, w, _ := s.cl.Shares().Resolve(app, iosched.NoApp, class)
+	_, w, _ := s.cl.Shares().Resolve(app, class)
 	return w
 }
 

@@ -26,7 +26,7 @@
 //     coordination, comparing flows continuously backlogged on the
 //     same set of schedulers;
 //   - tenant-proportional-share / total-tenant-proportional-share: the
-//     hierarchical analogs with a share tree attached (SetShares):
+//     hierarchical analogs, once CheckTenants turns them on:
 //     each tenant's aggregate normalized service (total service over
 //     the summed effective weights of its qualifying members) is a
 //     weighted average of its members' per-flow ratios, so any
@@ -196,11 +196,11 @@ type Auditor struct {
 	// around live weight changes, during which share checks (but not
 	// tag checks) are suspended.
 	epochSkips []span
-	// shares attributes apps to tenants for the hierarchical checks
-	// (nil disables them).
-	shares *shares.Tree
-	// names numbers the audited requests' apps, and names them when
-	// the log is drained.
+	// tenants turns the hierarchical checks on.
+	tenants bool
+	// names numbers the audited requests' apps, names them when the
+	// log is drained, and groups them by tenant for the hierarchical
+	// checks.
 	names *shares.Tree
 
 	// log holds the records of every shard with a scheduler probe.
@@ -220,9 +220,10 @@ type schedRef struct {
 	dev  trace.DeviceKind
 }
 
-// SetShares attaches the share tree view used to group flows into
-// tenants for the hierarchical proportional-share invariants.
-func (a *Auditor) SetShares(v *shares.Tree) { a.shares = v }
+// CheckTenants turns on the hierarchical proportional-share
+// invariants, which group flows into tenants by the tree the auditor
+// numbers apps with.
+func (a *Auditor) CheckTenants() { a.tenants = true }
 
 // NoteEpochChange records a live weight change at virtual time t: all
 // share checks are suspended for windows overlapping the reconvergence
@@ -250,7 +251,7 @@ func overlaps(spans []span, ws, we float64) bool {
 
 // New creates an auditor of requests whose apps names numbers (a
 // cluster's Shares()). Holding names turns no tenant check on; that
-// takes SetShares.
+// takes CheckTenants.
 func New(opts Options, names *shares.Tree) *Auditor {
 	opts.defaults()
 	return &Auditor{
@@ -416,7 +417,8 @@ func (a *Auditor) skipWindow(ws, we float64) bool { return overlaps(a.skips, ws,
 // through cluster.Instrument. It also routes those schedulers'
 // degrade and recovery notes and the share tree's transitions here as
 // NoteDegradeStart/End and NoteEpochChange, and judges the logged
-// records at every fabric barrier. Tenant checks still need SetShares.
+// records at every fabric barrier. Tenant checks still need
+// CheckTenants.
 // Attach before the simulation runs.
 func (a *Auditor) Attach(cl *cluster.Cluster, every int) {
 	if every < 1 {
@@ -883,9 +885,9 @@ func (s *schedState) checkWindow(start, end float64) {
 	if checked {
 		maxZero := w * backlogSlack
 		flows := s.a.aggs[:0]
-		for _, f := range s.flows {
+		for app, f := range s.flows {
 			if f != nil && f.zeroDur <= maxZero && s.a.qualifies(&f.flowWindow) {
-				flows = append(flows, shareAgg{name: string(f.app), app: f.app, service: f.service, weight: f.weight, maxUnit: f.maxUnit, members: 1})
+				flows = append(flows, shareAgg{name: string(f.app), app: f.app, idx: iosched.AppIdx(app), service: f.service, weight: f.weight, maxUnit: f.maxUnit, members: 1})
 			}
 		}
 		s.a.aggs = flows
@@ -901,8 +903,8 @@ func (s *schedState) checkWindow(start, end float64) {
 		// tenant-pair difference is bounded by the worst member-pair
 		// bound. Singleton-vs-singleton pairs duplicate the per-app
 		// check above and are skipped.
-		if s.a.shares != nil && len(flows) > 1 {
-			win.check(tenantInv, "tenant normalized service", tenantAggs(flows, s.a.shares), multiMember, bound)
+		if s.a.tenants && len(flows) > 1 {
+			win.check(tenantInv, "tenant normalized service", tenantAggs(flows, s.a.names), multiMember, bound)
 		}
 	}
 }
@@ -911,7 +913,8 @@ func (s *schedState) checkWindow(start, end float64) {
 // pairwise share checks.
 type shareAgg struct {
 	name    string
-	app     iosched.AppID // the flow; empty for a tenant
+	app     iosched.AppID  // the flow; empty for a tenant
+	idx     iosched.AppIdx // the flow's index
 	service float64
 	weight  float64      // a tenant's: Σ member effective weights
 	maxUnit float64      // max cost/weight (the bound's c/w)
@@ -925,19 +928,19 @@ func sortAggs(aggs []shareAgg) {
 	slices.SortFunc(aggs, func(x, y shareAgg) int { return strings.Compare(x.name, y.name) })
 }
 
-// tenantAggs groups qualifying flows (sorted by app) by tenant,
-// accumulating in app order so float rounding is deterministic, and
-// unions their backlogged-scheduler sets.
-func tenantAggs(flows []shareAgg, v *shares.Tree) []shareAgg {
+// tenantAggs groups qualifying flows (sorted by app) by their tenant
+// in tree, accumulating in app order so float rounding is
+// deterministic, and unions their backlogged-scheduler sets.
+func tenantAggs(flows []shareAgg, tree *shares.Tree) []shareAgg {
 	var out []shareAgg
-	idx := make(map[string]int)
+	idx := make(map[shares.TenantIdx]int)
 	for _, f := range flows {
-		tn := v.TenantOf(f.app)
+		tn := tree.TenantAt(f.idx)
 		i, ok := idx[tn]
 		if !ok {
 			i = len(out)
 			idx[tn] = i
-			out = append(out, shareAgg{name: tn})
+			out = append(out, shareAgg{name: tree.TenantName(tn)})
 		}
 		t := &out[i]
 		t.service += f.service
@@ -1055,7 +1058,7 @@ func (c *clusterState) checkWindow(start, end float64) {
 			continue
 		}
 		if set := sets[app]; set != nil {
-			flows = append(flows, shareAgg{name: string(f.app), app: f.app, service: f.service, weight: f.weight, maxUnit: f.maxUnit, members: 1, set: set})
+			flows = append(flows, shareAgg{name: string(f.app), app: f.app, idx: iosched.AppIdx(app), service: f.service, weight: f.weight, maxUnit: f.maxUnit, members: 1, set: set})
 		}
 		f.service, f.requests = 0, 0
 	}
@@ -1101,8 +1104,8 @@ func (c *clusterState) checkWindow(start, end float64) {
 		// argument as the local one: tenant pairs qualify when their
 		// members' backlogged-scheduler sets intersect and at least one
 		// tenant has two or more qualifying members.
-		if c.a.shares != nil && len(flows) > 1 {
-			win.check(invTotalTenantProportionalShare, "tenant normalized service", tenantAggs(flows, c.a.shares),
+		if c.a.tenants && len(flows) > 1 {
+			win.check(invTotalTenantProportionalShare, "tenant normalized service", tenantAggs(flows, c.a.names),
 				func(x, y *shareAgg) bool { return multiMember(x, y) && shared(x, y) }, bound)
 		}
 	}

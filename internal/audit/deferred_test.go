@@ -17,7 +17,7 @@ import (
 func xyz() *shares.Tree {
 	tree := shares.NewTree()
 	for _, app := range []iosched.AppID{"x", "y", "z"} {
-		tree.Index(app, iosched.NoApp)
+		tree.Index(app)
 	}
 	return tree
 }
@@ -148,8 +148,9 @@ func TestDeferredDegradeNoteJoinsShardLog(t *testing.T) {
 // auditor, from different shards, so the scheduler's events must be
 // logged and judged at Finish rather than live.
 func TestDeferredWhenBrokerOnOtherShard(t *testing.T) {
-	a := audit.New(audit.Options{}, xyz())
-	a.AttachBroker(0, broker.New())
+	names := xyz()
+	a := audit.New(audit.Options{}, names)
+	a.AttachBroker(0, broker.New(names))
 	p := a.Probe(1, 0, trace.DevHDFS, newAuditedSched())
 	req := &iosched.Request{AppIdx: 0, Class: iosched.PersistentRead, Size: 1e6}
 	p.Observe(req, iosched.ProbeState{Event: iosched.ProbeComplete, Time: 1.0, Latency: -1})

@@ -151,7 +151,7 @@ func TestDegradedWindowChecksLocalShare(t *testing.T) {
 // local SFQ while the auditor applies the coordinated regime.
 type zeroCoord struct{}
 
-func (zeroCoord) OtherService(iosched.AppID, iosched.AppIdx) float64 { return 0 }
+func (zeroCoord) OtherService(iosched.AppIdx) float64 { return 0 }
 
 // TestRegimeSwitchingEndToEnd runs a real coordinated scheduler
 // through degrade → recover and checks the full regime sequence: local
@@ -176,7 +176,7 @@ func TestRegimeSwitchingEndToEnd(t *testing.T) {
 		var issue func()
 		issue = func() {
 			sched.Submit(&iosched.Request{
-				AppIdx: tree.Index(app, iosched.NoApp), Class: iosched.PersistentRead, Size: 1e6,
+				AppIdx: tree.Index(app), Class: iosched.PersistentRead, Size: 1e6,
 				Done: iosched.DoneFunc(func(*iosched.Request, float64) {
 					if eng.Now() < horizon {
 						issue()

@@ -30,7 +30,7 @@ func TestAuditorDetectsInjectedViolations(t *testing.T) {
 	}
 	au := audit.New(audit.Options{}, tree)
 	p := au.Probe(0, 0, trace.DevHDFS, sched)
-	req := &iosched.Request{AppIdx: tree.Index("x", iosched.NoApp), Class: iosched.PersistentRead, Size: 1e6}
+	req := &iosched.Request{AppIdx: tree.Index("x"), Class: iosched.PersistentRead, Size: 1e6}
 
 	// 1: negative latency at completion.
 	p.Observe(req, iosched.ProbeState{Event: iosched.ProbeComplete, Time: 0.5, Latency: -0.5})
@@ -90,7 +90,7 @@ func TestAuditorLifecycleOnlyForUntaggedSchedulers(t *testing.T) {
 	au := audit.New(audit.Options{}, tree)
 	fifo.SetProbe(au.Probe(0, 0, trace.DevHDFS, fifo))
 	for i := 0; i < 8; i++ {
-		fifo.Submit(&iosched.Request{AppIdx: tree.Index("a", iosched.NoApp), Class: iosched.PersistentRead, Size: 1e6})
+		fifo.Submit(&iosched.Request{AppIdx: tree.Index("a"), Class: iosched.PersistentRead, Size: 1e6})
 	}
 	eng.Run()
 	au.Finish()

@@ -134,9 +134,9 @@ func runShareTrial(t *testing.T, seed int64, pol propPolicy, spec storage.Spec) 
 	var scheds []*iosched.SFQ
 	if pol == propCoordinate {
 		s1, s2 := newSched("d1"), newSched("d2")
-		b := broker.New()
-		s1.SetCoordinator(broker.NewClient(eng, "n1", s1.Accounting(), broker.ClientOptions{Transport: directTransport{b}, Period: brokPeriod}))
-		s2.SetCoordinator(broker.NewClient(eng, "n2", s2.Accounting(), broker.ClientOptions{Transport: directTransport{b}, Period: brokPeriod}))
+		b := broker.New(tree)
+		s1.SetCoordinator(broker.NewClient(eng, "n1", s1.Accounting(), broker.ClientOptions{Transport: directTransport{b}, Period: brokPeriod, Shares: tree}))
+		s2.SetCoordinator(broker.NewClient(eng, "n2", s2.Accounting(), broker.ClientOptions{Transport: directTransport{b}, Period: brokPeriod, Shares: tree}))
 		au.AttachBroker(0, b)
 		scheds = []*iosched.SFQ{s1, s2}
 	} else {
@@ -162,7 +162,7 @@ func runShareTrial(t *testing.T, seed int64, pol propPolicy, spec storage.Spec) 
 			var issue func()
 			issue = func() {
 				s.Submit(&iosched.Request{
-					AppIdx: tree.Index(f.app, iosched.NoApp), Class: iosched.PersistentRead, Size: f.size,
+					AppIdx: tree.Index(f.app), Class: iosched.PersistentRead, Size: f.size,
 					Done: iosched.DoneFunc(func(*iosched.Request, float64) {
 						if eng.Now() < horizon {
 							issue()

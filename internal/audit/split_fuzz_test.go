@@ -46,7 +46,7 @@ func taggedPool(tb testing.TB) ([]*iosched.Request, *shares.Tree) {
 	}
 	var pool []*iosched.Request
 	for i := 0; i < 12; i++ {
-		req := &iosched.Request{AppIdx: tree.Index(apps[i%3], iosched.NoApp), Class: iosched.PersistentRead, Size: 1e6}
+		req := &iosched.Request{AppIdx: tree.Index(apps[i%3]), Class: iosched.PersistentRead, Size: 1e6}
 		if err := tagger.Submit(req); err != nil {
 			tb.Fatal(err)
 		}

@@ -64,7 +64,7 @@ func TestClusterCheckDetectsBreach(t *testing.T) {
 	}
 	reqs := map[iosched.AppID]*iosched.Request{}
 	for _, app := range []iosched.AppID{"a", "b"} {
-		req := &iosched.Request{AppIdx: tree.Index(app, iosched.NoApp), Class: iosched.PersistentRead, Size: 1}
+		req := &iosched.Request{AppIdx: tree.Index(app), Class: iosched.PersistentRead, Size: 1}
 		if err := tagger.Submit(req); err != nil {
 			t.Fatal(err)
 		}
@@ -122,7 +122,7 @@ func TestShardedAuditLogEmptyAfterEveryBarrier(t *testing.T) {
 	const horizon = 5.0
 	for _, n := range cl.Nodes {
 		for _, app := range apps {
-			idx := cl.Shares().Index(app, iosched.NoApp)
+			idx := cl.Shares().Index(app)
 			var issue iosched.DoneFunc
 			issue = func(*iosched.Request, float64) {
 				if n.Shard().Engine().Now() >= horizon {

@@ -27,7 +27,7 @@ func BenchmarkFederationConservation(b *testing.B) {
 		for j := range perPart {
 			vec[iosched.AppID(fmt.Sprintf("app-%04d", (p*apps/parts+j)%apps))] = float64(1+j) * DefaultQuantum
 		}
-		if _, err := part.Exchange("n", costs(vec), 1); err != nil {
+		if _, err := part.Exchange("n", costs(tree, vec), 1); err != nil {
 			b.Fatal(err)
 		}
 		msg, _, _ := part.BuildUplink(1)

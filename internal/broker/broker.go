@@ -28,13 +28,14 @@
 // in-memory view and force an explicit re-register handshake before
 // exchanges resume.
 //
-// Every book a broker, client, partition or the federation root keeps
-// per app or per tenant is a slice indexed by the share tree's dense
-// iosched.AppIdx and shares.TenantIdx. Names travel on the wire — in
-// exchange vectors, responses and the delta codec's per-link name
-// table — and each end resolves a name to its index once: through the
-// index hint a vector entry carries, checked against the name, or by
-// one lookup when the name is new to it.
+// Every broker, client, partition and the federation root is built from
+// the cluster's one share tree, and every book they keep per app or per
+// tenant is a slice indexed by its dense iosched.AppIdx and
+// shares.TenantIdx. Exchange vectors and responses carry those indices
+// too, so the exchange path only reads the tree: it must be fully
+// populated before a sharded run. Names appear only where a person
+// reads them (Total, TenantTotals, error text) and on the federation's
+// delta-codec wire (delta.go).
 package broker
 
 import (
@@ -161,32 +162,25 @@ type appBook struct {
 	snap map[string]float64
 }
 
-// viewOf returns the share tree a plane attributes apps to tenants
-// with: tree, or for nil a fresh tree of its own, in which every app
-// auto-binds to its implicit singleton tenant — the flat per-app
-// coordination. The tree also numbers the plane's apps and tenants
-// (iosched.AppIdx, shares.TenantIdx), and its epoch moves whenever an
-// attribution may have changed.
-func viewOf(tree *shares.Tree) *shares.Tree {
-	if tree == nil {
-		return shares.NewTree()
-	}
-	return tree
-}
-
 // Response is one coordination response: the reported apps the broker
 // counted and the cluster-wide service of the tenants that own them.
 type Response struct {
-	// Apps lists, sorted, the reported apps the totals count: every
-	// reported app that is not retired.
-	Apps []iosched.AppID
-	// Tenants maps each tenant owning a reported app to the
+	// Apps lists the reported apps the totals count — every reported
+	// app that is not retired — in the order of the reported vector.
+	Apps []iosched.AppIdx
+	// Tenants holds, once for each tenant owning a counted app, the
 	// cluster-wide cumulative service across ALL of that tenant's apps
 	// — including apps this scheduler does not serve. This is the
 	// aggregate the tenant-level DSFQ delay rule charges against, so
 	// proportionality is enforced between tenants, not just between
 	// the apps a single node happens to see.
-	Tenants map[string]float64
+	Tenants []TenantTotal
+}
+
+// TenantTotal is one tenant's cluster-wide cumulative service.
+type TenantTotal struct {
+	Tenant shares.TenantIdx
+	Total  float64
 }
 
 // Probe observes each completed exchange: the reporting scheduler's id
@@ -198,10 +192,10 @@ type Probe func(scheduler string, b *Broker)
 // SetProbe installs the exchange probe (nil disables).
 func (b *Broker) SetProbe(p Probe) { b.probe = p }
 
-// New creates an empty broker whose apps are implicit singleton
-// tenants.
-func New() *Broker {
-	return &Broker{reports: make(map[string]*report), view: shares.NewTree()}
+// New creates an empty broker whose apps, and their tenants, tree
+// numbers.
+func New(tree *shares.Tree) *Broker {
+	return &Broker{reports: make(map[string]*report), view: tree}
 }
 
 // book returns app ai's state, growing the books to hold it.
@@ -235,9 +229,10 @@ func (b *Broker) ResetReports() {
 // cluster-wide totals of the tenants owning the apps it reported — the
 // response "is bounded by the number of applications that the
 // scheduler currently serves", and so is the work. The vector is
-// sorted by app, as a Reporter's is, and the reported deltas fold into
-// the totals and the rollup in that order, so rounding does not depend
-// on the order apps were numbered in. The response is fresh each call.
+// sorted by app name, as a Reporter's is, and the reported deltas fold
+// into the totals and the rollup in that order, so rounding does not
+// depend on the order apps were numbered in. The response is fresh each
+// call.
 // Retired apps are skipped in both directions: their pruned state must
 // not be resurrected by the stale entries local accounting carries.
 func (b *Broker) Exchange(scheduler string, vector []iosched.AppCost) Response {
@@ -249,33 +244,32 @@ func (b *Broker) Exchange(scheduler string, vector []iosched.AppCost) Response {
 func (b *Broker) exchange(scheduler string, vector []iosched.AppCost, remote func(shares.TenantIdx) float64) Response {
 	b.refresh()
 	prev := b.register(scheduler)
-	resp := Response{Apps: make([]iosched.AppID, 0, len(vector)), Tenants: make(map[string]float64, len(vector))}
+	resp := Response{Apps: make([]iosched.AppIdx, 0, len(vector))}
 	touched := b.touched[:0]
 	for _, e := range vector {
-		ai := b.view.Index(e.App, e.Idx)
-		if ai == iosched.NoApp {
-			continue
-		}
-		ab := b.book(ai)
+		ab := b.book(e.Idx)
 		if ab.retired {
 			continue
 		}
-		resp.Apps = append(resp.Apps, e.App)
-		cum := prev.at(ai)
+		resp.Apps = append(resp.Apps, e.Idx)
+		cum := prev.at(e.Idx)
 		d := e.Cost - *cum
 		*cum = e.Cost
 		ab.total += d
 		ab.live = true
-		t := b.view.TenantAt(ai)
+		t := b.view.TenantAt(e.Idx)
 		*slot(&b.tenants, int(t)) += d
 		touched = append(touched, t)
 	}
-	for _, t := range touched {
+	slices.Sort(touched)
+	touched = slices.Compact(touched)
+	resp.Tenants = make([]TenantTotal, len(touched))
+	for i, t := range touched {
 		v := b.tenants[t]
 		if remote != nil {
 			v += remote(t)
 		}
-		resp.Tenants[b.view.TenantName(t)] = v
+		resp.Tenants[i] = TenantTotal{t, v}
 	}
 	b.touched = touched
 	b.stats.Exchanges++
@@ -331,12 +325,11 @@ func (b *Broker) Unregister(scheduler string) {
 // report would resurrect the full cumulative value). The final total is
 // kept as a tombstone so the app's cluster-wide service stays
 // observable through Total after cleanup.
-func (b *Broker) Retire(app iosched.AppID) {
-	ai := b.view.Index(app, iosched.NoApp)
-	if ai == iosched.NoApp || b.book(ai).retired {
+func (b *Broker) Retire(ai iosched.AppIdx) {
+	ab := b.book(ai)
+	if ab.retired {
 		return
 	}
-	ab := b.book(ai)
 	ab.retired = true
 	ab.final = ab.total
 	for _, r := range b.registered {
@@ -362,9 +355,8 @@ func (b *Broker) Retire(app iosched.AppID) {
 // until every scheduler re-reported) and, if the backing reports
 // unregistered first, pruneUnbacked would drop the rebuilt value and
 // Total would surface the stale tombstone.
-func (b *Broker) Revive(app iosched.AppID) {
-	ai, ok := b.view.Lookup(app)
-	if !ok || int(ai) >= len(b.apps) || !b.apps[ai].retired {
+func (b *Broker) Revive(ai iosched.AppIdx) {
+	if int(ai) >= len(b.apps) || !b.apps[ai].retired {
 		return
 	}
 	ab := &b.apps[ai]
@@ -550,7 +542,7 @@ func (b *Broker) Schedulers() []string {
 func (b *Broker) Stats() Stats { return b.stats }
 
 // Reporter exposes the cumulative per-app service of a local
-// scheduler, sorted by app; *iosched.Accounting satisfies it.
+// scheduler, sorted by app name; *iosched.Accounting satisfies it.
 type Reporter interface {
 	CostVector() []iosched.AppCost
 }
@@ -650,9 +642,8 @@ type ClientOptions struct {
 	// Period is the coordination period in seconds (default 1). The
 	// client's retry, timeout and degradation rule derive from it.
 	Period float64
-	// Shares attributes apps to tenants on the client side (nil means
-	// implicit singleton tenants, i.e. flat per-app coordination). It
-	// must be the view the broker aggregates against.
+	// Shares numbers the reporter's apps and attributes them to
+	// tenants. It must be the tree the broker aggregates against.
 	Shares *shares.Tree
 }
 
@@ -663,8 +654,8 @@ type ClientOptions struct {
 // exactly the app's own remote service (the flat pre-tree semantics);
 // with declared tenants the DSFQ delay charges the whole tenant's
 // remote service, enforcing tenant-level proportionality; attribution
-// resolves through the share view on every lookup. A Client with a nil
-// transport never coordinates (No Sync).
+// reads the share tree on every lookup. A Client with a nil transport
+// never coordinates (No Sync).
 type Client struct {
 	id        string
 	transport Transport // nil for a No Sync client
@@ -721,7 +712,7 @@ func NewClient(eng *sim.Engine, id string, reporter Reporter, opts ClientOptions
 		eng:          eng,
 		period:       period,
 		policy:       retryPolicyFor(period),
-		view:         viewOf(opts.Shares),
+		view:         opts.Shares,
 		failingSince: -1,
 		nextSeq:      1,
 	}
@@ -869,30 +860,27 @@ func (c *Client) deliver(r *pending) bool {
 // apply folds a successful response into the client's remote-service
 // view and completes the round. The view is tenant-level: for each
 // tenant in the response, remote service = cluster-wide tenant total
-// minus the local per-tenant sum, over the apps the broker counted
-// (resp.Apps, sorted), of the vector this round reported (vec, sorted):
-// a retired app has left its tenant's total, so it must not count
-// locally either. Tenants the response no longer carries (retired
-// apps, dissolved tenants) drop to zero.
+// minus the local per-tenant sum, folded in vector order, over the apps
+// the broker counted (resp.Apps, a subsequence of vec) of the vector
+// this round reported (vec): a retired app has left its tenant's total,
+// so it must not count locally either. Tenants the response no longer
+// carries (retired apps, dissolved tenants) drop to zero.
 func (c *Client) apply(vec []iosched.AppCost, resp Response, now float64) {
 	clear(c.local)
 	i := 0
 	for _, e := range vec {
-		for i < len(resp.Apps) && resp.Apps[i] < e.App {
+		if i < len(resp.Apps) && resp.Apps[i] == e.Idx {
 			i++
-		}
-		if i < len(resp.Apps) && resp.Apps[i] == e.App {
-			*slot(&c.local, int(c.view.TenantAt(c.view.Index(e.App, e.Idx)))) += e.Cost
+			*slot(&c.local, int(c.view.TenantAt(e.Idx))) += e.Cost
 		}
 	}
 	clear(c.otherTenant)
-	for name, total := range resp.Tenants {
-		t := c.view.TenantIndex(name)
-		other := total - at(c.local, int(t))
+	for _, tt := range resp.Tenants {
+		other := tt.Total - at(c.local, int(tt.Tenant))
 		if other < 0 {
 			other = 0
 		}
-		*slot(&c.otherTenant, int(t)) = other
+		*slot(&c.otherTenant, int(tt.Tenant)) = other
 	}
 	c.rounds++
 	c.health.Successes++
@@ -1031,13 +1019,8 @@ func (c *Client) Detached() bool { return c.detached }
 
 // OtherService implements iosched.Coordinator: the remote service of
 // the app's tenant. For implicit singleton tenants this is the app's
-// own remote service, bit-identical to the flat semantics. idx is the
-// app's index hint (iosched.NoApp if none).
-func (c *Client) OtherService(app iosched.AppID, idx iosched.AppIdx) float64 {
-	ai := c.view.Index(app, idx)
-	if ai == iosched.NoApp {
-		return 0
-	}
+// own remote service, bit-identical to the flat semantics.
+func (c *Client) OtherService(ai iosched.AppIdx) float64 {
 	return at(c.otherTenant, int(c.view.TenantAt(ai)))
 }
 

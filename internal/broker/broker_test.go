@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -30,14 +29,15 @@ func (d directTransport) Register(id string, done func(error)) {
 func (d directTransport) Unregister(id string) { d.b.Unregister(id) }
 
 func TestExchangeAggregatesAcrossSchedulers(t *testing.T) {
-	b := New()
-	b.Exchange("n1", costs(map[iosched.AppID]float64{"A": 100, "B": 50}))
-	resp := b.Exchange("n2", costs(map[iosched.AppID]float64{"A": 40}))
+	tree := shares.NewTree()
+	b := New(tree)
+	b.Exchange("n1", costs(tree, map[iosched.AppID]float64{"A": 100, "B": 50}))
+	resp := b.Exchange("n2", costs(tree, map[iosched.AppID]float64{"A": 40}))
 	if b.Total("A") != 140 {
 		t.Fatalf("total A = %v, want 140", b.Total("A"))
 	}
-	if resp.Tenants["~A"] != 140 {
-		t.Fatalf("tenant total ~A = %v, want 140", resp.Tenants["~A"])
+	if tenants(tree, resp)["~A"] != 140 {
+		t.Fatalf("tenant total ~A = %v, want 140", tenants(tree, resp)["~A"])
 	}
 	if b.Total("B") != 50 {
 		t.Fatalf("total B = %v, want 50", b.Total("B"))
@@ -45,32 +45,35 @@ func TestExchangeAggregatesAcrossSchedulers(t *testing.T) {
 }
 
 func TestExchangeIsCumulative(t *testing.T) {
-	b := New()
-	b.Exchange("n1", costs(map[iosched.AppID]float64{"A": 100}))
-	b.Exchange("n1", costs(map[iosched.AppID]float64{"A": 150})) // +50, not +150
+	tree := shares.NewTree()
+	b := New(tree)
+	b.Exchange("n1", costs(tree, map[iosched.AppID]float64{"A": 100}))
+	b.Exchange("n1", costs(tree, map[iosched.AppID]float64{"A": 150})) // +50, not +150
 	if got := b.Total("A"); got != 150 {
 		t.Fatalf("total A = %v, want 150 (cumulative reporting)", got)
 	}
 }
 
 func TestExchangeResponseScopedToReportedApps(t *testing.T) {
-	b := New()
-	b.Exchange("n1", costs(map[iosched.AppID]float64{"A": 1, "B": 2}))
-	resp := b.Exchange("n2", costs(map[iosched.AppID]float64{"B": 3}))
-	if slices.Contains(resp.Apps, "A") {
+	tree := shares.NewTree()
+	b := New(tree)
+	b.Exchange("n1", costs(tree, map[iosched.AppID]float64{"A": 1, "B": 2}))
+	resp := b.Exchange("n2", costs(tree, map[iosched.AppID]float64{"B": 3}))
+	if slices.Contains(appNames(tree, resp), "A") {
 		t.Fatal("response leaked app the scheduler does not serve")
 	}
-	if _, ok := resp.Tenants["~A"]; ok {
+	if _, ok := tenants(tree, resp)["~A"]; ok {
 		t.Fatal("response leaked tenant the scheduler does not serve")
 	}
-	if resp.Tenants["~B"] != 5 {
-		t.Fatalf("total B = %v, want 5", resp.Tenants["~B"])
+	if tenants(tree, resp)["~B"] != 5 {
+		t.Fatalf("total B = %v, want 5", tenants(tree, resp)["~B"])
 	}
 }
 
 func TestBrokerAppsSorted(t *testing.T) {
-	b := New()
-	b.Exchange("n1", costs(map[iosched.AppID]float64{"z": 1, "a": 1, "m": 1}))
+	tree := shares.NewTree()
+	b := New(tree)
+	b.Exchange("n1", costs(tree, map[iosched.AppID]float64{"z": 1, "a": 1, "m": 1}))
 	apps := b.Apps()
 	if len(apps) != 3 || apps[0] != "a" || apps[1] != "m" || apps[2] != "z" {
 		t.Fatalf("Apps = %v", apps)
@@ -78,9 +81,10 @@ func TestBrokerAppsSorted(t *testing.T) {
 }
 
 func TestBrokerStats(t *testing.T) {
-	b := New()
-	b.Exchange("n1", costs(map[iosched.AppID]float64{"A": 1, "B": 2}))
-	b.Exchange("n2", costs(map[iosched.AppID]float64{"A": 3}))
+	tree := shares.NewTree()
+	b := New(tree)
+	b.Exchange("n1", costs(tree, map[iosched.AppID]float64{"A": 1, "B": 2}))
+	b.Exchange("n2", costs(tree, map[iosched.AppID]float64{"A": 3}))
 	st := b.Stats()
 	if st.Exchanges != 2 || st.EntriesUp != 3 || st.EntriesDown != 3 {
 		t.Fatalf("stats = %+v", st)
@@ -91,50 +95,80 @@ func TestBrokerStats(t *testing.T) {
 	}
 }
 
-type fakeReporter map[iosched.AppID]float64
+// mapReporter is a hand-driven Reporter: name-keyed service, numbered
+// by tree.
+type mapReporter struct {
+	tree *shares.Tree
+	m    map[iosched.AppID]float64
+}
 
-func (f fakeReporter) CostVector() []iosched.AppCost { return costs(f) }
+func (r mapReporter) CostVector() []iosched.AppCost { return costs(r.tree, r.m) }
 
-// costs is the service vector of a name-keyed literal, sorted by app.
-func costs(m map[iosched.AppID]float64) []iosched.AppCost {
-	v := make([]iosched.AppCost, 0, len(m))
-	for app, c := range m {
-		v = append(v, iosched.AppCost{App: app, Idx: iosched.NoApp, Cost: c})
+// costs is the service vector of a name-keyed literal, numbered by
+// tree and sorted by app name, as an Accounting's is.
+func costs(tree *shares.Tree, m map[iosched.AppID]float64) []iosched.AppCost {
+	names := make([]iosched.AppID, 0, len(m))
+	for app := range m {
+		names = append(names, app)
 	}
-	slices.SortFunc(v, func(x, y iosched.AppCost) int { return strings.Compare(string(x.App), string(y.App)) })
+	slices.Sort(names)
+	v := make([]iosched.AppCost, len(names))
+	for i, app := range names {
+		v[i] = iosched.AppCost{Idx: tree.Index(app), Cost: m[app]}
+	}
 	return v
 }
 
 // byName is the name-keyed form of a service vector.
-func byName(v []iosched.AppCost) map[iosched.AppID]float64 {
+func byName(tree *shares.Tree, v []iosched.AppCost) map[iosched.AppID]float64 {
 	m := make(map[iosched.AppID]float64, len(v))
 	for _, e := range v {
-		m[e.App] = e.Cost
+		m[tree.AppName(e.Idx)] = e.Cost
 	}
 	return m
 }
 
+// tenants is the name-keyed form of a response's tenant totals.
+func tenants(tree *shares.Tree, resp Response) map[string]float64 {
+	m := make(map[string]float64, len(resp.Tenants))
+	for _, tt := range resp.Tenants {
+		m[tree.TenantName(tt.Tenant)] = tt.Total
+	}
+	return m
+}
+
+// appNames names a response's counted apps.
+func appNames(tree *shares.Tree, resp Response) []iosched.AppID {
+	names := make([]iosched.AppID, len(resp.Apps))
+	for i, ai := range resp.Apps {
+		names[i] = tree.AppName(ai)
+	}
+	return names
+}
+
 func TestClientOtherService(t *testing.T) {
-	b := New()
+	tree := shares.NewTree()
+	b := New(tree)
 	eng := sim.NewEngine()
-	r1 := fakeReporter{"A": 100}
-	r2 := fakeReporter{"A": 60}
-	c1 := NewClient(eng, "n1", r1, ClientOptions{Transport: directTransport{b}, Period: 1})
-	c2 := NewClient(eng, "n2", r2, ClientOptions{Transport: directTransport{b}, Period: 1})
+	r1 := mapReporter{tree, map[iosched.AppID]float64{"A": 100}}
+	r2 := mapReporter{tree, map[iosched.AppID]float64{"A": 60}}
+	c1 := NewClient(eng, "n1", r1, ClientOptions{Transport: directTransport{b}, Period: 1, Shares: tree})
+	c2 := NewClient(eng, "n2", r2, ClientOptions{Transport: directTransport{b}, Period: 1, Shares: tree})
 	c1.ExchangeNow()
 	c2.ExchangeNow()
 	c1.ExchangeNow() // refresh n1's view after n2 reported
-	if got := c1.OtherService("A", iosched.NoApp); got != 60 {
+	if got := c1.OtherService(tree.Index("A")); got != 60 {
 		t.Fatalf("n1 sees other service %v, want 60", got)
 	}
-	if got := c2.OtherService("A", iosched.NoApp); got != 100 {
+	if got := c2.OtherService(tree.Index("A")); got != 100 {
 		t.Fatalf("n2 sees other service %v, want 100", got)
 	}
 }
 
 func TestClientUnknownAppZero(t *testing.T) {
-	c := &Client{view: shares.NewTree()}
-	if c.OtherService("nope", iosched.NoApp) != 0 {
+	tree := shares.NewTree()
+	c := &Client{view: tree}
+	if c.OtherService(tree.Index("nope")) != 0 {
 		t.Fatal("unknown app should have zero other-service")
 	}
 }
@@ -152,14 +186,14 @@ func TestRetiredSiblingLeavesTenantCharge(t *testing.T) {
 	}
 	b := NewPartition(0, tree, 0).Broker()
 	eng := sim.NewEngine()
-	rep := fakeReporter{"a": 100, "b": 50}
+	rep := mapReporter{tree, map[iosched.AppID]float64{"a": 100, "b": 50}}
 	c := NewClient(eng, "s1", rep, ClientOptions{Transport: directTransport{b}, Period: 1, Shares: tree})
-	b.Exchange("s2", costs(map[iosched.AppID]float64{"b": 30}))
+	b.Exchange("s2", costs(tree, map[iosched.AppID]float64{"b": 30}))
 	c.ExchangeNow()
-	b.Retire("a")
-	rep["b"] = 60
+	b.Retire(tree.Index("a"))
+	rep.m["b"] = 60
 	c.ExchangeNow()
-	if got := c.OtherService("b", iosched.NoApp); got != 30 {
+	if got := c.OtherService(tree.Index("b")); got != 30 {
 		t.Fatalf("other service of b's tenant = %v, want 30 (s2's share of live b)", got)
 	}
 }
@@ -167,8 +201,9 @@ func TestRetiredSiblingLeavesTenantCharge(t *testing.T) {
 // TestCheckRollupDetectsSkew: a tenant rollup that drifted from the
 // regroup of the per-app totals is reported.
 func TestCheckRollupDetectsSkew(t *testing.T) {
-	b := New()
-	b.Exchange("n1", costs(map[iosched.AppID]float64{"A": 100, "B": 50}))
+	tree := shares.NewTree()
+	b := New(tree)
+	b.Exchange("n1", costs(tree, map[iosched.AppID]float64{"A": 100, "B": 50}))
 	if err := b.CheckRollup(); err != nil {
 		t.Fatalf("clean rollup reported: %v", err)
 	}
@@ -179,10 +214,11 @@ func TestCheckRollupDetectsSkew(t *testing.T) {
 }
 
 func TestClientNilBrokerNoSync(t *testing.T) {
+	tree := shares.NewTree()
 	eng := sim.NewEngine()
-	c := NewClient(eng, "n1", fakeReporter{"A": 5}, ClientOptions{Period: 1})
+	c := NewClient(eng, "n1", mapReporter{tree, map[iosched.AppID]float64{"A": 5}}, ClientOptions{Period: 1, Shares: tree})
 	c.ExchangeNow()
-	if c.OtherService("A", iosched.NoApp) != 0 {
+	if c.OtherService(tree.Index("A")) != 0 {
 		t.Fatal("No Sync client returned non-zero other service")
 	}
 	if c.Rounds() != 0 {
@@ -191,9 +227,10 @@ func TestClientNilBrokerNoSync(t *testing.T) {
 }
 
 func TestClientPeriodicDaemonTicks(t *testing.T) {
-	b := New()
+	tree := shares.NewTree()
+	b := New(tree)
 	eng := sim.NewEngine()
-	NewClient(eng, "n1", fakeReporter{"A": 7}, ClientOptions{Transport: directTransport{b}, Period: 1})
+	NewClient(eng, "n1", mapReporter{tree, map[iosched.AppID]float64{"A": 7}}, ClientOptions{Transport: directTransport{b}, Period: 1, Shares: tree})
 	// Daemon ticks alone must not keep the sim alive.
 	end := eng.Run()
 	if end != 0 {
@@ -208,9 +245,10 @@ func TestClientPeriodicDaemonTicks(t *testing.T) {
 }
 
 func TestClientDefaultPeriod(t *testing.T) {
-	b := New()
+	tree := shares.NewTree()
+	b := New(tree)
 	eng := sim.NewEngine()
-	NewClient(eng, "n1", fakeReporter{}, ClientOptions{Transport: directTransport{b}, Period: 0}) // invalid period -> 1s default
+	NewClient(eng, "n1", mapReporter{tree, map[iosched.AppID]float64{}}, ClientOptions{Transport: directTransport{b}, Period: 0, Shares: tree}) // invalid period -> 1s default
 	eng.Schedule(2.5, func() {})
 	eng.Run()
 	if got := b.Stats().Exchanges; got != 2 {
@@ -251,14 +289,9 @@ func TestPropertyBrokerTotalsConsistent(t *testing.T) {
 					vec[a] = cums[s][a]
 				}
 			}
-			resp, twinResp := b.Exchange(s, costs(vec)), twin.Exchange(s, costs(vec))
-			if len(resp.Tenants) != len(twinResp.Tenants) {
+			resp, twinResp := b.Exchange(s, costs(tree, vec)), twin.Exchange(s, costs(tree, vec))
+			if !slices.Equal(resp.Tenants, twinResp.Tenants) {
 				return false
-			}
-			for tn, v := range resp.Tenants {
-				if twinResp.Tenants[tn] != v {
-					return false
-				}
 			}
 			if latest[s] == nil {
 				latest[s] = map[iosched.AppID]float64{}
@@ -306,9 +339,9 @@ func TestCoordinationBalancesTotalService(t *testing.T) {
 	dev1 := storage.NewDevice(eng, "d1", spec)
 	dev2 := storage.NewDevice(eng, "d2", spec)
 	s1, s2 := sfqd(t, eng, dev1, tree, 1), sfqd(t, eng, dev2, tree, 1)
-	b := New()
-	c1 := NewClient(eng, "n1", s1.Accounting(), ClientOptions{Transport: directTransport{b}, Period: 0.5})
-	c2 := NewClient(eng, "n2", s2.Accounting(), ClientOptions{Transport: directTransport{b}, Period: 0.5})
+	b := New(tree)
+	c1 := NewClient(eng, "n1", s1.Accounting(), ClientOptions{Transport: directTransport{b}, Period: 0.5, Shares: tree})
+	c2 := NewClient(eng, "n2", s2.Accounting(), ClientOptions{Transport: directTransport{b}, Period: 0.5, Shares: tree})
 	s1.SetCoordinator(c1)
 	s2.SetCoordinator(c2)
 
@@ -321,7 +354,7 @@ func TestCoordinationBalancesTotalService(t *testing.T) {
 		var issue func()
 		issue = func() {
 			s.Submit(&iosched.Request{
-				AppIdx: tree.Index(app, iosched.NoApp), Class: iosched.PersistentRead, Size: 1e6,
+				AppIdx: tree.Index(app), Class: iosched.PersistentRead, Size: 1e6,
 				Done: iosched.DoneFunc(func(*iosched.Request, float64) {
 					*served += 1e6
 					if eng.Now() < 60 {
@@ -363,7 +396,7 @@ func TestNoCoordinationIsUnfair(t *testing.T) {
 		var issue func()
 		issue = func() {
 			s.Submit(&iosched.Request{
-				AppIdx: tree.Index(app, iosched.NoApp), Class: iosched.PersistentRead, Size: 1e6,
+				AppIdx: tree.Index(app), Class: iosched.PersistentRead, Size: 1e6,
 				Done: iosched.DoneFunc(func(*iosched.Request, float64) {
 					*served += 1e6
 					if eng.Now() < 60 {
@@ -383,5 +416,35 @@ func TestNoCoordinationIsUnfair(t *testing.T) {
 
 	if ratio := xBytes / yBytes; ratio < 2.5 {
 		t.Fatalf("uncoordinated ratio X/Y = %.3f, want ≈3 (local fairness only)", ratio)
+	}
+}
+
+// TestExchangeFoldsInNameOrder: the broker folds a vector into its
+// tenant rollup in the vector's order, which is app-name order, not the
+// order the tree numbered the apps in. Here b is numbered before a, and
+// the two orders round the rollup differently in its last bit.
+func TestExchangeFoldsInNameOrder(t *testing.T) {
+	tree := shares.NewTree()
+	for _, a := range []iosched.AppID{"b", "a"} {
+		if err := tree.Bind(a, "T", 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if tree.Index("b") >= tree.Index("a") {
+		t.Fatal("b must be numbered before a")
+	}
+	b := New(tree)
+	b.Exchange("s0", costs(tree, map[iosched.AppID]float64{"a": 0.1}))
+	resp := b.Exchange("s1", costs(tree, map[iosched.AppID]float64{"a": 0.2, "b": 3.3}))
+	t0, x, y := 0.1, 0.2, 3.3 // variables: constant arithmetic is exact
+	byName, byIdx := (t0+x)+y, (t0+y)+x
+	if byName == byIdx {
+		t.Fatal("the two fold orders must round differently")
+	}
+	if got := tenants(tree, resp)["T"]; got != byName {
+		t.Fatalf("tenant total %v, want %v (name order), not %v (index order)", got, byName, byIdx)
+	}
+	if got := b.TenantTotals()["T"]; got != byName {
+		t.Fatalf("rollup %v, want %v (name order)", got, byName)
 	}
 }

@@ -10,36 +10,35 @@ import (
 	"ibis/internal/storage"
 )
 
-// mapReporter is a hand-driven Reporter.
-type mapReporter map[iosched.AppID]float64
-
-func (m mapReporter) CostVector() []iosched.AppCost { return costs(m) }
-
 // hookTransport scripts every leg of the protocol. A scripted rtt > 0
 // delivers the response that much later on eng; a failure, or a
 // response without delay, arrives inside the call.
 type hookTransport struct {
 	eng          *sim.Engine
+	tree         *shares.Tree // numbers the scripted apps
 	exchange     func(id string, vec map[iosched.AppID]float64) (map[iosched.AppID]float64, float64, error)
 	register     func(id string) (float64, error)
 	unregistered []string
 }
 
 // Exchange adapts the scripted per-app map into a Response, deriving
-// the sorted app list and the implicit singleton tenant totals the
-// real broker would send.
+// the counted apps (the reported ones it scripts, in vector order) and
+// the implicit singleton tenant totals the real broker would send.
 func (h *hookTransport) Exchange(id string, vec []iosched.AppCost, done func(Response, error)) {
-	m, rtt, err := h.exchange(id, byName(vec))
+	m, rtt, err := h.exchange(id, byName(h.tree, vec))
 	if err != nil {
 		done(Response{}, err)
 		return
 	}
-	resp := Response{Apps: make([]iosched.AppID, 0, len(m)), Tenants: make(map[string]float64, len(m))}
-	for a, v := range m {
-		resp.Apps = append(resp.Apps, a)
-		resp.Tenants[shares.ImplicitTenant(a)] = v
+	var resp Response
+	for _, e := range vec {
+		if _, ok := m[h.tree.AppName(e.Idx)]; ok {
+			resp.Apps = append(resp.Apps, e.Idx)
+		}
 	}
-	slices.Sort(resp.Apps)
+	for a, v := range m {
+		resp.Tenants = append(resp.Tenants, TenantTotal{h.tree.TenantAt(h.tree.Index(a)), v})
+	}
 	h.reply(rtt, func() { done(resp, nil) })
 }
 
@@ -68,29 +67,30 @@ func (h *hookTransport) Unregister(id string) { h.unregistered = append(h.unregi
 
 // faultyClient builds a client on a scripted transport with a 1 s
 // period and no jitter-relevant knobs changed.
-func faultyClient(eng *sim.Engine, tr Transport, rep Reporter) *Client {
-	return NewClient(eng, "n0", rep, ClientOptions{Transport: tr, Period: 1})
+func faultyClient(eng *sim.Engine, tree *shares.Tree, tr Transport, rep Reporter) *Client {
+	return NewClient(eng, "n0", rep, ClientOptions{Transport: tr, Period: 1, Shares: tree})
 }
 
 func TestClientRetriesAndRecoversWithinRound(t *testing.T) {
+	tree := shares.NewTree()
 	eng := sim.NewEngine()
-	rep := mapReporter{"a": 10}
+	rep := mapReporter{tree, map[iosched.AppID]float64{"a": 10}}
 	calls := 0
-	tr := &hookTransport{exchange: func(id string, vec map[iosched.AppID]float64) (map[iosched.AppID]float64, float64, error) {
+	tr := &hookTransport{tree: tree, exchange: func(id string, vec map[iosched.AppID]float64) (map[iosched.AppID]float64, float64, error) {
 		calls++
 		if calls < 3 {
 			return nil, 0, ErrUnavailable
 		}
 		return map[iosched.AppID]float64{"a": 25}, 0, nil
 	}}
-	c := faultyClient(eng, tr, rep)
+	c := faultyClient(eng, tree, tr, rep)
 	eng.Schedule(1.5, func() {}) // keep the sim alive past the first round
 	eng.RunUntil(1.5)
 
 	if c.State() != StateHealthy {
 		t.Fatalf("state = %v, want healthy", c.State())
 	}
-	if got := c.OtherService("a", iosched.NoApp); got != 15 {
+	if got := c.OtherService(tree.Index("a")); got != 15 {
 		t.Errorf("OtherService = %g, want 15", got)
 	}
 	h := c.Health()
@@ -103,12 +103,14 @@ func TestClientRetriesAndRecoversWithinRound(t *testing.T) {
 }
 
 func TestClientBackoffIsExponentialAndBounded(t *testing.T) {
+	tree := shares.NewTree()
 	eng := sim.NewEngine()
-	c := NewClient(eng, "n0", mapReporter{}, ClientOptions{
-		Transport: &hookTransport{exchange: func(string, map[iosched.AppID]float64) (map[iosched.AppID]float64, float64, error) {
+	c := NewClient(eng, "n0", mapReporter{tree, map[iosched.AppID]float64{}}, ClientOptions{
+		Transport: &hookTransport{tree: tree, exchange: func(string, map[iosched.AppID]float64) (map[iosched.AppID]float64, float64, error) {
 			return nil, 0, ErrUnavailable
 		}},
 		Period: 1,
+		Shares: tree,
 	})
 	// Backoffs: 0.05, 0.1, 0.2, then capped at 0.25, each plus up to
 	// 25% jitter.
@@ -121,6 +123,7 @@ func TestClientBackoffIsExponentialAndBounded(t *testing.T) {
 }
 
 func TestClientDegradesAfterOnePeriodAndSuspendsScheduler(t *testing.T) {
+	tree := shares.NewTree()
 	eng := sim.NewEngine()
 	dev := storage.NewDevice(eng, "d0", storage.Spec{
 		Name: "flat", ReadBW: 100e6, WriteBW: 100e6,
@@ -128,13 +131,13 @@ func TestClientDegradesAfterOnePeriodAndSuspendsScheduler(t *testing.T) {
 	})
 	sfq := sfqd(t, eng, dev, shares.NewTree(), 2)
 	down := true
-	tr := &hookTransport{exchange: func(id string, vec map[iosched.AppID]float64) (map[iosched.AppID]float64, float64, error) {
+	tr := &hookTransport{tree: tree, exchange: func(id string, vec map[iosched.AppID]float64) (map[iosched.AppID]float64, float64, error) {
 		if down {
 			return nil, 0, ErrUnavailable
 		}
 		return map[iosched.AppID]float64{}, 0, nil
 	}}
-	c := NewClient(eng, "n0", sfq.Accounting(), ClientOptions{Transport: tr, Period: 1})
+	c := NewClient(eng, "n0", sfq.Accounting(), ClientOptions{Transport: tr, Period: 1, Shares: tree})
 	c.BindScheduler(sfq)
 	sfq.SetCoordinator(c)
 
@@ -175,9 +178,10 @@ func TestClientDegradesAfterOnePeriodAndSuspendsScheduler(t *testing.T) {
 }
 
 func TestClientTimeoutThenStaleResponseDropped(t *testing.T) {
+	tree := shares.NewTree()
 	eng := sim.NewEngine()
 	slow := true
-	tr := &hookTransport{eng: eng, exchange: func(id string, vec map[iosched.AppID]float64) (map[iosched.AppID]float64, float64, error) {
+	tr := &hookTransport{eng: eng, tree: tree, exchange: func(id string, vec map[iosched.AppID]float64) (map[iosched.AppID]float64, float64, error) {
 		if slow {
 			slow = false
 			// Response arrives after the 0.25 s default timeout.
@@ -185,14 +189,14 @@ func TestClientTimeoutThenStaleResponseDropped(t *testing.T) {
 		}
 		return map[iosched.AppID]float64{"a": 5}, 0, nil
 	}}
-	c := faultyClient(eng, tr, mapReporter{"a": 0})
+	c := faultyClient(eng, tree, tr, mapReporter{tree, map[iosched.AppID]float64{"a": 0}})
 	eng.Schedule(5, func() {})
 	eng.RunUntil(3)
 
 	// The late 999-total response must never have been applied: the
 	// timed-out attempt was abandoned and the retry's fresh response
 	// won the race.
-	if got := c.OtherService("a", iosched.NoApp); got != 5 {
+	if got := c.OtherService(tree.Index("a")); got != 5 {
 		t.Errorf("OtherService = %g, want 5 (late response applied?)", got)
 	}
 	h := c.Health()
@@ -205,16 +209,17 @@ func TestClientTimeoutThenStaleResponseDropped(t *testing.T) {
 }
 
 func TestClientSerializesRounds(t *testing.T) {
+	tree := shares.NewTree()
 	eng := sim.NewEngine()
 	var calls int
-	tr := &hookTransport{eng: eng, exchange: func(id string, vec map[iosched.AppID]float64) (map[iosched.AppID]float64, float64, error) {
+	tr := &hookTransport{eng: eng, tree: tree, exchange: func(id string, vec map[iosched.AppID]float64) (map[iosched.AppID]float64, float64, error) {
 		calls++
 		if calls == 1 {
 			return map[iosched.AppID]float64{"a": 100}, 0.2, nil
 		}
 		return map[iosched.AppID]float64{"a": 200}, 0.01, nil
 	}}
-	c := faultyClient(eng, tr, mapReporter{"a": 0})
+	c := faultyClient(eng, tree, tr, mapReporter{tree, map[iosched.AppID]float64{"a": 0}})
 	// ExchangeNow while round 1's response is still in flight must not
 	// start a concurrent round — responses stay ordered by design.
 	eng.Schedule(1.05, func() { c.ExchangeNow() })
@@ -222,7 +227,7 @@ func TestClientSerializesRounds(t *testing.T) {
 		if calls != 1 {
 			t.Errorf("ExchangeNow during in-flight round issued a concurrent exchange (calls=%d)", calls)
 		}
-		if got := c.OtherService("a", iosched.NoApp); got != 100 {
+		if got := c.OtherService(tree.Index("a")); got != 100 {
 			t.Errorf("OtherService = %g at t=1.5, want 100", got)
 		}
 	})
@@ -232,7 +237,7 @@ func TestClientSerializesRounds(t *testing.T) {
 	if calls != 2 {
 		t.Errorf("calls = %d, want 2 (t=1 and t=2 rounds)", calls)
 	}
-	if got := c.OtherService("a", iosched.NoApp); got != 200 {
+	if got := c.OtherService(tree.Index("a")); got != 200 {
 		t.Errorf("OtherService = %g, want 200 after round 2", got)
 	}
 	if c.Rounds() != 2 {
@@ -242,14 +247,15 @@ func TestClientSerializesRounds(t *testing.T) {
 
 func TestClientRestartWipesViewAndReRegisters(t *testing.T) {
 	eng := sim.NewEngine()
-	b := New()
-	rep := mapReporter{"a": 10}
-	other := NewClient(eng, "n1", mapReporter{"a": 40}, ClientOptions{Transport: directTransport{b}, Period: 1})
+	tree := shares.NewTree()
+	b := New(tree)
+	rep := mapReporter{tree, map[iosched.AppID]float64{"a": 10}}
+	other := NewClient(eng, "n1", mapReporter{tree, map[iosched.AppID]float64{"a": 40}}, ClientOptions{Transport: directTransport{b}, Period: 1, Shares: tree})
 	_ = other
-	c := NewClient(eng, "n0", rep, ClientOptions{Transport: directTransport{b}, Period: 1})
+	c := NewClient(eng, "n0", rep, ClientOptions{Transport: directTransport{b}, Period: 1, Shares: tree})
 	eng.Schedule(10, func() {})
 	eng.RunUntil(1.5)
-	if got := c.OtherService("a", iosched.NoApp); got != 40 {
+	if got := c.OtherService(tree.Index("a")); got != 40 {
 		t.Fatalf("pre-restart OtherService = %g, want 40", got)
 	}
 
@@ -259,7 +265,7 @@ func TestClientRestartWipesViewAndReRegisters(t *testing.T) {
 	// cumulative and the broker kept n0's previous report, the full
 	// re-report applies as a no-op delta: totals are NOT double
 	// counted.
-	if got := c.OtherService("a", iosched.NoApp); got != 40 {
+	if got := c.OtherService(tree.Index("a")); got != 40 {
 		t.Errorf("post-restart OtherService = %g, want 40 (idempotent resync)", got)
 	}
 	if got := b.Total("a"); got != 50 {
@@ -278,14 +284,15 @@ func TestClientRestartWipesViewAndReRegisters(t *testing.T) {
 }
 
 func TestClientRestartDuringOutageStaysDegraded(t *testing.T) {
+	tree := shares.NewTree()
 	eng := sim.NewEngine()
-	tr := &hookTransport{
+	tr := &hookTransport{tree: tree,
 		exchange: func(string, map[iosched.AppID]float64) (map[iosched.AppID]float64, float64, error) {
 			return nil, 0, ErrUnavailable
 		},
 		register: func(string) (float64, error) { return 0, ErrUnavailable },
 	}
-	c := faultyClient(eng, tr, mapReporter{"a": 1})
+	c := faultyClient(eng, tree, tr, mapReporter{tree, map[iosched.AppID]float64{"a": 1}})
 	eng.Schedule(2, func() { c.Restart() })
 	eng.Schedule(6, func() {})
 	eng.RunUntil(6)
@@ -302,13 +309,14 @@ func TestClientRestartDuringOutageStaysDegraded(t *testing.T) {
 }
 
 func TestClientDetachUnregistersAndGoesSilent(t *testing.T) {
+	tree := shares.NewTree()
 	eng := sim.NewEngine()
 	calls := 0
-	tr := &hookTransport{exchange: func(string, map[iosched.AppID]float64) (map[iosched.AppID]float64, float64, error) {
+	tr := &hookTransport{tree: tree, exchange: func(string, map[iosched.AppID]float64) (map[iosched.AppID]float64, float64, error) {
 		calls++
 		return map[iosched.AppID]float64{}, 0, nil
 	}}
-	c := faultyClient(eng, tr, mapReporter{"a": 1})
+	c := faultyClient(eng, tree, tr, mapReporter{tree, map[iosched.AppID]float64{"a": 1}})
 	eng.Schedule(2.5, func() { c.Detach() })
 	eng.Schedule(10, func() {})
 	eng.RunUntil(10)
@@ -330,9 +338,10 @@ func TestClientDetachUnregistersAndGoesSilent(t *testing.T) {
 }
 
 func TestBrokerUnregisterWithdrawsServiceAndPrunes(t *testing.T) {
-	b := New()
-	b.Exchange("n0", costs(map[iosched.AppID]float64{"a": 10, "b": 4}))
-	b.Exchange("n1", costs(map[iosched.AppID]float64{"a": 6}))
+	tree := shares.NewTree()
+	b := New(tree)
+	b.Exchange("n0", costs(tree, map[iosched.AppID]float64{"a": 10, "b": 4}))
+	b.Exchange("n1", costs(tree, map[iosched.AppID]float64{"a": 6}))
 	b.Unregister("n0")
 	if got := b.Total("a"); got != 6 {
 		t.Errorf("total a = %g, want 6 after n0 withdrew", got)
@@ -351,23 +360,25 @@ func TestBrokerUnregisterWithdrawsServiceAndPrunes(t *testing.T) {
 }
 
 func TestBrokerExchangeReturnsDefensiveCopy(t *testing.T) {
-	b := New()
-	resp := b.Exchange("n0", costs(map[iosched.AppID]float64{"a": 10}))
-	resp.Apps[0] = "z" // mutate the response
-	resp.Tenants["~a"] = 1e12
+	tree := shares.NewTree()
+	b := New(tree)
+	resp := b.Exchange("n0", costs(tree, map[iosched.AppID]float64{"a": 10}))
+	resp.Apps[0] = 99 // mutate the response
+	resp.Tenants[0].Total = 1e12
 	if got := b.Total("a"); got != 10 {
 		t.Errorf("total mutated through response: %g, want 10", got)
 	}
-	resp2 := b.Exchange("n1", costs(map[iosched.AppID]float64{"a": 5}))
-	if got := resp2.Tenants["~a"]; got != 15 {
+	resp2 := b.Exchange("n1", costs(tree, map[iosched.AppID]float64{"a": 5}))
+	if got := tenants(tree, resp2)["~a"]; got != 15 {
 		t.Errorf("second response = %g, want 15", got)
 	}
 }
 
 func TestBrokerRetireBlocksResurrection(t *testing.T) {
-	b := New()
-	b.Exchange("n0", costs(map[iosched.AppID]float64{"a": 10, "live": 1}))
-	b.Retire("a")
+	tree := shares.NewTree()
+	b := New(tree)
+	b.Exchange("n0", costs(tree, map[iosched.AppID]float64{"a": 10, "live": 1}))
+	b.Retire(tree.Index("a"))
 	// The live totals are pruned (the app no longer appears in Apps or
 	// in exchanges) but the final total stays observable as a tombstone.
 	if got := b.Total("a"); got != 10 {
@@ -380,8 +391,8 @@ func TestBrokerRetireBlocksResurrection(t *testing.T) {
 	}
 	// A straggler report with the app's full cumulative value must not
 	// resurrect it — local accounting never forgets an app.
-	resp := b.Exchange("n0", costs(map[iosched.AppID]float64{"a": 12, "live": 2}))
-	if slices.Contains(resp.Apps, "a") {
+	resp := b.Exchange("n0", costs(tree, map[iosched.AppID]float64{"a": 12, "live": 2}))
+	if slices.Contains(appNames(tree, resp), "a") {
 		t.Error("retired app present in exchange response")
 	}
 	if got := b.Total("a"); got != 10 {
@@ -392,15 +403,16 @@ func TestBrokerRetireBlocksResurrection(t *testing.T) {
 	}
 
 	// Revive: the next full cumulative report re-adds the service.
-	b.Revive("a")
-	b.Exchange("n0", costs(map[iosched.AppID]float64{"a": 12, "live": 2}))
+	b.Revive(tree.Index("a"))
+	b.Exchange("n0", costs(tree, map[iosched.AppID]float64{"a": 12, "live": 2}))
 	if got := b.Total("a"); got != 12 {
 		t.Errorf("revived total = %g, want 12", got)
 	}
 }
 
 func TestBrokerSchedulersSorted(t *testing.T) {
-	b := New()
+	tree := shares.NewTree()
+	b := New(tree)
 	b.Register("n2")
 	b.Register("n0")
 	b.Register("n1")
@@ -466,9 +478,10 @@ func (d *delayedTransport) Unregister(id string) {
 // exchanges, the post-restart re-register handshake, and detach.
 func TestClientOnDelayedTransport(t *testing.T) {
 	eng := sim.NewEngine()
-	b := New()
+	tree := shares.NewTree()
+	b := New(tree)
 	tr := &delayedTransport{eng: eng, b: b, rtt: 0.01}
-	c := NewClient(eng, "n0", mapReporter{"a": 10}, ClientOptions{Transport: tr, Period: 1})
+	c := NewClient(eng, "n0", mapReporter{tree, map[iosched.AppID]float64{"a": 10}}, ClientOptions{Transport: tr, Period: 1, Shares: tree})
 	eng.Schedule(1.5, c.Restart)
 	eng.Schedule(2.5, func() {}) // keep the run alive past the second tick
 	eng.Run()
@@ -495,12 +508,13 @@ func TestClientOnDelayedTransport(t *testing.T) {
 // cancels the timer its send armed, so no timeout event ever fires on
 // a healthy transport.
 func TestClientTimeoutArmedOnlyWhileOutstanding(t *testing.T) {
+	tree := shares.NewTree()
 	for _, rtt := range []float64{0, 0.1} {
 		eng := sim.NewEngine()
-		tr := &hookTransport{eng: eng, exchange: func(string, map[iosched.AppID]float64) (map[iosched.AppID]float64, float64, error) {
+		tr := &hookTransport{eng: eng, tree: tree, exchange: func(string, map[iosched.AppID]float64) (map[iosched.AppID]float64, float64, error) {
 			return map[iosched.AppID]float64{}, rtt, nil
 		}}
-		c := faultyClient(eng, tr, mapReporter{"a": 1})
+		c := faultyClient(eng, tree, tr, mapReporter{tree, map[iosched.AppID]float64{"a": 1}})
 		eng.Schedule(10.5, func() {})
 		eng.RunUntil(10.5)
 

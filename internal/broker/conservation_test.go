@@ -36,7 +36,7 @@ func conservedRoot(t *testing.T) (*Aggregator, *shares.Tree, []*Partition) {
 	for round := 1; round <= 2; round++ {
 		for i, vec := range vectors {
 			p := parts[i]
-			if _, err := p.Exchange("n", costs(vec), float64(round)); err != nil {
+			if _, err := p.Exchange("n", costs(tree, vec), float64(round)); err != nil {
 				t.Fatal(err)
 			}
 			msg, _, ok := p.BuildUplink(float64(round))
@@ -131,7 +131,7 @@ func corruptMirror(ag *Aggregator, _ *shares.Tree, p int, app iosched.AppID, d i
 }
 
 func corruptGlobalApp(ag *Aggregator, tree *shares.Tree, app iosched.AppID, d int64) {
-	*slot(&ag.globalApp, int(tree.Index(app, iosched.NoApp))) += d
+	*slot(&ag.globalApp, int(tree.Index(app))) += d
 }
 
 func corruptGlobalTenant(ag *Aggregator, tree *shares.Tree, tenant string, d int64) {

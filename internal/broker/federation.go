@@ -111,16 +111,13 @@ type Partition struct {
 	lastDownAt   float64
 }
 
-// NewPartition creates partition p's broker. tree attributes apps to
-// tenants (nil: a fresh tree, so every app is its implicit singleton
-// tenant); staleAfter bounds tolerated downlink staleness in seconds
-// (the cluster wires K × aggregation period).
+// NewPartition creates partition p's broker. tree numbers apps and
+// attributes them to tenants; staleAfter bounds tolerated downlink
+// staleness in seconds (the cluster wires K × aggregation period).
 func NewPartition(id int, tree *shares.Tree, staleAfter float64) *Partition {
-	b := New()
-	b.view = viewOf(tree)
 	return &Partition{
 		id:         id,
-		b:          b,
+		b:          New(tree),
 		quantum:    DefaultQuantum,
 		staleAfter: staleAfter,
 		// The first uplink is an explicit snapshot: a replaced leader
@@ -310,11 +307,10 @@ type aggPart struct {
 	tenantQ []int64
 }
 
-// NewAggregator creates the root. tree must attribute apps to tenants
-// identically to every partition's view (the cluster passes the same
-// tree to both; nil: a fresh tree of implicit singletons).
+// NewAggregator creates the root over the tree every partition is
+// built from.
 func NewAggregator(tree *shares.Tree) *Aggregator {
-	return &Aggregator{view: viewOf(tree), quantum: DefaultQuantum}
+	return &Aggregator{view: tree, quantum: DefaultQuantum}
 }
 
 // SetProbe installs a callback fired after every applied uplink (the
@@ -329,7 +325,7 @@ func (a *Aggregator) part(p int) *aggPart {
 }
 
 func (a *Aggregator) resolveApp(name string) int32 {
-	return int32(a.view.Index(iosched.AppID(name), iosched.NoApp))
+	return int32(a.view.Index(iosched.AppID(name)))
 }
 
 func (a *Aggregator) tenantName(t int32) string { return a.view.TenantName(shares.TenantIdx(t)) }

@@ -15,22 +15,23 @@ import (
 // per-scheduler report baselines, so the next exchange applies only the
 // true delta accrued since retirement.
 func TestReviveRestoresExactContinuity(t *testing.T) {
-	b := New()
-	b.Exchange("n1", costs(map[iosched.AppID]float64{"A": 100}))
-	b.Exchange("n2", costs(map[iosched.AppID]float64{"A": 50}))
-	b.Retire("A")
+	tree := shares.NewTree()
+	b := New(tree)
+	b.Exchange("n1", costs(tree, map[iosched.AppID]float64{"A": 100}))
+	b.Exchange("n2", costs(tree, map[iosched.AppID]float64{"A": 50}))
+	b.Retire(tree.Index("A"))
 	if got := b.Total("A"); got != 150 {
 		t.Fatalf("tombstone total = %v, want 150", got)
 	}
-	b.Revive("A")
+	b.Revive(tree.Index("A"))
 	// The regression: Revive used to only clear the retired flag, so the
 	// total was 0 here and the next exchange re-added n1's FULL
 	// cumulative (100) instead of its delta.
 	if got := b.Total("A"); got != 150 {
 		t.Fatalf("revived total = %v, want 150 (exact continuity)", got)
 	}
-	resp := b.Exchange("n1", costs(map[iosched.AppID]float64{"A": 120}))
-	if got := resp.Tenants["~A"]; got != 170 {
+	resp := b.Exchange("n1", costs(tree, map[iosched.AppID]float64{"A": 120}))
+	if got := tenants(tree, resp)["~A"]; got != 170 {
 		t.Fatalf("post-revive exchange total = %v, want 170 (150 + delta 20)", got)
 	}
 }
@@ -40,11 +41,12 @@ func TestReviveRestoresExactContinuity(t *testing.T) {
 // leave Total at zero — not resurrect the stale tombstone through the
 // finals fallback.
 func TestReviveThenUnregisterNeverSurfacesTombstone(t *testing.T) {
-	b := New()
-	b.Exchange("n1", costs(map[iosched.AppID]float64{"A": 100}))
-	b.Exchange("n2", costs(map[iosched.AppID]float64{"A": 50}))
-	b.Retire("A")
-	b.Revive("A")
+	tree := shares.NewTree()
+	b := New(tree)
+	b.Exchange("n1", costs(tree, map[iosched.AppID]float64{"A": 100}))
+	b.Exchange("n2", costs(tree, map[iosched.AppID]float64{"A": 50}))
+	b.Retire(tree.Index("A"))
+	b.Revive(tree.Index("A"))
 	b.Unregister("n1")
 	b.Unregister("n2")
 	if got := b.Total("A"); got != 0 {
@@ -56,17 +58,18 @@ func TestReviveThenUnregisterNeverSurfacesTombstone(t *testing.T) {
 // unregistered while the app was retired must not be resurrected by
 // Revive — its service left the cluster with it.
 func TestReviveDropsEntriesOfDepartedSchedulers(t *testing.T) {
-	b := New()
-	b.Exchange("n1", costs(map[iosched.AppID]float64{"A": 100}))
-	b.Exchange("n2", costs(map[iosched.AppID]float64{"A": 50}))
-	b.Retire("A")
+	tree := shares.NewTree()
+	b := New(tree)
+	b.Exchange("n1", costs(tree, map[iosched.AppID]float64{"A": 100}))
+	b.Exchange("n2", costs(tree, map[iosched.AppID]float64{"A": 50}))
+	b.Retire(tree.Index("A"))
 	b.Unregister("n2")
-	b.Revive("A")
+	b.Revive(tree.Index("A"))
 	if got := b.Total("A"); got != 100 {
 		t.Fatalf("revived total = %v, want 100 (n2's 50 departed)", got)
 	}
-	resp := b.Exchange("n1", costs(map[iosched.AppID]float64{"A": 110}))
-	if got := resp.Tenants["~A"]; got != 110 {
+	resp := b.Exchange("n1", costs(tree, map[iosched.AppID]float64{"A": 110}))
+	if got := tenants(tree, resp)["~A"]; got != 110 {
 		t.Fatalf("post-revive total = %v, want 110", got)
 	}
 }
@@ -74,16 +77,17 @@ func TestReviveDropsEntriesOfDepartedSchedulers(t *testing.T) {
 // TestRetireReviveIdempotence: double Retire keeps the first tombstone;
 // Revive of a live app is a no-op.
 func TestRetireReviveIdempotence(t *testing.T) {
-	b := New()
-	b.Exchange("n1", costs(map[iosched.AppID]float64{"A": 100}))
-	b.Retire("A")
-	b.Exchange("n1", costs(map[iosched.AppID]float64{"A": 999})) // skipped while retired
-	b.Retire("A")
+	tree := shares.NewTree()
+	b := New(tree)
+	b.Exchange("n1", costs(tree, map[iosched.AppID]float64{"A": 100}))
+	b.Retire(tree.Index("A"))
+	b.Exchange("n1", costs(tree, map[iosched.AppID]float64{"A": 999})) // skipped while retired
+	b.Retire(tree.Index("A"))
 	if got := b.Total("A"); got != 100 {
 		t.Fatalf("double-retire tombstone = %v, want 100", got)
 	}
-	b.Revive("A")
-	b.Revive("A")
+	b.Revive(tree.Index("A"))
+	b.Revive(tree.Index("A"))
 	if got := b.Total("A"); got != 100 {
 		t.Fatalf("double-revive total = %v, want 100", got)
 	}
@@ -126,7 +130,7 @@ func conservationCheck(t *testing.T, b *Broker, step string) {
 func exactRollup(b *Broker, tree *shares.Tree) map[string]float64 {
 	out := map[string]float64{}
 	for app, v := range reportedTotals(b) {
-		out[tree.TenantOf(app)] += v
+		out[tree.TenantName(tree.TenantAt(tree.Index(app)))] += v
 	}
 	return out
 }
@@ -199,24 +203,24 @@ func TestRetireReviveUnregisterInterleavings(t *testing.T) {
 					for a, v := range cum[s] {
 						vec[a] = v
 					}
-					resp := b.Exchange(s, costs(vec))
+					resp := b.Exchange(s, costs(tree, vec))
 					live[s] = true
 					want := exactRollup(b, tree)
 					for tn := range want {
-						if _, ok := resp.Tenants[tn]; !ok {
+						if _, ok := tenants(tree, resp)[tn]; !ok {
 							delete(want, tn)
 						}
 					}
-					rollupCheck(t, step, "response", resp.Tenants, want)
+					rollupCheck(t, step, "response", tenants(tree, resp), want)
 				case 6: // retire
 					a := apps[next(len(apps))]
 					if !b.Retired(a) {
-						b.Retire(a)
+						b.Retire(tree.Index(a))
 						tombstone[a] = b.Total(a)
 					}
 				case 7: // revive
 					a := apps[next(len(apps))]
-					b.Revive(a)
+					b.Revive(tree.Index(a))
 					delete(tombstone, a)
 				case 8: // unregister
 					s := scheds[next(len(scheds))]

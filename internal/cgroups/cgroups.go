@@ -31,7 +31,6 @@ import (
 type Weight struct {
 	reads  *iosched.SFQ
 	writes *iosched.FIFO
-	src    iosched.WeightSource
 	acct   *iosched.Accounting
 }
 
@@ -46,8 +45,7 @@ func NewWeight(eng *sim.Engine, dev *storage.Device, src iosched.WeightSource, d
 	w := &Weight{
 		reads:  reads,
 		writes: iosched.NewFIFO(eng, dev, src),
-		src:    src,
-		acct:   iosched.NewAccounting(),
+		acct:   iosched.NewAccounting(src),
 	}
 	w.SetProbe(nil)
 	return w, nil
@@ -81,7 +79,7 @@ func (w *Weight) SetProbe(p iosched.Probe) {
 // book accounts a completed request's service in the merged view.
 func (w *Weight) book(req *iosched.Request, st iosched.ProbeState) {
 	if st.Event == iosched.ProbeComplete {
-		w.acct.Add(w.src.AppName(req.AppIdx), req)
+		w.acct.Add(req)
 	}
 }
 

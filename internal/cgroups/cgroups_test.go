@@ -57,7 +57,7 @@ func TestWeightIsProportional(t *testing.T) {
 		var issue func()
 		issue = func() {
 			s.Submit(&iosched.Request{
-				AppIdx: tree.Index(app, iosched.NoApp), Class: iosched.IntermediateRead, Size: 1e6,
+				AppIdx: tree.Index(app), Class: iosched.IntermediateRead, Size: 1e6,
 				Done: iosched.DoneFunc(func(*iosched.Request, float64) {
 					*served += 1e6
 					if eng.Now() < 30 {
@@ -87,7 +87,7 @@ func TestThrottleCapsRate(t *testing.T) {
 	var issue func()
 	issue = func() {
 		s.Submit(&iosched.Request{
-			AppIdx: tree.Index("capped", iosched.NoApp), Class: iosched.IntermediateRead, Size: 1e6,
+			AppIdx: tree.Index("capped"), Class: iosched.IntermediateRead, Size: 1e6,
 			Done: iosched.DoneFunc(func(*iosched.Request, float64) {
 				served += 1e6
 				if eng.Now() < 20 {
@@ -118,7 +118,7 @@ func TestThrottleNonWorkConserving(t *testing.T) {
 	s := newThrottle(t, eng, dev, tree, map[iosched.AppID]float64{"capped": 1e6})
 	var done float64
 	s.Submit(&iosched.Request{
-		AppIdx: tree.Index("capped", iosched.NoApp), Class: iosched.IntermediateRead, Size: 10e6,
+		AppIdx: tree.Index("capped"), Class: iosched.IntermediateRead, Size: 10e6,
 		Done: iosched.DoneFunc(func(*iosched.Request, float64) { done = eng.Now() }),
 	})
 	eng.Run()
@@ -139,7 +139,7 @@ func TestThrottleUncappedPassthrough(t *testing.T) {
 	s := newThrottle(t, eng, dev, tree, map[iosched.AppID]float64{"capped": 1e6})
 	var freeDone float64
 	s.Submit(&iosched.Request{
-		AppIdx: tree.Index("free", iosched.NoApp), Class: iosched.IntermediateRead, Size: 10e6,
+		AppIdx: tree.Index("free"), Class: iosched.IntermediateRead, Size: 10e6,
 		Done: iosched.DoneFunc(func(*iosched.Request, float64) { freeDone = eng.Now() }),
 	})
 	eng.Run()
@@ -157,7 +157,7 @@ func TestThrottleFIFOWithinApp(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		i := i
 		s.Submit(&iosched.Request{
-			AppIdx: tree.Index("c", iosched.NoApp), Class: iosched.IntermediateRead, Size: 1e6,
+			AppIdx: tree.Index("c"), Class: iosched.IntermediateRead, Size: 1e6,
 			Done: iosched.DoneFunc(func(*iosched.Request, float64) { order = append(order, i) }),
 		})
 	}
@@ -177,7 +177,7 @@ func TestThrottleAccounting(t *testing.T) {
 	eng := sim.NewEngine()
 	dev := storage.NewDevice(eng, "d", flatSpec())
 	s := newThrottle(t, eng, dev, tree, nil)
-	s.Submit(&iosched.Request{AppIdx: tree.Index("A", iosched.NoApp), Class: iosched.IntermediateRead, Size: 3e6})
+	s.Submit(&iosched.Request{AppIdx: tree.Index("A"), Class: iosched.IntermediateRead, Size: 3e6})
 	eng.Run()
 	svc := s.Accounting().Service("A")
 	if svc.Bytes != 3e6 || svc.Requests != 1 {
@@ -206,7 +206,7 @@ func TestThrottleObserver(t *testing.T) {
 	count := 0
 	s.SetProbe(completions(&count))
 	for i := 0; i < 3; i++ {
-		s.Submit(&iosched.Request{AppIdx: tree.Index("A", iosched.NoApp), Class: iosched.IntermediateRead, Size: 1e5})
+		s.Submit(&iosched.Request{AppIdx: tree.Index("A"), Class: iosched.IntermediateRead, Size: 1e5})
 	}
 	eng.Run()
 	if count != 3 {
@@ -223,7 +223,7 @@ func TestThrottleWritesBypassCap(t *testing.T) {
 	s := newThrottle(t, eng, dev, tree, map[iosched.AppID]float64{"capped": 1e6})
 	done := -1.0
 	s.Submit(&iosched.Request{
-		AppIdx: tree.Index("capped", iosched.NoApp), Class: iosched.IntermediateWrite, Size: 10e6,
+		AppIdx: tree.Index("capped"), Class: iosched.IntermediateWrite, Size: 10e6,
 		Done: iosched.DoneFunc(func(*iosched.Request, float64) { done = eng.Now() }),
 	})
 	eng.Run()
@@ -239,7 +239,7 @@ func TestWeightWritesBypass(t *testing.T) {
 	w := newWeight(t, eng, dev, tree, 2)
 	// Submit many writes: they all dispatch immediately (no queueing).
 	for i := 0; i < 10; i++ {
-		w.Submit(&iosched.Request{AppIdx: tree.Index("A", iosched.NoApp), Class: iosched.IntermediateWrite, Size: 1e6})
+		w.Submit(&iosched.Request{AppIdx: tree.Index("A"), Class: iosched.IntermediateWrite, Size: 1e6})
 	}
 	if w.InFlight() != 10 {
 		t.Fatalf("InFlight = %d, want 10 unmanaged writes", w.InFlight())
@@ -263,8 +263,8 @@ func TestWeightObserverBothPaths(t *testing.T) {
 	w := newWeight(t, eng, dev, tree, 2)
 	count := 0
 	w.SetProbe(completions(&count))
-	w.Submit(&iosched.Request{AppIdx: tree.Index("A", iosched.NoApp), Class: iosched.IntermediateRead, Size: 1e6})
-	w.Submit(&iosched.Request{AppIdx: tree.Index("A", iosched.NoApp), Class: iosched.IntermediateWrite, Size: 1e6})
+	w.Submit(&iosched.Request{AppIdx: tree.Index("A"), Class: iosched.IntermediateRead, Size: 1e6})
+	w.Submit(&iosched.Request{AppIdx: tree.Index("A"), Class: iosched.IntermediateWrite, Size: 1e6})
 	eng.Run()
 	if count != 2 {
 		t.Fatalf("observer saw %d events, want 2", count)

@@ -493,18 +493,19 @@ func (c *Cluster) DetachNode(i int) {
 	}
 }
 
-// RetireApp tells every partition broker the application has finished
-// cluster-wide: its totals are dropped and late straggler reports for
-// it are ignored, so a long-lived AppID cannot haunt future jobs with
-// stale service. No-op without coordination.
-func (c *Cluster) RetireApp(app iosched.AppID) {
-	c.eachPartition(func(b *broker.Broker) { b.Retire(app) })
+// RetireApp tells every partition broker the application with index ai
+// in the cluster's share tree has finished cluster-wide: its totals are
+// dropped and late straggler reports for it are ignored, so a
+// long-lived AppID cannot haunt future jobs with stale service. No-op
+// without coordination.
+func (c *Cluster) RetireApp(ai iosched.AppIdx) {
+	c.eachPartition(func(b *broker.Broker) { b.Retire(ai) })
 }
 
 // ReviveApp undoes RetireApp for a reused AppID (e.g. consecutive Hive
 // stages). No-op without coordination.
-func (c *Cluster) ReviveApp(app iosched.AppID) {
-	c.eachPartition(func(b *broker.Broker) { b.Revive(app) })
+func (c *Cluster) ReviveApp(ai iosched.AppIdx) {
+	c.eachPartition(func(b *broker.Broker) { b.Revive(ai) })
 }
 
 // CoordinationHealth merges the failure-handling counters of every

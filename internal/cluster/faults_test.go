@@ -41,7 +41,7 @@ func TestArmFaultsSchedulesRestarts(t *testing.T) {
 		}),
 	})
 	var served float64
-	keepBusy(eng, c.Nodes[0], c.Shares().Index("A", iosched.NoApp), 4, &served)
+	keepBusy(eng, c.Nodes[0], c.Shares().Index("A"), 4, &served)
 	eng.Schedule(5, func() {})
 	eng.Run()
 
@@ -71,7 +71,7 @@ func TestArmFaultsDegradesDevice(t *testing.T) {
 		}),
 	})
 	var served float64
-	keepBusy(eng, c.Nodes[0], c.Shares().Index("A", iosched.NoApp), 3, &served)
+	keepBusy(eng, c.Nodes[0], c.Shares().Index("A"), 3, &served)
 	var atStart, atEnd, atRecovered float64
 	eng.ScheduleDaemon(1, func() { atStart = served })
 	eng.ScheduleDaemon(2, func() { atEnd = served })
@@ -96,8 +96,8 @@ func TestArmFaultsDegradesDevice(t *testing.T) {
 func TestDetachNodeUnregistersClients(t *testing.T) {
 	eng, c := newCluster(t, Config{Nodes: 2, Policy: SFQD, Coordinate: true, CoordinationPeriod: 0.5})
 	var s0, s1 float64
-	keepBusy(eng, c.Nodes[0], c.Shares().Index("A", iosched.NoApp), 4, &s0)
-	keepBusy(eng, c.Nodes[1], c.Shares().Index("A", iosched.NoApp), 4, &s1)
+	keepBusy(eng, c.Nodes[0], c.Shares().Index("A"), 4, &s0)
+	keepBusy(eng, c.Nodes[1], c.Shares().Index("A"), 4, &s1)
 	eng.Schedule(2, func() {
 		c.DetachNode(1)
 		if got := len(c.Partitions()[0].Broker().Schedulers()); got != 2 {
@@ -131,8 +131,8 @@ func TestDegradeObserverReportsNodeAndDevice(t *testing.T) {
 		func(node int, dev string, _ float64) { recovers[key{node, dev}]++ },
 	)
 	var s0, s1 float64
-	keepBusy(eng, c.Nodes[0], c.Shares().Index("A", iosched.NoApp), 8, &s0)
-	keepBusy(eng, c.Nodes[1], c.Shares().Index("A", iosched.NoApp), 8, &s1)
+	keepBusy(eng, c.Nodes[0], c.Shares().Index("A"), 8, &s0)
+	keepBusy(eng, c.Nodes[1], c.Shares().Index("A"), 8, &s1)
 	eng.Schedule(9, func() {})
 	eng.Run()
 

@@ -53,7 +53,7 @@ func TestHollowSubmitIO(t *testing.T) {
 	}
 	n := c.Nodes[0]
 	done := 0
-	a := c.Shares().Index("a", iosched.NoApp)
+	a := c.Shares().Index("a")
 	req := &iosched.Request{
 		AppIdx: a,
 		Class:  iosched.PersistentRead,
@@ -109,7 +109,7 @@ func TestHollowShardedCoordinated(t *testing.T) {
 	done := 0
 	for i, n := range c.Nodes {
 		n.SubmitIO(&iosched.Request{
-			AppIdx: c.Shares().Index(iosched.AppID("app"+string(rune('A'+i))), iosched.NoApp),
+			AppIdx: c.Shares().Index(iosched.AppID("app" + string(rune('A'+i)))),
 			Class:  iosched.PersistentRead,
 			Size:   1e6,
 			Done:   iosched.DoneFunc(func(*iosched.Request, float64) { done++ }),

@@ -55,7 +55,7 @@ func TestInstrumentComposes(t *testing.T) {
 					iosched.IntermediateRead, iosched.IntermediateWrite,
 				} {
 					for _, app := range []iosched.AppID{"A", "B", "A"} {
-						req := &iosched.Request{AppIdx: c.Shares().Index(app, iosched.NoApp), Class: class, Size: 1e6}
+						req := &iosched.Request{AppIdx: c.Shares().Index(app), Class: class, Size: 1e6}
 						req.Done = iosched.DoneFunc(func(_ *iosched.Request, lat float64) { done[req] = lat })
 						if err := n.SubmitIO(req); err != nil {
 							t.Fatal(err)

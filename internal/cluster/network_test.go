@@ -38,7 +38,7 @@ func TestReservePolicyPacesIO(t *testing.T) {
 	var issue func()
 	issue = func() {
 		n.SubmitIO(&iosched.Request{
-			AppIdx: c.Shares().Index("A", iosched.NoApp), Class: iosched.PersistentRead, Size: 2e6,
+			AppIdx: c.Shares().Index("A"), Class: iosched.PersistentRead, Size: 2e6,
 			Done: iosched.DoneFunc(func(*iosched.Request, float64) {
 				served += 2e6
 				if eng.Now() < 20 {
@@ -63,7 +63,7 @@ func TestSendTaggedWithoutNetSchedEqualsSend(t *testing.T) {
 	eng.Run()
 
 	eng2, c2 := newCluster(t, Config{Nodes: 2})
-	c2.Nodes[0].SendTagged(c2.Nodes[1], c2.Shares().Index("A", iosched.NoApp), 50e6, func() { t2 = eng2.Now() })
+	c2.Nodes[0].SendTagged(c2.Nodes[1], c2.Shares().Index("A"), 50e6, func() { t2 = eng2.Now() })
 	eng2.Run()
 	if math.Abs(t1-t2) > 1e-9 {
 		t.Fatalf("SendTagged without NetSched diverged: %v vs %v", t1, t2)
@@ -85,7 +85,7 @@ func TestNetworkSchedulerWeightsTransfers(t *testing.T) {
 		if err := c.Shares().SetAppWeight(app, w); err != nil {
 			t.Fatalf("SetAppWeight: %v", err)
 		}
-		idx := c.Shares().Index(app, iosched.NoApp)
+		idx := c.Shares().Index(app)
 		var issue func()
 		issue = func() {
 			src.SendTagged(dst, idx, 2e6, func() {
@@ -120,7 +120,7 @@ func TestNetworkSchedulerOffByDefault(t *testing.T) {
 func TestZeroByteSendTagged(t *testing.T) {
 	eng, c := newCluster(t, Config{Nodes: 2, ScheduleNetwork: true})
 	fired := false
-	c.Nodes[0].SendTagged(c.Nodes[1], c.Shares().Index("A", iosched.NoApp), 0, func() { fired = true })
+	c.Nodes[0].SendTagged(c.Nodes[1], c.Shares().Index("A"), 0, func() { fired = true })
 	eng.Run()
 	if !fired {
 		t.Fatal("zero-byte tagged send never completed")

@@ -51,11 +51,11 @@ func (l *closedLoop) keepUneven(cl *cluster.Cluster, w float64) (wide, narrow *t
 	wide, narrow = new(tally), new(tally)
 	tree := cl.Shares()
 	l.fail(tree.Bind("wide", "", w))
-	wideIdx := tree.Index("wide", iosched.NoApp)
+	wideIdx := tree.Index("wide")
 	for i, n := range cl.Nodes {
 		l.keep(n.SubmitIO, wide, 4, iosched.Request{AppIdx: wideIdx, Class: iosched.PersistentRead, Size: 2e6})
 		if i < max(len(cl.Nodes)/4, 1) {
-			l.keep(n.SubmitIO, narrow, 4, iosched.Request{AppIdx: tree.Index("narrow", iosched.NoApp), Class: iosched.PersistentRead, Size: 2e6})
+			l.keep(n.SubmitIO, narrow, 4, iosched.Request{AppIdx: tree.Index("narrow"), Class: iosched.PersistentRead, Size: 2e6})
 		}
 	}
 	return wide, narrow

@@ -22,7 +22,7 @@ func TestClosedLoopReturnsRejectedSubmit(t *testing.T) {
 	}
 	l := newClosedLoop(eng, 5)
 	var good, bad tally
-	l.keep(s.Submit, &good, 2, iosched.Request{AppIdx: tree.Index("good", iosched.NoApp), Class: iosched.PersistentRead, Size: 2e6})
+	l.keep(s.Submit, &good, 2, iosched.Request{AppIdx: tree.Index("good"), Class: iosched.PersistentRead, Size: 2e6})
 	// No app index: the scheduler rejects every submit.
 	l.keep(s.Submit, &bad, 2, iosched.Request{AppIdx: iosched.NoApp, Class: iosched.PersistentRead, Size: 2e6})
 	if err := l.run(); err == nil {

@@ -232,8 +232,8 @@ func ssdPromotionPoint(depth int) (SSDPromotionRow, error) {
 	}
 	l := newClosedLoop(eng, 30)
 	var reads, writes tally
-	l.keep(s.Submit, &reads, 2, iosched.Request{AppIdx: tree.Index("reader", iosched.NoApp), Class: iosched.PersistentRead, Size: 2e6})
-	l.keep(s.Submit, &writes, 8, iosched.Request{AppIdx: tree.Index("writer", iosched.NoApp), Class: iosched.PersistentWrite, Size: 2e6})
+	l.keep(s.Submit, &reads, 2, iosched.Request{AppIdx: tree.Index("reader"), Class: iosched.PersistentRead, Size: 2e6})
+	l.keep(s.Submit, &writes, 8, iosched.Request{AppIdx: tree.Index("writer"), Class: iosched.PersistentWrite, Size: 2e6})
 	if err := l.run(); err != nil {
 		return SSDPromotionRow{}, err
 	}

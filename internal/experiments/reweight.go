@@ -114,14 +114,14 @@ func Reweight(spec ReweightSpec) (*ReweightResult, error) {
 	}
 
 	au := audit.New(audit.Options{CoordinationPeriod: 1}, tree)
-	au.SetShares(tree)
+	au.CheckTenants()
 	au.Attach(cl, 1)
 
 	// The schedulers resolve weights through the cluster's share tree
 	// — the path under test.
 	l := newClosedLoop(eng, reweightHorizon)
 	var hot, base tally
-	hotIdx, baseIdx := tree.Index("hot", iosched.NoApp), tree.Index("base", iosched.NoApp)
+	hotIdx, baseIdx := tree.Index("hot"), tree.Index("base")
 	for _, n := range cl.Nodes {
 		l.keep(n.SubmitIO, &hot, 4, iosched.Request{AppIdx: hotIdx, Class: iosched.PersistentRead, Size: 2e6})
 		l.keep(n.SubmitIO, &base, 4, iosched.Request{AppIdx: baseIdx, Class: iosched.PersistentRead, Size: 2e6})

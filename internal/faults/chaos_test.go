@@ -84,7 +84,7 @@ func chaosRunOn(t *testing.T, spec faults.Spec, nodes int, sharded bool) chaosOu
 	var wide, narrow float64
 	backlog := func(n *cluster.Node, app iosched.AppID, served *float64) {
 		eng := n.Shard().Engine()
-		idx := cl.Shares().Index(app, iosched.NoApp)
+		idx := cl.Shares().Index(app)
 		var issue func()
 		issue = func() {
 			n.SubmitIO(&iosched.Request{

@@ -85,10 +85,7 @@ type Spec struct {
 	// while a window is open that partition's client exchanges fail
 	// with ErrUnavailable and its root syncs stop; recovery is a crash
 	// recovery (a snapshot resync where there is a root).
-	LeaderOutages       map[int][]Window
-	LeaderOutageCount   int
-	LeaderOutageMeanDur float64 // default 5 s
-	LeaderTargets       []int   // required when LeaderOutageCount > 0
+	LeaderOutages map[int][]Window
 }
 
 // RestartEvent is one scheduled scheduler restart.
@@ -244,20 +241,6 @@ func New(spec Spec) *Injector {
 	sort.Ints(leaderIdxs)
 	for _, p := range leaderIdxs {
 		inj.leaders[p] = normalize(append([]Window(nil), spec.LeaderOutages[p]...))
-	}
-	if spec.LeaderOutageCount > 0 && len(spec.LeaderTargets) > 0 {
-		targets := append([]int(nil), spec.LeaderTargets...)
-		sort.Ints(targets)
-		meanDur := meanOr(spec.LeaderOutageMeanDur, 5)
-		for i := 0; i < spec.LeaderOutageCount; i++ {
-			p := targets[i%len(targets)]
-			start := rng.Float64() * horizon
-			dur := meanDur * (0.5 + rng.Float64())
-			inj.leaders[p] = append(inj.leaders[p], Window{Start: start, End: start + dur})
-		}
-		for p := range inj.leaders {
-			inj.leaders[p] = normalize(inj.leaders[p])
-		}
 	}
 	return inj
 }

@@ -4,11 +4,11 @@ import (
 	"math"
 	"reflect"
 	"slices"
-	"strings"
 	"testing"
 
 	"ibis/internal/broker"
 	"ibis/internal/iosched"
+	"ibis/internal/shares"
 	"ibis/internal/sim"
 )
 
@@ -186,23 +186,28 @@ func TestClientIDs(t *testing.T) {
 	}
 }
 
-// costs is the service vector of a name-keyed literal, sorted by app.
-func costs(m map[iosched.AppID]float64) []iosched.AppCost {
-	v := make([]iosched.AppCost, 0, len(m))
-	for app, c := range m {
-		v = append(v, iosched.AppCost{App: app, Idx: iosched.NoApp, Cost: c})
+// costs is the service vector of a name-keyed literal, numbered by
+// tree and sorted by app name.
+func costs(tree *shares.Tree, m map[iosched.AppID]float64) []iosched.AppCost {
+	names := make([]iosched.AppID, 0, len(m))
+	for app := range m {
+		names = append(names, app)
 	}
-	slices.SortFunc(v, func(x, y iosched.AppCost) int { return strings.Compare(string(x.App), string(y.App)) })
+	slices.Sort(names)
+	v := make([]iosched.AppCost, len(names))
+	for i, app := range names {
+		v[i] = iosched.AppCost{Idx: tree.Index(app), Cost: m[app]}
+	}
 	return v
 }
 
 // exchangeNow sends one exchange whose reply must arrive inside the
 // call (a failure, or a response without delay) and returns its error.
-func exchangeNow(t *testing.T, tr *Transport, id string, vec map[iosched.AppID]float64) error {
+func exchangeNow(t *testing.T, tree *shares.Tree, tr *Transport, id string, vec map[iosched.AppID]float64) error {
 	t.Helper()
 	var got error
 	arrived := false
-	tr.Exchange(id, costs(vec), func(_ broker.Response, err error) { got, arrived = err, true })
+	tr.Exchange(id, costs(tree, vec), func(_ broker.Response, err error) { got, arrived = err, true })
 	if !arrived {
 		t.Fatalf("exchange from %s: no reply inside the call", id)
 	}
@@ -211,18 +216,19 @@ func exchangeNow(t *testing.T, tr *Transport, id string, vec map[iosched.AppID]f
 
 func TestTransportOutageAndPartition(t *testing.T) {
 	eng := sim.NewEngine()
-	p := broker.NewPartition(0, nil, 0)
+	tree := shares.NewTree()
+	p := broker.NewPartition(0, tree, 0)
 	tr := NewTransport(eng, New(Spec{
 		Outages:    []Window{{Start: 10, End: 20}},
 		Partitions: map[string][]Window{"n0": {{Start: 30, End: 40}}},
 	}), p)
 
 	vec := map[iosched.AppID]float64{"a": 1}
-	if err := exchangeNow(t, tr, "n0", vec); err != nil {
+	if err := exchangeNow(t, tree, tr, "n0", vec); err != nil {
 		t.Fatalf("healthy exchange failed: %v", err)
 	}
 	eng.Schedule(15, func() {
-		if err := exchangeNow(t, tr, "n0", vec); err != broker.ErrUnavailable {
+		if err := exchangeNow(t, tree, tr, "n0", vec); err != broker.ErrUnavailable {
 			t.Errorf("exchange during outage: err = %v, want ErrUnavailable", err)
 		}
 		var err error
@@ -232,10 +238,10 @@ func TestTransportOutageAndPartition(t *testing.T) {
 		}
 	})
 	eng.Schedule(35, func() {
-		if err := exchangeNow(t, tr, "n0", vec); err != broker.ErrUnavailable {
+		if err := exchangeNow(t, tree, tr, "n0", vec); err != broker.ErrUnavailable {
 			t.Errorf("exchange while partitioned: err = %v, want ErrUnavailable", err)
 		}
-		if err := exchangeNow(t, tr, "n1", vec); err != nil {
+		if err := exchangeNow(t, tree, tr, "n1", vec); err != nil {
 			t.Errorf("unpartitioned peer blocked: %v", err)
 		}
 	})
@@ -244,11 +250,12 @@ func TestTransportOutageAndPartition(t *testing.T) {
 
 func TestTransportRequestDropNeverReachesBroker(t *testing.T) {
 	eng := sim.NewEngine()
-	p := broker.NewPartition(0, nil, 0)
+	tree := shares.NewTree()
+	p := broker.NewPartition(0, tree, 0)
 	b := p.Broker()
 	tr := NewTransport(eng, New(Spec{DropProb: 1}), p)
 	b.Register("n0")
-	if err := exchangeNow(t, tr, "n0", map[iosched.AppID]float64{"a": 7}); err != broker.ErrLost {
+	if err := exchangeNow(t, tree, tr, "n0", map[iosched.AppID]float64{"a": 7}); err != broker.ErrLost {
 		t.Fatalf("err = %v, want ErrLost", err)
 	}
 	if got := b.Total("a"); got != 0 {
@@ -258,11 +265,12 @@ func TestTransportRequestDropNeverReachesBroker(t *testing.T) {
 
 func TestTransportResponseDropAppliesReport(t *testing.T) {
 	eng := sim.NewEngine()
-	p := broker.NewPartition(0, nil, 0)
+	tree := shares.NewTree()
+	p := broker.NewPartition(0, tree, 0)
 	b := p.Broker()
 	tr := NewTransport(eng, New(Spec{RespDropProb: 1}), p)
 	b.Register("n0")
-	if err := exchangeNow(t, tr, "n0", map[iosched.AppID]float64{"a": 7}); err != broker.ErrLost {
+	if err := exchangeNow(t, tree, tr, "n0", map[iosched.AppID]float64{"a": 7}); err != broker.ErrLost {
 		t.Fatalf("err = %v, want ErrLost", err)
 	}
 	// The loss is on the downlink: the broker did see the report. The
@@ -274,14 +282,15 @@ func TestTransportResponseDropAppliesReport(t *testing.T) {
 
 func TestTransportDelayBounds(t *testing.T) {
 	eng := sim.NewEngine()
-	p := broker.NewPartition(0, nil, 0)
+	tree := shares.NewTree()
+	p := broker.NewPartition(0, tree, 0)
 	b := p.Broker()
 	tr := NewTransport(eng, New(Spec{DelayProb: 1, DelayMin: 0.1, DelayMax: 0.2}), p)
 	b.Register("n0")
 	// Every exchange is sent at t=0, so its arrival time is its rtt.
 	arrivals := 0
 	for i := 0; i < 64; i++ {
-		tr.Exchange("n0", costs(map[iosched.AppID]float64{"a": float64(i)}), func(_ broker.Response, err error) {
+		tr.Exchange("n0", costs(tree, map[iosched.AppID]float64{"a": float64(i)}), func(_ broker.Response, err error) {
 			arrivals++
 			if err != nil {
 				t.Fatalf("exchange %d: %v", i, err)

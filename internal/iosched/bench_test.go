@@ -55,7 +55,32 @@ func (d *benchDev) complete() {
 // submit → tag → queue → dispatch → complete cycle.
 func BenchmarkSFQSubmitDispatch(b *testing.B) {
 	eng := sim.NewEngine()
+	benchSubmitDispatch(b, eng, mustSFQD(b, eng, newBenchDev(eng), 4))
+}
+
+// risingCoord is a Coordinator whose other-node service rises on every
+// query, so SFQ applies the DSFQ delay on every arrival after a flow's
+// first.
+type risingCoord struct{ other float64 }
+
+func (c *risingCoord) OtherService(AppIdx) float64 {
+	c.other += 1000
+	return c.other
+}
+
+// BenchmarkSFQCoordinatedSubmit is BenchmarkSFQSubmitDispatch with a
+// coordinator attached: each op's submit also asks the coordinator for
+// the app's remote service and charges the delay to its start tag.
+func BenchmarkSFQCoordinatedSubmit(b *testing.B) {
+	eng := sim.NewEngine()
 	s := mustSFQD(b, eng, newBenchDev(eng), 4)
+	s.SetCoordinator(&risingCoord{})
+	benchSubmitDispatch(b, eng, s)
+}
+
+// benchSubmitDispatch runs b.N requests from four weighted flows through
+// s in a closed loop of 64.
+func benchSubmitDispatch(b *testing.B, eng *sim.Engine, s *SFQ) {
 	const window = 64
 	reqs := make([]*Request, window)
 	done, submitted, target := 0, 0, 0

@@ -26,9 +26,6 @@ type ControllerConfig struct {
 	// ReadLref is used for both directions.
 	ReadLref  float64
 	WriteLref float64
-	// Trace, if non-nil, receives one record per control period —
-	// exactly the data behind Figure 7.
-	Trace func(TracePoint)
 }
 
 // TracePoint is one controller observation (Figure 7's series).
@@ -89,6 +86,9 @@ type DepthController struct {
 	reads    int
 	onChange func()
 	periods  uint64
+	// trace, if non-nil, receives one record per control period —
+	// exactly the data behind Figure 7.
+	trace func(TracePoint)
 }
 
 // newDepthController starts the periodic control loop on eng, or
@@ -121,7 +121,7 @@ func (c *DepthController) Periods() uint64 { return c.periods }
 
 // SetTrace installs or replaces the per-period trace callback (the
 // Figure 7 instrumentation).
-func (c *DepthController) SetTrace(fn func(TracePoint)) { c.cfg.Trace = fn }
+func (c *DepthController) SetTrace(fn func(TracePoint)) { c.trace = fn }
 
 // Sample feeds one completed request's in-device latency to the
 // controller. isRead tracks the read/write mix for the weighted
@@ -147,8 +147,8 @@ func (c *DepthController) step(now float64) {
 	}
 	// An idle period (no completions) leaves D unchanged: there is no
 	// load signal to react to.
-	if c.cfg.Trace != nil {
-		c.cfg.Trace(TracePoint{
+	if c.trace != nil {
+		c.trace(TracePoint{
 			Time:     now,
 			Depth:    c.Depth(),
 			DepthRaw: c.d,

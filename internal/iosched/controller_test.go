@@ -118,10 +118,8 @@ func TestControllerTrace(t *testing.T) {
 	eng := sim.NewEngine()
 	dev := storage.NewDevice(eng, "d", flatSpec())
 	var pts []TracePoint
-	s := mustSFQD2(t, eng, dev, ControllerConfig{
-		ReadLref: 0.02,
-		Trace:    func(p TracePoint) { pts = append(pts, p) },
-	})
+	s := mustSFQD2(t, eng, dev, ControllerConfig{ReadLref: 0.02})
+	s.Controller().SetTrace(func(p TracePoint) { pts = append(pts, p) })
 	var served float64
 	backlog(eng, s, "A", 1, PersistentRead, 1e6, 4, 5, &served)
 	eng.RunUntil(6)
@@ -166,11 +164,11 @@ func TestControllerMixedReferenceWeighting(t *testing.T) {
 	s2 := mustSFQD2(t, eng2, dev2, ControllerConfig{
 		ReadLref:  0.010,
 		WriteLref: 0.050,
-		Trace: func(p TracePoint) {
-			if p.Samples > 0 {
-				got = append(got, p.Lref)
-			}
-		},
+	})
+	s2.Controller().SetTrace(func(p TracePoint) {
+		if p.Samples > 0 {
+			got = append(got, p.Lref)
+		}
 	})
 	// Pure writes for a few seconds: Lref should equal WriteLref.
 	var served float64
@@ -228,14 +226,14 @@ func TestControllerReactsToFlushDisturbance(t *testing.T) {
 	s := mustSFQD2(t, eng, dev, ControllerConfig{
 		ReadLref: prof.ReadLref * 1.2,
 		Gain:     200,
-		Trace: func(p TracePoint) {
-			if p.Time > 10 && p.Time < 20 && p.Depth < minDepth {
-				minDepth = p.Depth
-			}
-			if p.Time > 40 && p.Depth > maxAfter {
-				maxAfter = p.Depth
-			}
-		},
+	})
+	s.Controller().SetTrace(func(p TracePoint) {
+		if p.Time > 10 && p.Time < 20 && p.Depth < minDepth {
+			minDepth = p.Depth
+		}
+		if p.Time > 40 && p.Depth > maxAfter {
+			maxAfter = p.Depth
+		}
 	})
 	var served float64
 	backlog(eng, s, "A", 1, PersistentRead, 1e6, 8, 50, &served)

@@ -29,15 +29,15 @@ import (
 // broker.
 type rampCoord struct {
 	step  float64
-	total map[AppID]float64
+	total map[AppIdx]float64
 }
 
-func (f *rampCoord) OtherService(app AppID, _ AppIdx) float64 {
+func (f *rampCoord) OtherService(idx AppIdx) float64 {
 	if f.total == nil {
-		f.total = make(map[AppID]float64)
+		f.total = make(map[AppIdx]float64)
 	}
-	f.total[app] += f.step
-	return f.total[app]
+	f.total[idx] += f.step
+	return f.total[idx]
 }
 
 // tagChecker validates tag arithmetic from the probe stream.

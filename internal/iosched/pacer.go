@@ -89,7 +89,7 @@ func newPacer(eng *sim.Engine, dev Backend, src WeightSource, name string, rates
 		eng:         eng,
 		dev:         dev,
 		src:         src,
-		acct:        NewAccounting(),
+		acct:        NewAccounting(src),
 		name:        name,
 		rates:       rates,
 		defaultRate: defaultRate,
@@ -259,6 +259,6 @@ func (p *Pacer) dispatch(req *Request) {
 func (p *Pacer) complete(arg any, _ float64) {
 	req := arg.(*Request)
 	p.inflight--
-	p.acct.Add(p.src.AppName(req.AppIdx), req)
+	p.acct.Add(req)
 	finish(p.probe, req, ProbeState{Time: p.eng.Now(), Queued: p.queued, InFlight: p.inflight})
 }

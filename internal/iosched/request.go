@@ -31,9 +31,8 @@ type AppID string
 // submitted request carries a valid one.
 type AppIdx int32
 
-// NoApp is the "no index" value: a caller passes it as the hint when it
-// has no cached index, and the share tree returns it for an app it
-// cannot number. A scheduler refuses it like any index outside its
+// NoApp is the "no index" value: the share tree returns it for an app
+// it cannot number. A scheduler refuses it like any index outside its
 // source's numbering.
 const NoApp AppIdx = -1
 

@@ -66,45 +66,55 @@ type AppService struct {
 
 // Accounting tracks cumulative per-app service for a scheduler. It backs
 // both fairness measurements and the broker's coordination vectors.
-// Its entries stay sorted by app name, the order the broker folds a
-// vector in, so a lookup by name is a binary search and the vector
-// needs no sort.
+// A completion books by the request's index; the app's name is resolved
+// once, at its first completion, to keep the entries sorted by app name
+// — the order the broker folds a vector in — so a lookup by name is a
+// binary search and the vector needs no sort.
 type Accounting struct {
-	apps []*appAccount
+	src WeightSource
+	// byIdx finds an app's entry by index. It is a map, not a slice
+	// indexed by AppIdx: a hollow node's scheduler serves a few apps of
+	// a tree that numbers thousands.
+	byIdx map[AppIdx]*appAccount
+	apps  []*appAccount // sorted by name
 }
 
 type appAccount struct {
 	app AppID
-	idx AppIdx // the app's index, from its first booked request
+	idx AppIdx
 	AppService
 }
 
-// AppCost is one entry of a scheduler's service vector: an app, its
-// index in its share tree (a hint the receiver checks against the
-// name), and the cumulative cost it received.
+// AppCost is one entry of a scheduler's service vector: an app, as its
+// index in the scheduler's share tree, and the cumulative cost it
+// received.
 type AppCost struct {
-	App  AppID
 	Idx  AppIdx
 	Cost float64
 }
 
-// NewAccounting returns an empty account book.
-func NewAccounting() *Accounting { return &Accounting{} }
+// NewAccounting returns an empty account book for the apps src numbers.
+func NewAccounting(src WeightSource) *Accounting {
+	return &Accounting{src: src, byIdx: make(map[AppIdx]*appAccount)}
+}
 
-// Add books a completed request of app (the name of req.AppIdx) at the
-// device cost its scheduler assigned at submission.
-func (a *Accounting) Add(app AppID, req *Request) { a.slot(app, req.AppIdx).add(req) }
+// Add books a completed request at the device cost its scheduler
+// assigned at submission.
+func (a *Accounting) Add(req *Request) { a.slot(req.AppIdx).add(req) }
 
-// slot returns the counters of app (index idx), creating them on first
-// use. The pointer stays valid for the book's lifetime, so a scheduler
-// may cache it per flow; it must only be taken at a completion, so that
-// Apps lists an app from its first booked request on.
-func (a *Accounting) slot(app AppID, idx AppIdx) *AppService {
-	i, ok := a.find(app)
-	if !ok {
-		a.apps = slices.Insert(a.apps, i, &appAccount{app: app, idx: idx})
+// slot returns the counters of app idx, creating them on first use. The
+// pointer stays valid for the book's lifetime, so a scheduler may cache
+// it per flow; it must only be taken at a completion, so that Apps lists
+// an app from its first booked request on.
+func (a *Accounting) slot(idx AppIdx) *AppService {
+	e := a.byIdx[idx]
+	if e == nil {
+		e = &appAccount{app: a.src.AppName(idx), idx: idx}
+		i, _ := a.find(e.app)
+		a.apps = slices.Insert(a.apps, i, e)
+		a.byIdx[idx] = e
 	}
-	return &a.apps[i].AppService
+	return &e.AppService
 }
 
 func (a *Accounting) find(app AppID) (int, bool) {
@@ -138,12 +148,12 @@ func (a *Accounting) Apps() []AppID {
 }
 
 // CostVector returns a copy of the per-app cumulative cost, sorted by
-// app — the message a local scheduler sends the Scheduling Broker each
-// period.
+// app name — the message a local scheduler sends the Scheduling Broker
+// each period.
 func (a *Accounting) CostVector() []AppCost {
 	v := make([]AppCost, len(a.apps))
 	for i, e := range a.apps {
-		v[i] = AppCost{App: e.app, Idx: e.idx, Cost: e.Cost}
+		v[i] = AppCost{Idx: e.idx, Cost: e.Cost}
 	}
 	return v
 }
@@ -174,7 +184,7 @@ type FIFO struct {
 // NewFIFO builds the native pass-through scheduler for a device, whose
 // requests' apps src numbers and weighs.
 func NewFIFO(eng *sim.Engine, dev Backend, src WeightSource) *FIFO {
-	f := &FIFO{eng: eng, dev: dev, src: src, acct: NewAccounting()}
+	f := &FIFO{eng: eng, dev: dev, src: src, acct: NewAccounting(src)}
 	f.doneFn = f.complete
 	return f
 }
@@ -217,6 +227,6 @@ func (f *FIFO) Submit(req *Request) error {
 func (f *FIFO) complete(arg any, _ float64) {
 	req := arg.(*Request)
 	f.inflight--
-	f.acct.Add(f.src.AppName(req.AppIdx), req)
+	f.acct.Add(req)
 	finish(f.probe, req, ProbeState{Time: f.eng.Now(), InFlight: f.inflight})
 }

@@ -14,20 +14,17 @@ import (
 // service (cost units) an application has received on every node other
 // than this one, as currently known from the Scheduling Broker.
 type Coordinator interface {
-	// OtherService takes the app's name and its index in the
-	// scheduler's source, a hint the coordinator checks against the
-	// name before trusting it.
-	OtherService(app AppID, idx AppIdx) float64
+	// OtherService takes the app's index in the scheduler's source.
+	OtherService(idx AppIdx) float64
 }
 
 // flowState is the per-application SFQ bookkeeping on one scheduler.
 type flowState struct {
-	app        AppID   // the app's name, resolved once when the flow opens
 	lastFinish float64 // finish tag of the flow's most recent request
 	lastOther  float64 // other-node service snapshot at last arrival
 	seenOther  bool    // whether lastOther has been initialized
 	// svc is the flow's slot in the scheduler's Accounting, taken at
-	// its first completion so completions book without a map lookup.
+	// its first completion so completions book without a lookup.
 	svc *AppService
 }
 
@@ -71,7 +68,7 @@ func NewSFQD(eng *sim.Engine, dev Backend, src WeightSource, depth int) (*SFQ, e
 		eng:    eng,
 		dev:    dev,
 		src:    src,
-		acct:   NewAccounting(),
+		acct:   NewAccounting(src),
 		flows:  make(map[AppIdx]*flowState),
 		static: depth,
 	}
@@ -88,7 +85,7 @@ func NewSFQD2(eng *sim.Engine, dev Backend, src WeightSource, cfg ControllerConf
 		eng:   eng,
 		dev:   dev,
 		src:   src,
-		acct:  NewAccounting(),
+		acct:  NewAccounting(src),
 		flows: make(map[AppIdx]*flowState),
 	}
 	s.doneFn = s.complete
@@ -234,7 +231,7 @@ func (s *SFQ) Submit(req *Request) error {
 	}
 	f := s.flows[req.AppIdx]
 	if f == nil {
-		f = &flowState{app: s.src.AppName(req.AppIdx), lastFinish: s.vtime}
+		f = &flowState{lastFinish: s.vtime}
 		s.flows[req.AppIdx] = f
 	}
 	req.arrive = s.eng.Now()
@@ -245,7 +242,7 @@ func (s *SFQ) Submit(req *Request) error {
 
 	base := f.lastFinish
 	if s.coord != nil && !s.coordSuspended {
-		other := s.coord.OtherService(f.app, req.AppIdx)
+		other := s.coord.OtherService(req.AppIdx)
 		if !f.seenOther {
 			// First arrival: no delay, just take the snapshot.
 			f.lastOther = other
@@ -299,7 +296,7 @@ func (s *SFQ) complete(arg any, devLat float64) {
 	s.inflight--
 	f := req.flow
 	if f.svc == nil {
-		f.svc = s.acct.slot(f.app, req.AppIdx)
+		f.svc = s.acct.slot(req.AppIdx)
 	}
 	f.svc.add(req)
 	if s.ctrl != nil {

@@ -330,21 +330,34 @@ func TestAccountingAppsSorted(t *testing.T) {
 }
 
 func TestAccountingUnknownApp(t *testing.T) {
-	a := NewAccounting()
+	a := NewAccounting(testApps)
 	if got := a.Service("nope"); got.Bytes != 0 || got.Requests != 0 {
 		t.Fatalf("unknown app service = %+v", got)
 	}
 }
 
 func TestCostVectorMatchesService(t *testing.T) {
-	eng, s := newTestSFQ(t, 2)
-	s.Submit(&Request{AppIdx: weigh("A", 1), Class: PersistentRead, Size: 3e6})
-	s.Submit(&Request{AppIdx: weigh("B", 1), Class: PersistentWrite, Size: 5e6})
+	// The source numbers apps in reverse name order, so a vector in
+	// index order would read B before A: the vector must still come out
+	// in name order, the order the broker folds it in, with each entry
+	// carrying its app's own index.
+	src := &table{names: []AppID{"B", "A"}, weights: []float64{1, 1}}
+	eng := sim.NewEngine()
+	s, err := NewSFQD(eng, storage.NewDevice(eng, "d", flatSpec()), src, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Submit(&Request{AppIdx: 1, Class: PersistentRead, Size: 3e6})
+	s.Submit(&Request{AppIdx: 0, Class: PersistentWrite, Size: 5e6})
 	eng.Run()
-	v := s.Accounting().CostVector()
-	if len(v) != 2 || v[0].App != "A" || v[1].App != "B" ||
-		v[0].Cost != s.Accounting().Service("A").Cost || v[1].Cost != s.Accounting().Service("B").Cost {
-		t.Fatalf("cost vector %v mismatches accounting (or is not sorted by app)", v)
+	acct := s.Accounting()
+	v := acct.CostVector()
+	want := []AppCost{{Idx: 1, Cost: acct.Service("A").Cost}, {Idx: 0, Cost: acct.Service("B").Cost}}
+	if !slices.Equal(v, want) || want[0].Cost == 0 || want[1].Cost == 0 {
+		t.Fatalf("cost vector %v, want %v (sorted by app name, with each app's index)", v, want)
+	}
+	if apps := acct.Apps(); !slices.Equal(apps, []AppID{"A", "B"}) {
+		t.Fatalf("Apps() = %v, want [A B]", apps)
 	}
 }
 

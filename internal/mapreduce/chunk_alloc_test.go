@@ -21,7 +21,7 @@ type chunkLoop struct {
 
 func newChunkLoop(tb testing.TB) *chunkLoop {
 	h := newHarness(tb, cluster.SFQD, 1)
-	job := &Job{rt: h.rt, App: "chunk", idx: h.cl.Shares().Index("chunk", iosched.NoApp)}
+	job := &Job{rt: h.rt, App: "chunk", idx: h.cl.Shares().Index("chunk")}
 	c := &chunkLoop{h: h, job: job, n: h.cl.Nodes[0]}
 	c.next = func() { c.done++ }
 	return c

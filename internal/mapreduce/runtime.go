@@ -200,7 +200,7 @@ func (rt *Runtime) Submit(spec JobSpec, delay float64) (*Job, error) {
 	job.idx, _ = tree.Lookup(app)
 	// A reused AppID (consecutive Hive stages, resubmitted jobs) may
 	// have been retired at the broker when its previous job finished.
-	rt.cluster.ReviveApp(app)
+	rt.cluster.ReviveApp(job.idx)
 	rt.jobs = append(rt.jobs, job)
 	rt.eng.Schedule(delay, func() { rt.start(job) })
 	return job, nil
@@ -309,7 +309,7 @@ func (j *Job) fail() {
 	for _, fn := range j.rt.onDone {
 		fn(j)
 	}
-	j.rt.retireIfUnused(j.App)
+	j.rt.retireIfUnused(j)
 	j.rt.fair.pump()
 }
 
@@ -428,19 +428,19 @@ func (j *Job) maybeFinish() {
 		for _, fn := range j.rt.onDone {
 			fn(j)
 		}
-		j.rt.retireIfUnused(j.App)
+		j.rt.retireIfUnused(j)
 	}
 }
 
-// retireIfUnused retires app at the broker once no unfinished job
+// retireIfUnused retires j's app at the broker once no unfinished job
 // shares it, so stale straggler reports cannot resurrect its totals.
-func (rt *Runtime) retireIfUnused(app iosched.AppID) {
+func (rt *Runtime) retireIfUnused(j *Job) {
 	for _, other := range rt.jobs {
-		if other.App == app && !other.finished() {
+		if other.idx == j.idx && !other.finished() {
 			return
 		}
 	}
-	rt.cluster.RetireApp(app)
+	rt.cluster.RetireApp(j.idx)
 }
 
 // chunked runs fn over size bytes in chunkBytes units on eng,

@@ -317,7 +317,7 @@ func Run(cfg Config) (*Report, error) {
 	}
 	for _, app := range pop.Apps() {
 		perNode := pop.ArrivalRate(app, nodeServiceRate) / float64(len(app.Nodes))
-		idx, w, _ := tree.Resolve(app.ID, iosched.NoApp, iosched.PersistentRead)
+		idx, w, _ := tree.Resolve(app.ID, iosched.PersistentRead)
 		for _, n := range app.Nodes {
 			cells[n].residents = append(cells[n].residents, resident{
 				id: app.ID, idx: idx, weight: w, rate: perNode,

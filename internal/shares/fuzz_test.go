@@ -173,14 +173,14 @@ func FuzzShareTree(f *testing.F) {
 		// weight, bit for bit (the product is computed in the same
 		// order: tenant × app × class).
 		for app, sa := range apps {
-			if got := tree.TenantOf(app); got != sa.tenant {
+			if got := tenantOf(tree, app); got != sa.tenant {
 				t.Fatalf("app %q tenant %q, want %q", app, got, sa.tenant)
 			}
 			if got := tree.AppWeight(app); got != sa.weight {
 				t.Fatalf("app %q weight %v, want %v", app, got, sa.weight)
 			}
 			for c := 0; c < iosched.NumClasses; c++ {
-				_, got, _ := tree.Resolve(app, iosched.NoApp, iosched.Class(c))
+				_, got, _ := tree.Resolve(app, iosched.Class(c))
 				want := tenants[sa.tenant] * sa.weight * sa.class[c]
 				if got != want {
 					t.Fatalf("app %q class %d effective weight %v, want %v", app, c, got, want)

@@ -303,7 +303,7 @@ func (t *Tree) SetClassWeight(app iosched.AppID, class iosched.Class, mult float
 	if !validWeight(mult) {
 		return fmt.Errorf("shares: app %q class %s multiplier must be positive and finite, got %g", app, class, mult)
 	}
-	ai := t.Index(app, iosched.NoApp)
+	ai := t.Index(app)
 	if ai == iosched.NoApp {
 		return fmt.Errorf("shares: class weight with empty app id")
 	}
@@ -317,18 +317,11 @@ func (t *Tree) SetClassWeight(app iosched.AppID, class iosched.Class, mult float
 	return nil
 }
 
-// Index returns app's dense index. hint is the caller's cached index
-// for app, if any (iosched.NoApp otherwise): it is checked against the
-// app's name and returned without hashing when it matches, so an index
-// from another tree can never be mistaken for one of this tree's.
-// Unknown apps auto-bind to their implicit singleton tenant at weight
-// 1 — the default for an app no job framework bound, numbered where
-// its caller first resolves it. The empty app id has no index
-// (iosched.NoApp).
-func (t *Tree) Index(app iosched.AppID, hint iosched.AppIdx) iosched.AppIdx {
-	if uint(hint) < uint(len(t.apps)) && t.apps[hint].id == app {
-		return hint
-	}
+// Index returns app's dense index. Unknown apps auto-bind to their
+// implicit singleton tenant at weight 1 — the default for an app no job
+// framework bound, numbered where its caller first resolves it. The
+// empty app id has no index (iosched.NoApp).
+func (t *Tree) Index(app iosched.AppID) iosched.AppIdx {
 	if ai, ok := t.appIdx[app]; ok {
 		return ai
 	}
@@ -338,11 +331,10 @@ func (t *Tree) Index(app iosched.AppID, hint iosched.AppIdx) iosched.AppIdx {
 	return t.appIdx[app]
 }
 
-// Resolve is Weight by name: app's index (hint as for Index), its
-// effective weight for class, and the current epoch. Unknown apps
-// auto-bind at weight 1 under their implicit tenant.
-func (t *Tree) Resolve(app iosched.AppID, hint iosched.AppIdx, class iosched.Class) (iosched.AppIdx, float64, uint64) {
-	ai := t.Index(app, hint)
+// Resolve is Weight by name: app's index (as Index gives it), its
+// effective weight for class, and the current epoch.
+func (t *Tree) Resolve(app iosched.AppID, class iosched.Class) (iosched.AppIdx, float64, uint64) {
+	ai := t.Index(app)
 	if ai == iosched.NoApp || class < 0 || int(class) >= iosched.NumClasses {
 		return ai, 0, t.epoch
 	}
@@ -360,16 +352,6 @@ func (t *Tree) Weight(ai iosched.AppIdx, class iosched.Class) (float64, uint64) 
 }
 
 var _ iosched.WeightSource = (*Tree)(nil)
-
-// TenantOf returns the name of the tenant an application belongs to,
-// auto-binding unknown apps to their implicit singleton tenant.
-func (t *Tree) TenantOf(app iosched.AppID) string {
-	ai := t.Index(app, iosched.NoApp)
-	if ai == iosched.NoApp {
-		return ImplicitTenant(app)
-	}
-	return t.tenants[t.apps[ai].tenant].name
-}
 
 // TenantAt returns the index of the tenant app ai belongs to.
 func (t *Tree) TenantAt(ai iosched.AppIdx) TenantIdx { return t.apps[ai].tenant }

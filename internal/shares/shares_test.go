@@ -19,13 +19,13 @@ func TestImplicitTenantIdentity(t *testing.T) {
 			t.Fatal(err)
 		}
 		for c := iosched.Class(0); int(c) < iosched.NumClasses; c++ {
-			_, got, _ := tr.Resolve(app, iosched.NoApp, c)
+			_, got, _ := tr.Resolve(app, c)
 			if got != w {
 				t.Fatalf("EffectiveWeight(%g, %s) = %g, want bit-identical", w, c, got)
 			}
 		}
-		if tr.TenantOf(app) != ImplicitTenant(app) {
-			t.Fatalf("TenantOf = %q, want %q", tr.TenantOf(app), ImplicitTenant(app))
+		if tenantOf(tr, app) != ImplicitTenant(app) {
+			t.Fatalf("tenant = %q, want %q", tenantOf(tr, app), ImplicitTenant(app))
 		}
 		// Re-bind with the next weight in the loop.
 		tr = NewTree()
@@ -45,17 +45,17 @@ func TestEffectiveWeightProduct(t *testing.T) {
 	if err := tr.SetClassWeight("etl", iosched.IntermediateWrite, 0.5); err != nil {
 		t.Fatal(err)
 	}
-	if _, got, _ := tr.Resolve("etl", iosched.NoApp, iosched.PersistentRead); got != 12 {
+	if _, got, _ := tr.Resolve("etl", iosched.PersistentRead); got != 12 {
 		t.Fatalf("PersistentRead = %g, want 12 (3 x 4 x 1)", got)
 	}
-	if _, got, _ := tr.Resolve("etl", iosched.NoApp, iosched.IntermediateWrite); got != 6 {
+	if _, got, _ := tr.Resolve("etl", iosched.IntermediateWrite); got != 6 {
 		t.Fatalf("IntermediateWrite = %g, want 6 (3 x 4 x 0.5)", got)
 	}
 	// Reweighting the tenant scales every member.
 	if err := tr.Tenant("analytics", 6); err != nil {
 		t.Fatal(err)
 	}
-	if _, got, _ := tr.Resolve("etl", iosched.NoApp, iosched.PersistentRead); got != 24 {
+	if _, got, _ := tr.Resolve("etl", iosched.PersistentRead); got != 24 {
 		t.Fatalf("after tenant reweight = %g, want 24", got)
 	}
 }
@@ -64,15 +64,15 @@ func TestEffectiveWeightProduct(t *testing.T) {
 // fail — it is the back-compat path for raw requests.
 func TestUnknownAppAutoBinds(t *testing.T) {
 	tr := NewTree()
-	_, w, epoch := tr.Resolve("ghost", iosched.NoApp, iosched.PersistentRead)
+	_, w, epoch := tr.Resolve("ghost", iosched.PersistentRead)
 	if w != 1 {
 		t.Fatalf("unknown app weight = %g, want 1", w)
 	}
 	if epoch == 0 {
 		t.Fatal("auto-bind did not bump the epoch")
 	}
-	if got := tr.TenantOf("ghost"); got != "~ghost" {
-		t.Fatalf("TenantOf = %q, want ~ghost", got)
+	if got := tenantOf(tr, "ghost"); got != "~ghost" {
+		t.Fatalf("tenant = %q, want ~ghost", got)
 	}
 }
 
@@ -205,7 +205,7 @@ func TestSetAppWeightPinsAgainstRebind(t *testing.T) {
 	if err := tr.Bind("q1", "interactive", 2); err != nil {
 		t.Fatal(err)
 	}
-	if got := tr.TenantOf("q1"); got != "interactive" {
+	if got := tenantOf(tr, "q1"); got != "interactive" {
 		t.Fatalf("rebind did not move tenant: %q", got)
 	}
 	if got := tr.AppWeight("q1"); got != 16 {
@@ -247,3 +247,7 @@ func TestEnumerations(t *testing.T) {
 		t.Fatalf("implicit tenant weight = %g, want 1", w)
 	}
 }
+
+// tenantOf names app's tenant in tr, auto-binding an unknown app to its
+// implicit singleton tenant.
+func tenantOf(tr *Tree, app iosched.AppID) string { return tr.TenantName(tr.TenantAt(tr.Index(app))) }

@@ -25,7 +25,7 @@ func (w Writer) put(ev iosched.ProbeEvent, t float64, app iosched.AppIdx, class 
 func bound(apps ...iosched.AppID) *shares.Tree {
 	tree := shares.NewTree()
 	for _, app := range apps {
-		tree.Index(app, iosched.NoApp)
+		tree.Index(app)
 	}
 	return tree
 }

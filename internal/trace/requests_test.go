@@ -24,7 +24,7 @@ func runMixedTraced(t testing.TB, tr *trace.Tracer, tree *shares.Tree, shard, nR
 	for i := 0; i < nReqs; i++ {
 		eng.Schedule(offset+float64(i)*0.011, func() {
 			s.Submit(&iosched.Request{
-				AppIdx: tree.Index(apps[i%2], iosched.NoApp), Class: classes[i%3], Size: 1e6,
+				AppIdx: tree.Index(apps[i%2]), Class: classes[i%3], Size: 1e6,
 			})
 		})
 	}

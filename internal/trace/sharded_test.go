@@ -20,7 +20,7 @@ func runShardTraced(t testing.TB, tr *trace.Tracer, tree *shares.Tree, shard, nR
 	for i := 0; i < nReqs; i++ {
 		eng.Schedule(offset+float64(i)*0.001, func() {
 			s.Submit(&iosched.Request{
-				AppIdx: tree.Index("alpha", iosched.NoApp), Class: iosched.PersistentRead, Size: 1e6,
+				AppIdx: tree.Index("alpha"), Class: iosched.PersistentRead, Size: 1e6,
 			})
 		})
 	}

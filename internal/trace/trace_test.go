@@ -56,7 +56,7 @@ func newTraced(t testing.TB, capacity, nReqs int) *trace.Tracer {
 	s.SetProbe(tr.Probe(0, 0, trace.DevHDFS))
 	apps := []iosched.AppID{"alpha", "beta"}
 	for i := 0; i < nReqs; i++ {
-		s.Submit(&iosched.Request{AppIdx: tree.Index(apps[i%2], iosched.NoApp), Class: iosched.PersistentRead, Size: 1e6})
+		s.Submit(&iosched.Request{AppIdx: tree.Index(apps[i%2]), Class: iosched.PersistentRead, Size: 1e6})
 	}
 	eng.Run()
 	return tr
@@ -179,7 +179,7 @@ func TestMultiProbeFansOut(t *testing.T) {
 	s := sfqd2(t, eng, tree)
 	s.SetProbe(iosched.MultiProbe(t1.Probe(0, 0, trace.DevHDFS), nil, t2.Probe(0, 0, trace.DevLocal)))
 	for i := 0; i < 6; i++ {
-		s.Submit(&iosched.Request{AppIdx: tree.Index("a", iosched.NoApp), Class: iosched.PersistentRead, Size: 1e6})
+		s.Submit(&iosched.Request{AppIdx: tree.Index("a"), Class: iosched.PersistentRead, Size: 1e6})
 	}
 	eng.Run()
 	if t1.Total() != 18 || t2.Total() != 18 {

@@ -81,8 +81,8 @@ func TestPopulationBind(t *testing.T) {
 			t.Fatalf("tenant %s weight %v, want %v", ts.Name, w, ts.Weight)
 		}
 		for _, a := range ts.Apps {
-			if tree.TenantOf(a.ID) != ts.Name {
-				t.Fatalf("app %s bound to %q, want %q", a.ID, tree.TenantOf(a.ID), ts.Name)
+			if tree.TenantName(tree.TenantAt(tree.Index(a.ID))) != ts.Name {
+				t.Fatalf("app %s bound to %q, want %q", a.ID, tree.TenantName(tree.TenantAt(tree.Index(a.ID))), ts.Name)
 			}
 			if w := tree.AppWeight(a.ID); math.Abs(w-a.Weight) > 1e-12 {
 				t.Fatalf("app %s weight %v, want %v", a.ID, w, a.Weight)
